@@ -12,13 +12,12 @@ round trips land exactly (cocycle level) or in the same class (bar level).
 """
 
 from supercoh import (
-    SemiLinearMap, UAlgebra, adjoint_module, are_equivalent_restricted,
-    hom_module, restricted_cohomology, semidirect_extension, trivial_module,
-    twist_pmap,
+    SemiLinearMap, adjoint_module, are_equivalent_restricted, hom_module,
+    restricted_cohomology, semidirect_extension, trivial_module, twist_pmap,
 )
 from supercoh.algfile import parse_algebra_dict
 from supercoh.catalog import get_entry
-from supercoh.cohomology import lie_differential_matrix
+from supercoh.cohomology import CochainComplex
 from supercoh.extensions import (
     assoc_2cocycle_from_restricted_ext, cocycle_from_module_ext,
     module_ext_from_1cocycle, restricted_ext_from_assoc_2cocycle,
@@ -31,7 +30,7 @@ k = modules["k"]
 # --- module extensions --------------------------------------------------
 K, N = adjoint_module(g), trivial_module(g, name="n")
 M = hom_module(g, N, K)
-Z1 = nullspace(lie_differential_matrix(g, M, 1))
+Z1 = nullspace(CochainComplex(g, M, "lie").d(1))
 print(f"Hom(N, K) has {Z1.dim} independent 1-cocycles")
 f = Z1.basis_rows[0]
 ext = module_ext_from_1cocycle(g, K, N, f, hom=M)
@@ -41,9 +40,11 @@ print("extension built; recovered cocycle equals the input:",
 # --- restricted extensions and p-map twisting ----------------------------
 s0 = semidirect_extension(g, k)
 print("\ntrivial restricted extension s0 = g |x k built and validated")
-u = UAlgebra(g)
-h2s = restricted_cohomology(g, k, 2, u)
-c = assoc_2cocycle_from_restricted_ext(s0, u)
+# one bar complex of (g, k): its bases and differentials are built once and
+# shared by the cohomology and every extraction below
+bar = CochainComplex(g, k, "bar")
+h2s = restricted_cohomology(g, k, 2, bar)
+c = assoc_2cocycle_from_restricted_ext(s0, bar)
 print("its bar 2-cocycle class:", h2s.class_coords(c), "(zero, as it must be)")
 
 # h -> m is the p-th-power defect of the cocycle -h*, so this twist is
@@ -51,22 +52,22 @@ print("its bar 2-cocycle class:", h2s.class_coords(c), "(zero, as it must be)")
 inert = SemiLinearMap(g, 1, ((1,), (0,)))
 tw0 = twist_pmap(s0, inert)
 print("twist by (h -> m, x -> 0): class",
-      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw0, u)),
+      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw0, bar)),
       "; equivalent to s0?", are_equivalent_restricted(s0, tw0))
 
 # x -> m is not such a defect: it produces a genuinely new equivalence class
 active = SemiLinearMap(g, 1, ((0,), (1,)))
 tw1 = twist_pmap(s0, active)
 print("twist by (h -> 0, x -> m): class",
-      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw1, u)),
+      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw1, bar)),
       "; equivalent to s0?", are_equivalent_restricted(s0, tw1))
 
 # --- and back: a bar cocycle to a restricted extension -------------------
 c0 = h2s.representatives[0]
-ext2 = restricted_ext_from_assoc_2cocycle(g, k, c0, u)
+ext2 = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
 e_h = ext2.layout.g_to_e(0)
 print("\nextension rebuilt from the H^2_* generator; its p-map on (h, 0):",
       [int(c) for c in ext2.E.pmap_basis(e_h)])
-c1 = assoc_2cocycle_from_restricted_ext(ext2, u)
+c1 = assoc_2cocycle_from_restricted_ext(ext2, bar)
 print("extract-again lands in the same class:",
       h2s.class_coords(c0) == h2s.class_coords(c1))

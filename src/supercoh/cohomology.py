@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
 from .gflin import MatGF, Subspace, image, nullspace, quotient_representatives
-from .superalg import EVEN, ODD, pmap_apply
+from .superalg import EVEN, ODD
 
 __all__ = [
-    "LieCochainBasis", "AssocCochainBasis", "CohomologyResult",
+    "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
     "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
     "restricted_cohomology", "sgn_marked", "comparison_matrix",
@@ -137,14 +138,10 @@ def assoc_cochain_basis(ualg, mspace, n):
 # Lie-type differential
 # ---------------------------------------------------------------------------
 
-def lie_differential_matrix(g, rep, n, variant="unified"):
-    """Matrix of delta_n : C^n(g, M) -> C^{n+1}(g, M).
-
-    ``variant="unified"`` uses the single-formula differential on mixed
-    tuples; ``variant="split"`` uses the block form with separate even
-    action, odd action and three bracket sums.  Both must agree; a
-    regression test compares them.
-    """
+def lie_differential_matrix(g, rep, n):
+    """Matrix of delta_n : C^n(g, M) -> C^{n+1}(g, M), one signed formula on
+    mixed (even | odd) argument tuples.  The block form with separate even
+    action, odd action and bracket sums is a test oracle that must agree."""
     src = lie_cochain_basis(g, rep.space, n)
     dst = lie_cochain_basis(g, rep.space, n + 1)
     p = g.p
@@ -163,12 +160,7 @@ def lie_differential_matrix(g, rep, n, variant="unified"):
                     f"differential hit a parity-invalid cochain {col_item}")
             row[col] = (row.get(col, 0) + coeff) % p
 
-        if variant == "unified":
-            _unified_terms(g, rep, src, args, nu, add)
-        elif variant == "split":
-            _split_terms(g, rep, src, ev, od, nu, add)
-        else:
-            raise UsageError(f"unknown variant {variant!r}")
+        _unified_terms(g, rep, src, args, nu, add)
         rows.append({c: v for c, v in row.items() if v})
     return MatGF.from_rows(rows, src.dim, p)
 
@@ -209,71 +201,11 @@ def _unified_terms(g, rep, src, args, nu, add):
                 add((evs, ods, nu), sign * csign * int(coeff))
 
 
-def _split_terms(g, rep, src, ev, od, nu, add):
-    p = g.p
-    n0, n1 = len(ev), len(od)
-    for s in range(n0):
-        sign = -1 if s % 2 else 1  # (-1)^{s-1}, s 1-based
-        rest = (ev[:s] + ev[s + 1:], od)
-        mat = rep.mats[ev[s]]
-        for mu in range(rep.dim):
-            c = mat[nu, mu]
-            if c:
-                add((rest[0], rest[1], mu), sign * int(c))
-    for t in range(n1):
-        sign = -1 if n0 % 2 else 1  # (-1)^{n0}
-        rest = (ev, od[:t] + od[t + 1:])
-        mat = rep.mats[od[t]]
-        for mu in range(rep.dim):
-            c = mat[nu, mu]
-            if c:
-                add((rest[0], rest[1], mu), sign * int(c))
-    for s in range(n0):
-        for t in range(s + 1, n0):
-            sign = -1 if (s + t) % 2 else 1  # (-1)^{s+t}, both 1-based
-            rest = ev[:s] + ev[s + 1:t] + ev[t + 1:]
-            vec = g.brackets[ev[s], ev[t]]
-            for b, coeff in enumerate(vec):
-                if not coeff:
-                    continue
-                canon = lie_eval_sign(g, (b,) + rest + od)
-                if canon is None:
-                    continue
-                evs, ods, csign = canon
-                add((evs, ods, nu), sign * csign * int(coeff))
-    for s in range(n0):
-        for t in range(n1):
-            sign = -1 if (s + 1) % 2 else 1  # (-1)^s, s 1-based
-            vec = g.brackets[ev[s], od[t]]
-            rest_ev = ev[:s] + ev[s + 1:]
-            rest_od = od[:t] + od[t + 1:]
-            for b, coeff in enumerate(vec):
-                if not coeff:
-                    continue
-                canon = lie_eval_sign(g, rest_ev + (b,) + rest_od)
-                if canon is None:
-                    continue
-                evs, ods, csign = canon
-                add((evs, ods, nu), sign * csign * int(coeff))
-    for s in range(n1):
-        for t in range(s + 1, n1):
-            vec = g.brackets[od[s], od[t]]
-            rest_od = od[:s] + od[s + 1:t] + od[t + 1:]
-            for b, coeff in enumerate(vec):
-                if not coeff:
-                    continue
-                canon = lie_eval_sign(g, (b,) + ev + rest_od)
-                if canon is None:
-                    continue
-                evs, ods, csign = canon
-                add((evs, ods, nu), -int(coeff) * csign)
-
-
 # ---------------------------------------------------------------------------
 # bar-type differential
 # ---------------------------------------------------------------------------
 
-def assoc_differential_matrix(ualg, rep, n, basis_cache=None):
+def assoc_differential_matrix(ualg, rep, n):
     """Matrix of the normalized bar differential on u(g)^+ cochains:
 
     (delta f)(s_1..s_{n+1}) = s_1 . f(s_2..s_{n+1})
@@ -282,8 +214,8 @@ def assoc_differential_matrix(ualg, rep, n, basis_cache=None):
     Products of augmentation-ideal elements stay in the ideal; a unit
     component in a straightened product would be a bug and raises.
     """
-    src = _cached_basis(basis_cache, ualg, rep.space, n)
-    dst = _cached_basis(basis_cache, ualg, rep.space, n + 1)
+    src = assoc_cochain_basis(ualg, rep.space, n)
+    dst = assoc_cochain_basis(ualg, rep.space, n + 1)
     p = ualg.p
     aug = src.aug
     aug_index = src.aug_index
@@ -318,13 +250,49 @@ def assoc_differential_matrix(ualg, rep, n, basis_cache=None):
     return MatGF.from_rows(rows, src.dim, p)
 
 
-def _cached_basis(cache, ualg, mspace, n):
-    if cache is None:
-        return assoc_cochain_basis(ualg, mspace, n)
-    key = (id(ualg), id(mspace), n)
-    if key not in cache:
-        cache[key] = assoc_cochain_basis(ualg, mspace, n)
-    return cache[key]
+# ---------------------------------------------------------------------------
+# the complex of one (g, M) pair
+# ---------------------------------------------------------------------------
+
+class CochainComplex:
+    """The Lie (``kind="lie"``) or bar (``kind="bar"``) cochain complex of
+    (g, M).  Each degree's basis and differential d_n : C^n -> C^{n+1} is
+    built on first use and kept for the life of the object, so everything
+    read off one complex shares them.  The bar kind owns the restricted
+    enveloping algebra u(g) its cochains live on."""
+
+    def __init__(self, g, rep, kind):
+        if kind not in ("lie", "bar"):
+            raise UsageError(f"unknown complex kind {kind!r}")
+        self.g = g
+        self.rep = rep
+        self.kind = kind
+        self.ualg = UAlgebra(g, restricted=True) if kind == "bar" else None
+        self._bases = {}
+        self._diffs = {}
+
+    def basis(self, n):
+        if n not in self._bases:
+            self._bases[n] = (lie_cochain_basis(self.g, self.rep.space, n)
+                              if self.ualg is None else
+                              assoc_cochain_basis(self.ualg, self.rep.space, n))
+        return self._bases[n]
+
+    def d(self, n):
+        if n not in self._diffs:
+            self._diffs[n] = (lie_differential_matrix(self.g, self.rep, n)
+                              if self.ualg is None else
+                              assoc_differential_matrix(self.ualg, self.rep, n))
+        return self._diffs[n]
+
+
+def _complex(g, rep, kind, cx):
+    """``cx`` checked to be the ``kind`` complex of (g, rep), or a new one."""
+    if cx is None:
+        return CochainComplex(g, rep, kind)
+    if cx.kind != kind or cx.g is not g or cx.rep is not rep:
+        raise UsageError(f"not the {kind} complex of this (g, M)")
+    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +343,25 @@ def _make_result(n, kind, dim, Z, B):
     return CohomologyResult(n, kind, dim, Z, B, reps)
 
 
-def lie_cohomology(g, rep, n):
-    """Ordinary cohomology H^n(g, M) = Ker delta_n / Im delta_{n-1}, n <= 2."""
+def _cohomology(cx, n, kind):
+    """Ker d_n / Im d_{n-1} of the complex ``cx``, n <= 2."""
     if n not in (0, 1, 2):
         raise UsageError("degrees 0..2 only")
-    src = lie_cochain_basis(g, rep.space, n)
-    Z = nullspace(lie_differential_matrix(g, rep, n))
-    if n == 0:
-        B = Subspace.zero(src.dim, g.p)
-    else:
-        B = image(lie_differential_matrix(g, rep, n - 1))
-    return _make_result(n, "lie", src.dim, Z, B)
+    dim = cx.basis(n).dim
+    Z = nullspace(cx.d(n))
+    B = image(cx.d(n - 1)) if n else Subspace.zero(dim, cx.g.p)
+    return _make_result(n, kind, dim, Z, B)
 
 
-def restricted_cohomology(g, rep, n, ualg=None, basis_cache=None):
-    """Restricted cohomology H^n_*(g, M) from the bar complex on u(g)^+."""
-    if n not in (0, 1, 2):
-        raise UsageError("degrees 0..2 only")
-    if ualg is None:
-        from .envelope import UAlgebra
-        ualg = UAlgebra(g, restricted=True)
-    src = _cached_basis(basis_cache, ualg, rep.space, n)
-    Z = nullspace(assoc_differential_matrix(ualg, rep, n, basis_cache))
-    if n == 0:
-        B = Subspace.zero(src.dim, g.p)
-    else:
-        B = image(assoc_differential_matrix(ualg, rep, n - 1, basis_cache))
-    return _make_result(n, "restricted", src.dim, Z, B)
+def lie_cohomology(g, rep, n, lie=None):
+    """Ordinary H^n(g, M), n <= 2, from the Lie complex ``lie`` if given."""
+    return _cohomology(_complex(g, rep, "lie", lie), n, "lie")
+
+
+def restricted_cohomology(g, rep, n, bar=None):
+    """Restricted H^n_*(g, M), n <= 2, from the bar complex ``bar`` on u(g)^+
+    if given."""
+    return _cohomology(_complex(g, rep, "bar", bar), n, "restricted")
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +386,9 @@ def sgn_marked(sigma, n0):
     return -1 if total % 2 else 1
 
 
-def comparison_matrix(ualg, rep, n, basis_cache=None):
-    """Matrix of the cochain comparison C^n_assoc -> C^n_lie for n in {1, 2}:
+def comparison_matrix(bar, lie, n):
+    """Matrix of the cochain comparison C^n_assoc -> C^n_lie for n in {1, 2},
+    from the bar complex ``bar`` to the Lie complex ``lie`` of one (g, M):
 
     f'(x_1..x_n) = sum_{sigma} sgn_marked(sigma, n0) f(x_sigma(1)..x_sigma(n))
 
@@ -436,9 +397,11 @@ def comparison_matrix(ualg, rep, n, basis_cache=None):
     """
     if n not in (1, 2):
         raise UsageError("comparison implemented for n in {1, 2}")
-    g = ualg.g
-    src = _cached_basis(basis_cache, ualg, rep.space, n)
-    dst = lie_cochain_basis(g, rep.space, n)
+    g, ualg = bar.g, bar.ualg
+    _complex(g, bar.rep, "bar", bar)
+    _complex(g, bar.rep, "lie", lie)
+    src = bar.basis(n)
+    dst = lie.basis(n)
     p = g.p
     deg1 = {}
     for i in range(g.dim):
@@ -487,47 +450,28 @@ def h1_restricted_via_cocycle_condition(g, rep):
     """H^1_* computed on the Lie side: classes of Lie 1-cocycles f with
     rho(x)^{p-1} f(x) = f(x^[p]) for all even x, modulo 1-coboundaries.
 
-    The condition is imposed on every even basis element and on all pairwise
-    sums of even basis elements (it is not linear in x a priori); over the
-    prime field this pins down the same subspace at this scale.
+    By Hochschild's lemma, x -> x^{p-1} f(x) - f(x^[p]) is p-semilinear on
+    1-cocycles, so it vanishes on g_0 once it vanishes on a basis of g_0:
+    the condition is imposed on the even basis elements only.
     """
     p = g.p
-    basis = lie_cochain_basis(g, rep.space, 1)
-    d1 = lie_differential_matrix(g, rep, 1)
-    elim_rows = list(d1.row_dicts())
-
-    def condition_rows(xvec):
-        xvec = np.asarray(xvec, dtype=np.int64) % p
-        mat = np.linalg.matrix_power(rep.act_matrix(xvec), p - 1) % p
-        pvec = pmap_apply(g, xvec)
-        out = []
+    lie = CochainComplex(g, rep, "lie")
+    basis = lie.basis(1)
+    elim_rows = list(lie.d(1).row_dicts())
+    for i in g.space.even_indices():
+        mat = np.linalg.matrix_power(rep.mats[i], p - 1) % p
+        pvec = g.pmap_basis(i)
         for nu in range(rep.dim):
             row = {}
-            for i, c in enumerate(xvec):
-                if not c:
-                    continue
-                for mu in range(rep.dim):
-                    col = basis.index.get(((i,), (), mu)) if g.parity(i) == EVEN \
-                        else basis.index.get(((), (i,), mu))
-                    if col is not None and mat[nu, mu]:
-                        row[col] = (row.get(col, 0) + int(c) * int(mat[nu, mu])) % p
+            for mu in range(rep.dim):
+                col = basis.index.get(((i,), (), mu))
+                if col is not None and mat[nu, mu]:
+                    row[col] = int(mat[nu, mu])
             for j, c in enumerate(pvec):
-                if not c:
-                    continue
-                col = basis.index.get(((j,), (), nu)) if g.parity(j) == EVEN \
-                    else basis.index.get(((), (j,), nu))
-                if col is not None:
+                col = basis.index.get(((j,), (), nu))
+                if col is not None and c:
                     row[col] = (row.get(col, 0) - int(c)) % p
-            out.append({k: v for k, v in row.items() if v})
-        return out
-
-    evens = g.space.even_indices()
-    for i in evens:
-        elim_rows.extend(condition_rows(g.basis_vector(i)))
-    for a in range(len(evens)):
-        for b in range(a + 1, len(evens)):
-            v = g.basis_vector(evens[a]) + g.basis_vector(evens[b])
-            elim_rows.extend(condition_rows(v))
+            elim_rows.append({k: v for k, v in row.items() if v})
     V = nullspace(MatGF.from_rows(elim_rows, basis.dim, p))
-    B = image(lie_differential_matrix(g, rep, 0))
-    return _make_result(1, "restricted-via-condition", basis.dim, V, B)
+    return _make_result(1, "restricted-via-condition", basis.dim, V,
+                        image(lie.d(0)))

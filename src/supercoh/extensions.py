@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    assoc_cochain_basis, assoc_differential_matrix, comparison_matrix,
-    eval_lie_cochain, lie_cochain_basis, lie_differential_matrix,
+    CochainComplex, _complex, comparison_matrix, eval_lie_cochain,
+    lie_cochain_basis, lie_differential_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
@@ -366,21 +366,23 @@ def restricted_structure_from_lie_2cocycle(g, rep, fvec, sigma=None):
 # the correspondence with bar-type 2-cocycles
 # ---------------------------------------------------------------------------
 
-def restricted_ext_from_assoc_2cocycle(g, rep, cvec, ualg=None, basis_cache=None):
-    """Restricted extension from a bar 2-cocycle c on u(g)^+:
+def restricted_ext_from_assoc_2cocycle(g, rep, cvec, bar=None):
+    """Restricted extension from a bar 2-cocycle c of the complex ``bar``:
 
     bracket twisted by the antisymmetrization of c on g, and
     (x, 0)^[p] = (x^[p], c(x^{p-1}, x)) on even basis elements.
     """
-    ualg = ualg if ualg is not None else UAlgebra(g, restricted=True)
+    bar = _complex(g, rep, "bar", bar)
+    lie = CochainComplex(g, rep, "lie")
+    ualg = bar.ualg
     p = g.p
-    cb = assoc_cochain_basis(ualg, rep.space, 2)
+    cb = bar.basis(2)
     if len(cvec) != cb.dim:
         raise UsageError("cochain coordinate length mismatch")
-    if any(assoc_differential_matrix(ualg, rep, 2, basis_cache).matvec(cvec)):
+    if any(bar.d(2).matvec(cvec)):
         raise NotACocycleError("not a bar 2-cocycle")
-    fvec = comparison_matrix(ualg, rep, 2, basis_cache).matvec(cvec)
-    basis = lie_cochain_basis(g, rep.space, 2)
+    fvec = comparison_matrix(bar, lie, 2).matvec(cvec)
+    basis = lie.basis(2)
     layout, space, brk = _bracket_tensor_from_cocycle(g, rep, fvec, basis)
     E = LieSuperAlgebra(space, p, brk)
     report = validate_lie_super(E)
@@ -421,9 +423,9 @@ def psi_image(ext, perturbation=None):
     return out
 
 
-def assoc_2cocycle_from_restricted_ext(ext, ualg=None, basis_cache=None,
-                                       section=None):
-    """Bar 2-cocycle of a restricted extension with strongly abelian kernel:
+def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
+    """Bar 2-cocycle, in the complex ``bar``, of a restricted extension with
+    strongly abelian kernel:
 
         c(u, v) = gamma(psi'(u) psi'(v) - psi'(uv))
 
@@ -434,7 +436,8 @@ def assoc_2cocycle_from_restricted_ext(ext, ualg=None, basis_cache=None,
     p = ext.p
     if not ext.strongly_abelian:
         raise UsageError("kernel must be strongly abelian")
-    ualg = ualg if ualg is not None else UAlgebra(g, restricted=True)
+    bar = _complex(g, rep, "bar", bar)
+    ualg = bar.ualg
     layout = ext.layout
     gen_order = ([layout.g_to_e(i) for i in range(g.dim)]
                  + [layout.m_to_e(j) for j in range(rep.dim)])
@@ -442,7 +445,7 @@ def assoc_2cocycle_from_restricted_ext(ext, ualg=None, basis_cache=None,
     section_vectors = psi_image(ext) if section is None else section
     psi_images = [uE.from_vector(v) for v in section_vectors]
     psi_prime = linear_section_extend(ualg, uE, psi_images)
-    cb = assoc_cochain_basis(ualg, rep.space, 2)
+    cb = bar.basis(2)
     aug = cb.aug
     cvec = [0] * cb.dim
     for iu, mu in enumerate(aug):
@@ -463,7 +466,7 @@ def assoc_2cocycle_from_restricted_ext(ext, ualg=None, basis_cache=None,
                     if col is None:
                         raise UsageError("extracted cochain breaks parity")
                     cvec[col] = int(c)
-    if any(assoc_differential_matrix(ualg, rep, 2, basis_cache).matvec(cvec)):
+    if any(bar.d(2).matvec(cvec)):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")
     return tuple(cvec)
 

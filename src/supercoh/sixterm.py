@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (
-    assoc_cochain_basis, comparison_matrix, eval_lie_cochain,
-    lie_cochain_basis, lie_differential_matrix, lie_cohomology,
-    restricted_cohomology,
+    CochainComplex, comparison_matrix, eval_lie_cochain, lie_cochain_basis,
+    lie_cohomology, restricted_cohomology,
 )
-from .envelope import UAlgebra
 from .errors import InvariantViolationError, NotACocycleError
 from .gflin import MatGF, image, nullspace
 from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
@@ -33,14 +31,14 @@ __all__ = [
 
 
 class SixTermContext:
-    """Shared cohomology spaces and bases for one (g, M) pair."""
+    """The Lie and bar complexes of one (g, M) pair and their cohomology."""
 
-    def __init__(self, g, rep, ualg=None):
+    def __init__(self, g, rep):
         self.g = g
         self.rep = rep
         self.p = g.p
-        self.ualg = ualg if ualg is not None else UAlgebra(g, restricted=True)
-        self.basis_cache = {}
+        self.lie = CochainComplex(g, rep, "lie")
+        self.bar = CochainComplex(g, rep, "bar")
         self.timings = {}
         self._computed = {}
 
@@ -54,20 +52,22 @@ class SixTermContext:
     @property
     def h1s(self):
         return self._get("h1s", lambda: restricted_cohomology(
-            self.g, self.rep, 1, self.ualg, self.basis_cache))
+            self.g, self.rep, 1, self.bar))
 
     @property
     def h2s(self):
         return self._get("h2s", lambda: restricted_cohomology(
-            self.g, self.rep, 2, self.ualg, self.basis_cache))
+            self.g, self.rep, 2, self.bar))
 
     @property
     def h1(self):
-        return self._get("h1", lambda: lie_cohomology(self.g, self.rep, 1))
+        return self._get("h1", lambda: lie_cohomology(
+            self.g, self.rep, 1, self.lie))
 
     @property
     def h2(self):
-        return self._get("h2", lambda: lie_cohomology(self.g, self.rep, 2))
+        return self._get("h2", lambda: lie_cohomology(
+            self.g, self.rep, 2, self.lie))
 
     @property
     def inv_even(self):
@@ -92,26 +92,14 @@ class SixTermContext:
 # ---------------------------------------------------------------------------
 
 def map_h1res_to_h1(ctx):
-    """Restriction of bar 1-cocycle representatives to degree-one monomials,
-    read off in H^1 class coordinates.  Injective by construction of the
-    restricted complex; injectivity is asserted downstream, not here."""
-    g, rep, p = ctx.g, ctx.rep, ctx.p
-    cb = assoc_cochain_basis(ctx.ualg, rep.space, 1)
-    lb = lie_cochain_basis(g, rep.space, 1)
-    cols = []
-    for repvec in ctx.h1s.representatives:
-        lievec = [0] * lb.dim
-        for i in range(g.dim):
-            mono = [0] * ctx.ualg.ngen
-            mono[ctx.ualg.pos_of[i]] = 1
-            s = cb.aug_index[tuple(mono)]
-            for nu in range(rep.dim):
-                col = cb.index.get(((s,), nu))
-                if col is not None and repvec[col]:
-                    item = ((i,), (), nu) if g.parity(i) == EVEN else ((), (i,), nu)
-                    lievec[lb.index[item]] = repvec[col]
-        cols.append(ctx.h1.class_coords(lievec))
-    return _columns_to_matrix(cols, ctx.h1.dim_h, p)
+    """Restriction of bar 1-cocycle representatives to degree-one monomials
+    (the degree-1 comparison map), read off in H^1 class coordinates.
+    Injective by construction of the restricted complex; injectivity is
+    asserted downstream, not here."""
+    comp = comparison_matrix(ctx.bar, ctx.lie, 1)
+    cols = [ctx.h1.class_coords(comp.matvec(repvec))
+            for repvec in ctx.h1s.representatives]
+    return _columns_to_matrix(cols, ctx.h1.dim_h, ctx.p)
 
 
 def psi_bar_on_cocycle(ctx, lievec):
@@ -119,7 +107,7 @@ def psi_bar_on_cocycle(ctx, lievec):
     x -> rho(x)^{p-1} h(x) - h(x^[p]) (the kernel p-map term vanishes since
     M is strongly abelian).  Values are verified to be invariant and even."""
     g, rep, p = ctx.g, ctx.rep, ctx.p
-    lb = lie_cochain_basis(g, rep.space, 1)
+    lb = ctx.lie.basis(1)
     vals = []
     for idx in g.space.even_indices():
         hx = eval_lie_cochain(lb, lievec, (idx,), p)
@@ -173,8 +161,7 @@ def map_semilinear_to_h2res(ctx):
         vals[t] = list(ctx.inv_even.basis_rows[j])
         smap = SemiLinearMap(g, rep.dim, tuple(tuple(r) for r in vals))
         twisted = twist_pmap(s0, smap)
-        cvec = assoc_2cocycle_from_restricted_ext(
-            twisted, ctx.ualg, ctx.basis_cache)
+        cvec = assoc_2cocycle_from_restricted_ext(twisted, ctx.bar)
         cols.append(ctx.h2s.class_coords(cvec))
     return _columns_to_matrix(cols, ctx.h2s.dim_h, p)
 
@@ -182,7 +169,7 @@ def map_semilinear_to_h2res(ctx):
 def map_h2res_to_h2(ctx):
     """Antisymmetrized restriction of bar 2-cocycle representatives to
     g (x) g, in H^2 class coordinates."""
-    comp = comparison_matrix(ctx.ualg, ctx.rep, 2, ctx.basis_cache)
+    comp = comparison_matrix(ctx.bar, ctx.lie, 2)
     cols = []
     for repvec in ctx.h2s.representatives:
         lievec = comp.matvec(repvec)
@@ -190,15 +177,14 @@ def map_h2res_to_h2(ctx):
     return _columns_to_matrix(cols, ctx.h2.dim_h, ctx.p)
 
 
-def obstruction_cocycle(g, rep, basis2, fvec, x_idx, dual_orientation=False):
+def obstruction_cocycle(g, rep, basis2, fvec, x_idx):
     """The 1-cocycle k_x + f_{x^[p]} attached to a Lie 2-cocycle f and an
     even basis element x:
 
         k_x(x1) = sum_{i=0}^{p-1} rho(x)^i f(x, (ad x)^{p-1-i}(x1)),
         f_{x^[p]}(x1) = f(x1, x^[p]),
 
-    returned in C^1 coordinates.  ``dual_orientation`` flips the second
-    term to f(x^[p], x1) for side-by-side comparison of the two readings.
+    returned in C^1 coordinates.
     """
     p = g.p
     c1 = lie_cochain_basis(g, rep.space, 1)
@@ -224,9 +210,8 @@ def obstruction_cocycle(g, rep, basis2, fvec, x_idx, dual_orientation=False):
             val = (val + rhopow[i] @ inner) % p
         for c, coeff in enumerate(pm):
             if coeff:
-                pair = (c, b) if dual_orientation else (b, c)
                 val = (val + coeff
-                       * eval_lie_cochain(basis2, fvec, pair, p)) % p
+                       * eval_lie_cochain(basis2, fvec, (b, c), p)) % p
         item_even = g.parity(b) == EVEN
         for nu, v in enumerate(val):
             if v:
@@ -238,19 +223,18 @@ def obstruction_cocycle(g, rep, basis2, fvec, x_idx, dual_orientation=False):
     return tuple(out)
 
 
-def map_h2_to_semilinear_h1(ctx, dual_orientation=False):
+def map_h2_to_semilinear_h1(ctx):
     """For each H^2 representative f and even basis x: the H^1 class of
     k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1)."""
     g, rep, p = ctx.g, ctx.rep, ctx.p
-    basis2 = lie_cochain_basis(g, rep.space, 2)
-    d1 = lie_differential_matrix(g, rep, 1)
+    basis2 = ctx.lie.basis(2)
+    d1 = ctx.lie.d(1)
     rows_dim = g.space.n_even * ctx.h1.dim_h
     cols = []
     for repvec in ctx.h2.representatives:
         col = []
         for idx in g.space.even_indices():
-            kvec = obstruction_cocycle(g, rep, basis2, repvec, idx,
-                                       dual_orientation)
+            kvec = obstruction_cocycle(g, rep, basis2, repvec, idx)
             if any(d1.matvec(kvec)):
                 raise NotACocycleError("obstruction value is not a 1-cocycle")
             col.extend(ctx.h1.class_coords(kvec))
@@ -313,13 +297,12 @@ def _exact_at(prev_mat, next_mat):
     return False, None
 
 
-def build_six_term(g, rep, algebra_id="g", module_id="M", ctx=None,
-                   check_composites=True):
+def build_six_term(g, rep, algebra_id="g", module_id="M"):
     """Compute all six spaces and five arrows, then verdict exactness at
     every interior node plus injectivity of the first arrow.  An exactness
     failure is a report outcome carrying an offending vector, never an
     exception."""
-    ctx = ctx if ctx is not None else SixTermContext(g, rep)
+    ctx = SixTermContext(g, rep)
     t0 = time.perf_counter()
     m_i1 = map_h1res_to_h1(ctx)
     m_psi = map_h1_to_semilinear(ctx)
@@ -327,12 +310,10 @@ def build_six_term(g, rep, algebra_id="g", module_id="M", ctx=None,
     m_pi = map_h2res_to_h2(ctx)
     m_phi = map_h2_to_semilinear_h1(ctx)
     maps = {"i1": m_i1, "psibar": m_psi, "fg": m_fg, "pi": m_pi, "phi": m_phi}
-    if check_composites:
-        for a, b in (("i1", "psibar"), ("psibar", "fg"), ("fg", "pi"),
-                     ("pi", "phi")):
-            if not maps[b].matmul(maps[a]).is_zero():
-                raise InvariantViolationError(
-                    f"composite {b} o {a} is not zero")
+    for a, b in (("i1", "psibar"), ("psibar", "fg"), ("fg", "pi"),
+                 ("pi", "phi")):
+        if not maps[b].matmul(maps[a]).is_zero():
+            raise InvariantViolationError(f"composite {b} o {a} is not zero")
     exactness = {}
     offending = {}
     exactness["i1_injective"] = nullspace(m_i1).dim == 0
@@ -349,7 +330,7 @@ def build_six_term(g, rep, algebra_id="g", module_id="M", ctx=None,
     timings = dict(ctx.timings)
     timings["total"] = time.perf_counter() - t0
     sizes = {name: (m.rows, m.cols, m.nnz) for name, m in maps.items()}
-    sizes["bar_c2_dim"] = assoc_cochain_basis(ctx.ualg, rep.space, 2).dim
+    sizes["bar_c2_dim"] = ctx.bar.basis(2).dim
     sizes["space_dims"] = ctx.space_dims
     # the final slot reports the rank of the last arrow (its image inside
     # S(g_0, H^1)); by exactness it equals the alternating sum of the rest

@@ -347,3 +347,88 @@ def table_borel_semidirect(p):
         return out
 
     return labels, [0] * len(labels), prod
+
+
+# ---------------------------------------------------------------------------
+# the Lie differential in block form
+# ---------------------------------------------------------------------------
+
+def _koszul_canon(par, idxs):
+    """Sort argument indices evens-then-odds, each ascending: (evens, odds,
+    sign), where every inverted pair not both odd costs a factor -1.  None
+    when an even index repeats, since the alternating value vanishes."""
+    sign = 1
+    for a, b in itertools.combinations(range(len(idxs)), 2):
+        u, v = idxs[a], idxs[b]
+        if (par[u], u) > (par[v], v) and not (par[u] and par[v]):
+            sign = -sign
+    srt = sorted(idxs, key=lambda i: (par[i], i))
+    evens = tuple(i for i in srt if not par[i])
+    if len(set(evens)) != len(evens):
+        return None
+    return evens, tuple(i for i in srt if par[i]), sign
+
+
+def split_lie_differential(g, rep, n):
+    """delta_n : C^n(g, M) -> C^{n+1}(g, M) in block form, with the even
+    action, the odd action and the even-even, even-odd and odd-odd bracket
+    sums written out separately.  Returns {target item: {source item:
+    coefficient}} over the cochain items ((evens), (odds), m) of degree
+    n + 1 and n, one entry per target item."""
+    par = [g.parity(i) for i in range(g.dim)]
+    evens_g = [i for i in range(g.dim) if not par[i]]
+    odds_g = [i for i in range(g.dim) if par[i]]
+    out = {}
+    for n1 in range(n + 2):
+        for ev in itertools.combinations(evens_g, n + 1 - n1):
+            for od in itertools.combinations_with_replacement(odds_g, n1):
+                for nu in range(rep.dim):
+                    if rep.space.parity(nu) == n1 % 2:
+                        out[(ev, od, nu)] = _split_row(g, rep, par, ev, od, nu)
+    return out
+
+
+def _split_row(g, rep, par, ev, od, nu):
+    p = g.p
+    row = {}
+
+    def add(item, coeff):
+        row[item] = (row.get(item, 0) + coeff) % p
+
+    def add_bracket(vec, left, right, sign):
+        # sign * f([u, v], ...) with [u, v] = vec placed between left and right
+        for b, coeff in enumerate(vec):
+            if coeff:
+                canon = _koszul_canon(par, left + (b,) + right)
+                if canon is not None:
+                    evs, ods, csign = canon
+                    add((evs, ods, nu), sign * csign * int(coeff))
+
+    n0, n1 = len(ev), len(od)
+    for s in range(n0):
+        sign = -1 if s % 2 else 1  # (-1)^{s-1}, s 1-based
+        mat = rep.mats[ev[s]]
+        for mu in range(rep.dim):
+            if mat[nu, mu]:
+                add((ev[:s] + ev[s + 1:], od, mu), sign * int(mat[nu, mu]))
+    for t in range(n1):
+        sign = -1 if n0 % 2 else 1  # (-1)^{n0}
+        mat = rep.mats[od[t]]
+        for mu in range(rep.dim):
+            if mat[nu, mu]:
+                add((ev, od[:t] + od[t + 1:], mu), sign * int(mat[nu, mu]))
+    for s in range(n0):
+        for t in range(s + 1, n0):
+            sign = -1 if (s + t) % 2 else 1  # (-1)^{s+t}, both 1-based
+            rest = ev[:s] + ev[s + 1:t] + ev[t + 1:]
+            add_bracket(g.brackets[ev[s], ev[t]], (), rest + od, sign)
+    for s in range(n0):
+        for t in range(n1):
+            sign = -1 if (s + 1) % 2 else 1  # (-1)^s, s 1-based
+            add_bracket(g.brackets[ev[s], od[t]], ev[:s] + ev[s + 1:],
+                        od[:t] + od[t + 1:], sign)
+    for s in range(n1):
+        for t in range(s + 1, n1):
+            rest = od[:s] + od[s + 1:t] + od[t + 1:]
+            add_bracket(g.brackets[od[s], od[t]], (), ev + rest, -1)
+    return {item: c for item, c in row.items() if c}

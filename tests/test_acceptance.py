@@ -11,8 +11,9 @@ import numpy as np
 
 from supercoh import catalog, cli
 from supercoh.cohomology import (
-    assoc_differential_matrix, h1_restricted_via_cocycle_condition,
-    lie_cochain_basis, lie_differential_matrix, restricted_cohomology,
+    CochainComplex, assoc_differential_matrix,
+    h1_restricted_via_cocycle_condition, lie_cochain_basis,
+    lie_differential_matrix, restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra, check_commutator_identities
 from supercoh.extensions import (
@@ -172,15 +173,15 @@ def test_criterion_8_round_trips(loaded_catalog):
             assert cocycle_from_algebra_ext(ext) == tuple(int(v) for v in row)
             assert validate_lie_super(ext.E).ok
         # bar correspondence: class-level round trip, validators pass
-        u = UAlgebra(g)
-        h2s = restricted_cohomology(g, rep, 2, u)
+        bar = CochainComplex(g, rep, "bar")
+        h2s = restricted_cohomology(g, rep, 2, bar)
         for c0 in h2s.representatives:
-            ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, u)
+            ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
             assert validate_lie_super(ext.E).ok and validate_pmap(ext.E).ok
-            c1 = assoc_2cocycle_from_restricted_ext(ext, u)
+            c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
             assert h2s.class_coords(c0) == h2s.class_coords(c1), entry_id
         s0 = semidirect_extension(g, rep)
-        c_triv = assoc_2cocycle_from_restricted_ext(s0, u)
+        c_triv = assoc_2cocycle_from_restricted_ext(s0, bar)
         assert all(v == 0 for v in h2s.class_coords(c_triv)), entry_id
     _passed(8, "cocycle/extension round trips land in the same class and "
                "revalidate on every catalog entry")

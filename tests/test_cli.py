@@ -1,6 +1,27 @@
+import hashlib
 import json
 
 from supercoh import catalog, cli
+
+# sha256 of each catalog entry's `sixterm --json` payload without the
+# `algebra` field (the input path), serialized with sorted keys and no spaces
+SIXTERM_PAYLOAD_SHA256 = {
+    "a1-null": "658ff3598eecf5118f102c0ca63b5c74fd717e3d09a1c9bc7c49fcf453d7c80b",
+    "a2-torus": "39f5d649320460bb14e5026f4881ec67f568136b28b9d423436d06bd54af54ec",
+    "a3-heisenberg": "1c2d45f69c39394b19734c9a89f2ae1847f2c0b962168f3138ca2bf8c2221571",
+    "a4-borel": "d1c2c4eadf10fafc5430f4ee6e22a84702240067a98cb8892cb2c8aa5ce489bc",
+    "a4-borel-adjoint": "40a5baafe998a811bb36edf2a198258dc962e1b130b0cd5ad6884f6c51451967",
+    "a4-borel-dual": "35b7791f6e7899fc6feeb705814a3dce4db7154c6a8330124bead70fd05a5979",
+    "a5-odd-line": "0167493cb31075d51e516f85ed0e66a1a8bf2530e38d3ef6756d5ac5b5278421",
+    "a6-abelian-plane": "0ff452b13cf79f3cb0211b33768ab4498486e39a3b0c66d21fc02d0f38d84ddf",
+    "a7-mixed-line": "39f5d649320460bb14e5026f4881ec67f568136b28b9d423436d06bd54af54ec",
+    "a8-torus-null-plane": "4a6bb9ecfd9b16f492ac575dfe5d733b16551b0990a979f148e8bfa94f005154",
+    "a9-borel-semidirect": "64f1b3d9674325c861455c42cde72a79ca280072f50c18ba9e3471d886d185b0",
+    "a3-heisenberg-adjoint": "e800f3759e0f210f2f2abfec3c9e3778fcf8dadb3fdec823cf938ffa43cdb5a3",
+    "a1-null-p5": "26f312fed3535f9f38e3d0719e1a79151636bd38a12f91009bcae2af2798703b",
+    "a2-torus-p5": "4bee909d045e7501388cfa6e9a83537b3ea867338ec596bf97b77f941096c8f2",
+    "a3-heisenberg-p5": "f64bcd8dbc9c0acd8394c056228028c0bd71fd304855ff025d98b18d849c5405",
+}
 
 
 def write_entry(tmp_path, entry_id, name="alg.json"):
@@ -119,6 +140,20 @@ def test_report_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     r1 = json.loads(out1.read_text())
     assert "timings" not in json.dumps(r1)  # telemetry stays out of the payload
+
+
+def test_sixterm_payloads_golden(tmp_path, capsys):
+    assert set(SIXTERM_PAYLOAD_SHA256) == set(catalog.entry_ids())
+    for e in catalog.ENTRIES:
+        path = write_entry(tmp_path, e.entry_id)
+        out = tmp_path / "report.json"
+        assert run(["sixterm", str(path), "--module", e.module_name,
+                    "--json", str(out)]) == 0, e.entry_id
+        payload = json.loads(out.read_text())["payload"]
+        del payload["algebra"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == SIXTERM_PAYLOAD_SHA256[e.entry_id], e.entry_id
 
 
 def test_examples_list_show(capsys):

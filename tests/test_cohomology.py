@@ -4,18 +4,21 @@ import random
 import pytest
 
 from supercoh.cohomology import (
-    assoc_cochain_basis, assoc_differential_matrix, comparison_matrix,
-    eval_lie_cochain, h1_restricted_via_cocycle_condition, lie_cochain_basis,
-    lie_differential_matrix, lie_cohomology, restricted_cohomology, sgn_marked,
+    CochainComplex, assoc_cochain_basis, assoc_differential_matrix,
+    comparison_matrix, eval_lie_cochain, h1_restricted_via_cocycle_condition,
+    lie_cochain_basis, lie_differential_matrix, lie_cohomology,
+    restricted_cohomology, sgn_marked,
 )
 from supercoh.envelope import UAlgebra
+from supercoh.errors import UsageError
+from supercoh.gflin import MatGF
 from supercoh.superalg import adjoint_module, semidirect, trivial_module
 
 from conftest import fixture_algebra
 from oracles import (
-    bar_dims, table_abelian_plane, table_borel, table_mixed_line,
-    table_odd_line, table_super_line, table_torus_null_plane,
-    table_truncated_poly,
+    bar_dims, split_lie_differential, table_abelian_plane, table_borel,
+    table_mixed_line, table_odd_line, table_super_line,
+    table_torus_null_plane, table_truncated_poly,
 )
 
 # frozen fixture dimensions: entry -> (ordinary H^0..2, restricted H^0..2)
@@ -117,9 +120,14 @@ def test_split_and_unified_differentials_agree(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules[e.module_name]
         for n in (0, 1, 2):
-            mu = lie_differential_matrix(g, rep, n, variant="unified")
-            ms = lie_differential_matrix(g, rep, n, variant="split")
-            assert mu == ms, (entry_id, n)
+            src = lie_cochain_basis(g, rep.space, n)
+            dst = lie_cochain_basis(g, rep.space, n + 1)
+            split = split_lie_differential(g, rep, n)
+            assert set(split) == set(dst.items), (entry_id, n)
+            ms = MatGF.from_rows(
+                [{src.index[it]: c for it, c in split[item].items()}
+                 for item in dst.items], src.dim, g.p)
+            assert lie_differential_matrix(g, rep, n) == ms, (entry_id, n)
 
 
 def test_specific_differential_values(loaded_catalog):
@@ -204,7 +212,8 @@ def test_comparison_values(loaded_catalog):
     # degree 1: plain restriction
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     u = UAlgebra(g)
-    c1 = comparison_matrix(u, k, 1)
+    c1 = comparison_matrix(CochainComplex(g, k, "bar"),
+                           CochainComplex(g, k, "lie"), 1)
     cb1 = assoc_cochain_basis(u, k.space, 1)
     lb1 = lie_cochain_basis(g, k.space, 1)
     vec = [0] * cb1.dim
@@ -220,11 +229,13 @@ def test_comparison_values(loaded_catalog):
     m2 = cb2.aug_index[(0, 1)]
     vec = [0] * cb2.dim
     vec[cb2.index[((m1, m2), 0)]] = 1
-    out = comparison_matrix(u6, k6, 2).matvec(vec)
+    comp6 = comparison_matrix(CochainComplex(g6, k6, "bar"),
+                              CochainComplex(g6, k6, "lie"), 2)
+    out = comp6.matvec(vec)
     assert out[lb2.index[((0, 1), (), 0)]] == 1
     vec2 = [0] * cb2.dim
     vec2[cb2.index[((m2, m1), 0)]] = 1
-    out2 = comparison_matrix(u6, k6, 2).matvec(vec2)
+    out2 = comp6.matvec(vec2)
     assert out2[lb2.index[((0, 1), (), 0)]] == 2
     # degree 2, both odd: f(y,y) = 2 c(y,y)
     g5, k5 = fixture_algebra(loaded_catalog, "a5-odd-line")
@@ -234,16 +245,32 @@ def test_comparison_values(loaded_catalog):
     y = cb5.aug_index[(1,)]
     vec = [0] * cb5.dim
     vec[cb5.index[((y, y), 0)]] = 1
-    out = comparison_matrix(u5, k5, 2).matvec(vec)
+    out = comparison_matrix(CochainComplex(g5, k5, "bar"),
+                            CochainComplex(g5, k5, "lie"), 2).matvec(vec)
     assert out[lb5.index[((), (0, 0), 0)]] == 2
+
+
+def test_complex_must_belong_to_the_pair(loaded_catalog):
+    g, k = fixture_algebra(loaded_catalog, "a1-null")
+    gt, kt = fixture_algebra(loaded_catalog, "a2-torus")
+    with pytest.raises(UsageError):
+        CochainComplex(g, k, "restricted")
+    with pytest.raises(UsageError):
+        restricted_cohomology(g, k, 1, CochainComplex(gt, kt, "bar"))
+    with pytest.raises(UsageError):
+        lie_cohomology(g, k, 1, CochainComplex(g, k, "bar"))
+    with pytest.raises(UsageError):
+        comparison_matrix(CochainComplex(g, k, "bar"),
+                          CochainComplex(gt, kt, "lie"), 1)
 
 
 def test_comparison_is_cochain_map(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         rep = modules[e.module_name]
-        u = UAlgebra(g)
-        lhs = comparison_matrix(u, rep, 2).matmul(assoc_differential_matrix(u, rep, 1))
-        rhs = lie_differential_matrix(g, rep, 1).matmul(comparison_matrix(u, rep, 1))
+        bar = CochainComplex(g, rep, "bar")
+        lie = CochainComplex(g, rep, "lie")
+        lhs = comparison_matrix(bar, lie, 2).matmul(bar.d(1))
+        rhs = lie.d(1).matmul(comparison_matrix(bar, lie, 1))
         assert lhs == rhs, entry_id
 
 

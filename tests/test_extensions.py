@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    assoc_cochain_basis, assoc_differential_matrix, eval_lie_cochain,
-    h1_restricted_via_cocycle_condition, lie_cochain_basis,
-    lie_differential_matrix, lie_cohomology, restricted_cohomology,
+    CochainComplex, eval_lie_cochain, h1_restricted_via_cocycle_condition,
+    lie_cochain_basis, lie_differential_matrix, lie_cohomology,
+    restricted_cohomology,
 )
-from supercoh.envelope import UAlgebra
 from supercoh.errors import (
     DifferentUnderlyingError, NoSolutionError, NotACocycleError,
     ValueNotInvariantError,
@@ -305,11 +304,11 @@ def test_bar_round_trip_class_and_equivalence(loaded_catalog):
     for entry_id in ("a1-null", "a3-heisenberg", "a5-odd-line"):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
-        u = UAlgebra(g)
-        h2s = restricted_cohomology(g, rep, 2, u)
+        bar = CochainComplex(g, rep, "bar")
+        h2s = restricted_cohomology(g, rep, 2, bar)
         for c0 in h2s.representatives:
-            ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, u)
-            c1 = assoc_2cocycle_from_restricted_ext(ext, u)
+            ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+            c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
             assert h2s.class_coords(c0) == h2s.class_coords(c1), entry_id
 
 
@@ -318,23 +317,23 @@ def test_bar_coboundary_gives_trivial_class(loaded_catalog):
     for entry_id in ("a1-null", "a2-torus", "a5-odd-line"):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
-        u = UAlgebra(g)
-        cb1 = assoc_cochain_basis(u, rep.space, 1)
-        d1 = assoc_differential_matrix(u, rep, 1)
-        h2s = restricted_cohomology(g, rep, 2, u)
+        bar = CochainComplex(g, rep, "bar")
+        cb1 = bar.basis(1)
+        d1 = bar.d(1)
+        h2s = restricted_cohomology(g, rep, 2, bar)
         h = [rng.randrange(g.p) for _ in range(cb1.dim)]
-        ext = restricted_ext_from_assoc_2cocycle(g, rep, d1.matvec(h), u)
-        c1 = assoc_2cocycle_from_restricted_ext(ext, u)
+        ext = restricted_ext_from_assoc_2cocycle(g, rep, d1.matvec(h), bar)
+        c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
         assert all(v == 0 for v in h2s.class_coords(c1)), entry_id
 
 
 def test_bar_cocycle_of_trivial_extension_is_trivial_class(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         rep = modules[e.module_name]
-        u = UAlgebra(g)
+        bar = CochainComplex(g, rep, "bar")
         s0 = semidirect_extension(g, rep)
-        c = assoc_2cocycle_from_restricted_ext(s0, u)
-        h2s = restricted_cohomology(g, rep, 2, u)
+        c = assoc_2cocycle_from_restricted_ext(s0, bar)
+        h2s = restricted_cohomology(g, rep, 2, bar)
         assert all(v == 0 for v in h2s.class_coords(c)), entry_id
 
 
@@ -345,10 +344,10 @@ def test_bar_extraction_section_independence(loaded_catalog):
     for entry_id in ("a1-null", "a3-heisenberg"):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
-        u = UAlgebra(g)
-        h2s = restricted_cohomology(g, rep, 2, u)
+        bar = CochainComplex(g, rep, "bar")
+        h2s = restricted_cohomology(g, rep, 2, bar)
         s0 = semidirect_extension(g, rep)
-        base = assoc_2cocycle_from_restricted_ext(s0, u)
+        base = assoc_2cocycle_from_restricted_ext(s0, bar)
         for _ in range(3):
             theta = np.zeros((rep.dim, g.dim), dtype=np.int64)
             for j in range(rep.dim):
@@ -356,21 +355,21 @@ def test_bar_extraction_section_independence(loaded_catalog):
                     if rep.space.parity(j) == g.parity(i):
                         theta[j, i] = rng.randrange(g.p)
             pert = assoc_2cocycle_from_restricted_ext(
-                s0, u, section=psi_image(s0, perturbation=theta))
+                s0, bar, section=psi_image(s0, perturbation=theta))
             assert h2s.class_coords(base) == h2s.class_coords(pert), entry_id
 
 
 def test_bar_ext_pmap_formula(loaded_catalog):
     # (x, 0)^[p] = (x^[p], c(x^{p-1}, x)) on the nilpotent line
     g, k = fixture_algebra(loaded_catalog, "a1-null")
-    u = UAlgebra(g)
-    h2s = restricted_cohomology(g, k, 2, u)
+    bar = CochainComplex(g, k, "bar")
+    h2s = restricted_cohomology(g, k, 2, bar)
     c0 = h2s.representatives[0]
-    cb = assoc_cochain_basis(u, k.space, 2)
+    cb = bar.basis(2)
     x = cb.aug_index[(1,)]
     x2 = cb.aug_index[(2,)]
     cval = c0[cb.index[((x2, x), 0)]]
-    ext = restricted_ext_from_assoc_2cocycle(g, k, c0, u)
+    ext = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
     pm = ext.E.pmap_basis(ext.layout.g_to_e(0))
     assert pm[ext.layout.m_to_e(0)] == cval % 3
     assert not pm[ext.layout.g_to_e(0)]
@@ -383,19 +382,19 @@ def test_bar_roundtrip_difference_is_explicit_equivalence(loaded_catalog):
     from supercoh.gflin import solve
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     p = g.p
-    u = UAlgebra(g)
-    h2s = restricted_cohomology(g, k, 2, u)
+    bar = CochainComplex(g, k, "bar")
+    h2s = restricted_cohomology(g, k, 2, bar)
     c0 = h2s.representatives[0]
-    ext0 = restricted_ext_from_assoc_2cocycle(g, k, c0, u)
-    c1 = assoc_2cocycle_from_restricted_ext(ext0, u)
+    ext0 = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
+    c1 = assoc_2cocycle_from_restricted_ext(ext0, bar)
     diff = [(a - b) % p for a, b in zip(c1, c0)]
-    d1 = assoc_differential_matrix(u, k, 1)
+    d1 = bar.d(1)
     h = solve(d1, diff)
     assert h is not None  # same class, so the difference is a coboundary
-    ext1 = restricted_ext_from_assoc_2cocycle(g, k, c1, u)
+    ext1 = restricted_ext_from_assoc_2cocycle(g, k, c1, bar)
     # alpha: ext1 -> ext0 on (x, m) -> (x, m + h(x)); brackets agree (the
     # antisymmetrized restrictions coincide on the line), p-maps must match
-    cb1 = assoc_cochain_basis(u, k.space, 1)
+    cb1 = bar.basis(1)
     hx = h[cb1.index[((cb1.aug_index[(1,)],), 0)]]
     alpha = np.eye(ext0.E.dim, dtype=np.int64)
     alpha[ext0.layout.m_to_e(0), ext0.layout.g_to_e(0)] = hx
@@ -501,10 +500,9 @@ def test_strongly_abelianize_shift_is_semilinear_into_center(loaded_catalog):
 
 def test_bar_zero_cocycle_gives_trivial_extension(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a3-heisenberg")
-    u = UAlgebra(g)
-    from supercoh.cohomology import assoc_cochain_basis
-    cb = assoc_cochain_basis(u, k.space, 2)
-    ext = restricted_ext_from_assoc_2cocycle(g, k, [0] * cb.dim, u)
+    bar = CochainComplex(g, k, "bar")
+    cb = bar.basis(2)
+    ext = restricted_ext_from_assoc_2cocycle(g, k, [0] * cb.dim, bar)
     s0 = semidirect_extension(g, k)
     assert np.array_equal(ext.E.brackets, s0.E.brackets)
     assert _pmaps_equal(ext, s0)

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import numpy as np
@@ -119,9 +120,9 @@ def test_phi_nonzero_on_torus_null_plane(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a8-torus-null-plane")
     m = map_h2_to_semilinear_h1(SixTermContext(g, k))
     assert image(m).dim == 1
-    # the two orientation readings of the second term differ here
-    m2 = map_h2_to_semilinear_h1(SixTermContext(g, k), dual_orientation=True)
-    assert m != m2
+    # the second term is read as f(x1, x^[p]); the flipped reading
+    # f(x^[p], x1) would give the entry 1 instead of 2 here
+    assert (m.rows, m.cols, m.entries) == (4, 1, {(1, 0): 2})
 
 
 def test_phi_representative_independence(loaded_catalog):
@@ -155,6 +156,23 @@ def test_phi_representative_independence(loaded_catalog):
             from supercoh.gflin import MatGF
             shifted_mat = MatGF(base.rows, base.cols, p, ent)
             assert shifted_mat == base, entry_id
+
+
+def test_each_differential_built_once(loaded_catalog, monkeypatch):
+    """One report builds each (kind, degree) differential exactly once, the
+    bar d2 included, although fg checks every extracted cocycle with it."""
+    import supercoh.cohomology as cohomology
+    built = collections.Counter()
+    for kind, name in (("bar", "assoc_differential_matrix"),
+                       ("lie", "lie_differential_matrix")):
+        def counted(*args, _real=getattr(cohomology, name), _kind=kind):
+            built[(_kind, args[2])] += 1
+            return _real(*args)
+        monkeypatch.setattr(cohomology, name, counted)
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    report = build_six_term(g, k)
+    assert report.maps["fg"].rows and report.maps["fg"].cols  # S != 0
+    assert built == {(kind, n): 1 for kind in ("bar", "lie") for n in (0, 1, 2)}
 
 
 def test_psibar_kills_restricted_classes(loaded_catalog):
