@@ -74,12 +74,12 @@ def _load(path, p_override):
 
 
 def _size_warning(g, rep):
-    from .envelope import UAlgebra
+    """Warn on stderr when the bar complex's degree-3 cochains are many."""
     dim_u = 1
     for i in range(g.dim):
         dim_u *= g.p if g.parity(i) == 0 else 2
     cells = (dim_u - 1) ** 3 * rep.dim
-    if g.p >= 7 and cells > 10 ** 7:
+    if cells > 10 ** 7:
         print(f"warning: bar complex has ~{cells} degree-3 cells; "
               f"this may take a long time", file=sys.stderr)
 
@@ -116,6 +116,7 @@ def cmd_cohomology(args):
         res = lie_cohomology(g, rep, args.degree)
     else:
         from .cohomology import restricted_cohomology
+        _size_warning(g, rep)
         res = restricted_cohomology(g, rep, args.degree)
     dt = time.perf_counter() - t0
     payload = {

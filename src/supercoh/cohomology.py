@@ -21,7 +21,9 @@ import numpy as np
 
 from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
-from .gflin import MatGF, Subspace, image, nullspace, quotient_representatives
+from .gflin import (
+    MatGF, Subspace, image, matpow, nullspace, quotient_representatives,
+)
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
     "restricted_cohomology", "sgn_marked", "comparison_matrix",
     "h1_restricted_via_cocycle_condition", "eval_lie_cochain",
+    "lie_cochain_matrix",
 ]
 
 
@@ -301,46 +304,37 @@ def _complex(g, rep, kind, cx):
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Z, B and canonical representatives of H = Z/B in cochain coordinates."""
+    """Z, B and canonical representatives of H = Z/B in cochain coordinates;
+    ``R`` is the echelon span of the representatives."""
 
     n: int
     kind: str
     cochain_dim: int
     Z: Subspace
     B: Subspace
-    representatives: tuple
+    R: Subspace
 
     @property
     def dim_h(self):
         return self.Z.dim - self.B.dim
 
+    @property
+    def representatives(self):
+        return self.R.basis_rows
+
     def class_coords(self, vec):
         """Coordinates of the class of a cocycle in the representative basis."""
         if not self.Z.contains(vec):
             raise UsageError("vector is not a cocycle")
-        red = self.B.reduce(vec)
-        out = []
-        work = list(red)
-        p = self.Z.p
-        for rep in self.representatives:
-            piv = next(j for j, v in enumerate(rep) if v)
-            c = work[piv]
-            out.append(c)
-            if c:
-                for j, v in enumerate(rep):
-                    if v:
-                        work[j] = (work[j] - c * v) % p
-        if any(work):
+        coords = self.R.coords(self.B.reduce(vec))
+        if coords is None:
             raise InvariantViolationError("class reduction left a residue")
-        return tuple(out)
-
-    def representative_vector(self, k):
-        return self.representatives[k]
+        return coords
 
 
 def _make_result(n, kind, dim, Z, B):
-    reps = tuple(tuple(r) for r in quotient_representatives(Z, B))
-    return CohomologyResult(n, kind, dim, Z, B, reps)
+    R = Subspace.from_vectors(quotient_representatives(Z, B), dim, Z.p)
+    return CohomologyResult(n, kind, dim, Z, B, R)
 
 
 def _cohomology(cx, n, kind):
@@ -442,6 +436,16 @@ def eval_lie_cochain(basis, vec, idxs, p):
     return out
 
 
+def lie_cochain_matrix(basis, vec, head):
+    """The linear map x -> f(head..., x) of a Lie cochain f as a
+    (dim M) x (dim g) matrix: column b is f(head..., x_b)."""
+    g = basis.g
+    out = np.zeros((basis.mspace.dim, g.dim), dtype=np.int64)
+    for b in range(g.dim):
+        out[:, b] = eval_lie_cochain(basis, vec, head + (b,), g.p)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the first restricted cohomology via the p-th power condition
 # ---------------------------------------------------------------------------
@@ -459,7 +463,7 @@ def h1_restricted_via_cocycle_condition(g, rep):
     basis = lie.basis(1)
     elim_rows = list(lie.d(1).row_dicts())
     for i in g.space.even_indices():
-        mat = np.linalg.matrix_power(rep.mats[i], p - 1) % p
+        mat = matpow(rep.mats[i], p - 1, p)
         pvec = g.pmap_basis(i)
         for nu in range(rep.dim):
             row = {}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeOverflowError, NotInIdealError, UsageError
+from .gflin import matpow
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -167,15 +168,6 @@ class UAlgebra:
     def parity(self, mono):
         return sum(e for k, e in enumerate(mono) if self.pos_parity[k] == ODD) % 2
 
-    def element_parity(self, u):
-        """Parity of a homogeneous element, or None for 0; raises if mixed."""
-        pars = {self.parity(m) for m in u.terms}
-        if not pars:
-            return None
-        if len(pars) > 1:
-            raise UsageError("element is not parity-homogeneous")
-        return pars.pop()
-
     # -- PBW basis ------------------------------------------------------------
 
     def pbw_basis(self):
@@ -285,13 +277,7 @@ class UAlgebra:
         The monomial word acts leftmost factor first: the matrix is the
         ordered product of rho(generator)^exponent.
         """
-        key = id(rep)
-        cache = self._action.get(key)
-        if cache is None:
-            cache = {}
-            self._action[key] = (rep, cache)
-        else:
-            cache = cache[1]
+        cache = self._action.setdefault(rep, {})
         got = cache.get(mono)
         if got is not None:
             return got
@@ -299,8 +285,7 @@ class UAlgebra:
         out = np.eye(rep.dim, dtype=np.int64)
         for kpos, e in enumerate(mono):
             if e:
-                m = np.linalg.matrix_power(rep.mats[self.gen_order[kpos]], e) % p
-                out = (out @ m) % p
+                out = (out @ matpow(rep.mats[self.gen_order[kpos]], e, p)) % p
         out.setflags(write=False)
         cache[mono] = out
         return out
@@ -377,15 +362,7 @@ def algebra_hom_extend(src, dst, gen_images, check=True):
             rhs = _push_vector(dst, src.g, g.pmap_basis(i), gen_images)
             if lhs != rhs:
                 raise UsageError(f"not restricted on generator {i}")
-    images = {}
-    for mono in src.pbw_basis():
-        out = dst.one()
-        for kpos, e in enumerate(mono):
-            img = gen_images[src.gen_order[kpos]]
-            for _ in range(e):
-                out = dst.multiply(out, img)
-        images[mono] = out
-    return ULinearMap(src, dst, images)
+    return linear_section_extend(src, dst, gen_images)
 
 
 def _push_vector(dst, g, vec, gen_images):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohomology import (
     CochainComplex, _complex, comparison_matrix, eval_lie_cochain,
-    lie_cochain_basis, lie_differential_matrix,
+    lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     ValidationError, ValueNotInvariantError,
 )
 from .gflin import MatGF, nullspace, solve
+from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from .superalg import (
     EVEN, LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
     hom_module, hom_module_units, invariants, pmap_apply, semidirect,
@@ -76,11 +77,11 @@ def module_ext_from_1cocycle(g, K, N, fvec, hom=None):
     with values in Hom(N, K)."""
     p = g.p
     hom = hom if hom is not None else hom_module(g, N, K)
-    basis = lie_cochain_basis(g, hom.space, 1)
+    lie = CochainComplex(g, hom, "lie")
+    basis = lie.basis(1)
     if len(fvec) != basis.dim:
         raise UsageError("cochain coordinate length mismatch")
-    d1 = lie_differential_matrix(g, hom, 1)
-    if any(d1.matvec(fvec)):
+    if any(lie.d(1).matvec(fvec)):
         raise NotACocycleError("not a 1-cocycle in Hom(N, K)")
     units = hom_module_units(N, K)
     dE = K.dim + N.dim
@@ -139,7 +140,7 @@ def cocycle_from_module_ext(ext):
     kpos, npos = _module_ext_layout(ext)
     units = hom_module_units(N, K)
     unit_pos = {u: t for t, u in enumerate(units)}
-    basis = lie_cochain_basis(g, ext.hom.space, 1)
+    basis = CochainComplex(g, ext.hom, "lie").basis(1)
     fvec = [0] * basis.dim
     for i in range(g.dim):
         blk = np.zeros((K.dim, N.dim), dtype=np.int64)
@@ -197,44 +198,28 @@ class RestrictedExtension(AlgebraExtension):
     strongly_abelian: bool = True
 
 
-def _bracket_tensor_from_cocycle(g, rep, fvec, basis):
-    """Structure constants of g (+) M twisted by a Lie 2-cochain f."""
-    p = g.p
-    layout = SumLayout(g.space, rep.space)
-    space = layout.space()
-    n = space.dim
-    brk = np.zeros((n, n, n), dtype=np.int64)
-    gpar = g.space.parities()
-    mpar = rep.space.parities()
-    for i in range(g.dim):
-        ei = layout.g_to_e(i)
-        for j in range(g.dim):
-            fij = eval_lie_cochain(basis, fvec, (i, j), p)
-            brk[ei, layout.g_to_e(j)] = (layout.embed_g(g.brackets[i, j])
-                                         + layout.embed_m(fij)) % p
-    for i in range(g.dim):
-        ei = layout.g_to_e(i)
-        for j in range(rep.dim):
-            fj = layout.m_to_e(j)
-            act = rep.mats[i][:, j] % p
-            vec = layout.embed_m(act)
-            brk[ei, fj] = vec
-            sign = -1 if (gpar[i] and mpar[j]) else 1
-            brk[fj, ei] = (-sign * vec) % p
-    return layout, space, brk
-
-
 def algebra_ext_from_2cocycle(g, rep, fvec):
     """E_f = g (+) M with bracket
     [(x1,m1),(x2,m2)] = ([x1,x2], x1.m2 - (-1)^{|x1||x2|} x2.m1 + f(x1,x2))."""
-    p = g.p
-    basis = lie_cochain_basis(g, rep.space, 2)
+    return _algebra_ext(CochainComplex(g, rep, "lie"), fvec)
+
+
+def _algebra_ext(lie, fvec):
+    """E_f for a 2-cocycle f of the Lie complex ``lie``: the bracket of
+    g |x M plus f on the g x g block."""
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    basis = lie.basis(2)
     if len(fvec) != basis.dim:
         raise UsageError("cochain coordinate length mismatch")
-    if any(lie_differential_matrix(g, rep, 2).matvec(fvec)):
+    if any(lie.d(2).matvec(fvec)):
         raise NotACocycleError("not a Lie 2-cocycle")
-    layout, space, brk = _bracket_tensor_from_cocycle(g, rep, fvec, basis)
-    E = LieSuperAlgebra(space, p, brk)
+    E0, layout = semidirect(g, rep)
+    brk = E0.brackets.copy()
+    for i in range(g.dim):
+        for j in range(g.dim):
+            brk[layout.g_to_e(i), layout.g_to_e(j)] += layout.embed_m(
+                eval_lie_cochain(basis, fvec, (i, j), p))
+    E = LieSuperAlgebra(E0.space, p, brk)
     report = validate_lie_super(E)
     if not report.ok:
         raise ValidationError(report.summary(), report)
@@ -245,7 +230,7 @@ def cocycle_from_algebra_ext(ext):
     """f(x1,x2) = M-part of [section(x1), section(x2)] minus section([x1,x2])."""
     g, rep = ext.g, ext.rep
     p = g.p
-    basis = lie_cochain_basis(g, rep.space, 2)
+    basis = CochainComplex(g, rep, "lie").basis(2)
     fvec = [0] * basis.dim
     for (ev, od, nu), col in basis.index.items():
         args = ev + od
@@ -274,6 +259,21 @@ def _with_pmap(ext, pmap, strongly_abelian=None):
     sa = getattr(ext, "strongly_abelian", True) if strongly_abelian is None \
         else strongly_abelian
     return RestrictedExtension(ext.g, ext.rep, E2, ext.layout, strongly_abelian=sa)
+
+
+def _with_pmap_on_g(ext, r):
+    """``ext`` with (x, 0)^[p] = (x^[p], r[x]) on the even basis of g and
+    p-map zero on the module generators."""
+    layout = ext.layout
+    pmap = {}
+    for e in ext.E.space.even_indices():
+        kind, idx = layout.e_source(e)
+        if kind == "m":
+            pmap[e] = np.zeros(ext.E.dim, dtype=np.int64)
+        else:
+            pmap[e] = (layout.embed_g(ext.g.pmap_basis(idx))
+                       + layout.embed_m(r[idx])) % ext.p
+    return _with_pmap(ext, pmap)
 
 
 def twist_pmap(ext, gmap):
@@ -326,40 +326,23 @@ def restricted_structure_from_lie_2cocycle(g, rep, fvec, sigma=None):
     invariants, selecting an equivalent restricted structure.  Raises
     NoSolutionError when no p-map exists over E_f (an obstruction witness).
     """
-    from .sixterm import obstruction_cocycle
-
-    ext = algebra_ext_from_2cocycle(g, rep, fvec)
+    lie = CochainComplex(g, rep, "lie")
+    ext = _algebra_ext(lie, fvec)
     p = g.p
-    basis = lie_cochain_basis(g, rep.space, 2)
-    pmap = {}
-    for e in ext.E.space.even_indices():
-        kind, idx = ext.layout.e_source(e)
-        if kind == "m":
-            pmap[e] = np.zeros(ext.E.dim, dtype=np.int64)
-            continue
-        kvec = obstruction_cocycle(g, rep, basis, fvec, idx)
-        # stack x1 . r = -kvec(x1) over all basis x1
-        rows = []
-        rhs = []
-        c1 = lie_cochain_basis(g, rep.space, 1)
-        for x1 in range(g.dim):
-            mat = rep.mats[x1]
-            val = eval_lie_cochain(c1, kvec, (x1,), p)
-            for nu in range(rep.dim):
-                rows.append({mu: int(mat[nu, mu]) for mu in range(rep.dim)
-                             if mat[nu, mu]})
-                rhs.append((-int(val[nu])) % p)
-        r = solve(MatGF.from_rows(rows, rep.dim, p), rhs)
-        if r is None:
+    # x1 . r = -k(x1) for all basis x1, stacked x1-major
+    stacked = MatGF.from_dense(np.vstack(rep.mats), p)
+    r = {}
+    for t, idx in enumerate(g.space.even_indices()):
+        kvec = obstruction_cocycle(lie, fvec, idx)
+        kmat = lie_cochain_matrix(lie.basis(1), kvec, ())
+        sol = solve(stacked, (-kmat.T).ravel() % p)
+        if sol is None:
             raise NoSolutionError(
                 f"no restricted structure: obstruction at even basis {idx}")
-        rvec = np.asarray(r, dtype=np.int64)
+        r[idx] = np.asarray(sol, dtype=np.int64)
         if sigma is not None:
-            t = g.space.even_indices().index(idx)
-            rvec = (rvec - np.asarray(sigma.value_on_basis(t))) % p
-        pmap[e] = (ext.layout.embed_g(g.pmap_basis(idx))
-                   + ext.layout.embed_m(rvec)) % p
-    return _with_pmap(ext, pmap)
+            r[idx] = (r[idx] - np.asarray(sigma.value_on_basis(t))) % p
+    return _with_pmap_on_g(ext, r)
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +364,21 @@ def restricted_ext_from_assoc_2cocycle(g, rep, cvec, bar=None):
         raise UsageError("cochain coordinate length mismatch")
     if any(bar.d(2).matvec(cvec)):
         raise NotACocycleError("not a bar 2-cocycle")
-    fvec = comparison_matrix(bar, lie, 2).matvec(cvec)
-    basis = lie.basis(2)
-    layout, space, brk = _bracket_tensor_from_cocycle(g, rep, fvec, basis)
-    E = LieSuperAlgebra(space, p, brk)
-    report = validate_lie_super(E)
-    if not report.ok:
-        raise ValidationError(report.summary(), report)
-    pmap = {}
-    for e in space.even_indices():
-        kind, idx = SumLayout(g.space, rep.space).e_source(e)
-        if kind == "m":
-            pmap[e] = np.zeros(space.dim, dtype=np.int64)
-            continue
+    ext = _algebra_ext(lie, comparison_matrix(bar, lie, 2).matvec(cvec))
+    r = {}
+    for idx in g.space.even_indices():
         mono_x = [0] * ualg.ngen
         mono_x[ualg.pos_of[idx]] = 1
         mono_xp = list(mono_x)
         mono_xp[ualg.pos_of[idx]] = p - 1
         ci = cb.aug_index[tuple(mono_xp)]
         cj = cb.aug_index[tuple(mono_x)]
-        val = np.zeros(rep.dim, dtype=np.int64)
+        r[idx] = np.zeros(rep.dim, dtype=np.int64)
         for nu in range(rep.dim):
             col = cb.index.get(((ci, cj), nu))
             if col is not None:
-                val[nu] = cvec[col] % p
-        pmap[e] = (layout.embed_g(g.pmap_basis(idx)) + layout.embed_m(val)) % p
-    ext = RestrictedExtension(g, rep, E, layout, strongly_abelian=True)
-    return _with_pmap(ext, pmap)
+                r[idx][nu] = cvec[col] % p
+    return _with_pmap_on_g(ext, r)
 
 
 def psi_image(ext, perturbation=None):
@@ -480,8 +451,9 @@ def automorphism_from_1cocycle(ext, hvec):
     be an algebra automorphism fixing M with phi . alpha = phi."""
     g, rep = ext.g, ext.rep
     p = ext.p
-    basis = lie_cochain_basis(g, rep.space, 1)
-    if any(lie_differential_matrix(g, rep, 1).matvec(hvec)):
+    lie = CochainComplex(g, rep, "lie")
+    basis = lie.basis(1)
+    if any(lie.d(1).matvec(hvec)):
         raise NotACocycleError("not a Lie 1-cocycle")
     n = ext.E.dim
     alpha = np.eye(n, dtype=np.int64)
@@ -521,31 +493,19 @@ def restricted_pmap_difference(e1, e2):
     return SemiLinearMap(e1.g, e1.rep.dim, tuple(vals))
 
 
-def psi_twist_of_cocycle(ext, hvec):
-    """Psi(h): x -> x^{p-1}.h(x) + h(x)^[p] - h(x^[p]) for a 1-cocycle h.
-
-    The middle term is computed through E's p-map on the embedded value,
-    which vanishes exactly when the kernel is strongly abelian.
+def psi_twist_of_cocycle(ext, lie, hvec):
+    """Psi(h): x -> x^{p-1}.h(x) + h(x)^[p] - h(x^[p]) for a 1-cocycle h of
+    the Lie complex ``lie`` of (g, M): Psi-bar(h) plus the middle term,
+    computed through E's p-map on the embedded value, which vanishes
+    exactly when the kernel is strongly abelian.
     """
-    g, rep = ext.g, ext.rep
-    p = ext.p
-    basis = lie_cochain_basis(g, rep.space, 1)
-    vals = []
-    for idx in g.space.even_indices():
-        hx = eval_lie_cochain(basis, hvec, (idx,), p)
-        acted = (np.linalg.matrix_power(rep.mats[idx], p - 1) @ hx) % p
-        pm = ext.layout.project_m(pmap_apply(ext.E, ext.embed(hx)))
-        hxp = eval_lie_cochain_on_vector(basis, hvec, g.pmap_basis(idx), p, rep.dim)
-        vals.append(tuple(int(v) for v in (acted + pm - hxp) % p))
-    return SemiLinearMap(g, rep.dim, tuple(vals))
-
-
-def eval_lie_cochain_on_vector(basis, vec, gvec, p, target_dim):
-    out = np.zeros(target_dim, dtype=np.int64)
-    for i, c in enumerate(np.asarray(gvec) % p):
-        if c:
-            out = (out + c * eval_lie_cochain(basis, vec, (i,), p)) % p
-    return out
+    g = ext.g
+    lie = _complex(g, ext.rep, "lie", lie)
+    hmat = lie_cochain_matrix(lie.basis(1), hvec, ())
+    middle = [ext.layout.project_m(pmap_apply(ext.E, ext.embed(hmat[:, idx])))
+              for idx in g.space.even_indices()]
+    return psi_bar_on_cocycle(lie, hvec).plus(
+        SemiLinearMap(g, ext.rep.dim, tuple(middle)))
 
 
 def are_equivalent_restricted(e1, e2):
@@ -553,19 +513,12 @@ def are_equivalent_restricted(e1, e2):
     iff their p-map difference lies in the image of Psi on Z^1(g, M)."""
     diff = restricted_pmap_difference(e1, e2)
     g, rep = e1.g, e1.rep
-    p = e1.p
-    Z1 = nullspace(lie_differential_matrix(g, rep, 1))
-    target = g.space.n_even * rep.dim
+    lie = CochainComplex(g, rep, "lie")
     cols = []
-    for row in Z1.basis_rows:
-        smap = psi_twist_of_cocycle(e1, row)
+    for row in nullspace(lie.d(1)).basis_rows:
+        smap = psi_twist_of_cocycle(e1, lie, row)
         cols.append([v for t in range(g.space.n_even)
                      for v in smap.value_on_basis(t)])
-    ent = {}
-    for c, col in enumerate(cols):
-        for r, v in enumerate(col):
-            if v:
-                ent[(r, c)] = v
-    mat = MatGF(target, len(cols), p, ent)
+    mat = MatGF.from_columns(cols, g.space.n_even * rep.dim, e1.p)
     dvec = [v for t in range(g.space.n_even) for v in diff.value_on_basis(t)]
     return solve(mat, dvec) is not None

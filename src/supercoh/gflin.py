@@ -42,6 +42,23 @@ def inv_mod(a, p):
     return pow(a, -1, p)
 
 
+def matpow(a, k, p):
+    """a^k mod p for a square integer matrix, by repeated squaring.
+
+    Every product is reduced mod p before the next one, so no intermediate
+    entry exceeds dim * p^2 and int64 stays exact; reducing only at the end
+    wraps silently once p^k outgrows int64 (already for p = 17)."""
+    a = np.asarray(a, dtype=np.int64) % p
+    out = np.eye(a.shape[0], dtype=np.int64)
+    while k:
+        if k & 1:
+            out = (out @ a) % p
+        k >>= 1
+        if k:
+            a = (a @ a) % p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rows: dict {col: val} or 1-d int64 ndarray, switched on fill-in
 # ---------------------------------------------------------------------------
@@ -213,6 +230,13 @@ class MatGF:
         return cls(arr.shape[0], arr.shape[1], p, ent)
 
     @classmethod
+    def from_columns(cls, columns, rows, p):
+        """Matrix whose c-th column is the dense sequence ``columns[c]``."""
+        return cls(rows, len(columns), p,
+                   {(r, c): v for c, col in enumerate(columns)
+                    for r, v in enumerate(col)})
+
+    @classmethod
     def from_rows(cls, row_dicts, cols, p):
         ent = {}
         for i, row in enumerate(row_dicts):
@@ -349,10 +373,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self.basis_rows)
-
-    def basis_matrix(self):
-        return MatGF.from_rows([{j: v for j, v in enumerate(r) if v} for r in self.basis_rows],
-                               self.ambient_dim, self.p)
 
     def reduce(self, vec):
         """Residue of vec after eliminating this subspace's pivot coordinates."""

@@ -13,14 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cohomology import (
-    CochainComplex, comparison_matrix, eval_lie_cochain, lie_cochain_basis,
-    lie_cohomology, restricted_cohomology,
+    CochainComplex, comparison_matrix, lie_cochain_matrix, lie_cohomology,
+    restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
-from .gflin import MatGF, image, nullspace
+from .gflin import MatGF, image, matpow, nullspace
 from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
 
 __all__ = [
@@ -99,29 +97,17 @@ def map_h1res_to_h1(ctx):
     comp = comparison_matrix(ctx.bar, ctx.lie, 1)
     cols = [ctx.h1.class_coords(comp.matvec(repvec))
             for repvec in ctx.h1s.representatives]
-    return _columns_to_matrix(cols, ctx.h1.dim_h, ctx.p)
+    return MatGF.from_columns(cols, ctx.h1.dim_h, ctx.p)
 
 
-def psi_bar_on_cocycle(ctx, lievec):
-    """Psi-bar of a Lie 1-cocycle h: the semilinear map
-    x -> rho(x)^{p-1} h(x) - h(x^[p]) (the kernel p-map term vanishes since
-    M is strongly abelian).  Values are verified to be invariant and even."""
-    g, rep, p = ctx.g, ctx.rep, ctx.p
-    lb = ctx.lie.basis(1)
-    vals = []
-    for idx in g.space.even_indices():
-        hx = eval_lie_cochain(lb, lievec, (idx,), p)
-        acted = (np.linalg.matrix_power(rep.mats[idx], p - 1) @ hx) % p
-        pm = g.pmap_basis(idx)
-        hxp = np.zeros(rep.dim, dtype=np.int64)
-        for j, c in enumerate(pm):
-            if c:
-                hxp = (hxp + c * eval_lie_cochain(lb, lievec, (j,), p)) % p
-        out = (acted - hxp) % p
-        if not ctx.inv_even.contains(out):
-            raise InvariantViolationError(
-                "Psi-bar value left the even invariants")
-        vals.append(tuple(int(v) for v in out))
+def psi_bar_on_cocycle(lie, h):
+    """Psi-bar of a 1-cocycle h of the Lie complex ``lie``: the semilinear
+    map x -> rho(x)^{p-1} h(x) - h(x^[p]) on the even basis (the kernel
+    p-map term vanishes since M is strongly abelian)."""
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    hmat = lie_cochain_matrix(lie.basis(1), h, ())
+    vals = [matpow(rep.mats[idx], p - 1, p) @ hmat[:, idx]
+            - hmat @ g.pmap_basis(idx) for idx in g.space.even_indices()]
     return SemiLinearMap(g, rep.dim, tuple(vals))
 
 
@@ -131,12 +117,12 @@ def map_h1_to_semilinear(ctx):
     pairs = ctx.s1_pairs
     # coboundaries must map to zero: checked on the coboundary image basis
     for bvec in ctx.h1.B.basis_rows:
-        smap = psi_bar_on_cocycle(ctx, bvec)
+        smap = psi_bar_on_cocycle(ctx.lie, bvec)
         if any(any(smap.value_on_basis(t)) for t in range(g.space.n_even)):
             raise InvariantViolationError("Psi-bar does not kill a coboundary")
     cols = []
     for repvec in ctx.h1.representatives:
-        smap = psi_bar_on_cocycle(ctx, repvec)
+        smap = psi_bar_on_cocycle(ctx.lie, repvec)
         col = []
         for (t, j) in pairs:
             coords = ctx.inv_even.coords(smap.value_on_basis(t))
@@ -144,7 +130,7 @@ def map_h1_to_semilinear(ctx):
         if any(c is None for c in col):
             raise InvariantViolationError("Psi-bar value outside invariants")
         cols.append(tuple(col))
-    return _columns_to_matrix(cols, len(pairs), p)
+    return MatGF.from_columns(cols, len(pairs), p)
 
 
 def map_semilinear_to_h2res(ctx):
@@ -163,7 +149,7 @@ def map_semilinear_to_h2res(ctx):
         twisted = twist_pmap(s0, smap)
         cvec = assoc_2cocycle_from_restricted_ext(twisted, ctx.bar)
         cols.append(ctx.h2s.class_coords(cvec))
-    return _columns_to_matrix(cols, ctx.h2s.dim_h, p)
+    return MatGF.from_columns(cols, ctx.h2s.dim_h, p)
 
 
 def map_h2res_to_h2(ctx):
@@ -174,44 +160,29 @@ def map_h2res_to_h2(ctx):
     for repvec in ctx.h2s.representatives:
         lievec = comp.matvec(repvec)
         cols.append(ctx.h2.class_coords(lievec))
-    return _columns_to_matrix(cols, ctx.h2.dim_h, ctx.p)
+    return MatGF.from_columns(cols, ctx.h2.dim_h, ctx.p)
 
 
-def obstruction_cocycle(g, rep, basis2, fvec, x_idx):
-    """The 1-cocycle k_x + f_{x^[p]} attached to a Lie 2-cocycle f and an
-    even basis element x:
+def obstruction_cocycle(lie, fvec, x_idx):
+    """The 1-cocycle k_x + f_{x^[p]} attached to a 2-cocycle f of the Lie
+    complex ``lie`` and an even basis element x:
 
         k_x(x1) = sum_{i=0}^{p-1} rho(x)^i f(x, (ad x)^{p-1-i}(x1)),
         f_{x^[p]}(x1) = f(x1, x^[p]),
 
     returned in C^1 coordinates.
     """
-    p = g.p
-    c1 = lie_cochain_basis(g, rep.space, 1)
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    c1, c2 = lie.basis(1), lie.basis(2)
     out = [0] * c1.dim
     adx = g.ad_basis(x_idx)
-    adpow = [np.eye(g.dim, dtype=np.int64)]
-    for _ in range(p - 1):
-        adpow.append((adx @ adpow[-1]) % p)
     rho = rep.mats[x_idx]
-    rhopow = [np.eye(rep.dim, dtype=np.int64)]
-    for _ in range(p - 1):
-        rhopow.append((rho @ rhopow[-1]) % p)
+    fx = lie_cochain_matrix(c2, fvec, (x_idx,))
+    kx = sum(matpow(rho, i, p) @ ((fx @ matpow(adx, p - 1 - i, p)) % p)
+             for i in range(p))
     pm = g.pmap_basis(x_idx)
     for b in range(g.dim):
-        val = np.zeros(rep.dim, dtype=np.int64)
-        for i in range(p):
-            arg = adpow[p - 1 - i][:, b] % p
-            inner = np.zeros(rep.dim, dtype=np.int64)
-            for c, coeff in enumerate(arg):
-                if coeff:
-                    inner = (inner + coeff
-                             * eval_lie_cochain(basis2, fvec, (x_idx, c), p)) % p
-            val = (val + rhopow[i] @ inner) % p
-        for c, coeff in enumerate(pm):
-            if coeff:
-                val = (val + coeff
-                       * eval_lie_cochain(basis2, fvec, (b, c), p)) % p
+        val = (kx[:, b] + lie_cochain_matrix(c2, fvec, (b,)) @ pm) % p
         item_even = g.parity(b) == EVEN
         for nu, v in enumerate(val):
             if v:
@@ -226,29 +197,19 @@ def obstruction_cocycle(g, rep, basis2, fvec, x_idx):
 def map_h2_to_semilinear_h1(ctx):
     """For each H^2 representative f and even basis x: the H^1 class of
     k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1)."""
-    g, rep, p = ctx.g, ctx.rep, ctx.p
-    basis2 = ctx.lie.basis(2)
+    g = ctx.g
     d1 = ctx.lie.d(1)
     rows_dim = g.space.n_even * ctx.h1.dim_h
     cols = []
     for repvec in ctx.h2.representatives:
         col = []
         for idx in g.space.even_indices():
-            kvec = obstruction_cocycle(g, rep, basis2, repvec, idx)
+            kvec = obstruction_cocycle(ctx.lie, repvec, idx)
             if any(d1.matvec(kvec)):
                 raise NotACocycleError("obstruction value is not a 1-cocycle")
             col.extend(ctx.h1.class_coords(kvec))
         cols.append(tuple(col))
-    return _columns_to_matrix(cols, rows_dim, p)
-
-
-def _columns_to_matrix(cols, nrows, p):
-    ent = {}
-    for c, col in enumerate(cols):
-        for r, v in enumerate(col):
-            if v % p:
-                ent[(r, c)] = v % p
-    return MatGF(nrows, len(cols), p, ent)
+    return MatGF.from_columns(cols, rows_dim, g.p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .gflin import MatGF, check_modulus, nullspace
+from .gflin import MatGF, check_modulus, matpow, nullspace
 
 EVEN, ODD = 0, 1
 
@@ -118,9 +118,6 @@ class LieSuperAlgebra:
         v = self.zero()
         v[i] = 1
         return v
-
-    def bracket_basis(self, i, j):
-        return self.brackets[i, j]
 
     def bracket(self, u, v):
         u = np.asarray(u, dtype=np.int64) % self.p
@@ -264,7 +261,7 @@ def validate_pmap(g):
     p = g.p
     for i in g.space.even_indices():
         lhs = g.ad(g.pmap_basis(i))
-        rhs = np.linalg.matrix_power(g.ad_basis(i), p) % p
+        rhs = matpow(g.ad_basis(i), p, p)
         if not np.array_equal(lhs, rhs):
             rep.record("adp", (i,), f"ad(x_{i}^[p]) != ad(x_{i})^p")
     evens = g.space.even_indices()
@@ -358,7 +355,7 @@ def validate_module(g, rep, restricted=False):
                 report.record("bracket", (i, j), "rho([x_i,x_j]) != super commutator")
     if restricted:
         for i in g.space.even_indices():
-            lhs = np.linalg.matrix_power(rep.mats[i], p) % p
+            lhs = matpow(rep.mats[i], p, p)
             rhs = rep.act_matrix(g.pmap_basis(i))
             if not np.array_equal(lhs, rhs):
                 report.record("restricted", (i,), f"rho(x_{i})^p != rho(x_{i}^[p])")
@@ -472,11 +469,6 @@ class SemiLinearMap:
     def negated(self):
         vals = tuple(tuple((-a) % self.g.p for a in r) for r in self.values)
         return SemiLinearMap(self.g, self.target_dim, vals)
-
-
-def semilinear_zero(g, target_dim):
-    return SemiLinearMap(g, target_dim, tuple((0,) * target_dim
-                                              for _ in range(g.space.n_even)))
 
 
 def semilinear_space(g, target):

@@ -193,7 +193,6 @@ def test_criterion_9_representative_independence(loaded_catalog):
         rep = modules[e.module_name]
         ctx = SixTermContext(g, rep)
         base = map_h2_to_semilinear_h1(ctx)
-        basis2 = lie_cochain_basis(g, rep.space, 2)
         b1 = lie_cochain_basis(g, rep.space, 1)
         d1 = lie_differential_matrix(g, rep, 1)
         p = g.p
@@ -205,7 +204,7 @@ def test_criterion_9_representative_independence(loaded_catalog):
                 col = []
                 for idx in g.space.even_indices():
                     col.extend(ctx.h1.class_coords(
-                        obstruction_cocycle(g, rep, basis2, shifted, idx)))
+                        obstruction_cocycle(ctx.lie, shifted, idx)))
                 cols.append(col)
             from supercoh.gflin import MatGF
             ent = {(r, c): v % p for c, col in enumerate(cols)

@@ -75,6 +75,48 @@ def test_broken_jacobi_exits_3_with_indices(tmp_path, capsys):
     assert "jacobi" in err and "(" in err
 
 
+def test_validate_p17_module_powers_reduced(tmp_path, capsys):
+    """rho(t)^17 = rho(t) holds exactly for this matrix; an int64 power
+    reduced only at the end wraps and reports a false violation."""
+    data = {
+        "p": 17, "even": ["t"], "odd": [], "brackets": {},
+        "pmap": {"t": {"t": 1}},
+        "modules": {"m": {"even": ["a", "b", "c"], "odd": [], "action": {
+            "t": [[16, 6, 7], [14, 9, 16], [14, 12, 12]]}}},
+    }
+    f = tmp_path / "t17.json"
+    f.write_text(json.dumps(data))
+    assert run(["validate", str(f)]) == 0, capsys.readouterr().err
+
+
+def test_size_warning_for_every_p(capsys):
+    """A 5-dim torus at p = 3 has (3^5 - 1)^3 ~ 14.2M degree-3 bar cells;
+    the estimate alone is checked, the complex is never built."""
+    import numpy as np
+    from supercoh.superalg import LieSuperAlgebra, SuperSpace, trivial_module
+
+    g = LieSuperAlgebra(SuperSpace(tuple("abcde"), ()), 3,
+                        np.zeros((5, 5, 5), dtype=np.int64))
+    cli._size_warning(g, trivial_module(g))
+    assert "~14172488 degree-3 cells" in capsys.readouterr().err
+    small = LieSuperAlgebra(SuperSpace(("a", "b"), ()), 3,
+                            np.zeros((2, 2, 2), dtype=np.int64))
+    cli._size_warning(small, trivial_module(small))
+    assert capsys.readouterr().err == ""
+
+
+def test_restricted_cohomology_command_warns_on_size(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_size_warning", lambda g, rep: seen.append(rep))
+    path = write_entry(tmp_path, "a3-heisenberg")
+    assert run(["cohomology", str(path), "--module", "k",
+                "--degree", "1", "--kind", "lie"]) == 0
+    assert seen == []
+    assert run(["cohomology", str(path), "--module", "k",
+                "--degree", "1", "--kind", "restricted"]) == 0
+    assert len(seen) == 1
+
+
 def test_duplicate_bracket_pair_rejected(tmp_path, capsys):
     data = {
         "p": 3,

@@ -457,8 +457,9 @@ def test_are_equivalent_twist_by_psi_value(loaded_catalog):
         rep = modules["k"]
         s0 = semidirect_extension(g, rep)
         Z1 = nullspace(lie_differential_matrix(g, rep, 1))
+        lie = CochainComplex(g, rep, "lie")
         for row in Z1.basis_rows:
-            smap = psi_twist_of_cocycle(s0, row)
+            smap = psi_twist_of_cocycle(s0, lie, row)
             tw = twist_pmap(s0, smap)
             assert are_equivalent_restricted(s0, tw), entry_id
 

@@ -1,12 +1,15 @@
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import supercoh
 from supercoh.errors import UsageError
 from supercoh.gflin import (
     FILL_LIMIT, MatGF, Subspace, contains, equals, image, is_odd_prime,
-    nullspace, quotient_representatives, rref, solve, subspace_intersect,
-    subspace_sum,
+    matpow, nullspace, quotient_representatives, rref, solve,
+    subspace_intersect, subspace_sum,
 )
 
 from oracles import dense_rank
@@ -165,3 +168,23 @@ def test_matmul_and_vector_ops():
     assert a.matmul(b).to_dense().tolist() == [[2, 1], [4, 3]]
     assert a.matvec((1, 1)) == (3, 2)
     assert a.sub(a).is_zero()
+
+
+def test_matpow_matches_exact_integer_powers():
+    """Powers mod p agree with Python-integer powers reduced at the end, for
+    primes and exponents where an int64 power reduced only at the end wraps."""
+    rng = random.Random(17)
+    for p in (3, 17, 31, 101):
+        for n in (1, 3, 5):
+            a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            for k in (0, 1, 2, p - 1, p, 2 * p + 1):
+                exact = np.eye(n, dtype=object)
+                for _ in range(k):
+                    exact = exact.dot(np.array(a, dtype=object))
+                assert (matpow(a, k, p) == exact % p).all(), (p, n, k)
+
+
+def test_no_unreduced_matrix_power_in_src():
+    """Every matrix power in the package goes through gflin.matpow."""
+    for path in sorted(Path(supercoh.__file__).parent.glob("*.py")):
+        assert "matrix_power" not in path.read_text(encoding="utf-8"), path.name

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from supercoh.cohomology import lie_cochain_basis, lie_differential_matrix
+from supercoh.cohomology import (
+    CochainComplex, lie_cochain_basis, lie_differential_matrix,
+)
 from supercoh.envelope import UAlgebra
 from supercoh.gflin import image
 from supercoh.sixterm import (
@@ -135,7 +137,6 @@ def test_phi_representative_independence(loaded_catalog):
         p = g.p
         ctx = SixTermContext(g, rep)
         base = map_h2_to_semilinear_h1(ctx)
-        basis2 = lie_cochain_basis(g, rep.space, 2)
         d1 = lie_differential_matrix(g, rep, 1)
         b1 = lie_cochain_basis(g, rep.space, 1)
         for _ in range(10):
@@ -145,7 +146,7 @@ def test_phi_representative_independence(loaded_catalog):
                 shifted = [(a + b) % p for a, b in zip(fvec, d1.matvec(h))]
                 col = []
                 for idx in g.space.even_indices():
-                    kvec = obstruction_cocycle(g, rep, basis2, shifted, idx)
+                    kvec = obstruction_cocycle(ctx.lie, shifted, idx)
                     col.extend(ctx.h1.class_coords(kvec))
                 cols.append(col)
             ent = {}
@@ -160,7 +161,11 @@ def test_phi_representative_independence(loaded_catalog):
 
 def test_each_differential_built_once(loaded_catalog, monkeypatch):
     """One report builds each (kind, degree) differential exactly once, the
-    bar d2 included, although fg checks every extracted cocycle with it."""
+    bar d2 included, although fg checks every extracted cocycle with it.
+    Lie cochain bases come from the report's Lie complex only, so their
+    count does not grow with the number of obstruction cocycles phi reads
+    (a9-borel-semidirect: 3 even basis elements, dim H^2 = 1)."""
+    import sys
     import supercoh.cohomology as cohomology
     built = collections.Counter()
     for kind, name in (("bar", "assoc_differential_matrix"),
@@ -169,10 +174,26 @@ def test_each_differential_built_once(loaded_catalog, monkeypatch):
             built[(_kind, args[2])] += 1
             return _real(*args)
         monkeypatch.setattr(cohomology, name, counted)
+    lie_bases = []
+    real_basis = cohomology.lie_cochain_basis
+
+    def counted_basis(*args):
+        lie_bases.append(args[2])
+        return real_basis(*args)
+    for name, mod in list(sys.modules.items()):
+        if (name == "supercoh" or name.startswith("supercoh.")) and \
+                getattr(mod, "lie_cochain_basis", None) is real_basis:
+            monkeypatch.setattr(mod, "lie_cochain_basis", counted_basis)
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     report = build_six_term(g, k)
     assert report.maps["fg"].rows and report.maps["fg"].cols  # S != 0
     assert built == {(kind, n): 1 for kind in ("bar", "lie") for n in (0, 1, 2)}
+    borel_bases = len(lie_bases)
+    lie_bases.clear()
+    g, k = fixture_algebra(loaded_catalog, "a9-borel-semidirect")
+    report = build_six_term(g, k)
+    assert g.space.n_even == 3 and report.dims[4] == 1
+    assert len(lie_bases) == borel_bases
 
 
 def test_psibar_kills_restricted_classes(loaded_catalog):
@@ -223,7 +244,7 @@ def test_phi_matches_associative_lift_on_coboundaries(loaded_catalog):
         p = g.p
         U = UAlgebra(g, restricted=False, degree_bound=p + 2)
         b1 = lie_cochain_basis(g, rep.space, 1)
-        basis2 = lie_cochain_basis(g, rep.space, 2)
+        lie = CochainComplex(g, rep, "lie")
         d1 = lie_differential_matrix(g, rep, 1)
 
         def omega(u, hvec):
@@ -245,7 +266,7 @@ def test_phi_matches_associative_lift_on_coboundaries(loaded_catalog):
             hvec = [rng.randrange(p) for _ in range(b1.dim)]
             fvec = d1.matvec(hvec)
             for idx in g.space.even_indices():
-                kvec = obstruction_cocycle(g, rep, basis2, fvec, idx)
+                kvec = obstruction_cocycle(lie, fvec, idx)
                 x = U.generator(idx)
                 A = U.power(x, p) - U.from_vector(g.pmap_basis(idx))
                 xp1 = U.power(x, p - 1)
