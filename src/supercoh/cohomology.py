@@ -9,7 +9,8 @@ Two complexes are built for a restricted Lie superalgebra g and a module M:
 
 All cochains are even maps, so a basis functional pairs an argument tuple
 with a value coordinate of matching parity.  Degree-3 cochain spaces are
-materialized only as differential targets.
+materialized only as differential targets: the Lie differential lists the
+degree-3 basis, the bar differential numbers its cochains by integer keys.
 """
 
 from __future__ import annotations
@@ -214,43 +215,100 @@ def assoc_differential_matrix(ualg, rep, n):
     (delta f)(s_1..s_{n+1}) = s_1 . f(s_2..s_{n+1})
                               + sum_i (-1)^i f(s_1,.., s_i s_{i+1}, .., s_{n+1}).
 
+    A cochain (s_1..s_k, mu) is addressed by the mixed-radix key
+    ((s_1 A + s_2) A + ...) dim M + mu, with A = |aug|.  Keys increase in
+    the order of ``assoc_cochain_basis``, so a parity lookup array (key ->
+    basis index, -1 for an odd cochain) numbers rows and columns without
+    building either basis.  Each term family is emitted for all rows at
+    once, by broadcasting the action matrices and the aug x aug product
+    table over the untouched prefix and suffix arguments; repeated
+    (row, col) pairs are summed mod p.
+
     Products of augmentation-ideal elements stay in the ideal; a unit
-    component in a straightened product would be a bug and raises.
+    component in a straightened product would be a bug and raises, and so
+    does a term from an even row that lands on an odd cochain.
     """
-    src = assoc_cochain_basis(ualg, rep.space, n)
-    dst = assoc_cochain_basis(ualg, rep.space, n + 1)
     p = ualg.p
-    aug = src.aug
-    aug_index = src.aug_index
-    unit = ualg.unit_monomial()
-    rows = []
-    for (tup, nu) in dst.items:
-        row = {}
-        mono1 = aug[tup[0]]
-        mat = ualg.action_matrix(rep, mono1)
-        rest = tup[1:]
-        for mu in range(rep.dim):
-            c = mat[nu, mu]
-            if c:
-                col = src.index.get((rest, mu))
-                if col is None:
-                    raise InvariantViolationError("bar action term breaks parity")
-                row[col] = (row.get(col, 0) + int(c)) % p
+    aug = ualg.aug_basis()
+    A, D = len(aug), rep.dim
+    apar = np.array([ualg.parity(m) for m in aug], dtype=np.int64)
+    mpar = np.array([rep.space.parity(m) for m in range(D)], dtype=np.int64)
+    src = _bar_lookup(apar, mpar, n)
+    dst = _bar_lookup(apar, mpar, n + 1)
+    nrows, ncols = int(dst.max(initial=-1)) + 1, int(src.max(initial=-1)) + 1
+    if nrows * ncols >= 2 ** 63:
+        raise UsageError(f"bar differential {nrows}x{ncols} is too large")
+    terms = []  # (row, col, value) arrays, one triple per term family
+
+    def emit(row_keys, col_keys, coeffs, what):
+        r = dst[row_keys.ravel()]
+        c = src[col_keys.ravel()]
+        keep = r >= 0
+        if (c[keep] < 0).any():
+            raise InvariantViolationError(f"bar {what} term breaks parity")
+        terms.append((r[keep], c[keep],
+                      np.broadcast_to(coeffs, row_keys.shape).ravel()[keep]))
+
+    # s_1 . f(s_2..s_{n+1}): row (s_1, rest, nu), column (rest, mu)
+    act = np.zeros((A, D, D), dtype=np.int64)
+    for k, m in enumerate(aug):
+        act[k] = ualg.action_matrix(rep, m)
+    s1, nu, mu = np.nonzero(act)
+    rest = np.arange(A ** n, dtype=np.int64)
+    emit((s1[:, None] * A ** n + rest) * D + nu[:, None],
+         rest * D + mu[:, None], act[s1, nu, mu][:, None], "action")
+    # (-1)^i f(.., s_i s_{i+1}, ..) for each term c w of a product a b:
+    # row (pre, a, b, suf, nu), column (pre, w, suf, nu); axes (pre, term, suf, nu)
+    if n:
+        a, b, w, c = (x[None, :, None, None]
+                      for x in _aug_product_table(ualg, aug))
         for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            prod = ualg.monomial_product(aug[tup[i - 1]], aug[tup[i]])
-            for mono, c in prod.items():
-                if mono == unit:
-                    raise InvariantViolationError(
-                        "product of augmentation-ideal elements hit the unit")
-                w = aug_index[mono]
-                col_tup = tup[:i - 1] + (w,) + tup[i + 1:]
-                col = src.index.get((col_tup, nu))
-                if col is None:
-                    raise InvariantViolationError("bar product term breaks parity")
-                row[col] = (row.get(col, 0) + sign * int(c)) % p
-        rows.append({c: v for c, v in row.items() if v})
-    return MatGF.from_rows(rows, src.dim, p)
+            pre = np.arange(A ** (i - 1), dtype=np.int64)[:, None, None, None]
+            tail = (np.arange(A ** (n - i), dtype=np.int64)[:, None] * D
+                    + np.arange(D, dtype=np.int64))[None, None]
+            span = A ** (n - i) * D
+            emit(((pre * A + a) * A + b) * span + tail,
+                 (pre * A + w) * span + tail, -c if i % 2 else c, "product")
+    r, c, v = (np.concatenate(x) for x in zip(*terms))
+    terms.clear()
+    key = r * ncols + c
+    del r, c
+    order = np.argsort(key)
+    key, v = key[order], v[order]
+    del order
+    if key.size:
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, v = key[first], np.add.reduceat(v, first) % p
+        nz = v != 0
+        key, v = key[nz], v[nz]
+    return MatGF.from_coo(nrows, ncols, p, key // ncols, key % ncols, v)
+
+
+def _bar_lookup(apar, mpar, n):
+    """Basis index of every degree-n bar cochain key, -1 for odd ones."""
+    par = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        par = (par[:, None] + apar[None, :]).ravel() % 2
+    even = ((par[:, None] + mpar[None, :]) % 2 == 0).ravel()
+    out = np.cumsum(even) - 1
+    out[~even] = -1
+    return out
+
+
+def _aug_product_table(ualg, aug):
+    """The products of u(g)^+ basis pairs as COO arrays (a, b, w, c):
+    aug[a] aug[b] = sum c aug[w]."""
+    index = {m: k for k, m in enumerate(aug)}
+    index[ualg.unit_monomial()] = -1
+    prods = [ualg.monomial_product(ma, mb) for ma in aug for mb in aug]
+    pair = np.repeat(np.arange(len(prods), dtype=np.int64),
+                     [len(prod) for prod in prods])
+    w = np.array([index[m] for prod in prods for m in prod], dtype=np.int64)
+    c = np.array([v for prod in prods for v in prod.values()], dtype=np.int64)
+    if (w < 0).any():
+        raise InvariantViolationError(
+            "product of augmentation-ideal elements hit the unit")
+    return pair // len(aug), pair % len(aug), w, c
 
 
 # ---------------------------------------------------------------------------

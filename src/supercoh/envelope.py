@@ -198,43 +198,64 @@ class UAlgebra:
         return tuple(word)
 
     def _normalize(self, word):
-        cached = self._norm.get(word)
-        if cached is not None:
-            return cached
+        """Normal form of a generator word, memoized in ``_norm``.
+
+        A work list replaces recursion, so rewriting chains longer than
+        Python's recursion limit (p = 17 words of length 128 need ~1500
+        swaps) still terminate.  A word is rewritten once; if some word of
+        its rewrite is unfinished, those are queued above it and it is
+        revisited, to combine their normal forms, once they are finished."""
+        norm = self._norm
+        if word in norm:
+            return norm[word]
         p = self.p
-        result = None
-        for k in range(len(word) - 1):
-            a, b = word[k], word[k + 1]
+        todo = [(word, None)]
+        while todo:
+            w, terms = todo.pop()
+            if terms is None:
+                if w in norm:  # queued by two words
+                    continue
+                terms = self._rewrite(w)
+                if terms is None:
+                    mono = [0] * self.ngen
+                    for k in w:
+                        mono[k] += 1
+                    norm[w] = {tuple(mono): 1}
+                    continue
+                pending = [(t, None) for t, _ in terms if t not in norm]
+                if pending:
+                    todo.append((w, terms))
+                    todo.extend(pending)
+                    continue
+            acc = {}
+            for t, c in terms:
+                if acc:
+                    _accumulate(acc, norm[t], c, p)
+                else:
+                    acc = {m: (c * v) % p for m, v in norm[t].items()}
+            norm[w] = {m: c for m, c in acc.items() if c}
+        return norm[word]
+
+    def _rewrite(self, word):
+        """The first applicable rewriting rule of a word as a list of
+        (word, coefficient) terms, or None when the word is normal."""
+        p, par = self.p, self.pos_parity
+        for k, (a, b) in enumerate(zip(word, word[1:])):
             if a > b:
-                sign = -1 if (self.pos_parity[a] and self.pos_parity[b]) else 1
-                acc = _scaled(self._normalize(word[:k] + (b, a) + word[k + 2:]), sign, p)
-                for pos, c in self._brk[(a, b)]:
-                    _accumulate(acc, self._normalize(word[:k] + (pos,) + word[k + 2:]), c, p)
-                result = acc
-                break
+                head, tail = word[:k], word[k + 2:]
+                terms = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
+                terms += [(head + (pos,) + tail, c) for pos, c in self._brk[(a, b)]]
+                return terms
             if a == b:
-                if self.pos_parity[a] == ODD:
-                    acc = {}
-                    for pos, c in self._brk[(a, a)]:
-                        _accumulate(acc, self._normalize(word[:k] + (pos,) + word[k + 2:]),
-                                    self._half * c, p)
-                    result = acc
-                    break
-                if (self.restricted and k + p <= len(word)
-                        and all(word[k + t] == a for t in range(p))):
-                    acc = {}
-                    for pos, c in self._pow[a]:
-                        _accumulate(acc, self._normalize(word[:k] + (pos,) + word[k + p:]), c, p)
-                    result = acc
-                    break
-        if result is None:
-            mono = [0] * self.ngen
-            for k in word:
-                mono[k] += 1
-            result = {tuple(mono): 1}
-        result = {m: c % p for m, c in result.items() if c % p}
-        self._norm[word] = result
-        return result
+                head = word[:k]
+                if par[a] == ODD:
+                    tail = word[k + 2:]
+                    return [(head + (pos,) + tail, self._half * c)
+                            for pos, c in self._brk[(a, a)]]
+                if self.restricted and word[k:k + p] == (a,) * p:
+                    tail = word[k + p:]
+                    return [(head + (pos,) + tail, c) for pos, c in self._pow[a]]
+        return None
 
     def monomial_product(self, ma, mb):
         key = (ma, mb)
@@ -297,10 +318,6 @@ class UAlgebra:
         for mono, c in u.terms.items():
             out = (out + c * (self.action_matrix(rep, mono) @ mv)) % p
         return out
-
-
-def _scaled(terms, c, p):
-    return {m: (c * v) % p for m, v in terms.items()}
 
 
 def _accumulate(acc, terms, c, p):

@@ -27,7 +27,7 @@ from .gflin import MatGF, nullspace, solve
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from .superalg import (
     EVEN, LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
-    hom_module, hom_module_units, invariants, pmap_apply, semidirect,
+    hom_module, hom_module_units, pmap_apply, semidirect,
     validate_lie_super, validate_module, validate_pmap,
 )
 
@@ -283,12 +283,13 @@ def twist_pmap(ext, gmap):
         raise UsageError("gmap must be a semilinear map on g's even part")
     if gmap.target_dim != ext.rep.dim:
         raise UsageError("gmap must take values in M")
-    inv_even = invariants(ext.g, ext.rep)[1]
+    p = ext.p
+    odd = list(ext.rep.space.odd_indices())
     for t in range(ext.g.space.n_even):
-        if not inv_even.contains(gmap.value_on_basis(t)):
+        v = np.asarray(gmap.value_on_basis(t), dtype=np.int64) % p
+        if v[odd].any() or any(((mat @ v) % p).any() for mat in ext.rep.mats):
             raise ValueNotInvariantError(
                 f"twist value on even basis slot {t} is not g-invariant even")
-    p = ext.p
     pmap = {}
     for e in ext.E.space.even_indices():
         vec = np.array(ext.E.pmap_basis(e), dtype=np.int64)

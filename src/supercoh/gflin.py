@@ -1,11 +1,15 @@
 """Exact linear algebra over a prime field GF(p), p an odd prime.
 
 Matrices are stored sparsely as ``{(row, col): value}`` with all stored
-values nonzero and reduced mod p.  Gaussian elimination keeps each working
-row as a sparse dict until its fill-in crosses a threshold, then switches
-that row to a dense numpy vector.  The reduced row echelon form of a row
-space is unique, so every routine that derives its output from an RREF is
-deterministic by construction.
+values nonzero and reduced mod p; ``MatGF.from_coo`` builds that dict once
+from checked numpy coordinate arrays.  Gaussian elimination keeps each
+working row as a sparse dict until its fill-in crosses a threshold, then
+switches that row to a dense numpy vector.  The eliminator indexes its
+pivot rows by column (which dict rows are nonzero in a column, plus the set
+of dense rows), so inserting a pivot touches only the rows with an entry in
+its lead column.  The reduced row echelon form of a row space is unique, so
+every routine that derives its output from an RREF is deterministic by
+construction.
 """
 
 from __future__ import annotations
@@ -123,13 +127,28 @@ class Eliminator:
 
     Rows are fed one at a time; the stored pivot rows always form an RREF
     of the row space seen so far.  Pivoting is by leading column, so the
-    result is the canonical RREF regardless of insertion order.
+    result is the canonical RREF regardless of insertion order.  ``_occ``
+    maps a column to the pivots of the dict rows nonzero there and
+    ``_dense`` holds the pivots of the dense rows, so ``column`` reads one
+    column without scanning every pivot row.
     """
 
     def __init__(self, cols, p):
         self.cols = cols
         self.p = check_modulus(p)
         self.rows = {}  # pivot column -> row
+        self._occ = {}  # column -> pivot columns of the dict rows nonzero there
+        self._dense = set()  # pivot columns of the dense rows
+
+    def column(self, j):
+        """{pivot column: entry in column j} over the pivot rows nonzero at j."""
+        rows = self.rows
+        out = {pc: rows[pc][j] for pc in self._occ.get(j, ())}
+        for pc in self._dense:
+            v = int(rows[pc][j])
+            if v:
+                out[pc] = v
+        return out
 
     def reduce(self, row):
         """Eliminate every pivot-column entry of a row; returns the residue.
@@ -159,18 +178,42 @@ class Eliminator:
 
     def add(self, row):
         """Insert a row; returns its pivot column or None if dependent."""
-        p, cols = self.p, self.cols
+        p = self.p
         row = self.reduce(row)
         lead = _row_lead(row)
         if lead is None:
             return None
         row = _row_scale(row, inv_mod(_row_get(row, lead), p), p)
-        for pc in list(self.rows):
-            c = _row_get(self.rows[pc], lead)
-            if c:
-                self.rows[pc] = _row_submul(self.rows[pc], c, row, p, cols)
+        for pc, c in self.column(lead).items():
+            self._submul(pc, c, row)
         self.rows[lead] = row
+        if isinstance(row, dict):
+            for j in row:
+                self._occ.setdefault(j, set()).add(lead)
+        else:
+            self._dense.add(lead)
         return lead
+
+    def _submul(self, pc, c, row):
+        """Pivot row pc -= c * row, keeping the column index in step: only
+        the columns of row's support can change, unless pc turns dense."""
+        old = self.rows[pc]
+        new = _row_submul(old, c, row, self.p, self.cols)
+        self.rows[pc] = new
+        if not isinstance(old, dict):
+            return
+        occ = self._occ
+        if not isinstance(new, dict):
+            for j in old:
+                occ[j].discard(pc)
+            self._dense.add(pc)
+            return
+        for j in row:
+            if j in old:
+                if j not in new:
+                    occ[j].discard(pc)
+            elif j in new:
+                occ.setdefault(j, set()).add(pc)
 
     @property
     def rank(self):
@@ -235,6 +278,31 @@ class MatGF:
         return cls(rows, len(columns), p,
                    {(r, c): v for c, col in enumerate(columns)
                     for r, v in enumerate(col)})
+
+    @classmethod
+    def from_coo(cls, rows, cols, p, r, c, v):
+        """Matrix with entry v[k] at (r[k], c[k]) from three equal-length
+        integer arrays; every v[k] must already lie in 1..p-1 and no
+        coordinate may repeat (a repeat shows as a dict shorter than the
+        arrays).  The entry dict is built once, unlike ``__init__``, which
+        copies and cleans the dict it is handed."""
+        check_modulus(p)
+        if rows < 0 or cols < 0:
+            raise UsageError("negative matrix dimensions")
+        r, c, v = (np.asarray(a, dtype=np.int64) for a in (r, c, v))
+        if not r.ndim == c.ndim == v.ndim == 1 or not r.size == c.size == v.size:
+            raise UsageError("coordinate arrays must be 1-d and of one length")
+        if r.size and (r.min() < 0 or r.max() >= rows or c.min() < 0
+                       or c.max() >= cols):
+            raise UsageError(f"an entry is out of bounds for {rows}x{cols}")
+        if r.size and (v.min() < 1 or v.max() >= p):
+            raise UsageError(f"entry values must lie in 1..{p - 1}")
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.p = rows, cols, p
+        out.entries = dict(zip(zip(r.tolist(), c.tolist()), v.tolist()))
+        if len(out.entries) != r.size:
+            raise UsageError("repeated matrix coordinate")
+        return out
 
     @classmethod
     def from_rows(cls, row_dicts, cols, p):
@@ -444,16 +512,13 @@ def nullspace(m):
     elim = Eliminator(m.cols, m.p)
     for row in m.row_dicts():
         elim.add(row)
-    pivset = set(elim.rows)
-    free = [j for j in range(m.cols) if j not in pivset]
     vectors = []
-    for j in free:
-        vec = {j: 1}
-        for pc, prow in elim.rows.items():
-            v = _row_get(prow, j)
-            if v:
+    for j in range(m.cols):
+        if j not in elim.rows:
+            vec = {j: 1}
+            for pc, v in elim.column(j).items():
                 vec[pc] = (-v) % m.p
-        vectors.append(vec)
+            vectors.append(vec)
     return Subspace.from_vectors(vectors, m.cols, m.p)
 
 
@@ -482,8 +547,8 @@ def solve(m, rhs):
     if aug in elim.rows:
         return None
     x = [0] * m.cols
-    for pc, prow in elim.rows.items():
-        x[pc] = _row_get(prow, aug) % m.p
+    for pc, v in elim.column(aug).items():
+        x[pc] = v
     return tuple(x)
 
 

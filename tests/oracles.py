@@ -432,3 +432,42 @@ def _split_row(g, rep, par, ev, od, nu):
             rest = od[:s] + od[s + 1:t] + od[t + 1:]
             add_bracket(g.brackets[od[s], od[t]], (), ev + rest, -1)
     return {item: c for item, c in row.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# the bar differential, one target row at a time
+# ---------------------------------------------------------------------------
+
+def bar_differential_rows(ualg, rep, n):
+    """delta_n on bar n-cochains, one row per basis item of degree n + 1
+    in ``assoc_cochain_basis`` order: {source column: coefficient}, with
+
+    (delta f)(s_1..s_{n+1}) = s_1 . f(s_2..s_{n+1})
+                              + sum_i (-1)^i f(s_1,.., s_i s_{i+1}, .., s_{n+1}).
+
+    Every term is looked up by its cochain item, with no index arithmetic."""
+    from supercoh.cohomology import assoc_cochain_basis
+
+    src = assoc_cochain_basis(ualg, rep.space, n)
+    dst = assoc_cochain_basis(ualg, rep.space, n + 1)
+    p = ualg.p
+    aug = src.aug
+    unit = ualg.unit_monomial()
+    rows = []
+    for (tup, nu) in dst.items:
+        row = {}
+        mat = ualg.action_matrix(rep, aug[tup[0]])
+        for mu in range(rep.dim):
+            if mat[nu, mu]:
+                col = src.index[(tup[1:], mu)]
+                row[col] = (row.get(col, 0) + int(mat[nu, mu])) % p
+        for i in range(1, n + 1):
+            sign = -1 if i % 2 else 1
+            prod = ualg.monomial_product(aug[tup[i - 1]], aug[tup[i]])
+            for mono, c in prod.items():
+                assert mono != unit, "product in the augmentation ideal hit the unit"
+                col_tup = tup[:i - 1] + (src.aug_index[mono],) + tup[i + 1:]
+                col = src.index[(col_tup, nu)]
+                row[col] = (row.get(col, 0) + sign * int(c)) % p
+        rows.append({c: v for c, v in row.items() if v})
+    return rows

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from supercoh.cohomology import (
@@ -10,15 +11,17 @@ from supercoh.cohomology import (
     restricted_cohomology, sgn_marked,
 )
 from supercoh.envelope import UAlgebra
-from supercoh.errors import UsageError
+from supercoh.errors import InvariantViolationError, UsageError
 from supercoh.gflin import MatGF
-from supercoh.superalg import adjoint_module, semidirect, trivial_module
+from supercoh.superalg import (
+    Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
+)
 
 from conftest import fixture_algebra
 from oracles import (
-    bar_dims, split_lie_differential, table_abelian_plane, table_borel,
-    table_mixed_line, table_odd_line, table_super_line,
-    table_torus_null_plane, table_truncated_poly,
+    bar_differential_rows, bar_dims, split_lie_differential,
+    table_abelian_plane, table_borel, table_mixed_line, table_odd_line,
+    table_super_line, table_torus_null_plane, table_truncated_poly,
 )
 
 # frozen fixture dimensions: entry -> (ordinary H^0..2, restricted H^0..2)
@@ -177,6 +180,41 @@ def test_bar_differential_values(loaded_catalog):
     ft[cb1t.index[((cb1t.aug_index[(1,)],), 0)]] = 1
     img = assoc_differential_matrix(ut, kt, 1).matvec(ft)
     assert img[cb2t.index[((cb1t.aug_index[(1,)], cb1t.aug_index[(2,)]), 0)]] == 2
+
+
+def test_bar_differential_matches_row_oracle(loaded_catalog):
+    """The vectorized bar differential equals the row-by-row oracle in
+    degrees 0..2 on every catalog module, on the adjoint modules of the
+    entries with odd generators (odd module coordinates, odd actions) and
+    on the semidirect products g |x k of the entries of dimension <= 2."""
+    cases = []
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        cases += [(f"{entry_id}:{name}", g, rep) for name, rep in modules.items()]
+        if g.space.odd_indices():
+            cases.append((f"{entry_id}:adjoint", g, adjoint_module(g)))
+        if g.dim <= 2:
+            E, _ = semidirect(g, modules["k"])
+            cases.append((f"{entry_id}|xk", E, trivial_module(E)))
+    assert any(rep.space.odd_indices() for _, _, rep in cases)
+    for label, g, rep in cases:
+        u = UAlgebra(g)
+        for n in (0, 1, 2):
+            rows = bar_differential_rows(u, rep, n)
+            want = MatGF.from_rows(rows, assoc_cochain_basis(u, rep.space, n).dim, g.p)
+            assert assoc_differential_matrix(u, rep, n) == want, (label, n)
+
+
+def test_bar_differential_invariant_checks(loaded_catalog):
+    g, k = fixture_algebra(loaded_catalog, "a1-null")
+    # an even x sending the odd n to the even m is not a super module
+    bad = Representation(g, SuperSpace(("m",), ("n",)),
+                         [np.array([[0, 1], [0, 0]], dtype=np.int64)])
+    with pytest.raises(InvariantViolationError, match="parity"):
+        assoc_differential_matrix(UAlgebra(g), bad, 1)
+    u = UAlgebra(g)
+    u.monomial_product = lambda ma, mb: {u.unit_monomial(): 1}
+    with pytest.raises(InvariantViolationError, match="unit"):
+        assoc_differential_matrix(u, k, 1)
 
 
 def test_hand_elimination_a1_bar_spaces(loaded_catalog):

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from supercoh.algfile import parse_algebra_dict
 from supercoh.envelope import (
     UAlgebra, algebra_hom_extend, check_commutator_identities, gamma_map,
     linear_section_extend,
@@ -54,6 +56,21 @@ def test_super_line_square_and_nilpotence(loaded_catalog):
     # y^2 = (1/2) z = 2z over GF(3)
     assert (y * y).terms == {(1, 0): 2}
     assert u.power(y, 2 * g.p).is_zero()
+
+
+def test_long_straightening_needs_no_recursion():
+    """On the 4-dim torus at p = 17 with t^[p] = t, the word of
+    t^16 (x) t^16 per generator sorts through 16 * 16 * 6 = 1536 swaps,
+    more than Python's default recursion limit; t^32 = t^[p] t^15 = t^16."""
+    names = ["t0", "t1", "t2", "t3"]
+    g, _, _ = parse_algebra_dict({
+        "p": 17, "even": names, "odd": [], "brackets": {},
+        "pmap": {t: {t: 1} for t in names}, "modules": {}})
+    assert 16 * 16 * 6 > sys.getrecursionlimit()
+    u = UAlgebra(g)
+    top = (16,) * 4
+    assert u.monomial_product(top, top) == {top: 1}
+    assert u.monomial_product((16, 0, 0, 1), (1, 0, 0, 16)) == {(1, 0, 0, 1): 1}
 
 
 def test_associativity_fuzz(small_catalog):

@@ -22,9 +22,9 @@ from supercoh.extensions import (
 )
 from supercoh.gflin import nullspace
 from supercoh.superalg import (
-    LieSuperAlgebra, SemiLinearMap, adjoint_module, hom_module,
-    hom_module_units, invariants, trivial_module, validate_module,
-    validate_pmap,
+    LieSuperAlgebra, Representation, SemiLinearMap, SuperSpace,
+    adjoint_module, hom_module, hom_module_units, invariants, trivial_module,
+    validate_module, validate_pmap,
 )
 
 from conftest import fixture_algebra
@@ -229,6 +229,20 @@ def test_twist_rejects_non_invariant_values(loaded_catalog):
     bad = SemiLinearMap(g, 2, ((1, 0), (0, 0)))  # adjoint invariants are zero
     with pytest.raises(ValueNotInvariantError):
         twist_pmap(s0, bad)
+
+
+def test_twist_rejects_odd_values(loaded_catalog):
+    """rho = 0 makes every value g-invariant, so only the odd coordinate of
+    M rejects (0, 1); the even (1, 0) is accepted."""
+    g, _ = fixture_algebra(loaded_catalog, "a1-null")
+    rep = Representation(g, SuperSpace(("m",), ("n",)),
+                         [np.zeros((2, 2), dtype=np.int64)])
+    s0 = semidirect_extension(g, rep)
+    twist_pmap(s0, SemiLinearMap(g, 2, ((1, 0),)))
+    with pytest.raises(ValueNotInvariantError):
+        twist_pmap(s0, SemiLinearMap(g, 2, ((0, 1),)))
+    with pytest.raises(ValueNotInvariantError):
+        twist_pmap(s0, SemiLinearMap(g, 2, ((1, 1),)))
 
 
 def test_strongly_abelianize(loaded_catalog):

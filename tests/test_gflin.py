@@ -136,6 +136,27 @@ def test_dense_fallback_path():
     assert rank == dense_rank(m.to_dense().tolist(), cols, p)
 
 
+def test_from_coo_builds_and_checks():
+    m = MatGF.from_coo(2, 3, 5, [1, 0, 1], [2, 0, 0], [4, 1, 3])
+    assert m == MatGF(2, 3, 5, {(0, 0): 1, (1, 0): 3, (1, 2): 4})
+    assert MatGF.from_coo(0, 4, 3, [], [], []) == MatGF.zeros(0, 4, 3)
+    bad = [
+        ([2], [0], [1]),              # row out of bounds
+        ([-1], [0], [1]),             # negative row
+        ([0], [3], [1]),              # column out of bounds
+        ([0], [0], [0]),              # zero value
+        ([0], [0], [5]),              # unreduced value
+        ([0], [0], [-1]),             # negative value
+        ([0, 1, 0], [1, 1, 1], [1, 2, 3]),  # repeated coordinate
+        ([0, 1], [1], [1, 2]),        # length mismatch
+    ]
+    for r, c, v in bad:
+        with pytest.raises(UsageError):
+            MatGF.from_coo(2, 3, 5, r, c, v)
+    with pytest.raises(UsageError):
+        MatGF.from_coo(2, 3, 4, [0], [0], [1])
+
+
 def test_determinism_of_rref_under_row_order():
     p = 5
     rng = random.Random(9)

@@ -162,8 +162,10 @@ def test_phi_representative_independence(loaded_catalog):
 def test_each_differential_built_once(loaded_catalog, monkeypatch):
     """One report builds each (kind, degree) differential exactly once, the
     bar d2 included, although fg checks every extracted cocycle with it.
-    Lie cochain bases come from the report's Lie complex only, so their
-    count does not grow with the number of obstruction cocycles phi reads
+    Cochain bases come from the report's complexes only: the bar
+    differential numbers its cochains without building a basis, so the bar
+    bases are those of degrees 1 and 2, once each, and the Lie count does
+    not grow with the number of obstruction cocycles phi reads
     (a9-borel-semidirect: 3 even basis elements, dim H^2 = 1)."""
     import sys
     import supercoh.cohomology as cohomology
@@ -174,26 +176,28 @@ def test_each_differential_built_once(loaded_catalog, monkeypatch):
             built[(_kind, args[2])] += 1
             return _real(*args)
         monkeypatch.setattr(cohomology, name, counted)
-    lie_bases = []
-    real_basis = cohomology.lie_cochain_basis
+    bases = {"lie_cochain_basis": [], "assoc_cochain_basis": []}
+    for fname, seen in bases.items():
+        real = getattr(cohomology, fname)
 
-    def counted_basis(*args):
-        lie_bases.append(args[2])
-        return real_basis(*args)
-    for name, mod in list(sys.modules.items()):
-        if (name == "supercoh" or name.startswith("supercoh.")) and \
-                getattr(mod, "lie_cochain_basis", None) is real_basis:
-            monkeypatch.setattr(mod, "lie_cochain_basis", counted_basis)
+        def counted_basis(*args, _real=real, _seen=seen):
+            _seen.append(args[2])
+            return _real(*args)
+        for name, mod in list(sys.modules.items()):
+            if (name == "supercoh" or name.startswith("supercoh.")) and \
+                    getattr(mod, fname, None) is real:
+                monkeypatch.setattr(mod, fname, counted_basis)
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     report = build_six_term(g, k)
     assert report.maps["fg"].rows and report.maps["fg"].cols  # S != 0
     assert built == {(kind, n): 1 for kind in ("bar", "lie") for n in (0, 1, 2)}
-    borel_bases = len(lie_bases)
-    lie_bases.clear()
+    assert sorted(bases["assoc_cochain_basis"]) == [1, 2]
+    borel_bases = len(bases["lie_cochain_basis"])
+    bases["lie_cochain_basis"].clear()
     g, k = fixture_algebra(loaded_catalog, "a9-borel-semidirect")
     report = build_six_term(g, k)
     assert g.space.n_even == 3 and report.dims[4] == 1
-    assert len(lie_bases) == borel_bases
+    assert len(bases["lie_cochain_basis"]) == borel_bases
 
 
 def test_psibar_kills_restricted_classes(loaded_catalog):
