@@ -2,14 +2,13 @@
 
 Matrices are stored sparsely as ``{(row, col): value}`` with all stored
 values nonzero and reduced mod p; ``MatGF.from_coo`` builds that dict once
-from checked numpy coordinate arrays.  Gaussian elimination keeps each
-working row as a sparse dict until its fill-in crosses a threshold, then
-switches that row to a dense numpy vector.  The eliminator indexes its
-pivot rows by column (which dict rows are nonzero in a column, plus the set
-of dense rows), so inserting a pivot touches only the rows with an entry in
-its lead column.  The reduced row echelon form of a row space is unique, so
-every routine that derives its output from an RREF is deterministic by
-construction.
+from checked numpy coordinate arrays.  Gaussian elimination keeps every row
+as a sparse ``{col: val}`` dict and reduces the eliminator's own copies in
+place.  The eliminator indexes its pivot rows by column (which rows are
+nonzero in a column), so inserting a pivot touches only the rows with an
+entry in its lead column.  The reduced row echelon form of a row space is
+unique, so every routine that derives its output from an RREF is
+deterministic by construction.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-
-# A row is converted from dict to dense storage once it is this full.
-FILL_LIMIT = 0.25
 
 
 def is_odd_prime(p):
@@ -63,73 +59,17 @@ def matpow(a, k, p):
     return out
 
 
-# ---------------------------------------------------------------------------
-# rows: dict {col: val} or 1-d int64 ndarray, switched on fill-in
-# ---------------------------------------------------------------------------
-
-def _densify(row, cols):
-    arr = np.zeros(cols, dtype=np.int64)
-    for j, v in row.items():
-        arr[j] = v
-    return arr
-
-
-def _row_lead(row):
-    if isinstance(row, dict):
-        return min(row) if row else None
-    nz = np.nonzero(row)[0]
-    return int(nz[0]) if nz.size else None
-
-
-def _row_get(row, j):
-    if isinstance(row, dict):
-        return row.get(j, 0)
-    return int(row[j])
-
-
-def _row_submul(a, c, b, p, cols):
-    """Return a - c*b mod p without mutating the inputs."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        out = dict(a)
-        for j, v in b.items():
-            w = (out.get(j, 0) - c * v) % p
-            if w:
-                out[j] = w
-            else:
-                out.pop(j, None)
-        if len(out) > FILL_LIMIT * cols:
-            return _densify(out, cols)
-        return out
-    if isinstance(a, dict):
-        a = _densify(a, cols)
-    if isinstance(b, dict):
-        out = a.copy()
-        for j, v in b.items():
-            out[j] = (out[j] - c * v) % p
-        return out
-    return (a - c * b) % p
-
-
-def _row_scale(row, c, p):
-    if isinstance(row, dict):
-        return {j: (c * v) % p for j, v in row.items()}
-    return (row * c) % p
-
-
-def _row_dense_tuple(row, cols):
-    if isinstance(row, dict):
-        return tuple(row.get(j, 0) for j in range(cols))
-    return tuple(int(v) for v in row)
-
-
 class Eliminator:
     """Incremental reduced-row-echelon accumulator over GF(p).
 
-    Rows are fed one at a time; the stored pivot rows always form an RREF
-    of the row space seen so far.  Pivoting is by leading column, so the
-    result is the canonical RREF regardless of insertion order.  ``_occ``
-    maps a column to the pivots of the dict rows nonzero there and
-    ``_dense`` holds the pivots of the dense rows, so ``column`` reads one
+    Rows are fed one at a time as ``{col: val}`` dicts whose values are
+    reduced mod p and nonzero and whose columns lie in ``0..cols-1``; the
+    eliminator does not check this.  Its callers are the rows of a ``MatGF``
+    (checked when the matrix is built) and ``Subspace.from_vectors`` (which
+    checks every vector).  The stored pivot rows always form an RREF of the
+    row space seen so far.  Pivoting is by leading column, so the result is
+    the canonical RREF regardless of insertion order.  ``_occ`` maps a
+    column to the pivots of the rows nonzero there, so ``column`` reads one
     column without scanning every pivot row.
     """
 
@@ -137,83 +77,60 @@ class Eliminator:
         self.cols = cols
         self.p = check_modulus(p)
         self.rows = {}  # pivot column -> row
-        self._occ = {}  # column -> pivot columns of the dict rows nonzero there
-        self._dense = set()  # pivot columns of the dense rows
+        self._occ = {}  # column -> pivot columns of the rows nonzero there
 
     def column(self, j):
         """{pivot column: entry in column j} over the pivot rows nonzero at j."""
         rows = self.rows
-        out = {pc: rows[pc][j] for pc in self._occ.get(j, ())}
-        for pc in self._dense:
-            v = int(rows[pc][j])
-            if v:
-                out[pc] = v
-        return out
+        return {pc: rows[pc][j] for pc in self._occ.get(j, ())}
 
     def reduce(self, row):
-        """Eliminate every pivot-column entry of a row; returns the residue.
+        """Residue of a row after eliminating every pivot-column entry.
 
-        Stored pivot rows are fully reduced against each other, so one pass
-        over the row's pivot-column support suffices; the loop re-checks in
-        case the row was handed in unreduced.
+        The row is copied once and reduced in place, so the caller's dict is
+        left as it was.  A pivot row is zero in every other pivot column, so
+        subtracting it changes no other pivot-column entry, and one pass over
+        the row's pivot-column support suffices.
         """
-        p, cols = self.p, self.cols
-        if isinstance(row, dict):
-            row = dict(row)
-        else:
-            row = np.asarray(row, dtype=np.int64) % p
-            if row.shape != (cols,):
-                raise UsageError("row length mismatch")
-        while True:
-            if isinstance(row, dict):
-                hits = sorted(j for j in row if j in self.rows)
-            else:
-                hits = [int(j) for j in np.nonzero(row)[0] if int(j) in self.rows]
-            if not hits:
-                return row
-            for j in hits:
-                c = _row_get(row, j)
-                if c:
-                    row = _row_submul(row, c, self.rows[j], p, cols)
+        p, rows = self.p, self.rows
+        row = dict(row)
+        for pc in sorted(row.keys() & rows.keys()):
+            c = row[pc]
+            for j, v in rows[pc].items():
+                w = (row.get(j, 0) - c * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        return row
 
     def add(self, row):
         """Insert a row; returns its pivot column or None if dependent."""
-        p = self.p
+        p, rows, occ = self.p, self.rows, self._occ
         row = self.reduce(row)
-        lead = _row_lead(row)
-        if lead is None:
+        if not row:
             return None
-        row = _row_scale(row, inv_mod(_row_get(row, lead), p), p)
-        for pc, c in self.column(lead).items():
-            self._submul(pc, c, row)
-        self.rows[lead] = row
-        if isinstance(row, dict):
-            for j in row:
-                self._occ.setdefault(j, set()).add(lead)
-        else:
-            self._dense.add(lead)
-        return lead
-
-    def _submul(self, pc, c, row):
-        """Pivot row pc -= c * row, keeping the column index in step: only
-        the columns of row's support can change, unless pc turns dense."""
-        old = self.rows[pc]
-        new = _row_submul(old, c, row, self.p, self.cols)
-        self.rows[pc] = new
-        if not isinstance(old, dict):
-            return
-        occ = self._occ
-        if not isinstance(new, dict):
-            for j in old:
-                occ[j].discard(pc)
-            self._dense.add(pc)
-            return
+        lead = min(row)
+        inv = inv_mod(row[lead], p)
         for j in row:
-            if j in old:
-                if j not in new:
+            row[j] = row[j] * inv % p
+        # clear column lead in the pivot rows nonzero there, in place; only
+        # the columns of row's support change, so only they move in _occ
+        for pc, c in self.column(lead).items():
+            r = rows[pc]
+            for j, v in row.items():
+                w = (r.get(j, 0) - c * v) % p
+                if not w:
+                    del r[j]
                     occ[j].discard(pc)
-            elif j in new:
-                occ.setdefault(j, set()).add(pc)
+                else:
+                    if j not in r:
+                        occ.setdefault(j, set()).add(pc)
+                    r[j] = w
+        rows[lead] = row
+        for j in row:
+            occ.setdefault(j, set()).add(lead)
+        return lead
 
     @property
     def rank(self):
@@ -224,7 +141,13 @@ class Eliminator:
 
     def dense_rows(self):
         """RREF rows as dense tuples, ordered by pivot column."""
-        return [_row_dense_tuple(self.rows[pc], self.cols) for pc in sorted(self.rows)]
+        out = []
+        for pc in sorted(self.rows):
+            dense = [0] * self.cols
+            for j, v in self.rows[pc].items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +302,6 @@ class MatGF:
                 acc[key] = (acc.get(key, 0) + a * b) % self.p
         return MatGF(self.rows, other.cols, self.p, acc)
 
-    def scaled(self, c):
-        c %= self.p
-        return MatGF(self.rows, self.cols, self.p,
-                     {k: (c * v) % self.p for k, v in self.entries.items()})
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.p != other.p:
-            raise UsageError("shape or modulus mismatch")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            acc[k] = (acc.get(k, 0) + v) % self.p
-        return MatGF(self.rows, self.cols, self.p, acc)
-
-    def sub(self, other):
-        return self.add(other.scaled(-1))
-
 
 # ---------------------------------------------------------------------------
 # echelon subspaces
@@ -413,14 +320,25 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim, p):
+        """Span of vectors, each a sequence of length ambient_dim or a
+        ``{coordinate: value}`` dict with coordinates in 0..ambient_dim-1."""
         elim = Eliminator(ambient_dim, p)
         for v in vectors:
             if isinstance(v, dict):
-                elim.add(v)
+                if not all(0 <= j < ambient_dim for j in v):
+                    raise UsageError(f"vector coordinate out of bounds for "
+                                     f"dimension {ambient_dim}")
+                items = v.items()
             else:
                 if len(v) != ambient_dim:
                     raise UsageError("vector length mismatch")
-                elim.add(np.asarray(v, dtype=np.int64))
+                items = enumerate(v)
+            row = {}
+            for j, c in items:
+                c = int(c) % p
+                if c:
+                    row[int(j)] = c
+            elim.add(row)
         return cls(ambient_dim, p, elim.dense_rows(), elim.pivots())
 
     @classmethod
@@ -442,24 +360,9 @@ class Subspace:
     def dim(self):
         return len(self.basis_rows)
 
-    def reduce(self, vec):
-        """Residue of vec after eliminating this subspace's pivot coordinates."""
-        if len(vec) != self.ambient_dim:
-            raise UsageError("vector length mismatch")
-        out = [int(x) % self.p for x in vec]
-        for row, piv in zip(self.basis_rows, self.pivots):
-            c = out[piv]
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        out[j] = (out[j] - c * v) % self.p
-        return tuple(out)
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    def coords(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
+    def _eliminate(self, vec):
+        """(residue, coefficients): vec with this subspace's pivot
+        coordinates eliminated, and the multiple of each basis row taken."""
         if len(vec) != self.ambient_dim:
             raise UsageError("vector length mismatch")
         out = [int(x) % self.p for x in vec]
@@ -471,6 +374,18 @@ class Subspace:
                 for j, v in enumerate(row):
                     if v:
                         out[j] = (out[j] - c * v) % self.p
+        return out, cs
+
+    def reduce(self, vec):
+        """Residue of vec after eliminating this subspace's pivot coordinates."""
+        return tuple(self._eliminate(vec)[0])
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def coords(self, vec):
+        """Coordinates of vec in the echelon basis, or None if outside."""
+        out, cs = self._eliminate(vec)
         if any(out):
             return None
         return tuple(cs)
@@ -499,11 +414,8 @@ def rref(m):
     elim = Eliminator(m.cols, m.p)
     for row in m.row_dicts():
         elim.add(row)
-    ent = {}
-    for i, row in enumerate(elim.dense_rows()):
-        for j, v in enumerate(row):
-            if v:
-                ent[(i, j)] = v
+    rows = [elim.rows[pc] for pc in elim.pivots()]
+    ent = {(i, j): row[j] for i, row in enumerate(rows) for j in sorted(row)}
     return MatGF(m.rows, m.cols, m.p, ent), elim.rank, elim.pivots()
 
 
@@ -588,15 +500,6 @@ def subspace_intersect(a, b):
     return Subspace.from_vectors(vecs, a.ambient_dim, a.p)
 
 
-def contains(a, vec):
-    return a.contains(vec)
-
-
-def equals(a, b):
-    _check_pair(a, b)
-    return a == b
-
-
 def _check_pair(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise UsageError("ambient dimension mismatch")
@@ -612,12 +515,8 @@ def quotient_representatives(Z, B):
     Returns a list of dense tuples.
     """
     _check_pair(Z, B)
-    elim = Eliminator(Z.ambient_dim, Z.p)
-    for row in Z.basis_rows:
-        red = B.reduce(row)
-        if any(red):
-            elim.add(np.asarray(red, dtype=np.int64))
-    reps = elim.dense_rows()
-    if len(reps) != Z.dim - B.dim:
+    reps = Subspace.from_vectors([B.reduce(row) for row in Z.basis_rows],
+                                 Z.ambient_dim, Z.p)
+    if reps.dim != Z.dim - B.dim:
         raise UsageError("B is not contained in Z")
-    return reps
+    return list(reps.basis_rows)

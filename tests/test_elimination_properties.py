@@ -1,10 +1,11 @@
 """Property tests of the GF(p) eliminators against two independent routes:
 the plain dense elimination in ``oracles.dense_rank`` and sympy's
-``DomainMatrix`` over GF(p).  Matrices mix rows below and above the fill
-limit, so the eliminator's dict rows, its dense rows and the column index
-over both are all exercised."""
+``DomainMatrix`` over GF(p).  Matrices mix sparse rows with rows more than
+a quarter full, so heavy fill-in meets the eliminator's sparse rows and its
+column index."""
 
-import numpy as np
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,7 +16,7 @@ from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from supercoh.gflin import (  # noqa: E402
-    FILL_LIMIT, Eliminator, MatGF, Subspace, nullspace, rref, solve,
+    Eliminator, MatGF, Subspace, nullspace, rref, solve,
 )
 
 from oracles import dense_rank  # noqa: E402
@@ -26,11 +27,11 @@ PROPS = settings(max_examples=80, deadline=None, database=None,
 
 @st.composite
 def sparse_matrices(draw):
-    """(p, cols, row dicts): sparse rows, at most FILL_LIMIT * cols full,
-    and dense rows past it, in a drawn order."""
+    """(p, cols, row dicts): sparse rows, at most a quarter full, and dense
+    rows past that, in a drawn order."""
     p = draw(st.sampled_from((3, 5, 7, 17)))
     cols = draw(st.integers(4, 24))
-    limit = int(FILL_LIMIT * cols)
+    limit = cols // 4
     rows = []
     for _ in range(draw(st.integers(1, 14))):
         dense = draw(st.booleans())
@@ -55,10 +56,7 @@ def _sympy_rref(rows, cols, p):
     return echelon, list(pivots), kernel
 
 
-@PROPS
-@given(sparse_matrices())
-def test_rref_and_nullspace_match_sympy_and_dense_rank(case):
-    p, cols, rows = case
+def _check_against_sympy_and_dense_rank(p, cols, rows):
     m = MatGF.from_rows(rows, cols, p)
     red, rank, pivots = rref(m)
     echelon, sym_pivots, kernel = _sympy_rref(rows, cols, p)
@@ -66,6 +64,33 @@ def test_rref_and_nullspace_match_sympy_and_dense_rank(case):
     assert pivots == sym_pivots
     assert red.to_dense().tolist()[:rank] == echelon
     assert nullspace(m) == Subspace.from_vectors(kernel, cols, p)
+
+
+@PROPS
+@given(sparse_matrices())
+def test_rref_and_nullspace_match_sympy_and_dense_rank(case):
+    _check_against_sympy_and_dense_rank(*case)
+
+
+def test_fill_in_turns_dict_rows_dense():
+    """A sparse dict row whose reduction fills it stays a dict row that the
+    column index tracks, and rows about nine tenths full still give the
+    canonical RREF and kernel."""
+    p, cols = 5, 12
+    elim = Eliminator(cols, p)
+    elim.add({0: 1, 3: 1})
+    elim.add({j: 1 for j in range(3, cols)})
+    assert all(isinstance(r, dict) for r in elim.rows.values())
+    assert elim.rows[0] == {0: 1, **{j: 4 for j in range(4, cols)}}
+    assert elim.column(4) == {0: 4, 3: 1}
+    _check_against_sympy_and_dense_rank(
+        p, cols, [{1: 1, 5: 2}, {j: 1 + j % 4 for j in range(1, cols)},
+                  {0: 1, 3: 1}, {j: 1 for j in range(3, cols)}])
+    rng = random.Random(4)
+    for p, cols in ((3, 40), (5, 40), (17, 25)):
+        rows = [{j: rng.randrange(1, p) for j in range(cols)
+                 if rng.random() < 0.9} for _ in range(10)]
+        _check_against_sympy_and_dense_rank(p, cols, rows)
 
 
 @PROPS
@@ -87,30 +112,12 @@ def test_elimination_is_row_order_independent(case, rnd):
 @given(sparse_matrices())
 def test_column_index_matches_a_full_scan(case):
     """After every insertion, the index-backed ``column`` equals a scan of
-    all pivot rows.  Rows past the fill limit go in as numpy vectors, so
-    dense pivot rows meet dict rows in both directions."""
+    all pivot rows, and no pivot row stores a zero."""
     p, cols, rows = case
     elim = Eliminator(cols, p)
     for row in rows:
-        if len(row) > FILL_LIMIT * cols:
-            row = np.array([row.get(j, 0) for j in range(cols)], dtype=np.int64)
         elim.add(row)
+        assert all(all(r.values()) for r in elim.rows.values())
         for j in range(cols):
-            scan = {pc: int(r[j]) if not isinstance(r, dict) else r.get(j, 0)
-                    for pc, r in elim.rows.items()}
-            assert elim.column(j) == {pc: v for pc, v in scan.items() if v}
-
-
-def test_fill_in_turns_dict_rows_dense():
-    """A dict row whose reduction fills it past the limit is stored dense,
-    and a stored dict row that absorbs a dense pivot moves to the dense set."""
-    p, cols = 5, 12
-    elim = Eliminator(cols, p)
-    elim.add({1: 1, 5: 2})
-    elim.add({j: 1 + j % (p - 1) for j in range(1, cols)})  # reduced at col 1
-    assert sorted(type(r).__name__ for r in elim.rows.values()) == ["dict", "ndarray"]
-    elim = Eliminator(cols, p)
-    elim.add({0: 1, 3: 1})
-    elim.add(np.array([0, 0, 0] + [1] * (cols - 3), dtype=np.int64))
-    assert all(not isinstance(r, dict) for r in elim.rows.values())
-    assert elim.column(4) == {0: 4, 3: 1}
+            scan = {pc: r[j] for pc, r in elim.rows.items() if j in r}
+            assert elim.column(j) == scan

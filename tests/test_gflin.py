@@ -7,9 +7,8 @@ import pytest
 import supercoh
 from supercoh.errors import UsageError
 from supercoh.gflin import (
-    FILL_LIMIT, MatGF, Subspace, contains, equals, image, is_odd_prime,
-    matpow, nullspace, quotient_representatives, rref, solve,
-    subspace_intersect, subspace_sum,
+    Eliminator, MatGF, Subspace, image, is_odd_prime, matpow, nullspace,
+    quotient_representatives, rref, solve, subspace_intersect, subspace_sum,
 )
 
 from oracles import dense_rank
@@ -69,11 +68,11 @@ def test_subspace_lattice_examples():
     p = 3
     V = Subspace.from_vectors([(1, 0), (0, 1)], 2, p)
     zero = Subspace.zero(2, p)
-    assert equals(subspace_sum(V, zero), V)
-    assert equals(subspace_intersect(V, V), V)
+    assert subspace_sum(V, zero) == V
+    assert subspace_intersect(V, V) == V
     e1 = Subspace.from_vectors([(1, 0)], 2, p)
     e2 = Subspace.from_vectors([(0, 1)], 2, p)
-    assert equals(subspace_sum(e1, e2), Subspace.full(2, p))
+    assert subspace_sum(e1, e2) == Subspace.full(2, p)
     with pytest.raises(UsageError):
         subspace_sum(e1, Subspace.zero(3, p))
 
@@ -117,23 +116,63 @@ def test_subspace_dimension_formula_fuzz(p):
         S, I = subspace_sum(A, B), subspace_intersect(A, B)
         assert S.dim + I.dim == A.dim + B.dim
         for row in I.basis_rows:
-            assert contains(A, row) and contains(B, row)
+            assert A.contains(row) and B.contains(row)
         for row in A.basis_rows:
-            assert contains(S, row)
+            assert S.contains(row)
 
 
 def test_dense_fallback_path():
-    # rows fuller than the fill limit must switch to ndarray storage and
+    # rows nine tenths full, far past the sparse range, stay dict rows and
     # still produce the canonical echelon basis
     p = 3
     cols = 40
     rng = random.Random(4)
     rows = [{j: rng.randrange(1, p) for j in range(cols) if rng.random() < 0.9}
             for _ in range(10)]
-    assert all(len(r) > FILL_LIMIT * cols for r in rows)
+    assert all(len(r) > cols // 4 for r in rows)
     m = MatGF.from_rows(rows, cols, p)
     R, rank, piv = rref(m)
     assert rank == dense_rank(m.to_dense().tolist(), cols, p)
+    assert nullspace(m).dim == cols - rank
+
+
+def test_from_vectors_checks_dict_vectors():
+    """Dict vectors are reduced mod p, lose their zeros and have their
+    coordinates bounds-checked, exactly like sequence vectors."""
+    with pytest.raises(UsageError):
+        Subspace.from_vectors([{5: 1}], 3, 3)
+    with pytest.raises(UsageError):
+        Subspace.from_vectors([{-1: 1}], 3, 3)
+    with pytest.raises(UsageError):
+        Subspace.from_vectors([(1, 0)], 3, 3)
+    assert (Subspace.from_vectors([{0: 3, 1: 1}], 2, 3)
+            == Subspace.from_vectors([(3, 1)], 2, 3)
+            == Subspace.from_vectors([{0: 0, 1: -2}], 2, 3))
+    assert Subspace.from_vectors([{1: 6}, (0, 3)], 2, 3).dim == 0
+
+
+def test_inputs_are_left_unchanged():
+    """Elimination reduces only its own copies: the caller's matrix and
+    row dicts read the same before and after every operation."""
+    p, cols = 5, 6
+    rng = random.Random(5)
+    rows = [{j: rng.randrange(1, p) for j in range(cols) if rng.random() < 0.6}
+            for _ in range(7)]
+    rows.append(dict(rows[0]))  # a dependent row that reduces to zero
+    snapshot = [dict(r) for r in rows]
+    m = MatGF.from_rows(rows, cols, p)
+    entries = dict(m.entries)
+    rref(m)
+    nullspace(m)
+    image(m)
+    solve(m, [1] * m.rows)
+    assert m.entries == entries
+    Subspace.from_vectors(rows, cols, p)
+    elim = Eliminator(cols, p)
+    for row in rows:
+        elim.reduce(row)
+        elim.add(row)
+    assert rows == snapshot
 
 
 def test_from_coo_builds_and_checks():
@@ -188,7 +227,6 @@ def test_matmul_and_vector_ops():
     b = MatGF.from_dense([[0, 1], [1, 0]], p)
     assert a.matmul(b).to_dense().tolist() == [[2, 1], [4, 3]]
     assert a.matvec((1, 1)) == (3, 2)
-    assert a.sub(a).is_zero()
 
 
 def test_matpow_matches_exact_integer_powers():
