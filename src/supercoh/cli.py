@@ -226,6 +226,7 @@ def cmd_selftest(args):
                              cocycle_from_algebra_ext, algebra_ext_from_2cocycle,
                              semidirect_extension)
     from .gflin import nullspace
+    from .sixterm import pair_model_h2s_dim
 
     rng = random.Random(args.seed)
     failures = []
@@ -260,6 +261,8 @@ def cmd_selftest(args):
         h2s = restricted_cohomology(g, rep, 2, bar)
         check("trivial extension has class zero",
               all(v == 0 for v in h2s.class_coords(c0)))
+        check("pair-model dim H^2_* agrees with the bar complex",
+              pair_model_h2s_dim(lie) == h2s.dim_h)
     print("selftest:", "ok" if not failures else f"{len(failures)} failure(s)")
     _emit(_report("selftest", _digest(str(args.seed)),
                   {"failures": failures, "seed": args.seed}), args.json)

@@ -327,9 +327,14 @@ def restricted_structure_from_lie_2cocycle(g, rep, fvec, sigma=None):
     invariants, selecting an equivalent restricted structure.  Raises
     NoSolutionError when no p-map exists over E_f (an obstruction witness).
     """
-    lie = CochainComplex(g, rep, "lie")
+    return _restricted_ext(CochainComplex(g, rep, "lie"), fvec, sigma)
+
+
+def _restricted_ext(lie, fvec, sigma):
+    """E_f with the p-map of ``restricted_structure_from_lie_2cocycle``, for
+    a 2-cocycle f of the Lie complex ``lie``."""
+    g, rep, p = lie.g, lie.rep, lie.g.p
     ext = _algebra_ext(lie, fvec)
-    p = g.p
     # x1 . r = -k(x1) for all basis x1, stacked x1-major
     stacked = MatGF.from_dense(np.vstack(rep.mats), p)
     r = {}

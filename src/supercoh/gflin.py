@@ -339,7 +339,13 @@ class Subspace:
                 if c:
                     row[int(j)] = c
             elim.add(row)
-        return cls(ambient_dim, p, elim.dense_rows(), elim.pivots())
+        # the eliminator's rows and pivots are Python ints already, so they
+        # skip the conversion __init__ applies to rows from outside
+        out = cls.__new__(cls)
+        out.ambient_dim, out.p = ambient_dim, p
+        out.basis_rows = tuple(elim.dense_rows())
+        out.pivots = tuple(elim.pivots())
+        return out
 
     @classmethod
     def zero(cls, ambient_dim, p):
@@ -515,6 +521,8 @@ def quotient_representatives(Z, B):
     Returns a list of dense tuples.
     """
     _check_pair(Z, B)
+    if Z == B:
+        return []
     reps = Subspace.from_vectors([B.reduce(row) for row in Z.basis_rows],
                                  Z.ambient_dim, Z.p)
     if reps.dim != Z.dim - B.dim:

@@ -6,6 +6,13 @@ for a restricted Lie superalgebra g acting on a strongly abelian restricted
 module M.  Every space gets a deterministic echelon representative basis,
 every arrow becomes an explicit matrix in those bases, and exactness at
 each node is decided by comparing canonical echelon subspaces.
+
+H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
+H^2_* is not: its bar 2-cocycles are spanned by the coboundaries, the bar
+cocycles of the twisted extensions behind fg, and bar cocycles of
+restricted extensions lifting ker phi (Hochschild's description), and its
+dimension is checked against the Lie-side (f, w) pair model, so the
+nullspace of the bar d2 is never computed for a report.
 """
 
 from __future__ import annotations
@@ -13,23 +20,37 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cohomology import (
-    CochainComplex, comparison_matrix, lie_cochain_matrix, lie_cohomology,
-    restricted_cohomology,
+    CochainComplex, _make_result, comparison_matrix, lie_cochain_matrix,
+    lie_cohomology, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
-from .gflin import MatGF, image, matpow, nullspace
+from .gflin import MatGF, Subspace, image, matpow, nullspace
 from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
 
 __all__ = [
     "SixTermContext", "SixTermReport", "obstruction_cocycle",
     "map_h1res_to_h1", "map_h1_to_semilinear", "map_semilinear_to_h2res",
-    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "build_six_term",
+    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "pair_model_h2s_dim",
+    "build_six_term",
 ]
 
 
 class SixTermContext:
-    """The Lie and bar complexes of one (g, M) pair and their cohomology."""
+    """The Lie and bar complexes of one (g, M) pair and their cohomology.
+
+    ``h2s`` is Z^2_* = B^2_* + span(fg cocycles) + span(ker-phi lifts) in
+    the bar 2-cochains, where B^2_* is the image of the bar d1, the fg
+    cocycles (``fg_cocycles``) are those of the twisted extensions
+    s0 - sigma, and a lift is the bar cocycle of E_f with the p-map of
+    ``restricted_structure_from_lie_2cocycle``, for f running over a basis
+    of ker phi.  Every extracted cocycle is checked against the bar d2, and
+    dim Z^2_* - dim B^2_* must equal the pair-model dimension, so Z^2_* is
+    the kernel of d2 and the canonical representatives are those of
+    ``restricted_cohomology(g, M, 2)``.
+    """
 
     def __init__(self, g, rep):
         self.g = g
@@ -54,8 +75,27 @@ class SixTermContext:
 
     @property
     def h2s(self):
-        return self._get("h2s", lambda: restricted_cohomology(
-            self.g, self.rep, 2, self.bar))
+        return self._get("h2s", self._h2s)
+
+    def _h2s(self):
+        from .extensions import _restricted_ext, assoc_2cocycle_from_restricted_ext
+        p, dim = self.p, self.bar.basis(2).dim
+        B = image(self.bar.d(1))
+        reps = np.array(self.h2.representatives, dtype=np.int64)
+        lifts = []
+        for coords in nullspace(self.phi).basis_rows:
+            fvec = tuple(int(v) for v in np.array(coords) @ reps % p)
+            lifts.append(assoc_2cocycle_from_restricted_ext(
+                _restricted_ext(self.lie, fvec, None), self.bar))
+        extra = list(self.fg_cocycles) + lifts
+        Z = Subspace.from_vectors(list(B.basis_rows) + extra, dim, p) \
+            if extra else B
+        want = pair_model_h2s_dim(self.lie)
+        if Z.dim - B.dim != want:
+            raise InvariantViolationError(
+                f"fg cocycles and ker-phi lifts span {Z.dim - B.dim} classes "
+                f"of H^2_*, the pair model gives {want}")
+        return _make_result(2, "restricted", dim, Z, B)
 
     @property
     def h1(self):
@@ -76,6 +116,30 @@ class SixTermContext:
         """Index pairs (even slot, invariant-basis row) for S(g_0, M_0^g)."""
         return self._get("s1_pairs",
                          lambda: semilinear_pairs(self.g, self.inv_even))
+
+    @property
+    def fg_cocycles(self):
+        """Bar 2-cocycles of s0 twisted by each elementary semilinear map,
+        in ``s1_pairs`` order."""
+        return self._get("fg_cocycles", self._fg_cocycles)
+
+    def _fg_cocycles(self):
+        from .extensions import (assoc_2cocycle_from_restricted_ext,
+                                 semidirect_extension, twist_pmap)
+        g, rep = self.g, self.rep
+        s0 = semidirect_extension(g, rep)
+        out = []
+        for (t, j) in self.s1_pairs:
+            vals = [[0] * rep.dim for _ in range(g.space.n_even)]
+            vals[t] = list(self.inv_even.basis_rows[j])
+            smap = SemiLinearMap(g, rep.dim, tuple(tuple(r) for r in vals))
+            out.append(assoc_2cocycle_from_restricted_ext(
+                twist_pmap(s0, smap), self.bar))
+        return out
+
+    @property
+    def phi(self):
+        return self._get("phi", lambda: map_h2_to_semilinear_h1(self))
 
     @property
     def space_dims(self):
@@ -135,21 +199,10 @@ def map_h1_to_semilinear(ctx):
 
 def map_semilinear_to_h2res(ctx):
     """For each elementary semilinear map: twist the trivial extension's
-    p-map by it and extract the bar 2-cocycle of the twisted extension,
-    reducing to H^2_* class coordinates."""
-    from .extensions import (assoc_2cocycle_from_restricted_ext,
-                             semidirect_extension, twist_pmap)
-    g, rep, p = ctx.g, ctx.rep, ctx.p
-    cols = []
-    s0 = semidirect_extension(g, rep)
-    for (t, j) in ctx.s1_pairs:
-        vals = [[0] * rep.dim for _ in range(g.space.n_even)]
-        vals[t] = list(ctx.inv_even.basis_rows[j])
-        smap = SemiLinearMap(g, rep.dim, tuple(tuple(r) for r in vals))
-        twisted = twist_pmap(s0, smap)
-        cvec = assoc_2cocycle_from_restricted_ext(twisted, ctx.bar)
-        cols.append(ctx.h2s.class_coords(cvec))
-    return MatGF.from_columns(cols, ctx.h2s.dim_h, p)
+    p-map by it and extract the bar 2-cocycle of the twisted extension
+    (``ctx.fg_cocycles``), reducing to H^2_* class coordinates."""
+    cols = [ctx.h2s.class_coords(cvec) for cvec in ctx.fg_cocycles]
+    return MatGF.from_columns(cols, ctx.h2s.dim_h, ctx.p)
 
 
 def map_h2res_to_h2(ctx):
@@ -212,6 +265,52 @@ def map_h2_to_semilinear_h1(ctx):
     return MatGF.from_columns(cols, rows_dim, g.p)
 
 
+def pair_model_h2s_dim(lie):
+    """dim H^2_*(g, M) from the Lie complex ``lie`` alone, by the (f, w)
+    pair model of Hochschild (Amer. J. Math. 1954) and Evans-Fuchs (JFPTA
+    2008).  Z is the space of pairs of a Lie 2-cochain f and one value w_t
+    in M per even basis element x_t with
+
+        d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
+
+    and the odd coordinates of every w_t zero; B = {(d h, Psi-bar h) : h in
+    C^1}.  Odd basis elements need no value: y^2 = [y, y]/2 is fixed by f.
+    Raises InvariantViolationError unless B lies in Z; returns dim Z - dim B.
+    """
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    c1, n2, dm = lie.basis(1), lie.basis(2).dim, rep.dim
+    evens = g.space.even_indices()
+    ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
+
+    def unit(n, k):
+        return tuple(int(i == k) for i in range(n))
+
+    rows = lie.d(2).row_dicts()
+    for t, idx in enumerate(evens):
+        w0 = n2 + t * dm
+        # obstruction_cocycle is linear in f: its values on the unit cochains
+        kcols = [obstruction_cocycle(lie, unit(n2, c), idx) for c in range(n2)]
+        for col, (ev, od, nu) in enumerate(c1.items):
+            row = {c: k[col] for c, k in enumerate(kcols) if k[col]}
+            for mu, v in enumerate(rep.mats[(ev + od)[0]][nu]):
+                if v:
+                    row[w0 + mu] = int(v)
+            rows.append(row)
+        rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
+    Z = nullspace(MatGF.from_rows(rows, ncols, p))
+    d1cols = lie.d(1).col_dicts()
+    bvecs = []
+    for h in range(c1.dim):
+        vals = psi_bar_on_cocycle(lie, unit(c1.dim, h)).values
+        vec = dict(d1cols[h])
+        vec.update((n2 + k, v) for k, v in enumerate(np.ravel(vals)) if v)
+        bvecs.append(vec)
+    B = Subspace.from_vectors(bvecs, ncols, p)
+    if not all(Z.contains(row) for row in B.basis_rows):
+        raise InvariantViolationError("a pair-model coboundary is not a cocycle")
+    return Z.dim - B.dim
+
+
 # ---------------------------------------------------------------------------
 # assembly and exactness verdicts
 # ---------------------------------------------------------------------------
@@ -269,7 +368,7 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     m_psi = map_h1_to_semilinear(ctx)
     m_fg = map_semilinear_to_h2res(ctx)
     m_pi = map_h2res_to_h2(ctx)
-    m_phi = map_h2_to_semilinear_h1(ctx)
+    m_phi = ctx.phi
     maps = {"i1": m_i1, "psibar": m_psi, "fg": m_fg, "pi": m_pi, "phi": m_phi}
     for a, b in (("i1", "psibar"), ("psibar", "fg"), ("fg", "pi"),
                  ("pi", "phi")):

@@ -151,6 +151,18 @@ def test_from_vectors_checks_dict_vectors():
     assert Subspace.from_vectors([{1: 6}, (0, 3)], 2, 3).dim == 0
 
 
+def test_subspace_rows_are_python_ints():
+    """Rows handed to ``Subspace`` from outside are converted, and the rows
+    ``from_vectors`` keeps from the eliminator are Python ints already."""
+    arr = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
+    for s in (Subspace(3, 3, arr, np.array([0, 1])),
+              Subspace.from_vectors(arr, 3, 3),
+              Subspace.from_vectors([{np.int64(2): np.int64(4)}], 3, 3)):
+        assert all(type(x) is int for row in s.basis_rows for x in row)
+        assert all(type(x) is int for x in s.pivots)
+        assert all(type(row) is tuple for row in s.basis_rows)
+
+
 def test_inputs_are_left_unchanged():
     """Elimination reduces only its own copies: the caller's matrix and
     row dicts read the same before and after every operation."""

@@ -6,15 +6,17 @@ import pytest
 
 from supercoh.cohomology import (
     CochainComplex, lie_cochain_basis, lie_differential_matrix,
+    restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
-from supercoh.gflin import image
+from supercoh.errors import InvariantViolationError
+from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
     SixTermContext, build_six_term, map_h1_to_semilinear, map_h1res_to_h1,
     map_h2_to_semilinear_h1, map_h2res_to_h2, map_semilinear_to_h2res,
-    obstruction_cocycle,
+    obstruction_cocycle, pair_model_h2s_dim,
 )
-from supercoh.superalg import semidirect, trivial_module
+from supercoh.superalg import adjoint_module, semidirect, trivial_module
 
 from conftest import fixture_algebra
 
@@ -160,8 +162,9 @@ def test_phi_representative_independence(loaded_catalog):
 
 
 def test_each_differential_built_once(loaded_catalog, monkeypatch):
-    """One report builds each (kind, degree) differential exactly once, the
-    bar d2 included, although fg checks every extracted cocycle with it.
+    """One report builds each (kind, degree) differential exactly once.  On
+    a4-borel (S != 0) that includes the bar d2, which checks every cocycle
+    extracted for fg and H^2_* but whose nullspace is never taken.
     Cochain bases come from the report's complexes only: the bar
     differential numbers its cochains without building a basis, so the bar
     bases are those of degrees 1 and 2, once each, and the Lie count does
@@ -209,16 +212,96 @@ def test_psibar_kills_restricted_classes(loaded_catalog):
         assert comp.is_zero(), entry_id
 
 
-def test_fuzzed_semidirect_six_term(small_catalog):
-    """Criterion-style fuzz: six-term exactness also holds for randomly
-    chosen semidirect-product algebras."""
+def _fuzzed_semidirect_products(small_catalog):
+    """Six semidirect products g |x k drawn from the small catalog."""
     rng = random.Random(2024)
     entries = list(small_catalog.values())
     for _ in range(6):
         e, g, modules = rng.choice(entries)
         E, _ = semidirect(g, modules["k"])
-        report = build_six_term(E, trivial_module(E), f"sd-{e.entry_id}", "k")
+        yield e.entry_id, E
+
+
+def test_fuzzed_semidirect_six_term(small_catalog):
+    """Criterion-style fuzz: six-term exactness also holds for randomly
+    chosen semidirect-product algebras."""
+    for entry_id, E in _fuzzed_semidirect_products(small_catalog):
+        report = build_six_term(E, trivial_module(E), f"sd-{entry_id}", "k")
         assert report.all_exact, report.summary()
+
+
+def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
+    """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
+    ker-phi lifts, has the Z, B and representatives of the bar complex's
+    Ker d2 / Im d1, and the pair model has its dimension: on every catalog
+    entry, the fuzzed semidirect products of the test above, and
+    g |x ad(g) with trivial module for every catalog algebra of dim <= 2."""
+    pairs = [(entry_id, g, modules[e.module_name])
+             for entry_id, (e, g, modules) in loaded_catalog.items()]
+    pairs += [(f"sd-{entry_id}", E, trivial_module(E))
+              for entry_id, E in _fuzzed_semidirect_products(small_catalog)]
+    seen = set()
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        algebra = repr(sorted((k, v) for k, v in e.data.items() if k != "modules"))
+        if g.dim <= 2 and algebra not in seen:
+            seen.add(algebra)
+            E, _ = semidirect(g, adjoint_module(g))
+            pairs.append((f"{entry_id} |x ad", E, trivial_module(E)))
+    lifted = set()
+    for name, g, rep in pairs:
+        ctx = SixTermContext(g, rep)
+        bar = restricted_cohomology(g, rep, 2, ctx.bar)
+        assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
+        assert pair_model_h2s_dim(ctx.lie) == bar.dim_h, name
+        if nullspace(ctx.phi).dim:
+            lifted.add(name)
+    assert {"a5-odd-line", "a6-abelian-plane"} <= lifted
+
+
+def test_h2s_dimension_check_catches_a_dropped_lift(loaded_catalog, monkeypatch):
+    """On a5-odd-line H^2_* is one ker-phi lift (S = 0); extracting the
+    zero cochain in its place leaves Z^2_* = B^2_*, one class short of the
+    pair model."""
+    import supercoh.extensions as extensions
+    monkeypatch.setattr(extensions, "assoc_2cocycle_from_restricted_ext",
+                        lambda ext, bar: (0,) * bar.basis(2).dim)
+    g, k = fixture_algebra(loaded_catalog, "a5-odd-line")
+    ctx = SixTermContext(g, k)
+    assert len(ctx.s1_pairs) == 0 and nullspace(ctx.phi).dim == 1
+    with pytest.raises(InvariantViolationError, match="pair model"):
+        ctx.h2s
+
+
+def test_report_never_eliminates_the_bar_d2(loaded_catalog, monkeypatch):
+    """A report builds the bar d2 only to check the cocycles it extracts
+    and never takes its nullspace; with S = 0 and ker phi = 0
+    (a4-borel-adjoint) it does not build it at all."""
+    import sys
+    import supercoh.cohomology as cohomology
+    import supercoh.gflin as gflin
+    built, eliminated = {}, []
+
+    def counted(ualg, rep, n, _real=cohomology.assoc_differential_matrix):
+        built[n] = _real(ualg, rep, n)
+        return built[n]
+
+    def recorded(m, _real=gflin.nullspace):
+        eliminated.append(m)
+        return _real(m)
+    monkeypatch.setattr(cohomology, "assoc_differential_matrix", counted)
+    for name, mod in list(sys.modules.items()):
+        if (name == "supercoh" or name.startswith("supercoh.")) and \
+                getattr(mod, "nullspace", None) is gflin.nullspace:
+            monkeypatch.setattr(mod, "nullspace", recorded)
+    e, g, modules = loaded_catalog["a4-borel-adjoint"]
+    report = build_six_term(g, modules["adjoint"])
+    assert report.dims[2] == 0 and report.all_exact
+    assert sorted(built) == [0, 1]
+    built.clear()
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    report = build_six_term(g, k)
+    assert report.dims[2] == 2 and sorted(built) == [0, 1, 2]
+    assert not any(m is built[2] for m in eliminated)
 
 
 def test_report_summary_and_sizes(loaded_catalog):
