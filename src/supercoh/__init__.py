@@ -19,8 +19,8 @@ from .superalg import (
     validate_module, validate_pmap,
 )
 from .cohomology import (
-    CohomologyResult, comparison_matrix, h1_restricted_via_cocycle_condition,
-    lie_cohomology, restricted_cohomology, sgn_marked,
+    CohomologyResult, comparison_matrix, lie_cohomology,
+    restricted_cohomology, sgn_marked,
 )
 from .extensions import (
     algebra_ext_from_2cocycle, are_equivalent_restricted,
@@ -30,7 +30,7 @@ from .extensions import (
     restricted_structure_from_lie_2cocycle, semidirect_extension,
     strongly_abelianize, twist_pmap,
 )
-from .sixterm import SixTermReport, build_six_term
+from .sixterm import SixTermReport, build_six_term, pair_model
 
 __version__ = "0.1.0"
 
@@ -41,10 +41,10 @@ __all__ = [
     "algebra_ext_from_2cocycle", "are_equivalent_restricted",
     "assoc_2cocycle_from_restricted_ext", "automorphism_from_1cocycle",
     "build_six_term", "check_commutator_identities", "cocycle_from_algebra_ext",
-    "cocycle_from_module_ext", "comparison_matrix",
-    "h1_restricted_via_cocycle_condition", "hom_module", "image", "invariants",
-    "jacobson_terms", "lie_cohomology", "module_ext_from_1cocycle",
-    "nullspace", "pmap_apply", "restricted_cohomology",
+    "cocycle_from_module_ext", "comparison_matrix", "hom_module", "image",
+    "invariants", "jacobson_terms", "lie_cohomology",
+    "module_ext_from_1cocycle", "nullspace", "pair_model", "pmap_apply",
+    "restricted_cohomology",
     "restricted_ext_from_assoc_2cocycle",
     "restricted_structure_from_lie_2cocycle", "rref", "semidirect",
     "semidirect_extension", "semilinear_space", "sgn_marked", "solve",

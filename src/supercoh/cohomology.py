@@ -22,9 +22,7 @@ import numpy as np
 
 from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
-from .gflin import (
-    MatGF, Subspace, image, matpow, nullspace, quotient_representatives,
-)
+from .gflin import MatGF, Subspace, image, nullspace, quotient_representatives
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -32,8 +30,7 @@ __all__ = [
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
     "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
     "restricted_cohomology", "sgn_marked", "comparison_matrix",
-    "h1_restricted_via_cocycle_condition", "eval_lie_cochain",
-    "lie_cochain_matrix",
+    "eval_lie_cochain", "lie_cochain_matrix",
 ]
 
 
@@ -502,38 +499,3 @@ def lie_cochain_matrix(basis, vec, head):
     for b in range(g.dim):
         out[:, b] = eval_lie_cochain(basis, vec, head + (b,), g.p)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the first restricted cohomology via the p-th power condition
-# ---------------------------------------------------------------------------
-
-def h1_restricted_via_cocycle_condition(g, rep):
-    """H^1_* computed on the Lie side: classes of Lie 1-cocycles f with
-    rho(x)^{p-1} f(x) = f(x^[p]) for all even x, modulo 1-coboundaries.
-
-    By Hochschild's lemma, x -> x^{p-1} f(x) - f(x^[p]) is p-semilinear on
-    1-cocycles, so it vanishes on g_0 once it vanishes on a basis of g_0:
-    the condition is imposed on the even basis elements only.
-    """
-    p = g.p
-    lie = CochainComplex(g, rep, "lie")
-    basis = lie.basis(1)
-    elim_rows = list(lie.d(1).row_dicts())
-    for i in g.space.even_indices():
-        mat = matpow(rep.mats[i], p - 1, p)
-        pvec = g.pmap_basis(i)
-        for nu in range(rep.dim):
-            row = {}
-            for mu in range(rep.dim):
-                col = basis.index.get(((i,), (), mu))
-                if col is not None and mat[nu, mu]:
-                    row[col] = int(mat[nu, mu])
-            for j, c in enumerate(pvec):
-                col = basis.index.get(((j,), (), nu))
-                if col is not None and c:
-                    row[col] = (row.get(col, 0) - int(c)) % p
-            elim_rows.append({k: v for k, v in row.items() if v})
-    V = nullspace(MatGF.from_rows(elim_rows, basis.dim, p))
-    return _make_result(1, "restricted-via-condition", basis.dim, V,
-                        image(lie.d(0)))

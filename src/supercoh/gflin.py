@@ -197,7 +197,10 @@ class MatGF:
 
     @classmethod
     def from_columns(cls, columns, rows, p):
-        """Matrix whose c-th column is the dense sequence ``columns[c]``."""
+        """Matrix whose c-th column is the dense sequence ``columns[c]``,
+        each of length ``rows``."""
+        if any(len(col) != rows for col in columns):
+            raise UsageError("column length mismatch")
         return cls(rows, len(columns), p,
                    {(r, c): v for c, col in enumerate(columns)
                     for r, v in enumerate(col)})

@@ -10,9 +10,10 @@ each node is decided by comparing canonical echelon subspaces.
 H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
 H^2_* is not: its bar 2-cocycles are spanned by the coboundaries, the bar
 cocycles of the twisted extensions behind fg, and bar cocycles of
-restricted extensions lifting ker phi (Hochschild's description), and its
-dimension is checked against the Lie-side (f, w) pair model, so the
-nullspace of the bar d2 is never computed for a report.
+restricted extensions lifting ker phi (Hochschild's description), so the
+nullspace of the bar d2 is never computed for a report.  The dimensions of
+H^1_* and H^2_* are checked against ``pair_model``, the Lie-side (f, w)
+pair complex C^0 -> C^1 -> C^2 + M^{n_even}.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
 __all__ = [
     "SixTermContext", "SixTermReport", "obstruction_cocycle",
     "map_h1res_to_h1", "map_h1_to_semilinear", "map_semilinear_to_h2res",
-    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "pair_model_h2s_dim",
+    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "pair_model",
     "build_six_term",
 ]
 
@@ -41,13 +42,18 @@ __all__ = [
 class SixTermContext:
     """The Lie and bar complexes of one (g, M) pair and their cohomology.
 
-    ``h2s`` is Z^2_* = B^2_* + span(fg cocycles) + span(ker-phi lifts) in
-    the bar 2-cochains, where B^2_* is the image of the bar d1, the fg
+    ``pair`` is (H^1_*, H^2_*) of the Lie-side pair model, computed once;
+    ``h1s`` is the bar complex's Ker d1 / Im d0 and must have the
+    dimension of ``pair[0]``.  ``h2s`` is
+
+        Z^2_* = B^2_* + span(fg cocycles) + span(ker-phi lifts)
+
+    in the bar 2-cochains, where B^2_* is the image of the bar d1, the fg
     cocycles (``fg_cocycles``) are those of the twisted extensions
     s0 - sigma, and a lift is the bar cocycle of E_f with the p-map of
     ``restricted_structure_from_lie_2cocycle``, for f running over a basis
     of ker phi.  Every extracted cocycle is checked against the bar d2, and
-    dim Z^2_* - dim B^2_* must equal the pair-model dimension, so Z^2_* is
+    dim Z^2_* - dim B^2_* must equal that of ``pair[1]``, so Z^2_* is
     the kernel of d2 and the canonical representatives are those of
     ``restricted_cohomology(g, M, 2)``.
     """
@@ -69,9 +75,21 @@ class SixTermContext:
         return self._computed[key]
 
     @property
+    def pair(self):
+        """(H^1_*, H^2_*) of the Lie-side pair model (``pair_model``)."""
+        return self._get("pair", lambda: pair_model(self.lie))
+
+    @property
     def h1s(self):
-        return self._get("h1s", lambda: restricted_cohomology(
-            self.g, self.rep, 1, self.bar))
+        return self._get("h1s", self._h1s)
+
+    def _h1s(self):
+        h1s = restricted_cohomology(self.g, self.rep, 1, self.bar)
+        if h1s.dim_h != self.pair[0].dim_h:
+            raise InvariantViolationError(
+                f"the bar complex gives dim H^1_* = {h1s.dim_h}, the pair "
+                f"model {self.pair[0].dim_h}")
+        return h1s
 
     @property
     def h2s(self):
@@ -90,7 +108,7 @@ class SixTermContext:
         extra = list(self.fg_cocycles) + lifts
         Z = Subspace.from_vectors(list(B.basis_rows) + extra, dim, p) \
             if extra else B
-        want = pair_model_h2s_dim(self.lie)
+        want = self.pair[1].dim_h
         if Z.dim - B.dim != want:
             raise InvariantViolationError(
                 f"fg cocycles and ker-phi lifts span {Z.dim - B.dim} classes "
@@ -176,14 +194,10 @@ def psi_bar_on_cocycle(lie, h):
 
 
 def map_h1_to_semilinear(ctx):
-    """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis."""
-    g, p = ctx.g, ctx.p
+    """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis.
+    A report checks that Psi-bar kills the coboundaries: D1 d0 = 0 in
+    ``pair_model``."""
     pairs = ctx.s1_pairs
-    # coboundaries must map to zero: checked on the coboundary image basis
-    for bvec in ctx.h1.B.basis_rows:
-        smap = psi_bar_on_cocycle(ctx.lie, bvec)
-        if any(any(smap.value_on_basis(t)) for t in range(g.space.n_even)):
-            raise InvariantViolationError("Psi-bar does not kill a coboundary")
     cols = []
     for repvec in ctx.h1.representatives:
         smap = psi_bar_on_cocycle(ctx.lie, repvec)
@@ -194,7 +208,7 @@ def map_h1_to_semilinear(ctx):
         if any(c is None for c in col):
             raise InvariantViolationError("Psi-bar value outside invariants")
         cols.append(tuple(col))
-    return MatGF.from_columns(cols, len(pairs), p)
+    return MatGF.from_columns(cols, len(pairs), ctx.p)
 
 
 def map_semilinear_to_h2res(ctx):
@@ -265,17 +279,22 @@ def map_h2_to_semilinear_h1(ctx):
     return MatGF.from_columns(cols, rows_dim, g.p)
 
 
-def pair_model_h2s_dim(lie):
-    """dim H^2_*(g, M) from the Lie complex ``lie`` alone, by the (f, w)
-    pair model of Hochschild (Amer. J. Math. 1954) and Evans-Fuchs (JFPTA
-    2008).  Z is the space of pairs of a Lie 2-cochain f and one value w_t
-    in M per even basis element x_t with
+def pair_model(lie):
+    """H^1_* and H^2_* of (g, M) from the Lie complex ``lie`` alone, by the
+    (f, w) pair model of Hochschild (Amer. J. Math. 1954) and Evans-Fuchs
+    (JFPTA 2008): the cohomology in degrees 1 and 2 of
+
+        C^0 --d0--> C^1 --D1--> C^2 + M^{n_even} --D2--> ...
+
+    with D1 h = (d1 h, Psi-bar h), w_t the value at the t-th even basis
+    element x_t, and D2 (f, w) = 0 exactly when
 
         d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
 
-    and the odd coordinates of every w_t zero; B = {(d h, Psi-bar h) : h in
-    C^1}.  Odd basis elements need no value: y^2 = [y, y]/2 is fixed by f.
-    Raises InvariantViolationError unless B lies in Z; returns dim Z - dim B.
+    and the odd coordinates of every w_t are zero.  Odd basis elements need
+    no value: y^2 = [y, y]/2 is fixed by f.  Raises InvariantViolationError
+    unless D1 d0 = 0 and D2 D1 = 0; returns (H^1_*, H^2_*), the first in
+    C^1 coordinates, the second in (f, w_0, w_1, ...) coordinates.
     """
     g, rep, p = lie.g, lie.rep, lie.g.p
     c1, n2, dm = lie.basis(1), lie.basis(2).dim, rep.dim
@@ -285,6 +304,12 @@ def pair_model_h2s_dim(lie):
     def unit(n, k):
         return tuple(int(i == k) for i in range(n))
 
+    d1 = lie.d(1).to_dense()
+    cols = []
+    for h in range(c1.dim):
+        vals = psi_bar_on_cocycle(lie, unit(c1.dim, h)).values
+        cols.append(tuple(d1[:, h]) + sum(vals, ()))
+    D1 = MatGF.from_columns(cols, ncols, p)
     rows = lie.d(2).row_dicts()
     for t, idx in enumerate(evens):
         w0 = n2 + t * dm
@@ -297,18 +322,12 @@ def pair_model_h2s_dim(lie):
                     row[w0 + mu] = int(v)
             rows.append(row)
         rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
-    Z = nullspace(MatGF.from_rows(rows, ncols, p))
-    d1cols = lie.d(1).col_dicts()
-    bvecs = []
-    for h in range(c1.dim):
-        vals = psi_bar_on_cocycle(lie, unit(c1.dim, h)).values
-        vec = dict(d1cols[h])
-        vec.update((n2 + k, v) for k, v in enumerate(np.ravel(vals)) if v)
-        bvecs.append(vec)
-    B = Subspace.from_vectors(bvecs, ncols, p)
-    if not all(Z.contains(row) for row in B.basis_rows):
-        raise InvariantViolationError("a pair-model coboundary is not a cocycle")
-    return Z.dim - B.dim
+    D2 = MatGF.from_rows(rows, ncols, p)
+    d0 = lie.d(0)
+    if not (D1.matmul(d0).is_zero() and D2.matmul(D1).is_zero()):
+        raise InvariantViolationError("the pair model's D^2 is not zero")
+    return (_make_result(1, "pair", c1.dim, nullspace(D1), image(d0)),
+            _make_result(2, "pair", ncols, nullspace(D2), image(D1)))
 
 
 # ---------------------------------------------------------------------------

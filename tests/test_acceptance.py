@@ -11,8 +11,7 @@ import numpy as np
 
 from supercoh import catalog, cli
 from supercoh.cohomology import (
-    CochainComplex, assoc_differential_matrix,
-    h1_restricted_via_cocycle_condition, lie_cochain_basis,
+    CochainComplex, assoc_differential_matrix, lie_cochain_basis,
     lie_differential_matrix, restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra, check_commutator_identities
@@ -25,6 +24,7 @@ from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
     SixTermContext, build_six_term, map_h1_to_semilinear,
     map_h2_to_semilinear_h1, map_semilinear_to_h2res, obstruction_cocycle,
+    pair_model,
 )
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, hom_module, semidirect,
@@ -139,7 +139,7 @@ def test_criterion_5_delta_squared(loaded_catalog, small_catalog):
 def test_criterion_6_pth_power_condition(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         for name, rep in modules.items():
-            got = h1_restricted_via_cocycle_condition(g, rep).dim_h
+            got = pair_model(CochainComplex(g, rep, "lie"))[0].dim_h
             want = restricted_cohomology(g, rep, 1).dim_h
             assert got == want, (entry_id, name)
     _passed(6, "Lie-side p-th power condition matches the bar complex "

@@ -6,13 +6,13 @@ import pytest
 
 from supercoh.cohomology import (
     CochainComplex, assoc_cochain_basis, assoc_differential_matrix,
-    comparison_matrix, eval_lie_cochain, h1_restricted_via_cocycle_condition,
-    lie_cochain_basis, lie_differential_matrix, lie_cohomology,
-    restricted_cohomology, sgn_marked,
+    comparison_matrix, eval_lie_cochain, lie_cochain_basis,
+    lie_differential_matrix, lie_cohomology, restricted_cohomology, sgn_marked,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
 from supercoh.gflin import MatGF
+from supercoh.sixterm import pair_model
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
 )
@@ -315,7 +315,7 @@ def test_comparison_is_cochain_map(loaded_catalog):
 def test_pth_power_condition_agreement(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         for rep in modules.values():
-            got = h1_restricted_via_cocycle_condition(g, rep).dim_h
+            got = pair_model(CochainComplex(g, rep, "lie"))[0].dim_h
             want = restricted_cohomology(g, rep, 1).dim_h
             assert got == want, entry_id
 

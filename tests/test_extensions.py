@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, eval_lie_cochain, h1_restricted_via_cocycle_condition,
-    lie_cochain_basis, lie_differential_matrix, lie_cohomology,
-    restricted_cohomology,
+    CochainComplex, eval_lie_cochain, lie_cochain_basis,
+    lie_differential_matrix, lie_cohomology, restricted_cohomology,
 )
 from supercoh.errors import (
     DifferentUnderlyingError, NoSolutionError, NotACocycleError,
@@ -21,6 +20,7 @@ from supercoh.extensions import (
     strongly_abelianize, twist_pmap,
 )
 from supercoh.gflin import nullspace
+from supercoh.sixterm import pair_model
 from supercoh.superalg import (
     LieSuperAlgebra, Representation, SemiLinearMap, SuperSpace,
     adjoint_module, hom_module, hom_module_units, invariants, trivial_module,
@@ -129,7 +129,7 @@ def test_restricted_module_ext_cocycle_satisfies_pth_power_condition(loaded_cata
     p-th-power-condition subspace (the restricted classes)."""
     g, K, N, M = _hom_setup(loaded_catalog, "a2-torus")
     Z1 = nullspace(lie_differential_matrix(g, M, 1))
-    cond = h1_restricted_via_cocycle_condition(g, M)
+    cond = pair_model(CochainComplex(g, M, "lie"))[0]
     for row in Z1.basis_rows:
         ext = module_ext_from_1cocycle(g, K, N, row, hom=M)
         if validate_module(g, ext.E, restricted=True).ok:

@@ -208,6 +208,15 @@ def test_from_coo_builds_and_checks():
         MatGF.from_coo(2, 3, 4, [0], [0], [1])
 
 
+def test_from_columns_checks_column_lengths():
+    m = MatGF.from_columns([(1, 0, 2), (0, 4, 0)], 3, 5)
+    assert m == MatGF(3, 2, 5, {(0, 0): 1, (2, 0): 2, (1, 1): 4})
+    assert MatGF.from_columns([], 3, 5) == MatGF.zeros(3, 0, 5)
+    for cols in ([(1,)], [(1, 0, 0, 0)], [(1, 0, 0), (1, 0)]):
+        with pytest.raises(UsageError, match="column length mismatch"):
+            MatGF.from_columns(cols, 3, 5)
+
+
 def test_determinism_of_rref_under_row_order():
     p = 5
     rng = random.Random(9)

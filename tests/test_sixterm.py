@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, lie_cochain_basis, lie_differential_matrix,
+    CochainComplex, _make_result, lie_cochain_basis, lie_differential_matrix,
     restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
@@ -14,9 +14,11 @@ from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
     SixTermContext, build_six_term, map_h1_to_semilinear, map_h1res_to_h1,
     map_h2_to_semilinear_h1, map_h2res_to_h2, map_semilinear_to_h2res,
-    obstruction_cocycle, pair_model_h2s_dim,
+    obstruction_cocycle, pair_model,
 )
-from supercoh.superalg import adjoint_module, semidirect, trivial_module
+from supercoh.superalg import (
+    SemiLinearMap, adjoint_module, semidirect, trivial_module,
+)
 
 from conftest import fixture_algebra
 
@@ -233,9 +235,10 @@ def test_fuzzed_semidirect_six_term(small_catalog):
 def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
     """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
     ker-phi lifts, has the Z, B and representatives of the bar complex's
-    Ker d2 / Im d1, and the pair model has its dimension: on every catalog
-    entry, the fuzzed semidirect products of the test above, and
-    g |x ad(g) with trivial module for every catalog algebra of dim <= 2."""
+    Ker d2 / Im d1, and the pair model has its dimension and that of the
+    bar complex's H^1_*: on every catalog entry, the fuzzed semidirect
+    products of the test above, and g |x ad(g) with trivial module for
+    every catalog algebra of dim <= 2."""
     pairs = [(entry_id, g, modules[e.module_name])
              for entry_id, (e, g, modules) in loaded_catalog.items()]
     pairs += [(f"sd-{entry_id}", E, trivial_module(E))
@@ -252,7 +255,9 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
         ctx = SixTermContext(g, rep)
         bar = restricted_cohomology(g, rep, 2, ctx.bar)
         assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
-        assert pair_model_h2s_dim(ctx.lie) == bar.dim_h, name
+        h1s, h2s = pair_model(ctx.lie)
+        assert h2s.dim_h == bar.dim_h, name
+        assert h1s.dim_h == restricted_cohomology(g, rep, 1, ctx.bar).dim_h, name
         if nullspace(ctx.phi).dim:
             lifted.add(name)
     assert {"a5-odd-line", "a6-abelian-plane"} <= lifted
@@ -270,6 +275,39 @@ def test_h2s_dimension_check_catches_a_dropped_lift(loaded_catalog, monkeypatch)
     assert len(ctx.s1_pairs) == 0 and nullspace(ctx.phi).dim == 1
     with pytest.raises(InvariantViolationError, match="pair model"):
         ctx.h2s
+
+
+def test_pair_model_catches_a_negated_psi_bar(loaded_catalog, monkeypatch):
+    """With -Psi-bar in D1, D2 D1 is not zero on a4-borel with the adjoint
+    module (on the trivial module rho = 0 and the sign goes unseen)."""
+    import supercoh.sixterm as sixterm
+    real = sixterm.psi_bar_on_cocycle
+
+    def negated(lie, h):
+        s = real(lie, h)
+        return SemiLinearMap(s.g, s.target_dim,
+                             tuple(tuple(-v for v in row) for row in s.values))
+    g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
+    lie = CochainComplex(g, adjoint, "lie")
+    pair_model(lie)
+    monkeypatch.setattr(sixterm, "psi_bar_on_cocycle", negated)
+    with pytest.raises(InvariantViolationError, match=r"D\^2 is not zero"):
+        pair_model(lie)
+
+
+def test_report_checks_h1s_against_the_pair_model(loaded_catalog, monkeypatch):
+    """A pair-model H^1_* with no classes (Z = B) makes the report raise on
+    a6-abelian-plane, where dim H^1_* = 2."""
+    import supercoh.sixterm as sixterm
+    real = sixterm.pair_model
+
+    def short(lie):
+        h1s, h2s = real(lie)
+        return _make_result(1, "pair", h1s.cochain_dim, h1s.B, h1s.B), h2s
+    monkeypatch.setattr(sixterm, "pair_model", short)
+    g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
+    with pytest.raises(InvariantViolationError, match=r"H\^1_\*"):
+        build_six_term(g, k)
 
 
 def test_report_never_eliminates_the_bar_d2(loaded_catalog, monkeypatch):
