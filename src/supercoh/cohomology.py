@@ -29,8 +29,8 @@ __all__ = [
     "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
     "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
-    "restricted_cohomology", "sgn_marked", "comparison_matrix",
-    "eval_lie_cochain", "lie_cochain_matrix",
+    "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
+    "comparison_matrix", "eval_lie_cochain", "lie_cochain_matrix",
 ]
 
 
@@ -228,10 +228,8 @@ def assoc_differential_matrix(ualg, rep, n):
     p = ualg.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
-    apar = np.array([ualg.parity(m) for m in aug], dtype=np.int64)
-    mpar = np.array([rep.space.parity(m) for m in range(D)], dtype=np.int64)
-    src = _bar_lookup(apar, mpar, n)
-    dst = _bar_lookup(apar, mpar, n + 1)
+    src = _bar_lookup(ualg, rep, n)
+    dst = _bar_lookup(ualg, rep, n + 1)
     nrows, ncols = int(dst.max(initial=-1)) + 1, int(src.max(initial=-1)) + 1
     if nrows * ncols >= 2 ** 63:
         raise UsageError(f"bar differential {nrows}x{ncols} is too large")
@@ -247,9 +245,7 @@ def assoc_differential_matrix(ualg, rep, n):
                       np.broadcast_to(coeffs, row_keys.shape).ravel()[keep]))
 
     # s_1 . f(s_2..s_{n+1}): row (s_1, rest, nu), column (rest, mu)
-    act = np.zeros((A, D, D), dtype=np.int64)
-    for k, m in enumerate(aug):
-        act[k] = ualg.action_matrix(rep, m)
+    act = _bar_action(ualg, rep, aug)
     s1, nu, mu = np.nonzero(act)
     rest = np.arange(A ** n, dtype=np.int64)
     emit((s1[:, None] * A ** n + rest) * D + nu[:, None],
@@ -281,8 +277,11 @@ def assoc_differential_matrix(ualg, rep, n):
     return MatGF.from_coo(nrows, ncols, p, key // ncols, key % ncols, v)
 
 
-def _bar_lookup(apar, mpar, n):
+def _bar_lookup(ualg, rep, n):
     """Basis index of every degree-n bar cochain key, -1 for odd ones."""
+    apar = np.array([ualg.parity(m) for m in ualg.aug_basis()], dtype=np.int64)
+    mpar = np.array([rep.space.parity(m) for m in range(rep.dim)],
+                    dtype=np.int64)
     par = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         par = (par[:, None] + apar[None, :]).ravel() % 2
@@ -290,6 +289,53 @@ def _bar_lookup(apar, mpar, n):
     out = np.cumsum(even) - 1
     out[~even] = -1
     return out
+
+
+def _bar_action(ualg, rep, aug):
+    """The action matrices of the u(g)^+ basis, stacked: (|aug|, dim M, dim M)."""
+    act = np.zeros((len(aug), rep.dim, rep.dim), dtype=np.int64)
+    for k, m in enumerate(aug):
+        act[k] = ualg.action_matrix(rep, m)
+    return act
+
+
+def is_bar_2cocycle(bar, cvec):
+    """Whether the 2-cochain ``cvec`` of the bar complex ``bar`` is a cocycle:
+
+        s_1 . c(s_2, s_3) - c(s_1 s_2, s_3) + c(s_1, s_2 s_3) = 0
+
+    for all aug-ideal monomials s_1, s_2, s_3 (the rows of the bar d2).  The
+    three terms come from the aug x aug product table and the action
+    matrices, one s_1 slice at a time, so the check holds O(|aug|^2 dim M)
+    numbers and d2 is never assembled."""
+    ualg, rep, p = bar.ualg, bar.rep, bar.g.p
+    aug = ualg.aug_basis()
+    A, D = len(aug), rep.dim
+    even = _bar_lookup(ualg, rep, 2) >= 0
+    if len(cvec) != int(even.sum()):
+        raise UsageError("cochain coordinate length mismatch")
+    c = np.zeros(A * A * D, dtype=np.int64)
+    c[even] = np.asarray(cvec, dtype=np.int64) % p
+    c = c.reshape(A, A, D)
+    act = _bar_action(ualg, rep, aug)
+    a, b, w, coef = _aug_product_table(ualg, aug)
+    # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
+    bounds = np.searchsorted(a, np.arange(A + 1))
+    pair = a * A + b
+    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+    for s1 in range(A):
+        out = c @ act[s1].T
+        lo, hi = bounds[s1], bounds[s1 + 1]
+        if hi > lo:
+            runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
+            out[b[lo:hi][runs]] -= np.add.reduceat(
+                coef[lo:hi, None, None] * c[w[lo:hi]], runs)
+        if pair.size:
+            out.reshape(A * A, D)[pair[first]] += np.add.reduceat(
+                coef[:, None] * c[s1, w], first)
+        if (out % p).any():
+            return False
+    return True
 
 
 def _aug_product_table(ualg, aug):

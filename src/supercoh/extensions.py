@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _complex, comparison_matrix, eval_lie_cochain,
-    lie_cochain_matrix,
+    CochainComplex, _aug_product_table, _bar_lookup, _complex,
+    comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
-    DifferentUnderlyingError, NoSolutionError, NotACocycleError, UsageError,
-    ValidationError, ValueNotInvariantError,
+    DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
+    NotACocycleError, UsageError, ValidationError, ValueNotInvariantError,
 )
 from .gflin import MatGF, nullspace, solve
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
@@ -368,7 +368,7 @@ def restricted_ext_from_assoc_2cocycle(g, rep, cvec, bar=None):
     cb = bar.basis(2)
     if len(cvec) != cb.dim:
         raise UsageError("cochain coordinate length mismatch")
-    if any(bar.d(2).matvec(cvec)):
+    if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("not a bar 2-cocycle")
     ext = _algebra_ext(lie, comparison_matrix(bar, lie, 2).matvec(cvec))
     r = {}
@@ -408,6 +408,18 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
 
     where psi' extends the section monomial-by-monomial into u(E), phi' is
     the induced projection u(E) -> u(g), and gamma collapses u(E)M onto M.
+
+    Only the generator rows c(x, v) are computed this way.  Every other
+    aug monomial is u = x u' on the nose, with x its first generator, so the
+    cocycle identity x.c(u', v) - c(u, v) + c(x, u'v) = 0 fills its row
+
+        c(u, v) = x.c(u', v) + sum_w P[u', v -> w] c(x, w)
+
+    in (degree, lex) order from the aug x aug product table P.  The result
+    is checked to be a cocycle (``is_bar_2cocycle``) and to read back the
+    extension through the section: its antisymmetrization on g is the
+    M-part of [psi x_i, psi x_j] - psi [x_i, x_j], and c(x^{p-1}, x) that of
+    psi(x)^[p] - psi(x^[p]) for even basis x.
     """
     g, rep = ext.g, ext.rep
     p = ext.p
@@ -422,30 +434,73 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
     section_vectors = psi_image(ext) if section is None else section
     psi_images = [uE.from_vector(v) for v in section_vectors]
     psi_prime = linear_section_extend(ualg, uE, psi_images)
-    cb = bar.basis(2)
-    aug = cb.aug
-    cvec = [0] * cb.dim
-    for iu, mu in enumerate(aug):
-        pu = psi_prime.images[mu]
+    aug = ualg.aug_basis()
+    index = {m: k for k, m in enumerate(aug)}
+
+    def power(i, e):
+        # the aug index of x_i^e
+        return index[tuple(e * int(k == ualg.pos_of[i]) for k in range(g.dim))]
+
+    gens = [power(i, 1) for i in range(g.dim)]
+    c = np.zeros((len(aug), len(aug), rep.dim), dtype=np.int64)
+    for ix in gens:
+        px = psi_prime.images[aug[ix]]
         for iv, mv in enumerate(aug):
-            pv = psi_prime.images[mv]
-            prod_g = ualg.monomial_product(mu, mv)
             corr = uE.zero()
-            for mono, c in prod_g.items():
+            for mono, coef in ualg.monomial_product(aug[ix], mv).items():
                 if mono == ualg.unit_monomial():
                     raise UsageError("aug-ideal product hit the unit")
-                corr = corr + psi_prime.images[mono].scaled(c)
-            w = uE.multiply(pu, pv) - corr
-            val = gamma_map(uE, ualg, layout, rep, w)
-            for nu, c in enumerate(val):
-                if c:
-                    col = cb.index.get(((iu, iv), nu))
-                    if col is None:
-                        raise UsageError("extracted cochain breaks parity")
-                    cvec[col] = int(c)
-    if any(bar.d(2).matvec(cvec)):
+                corr = corr + psi_prime.images[mono].scaled(coef)
+            elt = uE.multiply(px, psi_prime.images[mv]) - corr
+            c[ix, iv] = gamma_map(uE, ualg, layout, rep, elt)
+    a, b, w, coef = _aug_product_table(ualg, aug)
+    bounds = np.searchsorted(a, np.arange(len(aug) + 1))
+    for iu, mu in enumerate(aug):
+        if sum(mu) == 1:
+            continue
+        pos = next(k for k, e in enumerate(mu) if e)
+        rest = index[mu[:pos] + (mu[pos] - 1,) + mu[pos + 1:]]
+        ix = gens[ualg.gen_order[pos]]
+        row = c[rest] @ ualg.action_matrix(rep, aug[ix]).T
+        lo, hi = bounds[rest], bounds[rest + 1]
+        np.add.at(row, b[lo:hi], coef[lo:hi, None] * c[ix, w[lo:hi]])
+        c[iu] = row % p
+    flat = c.ravel()
+    even = _bar_lookup(ualg, rep, 2) >= 0
+    if flat[~even].any():
+        raise UsageError("extracted cochain breaks parity")
+    cvec = tuple(flat[even].tolist())
+    if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")
-    return tuple(cvec)
+    _check_readback(ext, c, power, section_vectors)
+    return cvec
+
+
+def _check_readback(ext, c, power, section_vectors):
+    """Raise unless the bar 2-cochain c, as an (aug, aug, M) array, gives
+    back the bracket and p-map of ``ext`` through the section it was
+    extracted with; ``power(i, e)`` is the aug index of x_i^e."""
+    g, p, layout = ext.g, ext.p, ext.layout
+    sec = np.array(section_vectors, dtype=np.int64) % p
+
+    def defect(e_vec, g_vec):
+        # M-part of e_vec - psi(g_vec)
+        return layout.project_m((e_vec - np.asarray(g_vec) @ sec) % p)
+
+    for i in range(g.dim):
+        for j in range(g.dim):
+            sign = -1 if g.parity(i) and g.parity(j) else 1
+            want = defect(ext.E.bracket(sec[i], sec[j]), g.brackets[i, j])
+            xi, xj = power(i, 1), power(j, 1)
+            got = c[xi, xj] - sign * c[xj, xi]
+            if ((got - want) % p).any():
+                raise InvariantViolationError(
+                    f"extracted cochain misreads the bracket on ({i}, {j})")
+    for idx in g.space.even_indices():
+        want = defect(pmap_apply(ext.E, sec[idx]), g.pmap_basis(idx))
+        if ((c[power(idx, p - 1), power(idx, 1)] - want) % p).any():
+            raise InvariantViolationError(
+                f"extracted cochain misreads the p-map on {idx}")
 
 
 # ---------------------------------------------------------------------------

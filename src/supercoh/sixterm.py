@@ -10,8 +10,8 @@ each node is decided by comparing canonical echelon subspaces.
 H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
 H^2_* is not: its bar 2-cocycles are spanned by the coboundaries, the bar
 cocycles of the twisted extensions behind fg, and bar cocycles of
-restricted extensions lifting ker phi (Hochschild's description), so the
-nullspace of the bar d2 is never computed for a report.  The dimensions of
+restricted extensions lifting ker phi (Hochschild's description), so a
+report neither builds the bar d2 nor computes its nullspace.  The dimensions of
 H^1_* and H^2_* are checked against ``pair_model``, the Lie-side (f, w)
 pair complex C^0 -> C^1 -> C^2 + M^{n_even}.
 """
@@ -52,10 +52,10 @@ class SixTermContext:
     cocycles (``fg_cocycles``) are those of the twisted extensions
     s0 - sigma, and a lift is the bar cocycle of E_f with the p-map of
     ``restricted_structure_from_lie_2cocycle``, for f running over a basis
-    of ker phi.  Every extracted cocycle is checked against the bar d2, and
-    dim Z^2_* - dim B^2_* must equal that of ``pair[1]``, so Z^2_* is
-    the kernel of d2 and the canonical representatives are those of
-    ``restricted_cohomology(g, M, 2)``.
+    of ker phi.  Every extracted cocycle is checked by ``is_bar_2cocycle``,
+    so the bar d2 is never assembled, and dim Z^2_* - dim B^2_* must equal
+    that of ``pair[1]``, so Z^2_* is the kernel of d2 and the canonical
+    representatives are those of ``restricted_cohomology(g, M, 2)``.
     """
 
     def __init__(self, g, rep):

@@ -471,3 +471,38 @@ def bar_differential_rows(ualg, rep, n):
                 row[col] = (row.get(col, 0) + sign * int(c)) % p
         rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the bar 2-cocycle of a restricted extension, every entry by the formula
+# ---------------------------------------------------------------------------
+
+def bar_cocycle_of_extension(ext, bar, section=None):
+    """c(u, v) = gamma(psi'(u) psi'(v) - psi'(uv)) for every pair of aug
+    monomials u, v, in ``bar``'s 2-cochain coordinates: |aug|^2 products
+    in u(E), with no use of the cocycle identity."""
+    from supercoh.envelope import UAlgebra, gamma_map, linear_section_extend
+    from supercoh.extensions import psi_image
+
+    g, rep, layout = ext.g, ext.rep, ext.layout
+    ualg = bar.ualg
+    gen_order = ([layout.g_to_e(i) for i in range(g.dim)]
+                 + [layout.m_to_e(j) for j in range(rep.dim)])
+    uE = UAlgebra(ext.E, restricted=True, gen_order=gen_order)
+    section_vectors = psi_image(ext) if section is None else section
+    psi_prime = linear_section_extend(
+        ualg, uE, [uE.from_vector(v) for v in section_vectors])
+    cb = bar.basis(2)
+    unit = ualg.unit_monomial()
+    cvec = [0] * cb.dim
+    for iu, mu in enumerate(cb.aug):
+        for iv, mv in enumerate(cb.aug):
+            corr = uE.zero()
+            for mono, c in ualg.monomial_product(mu, mv).items():
+                assert mono != unit, "aug-ideal product hit the unit"
+                corr = corr + psi_prime.images[mono].scaled(c)
+            w = uE.multiply(psi_prime.images[mu], psi_prime.images[mv]) - corr
+            for nu, c in enumerate(gamma_map(uE, ualg, layout, rep, w)):
+                if c:
+                    cvec[cb.index[((iu, iv), nu)]] = int(c)
+    return tuple(cvec)

@@ -1,7 +1,8 @@
 """The benchmark's own gates, run on this tree: its machinery selftest and
-one short traced catalog pass.  The traced pass checks every unit's payload
-digest and that each function the benchmark traces is still wrapped and
-still reached, so renaming or moving a traced function fails here."""
+one short traced pass each of catalog and semidirect4.  A traced pass
+checks every unit's payload digest and that each function the benchmark
+traces is still wrapped and still reached, so renaming or moving a traced
+function fails here."""
 
 import subprocess
 import sys
@@ -10,11 +11,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _passes(args):
+    done = subprocess.run([sys.executable, *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, (args, done.stdout[-2000:],
+                                  done.stderr[-2000:])
+
+
+def _traced(workload):
+    return ["perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0.5", "--trace", "1"]
+
+
 def test_benchmark_selftest_and_traced_catalog_pass():
-    for args in (["perfbench/selftest.py"],
-                 ["perfbench/run.py", "--workload", "catalog", "--seed", "1",
-                  "--seconds", "0.5", "--trace", "1"]):
-        done = subprocess.run([sys.executable, *args], cwd=ROOT,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, (args, done.stdout[-2000:],
-                                      done.stderr[-2000:])
+    _passes(["perfbench/selftest.py"])
+    _passes(_traced("catalog"))
+
+
+def test_benchmark_traced_semidirect4_pass():
+    """The one workload whose units extract bar cocycles on an algebra of
+    dim 4 (four fg twists): its digest pins that extraction."""
+    _passes(_traced("semidirect4"))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -6,12 +7,12 @@ import pytest
 
 from supercoh.cohomology import (
     CochainComplex, assoc_cochain_basis, assoc_differential_matrix,
-    comparison_matrix, eval_lie_cochain, lie_cochain_basis,
+    comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_basis,
     lie_differential_matrix, lie_cohomology, restricted_cohomology, sgn_marked,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
-from supercoh.gflin import MatGF
+from supercoh.gflin import MatGF, nullspace
 from supercoh.sixterm import pair_model
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
@@ -202,6 +203,42 @@ def test_bar_differential_matches_row_oracle(loaded_catalog):
             rows = bar_differential_rows(u, rep, n)
             want = MatGF.from_rows(rows, assoc_cochain_basis(u, rep.space, n).dim, g.p)
             assert assoc_differential_matrix(u, rep, n) == want, (label, n)
+
+
+def test_is_bar_2cocycle_agrees_with_the_d2(loaded_catalog):
+    """The d2-free cocycle check says yes exactly when the assembled bar d2
+    kills the cochain: on random cochains, d1-images, Ker d2 vectors and
+    Ker d2 vectors with one entry changed, over every catalog module and
+    the adjoint modules of the entries with odd generators (rho != 0, odd
+    module coordinates)."""
+    rng = random.Random(8)
+    cases = []
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        cases += [(f"{entry_id}:{name}", g, rep) for name, rep in modules.items()]
+        if g.space.odd_indices():
+            cases.append((f"{entry_id}:adjoint", g, adjoint_module(g)))
+    verdicts = collections.Counter()
+    for label, g, rep in cases:
+        p = g.p
+        bar = CochainComplex(g, rep, "bar")
+        d1, d2 = bar.d(1), bar.d(2)
+        n1, n2 = bar.basis(1).dim, bar.basis(2).dim
+        vecs = [[rng.randrange(p) for _ in range(n2)] for _ in range(2)]
+        vecs += [d1.matvec([rng.randrange(p) for _ in range(n1)])
+                 for _ in range(2)]
+        for z in nullspace(d2).basis_rows[:3]:
+            vecs.append(z)
+            bent = list(z)
+            k = rng.randrange(n2)
+            bent[k] = (bent[k] + 1) % p
+            vecs.append(bent)
+        for c in vecs:
+            want = not any(d2.matvec(c))
+            assert is_bar_2cocycle(bar, c) == want, label
+            verdicts[(want, bool(rep.space.odd_indices()))] += 1
+    assert set(verdicts) == {(a, b) for a in (True, False) for b in (True, False)}
+    with pytest.raises(UsageError, match="length"):
+        is_bar_2cocycle(bar, [0] * (n2 + 1))
 
 
 def test_bar_differential_invariant_checks(loaded_catalog):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import numpy as np
@@ -8,8 +9,8 @@ from supercoh.cohomology import (
     lie_differential_matrix, lie_cohomology, restricted_cohomology,
 )
 from supercoh.errors import (
-    DifferentUnderlyingError, NoSolutionError, NotACocycleError,
-    ValueNotInvariantError,
+    DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
+    NotACocycleError, UsageError, ValueNotInvariantError,
 )
 from supercoh.extensions import (
     algebra_ext_from_2cocycle, are_equivalent_restricted,
@@ -23,11 +24,12 @@ from supercoh.gflin import nullspace
 from supercoh.sixterm import pair_model
 from supercoh.superalg import (
     LieSuperAlgebra, Representation, SemiLinearMap, SuperSpace,
-    adjoint_module, hom_module, hom_module_units, invariants, trivial_module,
-    validate_module, validate_pmap,
+    adjoint_module, hom_module, hom_module_units, invariants, semidirect,
+    trivial_module, validate_module, validate_pmap,
 )
 
 from conftest import fixture_algebra
+from oracles import bar_cocycle_of_extension
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +353,16 @@ def test_bar_cocycle_of_trivial_extension_is_trivial_class(loaded_catalog):
         assert all(v == 0 for v in h2s.class_coords(c)), entry_id
 
 
+def _random_section_shift(g, rep, rng):
+    """A random even linear map g -> M as a (dim M) x (dim g) matrix."""
+    theta = np.zeros((rep.dim, g.dim), dtype=np.int64)
+    for j in range(rep.dim):
+        for i in range(g.dim):
+            if rep.space.parity(j) == g.parity(i):
+                theta[j, i] = rng.randrange(g.p)
+    return theta
+
+
 def test_bar_extraction_section_independence(loaded_catalog):
     """Perturbing the section by a random even linear map g -> M must not
     change the extracted cohomology class."""
@@ -363,14 +375,115 @@ def test_bar_extraction_section_independence(loaded_catalog):
         s0 = semidirect_extension(g, rep)
         base = assoc_2cocycle_from_restricted_ext(s0, bar)
         for _ in range(3):
-            theta = np.zeros((rep.dim, g.dim), dtype=np.int64)
-            for j in range(rep.dim):
-                for i in range(g.dim):
-                    if rep.space.parity(j) == g.parity(i):
-                        theta[j, i] = rng.randrange(g.p)
+            theta = _random_section_shift(g, rep, rng)
             pert = assoc_2cocycle_from_restricted_ext(
                 s0, bar, section=psi_image(s0, perturbation=theta))
             assert h2s.class_coords(base) == h2s.class_coords(pert), entry_id
+
+
+def test_bar_extraction_matches_the_gamma_oracle(loaded_catalog):
+    """The extraction, which fills all but the generator rows from the
+    cocycle identity, is byte-equal to the entry-by-entry gamma formula
+    (``oracles.bar_cocycle_of_extension``) for s0 under random perturbed
+    sections and for the round trips of restricted_ext_from_assoc_2cocycle
+    on H^2_* representatives and coboundaries, over every module of every
+    catalog entry."""
+    rng = random.Random(17)
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        for name, rep in modules.items():
+            bar = CochainComplex(g, rep, "bar")
+            s0 = semidirect_extension(g, rep)
+            for _ in range(2):
+                sec = psi_image(s0, _random_section_shift(g, rep, rng))
+                assert assoc_2cocycle_from_restricted_ext(s0, bar, sec) == \
+                    bar_cocycle_of_extension(s0, bar, sec), (entry_id, name)
+            h = [rng.randrange(g.p) for _ in range(bar.basis(1).dim)]
+            cocycles = [bar.d(1).matvec(h)]
+            cocycles += restricted_cohomology(g, rep, 2, bar).representatives
+            for c0 in cocycles:
+                ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+                assert assoc_2cocycle_from_restricted_ext(ext, bar) == \
+                    bar_cocycle_of_extension(ext, bar), (entry_id, name)
+
+
+def test_bar_extraction_evaluates_gamma_on_generator_rows_only(
+        loaded_catalog, monkeypatch):
+    """One extraction collapses g.dim x |aug| products, one per entry of a
+    generator row: 320 on a4-borel-adjoint |x adjoint (dim 4, |aug| = 80)."""
+    import supercoh.extensions as extensions
+    calls = [0]
+
+    def counted(*args, _real=extensions.gamma_map):
+        calls[0] += 1
+        return _real(*args)
+    monkeypatch.setattr(extensions, "gamma_map", counted)
+    g, modules = loaded_catalog["a4-borel-adjoint"][1:]
+    E, _ = semidirect(g, modules["adjoint"])
+    for g, rep in ((g, modules["adjoint"]), (E, trivial_module(E))):
+        bar = CochainComplex(g, rep, "bar")
+        calls[0] = 0
+        assoc_2cocycle_from_restricted_ext(semidirect_extension(g, rep), bar)
+        assert calls[0] == g.dim * len(bar.ualg.aug_basis())
+    assert calls[0] == 320
+
+
+def test_bar_extraction_catches_a_corrupted_generator_row(loaded_catalog,
+                                                          monkeypatch):
+    """Add 1 to one coordinate of one generator-row entry, every entry in
+    turn.  A change that breaks the cocycle identity raises
+    NotACocycleError; one that keeps a cocycle but changes the extension
+    fails the readback of bracket and p-map; whatever is returned is in the
+    class of the uncorrupted cocycle; a change off the cochain's parity is
+    rejected as such."""
+    import supercoh.extensions as extensions
+    real = extensions.gamma_map
+    outcomes = collections.Counter()
+    for entry_id in ("a4-borel-dual", "a6-abelian-plane", "a7-mixed-line"):
+        g, rep = fixture_algebra(loaded_catalog, entry_id)
+        bar = CochainComplex(g, rep, "bar")
+        h2s = restricted_cohomology(g, rep, 2, bar)
+        s0 = semidirect_extension(g, rep)
+        exts = [s0] + [restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+                       for c0 in h2s.representatives]
+        for ext in exts:
+            want = h2s.class_coords(assoc_2cocycle_from_restricted_ext(ext, bar))
+            for k in range(g.dim * len(bar.ualg.aug_basis())):
+                for nu in range(rep.dim):
+                    seen = [0]
+
+                    def corrupted(*args, k=k, nu=nu, seen=seen):
+                        out = real(*args)
+                        if seen[0] == k:
+                            out = out.copy()
+                            out[nu] = (out[nu] + 1) % g.p
+                        seen[0] += 1
+                        return out
+                    monkeypatch.setattr(extensions, "gamma_map", corrupted)
+                    try:
+                        got = assoc_2cocycle_from_restricted_ext(ext, bar)
+                    except NotACocycleError:
+                        outcomes["not a cocycle"] += 1
+                    except InvariantViolationError as err:
+                        assert "misreads" in str(err)
+                        outcomes["readback"] += 1
+                    except UsageError as err:
+                        assert "parity" in str(err)
+                        outcomes["parity"] += 1
+                    else:
+                        assert h2s.class_coords(got) == want, entry_id
+                        outcomes["same class"] += 1
+    assert set(outcomes) == {"not a cocycle", "readback", "parity", "same class"}
+
+
+def test_bar_ext_rejects_non_cocycle(loaded_catalog):
+    """restricted_ext_from_assoc_2cocycle refuses a cochain off Ker d2."""
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    bar = CochainComplex(g, k, "bar")
+    c0 = list(restricted_cohomology(g, k, 2, bar).representatives[0])
+    c0[0] = (c0[0] + 1) % g.p
+    assert any(bar.d(2).matvec(c0))
+    with pytest.raises(NotACocycleError):
+        restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
 
 
 def test_bar_ext_pmap_formula(loaded_catalog):

@@ -21,6 +21,7 @@ from supercoh.superalg import (
 )
 
 from conftest import fixture_algebra
+from oracles import bar_cocycle_of_extension
 
 EXPECTED = {
     "a1-null": (1, 1, 1, 1, 0, 0),
@@ -164,14 +165,14 @@ def test_phi_representative_independence(loaded_catalog):
 
 
 def test_each_differential_built_once(loaded_catalog, monkeypatch):
-    """One report builds each (kind, degree) differential exactly once.  On
-    a4-borel (S != 0) that includes the bar d2, which checks every cocycle
-    extracted for fg and H^2_* but whose nullspace is never taken.
-    Cochain bases come from the report's complexes only: the bar
-    differential numbers its cochains without building a basis, so the bar
-    bases are those of degrees 1 and 2, once each, and the Lie count does
-    not grow with the number of obstruction cocycles phi reads
-    (a9-borel-semidirect: 3 even basis elements, dim H^2 = 1)."""
+    """One report builds each (kind, degree) differential exactly once, and
+    no bar d2 even on a4-borel (S != 0), where the cocycles extracted for
+    fg are checked without it.  Cochain bases come from the report's
+    complexes only: the bar differential numbers its cochains without
+    building a basis, so the bar bases are those of degrees 1 and 2, once
+    each, and the Lie count does not grow with the number of obstruction
+    cocycles phi reads (a9-borel-semidirect: 3 even basis elements,
+    dim H^2 = 1)."""
     import sys
     import supercoh.cohomology as cohomology
     built = collections.Counter()
@@ -195,7 +196,8 @@ def test_each_differential_built_once(loaded_catalog, monkeypatch):
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     report = build_six_term(g, k)
     assert report.maps["fg"].rows and report.maps["fg"].cols  # S != 0
-    assert built == {(kind, n): 1 for kind in ("bar", "lie") for n in (0, 1, 2)}
+    assert built == {**{("bar", n): 1 for n in (0, 1)},
+                     **{("lie", n): 1 for n in (0, 1, 2)}}
     assert sorted(bases["assoc_cochain_basis"]) == [1, 2]
     borel_bases = len(bases["lie_cochain_basis"])
     bases["lie_cochain_basis"].clear()
@@ -232,13 +234,24 @@ def test_fuzzed_semidirect_six_term(small_catalog):
         assert report.all_exact, report.summary()
 
 
-def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
+def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
+                                         monkeypatch):
     """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
     ker-phi lifts, has the Z, B and representatives of the bar complex's
     Ker d2 / Im d1, and the pair model has its dimension and that of the
     bar complex's H^1_*: on every catalog entry, the fuzzed semidirect
     products of the test above, and g |x ad(g) with trivial module for
-    every catalog algebra of dim <= 2."""
+    every catalog algebra of dim <= 2.  Every cocycle the report extracts,
+    fg twist or ker-phi lift, is byte-equal to the one computed entry by
+    entry from gamma (``oracles.bar_cocycle_of_extension``)."""
+    import supercoh.extensions as extensions
+    extracted = []
+
+    def recorded(ext, bar, _real=extensions.assoc_2cocycle_from_restricted_ext):
+        extracted.append((ext, bar, _real(ext, bar)))
+        return extracted[-1][2]
+    monkeypatch.setattr(extensions, "assoc_2cocycle_from_restricted_ext",
+                        recorded)
     pairs = [(entry_id, g, modules[e.module_name])
              for entry_id, (e, g, modules) in loaded_catalog.items()]
     pairs += [(f"sd-{entry_id}", E, trivial_module(E))
@@ -252,6 +265,7 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
             pairs.append((f"{entry_id} |x ad", E, trivial_module(E)))
     lifted = set()
     for name, g, rep in pairs:
+        extracted.clear()
         ctx = SixTermContext(g, rep)
         bar = restricted_cohomology(g, rep, 2, ctx.bar)
         assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
@@ -260,6 +274,9 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog):
         assert h1s.dim_h == restricted_cohomology(g, rep, 1, ctx.bar).dim_h, name
         if nullspace(ctx.phi).dim:
             lifted.add(name)
+        assert len(extracted) == len(ctx.s1_pairs) + nullspace(ctx.phi).dim
+        for ext, cx, cvec in extracted:
+            assert cvec == bar_cocycle_of_extension(ext, cx), name
     assert {"a5-odd-line", "a6-abelian-plane"} <= lifted
 
 
@@ -311,26 +328,17 @@ def test_report_checks_h1s_against_the_pair_model(loaded_catalog, monkeypatch):
 
 
 def test_report_never_eliminates_the_bar_d2(loaded_catalog, monkeypatch):
-    """A report builds the bar d2 only to check the cocycles it extracts
-    and never takes its nullspace; with S = 0 and ker phi = 0
-    (a4-borel-adjoint) it does not build it at all."""
-    import sys
+    """A report builds no bar d2, so it cannot eliminate it: neither with
+    S = 0 and ker phi = 0 (a4-borel-adjoint) nor with S != 0 (a4-borel),
+    where the extracted fg cocycles are checked without d2, nor on any
+    other catalog entry or on a4-borel-adjoint |x adjoint (dim S = 4)."""
     import supercoh.cohomology as cohomology
-    import supercoh.gflin as gflin
-    built, eliminated = {}, []
+    built = {}
 
     def counted(ualg, rep, n, _real=cohomology.assoc_differential_matrix):
         built[n] = _real(ualg, rep, n)
         return built[n]
-
-    def recorded(m, _real=gflin.nullspace):
-        eliminated.append(m)
-        return _real(m)
     monkeypatch.setattr(cohomology, "assoc_differential_matrix", counted)
-    for name, mod in list(sys.modules.items()):
-        if (name == "supercoh" or name.startswith("supercoh.")) and \
-                getattr(mod, "nullspace", None) is gflin.nullspace:
-            monkeypatch.setattr(mod, "nullspace", recorded)
     e, g, modules = loaded_catalog["a4-borel-adjoint"]
     report = build_six_term(g, modules["adjoint"])
     assert report.dims[2] == 0 and report.all_exact
@@ -338,8 +346,15 @@ def test_report_never_eliminates_the_bar_d2(loaded_catalog, monkeypatch):
     built.clear()
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     report = build_six_term(g, k)
-    assert report.dims[2] == 2 and sorted(built) == [0, 1, 2]
-    assert not any(m is built[2] for m in eliminated)
+    assert report.dims[2] == 2 and sorted(built) == [0, 1]
+    built.clear()
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        build_six_term(g, modules[e.module_name])
+        assert sorted(built) == [0, 1], entry_id
+    g, modules = loaded_catalog["a4-borel-adjoint"][1:]
+    E, _ = semidirect(g, modules["adjoint"])
+    report = build_six_term(E, trivial_module(E))
+    assert report.dims[2] == 4 and sorted(built) == [0, 1]
 
 
 def test_report_summary_and_sizes(loaded_catalog):
