@@ -254,7 +254,7 @@ def assoc_differential_matrix(ualg, rep, n):
     # row (pre, a, b, suf, nu), column (pre, w, suf, nu); axes (pre, term, suf, nu)
     if n:
         a, b, w, c = (x[None, :, None, None]
-                      for x in _aug_product_table(ualg, aug))
+                      for x in ualg.aug_product_table())
         for i in range(1, n + 1):
             pre = np.arange(A ** (i - 1), dtype=np.int64)[:, None, None, None]
             tail = (np.arange(A ** (n - i), dtype=np.int64)[:, None] * D
@@ -318,7 +318,7 @@ def is_bar_2cocycle(bar, cvec):
     c[even] = np.asarray(cvec, dtype=np.int64) % p
     c = c.reshape(A, A, D)
     act = _bar_action(ualg, rep, aug)
-    a, b, w, coef = _aug_product_table(ualg, aug)
+    a, b, w, coef = ualg.aug_product_table()
     # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
     bounds = np.searchsorted(a, np.arange(A + 1))
     pair = a * A + b
@@ -336,22 +336,6 @@ def is_bar_2cocycle(bar, cvec):
         if (out % p).any():
             return False
     return True
-
-
-def _aug_product_table(ualg, aug):
-    """The products of u(g)^+ basis pairs as COO arrays (a, b, w, c):
-    aug[a] aug[b] = sum c aug[w]."""
-    index = {m: k for k, m in enumerate(aug)}
-    index[ualg.unit_monomial()] = -1
-    prods = [ualg.monomial_product(ma, mb) for ma in aug for mb in aug]
-    pair = np.repeat(np.arange(len(prods), dtype=np.int64),
-                     [len(prod) for prod in prods])
-    w = np.array([index[m] for prod in prods for m in prod], dtype=np.int64)
-    c = np.array([v for prod in prods for v in prod.values()], dtype=np.int64)
-    if (w < 0).any():
-        raise InvariantViolationError(
-            "product of augmentation-ideal elements hit the unit")
-    return pair // len(aug), pair % len(aug), w, c
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +418,9 @@ class CohomologyResult:
 
 
 def _make_result(n, kind, dim, Z, B):
-    R = Subspace.from_vectors(quotient_representatives(Z, B), dim, Z.p)
+    # the representatives are the Z rows at the pivots B lacks
+    R = Subspace(dim, Z.p, quotient_representatives(Z, B),
+                 sorted(set(Z.pivots) - set(B.pivots)))
     return CohomologyResult(n, kind, dim, Z, B, R)
 
 

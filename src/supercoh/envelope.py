@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeOverflowError, NotInIdealError, UsageError
+from .errors import (
+    DegreeOverflowError, InvariantViolationError, NotInIdealError, UsageError,
+)
 from .gflin import matpow
 from .superalg import EVEN, ODD
 
@@ -125,6 +127,7 @@ class UAlgebra:
         self._norm = {}
         self._prod = {}
         self._basis = None
+        self._table = None
         self._action = {}
 
     # -- basic vocabulary ---------------------------------------------------
@@ -270,6 +273,78 @@ class UAlgebra:
         self._prod[key] = out
         return out
 
+    def aug_product_table(self):
+        """The products of u(g)^+ basis pairs as read-only COO arrays
+        (a, b, w, c), sorted by (a, b, w): aug[a] aug[b] = sum c aug[w].
+
+        Built once per algebra from the left multiplications
+        L_k : m -> x_k m by the generators, g.dim x |aug| straightenings.
+        Every aug monomial is u = x_k u' on the nose, with x_k its first
+        generator, so the row of u is L_k applied to the row of u' (the
+        identity when u' = 1).  The rows are filled one degree at a time by
+        sparse joins, so beside the table only the join of one degree is
+        held, never a dense |aug|^3 array.  A product of aug-ideal elements
+        with a unit component would be a straightening bug and raises."""
+        if self._table is None:
+            self._table = self._build_product_table()
+        return self._table
+
+    def _build_product_table(self):
+        # pbw_basis indices throughout; basis[0] is the unit, whose row (the
+        # identity on the aug monomials) starts the recursion
+        basis = self.pbw_basis()
+        N, p, n = len(basis), self.p, self.ngen
+        index = {m: i for i, m in enumerate(basis)}
+        src, dst, val = [], [], []  # x_k basis[s] = sum val basis[dst]
+        for k in range(n):
+            x = tuple(int(j == k) for j in range(n))
+            for s in range(1, N):
+                for m, c in self.monomial_product(x, basis[s]).items():
+                    src.append(k * N + s)
+                    dst.append(index[m])
+                    val.append(c)
+        src, dst, val = (np.array(t, dtype=np.int64) for t in (src, dst, val))
+        if (dst == 0).any():
+            raise InvariantViolationError(
+                "product of augmentation-ideal elements hit the unit")
+        lstart = np.searchsorted(src, np.arange(n * N + 1))
+        first = [next(k for k, e in enumerate(m) if e) for m in basis[1:]]
+        first = np.array([0] + first, dtype=np.int64)
+        rest = np.array([0] + [index[m[:k] + (m[k] - 1,) + m[k + 1:]]
+                               for k, m in zip(first[1:].tolist(), basis[1:])],
+                        dtype=np.int64)
+        deg = np.array([sum(m) for m in basis], dtype=np.int64)
+        aug = np.arange(1, N, dtype=np.int64)
+        rows = [(np.zeros(N - 1, dtype=np.int64), aug, aug,
+                 np.ones(N - 1, dtype=np.int64))]
+        for d in range(1, int(deg[-1]) + 1):
+            # u = x_k u' with u' of degree d - 1: its row is the last one
+            # built, and u v = sum c x_k w' over the entries (v, w', c) of
+            # the row of u'
+            a, b, w, c = rows[-1]
+            bounds = np.searchsorted(a, np.arange(N + 1))
+            us = np.flatnonzero(deg == d)
+            r = rest[us]
+            own, pos = _runs(bounds[r], bounds[r + 1] - bounds[r])
+            u, v, w, c = us[own], b[pos], w[pos], c[pos]
+            key = first[u] * N + w
+            own, pos = _runs(lstart[key], lstart[key + 1] - lstart[key])
+            key = (u[own] * N + v[own]) * N + dst[pos]
+            c = c[own] * val[pos] % p
+            order = np.argsort(key)
+            key, c = key[order], c[order]
+            if key.size:
+                start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                key, c = key[start], np.add.reduceat(c, start) % p
+                key, c = key[c != 0], c[c != 0]
+            rows.append((key // (N * N), key // N % N, key % N, c))
+        a, b, w, c = (np.concatenate(t) for t in zip(*rows))
+        keep = a > 0
+        out = (a[keep] - 1, b[keep] - 1, w[keep] - 1, c[keep])
+        for t in out:
+            t.setflags(write=False)
+        return out
+
     def multiply(self, u, v):
         acc = {}
         p = self.p
@@ -323,6 +398,15 @@ class UAlgebra:
 def _accumulate(acc, terms, c, p):
     for m, v in terms.items():
         acc[m] = (acc.get(m, 0) + c * v) % p
+
+
+def _runs(starts, counts):
+    """(owner, position) of every element of the index runs
+    starts[i] .. starts[i] + counts[i] - 1, run by run."""
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    offset = np.arange(owner.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offset
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _aug_product_table, _bar_lookup, _complex,
+    CochainComplex, _bar_lookup, _complex,
     comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
@@ -443,18 +443,18 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
 
     gens = [power(i, 1) for i in range(g.dim)]
     c = np.zeros((len(aug), len(aug), rep.dim), dtype=np.int64)
+    a, b, w, coef = ualg.aug_product_table()
+    bounds = np.searchsorted(a, np.arange(len(aug) + 1))
     for ix in gens:
         px = psi_prime.images[aug[ix]]
+        corr = [uE.zero() for _ in aug]  # psi'(x v), v running over aug
+        lo, hi = bounds[ix], bounds[ix + 1]
+        for iv, iw, cw in zip(b[lo:hi].tolist(), w[lo:hi].tolist(),
+                              coef[lo:hi].tolist()):
+            corr[iv] = corr[iv] + psi_prime.images[aug[iw]].scaled(cw)
         for iv, mv in enumerate(aug):
-            corr = uE.zero()
-            for mono, coef in ualg.monomial_product(aug[ix], mv).items():
-                if mono == ualg.unit_monomial():
-                    raise UsageError("aug-ideal product hit the unit")
-                corr = corr + psi_prime.images[mono].scaled(coef)
-            elt = uE.multiply(px, psi_prime.images[mv]) - corr
+            elt = uE.multiply(px, psi_prime.images[mv]) - corr[iv]
             c[ix, iv] = gamma_map(uE, ualg, layout, rep, elt)
-    a, b, w, coef = _aug_product_table(ualg, aug)
-    bounds = np.searchsorted(a, np.arange(len(aug) + 1))
     for iu, mu in enumerate(aug):
         if sum(mu) == 1:
             continue

@@ -9,6 +9,12 @@ nonzero in a column), so inserting a pivot touches only the rows with an
 entry in its lead column.  The reduced row echelon form of a row space is
 unique, so every routine that derives its output from an RREF is
 deterministic by construction.
+
+A ``Subspace`` holds that canonical RREF basis as one read-only int64
+numpy array.  Its pivot columns form an identity block, so the
+coefficients of a vector on the basis are its pivot coordinates, and
+reducing, testing membership and taking coordinates are one product
+(``_mulmod``, which keeps every int64 sum below 2^63).
 """
 
 from __future__ import annotations
@@ -138,16 +144,6 @@ class Eliminator:
 
     def pivots(self):
         return sorted(self.rows)
-
-    def dense_rows(self):
-        """RREF rows as dense tuples, ordered by pivot column."""
-        out = []
-        for pc in sorted(self.rows):
-            dense = [0] * self.cols
-            for j, v in self.rows[pc].items():
-                dense[j] = v
-            out.append(tuple(dense))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +307,48 @@ class MatGF:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of GF(p)^n held by its canonical RREF basis rows."""
+    """A subspace of GF(p)^n held by its canonical RREF basis.
 
-    __slots__ = ("ambient_dim", "p", "basis_rows", "pivots")
+    ``rows`` is a read-only (dim, n) int64 array with entries in 0..p-1 and
+    ``pivots`` the pivot column of each row, increasing.  Because the rows
+    are in RREF (pivot entry 1, zero in every other pivot column), the
+    coefficients of a vector on the basis are its pivot coordinates, and
+    reducing vectors against the subspace is one product.  ``basis_rows``
+    gives the rows as tuples of Python ints, built on each call.
+    """
+
+    __slots__ = ("ambient_dim", "p", "rows", "pivots")
 
     def __init__(self, ambient_dim, p, basis_rows, pivots):
-        self.ambient_dim = ambient_dim
-        self.p = p
-        self.basis_rows = tuple(tuple(int(x) for x in r) for r in basis_rows)
-        self.pivots = tuple(int(x) for x in pivots)
+        """Raises ``UsageError`` unless ``basis_rows`` (reduced mod p) are in
+        RREF at ``pivots``: increasing pivots, each row zero before its
+        pivot, pivot entry 1 and zero in every other pivot column."""
+        check_modulus(p)
+        pivots = tuple(int(x) for x in pivots)
+        rows = (np.array(basis_rows, dtype=np.int64) % p if len(basis_rows)
+                else np.zeros((0, ambient_dim), dtype=np.int64))
+        if rows.shape != (len(pivots), ambient_dim):
+            raise UsageError(f"{len(pivots)} rows of length {ambient_dim} "
+                             f"expected, got shape {rows.shape}")
+        if pivots and (pivots[0] < 0 or pivots[-1] >= ambient_dim or
+                       any(x >= y for x, y in zip(pivots, pivots[1:]))):
+            raise UsageError("pivots must increase within the ambient space")
+        piv = np.array(pivots, dtype=np.int64)
+        if (rows[:, piv] != np.eye(len(pivots), dtype=np.int64)).any() or (
+                rows[np.arange(ambient_dim) < piv[:, None]]).any():
+            raise UsageError("basis rows are not in RREF at their pivots")
+        self._set(ambient_dim, p, rows, pivots)
+
+    def _set(self, ambient_dim, p, rows, pivots):
+        rows.setflags(write=False)
+        self.ambient_dim, self.p, self.rows, self.pivots = \
+            ambient_dim, p, rows, tuple(pivots)
+        return self
+
+    @classmethod
+    def _rref(cls, ambient_dim, p, rows, pivots):
+        """A subspace from rows the caller knows to be in RREF."""
+        return cls.__new__(cls)._set(ambient_dim, p, rows, pivots)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim, p):
@@ -331,24 +360,25 @@ class Subspace:
                 if not all(0 <= j < ambient_dim for j in v):
                     raise UsageError(f"vector coordinate out of bounds for "
                                      f"dimension {ambient_dim}")
-                items = v.items()
+                row = {}
+                for j, c in v.items():
+                    c = int(c) % p
+                    if c:
+                        row[int(j)] = c
             else:
-                if len(v) != ambient_dim:
+                v = np.asarray(v, dtype=np.int64)
+                if v.shape != (ambient_dim,):
                     raise UsageError("vector length mismatch")
-                items = enumerate(v)
-            row = {}
-            for j, c in items:
-                c = int(c) % p
-                if c:
-                    row[int(j)] = c
+                v = v % p
+                nz = np.flatnonzero(v)
+                row = dict(zip(nz.tolist(), v[nz].tolist()))
             elim.add(row)
-        # the eliminator's rows and pivots are Python ints already, so they
-        # skip the conversion __init__ applies to rows from outside
-        out = cls.__new__(cls)
-        out.ambient_dim, out.p = ambient_dim, p
-        out.basis_rows = tuple(elim.dense_rows())
-        out.pivots = tuple(elim.pivots())
-        return out
+        pivots = elim.pivots()
+        rows = np.zeros((len(pivots), ambient_dim), dtype=np.int64)
+        for i, pc in enumerate(pivots):
+            row = elim.rows[pc]
+            rows[i, list(row)] = list(row.values())
+        return cls._rref(ambient_dim, p, rows, pivots)
 
     @classmethod
     def zero(cls, ambient_dim, p):
@@ -358,56 +388,73 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim, p):
         check_modulus(p)
-        rows = []
-        for i in range(ambient_dim):
-            row = [0] * ambient_dim
-            row[i] = 1
-            rows.append(row)
-        return cls(ambient_dim, p, rows, range(ambient_dim))
+        return cls._rref(ambient_dim, p, np.eye(ambient_dim, dtype=np.int64),
+                         range(ambient_dim))
 
     @property
     def dim(self):
-        return len(self.basis_rows)
+        return len(self.pivots)
 
-    def _eliminate(self, vec):
-        """(residue, coefficients): vec with this subspace's pivot
-        coordinates eliminated, and the multiple of each basis row taken."""
-        if len(vec) != self.ambient_dim:
+    @property
+    def basis_rows(self):
+        """The basis rows as tuples of Python ints."""
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def _eliminate(self, vecs):
+        """(residues, coefficients) of the rows of a (k, n) array with
+        entries in 0..p-1: each row minus its pivot coordinates times the
+        basis, and those coordinates."""
+        cs = vecs[:, list(self.pivots)]
+        return (vecs - _mulmod(cs, self.rows, self.p)) % self.p, cs
+
+    def _vector(self, vec):
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.shape != (self.ambient_dim,):
             raise UsageError("vector length mismatch")
-        out = [int(x) % self.p for x in vec]
-        cs = []
-        for row, piv in zip(self.basis_rows, self.pivots):
-            c = out[piv]
-            cs.append(c)
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        out[j] = (out[j] - c * v) % self.p
-        return out, cs
+        return vec[None, :] % self.p
 
     def reduce(self, vec):
         """Residue of vec after eliminating this subspace's pivot coordinates."""
-        return tuple(self._eliminate(vec)[0])
+        return tuple(self._eliminate(self._vector(vec))[0][0].tolist())
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self._eliminate(self._vector(vec))[0].any()
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis, or None if outside."""
-        out, cs = self._eliminate(vec)
-        if any(out):
+        out, cs = self._eliminate(self._vector(vec))
+        if out.any():
             return None
-        return tuple(cs)
+        return tuple(cs[0].tolist())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.p == other.p and self.basis_rows == other.basis_rows)
+                and self.p == other.p and self.pivots == other.pivots
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.p, self.basis_rows))
+        return hash((self.ambient_dim, self.p, self.pivots, self.rows.tobytes()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of GF({self.p})^{self.ambient_dim})"
+
+
+def _mulmod(a, b, p):
+    """(a @ b) mod p for int64 arrays with entries in 0..p-1.
+
+    The inner dimension is summed in chunks of at most
+    (2^63 - p) // (p - 1)^2 terms, and the running sum is reduced mod p
+    after each, so no int64 accumulator exceeds 2^63 - 1 (one chunk for
+    p < 2^16 up to an inner dimension of 2^31)."""
+    step = (2 ** 63 - p) // (p - 1) ** 2
+    if step < 1:
+        raise UsageError(f"products mod {p} overflow int64")
+    out = a[:, :step] @ b[:step]
+    out %= p
+    for lo in range(step, a.shape[1], step):
+        out += a[:, lo:lo + step] @ b[lo:lo + step]
+        out %= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,39 +521,41 @@ def solve(m, rhs):
 
 
 def subspace_sum(a, b):
+    """a + b.  The smaller basis is reduced against the larger one and its
+    residues are eliminated; the larger basis is then cleared in their
+    pivot columns, so it is never eliminated again and, when b lies in a,
+    a itself is returned."""
     _check_pair(a, b)
-    return Subspace.from_vectors(list(a.basis_rows) + list(b.basis_rows),
-                                 a.ambient_dim, a.p)
+    if b.dim > a.dim:
+        a, b = b, a
+    p = a.p
+    res = Subspace.from_vectors(a._eliminate(b.rows)[0], a.ambient_dim, p)
+    if not res.dim:
+        return a
+    pivots = a.pivots + res.pivots
+    at = np.argsort(np.argsort(pivots))  # merged position of each row
+    rows = np.empty((len(pivots), a.ambient_dim), dtype=np.int64)
+    rows[at[:a.dim]] = a.rows
+    rows[at[a.dim:]] = res.rows
+    cs = a.rows[:, list(res.pivots)]
+    hit = np.flatnonzero(cs.any(axis=1))
+    rows[at[hit]] -= _mulmod(cs[hit], res.rows, p)
+    rows[at[hit]] %= p
+    return Subspace._rref(a.ambient_dim, p, rows, sorted(pivots))
 
 
 def subspace_intersect(a, b):
     """Intersection, via the kernel of the stacked-basis relation matrix."""
     _check_pair(a, b)
-    ra, rb = a.dim, b.dim
+    ra, rb, p = a.dim, b.dim, a.p
     if ra == 0 or rb == 0:
-        return Subspace.zero(a.ambient_dim, a.p)
+        return Subspace.zero(a.ambient_dim, p)
     # columns: coefficients (u | v) with u*A = v*B; rows: ambient coordinates
-    ent = {}
-    for k, row in enumerate(a.basis_rows):
-        for j, v in enumerate(row):
-            if v:
-                ent[(j, k)] = v
-    for k, row in enumerate(b.basis_rows):
-        for j, v in enumerate(row):
-            if v:
-                ent[(j, ra + k)] = (-v) % a.p
-    rel = MatGF(a.ambient_dim, ra + rb, a.p, ent)
-    vecs = []
-    for comb in nullspace(rel).basis_rows:
-        u = comb[:ra]
-        vec = [0] * a.ambient_dim
-        for k, c in enumerate(u):
-            if c:
-                for j, v in enumerate(a.basis_rows[k]):
-                    if v:
-                        vec[j] = (vec[j] + c * v) % a.p
-        vecs.append(vec)
-    return Subspace.from_vectors(vecs, a.ambient_dim, a.p)
+    rel = np.concatenate([a.rows, (-b.rows) % p]).T
+    r, c = np.nonzero(rel)
+    ker = nullspace(MatGF.from_coo(a.ambient_dim, ra + rb, p, r, c, rel[r, c]))
+    return Subspace.from_vectors(_mulmod(ker.rows[:, :ra], a.rows, p),
+                                 a.ambient_dim, p)
 
 
 def _check_pair(a, b):
@@ -517,17 +566,31 @@ def _check_pair(a, b):
 
 
 def quotient_representatives(Z, B):
-    """Canonical representatives of Z/B, for B a subspace of Z.
+    """Canonical representatives of Z/B, for B a subspace of Z, as a
+    (dim Z - dim B, n) int64 array in RREF.
 
-    Each representative is a Z-vector with every B-pivot coordinate
-    eliminated; together they are in RREF, so the choice is deterministic.
-    Returns a list of dense tuples.
+    B's pivots are among Z's, and the representatives are the Z rows at
+    the other pivots.  Each is zero in every B-pivot column, so B.reduce
+    leaves it as it is, and every other Z row z_q differs from B's row b_q
+    by a combination of them; so they are the RREF of the reduced Z rows
+    and the choice is deterministic.  B lies in Z exactly when each b_q is
+    z_q plus its entries in the representatives' pivot columns times
+    those rows, which is one product of size dim B x (dim Z - dim B).
     """
     _check_pair(Z, B)
+    p, bpiv = Z.p, set(B.pivots)
+    at_b = [i for i, q in enumerate(Z.pivots) if q in bpiv]
+    rest = [i for i, q in enumerate(Z.pivots) if q not in bpiv]
+    reps = Z.rows[rest]
     if Z == B:
-        return []
-    reps = Subspace.from_vectors([B.reduce(row) for row in Z.basis_rows],
-                                 Z.ambient_dim, Z.p)
-    if reps.dim != Z.dim - B.dim:
+        return reps
+    if len(at_b) != B.dim:
         raise UsageError("B is not contained in Z")
-    return list(reps.basis_rows)
+    diff = _mulmod(B.rows[:, [Z.pivots[i] for i in rest]], reps, p)
+    for k, i in enumerate(at_b):  # row by row: no second B-sized array
+        diff[k] += Z.rows[i]
+    diff -= B.rows
+    diff %= p
+    if diff.any():
+        raise UsageError("B is not contained in Z")
+    return reps

@@ -21,14 +21,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cohomology import (
     CochainComplex, _make_result, comparison_matrix, lie_cochain_matrix,
     lie_cohomology, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
-from .gflin import MatGF, Subspace, image, matpow, nullspace
+from .gflin import MatGF, Subspace, image, matpow, nullspace, subspace_sum
 from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
 
 __all__ = [
@@ -99,15 +97,12 @@ class SixTermContext:
         from .extensions import _restricted_ext, assoc_2cocycle_from_restricted_ext
         p, dim = self.p, self.bar.basis(2).dim
         B = image(self.bar.d(1))
-        reps = np.array(self.h2.representatives, dtype=np.int64)
         lifts = []
-        for coords in nullspace(self.phi).basis_rows:
-            fvec = tuple(int(v) for v in np.array(coords) @ reps % p)
+        for fvec in (nullspace(self.phi).rows @ self.h2.R.rows % p).tolist():
             lifts.append(assoc_2cocycle_from_restricted_ext(
-                _restricted_ext(self.lie, fvec, None), self.bar))
+                _restricted_ext(self.lie, tuple(fvec), None), self.bar))
         extra = list(self.fg_cocycles) + lifts
-        Z = Subspace.from_vectors(list(B.basis_rows) + extra, dim, p) \
-            if extra else B
+        Z = subspace_sum(B, Subspace.from_vectors(extra, dim, p))
         want = self.pair[1].dim_h
         if Z.dim - B.dim != want:
             raise InvariantViolationError(
@@ -149,7 +144,7 @@ class SixTermContext:
         out = []
         for (t, j) in self.s1_pairs:
             vals = [[0] * rep.dim for _ in range(g.space.n_even)]
-            vals[t] = list(self.inv_even.basis_rows[j])
+            vals[t] = self.inv_even.rows[j].tolist()
             smap = SemiLinearMap(g, rep.dim, tuple(tuple(r) for r in vals))
             out.append(assoc_2cocycle_from_restricted_ext(
                 twist_pmap(s0, smap), self.bar))

@@ -11,8 +11,15 @@ import itertools
 
 def dense_rank(rows, ncols, p):
     """Rank of a list of dense integer rows over GF(p), plain elimination."""
+    return len(dense_rref(rows, ncols, p)[1])
+
+
+def dense_rref(rows, ncols, p):
+    """(RREF rows, pivot columns) of dense integer rows over GF(p) by plain
+    Gauss-Jordan elimination: the canonical basis of their row space."""
     mat = [[v % p for v in row] for row in rows]
     rank = 0
+    pivots = []
     for col in range(ncols):
         piv = None
         for r in range(rank, len(mat)):
@@ -29,7 +36,36 @@ def dense_rank(rows, ncols, p):
                 c = mat[r][col]
                 mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
-    return rank
+        pivots.append(col)
+    return [tuple(r) for r in mat[:rank]], pivots
+
+
+def subspace_eliminate(rows, pivots, vec, p):
+    """(residue, coefficients) of vec against RREF basis rows with the given
+    pivots, one basis row and one coordinate at a time: the multiple of
+    each row taken is the residue's entry at its pivot when it is reached."""
+    out = [x % p for x in vec]
+    cs = []
+    for row, piv in zip(rows, pivots):
+        c = out[piv]
+        cs.append(c)
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] = (out[j] - c * v) % p
+    return out, cs
+
+
+def aug_product_table(ualg):
+    """The aug x aug product table of u(g) by straightening every pair of
+    augmentation-ideal monomials: sorted (a, b, w, c) rows with
+    aug[a] aug[b] = sum c aug[w], w = -1 for a unit component."""
+    aug = ualg.aug_basis()
+    index = {m: k for k, m in enumerate(aug)}
+    index[ualg.unit_monomial()] = -1
+    return sorted((a, b, index[m], c)
+                  for a, ma in enumerate(aug) for b, mb in enumerate(aug)
+                  for m, c in ualg.monomial_product(ma, mb).items())
 
 
 # ---------------------------------------------------------------------------

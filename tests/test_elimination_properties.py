@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
-    Eliminator, MatGF, Subspace, nullspace, rref, solve,
+    Eliminator, MatGF, Subspace, nullspace, quotient_representatives, rref,
+    solve,
 )
 
-from oracles import dense_rank  # noqa: E402
+from oracles import dense_rank, dense_rref, subspace_eliminate  # noqa: E402
 
 PROPS = settings(max_examples=80, deadline=None, database=None,
                  derandomize=True)
@@ -121,3 +123,69 @@ def test_column_index_matches_a_full_scan(case):
         for j in range(cols):
             scan = {pc: r[j] for pc, r in elim.rows.items() if j in r}
             assert elim.column(j) == scan
+
+
+@st.composite
+def subspace_cases(draw):
+    """(p, n, kind, Z spanning vectors, B spanning vectors, probes): Z is the
+    span of the vectors, the zero or the full subspace; B is spanned by
+    combinations of Z's vectors, so B lies in Z; probes are random vectors
+    and combinations of Z's vectors."""
+    p = draw(st.sampled_from((3, 7, 65521)))
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(("span", "span", "zero", "full")))
+
+    def vec():
+        return draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+
+    if kind == "span":
+        zvecs = [vec() for _ in range(draw(st.integers(0, 6)))]
+    elif kind == "zero":
+        zvecs = []
+    else:
+        zvecs = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def combo():
+        cs = [draw(st.integers(0, p - 1)) for _ in zvecs]
+        return [sum(c * v[j] for c, v in zip(cs, zvecs)) % p
+                for j in range(n)]
+
+    bvecs = [combo() for _ in range(draw(st.integers(0, 4)))]
+    probes = [vec() for _ in range(3)] + [combo() for _ in range(2)]
+    return p, n, kind, zvecs, bvecs, probes
+
+
+@PROPS
+@given(subspace_cases(), st.randoms(use_true_random=False))
+def test_subspace_agrees_with_coordinatewise_elimination(case, rnd):
+    """``reduce``, ``coords``, ``contains``, ``quotient_representatives``,
+    ``==`` and ``hash`` of the array-backed ``Subspace`` agree with plain
+    elimination one coordinate at a time."""
+    p, n, kind, zvecs, bvecs, probes = case
+    Z = {"zero": Subspace.zero(n, p), "full": Subspace.full(n, p)}.get(
+        kind) or Subspace.from_vectors(zvecs, n, p)
+    zrows, zpiv = dense_rref(zvecs, n, p)
+    assert Z.basis_rows == tuple(zrows) and list(Z.pivots) == zpiv
+    for v in probes:
+        res, cs = subspace_eliminate(zrows, zpiv, v, p)
+        assert Z.reduce(v) == tuple(res)
+        assert Z.contains(v) == (not any(res))
+        assert Z.coords(v) == (None if any(res) else tuple(cs))
+    # the same span from shuffled, rescaled generators, and from its RREF
+    again = [[c * x % p for x in v]
+             for v, c in zip(zvecs, (1 + rnd.randrange(p - 1) for _ in zvecs))]
+    rnd.shuffle(again)
+    for same in (Subspace.from_vectors(again, n, p), Subspace(n, p, zrows, zpiv)):
+        assert same == Z and hash(same) == hash(Z)
+    W = Subspace.from_vectors(probes, n, p)
+    assert (W == Z) == (dense_rref(probes, n, p) == (zrows, zpiv))
+    B = Subspace.from_vectors(bvecs, n, p)
+    brows, bpiv = dense_rref(bvecs, n, p)
+    want, _ = dense_rref([subspace_eliminate(brows, bpiv, z, p)[0]
+                          for z in zrows], n, p)
+    reps = quotient_representatives(Z, B)
+    assert [tuple(r) for r in reps.tolist()] == want
+    if any(any(subspace_eliminate(zrows, zpiv, w, p)[0])
+           for w in W.basis_rows):
+        with pytest.raises(UsageError):
+            quotient_representatives(Z, W)

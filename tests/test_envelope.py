@@ -236,3 +236,54 @@ def test_d_w_trivial_cases(loaded_catalog):
                                u.power(h, g.p - 1 - i))
     # sum x^i 1 x^{p-1-i} = p x^{p-1} = 0 = D_x^{p-1}(1)
     assert lhs.is_zero()
+
+
+def _table_inputs():
+    """(name, g): every catalog algebra, semidirect4's E = borel |x adjoint,
+    a4-borel-adjoint at p = 5 and 7, and the entries with odd generators
+    (a3, a5, a7) at p = 5 and 7."""
+    from supercoh import catalog
+    out = []
+    for e in catalog.ENTRIES:
+        g, modules, _ = parse_algebra_dict(e.data)
+        out.append((e.entry_id, g))
+        if e.entry_id == "a4-borel-adjoint":
+            out.append(("semidirect4", semidirect(g, modules["adjoint"])[0]))
+        if e.entry_id in ("a4-borel-adjoint", "a3-heisenberg", "a5-odd-line",
+                          "a7-mixed-line"):
+            for p in (5, 7):
+                out.append((f"{e.entry_id}@p{p}",
+                            parse_algebra_dict(dict(e.data, p=p))[0]))
+    return out
+
+
+def test_aug_product_table_matches_pairwise_straightening():
+    """The table built from the generators' left multiplications equals,
+    as sorted COO, the one that straightens every pair of aug monomials."""
+    from oracles import aug_product_table
+    for name, g in _table_inputs():
+        got = np.stack(UAlgebra(g).aug_product_table(), axis=1).tolist()
+        assert got == [list(t) for t in aug_product_table(UAlgebra(g))], name
+
+
+def test_aug_product_table_is_built_once_from_left_multiplications(
+        loaded_catalog):
+    """Building the table of u(g) straightens at most g.dim x dim u
+    products (324 on semidirect4's algebra, against 6561 pairs), and the
+    table is kept on the algebra, read-only."""
+    _, g, modules = loaded_catalog["a4-borel-adjoint"]
+    E, _ = semidirect(g, modules["adjoint"])
+    u = UAlgebra(E)
+    calls = []
+    straighten = u.monomial_product
+
+    def counted(ma, mb):
+        calls.append((ma, mb))
+        return straighten(ma, mb)
+
+    u.monomial_product = counted
+    table = u.aug_product_table()
+    assert E.dim * u.dim == 324
+    assert 0 < len(calls) <= E.dim * u.dim
+    assert u.aug_product_table() is table and len(calls) <= 324
+    assert not any(t.flags.writeable for t in table)

@@ -11,7 +11,7 @@ from supercoh.gflin import (
     quotient_representatives, rref, solve, subspace_intersect, subspace_sum,
 )
 
-from oracles import dense_rank
+from oracles import dense_rank, dense_rref, subspace_eliminate
 
 
 def rand_matrix(rng, p, rows, cols, density=0.6):
@@ -161,6 +161,49 @@ def test_subspace_rows_are_python_ints():
         assert all(type(x) is int for row in s.basis_rows for x in row)
         assert all(type(x) is int for x in s.pivots)
         assert all(type(row) is tuple for row in s.basis_rows)
+
+
+def test_subspace_constructor_requires_rref():
+    """The public constructor takes only rows in RREF at the given pivots,
+    since reduction reads the coefficients off the pivot coordinates."""
+    p = 5
+    good = Subspace(4, p, [(1, 2, 0, 3), (0, 0, 1, 4)], (0, 2))
+    assert good == Subspace.from_vectors([(1, 2, 0, 3), (2, 4, 1, 0)], 4, p)
+    assert good.coords((3, 1, 2, 2)) == (3, 2)
+    assert Subspace(4, p, [(6, 2, 5, 3)], (0,)) == Subspace(4, p, [(1, 2, 0, 3)], (0,))
+    bad = [
+        ([(2, 2, 0, 3)], (0,)),                  # pivot entry not 1
+        ([(1, 2, 1, 3), (0, 0, 1, 4)], (0, 2)),  # nonzero in another pivot column
+        ([(0, 1, 1, 3)], (2,)),                  # nonzero before the pivot
+        ([(0, 0, 1, 4), (1, 2, 0, 3)], (2, 0)),  # pivots not increasing
+        ([(1, 2, 0, 3)], (0, 2)),                # one pivot per row
+        ([(1, 2, 0)], (0,)),                     # row length
+        ([(0, 0, 0, 1)], (4,)),                  # pivot out of range
+    ]
+    for rows, pivots in bad:
+        with pytest.raises(UsageError):
+            Subspace(4, p, rows, pivots)
+
+
+def test_subspace_products_stay_exact_for_large_moduli():
+    """At p = 2^31 - 1 two products (p - 1)^2 already near 2^63, so the
+    reduction sums its inner dimension in chunks reduced mod p; a modulus
+    whose single product overflows int64 is rejected."""
+    p, n = 2 ** 31 - 1, 7
+    rng = random.Random(31)
+    vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
+    S = Subspace.from_vectors(vecs, n, p)
+    rows, pivots = dense_rref(vecs, n, p)
+    assert S.basis_rows == tuple(rows)
+    for _ in range(10):
+        v = [rng.randrange(p) for _ in range(n)]
+        res, cs = subspace_eliminate(rows, pivots, v, p)
+        assert S.reduce(v) == tuple(res)
+        assert S.coords(v) == (None if any(res) else tuple(cs))
+    assert S.coords(vecs[2]) is not None
+    big = 4294967311  # the least prime above 2^32
+    with pytest.raises(UsageError):
+        Subspace.from_vectors([(1, 2)], 2, big).reduce((3, 4))
 
 
 def test_inputs_are_left_unchanged():
