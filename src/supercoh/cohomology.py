@@ -291,6 +291,13 @@ def _bar_lookup(ualg, rep, n):
     return out
 
 
+def _aug_power(ualg, i, e):
+    """Index in ``ualg.aug_basis()`` of x_i^e, for basis index i of g."""
+    mono = [0] * ualg.ngen
+    mono[ualg.pos_of[i]] = e
+    return ualg.aug_basis().index(tuple(mono))
+
+
 def _bar_action(ualg, rep, aug):
     """The action matrices of the u(g)^+ basis, stacked: (|aug|, dim M, dim M)."""
     act = np.zeros((len(aug), rep.dim, rep.dim), dtype=np.int64)
@@ -300,14 +307,31 @@ def _bar_action(ualg, rep, aug):
 
 
 def is_bar_2cocycle(bar, cvec):
-    """Whether the 2-cochain ``cvec`` of the bar complex ``bar`` is a cocycle:
+    """Whether the 2-cochain ``cvec`` of the bar complex ``bar`` is a
+    cocycle, i.e. whether e = d2 c,
 
-        s_1 . c(s_2, s_3) - c(s_1 s_2, s_3) + c(s_1, s_2 s_3) = 0
+        e(s_1, s_2, s_3) = s_1 . c(s_2, s_3) - c(s_1 s_2, s_3)
+                           + c(s_1, s_2 s_3),
 
-    for all aug-ideal monomials s_1, s_2, s_3 (the rows of the bar d2).  The
-    three terms come from the aug x aug product table and the action
-    matrices, one s_1 slice at a time, so the check holds O(|aug|^2 dim M)
-    numbers and d2 is never assembled."""
+    vanishes on all aug-ideal monomials s_1, s_2, s_3 (the rows of the bar
+    d2).  Only the generator slices s_1 = x_k, the degree-1 monomials, are
+    evaluated, and that is exact.  d3 e = d3 d2 c = 0, and every aug
+    monomial is u = x u' on the nose, with x its first generator, so the
+    row (x, u', s_3, s_4) of d3 e = 0 reads
+
+        e(u, s_3, s_4) = x . e(u', s_3, s_4) + e(x, u' s_3, s_4)
+                         - e(x, u', s_3 s_4).
+
+    By induction on deg u, e = 0 exactly when every generator slice
+    e(x, ., .) is zero.  The argument needs the products of aug-ideal
+    elements to stay in the ideal (``UAlgebra.aug_product_table`` raises
+    otherwise) and M to be a restricted module, so that u(g) acts through
+    its action matrices and d3 d2 = 0 (modules are validated on input).
+
+    Each slice takes the three terms from the action matrix of x and the
+    aug x aug product table, so the check costs about
+    g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
+    never assembles d2."""
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
@@ -317,14 +341,15 @@ def is_bar_2cocycle(bar, cvec):
     c = np.zeros(A * A * D, dtype=np.int64)
     c[even] = np.asarray(cvec, dtype=np.int64) % p
     c = c.reshape(A, A, D)
-    act = _bar_action(ualg, rep, aug)
     a, b, w, coef = ualg.aug_product_table()
     # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
     bounds = np.searchsorted(a, np.arange(A + 1))
     pair = a * A + b
     first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-    for s1 in range(A):
-        out = c @ act[s1].T
+    for s1, mono in enumerate(aug):
+        if sum(mono) != 1:
+            continue
+        out = c @ ualg.action_matrix(rep, mono).T
         lo, hi = bounds[s1], bounds[s1 + 1]
         if hi > lo:
             runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
@@ -474,21 +499,22 @@ def comparison_matrix(bar, lie, n):
     f'(x_1..x_n) = sum_{sigma} sgn_marked(sigma, n0) f(x_sigma(1)..x_sigma(n))
 
     with arguments ordered evens-then-odds and n0 the number of even ones.
-    Only values on degree-one monomials (g itself) are consulted.
+    Only values on degree-one monomials (g itself) are consulted.  Bar
+    cochains are numbered as in ``assoc_differential_matrix``: the cochain
+    (s_1..s_n, nu) is the column at its mixed-radix key
+    ((s_1 A + s_2) ...) dim M + nu of ``_bar_lookup``, A = |aug|, so no bar
+    basis is built.
     """
     if n not in (1, 2):
         raise UsageError("comparison implemented for n in {1, 2}")
     g, ualg = bar.g, bar.ualg
     _complex(g, bar.rep, "bar", bar)
     _complex(g, bar.rep, "lie", lie)
-    src = bar.basis(n)
+    A, D = len(ualg.aug_basis()), bar.rep.dim
+    src = _bar_lookup(ualg, bar.rep, n)
     dst = lie.basis(n)
     p = g.p
-    deg1 = {}
-    for i in range(g.dim):
-        mono = [0] * ualg.ngen
-        mono[ualg.pos_of[i]] = 1
-        deg1[i] = src.aug_index[tuple(mono)]
+    deg1 = [_aug_power(ualg, i, 1) for i in range(g.dim)]
     rows = []
     for (ev, od, nu) in dst.items:
         args = ev + od
@@ -496,13 +522,15 @@ def comparison_matrix(bar, lie, n):
         row = {}
         for sigma in itertools.permutations(range(1, n + 1)):
             sgn = sgn_marked(sigma, n0)
-            tup = tuple(deg1[args[s - 1]] for s in sigma)
-            col = src.index.get((tup, nu))
-            if col is None:
+            key = 0
+            for s in sigma:
+                key = key * A + deg1[args[s - 1]]
+            col = int(src[key * D + nu])
+            if col < 0:
                 raise InvariantViolationError("comparison hit invalid parity")
             row[col] = (row.get(col, 0) + sgn) % p
         rows.append({c: v for c, v in row.items() if v})
-    return MatGF.from_rows(rows, src.dim, p)
+    return MatGF.from_rows(rows, int(src.max(initial=-1)) + 1, p)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _bar_lookup, _complex,
+    CochainComplex, _aug_power, _bar_lookup, _complex,
     comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
@@ -365,25 +365,19 @@ def restricted_ext_from_assoc_2cocycle(g, rep, cvec, bar=None):
     lie = CochainComplex(g, rep, "lie")
     ualg = bar.ualg
     p = g.p
-    cb = bar.basis(2)
-    if len(cvec) != cb.dim:
-        raise UsageError("cochain coordinate length mismatch")
+    # also rejects a cvec of the wrong length
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("not a bar 2-cocycle")
     ext = _algebra_ext(lie, comparison_matrix(bar, lie, 2).matvec(cvec))
+    A, D = len(ualg.aug_basis()), rep.dim
+    lookup = _bar_lookup(ualg, rep, 2)
     r = {}
     for idx in g.space.even_indices():
-        mono_x = [0] * ualg.ngen
-        mono_x[ualg.pos_of[idx]] = 1
-        mono_xp = list(mono_x)
-        mono_xp[ualg.pos_of[idx]] = p - 1
-        ci = cb.aug_index[tuple(mono_xp)]
-        cj = cb.aug_index[tuple(mono_x)]
-        r[idx] = np.zeros(rep.dim, dtype=np.int64)
-        for nu in range(rep.dim):
-            col = cb.index.get(((ci, cj), nu))
-            if col is not None:
-                r[idx][nu] = cvec[col] % p
+        # the keys of the cochains (x^{p-1}, x, nu), nu = 0..dim M - 1
+        key = (_aug_power(ualg, idx, p - 1) * A + _aug_power(ualg, idx, 1)) * D
+        r[idx] = np.array([cvec[col] % p if col >= 0 else 0
+                           for col in lookup[key:key + D].tolist()],
+                          dtype=np.int64)
     return _with_pmap_on_g(ext, r)
 
 
@@ -437,11 +431,7 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
     aug = ualg.aug_basis()
     index = {m: k for k, m in enumerate(aug)}
 
-    def power(i, e):
-        # the aug index of x_i^e
-        return index[tuple(e * int(k == ualg.pos_of[i]) for k in range(g.dim))]
-
-    gens = [power(i, 1) for i in range(g.dim)]
+    gens = [_aug_power(ualg, i, 1) for i in range(g.dim)]
     c = np.zeros((len(aug), len(aug), rep.dim), dtype=np.int64)
     a, b, w, coef = ualg.aug_product_table()
     bounds = np.searchsorted(a, np.arange(len(aug) + 1))
@@ -472,14 +462,14 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
     cvec = tuple(flat[even].tolist())
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")
-    _check_readback(ext, c, power, section_vectors)
+    _check_readback(ext, c, ualg, section_vectors)
     return cvec
 
 
-def _check_readback(ext, c, power, section_vectors):
+def _check_readback(ext, c, ualg, section_vectors):
     """Raise unless the bar 2-cochain c, as an (aug, aug, M) array, gives
     back the bracket and p-map of ``ext`` through the section it was
-    extracted with; ``power(i, e)`` is the aug index of x_i^e."""
+    extracted with; ``ualg`` is the u(g) whose aug monomials index c."""
     g, p, layout = ext.g, ext.p, ext.layout
     sec = np.array(section_vectors, dtype=np.int64) % p
 
@@ -491,14 +481,15 @@ def _check_readback(ext, c, power, section_vectors):
         for j in range(g.dim):
             sign = -1 if g.parity(i) and g.parity(j) else 1
             want = defect(ext.E.bracket(sec[i], sec[j]), g.brackets[i, j])
-            xi, xj = power(i, 1), power(j, 1)
+            xi, xj = _aug_power(ualg, i, 1), _aug_power(ualg, j, 1)
             got = c[xi, xj] - sign * c[xj, xi]
             if ((got - want) % p).any():
                 raise InvariantViolationError(
                     f"extracted cochain misreads the bracket on ({i}, {j})")
     for idx in g.space.even_indices():
         want = defect(pmap_apply(ext.E, sec[idx]), g.pmap_basis(idx))
-        if ((c[power(idx, p - 1), power(idx, 1)] - want) % p).any():
+        xp, x = _aug_power(ualg, idx, p - 1), _aug_power(ualg, idx, 1)
+        if ((c[xp, x] - want) % p).any():
             raise InvariantViolationError(
                 f"extracted cochain misreads the p-map on {idx}")
 

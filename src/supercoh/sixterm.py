@@ -95,7 +95,7 @@ class SixTermContext:
 
     def _h2s(self):
         from .extensions import _restricted_ext, assoc_2cocycle_from_restricted_ext
-        p, dim = self.p, self.bar.basis(2).dim
+        p, dim = self.p, self.bar.d(1).rows
         B = image(self.bar.d(1))
         lifts = []
         for fvec in (nullspace(self.phi).rows @ self.h2.R.rows % p).tolist():
@@ -404,7 +404,7 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     timings = dict(ctx.timings)
     timings["total"] = time.perf_counter() - t0
     sizes = {name: (m.rows, m.cols, m.nnz) for name, m in maps.items()}
-    sizes["bar_c2_dim"] = ctx.bar.basis(2).dim
+    sizes["bar_c2_dim"] = ctx.bar.d(1).rows
     sizes["space_dims"] = ctx.space_dims
     # the final slot reports the rank of the last arrow (its image inside
     # S(g_0, H^1)); by exactness it equals the alternating sum of the rest

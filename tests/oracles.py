@@ -542,3 +542,51 @@ def bar_cocycle_of_extension(ext, bar, section=None):
                 if c:
                     cvec[cb.index[((iu, iv), nu)]] = int(c)
     return tuple(cvec)
+
+
+# ---------------------------------------------------------------------------
+# the bar 2-cocycle condition on every first argument
+# ---------------------------------------------------------------------------
+
+def bar_2cocycle_all_slices(bar, cvec):
+    """Whether the 2-cochain ``cvec`` of the bar complex ``bar`` is a cocycle:
+
+        s_1 . c(s_2, s_3) - c(s_1 s_2, s_3) + c(s_1, s_2 s_3) = 0
+
+    for all aug-ideal monomials s_1, s_2, s_3 (the rows of the bar d2).  The
+    three terms come from the aug x aug product table and the action
+    matrices, one s_1 slice at a time over every s_1, with no reduction to
+    the generator slices."""
+    import numpy as np
+
+    from supercoh.cohomology import _bar_action, _bar_lookup
+    from supercoh.errors import UsageError
+
+    ualg, rep, p = bar.ualg, bar.rep, bar.g.p
+    aug = ualg.aug_basis()
+    A, D = len(aug), rep.dim
+    even = _bar_lookup(ualg, rep, 2) >= 0
+    if len(cvec) != int(even.sum()):
+        raise UsageError("cochain coordinate length mismatch")
+    c = np.zeros(A * A * D, dtype=np.int64)
+    c[even] = np.asarray(cvec, dtype=np.int64) % p
+    c = c.reshape(A, A, D)
+    act = _bar_action(ualg, rep, aug)
+    a, b, w, coef = ualg.aug_product_table()
+    # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
+    bounds = np.searchsorted(a, np.arange(A + 1))
+    pair = a * A + b
+    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+    for s1 in range(A):
+        out = c @ act[s1].T
+        lo, hi = bounds[s1], bounds[s1 + 1]
+        if hi > lo:
+            runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
+            out[b[lo:hi][runs]] -= np.add.reduceat(
+                coef[lo:hi, None, None] * c[w[lo:hi]], runs)
+        if pair.size:
+            out.reshape(A * A, D)[pair[first]] += np.add.reduceat(
+                coef[:, None] * c[s1, w], first)
+        if (out % p).any():
+            return False
+    return True

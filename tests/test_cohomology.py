@@ -13,16 +13,17 @@ from supercoh.cohomology import (
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
 from supercoh.gflin import MatGF, nullspace
-from supercoh.sixterm import pair_model
+from supercoh.sixterm import SixTermContext, pair_model
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
 )
 
 from conftest import fixture_algebra
 from oracles import (
-    bar_differential_rows, bar_dims, split_lie_differential,
-    table_abelian_plane, table_borel, table_mixed_line, table_odd_line,
-    table_super_line, table_torus_null_plane, table_truncated_poly,
+    bar_2cocycle_all_slices, bar_differential_rows, bar_dims,
+    split_lie_differential, table_abelian_plane, table_borel,
+    table_mixed_line, table_odd_line, table_super_line,
+    table_torus_null_plane, table_truncated_poly,
 )
 
 # frozen fixture dimensions: entry -> (ordinary H^0..2, restricted H^0..2)
@@ -205,20 +206,26 @@ def test_bar_differential_matches_row_oracle(loaded_catalog):
             assert assoc_differential_matrix(u, rep, n) == want, (label, n)
 
 
-def test_is_bar_2cocycle_agrees_with_the_d2(loaded_catalog):
-    """The d2-free cocycle check says yes exactly when the assembled bar d2
-    kills the cochain: on random cochains, d1-images, Ker d2 vectors and
-    Ker d2 vectors with one entry changed, over every catalog module and
-    the adjoint modules of the entries with odd generators (rho != 0, odd
-    module coordinates)."""
-    rng = random.Random(8)
+def _bar_check_cases(loaded_catalog):
+    """(label, g, M) for every catalog module and the adjoint modules of
+    the entries with odd generators (rho != 0, odd module coordinates)."""
     cases = []
     for entry_id, (e, g, modules) in loaded_catalog.items():
         cases += [(f"{entry_id}:{name}", g, rep) for name, rep in modules.items()]
         if g.space.odd_indices():
             cases.append((f"{entry_id}:adjoint", g, adjoint_module(g)))
+    return cases
+
+
+def test_is_bar_2cocycle_agrees_with_the_d2(loaded_catalog):
+    """The generator-slice cocycle check says yes exactly when the assembled
+    bar d2 kills the cochain, and so does the all-slices oracle: on random
+    cochains, d1-images, Ker d2 vectors and Ker d2 vectors with one entry
+    changed, over every catalog module and the adjoint modules of the
+    entries with odd generators."""
+    rng = random.Random(8)
     verdicts = collections.Counter()
-    for label, g, rep in cases:
+    for label, g, rep in _bar_check_cases(loaded_catalog):
         p = g.p
         bar = CochainComplex(g, rep, "bar")
         d1, d2 = bar.d(1), bar.d(2)
@@ -235,10 +242,65 @@ def test_is_bar_2cocycle_agrees_with_the_d2(loaded_catalog):
         for c in vecs:
             want = not any(d2.matvec(c))
             assert is_bar_2cocycle(bar, c) == want, label
+            assert bar_2cocycle_all_slices(bar, c) == want, label
             verdicts[(want, bool(rep.space.odd_indices()))] += 1
     assert set(verdicts) == {(a, b) for a in (True, False) for b in (True, False)}
     with pytest.raises(UsageError, match="length"):
         is_bar_2cocycle(bar, [0] * (n2 + 1))
+
+
+def test_is_bar_2cocycle_agrees_with_all_slices_on_semidirect4(loaded_catalog):
+    """On a4-borel-adjoint |x adjoint with trivial M (|aug| = 80, of which 4
+    are generator slices) the check agrees with the all-slices oracle, with
+    no d2 built: on random cochains, d1-images, the four fg cocycles of its
+    report (Ker d2 vectors) and each of those with one entry changed, the
+    k-th one in the generator row of x_k."""
+    rng = random.Random(10)
+    g, modules = loaded_catalog["a4-borel-adjoint"][1:]
+    E, _ = semidirect(g, modules["adjoint"])
+    rep = trivial_module(E)
+    ctx = SixTermContext(E, rep)
+    bar, p = ctx.bar, E.p
+    aug = bar.ualg.aug_basis()
+    index = assoc_cochain_basis(bar.ualg, rep.space, 2).index
+    n1, n2 = bar.d(0).rows, bar.d(1).rows
+    vecs = [[rng.randrange(p) for _ in range(n2)] for _ in range(2)]
+    vecs += [bar.d(1).matvec([rng.randrange(p) for _ in range(n1)])
+             for _ in range(2)]
+    gens = [k for k, m in enumerate(aug) if sum(m) == 1]
+    assert len(gens) == len(ctx.fg_cocycles) == 4
+    for x, z in zip(gens, ctx.fg_cocycles):
+        vecs.append(z)
+        bent = list(z)
+        k = index[((x, rng.randrange(len(gens), len(aug))), 0)]
+        bent[k] = (bent[k] + 1) % p
+        vecs.append(bent)
+    want = [bar_2cocycle_all_slices(bar, c) for c in vecs]
+    assert [is_bar_2cocycle(bar, c) for c in vecs] == want
+    assert want == [False] * 2 + [True] * 2 + [True, False] * 4
+    assert 2 not in bar._diffs
+
+
+def test_generator_rows_of_the_bar_d2_cut_out_its_kernel(loaded_catalog):
+    """The reduction behind ``is_bar_2cocycle``, on the assembled d2: its
+    rows (x, s_2, s_3, nu) with x a degree-1 monomial have the same kernel
+    as d2 itself, so every cochain c with d2 c != 0 has a nonzero entry of
+    d2 c in a generator row.  Over every catalog module and the adjoint
+    modules of the entries with odd generators; rows are matched to their
+    arguments through the degree-3 basis."""
+    fewer = 0
+    for label, g, rep in _bar_check_cases(loaded_catalog):
+        bar = CochainComplex(g, rep, "bar")
+        d2 = bar.d(2)
+        aug = bar.ualg.aug_basis()
+        items = assoc_cochain_basis(bar.ualg, rep.space, 3).items
+        assert len(items) == d2.rows, label
+        gen_rows = [row for row, (tup, nu) in zip(d2.row_dicts(), items)
+                    if sum(aug[tup[0]]) == 1]
+        fewer += len(gen_rows) < d2.rows
+        assert nullspace(MatGF.from_rows(gen_rows, d2.cols, g.p)) == \
+            nullspace(d2), label
+    assert fewer
 
 
 def test_bar_differential_invariant_checks(loaded_catalog):
