@@ -19,23 +19,25 @@ from supercoh.cohomology import (
 )
 from supercoh.sixterm import pair_model
 
+# one Lie and one bar complex per entry, shared by every space read off them
+complexes = []
 print(f"{'entry':24s} {'H^0':>4} {'H^1':>4} {'H^2':>4}   {'H^0*':>4} {'H^1*':>4} {'H^2*':>4}")
 for entry in catalog.ENTRIES:
     g, modules, _ = parse_algebra_dict(entry.data)
     rep = modules[entry.module_name]
-    lie = [lie_cohomology(g, rep, n).dim_h for n in (0, 1, 2)]
-    res = [restricted_cohomology(g, rep, n).dim_h for n in (0, 1, 2)]
-    print(f"{entry.entry_id:24s} {lie[0]:>4} {lie[1]:>4} {lie[2]:>4}   "
-          f"{res[0]:>4} {res[1]:>4} {res[2]:>4}")
+    lie, bar = CochainComplex(g, rep, "lie"), CochainComplex(g, rep, "bar")
+    complexes.append((entry, lie, bar))
+    h = [lie_cohomology(lie, n).dim_h for n in (0, 1, 2)]
+    hs = [restricted_cohomology(bar, n).dim_h for n in (0, 1, 2)]
+    print(f"{entry.entry_id:24s} {h[0]:>4} {h[1]:>4} {h[2]:>4}   "
+          f"{hs[0]:>4} {hs[1]:>4} {hs[2]:>4}")
 
 print("""
 H^1_* can also be carved out of the Lie side: it is the space of ordinary
 1-cocycles satisfying the p-th power condition rho(x)^{p-1} f(x) = f(x^[p]),
 modulo coboundaries.  Both computations must agree:
 """)
-for entry in catalog.ENTRIES[:5]:
-    g, modules, _ = parse_algebra_dict(entry.data)
-    rep = modules[entry.module_name]
-    via_condition = pair_model(CochainComplex(g, rep, "lie"))[0].dim_h
-    via_bar = restricted_cohomology(g, rep, 1).dim_h
+for entry, lie, bar in complexes[:5]:
+    via_condition = pair_model(lie)[0].dim_h
+    via_bar = restricted_cohomology(bar, 1).dim_h
     print(f"  {entry.entry_id:24s} condition: {via_condition}   bar: {via_bar}")

@@ -40,10 +40,11 @@ print("extension built; recovered cocycle equals the input:",
 # --- restricted extensions and p-map twisting ----------------------------
 s0 = semidirect_extension(g, k)
 print("\ntrivial restricted extension s0 = g |x k built and validated")
-# one bar complex of (g, k): its bases and differentials are built once and
-# shared by the cohomology and every extraction below
+# one bar and one Lie complex of (g, k): their bases and differentials are
+# built once and shared by the cohomology and every extension below
 bar = CochainComplex(g, k, "bar")
-h2s = restricted_cohomology(g, k, 2, bar)
+lie = CochainComplex(g, k, "lie")
+h2s = restricted_cohomology(bar, 2)
 c = assoc_2cocycle_from_restricted_ext(s0, bar)
 print("its bar 2-cocycle class:", h2s.class_coords(c), "(zero, as it must be)")
 
@@ -64,7 +65,7 @@ print("twist by (h -> 0, x -> m): class",
 
 # --- and back: a bar cocycle to a restricted extension -------------------
 c0 = h2s.representatives[0]
-ext2 = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
+ext2 = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
 e_h = ext2.layout.g_to_e(0)
 print("\nextension rebuilt from the H^2_* generator; its p-map on (h, 0):",
       [int(c) for c in ext2.E.pmap_basis(e_h)])

@@ -110,14 +110,13 @@ def cmd_cohomology(args):
         raise ValidationError(f"module {args.module!r} not defined "
                               f"(available: {', '.join(sorted(modules))})")
     rep = modules[args.module]
+    from .cohomology import CochainComplex, lie_cohomology, restricted_cohomology
     t0 = time.perf_counter()
     if args.kind == "lie":
-        from .cohomology import lie_cohomology
-        res = lie_cohomology(g, rep, args.degree)
+        res = lie_cohomology(CochainComplex(g, rep, "lie"), args.degree)
     else:
-        from .cohomology import restricted_cohomology
         _size_warning(g, rep)
-        res = restricted_cohomology(g, rep, args.degree)
+        res = restricted_cohomology(CochainComplex(g, rep, "bar"), args.degree)
     dt = time.perf_counter() - t0
     payload = {
         "p": g.p,
@@ -181,7 +180,10 @@ def cmd_examples(args):
     if args.action == "show":
         if not args.entry:
             raise ParseError("examples show requires an entry id")
-        e = _catalog.get_entry(args.entry)
+        try:
+            e = _catalog.get_entry(args.entry)
+        except KeyError as exc:
+            raise ParseError(exc.args[0]) from None
         print(json.dumps(e.data, indent=2, sort_keys=True))
         _emit(_report("examples-show", _digest(e.entry_id),
                       {"entry": e.entry_id, "module": e.module_name,
@@ -245,18 +247,18 @@ def cmd_selftest(args):
             check(f"bar d^2=0 at n={n}", bar.d(n + 1).matmul(bar.d(n)).is_zero())
         check("commutator identities",
               check_commutator_identities(g, trials=10, seed=rng.randrange(10**6)).ok)
-        h1s = restricted_cohomology(g, rep, 1, bar)
+        h1s = restricted_cohomology(bar, 1)
         pair = pair_model(lie)
         check("p-th power condition agreement", pair[0].dim_h == h1s.dim_h)
         Z2 = nullspace(lie.d(2))
         ok = True
         for row in Z2.basis_rows[:3]:
-            ext = algebra_ext_from_2cocycle(g, rep, row)
+            ext = algebra_ext_from_2cocycle(lie, row)
             ok = ok and cocycle_from_algebra_ext(ext) == tuple(int(x) for x in row)
         check("2-cocycle round trip", ok)
         s0 = semidirect_extension(g, rep)
         c0 = assoc_2cocycle_from_restricted_ext(s0, bar)
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        h2s = restricted_cohomology(bar, 2)
         check("trivial extension has class zero",
               all(v == 0 for v in h2s.class_coords(c0)))
         check("pair-model dim H^2_* agrees with the bar complex",

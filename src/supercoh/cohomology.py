@@ -332,6 +332,7 @@ def is_bar_2cocycle(bar, cvec):
     aug x aug product table, so the check costs about
     g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
     never assembles d2."""
+    bar.require("bar")
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
@@ -398,14 +399,12 @@ class CochainComplex:
                               assoc_differential_matrix(self.ualg, self.rep, n))
         return self._diffs[n]
 
-
-def _complex(g, rep, kind, cx):
-    """``cx`` checked to be the ``kind`` complex of (g, rep), or a new one."""
-    if cx is None:
-        return CochainComplex(g, rep, kind)
-    if cx.kind != kind or cx.g is not g or cx.rep is not rep:
-        raise UsageError(f"not the {kind} complex of this (g, M)")
-    return cx
+    def require(self, kind, of=None):
+        """Raise UsageError unless this is a ``kind`` complex, and one of the
+        (g, M) of ``of`` (another complex or an extension) if given."""
+        if self.kind != kind or of is not None and (
+                self.g is not of.g or self.rep is not of.rep):
+            raise UsageError(f"not the {kind} complex of this (g, M)")
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +432,13 @@ class CohomologyResult:
         return self.R.basis_rows
 
     def class_coords(self, vec):
-        """Coordinates of the class of a cocycle in the representative basis."""
-        if not self.Z.contains(vec):
-            raise UsageError("vector is not a cocycle")
+        """Coordinates of the class of a cocycle in the representative basis.
+
+        One reduction suffices: Z = B (+) R with R zero at B's pivots, so the
+        residue of vec modulo B lies in R exactly when vec lies in Z."""
         coords = self.R.coords(self.B.reduce(vec))
         if coords is None:
-            raise InvariantViolationError("class reduction left a residue")
+            raise UsageError("vector is not a cocycle")
         return coords
 
 
@@ -459,15 +459,17 @@ def _cohomology(cx, n, kind):
     return _make_result(n, kind, dim, Z, B)
 
 
-def lie_cohomology(g, rep, n, lie=None):
-    """Ordinary H^n(g, M), n <= 2, from the Lie complex ``lie`` if given."""
-    return _cohomology(_complex(g, rep, "lie", lie), n, "lie")
+def lie_cohomology(lie, n):
+    """Ordinary H^n(g, M), n <= 2, of the Lie complex ``lie`` of (g, M)."""
+    lie.require("lie")
+    return _cohomology(lie, n, "lie")
 
 
-def restricted_cohomology(g, rep, n, bar=None):
-    """Restricted H^n_*(g, M), n <= 2, from the bar complex ``bar`` on u(g)^+
-    if given."""
-    return _cohomology(_complex(g, rep, "bar", bar), n, "restricted")
+def restricted_cohomology(bar, n):
+    """Restricted H^n_*(g, M), n <= 2, of the bar complex ``bar`` of (g, M)
+    on u(g)^+."""
+    bar.require("bar")
+    return _cohomology(bar, n, "restricted")
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +509,9 @@ def comparison_matrix(bar, lie, n):
     """
     if n not in (1, 2):
         raise UsageError("comparison implemented for n in {1, 2}")
+    bar.require("bar")
+    lie.require("lie", bar)
     g, ualg = bar.g, bar.ualg
-    _complex(g, bar.rep, "bar", bar)
-    _complex(g, bar.rep, "lie", lie)
     A, D = len(ualg.aug_basis()), bar.rep.dim
     src = _bar_lookup(ualg, bar.rep, n)
     dst = lie.basis(n)

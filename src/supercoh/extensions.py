@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _aug_power, _bar_lookup, _complex,
-    comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
+    CochainComplex, _aug_power, _bar_lookup, comparison_matrix,
+    eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
@@ -198,15 +198,11 @@ class RestrictedExtension(AlgebraExtension):
     strongly_abelian: bool = True
 
 
-def algebra_ext_from_2cocycle(g, rep, fvec):
-    """E_f = g (+) M with bracket
+def algebra_ext_from_2cocycle(lie, fvec):
+    """E_f = g (+) M for a 2-cocycle f of the Lie complex ``lie`` of (g, M),
+    with bracket
     [(x1,m1),(x2,m2)] = ([x1,x2], x1.m2 - (-1)^{|x1||x2|} x2.m1 + f(x1,x2))."""
-    return _algebra_ext(CochainComplex(g, rep, "lie"), fvec)
-
-
-def _algebra_ext(lie, fvec):
-    """E_f for a 2-cocycle f of the Lie complex ``lie``: the bracket of
-    g |x M plus f on the g x g block."""
+    lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
     basis = lie.basis(2)
     if len(fvec) != basis.dim:
@@ -316,8 +312,9 @@ def strongly_abelianize(ext):
     return _with_pmap(ext, pmap, strongly_abelian=True)
 
 
-def restricted_structure_from_lie_2cocycle(g, rep, fvec, sigma=None):
-    """Equip E_f with a p-map: per even basis x solve
+def restricted_structure_from_lie_2cocycle(lie, fvec, sigma=None):
+    """Equip E_f, for a 2-cocycle f of the Lie complex ``lie`` of (g, M),
+    with a p-map: per even basis x solve
 
         x1 . r(x) = -(k_x + f_{x^[p]})(x1)   for all x1,
 
@@ -327,14 +324,8 @@ def restricted_structure_from_lie_2cocycle(g, rep, fvec, sigma=None):
     invariants, selecting an equivalent restricted structure.  Raises
     NoSolutionError when no p-map exists over E_f (an obstruction witness).
     """
-    return _restricted_ext(CochainComplex(g, rep, "lie"), fvec, sigma)
-
-
-def _restricted_ext(lie, fvec, sigma):
-    """E_f with the p-map of ``restricted_structure_from_lie_2cocycle``, for
-    a 2-cocycle f of the Lie complex ``lie``."""
     g, rep, p = lie.g, lie.rep, lie.g.p
-    ext = _algebra_ext(lie, fvec)
+    ext = algebra_ext_from_2cocycle(lie, fvec)
     # x1 . r = -k(x1) for all basis x1, stacked x1-major
     stacked = MatGF.from_dense(np.vstack(rep.mats), p)
     r = {}
@@ -355,20 +346,21 @@ def _restricted_ext(lie, fvec, sigma):
 # the correspondence with bar-type 2-cocycles
 # ---------------------------------------------------------------------------
 
-def restricted_ext_from_assoc_2cocycle(g, rep, cvec, bar=None):
-    """Restricted extension from a bar 2-cocycle c of the complex ``bar``:
+def restricted_ext_from_assoc_2cocycle(bar, lie, cvec):
+    """Restricted extension from a 2-cocycle c of the bar complex ``bar``,
+    built on the Lie complex ``lie`` of the same (g, M):
 
     bracket twisted by the antisymmetrization of c on g, and
     (x, 0)^[p] = (x^[p], c(x^{p-1}, x)) on even basis elements.
     """
-    bar = _complex(g, rep, "bar", bar)
-    lie = CochainComplex(g, rep, "lie")
-    ualg = bar.ualg
-    p = g.p
+    bar.require("bar")
+    lie.require("lie", bar)
+    g, rep, ualg, p = bar.g, bar.rep, bar.ualg, bar.g.p
     # also rejects a cvec of the wrong length
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("not a bar 2-cocycle")
-    ext = _algebra_ext(lie, comparison_matrix(bar, lie, 2).matvec(cvec))
+    ext = algebra_ext_from_2cocycle(
+        lie, comparison_matrix(bar, lie, 2).matvec(cvec))
     A, D = len(ualg.aug_basis()), rep.dim
     lookup = _bar_lookup(ualg, rep, 2)
     r = {}
@@ -394,9 +386,9 @@ def psi_image(ext, perturbation=None):
     return out
 
 
-def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
-    """Bar 2-cocycle, in the complex ``bar``, of a restricted extension with
-    strongly abelian kernel:
+def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
+    """Bar 2-cocycle, in the bar complex ``bar`` of (g, M), of a restricted
+    extension of g by M with strongly abelian kernel:
 
         c(u, v) = gamma(psi'(u) psi'(v) - psi'(uv))
 
@@ -419,7 +411,7 @@ def assoc_2cocycle_from_restricted_ext(ext, bar=None, section=None):
     p = ext.p
     if not ext.strongly_abelian:
         raise UsageError("kernel must be strongly abelian")
-    bar = _complex(g, rep, "bar", bar)
+    bar.require("bar", ext)
     ualg = bar.ualg
     layout = ext.layout
     gen_order = ([layout.g_to_e(i) for i in range(g.dim)]
@@ -552,7 +544,7 @@ def psi_twist_of_cocycle(ext, lie, hvec):
     exactly when the kernel is strongly abelian.
     """
     g = ext.g
-    lie = _complex(g, ext.rep, "lie", lie)
+    lie.require("lie", ext)
     hmat = lie_cochain_matrix(lie.basis(1), hvec, ())
     middle = [ext.layout.project_m(pmap_apply(ext.E, ext.embed(hmat[:, idx])))
               for idx in g.space.even_indices()]

@@ -53,7 +53,7 @@ class SixTermContext:
     of ker phi.  Every extracted cocycle is checked by ``is_bar_2cocycle``,
     so the bar d2 is never assembled, and dim Z^2_* - dim B^2_* must equal
     that of ``pair[1]``, so Z^2_* is the kernel of d2 and the canonical
-    representatives are those of ``restricted_cohomology(g, M, 2)``.
+    representatives are those of ``restricted_cohomology(bar, 2)``.
     """
 
     def __init__(self, g, rep):
@@ -82,7 +82,7 @@ class SixTermContext:
         return self._get("h1s", self._h1s)
 
     def _h1s(self):
-        h1s = restricted_cohomology(self.g, self.rep, 1, self.bar)
+        h1s = restricted_cohomology(self.bar, 1)
         if h1s.dim_h != self.pair[0].dim_h:
             raise InvariantViolationError(
                 f"the bar complex gives dim H^1_* = {h1s.dim_h}, the pair "
@@ -94,13 +94,15 @@ class SixTermContext:
         return self._get("h2s", self._h2s)
 
     def _h2s(self):
-        from .extensions import _restricted_ext, assoc_2cocycle_from_restricted_ext
+        from .extensions import (assoc_2cocycle_from_restricted_ext,
+                                 restricted_structure_from_lie_2cocycle)
         p, dim = self.p, self.bar.d(1).rows
         B = image(self.bar.d(1))
         lifts = []
         for fvec in (nullspace(self.phi).rows @ self.h2.R.rows % p).tolist():
             lifts.append(assoc_2cocycle_from_restricted_ext(
-                _restricted_ext(self.lie, tuple(fvec), None), self.bar))
+                restricted_structure_from_lie_2cocycle(self.lie, tuple(fvec)),
+                self.bar))
         extra = list(self.fg_cocycles) + lifts
         Z = subspace_sum(B, Subspace.from_vectors(extra, dim, p))
         want = self.pair[1].dim_h
@@ -112,13 +114,11 @@ class SixTermContext:
 
     @property
     def h1(self):
-        return self._get("h1", lambda: lie_cohomology(
-            self.g, self.rep, 1, self.lie))
+        return self._get("h1", lambda: lie_cohomology(self.lie, 1))
 
     @property
     def h2(self):
-        return self._get("h2", lambda: lie_cohomology(
-            self.g, self.rep, 2, self.lie))
+        return self._get("h2", lambda: lie_cohomology(self.lie, 2))
 
     @property
     def inv_even(self):
@@ -181,6 +181,7 @@ def psi_bar_on_cocycle(lie, h):
     """Psi-bar of a 1-cocycle h of the Lie complex ``lie``: the semilinear
     map x -> rho(x)^{p-1} h(x) - h(x^[p]) on the even basis (the kernel
     p-map term vanishes since M is strongly abelian)."""
+    lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
     hmat = lie_cochain_matrix(lie.basis(1), h, ())
     vals = [matpow(rep.mats[idx], p - 1, p) @ hmat[:, idx]
@@ -234,6 +235,7 @@ def obstruction_cocycle(lie, fvec, x_idx):
 
     returned in C^1 coordinates.
     """
+    lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
     c1, c2 = lie.basis(1), lie.basis(2)
     out = [0] * c1.dim
@@ -291,6 +293,7 @@ def pair_model(lie):
     unless D1 d0 = 0 and D2 D1 = 0; returns (H^1_*, H^2_*), the first in
     C^1 coordinates, the second in (f, w_0, w_1, ...) coordinates.
     """
+    lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
     c1, n2, dm = lie.basis(1), lie.basis(2).dim, rep.dim
     evens = g.space.even_indices()

@@ -590,3 +590,21 @@ def bar_2cocycle_all_slices(bar, cvec):
         if (out % p).any():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# class coordinates by membership test, then reduction
+# ---------------------------------------------------------------------------
+
+def class_coords_two_step(res, vec):
+    """Class coordinates of ``vec`` in the cohomology result ``res``: first
+    check that vec lies in Z, then read its residue modulo B in the basis
+    of representatives.  Raises UsageError off Z."""
+    from supercoh.errors import InvariantViolationError, UsageError
+
+    if not res.Z.contains(vec):
+        raise UsageError("vector is not a cocycle")
+    coords = res.R.coords(res.B.reduce(vec))
+    if coords is None:
+        raise InvariantViolationError("class reduction left a residue")
+    return coords

@@ -321,6 +321,10 @@ def test_examples_list_show(capsys):
     shown = json.loads(capsys.readouterr().out)
     assert shown["odd"] == ["y"]
     assert run(["examples", "show"]) == cli.EXIT_PARSE
+    capsys.readouterr()
+    assert run(["examples", "show", "a0-nowhere"]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'a0-nowhere'" in err
 
 
 def test_examples_run_all(capsys):

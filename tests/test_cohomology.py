@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from supercoh.cohomology import (
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
 from supercoh.gflin import MatGF, nullspace
+from supercoh import extensions, sixterm
 from supercoh.sixterm import SixTermContext, pair_model
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
@@ -46,10 +48,12 @@ FIXTURE_DIMS = {
 @pytest.mark.parametrize("entry_id", sorted(FIXTURE_DIMS))
 def test_fixture_dimensions(loaded_catalog, entry_id):
     g, k = fixture_algebra(loaded_catalog, entry_id)
-    lie, res = FIXTURE_DIMS[entry_id]
+    want_lie, want_res = FIXTURE_DIMS[entry_id]
+    lie, bar = CochainComplex(g, k, "lie"), CochainComplex(g, k, "bar")
     for n in (0, 1, 2):
-        assert lie_cohomology(g, k, n).dim_h == lie[n], (entry_id, "lie", n)
-        assert restricted_cohomology(g, k, n).dim_h == res[n], (entry_id, "res", n)
+        assert lie_cohomology(lie, n).dim_h == want_lie[n], (entry_id, "lie", n)
+        assert restricted_cohomology(bar, n).dim_h == want_res[n], \
+            (entry_id, "res", n)
 
 
 ORACLE_TABLES = {
@@ -74,9 +78,10 @@ def test_restricted_dims_against_independent_tables(loaded_catalog, entry_id):
     g, k = fixture_algebra(loaded_catalog, entry_id)
     labels, parities, prod = ORACLE_TABLES[entry_id](g.p)
     assert len(labels) == UAlgebra(g).dim - 1
+    bar = CochainComplex(g, k, "bar")
     for n in (1, 2):
         _, _, dim_h = bar_dims(labels, parities, prod, g.p, n)
-        assert restricted_cohomology(g, k, n).dim_h == dim_h, (entry_id, n)
+        assert restricted_cohomology(bar, n).dim_h == dim_h, (entry_id, n)
 
 
 def test_restricted_dims_oracle_with_module(loaded_catalog):
@@ -100,10 +105,11 @@ def test_restricted_dims_oracle_with_module(loaded_catalog):
         for _ in range(b):
             mat = matmul(mat, ad_x)
         action[(a, b)] = mat
+    bar = CochainComplex(g, rep, "bar")
     for n in (1, 2):
         _, _, dim_h = bar_dims(labels, parities, prod, p, n,
                                module_action=action, module_parities=(0, 0))
-        assert restricted_cohomology(g, rep, n).dim_h == dim_h, n
+        assert restricted_cohomology(bar, n).dim_h == dim_h, n
 
 
 def test_delta_squared_zero_catalog(loaded_catalog):
@@ -320,14 +326,15 @@ def test_hand_elimination_a1_bar_spaces(loaded_catalog):
     # frozen from the k[x]/(x^3) elimination: Z^1 = {f(x^2) = 0},
     # Z^2 = {f(x,x^2) = f(x^2,x), f(x^2,x^2) = 0}, B^2 one-dimensional
     g, k = fixture_algebra(loaded_catalog, "a1-null")
-    z1 = restricted_cohomology(g, k, 1)
+    bar = CochainComplex(g, k, "bar")
+    z1 = restricted_cohomology(bar, 1)
     assert z1.Z.dim == 1 and z1.B.dim == 0
     u = UAlgebra(g)
     cb1 = assoc_cochain_basis(u, k.space, 1)
     x2col = cb1.index[((cb1.aug_index[(2,)],), 0)]
     for row in z1.Z.basis_rows:
         assert row[x2col] == 0
-    z2 = restricted_cohomology(g, k, 2)
+    z2 = restricted_cohomology(bar, 2)
     assert z2.Z.dim == 2 and z2.B.dim == 1
     cb2 = assoc_cochain_basis(u, k.space, 2)
     x, x2 = cb1.aug_index[(1,)], cb1.aug_index[(2,)]
@@ -393,12 +400,79 @@ def test_complex_must_belong_to_the_pair(loaded_catalog):
     with pytest.raises(UsageError):
         CochainComplex(g, k, "restricted")
     with pytest.raises(UsageError):
-        restricted_cohomology(g, k, 1, CochainComplex(gt, kt, "bar"))
+        restricted_cohomology(CochainComplex(g, k, "lie"), 1)
     with pytest.raises(UsageError):
-        lie_cohomology(g, k, 1, CochainComplex(g, k, "bar"))
+        lie_cohomology(CochainComplex(g, k, "bar"), 1)
     with pytest.raises(UsageError):
         comparison_matrix(CochainComplex(g, k, "bar"),
                           CochainComplex(gt, kt, "lie"), 1)
+
+
+# every function that takes a complex, called on the complexes ``c.lie``
+# and ``c.bar`` of one (g, M), its trivial extension ``c.ext`` and zero
+# cochains; the ones that also take a second object name the complexes a
+# case may swap for another pair's
+COMPLEX_CALLS = {
+    "lie_cohomology": lambda c: lie_cohomology(c.lie, 1),
+    "restricted_cohomology": lambda c: restricted_cohomology(c.bar, 1),
+    "comparison_matrix": lambda c: comparison_matrix(c.bar, c.lie, 1),
+    "is_bar_2cocycle": lambda c: is_bar_2cocycle(c.bar, c.bar2),
+    "algebra_ext_from_2cocycle":
+        lambda c: extensions.algebra_ext_from_2cocycle(c.lie, c.lie2),
+    "restricted_structure_from_lie_2cocycle":
+        lambda c: extensions.restricted_structure_from_lie_2cocycle(
+            c.lie, c.lie2),
+    "restricted_ext_from_assoc_2cocycle":
+        lambda c: extensions.restricted_ext_from_assoc_2cocycle(
+            c.bar, c.lie, c.bar2),
+    "assoc_2cocycle_from_restricted_ext":
+        lambda c: extensions.assoc_2cocycle_from_restricted_ext(c.ext, c.bar),
+    "psi_twist_of_cocycle":
+        lambda c: extensions.psi_twist_of_cocycle(c.ext, c.lie, c.lie1),
+    "psi_bar_on_cocycle": lambda c: sixterm.psi_bar_on_cocycle(c.lie, c.lie1),
+    "obstruction_cocycle":
+        lambda c: sixterm.obstruction_cocycle(c.lie, c.lie2, 0),
+    "pair_model": lambda c: pair_model(c.lie),
+}
+PAIRED = {
+    "comparison_matrix": ("lie", "bar"),
+    "restricted_ext_from_assoc_2cocycle": ("lie", "bar"),
+    "assoc_2cocycle_from_restricted_ext": ("bar",),
+    "psi_twist_of_cocycle": ("lie",),
+}
+COMPLEX_CASES = [(name, "wrong kind") for name in COMPLEX_CALLS] + [
+    (name, f"{other}'s {kind}") for name, kinds in PAIRED.items()
+    for kind in kinds for other in ("a2-torus", "a4-borel adjoint")]
+
+
+def _complex_args(loaded_catalog, entry_id, module="k"):
+    g, rep = fixture_algebra(loaded_catalog, entry_id, module)
+    lie, bar = CochainComplex(g, rep, "lie"), CochainComplex(g, rep, "bar")
+    return types.SimpleNamespace(
+        lie=lie, bar=bar, ext=extensions.semidirect_extension(g, rep),
+        lie1=(0,) * lie.basis(1).dim, lie2=(0,) * lie.basis(2).dim,
+        bar2=(0,) * bar.d(1).rows)
+
+
+@pytest.mark.parametrize("name, case", COMPLEX_CASES)
+def test_functions_taking_a_complex_reject_a_foreign_one(loaded_catalog,
+                                                        name, case):
+    """Each function runs on the complexes of its own (g, M) and raises
+    UsageError for a complex of the wrong kind (Lie and bar swapped), and,
+    where it also receives a second object, for a complex of another
+    algebra or of another module of the same algebra."""
+    call = COMPLEX_CALLS[name]
+    args = _complex_args(loaded_catalog, "a4-borel")
+    call(args)
+    if case == "wrong kind":
+        args.lie, args.bar = args.bar, args.lie
+    else:
+        other, kind = case.split("'s ")
+        entry_id, _, module = other.partition(" ")
+        setattr(args, kind, getattr(
+            _complex_args(loaded_catalog, entry_id, module or "k"), kind))
+    with pytest.raises(UsageError, match=r"complex of this \(g, M\)"):
+        call(args)
 
 
 def test_comparison_is_cochain_map(loaded_catalog):
@@ -415,7 +489,7 @@ def test_pth_power_condition_agreement(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         for rep in modules.values():
             got = pair_model(CochainComplex(g, rep, "lie"))[0].dim_h
-            want = restricted_cohomology(g, rep, 1).dim_h
+            want = restricted_cohomology(CochainComplex(g, rep, "bar"), 1).dim_h
             assert got == want, entry_id
 
 
@@ -439,8 +513,9 @@ def test_purely_even_matches_classical_regression(loaded_catalog):
     """For purely even algebras the super machinery must reproduce the
     classical numbers; the torus and nilpotent line are the anchors."""
     g, k = fixture_algebra(loaded_catalog, "a2-torus")
-    assert [lie_cohomology(g, k, n).dim_h for n in (0, 1, 2)] == [1, 1, 0]
-    assert [restricted_cohomology(g, k, n).dim_h for n in (0, 1, 2)] == [1, 0, 0]
+    lie, bar = CochainComplex(g, k, "lie"), CochainComplex(g, k, "bar")
+    assert [lie_cohomology(lie, n).dim_h for n in (0, 1, 2)] == [1, 1, 0]
+    assert [restricted_cohomology(bar, n).dim_h for n in (0, 1, 2)] == [1, 0, 0]
 
 
 def test_delta_squared_fuzzed_semidirects(small_catalog):
@@ -482,10 +557,11 @@ def test_restricted_dims_oracle_dual_module(loaded_catalog):
         for _ in range(b):
             mat = matmul(mat, co_x)
         action[(a, b)] = mat
+    bar = CochainComplex(g, rep, "bar")
     for n in (1, 2):
         _, _, dim_h = bar_dims(labels, parities, prod, p, n,
                                module_action=action, module_parities=(0, 0))
-        assert restricted_cohomology(g, rep, n).dim_h == dim_h, n
+        assert restricted_cohomology(bar, n).dim_h == dim_h, n
 
 
 def test_restricted_h1_oracle_borel_semidirect(loaded_catalog):
@@ -496,4 +572,4 @@ def test_restricted_h1_oracle_borel_semidirect(loaded_catalog):
     labels, parities, prod = table_borel_semidirect(g.p)
     assert len(labels) == 26
     _, _, dim_h = bar_dims(labels, parities, prod, g.p, 1)
-    assert restricted_cohomology(g, k, 1).dim_h == dim_h == 1
+    assert restricted_cohomology(CochainComplex(g, k, "bar"), 1).dim_h == dim_h == 1

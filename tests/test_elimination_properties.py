@@ -15,13 +15,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from supercoh.cohomology import _make_result  # noqa: E402
 from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
     Eliminator, MatGF, Subspace, nullspace, quotient_representatives, rref,
     solve,
 )
 
-from oracles import dense_rank, dense_rref, subspace_eliminate  # noqa: E402
+from oracles import (  # noqa: E402
+    class_coords_two_step, dense_rank, dense_rref, subspace_eliminate,
+)
 
 PROPS = settings(max_examples=80, deadline=None, database=None,
                  derandomize=True)
@@ -189,3 +192,26 @@ def test_subspace_agrees_with_coordinatewise_elimination(case, rnd):
            for w in W.basis_rows):
         with pytest.raises(UsageError):
             quotient_representatives(Z, W)
+
+
+@PROPS
+@given(subspace_cases())
+def test_class_coords_agrees_with_the_two_step_route(case):
+    """``CohomologyResult.class_coords``, one reduction modulo B, gives the
+    coordinates of ``oracles.class_coords_two_step`` (Z membership first,
+    then the reduction) and raises UsageError exactly where it does: on
+    random vectors, on Z vectors and on Z vectors plus a random vector."""
+    p, n, kind, zvecs, bvecs, probes = case
+    Z = {"zero": Subspace.zero(n, p), "full": Subspace.full(n, p)}.get(
+        kind) or Subspace.from_vectors(zvecs, n, p)
+    res = _make_result(1, "lie", n, Z, Subspace.from_vectors(bvecs, n, p))
+    probes = probes + [[(a + b) % p for a, b in zip(probes[0], z)]
+                       for z in probes[3:]]
+    for v in probes:
+        try:
+            want = class_coords_two_step(res, v)
+        except UsageError:
+            with pytest.raises(UsageError, match="not a cocycle"):
+                res.class_coords(v)
+        else:
+            assert res.class_coords(v) == want

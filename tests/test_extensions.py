@@ -148,9 +148,10 @@ def test_algebra_ext_round_trip_exact(loaded_catalog):
                      "a8-torus-null-plane"):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
-        Z2 = nullspace(lie_differential_matrix(g, rep, 2))
+        lie = CochainComplex(g, rep, "lie")
+        Z2 = nullspace(lie.d(2))
         for row in Z2.basis_rows:
-            ext = algebra_ext_from_2cocycle(g, rep, row)
+            ext = algebra_ext_from_2cocycle(lie, row)
             assert cocycle_from_algebra_ext(ext) == tuple(int(v) for v in row), entry_id
 
 
@@ -160,7 +161,7 @@ def test_algebra_ext_super_line_twist(loaded_catalog):
     b2 = lie_cochain_basis(g, k.space, 2)
     f = [0] * b2.dim
     f[b2.index[((), (1, 1), 0)]] = 1
-    ext = algebra_ext_from_2cocycle(g, k, f)
+    ext = algebra_ext_from_2cocycle(CochainComplex(g, k, "lie"), f)
     yi = ext.layout.g_to_e(1)
     br = ext.E.bracket(ext.E.basis_vector(yi), ext.E.basis_vector(yi))
     assert br[ext.layout.g_to_e(0)] == 1 and br[ext.layout.m_to_e(0)] == 1
@@ -182,8 +183,9 @@ def test_cohomologous_cocycles_give_equivalent_extensions(loaded_catalog):
             f = [(a + c * b) % p for a, b in zip(f, row)]
         h = [rng.randrange(p) for _ in range(b1.dim)]
         f2 = [(a - b) % p for a, b in zip(f, d1.matvec(h))]
-        e1 = algebra_ext_from_2cocycle(g, rep, f)
-        e2 = algebra_ext_from_2cocycle(g, rep, f2)
+        lie = CochainComplex(g, rep, "lie")
+        e1 = algebra_ext_from_2cocycle(lie, f)
+        e2 = algebra_ext_from_2cocycle(lie, f2)
         alpha = np.eye(e1.E.dim, dtype=np.int64)
         for i in range(g.dim):
             hx = eval_lie_cochain(b1, h, (i,), p)
@@ -274,7 +276,8 @@ def test_strongly_abelianize(loaded_catalog):
 def test_restricted_structure_trivial_case(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     b2 = lie_cochain_basis(g, k.space, 2)
-    ext = restricted_structure_from_lie_2cocycle(g, k, [0] * b2.dim)
+    ext = restricted_structure_from_lie_2cocycle(CochainComplex(g, k, "lie"),
+                                                 [0] * b2.dim)
     s0 = semidirect_extension(g, k)
     assert _pmaps_equal(ext, s0)
 
@@ -285,20 +288,21 @@ def test_restricted_structure_solvable_on_coboundaries(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
         b1 = lie_cochain_basis(g, rep.space, 1)
-        d1 = lie_differential_matrix(g, rep, 1)
+        lie = CochainComplex(g, rep, "lie")
         for _ in range(4):
             h = [rng.randrange(g.p) for _ in range(b1.dim)]
-            ext = restricted_structure_from_lie_2cocycle(g, rep, d1.matvec(h))
+            ext = restricted_structure_from_lie_2cocycle(lie, lie.d(1).matvec(h))
             assert validate_pmap(ext.E).ok, entry_id
 
 
 def test_restricted_structure_obstruction(loaded_catalog):
     # the generator of H^2 of the torus-null plane is not liftable
     g, k = fixture_algebra(loaded_catalog, "a8-torus-null-plane")
-    h2 = lie_cohomology(g, k, 2)
+    lie = CochainComplex(g, k, "lie")
+    h2 = lie_cohomology(lie, 2)
     assert h2.dim_h == 1
     with pytest.raises(NoSolutionError):
-        restricted_structure_from_lie_2cocycle(g, k, h2.representatives[0])
+        restricted_structure_from_lie_2cocycle(lie, h2.representatives[0])
 
 
 def test_restricted_structure_sigma_shift_gives_equivalent(loaded_catalog):
@@ -306,8 +310,9 @@ def test_restricted_structure_sigma_shift_gives_equivalent(loaded_catalog):
     b2 = lie_cochain_basis(g, k.space, 2)
     inv = invariants(g, k)[1]
     sigma = SemiLinearMap(g, 1, ((1,),))
-    e1 = restricted_structure_from_lie_2cocycle(g, k, [0] * b2.dim)
-    e2 = restricted_structure_from_lie_2cocycle(g, k, [0] * b2.dim, sigma=sigma)
+    lie = CochainComplex(g, k, "lie")
+    e1 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim)
+    e2 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim, sigma=sigma)
     assert not _pmaps_equal(e1, e2)
     assert are_equivalent_restricted(e1, e2)
 
@@ -321,9 +326,10 @@ def test_bar_round_trip_class_and_equivalence(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
         bar = CochainComplex(g, rep, "bar")
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        lie = CochainComplex(g, rep, "lie")
+        h2s = restricted_cohomology(bar, 2)
         for c0 in h2s.representatives:
-            ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+            ext = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
             c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
             assert h2s.class_coords(c0) == h2s.class_coords(c1), entry_id
 
@@ -334,11 +340,12 @@ def test_bar_coboundary_gives_trivial_class(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
         bar = CochainComplex(g, rep, "bar")
+        lie = CochainComplex(g, rep, "lie")
         cb1 = bar.basis(1)
         d1 = bar.d(1)
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        h2s = restricted_cohomology(bar, 2)
         h = [rng.randrange(g.p) for _ in range(cb1.dim)]
-        ext = restricted_ext_from_assoc_2cocycle(g, rep, d1.matvec(h), bar)
+        ext = restricted_ext_from_assoc_2cocycle(bar, lie, d1.matvec(h))
         c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
         assert all(v == 0 for v in h2s.class_coords(c1)), entry_id
 
@@ -349,7 +356,7 @@ def test_bar_cocycle_of_trivial_extension_is_trivial_class(loaded_catalog):
         bar = CochainComplex(g, rep, "bar")
         s0 = semidirect_extension(g, rep)
         c = assoc_2cocycle_from_restricted_ext(s0, bar)
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        h2s = restricted_cohomology(bar, 2)
         assert all(v == 0 for v in h2s.class_coords(c)), entry_id
 
 
@@ -371,7 +378,7 @@ def test_bar_extraction_section_independence(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
         bar = CochainComplex(g, rep, "bar")
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        h2s = restricted_cohomology(bar, 2)
         s0 = semidirect_extension(g, rep)
         base = assoc_2cocycle_from_restricted_ext(s0, bar)
         for _ in range(3):
@@ -392,6 +399,7 @@ def test_bar_extraction_matches_the_gamma_oracle(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         for name, rep in modules.items():
             bar = CochainComplex(g, rep, "bar")
+            lie = CochainComplex(g, rep, "lie")
             s0 = semidirect_extension(g, rep)
             for _ in range(2):
                 sec = psi_image(s0, _random_section_shift(g, rep, rng))
@@ -399,9 +407,9 @@ def test_bar_extraction_matches_the_gamma_oracle(loaded_catalog):
                     bar_cocycle_of_extension(s0, bar, sec), (entry_id, name)
             h = [rng.randrange(g.p) for _ in range(bar.basis(1).dim)]
             cocycles = [bar.d(1).matvec(h)]
-            cocycles += restricted_cohomology(g, rep, 2, bar).representatives
+            cocycles += restricted_cohomology(bar, 2).representatives
             for c0 in cocycles:
-                ext = restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+                ext = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
                 assert assoc_2cocycle_from_restricted_ext(ext, bar) == \
                     bar_cocycle_of_extension(ext, bar), (entry_id, name)
 
@@ -441,9 +449,10 @@ def test_bar_extraction_catches_a_corrupted_generator_row(loaded_catalog,
     for entry_id in ("a4-borel-dual", "a6-abelian-plane", "a7-mixed-line"):
         g, rep = fixture_algebra(loaded_catalog, entry_id)
         bar = CochainComplex(g, rep, "bar")
-        h2s = restricted_cohomology(g, rep, 2, bar)
+        lie = CochainComplex(g, rep, "lie")
+        h2s = restricted_cohomology(bar, 2)
         s0 = semidirect_extension(g, rep)
-        exts = [s0] + [restricted_ext_from_assoc_2cocycle(g, rep, c0, bar)
+        exts = [s0] + [restricted_ext_from_assoc_2cocycle(bar, lie, c0)
                        for c0 in h2s.representatives]
         for ext in exts:
             want = h2s.class_coords(assoc_2cocycle_from_restricted_ext(ext, bar))
@@ -479,24 +488,26 @@ def test_bar_ext_rejects_non_cocycle(loaded_catalog):
     """restricted_ext_from_assoc_2cocycle refuses a cochain off Ker d2."""
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     bar = CochainComplex(g, k, "bar")
-    c0 = list(restricted_cohomology(g, k, 2, bar).representatives[0])
+    lie = CochainComplex(g, k, "lie")
+    c0 = list(restricted_cohomology(bar, 2).representatives[0])
     c0[0] = (c0[0] + 1) % g.p
     assert any(bar.d(2).matvec(c0))
     with pytest.raises(NotACocycleError):
-        restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
+        restricted_ext_from_assoc_2cocycle(bar, lie, c0)
 
 
 def test_bar_ext_pmap_formula(loaded_catalog):
     # (x, 0)^[p] = (x^[p], c(x^{p-1}, x)) on the nilpotent line
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     bar = CochainComplex(g, k, "bar")
-    h2s = restricted_cohomology(g, k, 2, bar)
+    lie = CochainComplex(g, k, "lie")
+    h2s = restricted_cohomology(bar, 2)
     c0 = h2s.representatives[0]
     cb = bar.basis(2)
     x = cb.aug_index[(1,)]
     x2 = cb.aug_index[(2,)]
     cval = c0[cb.index[((x2, x), 0)]]
-    ext = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
+    ext = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
     pm = ext.E.pmap_basis(ext.layout.g_to_e(0))
     assert pm[ext.layout.m_to_e(0)] == cval % 3
     assert not pm[ext.layout.g_to_e(0)]
@@ -510,15 +521,16 @@ def test_bar_roundtrip_difference_is_explicit_equivalence(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     p = g.p
     bar = CochainComplex(g, k, "bar")
-    h2s = restricted_cohomology(g, k, 2, bar)
+    lie = CochainComplex(g, k, "lie")
+    h2s = restricted_cohomology(bar, 2)
     c0 = h2s.representatives[0]
-    ext0 = restricted_ext_from_assoc_2cocycle(g, k, c0, bar)
+    ext0 = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
     c1 = assoc_2cocycle_from_restricted_ext(ext0, bar)
     diff = [(a - b) % p for a, b in zip(c1, c0)]
     d1 = bar.d(1)
     h = solve(d1, diff)
     assert h is not None  # same class, so the difference is a coboundary
-    ext1 = restricted_ext_from_assoc_2cocycle(g, k, c1, bar)
+    ext1 = restricted_ext_from_assoc_2cocycle(bar, lie, c1)
     # alpha: ext1 -> ext0 on (x, m) -> (x, m + h(x)); brackets agree (the
     # antisymmetrized restrictions coincide on the line), p-maps must match
     cb1 = bar.basis(1)
@@ -596,7 +608,7 @@ def test_are_equivalent_rejects_different_brackets(loaded_catalog):
     b2 = lie_cochain_basis(g, k.space, 2)
     f = [0] * b2.dim
     f[b2.index[((), (1, 1), 0)]] = 1
-    e1 = restricted_structure_from_lie_2cocycle(g, k, f)
+    e1 = restricted_structure_from_lie_2cocycle(CochainComplex(g, k, "lie"), f)
     s0 = semidirect_extension(g, k)
     with pytest.raises(DifferentUnderlyingError):
         are_equivalent_restricted(e1, s0)
@@ -629,8 +641,9 @@ def test_strongly_abelianize_shift_is_semilinear_into_center(loaded_catalog):
 def test_bar_zero_cocycle_gives_trivial_extension(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a3-heisenberg")
     bar = CochainComplex(g, k, "bar")
+    lie = CochainComplex(g, k, "lie")
     cb = bar.basis(2)
-    ext = restricted_ext_from_assoc_2cocycle(g, k, [0] * cb.dim, bar)
+    ext = restricted_ext_from_assoc_2cocycle(bar, lie, [0] * cb.dim)
     s0 = semidirect_extension(g, k)
     assert np.array_equal(ext.E.brackets, s0.E.brackets)
     assert _pmaps_equal(ext, s0)
