@@ -54,14 +54,14 @@ inert = SemiLinearMap(g, 1, ((1,), (0,)))
 tw0 = twist_pmap(s0, inert)
 print("twist by (h -> m, x -> 0): class",
       h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw0, bar)),
-      "; equivalent to s0?", are_equivalent_restricted(s0, tw0))
+      "; equivalent to s0?", are_equivalent_restricted(s0, tw0, lie))
 
 # x -> m is not such a defect: it produces a genuinely new equivalence class
 active = SemiLinearMap(g, 1, ((0,), (1,)))
 tw1 = twist_pmap(s0, active)
 print("twist by (h -> 0, x -> m): class",
       h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw1, bar)),
-      "; equivalent to s0?", are_equivalent_restricted(s0, tw1))
+      "; equivalent to s0?", are_equivalent_restricted(s0, tw1, lie))
 
 # --- and back: a bar cocycle to a restricted extension -------------------
 c0 = h2s.representatives[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
-from .gflin import MatGF, Subspace, image, nullspace, quotient_representatives
+from .gflin import MatGF, RowReduction, Subspace, quotient_representatives
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -120,8 +120,7 @@ class AssocCochainBasis:
 
 
 def assoc_cochain_basis(ualg, mspace, n):
-    aug = ualg.aug_basis()
-    aug_index = {m: i for i, m in enumerate(aug)}
+    aug, aug_index = ualg.aug_basis(), ualg.aug_index()
     pars = [ualg.parity(m) for m in aug]
     items = []
     for tup in itertools.product(range(len(aug)), repeat=n):
@@ -295,7 +294,7 @@ def _aug_power(ualg, i, e):
     """Index in ``ualg.aug_basis()`` of x_i^e, for basis index i of g."""
     mono = [0] * ualg.ngen
     mono[ualg.pos_of[i]] = e
-    return ualg.aug_basis().index(tuple(mono))
+    return ualg.aug_index()[tuple(mono)]
 
 
 def _bar_action(ualg, rep, aug):
@@ -370,10 +369,11 @@ def is_bar_2cocycle(bar, cvec):
 
 class CochainComplex:
     """The Lie (``kind="lie"``) or bar (``kind="bar"``) cochain complex of
-    (g, M).  Each degree's basis and differential d_n : C^n -> C^{n+1} is
-    built on first use and kept for the life of the object, so everything
-    read off one complex shares them.  The bar kind owns the restricted
-    enveloping algebra u(g) its cochains live on."""
+    (g, M).  Each degree's basis, differential d_n : C^n -> C^{n+1} and
+    ``RowReduction`` of d_n is built on first use and kept for the life of
+    the object, so everything read off one complex shares them: Ker d_n
+    and Im d_n come from one elimination of d_n's rows.  The bar kind owns
+    the restricted enveloping algebra u(g) its cochains live on."""
 
     def __init__(self, g, rep, kind):
         if kind not in ("lie", "bar"):
@@ -384,6 +384,7 @@ class CochainComplex:
         self.ualg = UAlgebra(g, restricted=True) if kind == "bar" else None
         self._bases = {}
         self._diffs = {}
+        self._reductions = {}
 
     def basis(self, n):
         if n not in self._bases:
@@ -398,6 +399,19 @@ class CochainComplex:
                               if self.ualg is None else
                               assoc_differential_matrix(self.ualg, self.rep, n))
         return self._diffs[n]
+
+    def _reduction(self, n):
+        if n not in self._reductions:
+            self._reductions[n] = RowReduction(self.d(n))
+        return self._reductions[n]
+
+    def kernel(self, n):
+        """Ker d_n, the n-cocycles."""
+        return self._reduction(n).kernel
+
+    def image(self, n):
+        """Im d_n, the (n+1)-coboundaries."""
+        return self._reduction(n).image
 
     def require(self, kind, of=None):
         """Raise UsageError unless this is a ``kind`` complex, and one of the
@@ -454,8 +468,8 @@ def _cohomology(cx, n, kind):
     if n not in (0, 1, 2):
         raise UsageError("degrees 0..2 only")
     dim = cx.basis(n).dim
-    Z = nullspace(cx.d(n))
-    B = image(cx.d(n - 1)) if n else Subspace.zero(dim, cx.g.p)
+    Z = cx.kernel(n)
+    B = cx.image(n - 1) if n else Subspace.zero(dim, cx.g.p)
     return _make_result(n, kind, dim, Z, B)
 
 

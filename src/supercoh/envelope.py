@@ -127,6 +127,8 @@ class UAlgebra:
         self._norm = {}
         self._prod = {}
         self._basis = None
+        self._aug = None
+        self._aug_index = None
         self._table = None
         self._action = {}
 
@@ -186,7 +188,16 @@ class UAlgebra:
         return self._basis
 
     def aug_basis(self):
-        return tuple(m for m in self.pbw_basis() if sum(m))
+        """The PBW basis without the unit, a basis of the augmentation ideal."""
+        if self._aug is None:
+            self._aug = tuple(m for m in self.pbw_basis() if sum(m))
+        return self._aug
+
+    def aug_index(self):
+        """{monomial: its index in ``aug_basis()``}."""
+        if self._aug_index is None:
+            self._aug_index = {m: i for i, m in enumerate(self.aug_basis())}
+        return self._aug_index
 
     @property
     def dim(self):

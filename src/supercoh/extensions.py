@@ -23,7 +23,7 @@ from .errors import (
     DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
     NotACocycleError, UsageError, ValidationError, ValueNotInvariantError,
 )
-from .gflin import MatGF, nullspace, solve
+from .gflin import MatGF, solve
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from .superalg import (
     EVEN, LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
@@ -222,11 +222,12 @@ def algebra_ext_from_2cocycle(lie, fvec):
     return AlgebraExtension(g, rep, E, layout)
 
 
-def cocycle_from_algebra_ext(ext):
-    """f(x1,x2) = M-part of [section(x1), section(x2)] minus section([x1,x2])."""
-    g, rep = ext.g, ext.rep
-    p = g.p
-    basis = CochainComplex(g, rep, "lie").basis(2)
+def cocycle_from_algebra_ext(ext, lie):
+    """f(x1,x2) = M-part of [section(x1), section(x2)] minus section([x1,x2]),
+    in the 2-cochain coordinates of the Lie complex ``lie`` of (g, M)."""
+    lie.require("lie", ext)
+    g, p = ext.g, ext.g.p
+    basis = lie.basis(2)
     fvec = [0] * basis.dim
     for (ev, od, nu), col in basis.index.items():
         args = ev + od
@@ -490,12 +491,12 @@ def _check_readback(ext, c, ualg, section_vectors):
 # automorphisms and equivalence
 # ---------------------------------------------------------------------------
 
-def automorphism_from_1cocycle(ext, hvec):
-    """alpha(x, m) = (x, m + h(x)) for a Lie 1-cocycle h: g -> M; verified to
-    be an algebra automorphism fixing M with phi . alpha = phi."""
-    g, rep = ext.g, ext.rep
-    p = ext.p
-    lie = CochainComplex(g, rep, "lie")
+def automorphism_from_1cocycle(ext, lie, hvec):
+    """alpha(x, m) = (x, m + h(x)) for a 1-cocycle h: g -> M of the Lie
+    complex ``lie`` of (g, M); verified to be an algebra automorphism fixing
+    M with phi . alpha = phi."""
+    lie.require("lie", ext)
+    g, p = ext.g, ext.p
     basis = lie.basis(1)
     if any(lie.d(1).matvec(hvec)):
         raise NotACocycleError("not a Lie 1-cocycle")
@@ -552,14 +553,15 @@ def psi_twist_of_cocycle(ext, lie, hvec):
         SemiLinearMap(g, ext.rep.dim, tuple(middle)))
 
 
-def are_equivalent_restricted(e1, e2):
+def are_equivalent_restricted(e1, e2, lie):
     """Two restricted structures on one underlying extension are equivalent
-    iff their p-map difference lies in the image of Psi on Z^1(g, M)."""
+    iff their p-map difference lies in the image of Psi on Z^1(g, M), the
+    1-cocycles of the Lie complex ``lie`` of (g, M)."""
+    lie.require("lie", e1)
     diff = restricted_pmap_difference(e1, e2)
     g, rep = e1.g, e1.rep
-    lie = CochainComplex(g, rep, "lie")
     cols = []
-    for row in nullspace(lie.d(1)).basis_rows:
+    for row in lie.kernel(1).basis_rows:
         smap = psi_twist_of_cocycle(e1, lie, row)
         cols.append([v for t in range(g.space.n_even)
                      for v in smap.value_on_basis(t)])

@@ -15,9 +15,20 @@ numpy array.  Its pivot columns form an identity block, so the
 coefficients of a vector on the basis are its pivot coordinates, and
 reducing, testing membership and taking coordinates are one product
 (``_mulmod``, which keeps every int64 sum below 2^63).
+
+A ``RowReduction`` eliminates the rows of an n x k matrix m once and reads
+both subspaces off it: the kernel from the RREF, and the column space
+without eliminating m's (long) columns.  With P the rows the eliminator
+accepts as new pivots, in order, and Q the pivot columns of the RREF,
+m[P, Q] is invertible and T = m[:, Q] m[P, Q]^-1 has T[P] = I and
+T[j, i] = 0 whenever P_i > j; so T^T is the canonical RREF basis of the
+image, with pivots P.  ``image(m)`` spans the columns one by one, for the
+small matrices where that is cheaper than inverting m[P, Q].
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -475,19 +486,85 @@ def rref(m):
     return MatGF(m.rows, m.cols, m.p, ent), elim.rank, elim.pivots()
 
 
+class RowReduction:
+    """One elimination of the rows of a matrix m (n x k, rank r over
+    GF(p)), read two ways: ``kernel`` {x : m x = 0} in GF(p)^k and the
+    column space ``image`` in GF(p)^n, each as a canonical ``Subspace``.
+
+    The rows are fed to an ``Eliminator`` in order.  The ones it accepts as
+    new pivots, P (increasing), are the rows outside the span of the rows
+    before them; Q are the pivot columns of the RREF of the row space.
+    The kernel is read off that RREF at once, and the eliminator is
+    dropped.  The image is computed on first use, from m and (P, Q) alone:
+    m[P, Q] is invertible, every row of m is t_j m[P, :] with
+    t_j = m[j, Q] m[P, Q]^-1, and m = T m[P, :] with m[P, :] of full row
+    rank, so the column space of m is that of T = m[:, Q] m[P, Q]^-1.
+    Row j of T holds row j's coordinates on the pivot rows: T[P] = I, and
+    T[j, i] = 0 whenever P_i > j, since row j lies in the span of the
+    pivot rows before it.  So T^T is in RREF with pivots P, and it is the
+    canonical basis of the image.
+    """
+
+    def __init__(self, m):
+        elim = Eliminator(m.cols, m.p)
+        prows = []
+        for i, row in enumerate(m.row_dicts()):
+            if elim.add(row) is not None:
+                prows.append(i)
+        self._m, self._prows, self._pcols = m, tuple(prows), elim.pivots()
+        vectors = []
+        for j in range(m.cols):
+            if j not in elim.rows:
+                vec = {j: 1}
+                for pc, v in elim.column(j).items():
+                    vec[pc] = (-v) % m.p
+                vectors.append(vec)
+        self.kernel = Subspace.from_vectors(vectors, m.cols, m.p)
+
+    @property
+    def rank(self):
+        return len(self._prows)
+
+    @functools.cached_property
+    def image(self):
+        """Column space of m as a Subspace of GF(p)^rows: the rows of
+        T^T, T = m[:, Q] m[P, Q]^-1, summed column by column of m[:, Q]."""
+        m, prows, r = self._m, self._prows, self.rank
+        p, n = m.p, m.rows
+        if not r:
+            return Subspace.zero(n, p)
+        # the columns Q of m as (rows, values) lists, and [m[P, Q] | I]
+        at_q = {c: a for a, c in enumerate(self._pcols)}
+        at_p = {i: a for a, i in enumerate(prows)}
+        cols = [([], []) for _ in range(r)]
+        block = [{r + a: 1} for a in range(r)]
+        for (i, c), v in m.entries.items():
+            a = at_q.get(c)
+            if a is not None:
+                cols[a][0].append(i)
+                cols[a][1].append(v)
+                if i in at_p:
+                    block[at_p[i]][a] = v
+        # m[P, Q]^-1 from the RREF [I | m[P, Q]^-1] of [m[P, Q] | I]
+        elim = Eliminator(2 * r, p)
+        for row in block:
+            elim.add(row)
+        # T^T = (m[P, Q]^-1)^T m[:, Q]^T: the inverse's entry w at (a, b)
+        # adds w times column a of m[:, Q] to row b of T^T.  Only those
+        # entries are written, so the pages of the zero-filled array that
+        # T^T leaves zero are never touched
+        rows = np.zeros((r, n), dtype=np.int64)
+        for a, (i, v) in enumerate(cols):
+            i, v = np.array(i, dtype=np.int64), np.array(v, dtype=np.int64)
+            for b, w in elim.rows[a].items():
+                if b >= r:
+                    rows[b - r, i] = (rows[b - r, i] + w * v) % p
+        return Subspace._rref(n, p, rows, prows)
+
+
 def nullspace(m):
     """Kernel {x : m x = 0} as a Subspace of GF(p)^cols."""
-    elim = Eliminator(m.cols, m.p)
-    for row in m.row_dicts():
-        elim.add(row)
-    vectors = []
-    for j in range(m.cols):
-        if j not in elim.rows:
-            vec = {j: 1}
-            for pc, v in elim.column(j).items():
-                vec[pc] = (-v) % m.p
-            vectors.append(vec)
-    return Subspace.from_vectors(vectors, m.cols, m.p)
+    return RowReduction(m).kernel
 
 
 def image(m):

@@ -26,7 +26,9 @@ from .cohomology import (
     lie_cohomology, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
-from .gflin import MatGF, Subspace, image, matpow, nullspace, subspace_sum
+from .gflin import (
+    MatGF, RowReduction, Subspace, image, matpow, nullspace, subspace_sum,
+)
 from .superalg import EVEN, SemiLinearMap, invariants, semilinear_pairs
 
 __all__ = [
@@ -97,7 +99,7 @@ class SixTermContext:
         from .extensions import (assoc_2cocycle_from_restricted_ext,
                                  restricted_structure_from_lie_2cocycle)
         p, dim = self.p, self.bar.d(1).rows
-        B = image(self.bar.d(1))
+        B = self.bar.image(1)
         lifts = []
         for fvec in (nullspace(self.phi).rows @ self.h2.R.rows % p).tolist():
             lifts.append(assoc_2cocycle_from_restricted_ext(
@@ -321,11 +323,11 @@ def pair_model(lie):
             rows.append(row)
         rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
     D2 = MatGF.from_rows(rows, ncols, p)
-    d0 = lie.d(0)
-    if not (D1.matmul(d0).is_zero() and D2.matmul(D1).is_zero()):
+    if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
         raise InvariantViolationError("the pair model's D^2 is not zero")
-    return (_make_result(1, "pair", c1.dim, nullspace(D1), image(d0)),
-            _make_result(2, "pair", ncols, nullspace(D2), image(D1)))
+    red = RowReduction(D1)  # Ker D1 and Im D1 from one elimination
+    return (_make_result(1, "pair", c1.dim, red.kernel, lie.image(0)),
+            _make_result(2, "pair", ncols, nullspace(D2), red.image))
 
 
 # ---------------------------------------------------------------------------

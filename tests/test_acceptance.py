@@ -171,7 +171,7 @@ def test_criterion_8_round_trips(loaded_catalog):
         Z2 = nullspace(lie.d(2))
         for row in Z2.basis_rows[:3]:
             ext = algebra_ext_from_2cocycle(lie, row)
-            assert cocycle_from_algebra_ext(ext) == tuple(int(v) for v in row)
+            assert cocycle_from_algebra_ext(ext, lie) == tuple(int(v) for v in row)
             assert validate_lie_super(ext.E).ok
         # bar correspondence: class-level round trip, validators pass
         bar = CochainComplex(g, rep, "bar")

@@ -13,7 +13,7 @@ from supercoh.cohomology import (
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
-from supercoh.gflin import MatGF, nullspace
+from supercoh.gflin import MatGF, RowReduction, image, nullspace
 from supercoh import extensions, sixterm
 from supercoh.sixterm import SixTermContext, pair_model
 from supercoh.superalg import (
@@ -433,12 +433,21 @@ COMPLEX_CALLS = {
     "obstruction_cocycle":
         lambda c: sixterm.obstruction_cocycle(c.lie, c.lie2, 0),
     "pair_model": lambda c: pair_model(c.lie),
+    "cocycle_from_algebra_ext":
+        lambda c: extensions.cocycle_from_algebra_ext(c.ext, c.lie),
+    "automorphism_from_1cocycle":
+        lambda c: extensions.automorphism_from_1cocycle(c.ext, c.lie, c.lie1),
+    "are_equivalent_restricted":
+        lambda c: extensions.are_equivalent_restricted(c.ext, c.ext, c.lie),
 }
 PAIRED = {
     "comparison_matrix": ("lie", "bar"),
     "restricted_ext_from_assoc_2cocycle": ("lie", "bar"),
     "assoc_2cocycle_from_restricted_ext": ("bar",),
     "psi_twist_of_cocycle": ("lie",),
+    "cocycle_from_algebra_ext": ("lie",),
+    "automorphism_from_1cocycle": ("lie",),
+    "are_equivalent_restricted": ("lie",),
 }
 COMPLEX_CASES = [(name, "wrong kind") for name in COMPLEX_CALLS] + [
     (name, f"{other}'s {kind}") for name, kinds in PAIRED.items()
@@ -473,6 +482,27 @@ def test_functions_taking_a_complex_reject_a_foreign_one(loaded_catalog,
             _complex_args(loaded_catalog, entry_id, module or "k"), kind))
     with pytest.raises(UsageError, match=r"complex of this \(g, M\)"):
         call(args)
+
+
+def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
+    """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96): the
+    image a ``RowReduction`` reads off the row elimination equals the
+    column route's, has the eliminator's pivot rows as its pivots,
+    contains every column of d1, and has the dimension the kernel
+    leaves."""
+    from supercoh.algfile import parse_algebra_dict
+    e, _, _ = loaded_catalog["a4-borel-adjoint"]
+    g, modules, _ = parse_algebra_dict(dict(e.data, p=7))
+    bar = CochainComplex(g, modules["adjoint"], "bar")
+    d1 = bar.d(1)
+    red = RowReduction(d1)
+    assert (d1.rows, d1.cols, d1.nnz) == (4608, 96, 9012)
+    assert red.image == image(d1)
+    assert red.image.pivots == red._prows
+    cols = d1.to_dense().T
+    assert not red.image._eliminate(cols)[0].any()
+    assert not (cols.T @ red.kernel.rows.T % 7).any()
+    assert red.image.dim == red.rank == 96 - red.kernel.dim
 
 
 def test_comparison_is_cochain_map(loaded_catalog):

@@ -2,7 +2,9 @@
 the plain dense elimination in ``oracles.dense_rank`` and sympy's
 ``DomainMatrix`` over GF(p).  Matrices mix sparse rows with rows more than
 a quarter full, so heavy fill-in meets the eliminator's sparse rows and its
-column index."""
+column index.  The image a ``RowReduction`` reads off its row elimination
+is checked against the column route ``image`` and the dense RREF of the
+transpose."""
 
 import random
 
@@ -18,8 +20,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from supercoh.cohomology import _make_result  # noqa: E402
 from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
-    Eliminator, MatGF, Subspace, nullspace, quotient_representatives, rref,
-    solve,
+    Eliminator, MatGF, RowReduction, Subspace, image, nullspace,
+    quotient_representatives, rref, solve,
 )
 
 from oracles import (  # noqa: E402
@@ -96,6 +98,61 @@ def test_fill_in_turns_dict_rows_dense():
         rows = [{j: rng.randrange(1, p) for j in range(cols)
                  if rng.random() < 0.9} for _ in range(10)]
         _check_against_sympy_and_dense_rank(p, cols, rows)
+
+
+def _check_row_reduction(p, cols, rows):
+    """Kernel and image of one ``RowReduction`` against ``nullspace``,
+    sympy, the column route ``image`` and the dense RREF of m^T."""
+    m = MatGF.from_rows(rows, cols, p)
+    red = RowReduction(m)
+    assert red.kernel == nullspace(m)
+    if rows and cols:
+        _, pivots, kernel = _sympy_rref(rows, cols, p)
+        assert red.kernel == Subspace.from_vectors(kernel, cols, p)
+        assert red.rank == len(pivots)
+    transpose = [list(col) for col in zip(*_dense(rows, cols))]
+    trows, tpivots = dense_rref(transpose, len(rows), p)
+    assert red.image == image(m)
+    assert red.image.basis_rows == tuple(trows)
+    assert list(red.image.pivots) == tpivots
+    assert red.rank == red.image.dim == cols - red.kernel.dim
+
+
+@PROPS
+@given(sparse_matrices())
+def test_row_reduction_kernel_and_image(case):
+    _check_row_reduction(*case)
+
+
+def _tall(p, n, cols, rng):
+    """n rows over cols columns, each a random combination of a few."""
+    base = [{j: rng.randrange(1, p) for j in range(cols) if rng.random() < .5}
+            for _ in range(3)]
+    return [{j: v for j in range(cols)
+             if (v := sum(rng.randrange(p) * b.get(j, 0) for b in base) % p)}
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["zero matrix", "zero rows", "no rows",
+                                  "no columns", "wide", "tall", "full rank",
+                                  "identity reversed"])
+def test_row_reduction_shapes(name):
+    rng = random.Random(name)
+    p, cols, rows = {
+        "zero matrix": (5, 6, [{} for _ in range(4)]),
+        "zero rows": (7, 5, [{}, {1: 2, 3: 1}, {}, {}, {0: 1, 1: 3},
+                             {1: 4, 3: 2}, {}]),
+        "no rows": (3, 4, []),
+        "no columns": (3, 0, [{}, {}]),
+        "wide": (5, 20, [{j: rng.randrange(1, 5) for j in range(20)
+                          if rng.random() < .3} for _ in range(3)]),
+        "tall": (3, 6, _tall(3, 40, 6, rng)),
+        "full rank": (17, 7, [{i: 1 + i, **{j: rng.randrange(17)
+                                            for j in range(i + 1, 7)}}
+                              for i in range(7)]),
+        "identity reversed": (3, 5, [{4 - i: 1} for i in range(5)]),
+    }[name]
+    _check_row_reduction(p, cols, rows)
 
 
 @PROPS

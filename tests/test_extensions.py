@@ -152,7 +152,7 @@ def test_algebra_ext_round_trip_exact(loaded_catalog):
         Z2 = nullspace(lie.d(2))
         for row in Z2.basis_rows:
             ext = algebra_ext_from_2cocycle(lie, row)
-            assert cocycle_from_algebra_ext(ext) == tuple(int(v) for v in row), entry_id
+            assert cocycle_from_algebra_ext(ext, lie) == tuple(int(v) for v in row), entry_id
 
 
 def test_algebra_ext_super_line_twist(loaded_catalog):
@@ -314,7 +314,7 @@ def test_restricted_structure_sigma_shift_gives_equivalent(loaded_catalog):
     e1 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim)
     e2 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim, sigma=sigma)
     assert not _pmaps_equal(e1, e2)
-    assert are_equivalent_restricted(e1, e2)
+    assert are_equivalent_restricted(e1, e2, lie)
 
 
 # ---------------------------------------------------------------------------
@@ -559,32 +559,35 @@ def test_automorphism_laws(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     p = g.p
     ext = semidirect_extension(g, k)
+    lie = CochainComplex(g, k, "lie")
     b1 = lie_cochain_basis(g, k.space, 1)
     Z1 = nullspace(lie_differential_matrix(g, k, 1))
-    zero = automorphism_from_1cocycle(ext, [0] * b1.dim)
+    zero = automorphism_from_1cocycle(ext, lie, [0] * b1.dim)
     assert np.array_equal(zero, np.eye(ext.E.dim, dtype=np.int64))
     h = Z1.basis_rows[0]
-    a1 = automorphism_from_1cocycle(ext, h)
-    a2 = automorphism_from_1cocycle(ext, [(-v) % p for v in h])
+    a1 = automorphism_from_1cocycle(ext, lie, h)
+    a2 = automorphism_from_1cocycle(ext, lie, [(-v) % p for v in h])
     assert np.array_equal((a1 @ a2) % p, np.eye(ext.E.dim, dtype=np.int64))
     # a non-cocycle yields no automorphism
     bad = [0] * b1.dim
     bad[b1.index[((1,), (), 0)]] = 1  # x* is not a cocycle for the borel algebra
     assert any(lie_differential_matrix(g, k, 1).matvec(bad))
     with pytest.raises(NotACocycleError):
-        automorphism_from_1cocycle(ext, bad)
+        automorphism_from_1cocycle(ext, lie, bad)
 
 
 def test_are_equivalent_examples(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a1-null")
     s0 = semidirect_extension(g, k)
-    assert are_equivalent_restricted(s0, s0)
+    lie = CochainComplex(g, k, "lie")
+    assert are_equivalent_restricted(s0, s0, lie)
     tw = twist_pmap(s0, SemiLinearMap(g, 1, ((1,),)))
-    assert not are_equivalent_restricted(s0, tw)  # Im Psi = 0 here
+    assert not are_equivalent_restricted(s0, tw, lie)  # Im Psi = 0 here
     gt, kt = fixture_algebra(loaded_catalog, "a2-torus")
     s0t = semidirect_extension(gt, kt)
     twt = twist_pmap(s0t, SemiLinearMap(gt, 1, ((2,),)))
-    assert are_equivalent_restricted(s0t, twt)  # Psi is onto for the torus
+    liet = CochainComplex(gt, kt, "lie")
+    assert are_equivalent_restricted(s0t, twt, liet)  # Psi is onto for the torus
 
 
 def test_are_equivalent_twist_by_psi_value(loaded_catalog):
@@ -600,7 +603,7 @@ def test_are_equivalent_twist_by_psi_value(loaded_catalog):
         for row in Z1.basis_rows:
             smap = psi_twist_of_cocycle(s0, lie, row)
             tw = twist_pmap(s0, smap)
-            assert are_equivalent_restricted(s0, tw), entry_id
+            assert are_equivalent_restricted(s0, tw, lie), entry_id
 
 
 def test_are_equivalent_rejects_different_brackets(loaded_catalog):
@@ -608,10 +611,11 @@ def test_are_equivalent_rejects_different_brackets(loaded_catalog):
     b2 = lie_cochain_basis(g, k.space, 2)
     f = [0] * b2.dim
     f[b2.index[((), (1, 1), 0)]] = 1
-    e1 = restricted_structure_from_lie_2cocycle(CochainComplex(g, k, "lie"), f)
+    lie = CochainComplex(g, k, "lie")
+    e1 = restricted_structure_from_lie_2cocycle(lie, f)
     s0 = semidirect_extension(g, k)
     with pytest.raises(DifferentUnderlyingError):
-        are_equivalent_restricted(e1, s0)
+        are_equivalent_restricted(e1, s0, lie)
 
 
 def test_strongly_abelianize_shift_is_semilinear_into_center(loaded_catalog):
