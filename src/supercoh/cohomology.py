@@ -15,6 +15,7 @@ degree-3 basis, the bar differential numbers its cochains by integer keys.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -373,7 +374,9 @@ class CochainComplex:
     ``RowReduction`` of d_n is built on first use and kept for the life of
     the object, so everything read off one complex shares them: Ker d_n
     and Im d_n come from one elimination of d_n's rows.  The bar kind owns
-    the restricted enveloping algebra u(g) its cochains live on."""
+    the restricted enveloping algebra u(g) its cochains live on, and
+    ``with_module`` gives the bar complex of another module on the same
+    u(g)."""
 
     def __init__(self, g, rep, kind):
         if kind not in ("lie", "bar"):
@@ -385,6 +388,16 @@ class CochainComplex:
         self._bases = {}
         self._diffs = {}
         self._reductions = {}
+
+    def with_module(self, rep):
+        """The complex of the same kind of (g, rep), another module of g.
+        A bar complex keeps this one's u(g), with its aug basis and product
+        table, instead of straightening them again."""
+        if rep.g is not self.g:
+            raise UsageError("the module is not one of this complex's g")
+        cx = copy.copy(self)
+        cx.rep, cx._bases, cx._diffs, cx._reductions = rep, {}, {}, {}
+        return cx
 
     def basis(self, n):
         if n not in self._bases:

@@ -528,7 +528,8 @@ class RowReduction:
     @functools.cached_property
     def image(self):
         """Column space of m as a Subspace of GF(p)^rows: the rows of
-        T^T, T = m[:, Q] m[P, Q]^-1, summed column by column of m[:, Q]."""
+        T^T, T = m[:, Q] m[P, Q]^-1, summed one column of m[:, Q] at a
+        time."""
         m, prows, r = self._m, self._prows, self.rank
         p, n = m.p, m.rows
         if not r:
@@ -550,15 +551,19 @@ class RowReduction:
         for row in block:
             elim.add(row)
         # T^T = (m[P, Q]^-1)^T m[:, Q]^T: the inverse's entry w at (a, b)
-        # adds w times column a of m[:, Q] to row b of T^T.  Only those
+        # adds w times column a of m[:, Q] to row b of T^T.  Column a is
+        # added for all the inverse entries of row a at once; their targets
+        # are distinct, so a plain fancy-indexed add is exact.  Only those
         # entries are written, so the pages of the zero-filled array that
         # T^T leaves zero are never touched
         rows = np.zeros((r, n), dtype=np.int64)
+        out = rows.reshape(-1)
         for a, (i, v) in enumerate(cols):
+            bw = np.array([(b - r, w) for b, w in elim.rows[a].items()
+                           if b >= r], dtype=np.int64)
             i, v = np.array(i, dtype=np.int64), np.array(v, dtype=np.int64)
-            for b, w in elim.rows[a].items():
-                if b >= r:
-                    rows[b - r, i] = (rows[b - r, i] + w * v) % p
+            at = (bw[:, :1] * n + i).ravel()
+            out[at] = (out[at] + (bw[:, 1:] * v).ravel()) % p
         return Subspace._rref(n, p, rows, prows)
 
 

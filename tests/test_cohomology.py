@@ -484,6 +484,21 @@ def test_functions_taking_a_complex_reject_a_foreign_one(loaded_catalog,
         call(args)
 
 
+def test_with_module_shares_u_g(loaded_catalog):
+    """``with_module`` gives the complex of another module of the same g on
+    the same u(g): its bar d1 equals that of a complex built from scratch,
+    and a module of another algebra is refused."""
+    _, g, modules = loaded_catalog["a4-borel-adjoint"]
+    bar = CochainComplex(g, modules["k"], "bar")
+    other = bar.with_module(modules["adjoint"])
+    assert other.ualg is bar.ualg and other.rep is modules["adjoint"]
+    assert other.d(1) == CochainComplex(g, modules["adjoint"], "bar").d(1)
+    assert other.kind == "bar" and bar.rep is modules["k"]
+    _, k = fixture_algebra(loaded_catalog, "a1-null")
+    with pytest.raises(UsageError, match="module"):
+        bar.with_module(k)
+
+
 def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
     """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96): the
     image a ``RowReduction`` reads off the row elimination equals the

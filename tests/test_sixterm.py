@@ -9,7 +9,8 @@ from supercoh.cohomology import (
     restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
-from supercoh.errors import InvariantViolationError
+from supercoh.errors import InvariantViolationError, NotACocycleError
+from supercoh.extensions import semidirect_extension, twist_pmap
 from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
     SixTermContext, build_six_term, map_h1_to_semilinear, map_h1res_to_h1,
@@ -297,6 +298,22 @@ def test_fuzzed_semidirect_six_term(small_catalog):
         assert report.all_exact, report.summary()
 
 
+def _per_sigma_fg_cocycles(ctx):
+    """The fg cocycles one twisted extension twist_pmap(s0, sigma_k) at a
+    time, s0 the split extension of (g, M) and sigma_k(x_s) = delta_st inv_j
+    for the pair k = (t, j) of ``ctx.s1_pairs``, every entry from gamma
+    (``oracles.bar_cocycle_of_extension``)."""
+    g, rep = ctx.g, ctx.rep
+    s0 = semidirect_extension(g, rep)
+    out = []
+    for (t, j) in ctx.s1_pairs:
+        vals = [[0] * rep.dim for _ in range(g.space.n_even)]
+        vals[t] = ctx.inv_even.rows[j].tolist()
+        ext = twist_pmap(s0, SemiLinearMap(g, rep.dim, vals))
+        out.append(bar_cocycle_of_extension(ext, ctx.bar))
+    return out
+
+
 def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
                                          monkeypatch):
     """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
@@ -304,9 +321,11 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
     Ker d2 / Im d1, and the pair model has its dimension and that of the
     bar complex's H^1_*: on every catalog entry, the fuzzed semidirect
     products of the test above, and g |x ad(g) with trivial module for
-    every catalog algebra of dim <= 2.  Every cocycle the report extracts,
-    fg twist or ker-phi lift, is byte-equal to the one computed entry by
-    entry from gamma (``oracles.bar_cocycle_of_extension``)."""
+    every catalog algebra of dim <= 2.  A report extracts one cocycle for
+    fg when S != 0, that of the universal twist, and one per ker-phi lift;
+    each is byte-equal to the one computed entry by entry from gamma
+    (``oracles.bar_cocycle_of_extension``), and so is each fg cocycle to
+    that of its own twisted extension twist_pmap(s0, sigma)."""
     import supercoh.extensions as extensions
     extracted = []
 
@@ -337,10 +356,105 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
         assert h1s.dim_h == restricted_cohomology(ctx.bar, 1).dim_h, name
         if nullspace(ctx.phi).dim:
             lifted.add(name)
-        assert len(extracted) == len(ctx.s1_pairs) + nullspace(ctx.phi).dim
+        assert len(extracted) == ((1 if ctx.s1_pairs else 0)
+                                  + nullspace(ctx.phi).dim), name
         for ext, cx, cvec in extracted:
             assert cvec == bar_cocycle_of_extension(ext, cx), name
+        assert list(ctx.fg_cocycles) == _per_sigma_fg_cocycles(ctx), name
     assert {"a5-odd-line", "a6-abelian-plane"} <= lifted
+
+
+@pytest.mark.parametrize("entry_id", ["a6-abelian-plane", "a3-heisenberg",
+                                      "a1-null-p5"])
+def test_fg_on_invariants_of_dim_two_and_more(loaded_catalog, entry_id):
+    """On g |x ad(g) with its adjoint module, dim M_0^g >= 2, so the
+    universal cocycle is tensored with more than one invariant (S = 16 on
+    a6-abelian-plane, 4 on the super a3-heisenberg and on a1-null-p5): the
+    fg cocycles equal those of the twisted extensions one by one, and the
+    report is exact."""
+    g, _ = fixture_algebra(loaded_catalog, entry_id)
+    E, _ = semidirect(g, adjoint_module(g))
+    rep = adjoint_module(E)
+    ctx = SixTermContext(E, rep)
+    assert ctx.inv_even.dim >= 2
+    assert ctx.fg_cocycles == _per_sigma_fg_cocycles(ctx)
+    report = build_six_term(E, rep)
+    assert report.all_exact, report.summary()
+
+
+def _bend_universal_cocycle(monkeypatch, bend):
+    """Make the one extraction fg does return bend(kappa, ext, bar) in place
+    of the universal cocycle kappa."""
+    import supercoh.extensions as extensions
+
+    def bent(ext, bar, _real=extensions.assoc_2cocycle_from_restricted_ext):
+        return bend(list(_real(ext, bar)), ext, bar)
+    monkeypatch.setattr(extensions, "assoc_2cocycle_from_restricted_ext", bent)
+
+
+def test_fg_catches_a_bent_universal_cocycle(loaded_catalog, monkeypatch):
+    """Adding 1 to the generator-row entry kappa_0(x, x^2), x the first even
+    basis element, leaves no cocycle: the row (x, x, x) of d2 picks it up
+    through c(x, x x) alone.  The fg cocycles are checked one by one."""
+    from supercoh.cohomology import _aug_power, _bar_lookup
+
+    def bend(kappa, ext, bar):
+        ualg, x = bar.ualg, ext.g.space.even_indices()[0]
+        A, n = len(ualg.aug_basis()), bar.rep.dim
+        key = (_aug_power(ualg, x, 1) * A + _aug_power(ualg, x, 2)) * n
+        col = int(_bar_lookup(ualg, bar.rep, 2)[key])
+        kappa[col] = (kappa[col] + 1) % ext.p
+        return tuple(kappa)
+    _bend_universal_cocycle(monkeypatch, bend)
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    ctx = SixTermContext(g, k)
+    assert ctx.s1_pairs
+    with pytest.raises(NotACocycleError):
+        ctx.fg_cocycles
+
+
+def test_fg_catches_a_negated_universal_cocycle(loaded_catalog, monkeypatch):
+    """-kappa is still a cocycle with a zero bracket defect, but it reads
+    back sigma(x) where E_sigma's p-map gives -sigma(x)."""
+    _bend_universal_cocycle(
+        monkeypatch, lambda kappa, ext, bar: tuple(-c % ext.p for c in kappa))
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    ctx = SixTermContext(g, k)
+    with pytest.raises(InvariantViolationError, match="p-map"):
+        ctx.fg_cocycles
+
+
+def test_fg_extracts_once(loaded_catalog, monkeypatch):
+    """On a4-borel-adjoint |x adjoint with trivial module (S = 4, ker phi
+    = 0) a report twists and extracts once, for fg, and builds one u(E)
+    besides the bar complex's u(g); on a4-borel-adjoint with its adjoint
+    module (S = 0, ker phi = 0) it extracts nothing but still builds the
+    split extension."""
+    import supercoh.envelope as envelope
+    import supercoh.extensions as extensions
+    calls = collections.Counter()
+    for name in ("assoc_2cocycle_from_restricted_ext", "twist_pmap",
+                 "semidirect_extension"):
+        def counted(*args, _real=getattr(extensions, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(extensions, name, counted)
+
+    def counted_init(self, *args, _real=envelope.UAlgebra.__init__, **kw):
+        calls["UAlgebra"] += 1
+        _real(self, *args, **kw)
+    monkeypatch.setattr(envelope.UAlgebra, "__init__", counted_init)
+    _, g, modules = loaded_catalog["a4-borel-adjoint"]
+    E, _ = semidirect(g, modules["adjoint"])
+    report = build_six_term(E, trivial_module(E))
+    assert report.dims[2] == 4 and report.all_exact
+    assert calls == {"assoc_2cocycle_from_restricted_ext": 1,
+                     "twist_pmap": 1, "semidirect_extension": 1,
+                     "UAlgebra": 2}
+    calls.clear()
+    report = build_six_term(g, modules["adjoint"])
+    assert report.dims[2] == 0 and report.all_exact
+    assert calls == {"semidirect_extension": 1, "UAlgebra": 1}
 
 
 def test_h2s_dimension_check_catches_a_dropped_lift(loaded_catalog, monkeypatch):
