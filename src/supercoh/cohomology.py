@@ -291,13 +291,6 @@ def _bar_lookup(ualg, rep, n):
     return out
 
 
-def _aug_power(ualg, i, e):
-    """Index in ``ualg.aug_basis()`` of x_i^e, for basis index i of g."""
-    mono = [0] * ualg.ngen
-    mono[ualg.pos_of[i]] = e
-    return ualg.aug_index()[tuple(mono)]
-
-
 def _bar_action(ualg, rep, aug):
     """The action matrices of the u(g)^+ basis, stacked: (|aug|, dim M, dim M)."""
     act = np.zeros((len(aug), rep.dim, rep.dim), dtype=np.int64)
@@ -332,25 +325,17 @@ def is_bar_2cocycle(bar, cvec):
     aug x aug product table, so the check costs about
     g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
     never assembles d2."""
-    bar.require("bar")
+    c = bar.cochain_array(cvec)
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
-    even = _bar_lookup(ualg, rep, 2) >= 0
-    if len(cvec) != int(even.sum()):
-        raise UsageError("cochain coordinate length mismatch")
-    c = np.zeros(A * A * D, dtype=np.int64)
-    c[even] = np.asarray(cvec, dtype=np.int64) % p
-    c = c.reshape(A, A, D)
     a, b, w, coef = ualg.aug_product_table()
     # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
     bounds = np.searchsorted(a, np.arange(A + 1))
     pair = a * A + b
     first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-    for s1, mono in enumerate(aug):
-        if sum(mono) != 1:
-            continue
-        out = c @ ualg.action_matrix(rep, mono).T
+    for s1 in (bar.aug_power(i, 1) for i in range(bar.g.dim)):
+        out = c @ ualg.action_matrix(rep, aug[s1]).T
         lo, hi = bounds[s1], bounds[s1 + 1]
         if hi > lo:
             runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
@@ -433,6 +418,63 @@ class CochainComplex:
                 self.g is not of.g or self.rep is not of.rep):
             raise UsageError(f"not the {kind} complex of this (g, M)")
 
+    def aug_power(self, i, e):
+        """Index in the aug basis of u(g) of x_i^e, for basis index i of g."""
+        mono = [0] * self.ualg.ngen
+        mono[self.ualg.pos_of[i]] = e
+        return self.ualg.aug_index()[tuple(mono)]
+
+    def cochain_array(self, cvec):
+        """The (|aug|, |aug|, dim M) array of values c(u, v), reduced mod p,
+        of the bar 2-cochain with coordinates ``cvec``: these number the even
+        cochains (u, v, nu) by their keys (u |aug| + v) dim M + nu, as the
+        bar differentials do, and c is zero on the odd ones."""
+        self.require("bar")
+        even = _bar_lookup(self.ualg, self.rep, 2) >= 0
+        if len(cvec) != int(even.sum()):
+            raise UsageError("cochain coordinate length mismatch")
+        c = np.zeros(even.size, dtype=np.int64)
+        c[even] = cvec
+        c %= self.g.p
+        return c.reshape(-1, len(self.ualg.aug_basis()), self.rep.dim)
+
+    def cochain_vector(self, c):
+        """The coordinates, as an int64 array, of the bar 2-cochain with the
+        (|aug|, |aug|, dim M) array of values ``c``, entries in 0..p-1;
+        raises UsageError if c is nonzero on an odd cochain."""
+        self.require("bar")
+        flat = np.asarray(c).ravel()
+        even = _bar_lookup(self.ualg, self.rep, 2) >= 0
+        if flat.size != even.size:
+            raise UsageError("cochain array shape mismatch")
+        if flat[~even].any():
+            raise UsageError("bar 2-cochain breaks parity")
+        return flat[even]
+
+    def check_readback(self, c, bracket, pmap, what):
+        """Raise InvariantViolationError unless the bar 2-cochain array c
+        (``cochain_array``) reads back a restricted extension of g by M
+        through a section psi.  ``bracket[i, j]`` is the M-part of
+        [psi x_i, psi x_j] - psi [x_i, x_j] and must be the
+        antisymmetrization c(x_i, x_j) - (-1)^{|x_i||x_j|} c(x_j, x_i);
+        ``pmap[s]``, for x the s-th even basis element of g, is that of
+        psi(x)^[p] - psi(x^[p]) and must be c(x^{p-1}, x).  ``what`` names
+        c in the message."""
+        g, p = self.g, self.g.p
+        gens = [self.aug_power(i, 1) for i in range(g.dim)]
+        par = np.array(g.space.parities())
+        sign = np.where(np.outer(par, par) == 1, -1, 1)[:, :, None]
+        on_g = c[np.ix_(gens, gens)]
+        bad = np.argwhere(((on_g - sign * on_g.transpose(1, 0, 2) - bracket)
+                           % p).any(axis=2))
+        if bad.size:
+            raise InvariantViolationError(
+                f"{what} misreads the bracket on {tuple(bad[0].tolist())}")
+        for idx, want in zip(g.space.even_indices(), pmap):
+            if ((c[self.aug_power(idx, p - 1), gens[idx]] - want) % p).any():
+                raise InvariantViolationError(
+                    f"{what} misreads the p-map on {idx}")
+
 
 # ---------------------------------------------------------------------------
 # cohomology results
@@ -449,6 +491,14 @@ class CohomologyResult:
     Z: Subspace
     B: Subspace
     R: Subspace
+
+    @classmethod
+    def quotient(cls, n, kind, Z, B):
+        """H = Z/B for subspaces B <= Z of one cochain space."""
+        # the representatives are the Z rows at the pivots B lacks
+        R = Subspace(Z.ambient_dim, Z.p, quotient_representatives(Z, B),
+                     sorted(set(Z.pivots) - set(B.pivots)))
+        return cls(n, kind, Z.ambient_dim, Z, B, R)
 
     @property
     def dim_h(self):
@@ -469,13 +519,6 @@ class CohomologyResult:
         return coords
 
 
-def _make_result(n, kind, dim, Z, B):
-    # the representatives are the Z rows at the pivots B lacks
-    R = Subspace(dim, Z.p, quotient_representatives(Z, B),
-                 sorted(set(Z.pivots) - set(B.pivots)))
-    return CohomologyResult(n, kind, dim, Z, B, R)
-
-
 def _cohomology(cx, n, kind):
     """Ker d_n / Im d_{n-1} of the complex ``cx``, n <= 2."""
     if n not in (0, 1, 2):
@@ -483,7 +526,7 @@ def _cohomology(cx, n, kind):
     dim = cx.basis(n).dim
     Z = cx.kernel(n)
     B = cx.image(n - 1) if n else Subspace.zero(dim, cx.g.p)
-    return _make_result(n, kind, dim, Z, B)
+    return CohomologyResult.quotient(n, kind, Z, B)
 
 
 def lie_cohomology(lie, n):
@@ -543,7 +586,7 @@ def comparison_matrix(bar, lie, n):
     src = _bar_lookup(ualg, bar.rep, n)
     dst = lie.basis(n)
     p = g.p
-    deg1 = [_aug_power(ualg, i, 1) for i in range(g.dim)]
+    deg1 = [bar.aug_power(i, 1) for i in range(g.dim)]
     rows = []
     for (ev, od, nu) in dst.items:
         args = ev + od

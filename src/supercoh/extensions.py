@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _aug_power, _bar_lookup, comparison_matrix,
-    eval_lie_cochain, is_bar_2cocycle, lie_cochain_matrix,
+    CochainComplex, comparison_matrix, eval_lie_cochain, is_bar_2cocycle,
+    lie_cochain_matrix,
 )
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
-    DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
-    NotACocycleError, UsageError, ValidationError, ValueNotInvariantError,
+    DifferentUnderlyingError, NoSolutionError, NotACocycleError, UsageError,
+    ValidationError, ValueNotInvariantError,
 )
 from .gflin import MatGF, solve
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
@@ -139,7 +139,6 @@ def cocycle_from_module_ext(ext):
     p = g.p
     kpos, npos = _module_ext_layout(ext)
     units = hom_module_units(N, K)
-    unit_pos = {u: t for t, u in enumerate(units)}
     basis = CochainComplex(g, ext.hom, "lie").basis(1)
     fvec = [0] * basis.dim
     for i in range(g.dim):
@@ -195,7 +194,16 @@ class AlgebraExtension:
 class RestrictedExtension(AlgebraExtension):
     """An algebra extension whose total space carries a validated p-map."""
 
-    strongly_abelian: bool = True
+    @property
+    def strongly_abelian(self):
+        """Whether M is an abelian ideal of E with p-map zero on M_0."""
+        E, layout = self.E, self.layout
+        ms = [layout.m_to_e(j) for j in range(self.rep.dim)]
+        gs = [layout.g_to_e(i) for i in range(self.g.dim)]
+        return not (E.brackets[np.ix_(range(E.dim), ms, gs)].any()
+                    or E.brackets[np.ix_(ms, ms)].any()
+                    or any(E.pmap_basis(layout.m_to_e(j)).any()
+                           for j in self.rep.space.even_indices()))
 
 
 def algebra_ext_from_2cocycle(lie, fvec):
@@ -244,18 +252,16 @@ def cocycle_from_algebra_ext(ext, lie):
 def semidirect_extension(g, rep):
     """The trivial restricted extension s_0 = g |x M, M strongly abelian."""
     E, layout = semidirect(g, rep)
-    return RestrictedExtension(g, rep, E, layout, strongly_abelian=True)
+    return RestrictedExtension(g, rep, E, layout)
 
 
-def _with_pmap(ext, pmap, strongly_abelian=None):
+def _with_pmap(ext, pmap):
     E2 = LieSuperAlgebra(ext.E.space, ext.p, ext.E.brackets, pmap,
                          strongly_abelian_coerced=ext.E.strongly_abelian_coerced)
     report = validate_pmap(E2)
     if not report.ok:
         raise ValidationError(report.summary(), report)
-    sa = getattr(ext, "strongly_abelian", True) if strongly_abelian is None \
-        else strongly_abelian
-    return RestrictedExtension(ext.g, ext.rep, E2, ext.layout, strongly_abelian=sa)
+    return RestrictedExtension(ext.g, ext.rep, E2, ext.layout)
 
 
 def _with_pmap_on_g(ext, r):
@@ -310,10 +316,10 @@ def strongly_abelianize(ext):
         if kind == "m":
             vec = np.zeros_like(vec)
         pmap[e] = vec
-    return _with_pmap(ext, pmap, strongly_abelian=True)
+    return _with_pmap(ext, pmap)
 
 
-def restricted_structure_from_lie_2cocycle(lie, fvec, sigma=None):
+def restricted_structure_from_lie_2cocycle(lie, fvec):
     """Equip E_f, for a 2-cocycle f of the Lie complex ``lie`` of (g, M),
     with a p-map: per even basis x solve
 
@@ -321,16 +327,16 @@ def restricted_structure_from_lie_2cocycle(lie, fvec, sigma=None):
 
     and set (x, 0)^[p] = (x^[p], r(x)); module generators get p-map zero, so
     the additivity rule yields (x, m)^[p] = (x^[p], r(x) + x^{p-1}.m).
-    ``sigma`` optionally shifts each r(x) by a semilinear map into the
-    invariants, selecting an equivalent restricted structure.  Raises
-    NoSolutionError when no p-map exists over E_f (an obstruction witness).
+    The other restricted structures on E_f are ``twist_pmap`` of this one
+    by semilinear maps into the invariants.  Raises NoSolutionError when no
+    p-map exists over E_f (an obstruction witness).
     """
     g, rep, p = lie.g, lie.rep, lie.g.p
     ext = algebra_ext_from_2cocycle(lie, fvec)
     # x1 . r = -k(x1) for all basis x1, stacked x1-major
     stacked = MatGF.from_dense(np.vstack(rep.mats), p)
     r = {}
-    for t, idx in enumerate(g.space.even_indices()):
+    for idx in g.space.even_indices():
         kvec = obstruction_cocycle(lie, fvec, idx)
         kmat = lie_cochain_matrix(lie.basis(1), kvec, ())
         sol = solve(stacked, (-kmat.T).ravel() % p)
@@ -338,8 +344,6 @@ def restricted_structure_from_lie_2cocycle(lie, fvec, sigma=None):
             raise NoSolutionError(
                 f"no restricted structure: obstruction at even basis {idx}")
         r[idx] = np.asarray(sol, dtype=np.int64)
-        if sigma is not None:
-            r[idx] = (r[idx] - np.asarray(sigma.value_on_basis(t))) % p
     return _with_pmap_on_g(ext, r)
 
 
@@ -356,21 +360,14 @@ def restricted_ext_from_assoc_2cocycle(bar, lie, cvec):
     """
     bar.require("bar")
     lie.require("lie", bar)
-    g, rep, ualg, p = bar.g, bar.rep, bar.ualg, bar.g.p
     # also rejects a cvec of the wrong length
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("not a bar 2-cocycle")
     ext = algebra_ext_from_2cocycle(
         lie, comparison_matrix(bar, lie, 2).matvec(cvec))
-    A, D = len(ualg.aug_basis()), rep.dim
-    lookup = _bar_lookup(ualg, rep, 2)
-    r = {}
-    for idx in g.space.even_indices():
-        # the keys of the cochains (x^{p-1}, x, nu), nu = 0..dim M - 1
-        key = (_aug_power(ualg, idx, p - 1) * A + _aug_power(ualg, idx, 1)) * D
-        r[idx] = np.array([cvec[col] % p if col >= 0 else 0
-                           for col in lookup[key:key + D].tolist()],
-                          dtype=np.int64)
+    c = bar.cochain_array(cvec)
+    r = {idx: c[bar.aug_power(idx, bar.g.p - 1), bar.aug_power(idx, 1)]
+         for idx in bar.g.space.even_indices()}
     return _with_pmap_on_g(ext, r)
 
 
@@ -421,10 +418,9 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
     section_vectors = psi_image(ext) if section is None else section
     psi_images = [uE.from_vector(v) for v in section_vectors]
     psi_prime = linear_section_extend(ualg, uE, psi_images)
-    aug = ualg.aug_basis()
-    index = {m: k for k, m in enumerate(aug)}
+    aug, index = ualg.aug_basis(), ualg.aug_index()
 
-    gens = [_aug_power(ualg, i, 1) for i in range(g.dim)]
+    gens = [bar.aug_power(i, 1) for i in range(g.dim)]
     c = np.zeros((len(aug), len(aug), rep.dim), dtype=np.int64)
     a, b, w, coef = ualg.aug_product_table()
     bounds = np.searchsorted(a, np.arange(len(aug) + 1))
@@ -448,43 +444,20 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
         lo, hi = bounds[rest], bounds[rest + 1]
         np.add.at(row, b[lo:hi], coef[lo:hi, None] * c[ix, w[lo:hi]])
         c[iu] = row % p
-    flat = c.ravel()
-    even = _bar_lookup(ualg, rep, 2) >= 0
-    if flat[~even].any():
-        raise UsageError("extracted cochain breaks parity")
-    cvec = tuple(flat[even].tolist())
+    cvec = bar.cochain_vector(c)
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")
-    _check_readback(ext, c, ualg, section_vectors)
-    return cvec
-
-
-def _check_readback(ext, c, ualg, section_vectors):
-    """Raise unless the bar 2-cochain c, as an (aug, aug, M) array, gives
-    back the bracket and p-map of ``ext`` through the section it was
-    extracted with; ``ualg`` is the u(g) whose aug monomials index c."""
-    g, p, layout = ext.g, ext.p, ext.layout
     sec = np.array(section_vectors, dtype=np.int64) % p
 
     def defect(e_vec, g_vec):
         # M-part of e_vec - psi(g_vec)
         return layout.project_m((e_vec - np.asarray(g_vec) @ sec) % p)
-
-    for i in range(g.dim):
-        for j in range(g.dim):
-            sign = -1 if g.parity(i) and g.parity(j) else 1
-            want = defect(ext.E.bracket(sec[i], sec[j]), g.brackets[i, j])
-            xi, xj = _aug_power(ualg, i, 1), _aug_power(ualg, j, 1)
-            got = c[xi, xj] - sign * c[xj, xi]
-            if ((got - want) % p).any():
-                raise InvariantViolationError(
-                    f"extracted cochain misreads the bracket on ({i}, {j})")
-    for idx in g.space.even_indices():
-        want = defect(pmap_apply(ext.E, sec[idx]), g.pmap_basis(idx))
-        xp, x = _aug_power(ualg, idx, p - 1), _aug_power(ualg, idx, 1)
-        if ((c[xp, x] - want) % p).any():
-            raise InvariantViolationError(
-                f"extracted cochain misreads the p-map on {idx}")
+    bracket = [[defect(ext.E.bracket(sec[i], sec[j]), g.brackets[i, j])
+                for j in range(g.dim)] for i in range(g.dim)]
+    pmap = [defect(pmap_apply(ext.E, sec[idx]), g.pmap_basis(idx))
+            for idx in g.space.even_indices()]
+    bar.check_readback(c, np.array(bracket), pmap, "extracted cochain")
+    return tuple(cvec.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, _aug_power, _bar_lookup, _make_result, comparison_matrix,
-    is_bar_2cocycle, lie_cochain_matrix, lie_cohomology, restricted_cohomology,
+    CochainComplex, CohomologyResult, comparison_matrix, is_bar_2cocycle,
+    lie_cochain_matrix, lie_cohomology, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
 from .gflin import (
@@ -121,7 +121,7 @@ class SixTermContext:
             raise InvariantViolationError(
                 f"fg cocycles and ker-phi lifts span {Z.dim - B.dim} classes "
                 f"of H^2_*, the pair model gives {want}")
-        return _make_result(2, "restricted", dim, Z, B)
+        return CohomologyResult.quotient(2, "restricted", Z, B)
 
     @property
     def h1(self):
@@ -171,16 +171,19 @@ class SixTermContext:
         to every row: c_sigma = sum_t kappa_t (x) sigma(x_t).
 
         Each c_(t,j) is checked to be a bar cocycle (``is_bar_2cocycle``)
-        and to read back E_sigma without building it: E_sigma has the
-        bracket of s0, so the antisymmetrization of c on g is zero, and
+        and to read back E_sigma without building it, by the readback check
+        the extraction uses (``CochainComplex.check_readback``): E_sigma has
+        the bracket of s0, so the antisymmetrization of c on g is zero, and
         psi(x_s)^[p] - psi(x_s^[p]) = -sigma(x_s), so
-        c(x_s^{p-1}, x_s) = -delta_st inv_j.  The split extension of
-        (g, K) is built even when S = 0: the seed-call gate of perfbench
-        (``perfbench/expected.json``) expects every report to reach
-        ``semidirect_extension``."""
+        c(x_s^{p-1}, x_s) = -delta_st inv_j.  kappa and each c_(t,j) are
+        taken to and from their (|aug|, |aug|, dim) arrays of values by
+        ``cochain_array`` and ``cochain_vector`` of their bar complexes.
+        The split extension of (g, K) is built even when S = 0: the
+        seed-call gate of perfbench (``perfbench/expected.json``) expects
+        every report to reach ``semidirect_extension``."""
         from .extensions import (assoc_2cocycle_from_restricted_ext,
                                  semidirect_extension, twist_pmap)
-        g, p, ualg = self.g, self.p, self.bar.ualg
+        g, p, bar = self.g, self.p, self.bar
         n = g.space.n_even
         K = Representation(g, SuperSpace(tuple(f"e{t}" for t in range(n)), ()),
                            [np.zeros((n, n), dtype=np.int64)] * g.dim)
@@ -188,24 +191,20 @@ class SixTermContext:
         if not self.s1_pairs:
             return []
         univ = SemiLinearMap(g, n, np.eye(n, dtype=np.int64))
-        kappa = assoc_2cocycle_from_restricted_ext(
-            twist_pmap(s0, univ), self.bar.with_module(K))
-        A = len(ualg.aug_basis())
-        kap = np.zeros(A * A * n, dtype=np.int64)
-        kap[_bar_lookup(ualg, K, 2) >= 0] = kappa
-        kap = kap.reshape(A, A, n)
-        even = _bar_lookup(ualg, self.rep, 2) >= 0
+        bar_k = bar.with_module(K)
+        kappa = bar_k.cochain_array(
+            assoc_2cocycle_from_restricted_ext(twist_pmap(s0, univ), bar_k))
         inv = self.inv_even.rows
+        no_defect = np.zeros((g.dim, g.dim, self.rep.dim), dtype=np.int64)
         out = []
         for (t, j) in self.s1_pairs:
-            c = kap[:, :, t, None] * inv[j] % p
-            flat = c.ravel()
-            if flat[~even].any():
-                raise InvariantViolationError("fg cocycle breaks parity")
-            cvec = flat[even]
-            if not is_bar_2cocycle(self.bar, cvec):
+            c = kappa[:, :, t, None] * inv[j] % p
+            cvec = bar.cochain_vector(c)
+            if not is_bar_2cocycle(bar, cvec):
                 raise NotACocycleError("fg cochain is not a bar 2-cocycle")
-            _check_twist_readback(g, ualg, c, t, inv[j])
+            pmap = np.zeros((n, self.rep.dim), dtype=np.int64)
+            pmap[t] = -inv[j]
+            bar.check_readback(c, no_defect, pmap, "fg cocycle")
             out.append(tuple(cvec.tolist()))
         return out
 
@@ -219,24 +218,6 @@ class SixTermContext:
         return (self.h1s.dim_h, self.h1.dim_h, len(self.s1_pairs),
                 self.h2s.dim_h, self.h2.dim_h,
                 self.g.space.n_even * self.h1.dim_h)
-
-
-def _check_twist_readback(g, ualg, c, t, value):
-    """Raise unless the bar 2-cochain c, as an (aug, aug, M) array, reads
-    back the twist of s0 by sigma(x_s) = delta_st value: a zero bracket
-    defect on g, and c(x_s^{p-1}, x_s) = -delta_st value."""
-    p = g.p
-    gens = [_aug_power(ualg, i, 1) for i in range(g.dim)]
-    par = np.array(g.space.parities())
-    sign = np.where(np.outer(par, par) == 1, -1, 1)[:, :, None]
-    on_g = c[np.ix_(gens, gens)]
-    if ((on_g - sign * on_g.transpose(1, 0, 2)) % p).any():
-        raise InvariantViolationError("fg cocycle misreads the bracket of s0")
-    for s, idx in enumerate(g.space.even_indices()):
-        want = -value if s == t else 0
-        if ((c[_aug_power(ualg, idx, p - 1), gens[idx]] - want) % p).any():
-            raise InvariantViolationError(
-                f"fg cocycle misreads the twisted p-map on {idx}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +383,8 @@ def pair_model(lie):
     if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
         raise InvariantViolationError("the pair model's D^2 is not zero")
     red = RowReduction(D1)  # Ker D1 and Im D1 from one elimination
-    return (_make_result(1, "pair", c1.dim, red.kernel, lie.image(0)),
-            _make_result(2, "pair", ncols, nullspace(D2), red.image))
+    return (CohomologyResult.quotient(1, "pair", red.kernel, lie.image(0)),
+            CohomologyResult.quotient(2, "pair", nullspace(D2), red.image))
 
 
 # ---------------------------------------------------------------------------

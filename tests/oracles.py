@@ -559,18 +559,12 @@ def bar_2cocycle_all_slices(bar, cvec):
     the generator slices."""
     import numpy as np
 
-    from supercoh.cohomology import _bar_action, _bar_lookup
-    from supercoh.errors import UsageError
+    from supercoh.cohomology import _bar_action
 
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
-    even = _bar_lookup(ualg, rep, 2) >= 0
-    if len(cvec) != int(even.sum()):
-        raise UsageError("cochain coordinate length mismatch")
-    c = np.zeros(A * A * D, dtype=np.int64)
-    c[even] = np.asarray(cvec, dtype=np.int64) % p
-    c = c.reshape(A, A, D)
+    c = bar.cochain_array(cvec)
     act = _bar_action(ualg, rep, aug)
     a, b, w, coef = ualg.aug_product_table()
     # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs

@@ -499,6 +499,61 @@ def test_with_module_shares_u_g(loaded_catalog):
         bar.with_module(k)
 
 
+def _layout_cases(loaded_catalog):
+    """Bar complexes of super entries with their trivial module and of an
+    algebra with its adjoint module."""
+    for entry_id, module in (("a3-heisenberg", "k"), ("a5-odd-line", "k"),
+                             ("a3-heisenberg-adjoint", "adjoint"),
+                             ("a4-borel", "adjoint")):
+        g, rep = fixture_algebra(loaded_catalog, entry_id, module)
+        yield entry_id, CochainComplex(g, rep, "bar")
+
+
+def test_cochain_array_and_vector_are_inverse(loaded_catalog):
+    """``cochain_vector(cochain_array(v)) == v`` for random 2-cochains v;
+    the k-th unit vector has its one value at the k-th item (u, v, nu) of
+    ``assoc_cochain_basis``; an array the wrong shape or with a value on an
+    odd cochain is refused."""
+    rng = random.Random(5)
+    with_odd = set()
+    for entry_id, bar in _layout_cases(loaded_catalog):
+        p, basis = bar.g.p, bar.basis(2)
+        for _ in range(3):
+            vec = tuple(rng.randrange(p) for _ in range(basis.dim))
+            c = bar.cochain_array(vec)
+            assert c.shape == (len(basis.aug), len(basis.aug), bar.rep.dim)
+            assert tuple(bar.cochain_vector(c).tolist()) == vec, entry_id
+        for k in rng.sample(range(basis.dim), min(5, basis.dim)):
+            unit = [0] * basis.dim
+            unit[k] = 1
+            (u, v), nu = basis.items[k]
+            assert np.argwhere(bar.cochain_array(unit)).tolist() == [[u, v, nu]]
+        with pytest.raises(UsageError, match="shape"):
+            bar.cochain_vector(c[:-1])
+        with pytest.raises(UsageError, match="length"):
+            bar.cochain_array(vec[:-1])
+        odd = [(u, v, nu) for (u, v, nu) in np.ndindex(c.shape)
+               if ((u, v), nu) not in basis.index]
+        if odd:
+            with_odd.add(entry_id)
+            c[odd[0]] = 1
+            with pytest.raises(UsageError, match="parity"):
+                bar.cochain_vector(c)
+    # a5-odd-line's only aug monomial is odd, so all its 2-cochains are even
+    assert with_odd == {"a3-heisenberg", "a3-heisenberg-adjoint"}
+
+
+def test_aug_power_indexes_the_pure_powers(loaded_catalog):
+    """``aug_power(i, e)`` is the position of x_i^e in the aug basis."""
+    g, rep = fixture_algebra(loaded_catalog, "a4-borel")
+    bar = CochainComplex(g, rep, "bar")
+    aug = bar.ualg.aug_basis()
+    for i in range(g.dim):
+        for e in range(1, g.p):
+            mono = aug[bar.aug_power(i, e)]
+            assert mono[bar.ualg.pos_of[i]] == e and sum(mono) == e
+
+
 def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
     """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96): the
     image a ``RowReduction`` reads off the row elimination equals the

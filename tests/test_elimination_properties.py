@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from supercoh.cohomology import _make_result  # noqa: E402
+from supercoh.cohomology import CohomologyResult  # noqa: E402
 from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
     Eliminator, MatGF, RowReduction, Subspace, image, nullspace,
@@ -261,7 +261,8 @@ def test_class_coords_agrees_with_the_two_step_route(case):
     p, n, kind, zvecs, bvecs, probes = case
     Z = {"zero": Subspace.zero(n, p), "full": Subspace.full(n, p)}.get(
         kind) or Subspace.from_vectors(zvecs, n, p)
-    res = _make_result(1, "lie", n, Z, Subspace.from_vectors(bvecs, n, p))
+    res = CohomologyResult.quotient(1, "lie", Z,
+                                    Subspace.from_vectors(bvecs, n, p))
     probes = probes + [[(a + b) % p for a, b in zip(probes[0], z)]
                        for z in probes[3:]]
     for v in probes:

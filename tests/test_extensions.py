@@ -13,7 +13,7 @@ from supercoh.errors import (
     NotACocycleError, UsageError, ValueNotInvariantError,
 )
 from supercoh.extensions import (
-    algebra_ext_from_2cocycle, are_equivalent_restricted,
+    RestrictedExtension, algebra_ext_from_2cocycle, are_equivalent_restricted,
     assoc_2cocycle_from_restricted_ext, automorphism_from_1cocycle,
     cocycle_from_algebra_ext, cocycle_from_module_ext,
     module_ext_from_1cocycle, psi_image, restricted_ext_from_assoc_2cocycle,
@@ -249,24 +249,42 @@ def test_twist_rejects_odd_values(loaded_catalog):
         twist_pmap(s0, SemiLinearMap(g, 2, ((1, 1),)))
 
 
-def test_strongly_abelianize(loaded_catalog):
+def _torus_with_kernel_pmap(loaded_catalog, value):
+    """(g, k, s0, m, ext) on a2-torus: ext is s0 = g |x k with the central
+    p-map m^[p] = value m planted on the kernel generator m."""
     g, k = fixture_algebra(loaded_catalog, "a2-torus")
     s0 = semidirect_extension(g, k)
-    assert _pmaps_equal(strongly_abelianize(s0), s0)
-    # plant a central p-map on the kernel generator, then cancel it
     pm = {i: np.array(s0.E.pmap_basis(i)) for i in s0.E.space.even_indices()}
     mgen = s0.layout.m_to_e(0)
     pm[mgen] = np.zeros(s0.E.dim, dtype=np.int64)
-    pm[mgen][mgen] = 1
+    pm[mgen][mgen] = value
     E2 = LieSuperAlgebra(s0.E.space, g.p, s0.E.brackets, pm)
     assert validate_pmap(E2).ok
-    from supercoh.extensions import RestrictedExtension
-    ext = RestrictedExtension(g, k, E2, s0.layout, strongly_abelian=False)
+    return g, k, s0, mgen, RestrictedExtension(g, k, E2, s0.layout)
+
+
+def test_strongly_abelianize(loaded_catalog):
+    g, k, s0, mgen, ext = _torus_with_kernel_pmap(loaded_catalog, 1)
+    assert _pmaps_equal(strongly_abelianize(s0), s0)
+    # cancel the planted p-map on the kernel generator
     out = strongly_abelianize(ext)
     assert not out.E.pmap_basis(mgen).any()
     assert np.array_equal(np.asarray(out.E.pmap_basis(s0.layout.g_to_e(0))),
                           np.asarray(ext.E.pmap_basis(s0.layout.g_to_e(0))))
     assert _pmaps_equal(strongly_abelianize(out), out)
+
+
+def test_extraction_rejects_a_kernel_with_a_pmap(loaded_catalog):
+    """An extension whose p-map is m^[p] = m on the kernel is not strongly
+    abelian, however it was built, so it has no bar cocycle; strong
+    abelianization gives it one."""
+    g, k, s0, mgen, ext = _torus_with_kernel_pmap(loaded_catalog, 1)
+    bar = CochainComplex(g, k, "bar")
+    assert s0.strongly_abelian and not ext.strongly_abelian
+    with pytest.raises(UsageError, match="kernel must be strongly abelian"):
+        assoc_2cocycle_from_restricted_ext(ext, bar)
+    assert strongly_abelianize(ext).strongly_abelian
+    assoc_2cocycle_from_restricted_ext(strongly_abelianize(ext), bar)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +330,7 @@ def test_restricted_structure_sigma_shift_gives_equivalent(loaded_catalog):
     sigma = SemiLinearMap(g, 1, ((1,),))
     lie = CochainComplex(g, k, "lie")
     e1 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim)
-    e2 = restricted_structure_from_lie_2cocycle(lie, [0] * b2.dim, sigma=sigma)
+    e2 = twist_pmap(e1, sigma)
     assert not _pmaps_equal(e1, e2)
     assert are_equivalent_restricted(e1, e2, lie)
 
@@ -621,15 +639,7 @@ def test_are_equivalent_rejects_different_brackets(loaded_catalog):
 def test_strongly_abelianize_shift_is_semilinear_into_center(loaded_catalog):
     """The p-map difference vanishes on the complement and lands in the
     center of the total space, so the output is similar to the input."""
-    g, k = fixture_algebra(loaded_catalog, "a2-torus")
-    s0 = semidirect_extension(g, k)
-    pm = {i: np.array(s0.E.pmap_basis(i)) for i in s0.E.space.even_indices()}
-    mgen = s0.layout.m_to_e(0)
-    pm[mgen] = np.zeros(s0.E.dim, dtype=np.int64)
-    pm[mgen][mgen] = 2
-    E2 = LieSuperAlgebra(s0.E.space, g.p, s0.E.brackets, pm)
-    from supercoh.extensions import RestrictedExtension
-    ext = RestrictedExtension(g, k, E2, s0.layout, strongly_abelian=False)
+    g, k, s0, mgen, ext = _torus_with_kernel_pmap(loaded_catalog, 2)
     out = strongly_abelianize(ext)
     assert np.array_equal(out.E.brackets, ext.E.brackets)
     center = [v for v in range(ext.E.dim)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, _make_result, lie_cochain_basis, lie_differential_matrix,
-    restricted_cohomology,
+    CochainComplex, CohomologyResult, lie_cochain_basis,
+    lie_differential_matrix, restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, NotACocycleError
@@ -396,15 +396,11 @@ def test_fg_catches_a_bent_universal_cocycle(loaded_catalog, monkeypatch):
     """Adding 1 to the generator-row entry kappa_0(x, x^2), x the first even
     basis element, leaves no cocycle: the row (x, x, x) of d2 picks it up
     through c(x, x x) alone.  The fg cocycles are checked one by one."""
-    from supercoh.cohomology import _aug_power, _bar_lookup
-
     def bend(kappa, ext, bar):
-        ualg, x = bar.ualg, ext.g.space.even_indices()[0]
-        A, n = len(ualg.aug_basis()), bar.rep.dim
-        key = (_aug_power(ualg, x, 1) * A + _aug_power(ualg, x, 2)) * n
-        col = int(_bar_lookup(ualg, bar.rep, 2)[key])
-        kappa[col] = (kappa[col] + 1) % ext.p
-        return tuple(kappa)
+        x = ext.g.space.even_indices()[0]
+        c = bar.cochain_array(kappa)
+        c[bar.aug_power(x, 1), bar.aug_power(x, 2), 0] += 1
+        return tuple(bar.cochain_vector(c % ext.p).tolist())
     _bend_universal_cocycle(monkeypatch, bend)
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
     ctx = SixTermContext(g, k)
@@ -497,7 +493,7 @@ def test_report_checks_h1s_against_the_pair_model(loaded_catalog, monkeypatch):
 
     def short(lie):
         h1s, h2s = real(lie)
-        return _make_result(1, "pair", h1s.cochain_dim, h1s.B, h1s.B), h2s
+        return CohomologyResult.quotient(1, "pair", h1s.B, h1s.B), h2s
     monkeypatch.setattr(sixterm, "pair_model", short)
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     with pytest.raises(InvariantViolationError, match=r"H\^1_\*"):
