@@ -28,8 +28,8 @@ import re
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .gflin import is_odd_prime
+from .errors import ParseError, UsageError, ValidationError
+from .gflin import check_modulus
 from .superalg import (
     LieSuperAlgebra, Representation, SuperSpace, trivial_module,
     validate_lie_super, validate_module, validate_pmap,
@@ -63,8 +63,10 @@ def parse_algebra_dict(obj, p_override=None):
         p = p_override
     elif p_override is not None and p_override != p:
         raise ParseError(f"file pins p={p}; refusing override p={p_override}")
-    if not is_odd_prime(p):
-        raise ParseError(f"p must be an odd prime >= 3, got {p!r}")
+    try:
+        check_modulus(p)
+    except UsageError as exc:
+        raise ParseError(str(exc)) from exc
 
     even = _name_list(obj.get("even", []), "even")
     odd = _name_list(obj.get("odd", []), "odd")
@@ -148,11 +150,13 @@ def _parse_module(g, mname, mobj, gindex, p, warnings):
     for nm, rows in _dict_field(mobj, "action").items():
         if nm not in gindex:
             raise ParseError(f"module {mname!r}: action key {nm!r} unknown")
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.shape != (d, d):
-            raise ParseError(
-                f"module {mname!r}: action of {nm!r} must be a {d}x{d} matrix")
-        mats[gindex[nm]] = arr % p
+        where = f"module {mname!r}: action of {nm!r}"
+        if not (isinstance(rows, list) and len(rows) == d and all(
+                isinstance(r, list) and len(r) == d for r in rows)):
+            raise ParseError(f"{where} must be a {d}x{d} matrix")
+        mats[gindex[nm]] = np.array(
+            [[_residue(c, p, f"{where}: entry") for c in r] for r in rows],
+            dtype=np.int64).reshape(d, d)
     rep = Representation(g, mspace, mats)
     report = validate_module(g, rep, restricted=True)
     if not report.ok:
@@ -180,7 +184,12 @@ def _coeff_vector(coeffs, index, n, p, where):
     for nm, c in coeffs.items():
         if nm not in index:
             raise ParseError(f"{where}: unknown name {nm!r}")
-        if not isinstance(c, int):
-            raise ParseError(f"{where}: coefficient of {nm!r} must be an integer")
-        vec[index[nm]] = c % p
+        vec[index[nm]] = _residue(c, p, f"{where}: coefficient of {nm!r}")
     return vec
+
+
+def _residue(c, p, where):
+    """c mod p, for c a JSON integer; a bool, float or string is refused."""
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ParseError(f"{where} must be an integer, got {c!r}")
+    return c % p

@@ -373,6 +373,7 @@ class CochainComplex:
         self._bases = {}
         self._diffs = {}
         self._reductions = {}
+        self._lookups = {}
 
     def with_module(self, rep):
         """The complex of the same kind of (g, rep), another module of g.
@@ -381,7 +382,8 @@ class CochainComplex:
         if rep.g is not self.g:
             raise UsageError("the module is not one of this complex's g")
         cx = copy.copy(self)
-        cx.rep, cx._bases, cx._diffs, cx._reductions = rep, {}, {}, {}
+        cx.rep, cx._bases, cx._diffs, cx._reductions, cx._lookups = \
+            rep, {}, {}, {}, {}
         return cx
 
     def basis(self, n):
@@ -418,6 +420,14 @@ class CochainComplex:
                 self.g is not of.g or self.rep is not of.rep):
             raise UsageError(f"not the {kind} complex of this (g, M)")
 
+    def parity_lookup(self, n):
+        """Basis index of every degree-n bar cochain key, -1 for odd ones
+        (see ``assoc_differential_matrix``), built once per degree."""
+        self.require("bar")
+        if n not in self._lookups:
+            self._lookups[n] = _bar_lookup(self.ualg, self.rep, n)
+        return self._lookups[n]
+
     def aug_power(self, i, e):
         """Index in the aug basis of u(g) of x_i^e, for basis index i of g."""
         mono = [0] * self.ualg.ngen
@@ -429,8 +439,7 @@ class CochainComplex:
         of the bar 2-cochain with coordinates ``cvec``: these number the even
         cochains (u, v, nu) by their keys (u |aug| + v) dim M + nu, as the
         bar differentials do, and c is zero on the odd ones."""
-        self.require("bar")
-        even = _bar_lookup(self.ualg, self.rep, 2) >= 0
+        even = self.parity_lookup(2) >= 0
         if len(cvec) != int(even.sum()):
             raise UsageError("cochain coordinate length mismatch")
         c = np.zeros(even.size, dtype=np.int64)
@@ -442,9 +451,8 @@ class CochainComplex:
         """The coordinates, as an int64 array, of the bar 2-cochain with the
         (|aug|, |aug|, dim M) array of values ``c``, entries in 0..p-1;
         raises UsageError if c is nonzero on an odd cochain."""
-        self.require("bar")
         flat = np.asarray(c).ravel()
-        even = _bar_lookup(self.ualg, self.rep, 2) >= 0
+        even = self.parity_lookup(2) >= 0
         if flat.size != even.size:
             raise UsageError("cochain array shape mismatch")
         if flat[~even].any():
@@ -574,8 +582,8 @@ def comparison_matrix(bar, lie, n):
     Only values on degree-one monomials (g itself) are consulted.  Bar
     cochains are numbered as in ``assoc_differential_matrix``: the cochain
     (s_1..s_n, nu) is the column at its mixed-radix key
-    ((s_1 A + s_2) ...) dim M + nu of ``_bar_lookup``, A = |aug|, so no bar
-    basis is built.
+    ((s_1 A + s_2) ...) dim M + nu of ``bar.parity_lookup(n)``, A = |aug|,
+    so no bar basis is built.
     """
     if n not in (1, 2):
         raise UsageError("comparison implemented for n in {1, 2}")
@@ -583,7 +591,7 @@ def comparison_matrix(bar, lie, n):
     lie.require("lie", bar)
     g, ualg = bar.g, bar.ualg
     A, D = len(ualg.aug_basis()), bar.rep.dim
-    src = _bar_lookup(ualg, bar.rep, n)
+    src = bar.parity_lookup(n)
     dst = lie.basis(n)
     p = g.p
     deg1 = [bar.aug_power(i, 1) for i in range(g.dim)]

@@ -23,7 +23,7 @@ from .errors import (
     DifferentUnderlyingError, NoSolutionError, NotACocycleError, UsageError,
     ValidationError, ValueNotInvariantError,
 )
-from .gflin import MatGF, solve
+from .gflin import MatGF, RowReduction
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from .superalg import (
     EVEN, LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
@@ -333,13 +333,14 @@ def restricted_structure_from_lie_2cocycle(lie, fvec):
     """
     g, rep, p = lie.g, lie.rep, lie.g.p
     ext = algebra_ext_from_2cocycle(lie, fvec)
-    # x1 . r = -k(x1) for all basis x1, stacked x1-major
-    stacked = MatGF.from_dense(np.vstack(rep.mats), p)
+    # x1 . r = -k(x1) for all basis x1, stacked x1-major; one reduction
+    # of the stack serves every even basis element
+    stacked = RowReduction(MatGF.from_dense(np.vstack(rep.mats), p))
     r = {}
     for idx in g.space.even_indices():
         kvec = obstruction_cocycle(lie, fvec, idx)
         kmat = lie_cochain_matrix(lie.basis(1), kvec, ())
-        sol = solve(stacked, (-kmat.T).ravel() % p)
+        sol = stacked.solve((-kmat.T).ravel() % p)
         if sol is None:
             raise NoSolutionError(
                 f"no restricted structure: obstruction at even basis {idx}")
@@ -540,4 +541,4 @@ def are_equivalent_restricted(e1, e2, lie):
                      for v in smap.value_on_basis(t)])
     mat = MatGF.from_columns(cols, g.space.n_even * rep.dim, e1.p)
     dvec = [v for t in range(g.space.n_even) for v in diff.value_on_basis(t)]
-    return solve(mat, dvec) is not None
+    return RowReduction(mat).solve(dvec) is not None

@@ -16,14 +16,11 @@ coefficients of a vector on the basis are its pivot coordinates, and
 reducing, testing membership and taking coordinates are one product
 (``_mulmod``, which keeps every int64 sum below 2^63).
 
-A ``RowReduction`` eliminates the rows of an n x k matrix m once and reads
-both subspaces off it: the kernel from the RREF, and the column space
-without eliminating m's (long) columns.  With P the rows the eliminator
-accepts as new pivots, in order, and Q the pivot columns of the RREF,
-m[P, Q] is invertible and T = m[:, Q] m[P, Q]^-1 has T[P] = I and
-T[j, i] = 0 whenever P_i > j; so T^T is the canonical RREF basis of the
-image, with pivots P.  ``image(m)`` spans the columns one by one, for the
-small matrices where that is cheaper than inverting m[P, Q].
+A ``RowReduction`` is the one elimination of a ``MatGF``: it eliminates
+the rows of m once, reads the kernel off their RREF, and serves the column
+space and the solutions of m x = b from one inverse of an r x r block of m
+(see its docstring).  ``nullspace``, ``image`` and ``solve`` are views of
+it, and ``rref`` reads the rows of ``Subspace.from_vectors``.
 """
 
 from __future__ import annotations
@@ -47,6 +44,9 @@ def is_odd_prime(p):
 
 
 def check_modulus(p):
+    # p < 2^16 keeps every sum of up to 2^31 products of residues below 2^63
+    if isinstance(p, int) and p >= 2 ** 16:
+        raise UsageError(f"modulus must be below 2^16, got {p}")
     if not is_odd_prime(p):
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
     return p
@@ -261,12 +261,6 @@ class MatGF:
             out[i][j] = v
         return out
 
-    def col_dicts(self):
-        out = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
     @property
     def nnz(self):
         return len(self.entries)
@@ -394,7 +388,8 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim, p):
         check_modulus(p)
-        return cls(ambient_dim, p, (), ())
+        return cls._rref(ambient_dim, p,
+                         np.zeros((0, ambient_dim), dtype=np.int64), ())
 
     @classmethod
     def full(cls, ambient_dim, p):
@@ -472,38 +467,23 @@ def _mulmod(a, b, p):
 # operations
 # ---------------------------------------------------------------------------
 
-def rref(m):
-    """RREF of m; returns (matrix, rank, pivot columns).
-
-    The returned matrix has the echelon rows on top and zero rows below,
-    so it is row-equivalent to m and has m's shape.
-    """
-    elim = Eliminator(m.cols, m.p)
-    for row in m.row_dicts():
-        elim.add(row)
-    rows = [elim.rows[pc] for pc in elim.pivots()]
-    ent = {(i, j): row[j] for i, row in enumerate(rows) for j in sorted(row)}
-    return MatGF(m.rows, m.cols, m.p, ent), elim.rank, elim.pivots()
-
-
 class RowReduction:
     """One elimination of the rows of a matrix m (n x k, rank r over
-    GF(p)), read two ways: ``kernel`` {x : m x = 0} in GF(p)^k and the
-    column space ``image`` in GF(p)^n, each as a canonical ``Subspace``.
+    GF(p)), read three ways: its ``kernel`` {x : m x = 0} in GF(p)^k and
+    column space ``image`` in GF(p)^n, each a canonical ``Subspace``, and
+    ``solve``.
 
     The rows are fed to an ``Eliminator`` in order.  The ones it accepts as
     new pivots, P (increasing), are the rows outside the span of the rows
     before them; Q are the pivot columns of the RREF of the row space.
     The kernel is read off that RREF at once, and the eliminator is
-    dropped.  The image is computed on first use, from m and (P, Q) alone:
-    m[P, Q] is invertible, every row of m is t_j m[P, :] with
-    t_j = m[j, Q] m[P, Q]^-1, and m = T m[P, :] with m[P, :] of full row
-    rank, so the column space of m is that of T = m[:, Q] m[P, Q]^-1.
-    Row j of T holds row j's coordinates on the pivot rows: T[P] = I, and
-    T[j, i] = 0 whenever P_i > j, since row j lies in the span of the
-    pivot rows before it.  So T^T is in RREF with pivots P, and it is the
-    canonical basis of the image.
-    """
+    dropped.  m[P, Q] is invertible, and its inverse, computed on first
+    use, serves ``image`` and ``solve``.  Every row of m is t_j m[P, :]
+    with t_j = m[j, Q] m[P, Q]^-1, so m = T m[P, :] with m[P, :] of full
+    row rank, and the column space of m is that of T = m[:, Q] m[P, Q]^-1.
+    T[P] = I, and T[j, i] = 0 whenever P_i > j, since row j lies in the
+    span of the pivot rows before it.  So T^T is in RREF with pivots P,
+    the canonical basis of the image."""
 
     def __init__(self, m):
         elim = Eliminator(m.cols, m.p)
@@ -526,17 +506,13 @@ class RowReduction:
         return len(self._prows)
 
     @functools.cached_property
-    def image(self):
-        """Column space of m as a Subspace of GF(p)^rows: the rows of
-        T^T, T = m[:, Q] m[P, Q]^-1, summed one column of m[:, Q] at a
-        time."""
-        m, prows, r = self._m, self._prows, self.rank
-        p, n = m.p, m.rows
-        if not r:
-            return Subspace.zero(n, p)
+    def _inverse(self):
+        """(columns, inverse): for a = 0..r-1, column Q_a of m and row a of
+        m[P, Q]^-1, each as an int64 array of (indices, values)."""
+        m, r = self._m, self.rank
         # the columns Q of m as (rows, values) lists, and [m[P, Q] | I]
         at_q = {c: a for a, c in enumerate(self._pcols)}
-        at_p = {i: a for a, i in enumerate(prows)}
+        at_p = {i: a for a, i in enumerate(self._prows)}
         cols = [([], []) for _ in range(r)]
         block = [{r + a: 1} for a in range(r)]
         for (i, c), v in m.entries.items():
@@ -547,9 +523,22 @@ class RowReduction:
                 if i in at_p:
                     block[at_p[i]][a] = v
         # m[P, Q]^-1 from the RREF [I | m[P, Q]^-1] of [m[P, Q] | I]
-        elim = Eliminator(2 * r, p)
+        elim = Eliminator(2 * r, m.p)
         for row in block:
             elim.add(row)
+        inverse = [np.array([(b - r, w) for b, w in elim.rows[a].items()
+                             if b >= r], dtype=np.int64).reshape(-1, 2).T
+                   for a in range(r)]
+        return [np.array(col, dtype=np.int64) for col in cols], inverse
+
+    @functools.cached_property
+    def image(self):
+        """Column space of m as a Subspace of GF(p)^rows: the rows of
+        T^T, T = m[:, Q] m[P, Q]^-1, summed one column of m[:, Q] at a
+        time."""
+        n, p, r = self._m.rows, self._m.p, self.rank
+        if not r:
+            return Subspace.zero(n, p)
         # T^T = (m[P, Q]^-1)^T m[:, Q]^T: the inverse's entry w at (a, b)
         # adds w times column a of m[:, Q] to row b of T^T.  Column a is
         # added for all the inverse entries of row a at once; their targets
@@ -558,13 +547,39 @@ class RowReduction:
         # T^T leaves zero are never touched
         rows = np.zeros((r, n), dtype=np.int64)
         out = rows.reshape(-1)
-        for a, (i, v) in enumerate(cols):
-            bw = np.array([(b - r, w) for b, w in elim.rows[a].items()
-                           if b >= r], dtype=np.int64)
-            i, v = np.array(i, dtype=np.int64), np.array(v, dtype=np.int64)
-            at = (bw[:, :1] * n + i).ravel()
-            out[at] = (out[at] + (bw[:, 1:] * v).ravel()) % p
-        return Subspace._rref(n, p, rows, prows)
+        for (i, v), (b, w) in zip(*self._inverse):
+            at = (b[:, None] * n + i).ravel()
+            out[at] = (out[at] + (w[:, None] * v).ravel()) % p
+        return Subspace._rref(n, p, rows, self._prows)
+
+    def solve(self, rhs):
+        """Some x with m x = rhs, or None when rhs is outside the image.
+
+        x_Q = m[P, Q]^-1 rhs[P] and x is zero off Q: the free variables are
+        zero, which picks the lexicographically first echelon solution;
+        downstream code relies on that determinism."""
+        m, p = self._m, self._m.p
+        if len(rhs) != m.rows:
+            raise UsageError("rhs length mismatch")
+        rhs = np.array([int(v) % p for v in rhs], dtype=np.int64)
+        at_p = rhs[list(self._prows)]
+        x = np.zeros(m.cols, dtype=np.int64)
+        mx = np.zeros(m.rows, dtype=np.int64)
+        for q, (i, v), (b, w) in zip(self._pcols, *self._inverse):
+            x[q] = xq = int(w @ at_p[b]) % p
+            mx[i] = (mx[i] + v * xq) % p
+        if (mx != rhs).any():
+            return None
+        return tuple(x.tolist())
+
+
+def rref(m):
+    """RREF of m as (matrix of m's shape, echelon rows on top and zero rows
+    below; rank; pivot columns)."""
+    span = Subspace.from_vectors(m.row_dicts(), m.cols, m.p)
+    r, c = np.nonzero(span.rows)
+    return (MatGF.from_coo(m.rows, m.cols, m.p, r, c, span.rows[r, c]),
+            span.dim, list(span.pivots))
 
 
 def nullspace(m):
@@ -574,32 +589,13 @@ def nullspace(m):
 
 def image(m):
     """Column space of m as a Subspace of GF(p)^rows."""
-    return Subspace.from_vectors(m.col_dicts(), m.rows, m.p)
+    return RowReduction(m).image
 
 
 def solve(m, rhs):
-    """Some x with m x = rhs, or None when rhs is outside the image.
-
-    Free variables are set to zero, which picks the lexicographically
-    first echelon solution; downstream code relies on that determinism.
-    """
-    if len(rhs) != m.rows:
-        raise UsageError("rhs length mismatch")
-    aug = m.cols
-    elim = Eliminator(m.cols + 1, m.p)
-    rows = m.row_dicts()
-    for i, row in enumerate(rows):
-        r = dict(row)
-        v = int(rhs[i]) % m.p
-        if v:
-            r[aug] = v
-        elim.add(r)
-    if aug in elim.rows:
-        return None
-    x = [0] * m.cols
-    for pc, v in elim.column(aug).items():
-        x[pc] = v
-    return tuple(x)
+    """Some x with m x = rhs (free variables zero), or None when rhs is
+    outside the image of m."""
+    return RowReduction(m).solve(rhs)
 
 
 def subspace_sum(a, b):

@@ -602,3 +602,42 @@ def class_coords_two_step(res, vec):
     if coords is None:
         raise InvariantViolationError("class reduction left a residue")
     return coords
+
+
+# ---------------------------------------------------------------------------
+# the column route and the augmented solve: the eliminations `gflin` used
+# before every elimination of a matrix went through `RowReduction`
+# ---------------------------------------------------------------------------
+
+def image_by_columns(m):
+    """Column space of the MatGF m as the span of its columns, each fed to
+    the eliminator as a {row: value} dict."""
+    from supercoh.gflin import Subspace
+
+    cols = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    return Subspace.from_vectors(cols, m.rows, m.p)
+
+
+def solve_augmented(m, rhs):
+    """Some x with m x = rhs, or None: the RREF of [m | rhs] row by row,
+    free variables zero, x[pc] the augmented entry of the pivot row at pc.
+    None exactly when the augmented column becomes a pivot."""
+    from supercoh.gflin import Eliminator
+
+    aug = m.cols
+    elim = Eliminator(m.cols + 1, m.p)
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    for row, b in zip(rows, rhs):
+        if int(b) % m.p:
+            row[aug] = int(b) % m.p
+        elim.add(row)
+    if aug in elim.rows:
+        return None
+    x = [0] * m.cols
+    for pc, v in elim.column(aug).items():
+        x[pc] = v
+    return tuple(x)

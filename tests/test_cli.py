@@ -1,5 +1,8 @@
 import hashlib
 import json
+import time
+
+import pytest
 
 from supercoh import catalog, cli
 
@@ -154,6 +157,65 @@ def test_p_must_be_odd_prime(tmp_path, capsys):
     f.write_text(json.dumps({"p": 2, "even": ["x"], "odd": []}))
     assert run(["validate", str(f)]) == cli.EXIT_PARSE
     assert "odd prime" in capsys.readouterr().err
+
+
+def test_p_from_2_16_up_exits_2_at_once(tmp_path, capsys):
+    """sl2 at p = 2^31 - 1 is refused before any trial division or p-map
+    check runs (validating it took minutes, one Jacobson term per
+    k < p)."""
+    from conftest import SL2_P5
+
+    f = tmp_path / "sl2-big-p.json"
+    f.write_text(json.dumps(dict(SL2_P5, p=2147483647)))
+    t0 = time.perf_counter()
+    assert run(["validate", str(f)]) == cli.EXIT_PARSE
+    assert time.perf_counter() - t0 < 5
+    assert "below 2^16" in capsys.readouterr().err
+    free = dict(SL2_P5)
+    del free["p"]
+    f.write_text(json.dumps(free))
+    assert run(["validate", str(f), "--p-override", "65537"]) == cli.EXIT_PARSE
+    assert "below 2^16" in capsys.readouterr().err
+
+
+def _borel_file(tmp_path, h_action=None, hx_bracket=None):
+    """a4-borel with its adjoint action of h, or its bracket [h, x],
+    replaced."""
+    data = json.loads(json.dumps(catalog.get_entry("a4-borel").data))
+    if h_action is not None:
+        data["modules"]["adjoint"]["action"]["h"] = h_action
+    if hx_bracket is not None:
+        data["brackets"]["[h,x]"] = hx_bracket
+    f = tmp_path / "borel.json"
+    f.write_text(json.dumps(data))
+    return f
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"h_action": [[0, 0], [0]]}, "action of 'h' must be a 2x2 matrix"),
+    ({"h_action": [[0, 0], [0, 1.7]]}, "entry must be an integer, got 1.7"),
+    ({"h_action": [[0, 0], [0, "1"]]}, "entry must be an integer, got '1'"),
+    ({"h_action": [[0, 0], [0, True]]}, "entry must be an integer, got True"),
+    ({"hx_bracket": {"x": True}},
+     "coefficient of 'x' must be an integer, got True"),
+], ids=["ragged", "float", "string", "bool", "bool-bracket"])
+def test_malformed_numbers_are_parse_errors(tmp_path, capsys, change,
+                                            message):
+    """Every matrix entry and coefficient must be a JSON integer; a bool,
+    float or string is not read as a number."""
+    assert run(["validate", str(_borel_file(tmp_path, **change))]) == \
+        cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_huge_action_entry_is_reduced_mod_p(tmp_path):
+    """10^20 = 1 mod 3, so the file is a4-borel's own adjoint module, and
+    10^20 + 1 = 2 breaks it; 10^20 overflowed int64 before being
+    reduced."""
+    f = _borel_file(tmp_path, h_action=[[0, 0], [0, 10 ** 20]])
+    assert run(["validate", str(f)]) == cli.EXIT_OK
+    f = _borel_file(tmp_path, h_action=[[0, 0], [0, 10 ** 20 + 1]])
+    assert run(["validate", str(f)]) == cli.EXIT_VALIDATION
 
 
 def test_broken_jacobi_exits_3_with_indices(tmp_path, capsys):

@@ -13,7 +13,7 @@ from supercoh.cohomology import (
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
-from supercoh.gflin import MatGF, RowReduction, image, nullspace
+from supercoh.gflin import MatGF, RowReduction, nullspace
 from supercoh import extensions, sixterm
 from supercoh.sixterm import SixTermContext, pair_model
 from supercoh.superalg import (
@@ -23,7 +23,7 @@ from supercoh.superalg import (
 from conftest import fixture_algebra
 from oracles import (
     bar_2cocycle_all_slices, bar_differential_rows, bar_dims,
-    split_lie_differential, table_abelian_plane, table_borel,
+    image_by_columns, split_lie_differential, table_abelian_plane, table_borel,
     table_mixed_line, table_odd_line, table_super_line,
     table_torus_null_plane, table_truncated_poly,
 )
@@ -557,7 +557,8 @@ def test_aug_power_indexes_the_pure_powers(loaded_catalog):
 def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
     """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96): the
     image a ``RowReduction`` reads off the row elimination equals the
-    column route's, has the eliminator's pivot rows as its pivots,
+    span of its columns (``oracles.image_by_columns``), has the
+    eliminator's pivot rows as its pivots,
     contains every column of d1, and has the dimension the kernel
     leaves."""
     from supercoh.algfile import parse_algebra_dict
@@ -567,7 +568,7 @@ def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
     d1 = bar.d(1)
     red = RowReduction(d1)
     assert (d1.rows, d1.cols, d1.nnz) == (4608, 96, 9012)
-    assert red.image == image(d1)
+    assert red.image == image_by_columns(d1)
     assert red.image.pivots == red._prows
     cols = d1.to_dense().T
     assert not red.image._eliminate(cols)[0].any()

@@ -2,9 +2,10 @@
 the plain dense elimination in ``oracles.dense_rank`` and sympy's
 ``DomainMatrix`` over GF(p).  Matrices mix sparse rows with rows more than
 a quarter full, so heavy fill-in meets the eliminator's sparse rows and its
-column index.  The image a ``RowReduction`` reads off its row elimination
-is checked against the column route ``image`` and the dense RREF of the
-transpose."""
+column index.  The image and the solutions a ``RowReduction`` reads off
+its row elimination are checked against the column route
+``oracles.image_by_columns``, the augmented elimination
+``oracles.solve_augmented``, sympy and the dense RREF of the transpose."""
 
 import random
 
@@ -25,7 +26,8 @@ from supercoh.gflin import (  # noqa: E402
 )
 
 from oracles import (  # noqa: E402
-    class_coords_two_step, dense_rank, dense_rref, subspace_eliminate,
+    class_coords_two_step, dense_rank, dense_rref, image_by_columns,
+    solve_augmented, subspace_eliminate,
 )
 
 PROPS = settings(max_examples=80, deadline=None, database=None,
@@ -102,7 +104,7 @@ def test_fill_in_turns_dict_rows_dense():
 
 def _check_row_reduction(p, cols, rows):
     """Kernel and image of one ``RowReduction`` against ``nullspace``,
-    sympy, the column route ``image`` and the dense RREF of m^T."""
+    sympy, the column route and the dense RREF of m^T."""
     m = MatGF.from_rows(rows, cols, p)
     red = RowReduction(m)
     assert red.kernel == nullspace(m)
@@ -112,7 +114,7 @@ def _check_row_reduction(p, cols, rows):
         assert red.rank == len(pivots)
     transpose = [list(col) for col in zip(*_dense(rows, cols))]
     trows, tpivots = dense_rref(transpose, len(rows), p)
-    assert red.image == image(m)
+    assert red.image == image(m) == image_by_columns(m)
     assert red.image.basis_rows == tuple(trows)
     assert list(red.image.pivots) == tpivots
     assert red.rank == red.image.dim == cols - red.kernel.dim
@@ -153,6 +155,41 @@ def test_row_reduction_shapes(name):
         "identity reversed": (3, 5, [{4 - i: 1} for i in range(5)]),
     }[name]
     _check_row_reduction(p, cols, rows)
+
+
+def _sympy_solve(rows, cols, p, rhs):
+    """The solution of m x = rhs with free variables zero, read off sympy's
+    RREF of [m | rhs], or None when rhs is outside the image."""
+    echelon, pivots, _ = _sympy_rref(
+        [{**row, cols: b} for row, b in zip(rows, rhs)], cols + 1, p)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for row, pc in zip(echelon, pivots):
+        x[pc] = row[cols]
+    return tuple(x)
+
+
+@PROPS
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_solve_matches_the_augmented_route_and_sympy(case, rnd):
+    """``RowReduction.solve`` and ``solve`` give the solution with free
+    variables zero that the elimination of [m | rhs] gives, in gflin and in
+    sympy, and None exactly where they do: for right-hand sides in the
+    image (m times a random x) and random ones."""
+    p, cols, rows = case
+    m = MatGF.from_rows(rows, cols, p)
+    red = RowReduction(m)
+    for _ in range(4):
+        if rnd.random() < .5:
+            rhs = list(m.matvec([rnd.randrange(p) for _ in range(cols)]))
+        else:
+            rhs = [rnd.randrange(-p, 2 * p) for _ in rows]
+        want = solve_augmented(m, rhs)
+        assert red.solve(rhs) == solve(m, rhs) == want
+        assert want == _sympy_solve(rows, cols, p, [b % p for b in rhs])
+        if want is not None:
+            assert list(m.matvec(want)) == [b % p for b in rhs]
 
 
 @PROPS

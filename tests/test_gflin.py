@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import supercoh
+from supercoh import gflin
 from supercoh.errors import UsageError
 from supercoh.gflin import (
-    Eliminator, MatGF, Subspace, image, is_odd_prime, matpow, nullspace,
-    quotient_representatives, rref, solve, subspace_intersect, subspace_sum,
+    Eliminator, MatGF, Subspace, check_modulus, image, is_odd_prime, matpow,
+    nullspace, quotient_representatives, rref, solve, subspace_intersect,
+    subspace_sum,
 )
 
 from oracles import dense_rank, dense_rref, subspace_eliminate
@@ -23,6 +25,13 @@ def rand_matrix(rng, p, rows, cols, density=0.6):
 def test_modulus_checks():
     assert is_odd_prime(3) and is_odd_prime(7) and is_odd_prime(101)
     assert not is_odd_prime(2) and not is_odd_prime(9) and not is_odd_prime(1)
+    # p < 2^16 keeps int64 products exact: the largest prime below 2^16 is
+    # accepted, the least above it refused, and 2^89 - 1 is refused before
+    # a trial division that would not end
+    assert check_modulus(65521) == 65521 and is_odd_prime(65537)
+    for p in (65537, 2 ** 31 - 1, 2 ** 89 - 1):
+        with pytest.raises(UsageError, match="below 2"):
+            check_modulus(p)
     with pytest.raises(UsageError):
         MatGF(1, 1, 4)
     with pytest.raises(UsageError):
@@ -186,10 +195,13 @@ def test_subspace_constructor_requires_rref():
 
 
 def test_subspace_products_stay_exact_for_large_moduli():
-    """At p = 2^31 - 1 two products (p - 1)^2 already near 2^63, so the
-    reduction sums its inner dimension in chunks reduced mod p; a modulus
-    whose single product overflows int64 is rejected."""
-    p, n = 2 ** 31 - 1, 7
+    """At the largest modulus allowed, p = 65521, a ``Subspace`` reduces
+    and takes coordinates as plain elimination does.  ``_mulmod`` sums its
+    inner dimension in chunks reduced mod p, so it stays exact even at
+    p = 2^31 - 1, where two products (p - 1)^2 already near 2^63, and it
+    rejects a modulus whose single product overflows int64; a ``Subspace``
+    refuses both moduli, as it refuses every p from 2^16 up."""
+    p, n = 65521, 7
     rng = random.Random(31)
     vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
     S = Subspace.from_vectors(vecs, n, p)
@@ -201,9 +213,19 @@ def test_subspace_products_stay_exact_for_large_moduli():
         assert S.reduce(v) == tuple(res)
         assert S.coords(v) == (None if any(res) else tuple(cs))
     assert S.coords(vecs[2]) is not None
+    q = 2 ** 31 - 1
+    a = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
+    b = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
+    want = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)]
+            for row in a]
+    assert gflin._mulmod(np.array(a), np.array(b), q).tolist() == want
     big = 4294967311  # the least prime above 2^32
     with pytest.raises(UsageError):
-        Subspace.from_vectors([(1, 2)], 2, big).reduce((3, 4))
+        gflin._mulmod(np.ones((1, 2), dtype=np.int64),
+                      np.ones((2, 1), dtype=np.int64), big)
+    for modulus in (q, big):
+        with pytest.raises(UsageError, match="below 2"):
+            Subspace.from_vectors([(1, 2)], 2, modulus)
 
 
 def test_inputs_are_left_unchanged():

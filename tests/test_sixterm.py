@@ -213,9 +213,9 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
                                                 monkeypatch):
     """One report eliminates the rows of each (kind, degree) differential
     at most once and reads Ker and Im off that one ``RowReduction``; no
-    differential goes through the column route ``gflin.image``.  On
-    a4-borel the bar d1 gives both Z^1_* and B^2_*, and the Lie d1 both
-    Z^1 and B^2."""
+    differential goes through ``gflin.image``, which would reduce it a
+    second time (only the arrow matrices do).  On a4-borel the bar d1
+    gives both Z^1_* and B^2_*, and the Lie d1 both Z^1 and B^2."""
     import sys
     import supercoh.cohomology as cohomology
     from supercoh import gflin
