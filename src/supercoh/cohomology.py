@@ -16,6 +16,7 @@ degree-3 basis, the bar differential numbers its cochains by integer keys.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -206,7 +207,7 @@ def _unified_terms(g, rep, src, args, nu, add):
 # bar-type differential
 # ---------------------------------------------------------------------------
 
-def assoc_differential_matrix(ualg, rep, n):
+def assoc_differential_matrix(ualg, rep, n, lookup=None):
     """Matrix of the normalized bar differential on u(g)^+ cochains:
 
     (delta f)(s_1..s_{n+1}) = s_1 . f(s_2..s_{n+1})
@@ -216,10 +217,12 @@ def assoc_differential_matrix(ualg, rep, n):
     ((s_1 A + s_2) A + ...) dim M + mu, with A = |aug|.  Keys increase in
     the order of ``assoc_cochain_basis``, so a parity lookup array (key ->
     basis index, -1 for an odd cochain) numbers rows and columns without
-    building either basis.  Each term family is emitted for all rows at
-    once, by broadcasting the action matrices and the aug x aug product
-    table over the untouched prefix and suffix arguments; repeated
-    (row, col) pairs are summed mod p.
+    building either basis; ``lookup(k)`` gives that array for degree k (a
+    ``CochainComplex`` passes its ``parity_lookup``, which builds each
+    degree once), and without it both are built here.  Each term family is
+    emitted for all rows at once, by broadcasting the action matrices and
+    the aug x aug product table over the untouched prefix and suffix
+    arguments; ``MatGF.from_terms`` sums repeated (row, col) pairs mod p.
 
     Products of augmentation-ideal elements stay in the ideal; a unit
     component in a straightened product would be a bug and raises, and so
@@ -228,8 +231,9 @@ def assoc_differential_matrix(ualg, rep, n):
     p = ualg.p
     aug = ualg.aug_basis()
     A, D = len(aug), rep.dim
-    src = _bar_lookup(ualg, rep, n)
-    dst = _bar_lookup(ualg, rep, n + 1)
+    if lookup is None:
+        lookup = functools.partial(_bar_lookup, ualg, rep)
+    src, dst = lookup(n), lookup(n + 1)
     nrows, ncols = int(dst.max(initial=-1)) + 1, int(src.max(initial=-1)) + 1
     if nrows * ncols >= 2 ** 63:
         raise UsageError(f"bar differential {nrows}x{ncols} is too large")
@@ -264,17 +268,7 @@ def assoc_differential_matrix(ualg, rep, n):
                  (pre * A + w) * span + tail, -c if i % 2 else c, "product")
     r, c, v = (np.concatenate(x) for x in zip(*terms))
     terms.clear()
-    key = r * ncols + c
-    del r, c
-    order = np.argsort(key)
-    key, v = key[order], v[order]
-    del order
-    if key.size:
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        key, v = key[first], np.add.reduceat(v, first) % p
-        nz = v != 0
-        key, v = key[nz], v[nz]
-    return MatGF.from_coo(nrows, ncols, p, key // ncols, key % ncols, v)
+    return MatGF.from_terms(nrows, ncols, p, r, c, v)
 
 
 def _bar_lookup(ualg, rep, n):
@@ -397,7 +391,8 @@ class CochainComplex:
         if n not in self._diffs:
             self._diffs[n] = (lie_differential_matrix(self.g, self.rep, n)
                               if self.ualg is None else
-                              assoc_differential_matrix(self.ualg, self.rep, n))
+                              assoc_differential_matrix(self.ualg, self.rep, n,
+                                                        self.parity_lookup))
         return self._diffs[n]
 
     def _reduction(self, n):
@@ -503,10 +498,7 @@ class CohomologyResult:
     @classmethod
     def quotient(cls, n, kind, Z, B):
         """H = Z/B for subspaces B <= Z of one cochain space."""
-        # the representatives are the Z rows at the pivots B lacks
-        R = Subspace(Z.ambient_dim, Z.p, quotient_representatives(Z, B),
-                     sorted(set(Z.pivots) - set(B.pivots)))
-        return cls(n, kind, Z.ambient_dim, Z, B, R)
+        return cls(n, kind, Z.ambient_dim, Z, B, quotient_representatives(Z, B))
 
     @property
     def dim_h(self):

@@ -1,35 +1,37 @@
 """Exact linear algebra over a prime field GF(p), p an odd prime.
 
-Matrices are stored sparsely as ``{(row, col): value}`` with all stored
-values nonzero and reduced mod p; ``MatGF.from_coo`` builds that dict once
-from checked numpy coordinate arrays.  Gaussian elimination keeps every row
-as a sparse ``{col: val}`` dict and reduces the eliminator's own copies in
-place.  The eliminator indexes its pivot rows by column (which rows are
-nonzero in a column), so inserting a pivot touches only the rows with an
-entry in its lead column.  The reduced row echelon form of a row space is
-unique, so every routine that derives its output from an RREF is
-deterministic by construction.
+Every matrix is one CSR row store: ``MatGF`` holds its nonzeros as three
+read-only int64 arrays, ``indptr``, ``indices`` (increasing within each
+row) and ``data`` (values in 1..p-1), so equal matrices have equal arrays
+and a matrix costs O(nnz + rows).  A ``Subspace`` holds its canonical RREF
+basis as such a matrix.  Matrices are built by one segment sum: terms are
+sorted by the key row * cols + col, equal keys summed mod p and zero sums
+dropped.  Products pair every entry a[i, k] with row k of b and sum the
+same way; a product of residues is below 2^32 for p < 2^16, so a sum of
+fewer than 2^31 of them is exact in int64.
 
-A ``Subspace`` holds that canonical RREF basis as one read-only int64
-numpy array.  Its pivot columns form an identity block, so the
-coefficients of a vector on the basis are its pivot coordinates, and
-reducing, testing membership and taking coordinates are one product
-(``_mulmod``, which keeps every int64 sum below 2^63).
+Gaussian elimination keeps every row as a sparse ``{col: val}`` dict and
+reduces the eliminator's own copies in place.  The eliminator indexes its
+pivot rows by column, so inserting a pivot touches only the rows with an
+entry in its lead column.  The RREF of a row space is unique, so every
+routine that derives its output from an RREF is deterministic.
 
-A ``RowReduction`` is the one elimination of a ``MatGF``: it eliminates
-the rows of m once, reads the kernel off their RREF, and serves the column
-space and the solutions of m x = b from one inverse of an r x r block of m
-(see its docstring).  ``nullspace``, ``image`` and ``solve`` are views of
-it, and ``rref`` reads the rows of ``Subspace.from_vectors``.
+A ``RowReduction`` is the one elimination of a ``MatGF``: its kernel, its
+column space and the solutions of m x = b (see its docstring);
+``nullspace``, ``image`` and ``solve`` are views of it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .errors import UsageError
+
+# products summed at once by ``_product``; larger products go in chunks
+_CHUNK = 1 << 18
 
 
 def is_odd_prime(p):
@@ -81,13 +83,14 @@ class Eliminator:
 
     Rows are fed one at a time as ``{col: val}`` dicts whose values are
     reduced mod p and nonzero and whose columns lie in ``0..cols-1``; the
-    eliminator does not check this.  Its callers are the rows of a ``MatGF``
-    (checked when the matrix is built) and ``Subspace.from_vectors`` (which
-    checks every vector).  The stored pivot rows always form an RREF of the
-    row space seen so far.  Pivoting is by leading column, so the result is
-    the canonical RREF regardless of insertion order.  ``_occ`` maps a
-    column to the pivots of the rows nonzero there, so ``column`` reads one
-    column without scanning every pivot row.
+    eliminator does not check this.  Its callers feed the CSR rows of a
+    ``MatGF`` (checked when the matrix is built) and the vectors of
+    ``Subspace.from_vectors`` (which checks every one).  The stored pivot
+    rows always form an RREF of the row space seen so far, and ``span``
+    stores them as the canonical ``Subspace``.  Pivoting is by leading
+    column, so the result is the canonical RREF regardless of insertion
+    order.  ``_occ`` maps a column to the pivots of the rows nonzero there,
+    so ``column`` reads one column without scanning every pivot row.
     """
 
     def __init__(self, cols, p):
@@ -156,31 +159,77 @@ class Eliminator:
     def pivots(self):
         return sorted(self.rows)
 
+    def span(self):
+        """The row space seen so far as a ``Subspace``, its pivot rows
+        written once as CSR rows with increasing columns."""
+        pivots = self.pivots()
+        indptr, indices, data = [0], [], []
+        for pc in pivots:
+            row = self.rows[pc]
+            cols = sorted(row)
+            indices += cols
+            data += map(row.__getitem__, cols)
+            indptr.append(len(indices))
+        basis = MatGF._csr(len(pivots), self.cols, self.p, indptr, indices, data)
+        return Subspace._rref(self.cols, self.p, basis, pivots)
+
 
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
 class MatGF:
-    """A rows x cols matrix over GF(p), stored as {(i, j): nonzero value}."""
+    """A rows x cols matrix over GF(p) in CSR form: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]``, all in 1..p-1, at the increasing
+    columns ``indices[indptr[i]:indptr[i + 1]]``.  The arrays are read-only
+    int64; ``entries``, a ``{(row, col): value}`` dict, is built on each
+    read."""
 
-    __slots__ = ("rows", "cols", "p", "entries")
+    __slots__ = ("rows", "cols", "p", "indptr", "indices", "data")
 
     def __init__(self, rows, cols, p, entries=None):
         check_modulus(p)
-        if rows < 0 or cols < 0:
-            raise UsageError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.p = p
-        clean = {}
-        for (i, j), v in (entries or {}).items():
+        _check_shape(rows, cols)
+        ent = {}
+        for (i, j), x in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise UsageError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
-            v = int(v) % p
-            if v:
-                clean[(int(i), int(j))] = v
-        self.entries = clean
+            x = int(x) % p
+            if x:
+                ent[int(i), int(j)] = x
+        items = sorted(ent.items())
+        indptr = [0] * (rows + 1)
+        for (i, _), _ in items:
+            indptr[i + 1] += 1
+        self._set(rows, cols, p, list(itertools.accumulate(indptr)),
+                  [j for (_, j), _ in items], [x for _, x in items])
+
+    def _keyed(self, rows, cols, p, key, data):
+        """Set the matrix from increasing keys row * cols + col."""
+        r = key // max(cols, 1)
+        return self._set(rows, cols, p, r.searchsorted(np.arange(rows + 1)),
+                         key - r * cols, data)
+
+    def _set(self, rows, cols, p, indptr, indices, data):
+        self.rows, self.cols, self.p = rows, cols, p
+        self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = indices = np.asarray(indices, dtype=np.int64)
+        self.data = data = np.asarray(data, dtype=np.int64)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        data.setflags(write=False)
+        return self
+
+    @classmethod
+    def _csr(cls, rows, cols, p, indptr, indices, data):
+        """A matrix from CSR arrays the caller knows to be valid."""
+        return cls.__new__(cls)._set(rows, cols, p, indptr, indices, data)
+
+    @classmethod
+    def _sum(cls, rows, cols, p, key, val):
+        """The matrix with entry (k // cols, k % cols) the sum mod p of the
+        values at key k, for int64 keys and values."""
+        return cls.__new__(cls)._keyed(rows, cols, p, *_segment_sum(key, val, p))
 
     # construction -----------------------------------------------------
 
@@ -190,7 +239,7 @@ class MatGF:
 
     @classmethod
     def identity(cls, n, p):
-        return cls(n, n, p, {(i, i): 1 for i in range(n)})
+        return cls.from_terms(n, n, p, range(n), range(n), [1] * n)
 
     @classmethod
     def from_dense(cls, array, p):
@@ -198,9 +247,8 @@ class MatGF:
         if arr.ndim != 2:
             raise UsageError("expected a 2-d array")
         arr = arr % p
-        ent = {(int(i), int(j)): int(arr[i, j])
-               for i, j in zip(*np.nonzero(arr))}
-        return cls(arr.shape[0], arr.shape[1], p, ent)
+        r, c = np.nonzero(arr)
+        return cls.from_terms(arr.shape[0], arr.shape[1], p, r, c, arr[r, c])
 
     @classmethod
     def from_columns(cls, columns, rows, p):
@@ -210,86 +258,105 @@ class MatGF:
             raise UsageError("column length mismatch")
         return cls(rows, len(columns), p,
                    {(r, c): v for c, col in enumerate(columns)
-                    for r, v in enumerate(col)})
+                    for r, v in enumerate(col) if v})
 
     @classmethod
     def from_coo(cls, rows, cols, p, r, c, v):
         """Matrix with entry v[k] at (r[k], c[k]) from three equal-length
         integer arrays; every v[k] must already lie in 1..p-1 and no
-        coordinate may repeat (a repeat shows as a dict shorter than the
-        arrays).  The entry dict is built once, unlike ``__init__``, which
-        copies and cleans the dict it is handed."""
+        coordinate may repeat (a repeat shows as fewer entries than
+        terms)."""
         check_modulus(p)
-        if rows < 0 or cols < 0:
-            raise UsageError("negative matrix dimensions")
+        v = np.asarray(v, dtype=np.int64)
+        if v.size and (v.min() < 1 or v.max() >= p):
+            raise UsageError(f"entry values must lie in 1..{p - 1}")
+        out = cls.from_terms(rows, cols, p, r, c, v)
+        if out.nnz != v.size:
+            raise UsageError("repeated matrix coordinate")
+        return out
+
+    @classmethod
+    def from_terms(cls, rows, cols, p, r, c, v):
+        """Matrix whose entry (i, j) is the sum mod p of the v[k] with
+        (r[k], c[k]) = (i, j), from three equal-length integer arrays:
+        coordinates may repeat, and values may be any integers whose sums
+        stay in int64."""
+        check_modulus(p)
+        _check_shape(rows, cols)
         r, c, v = (np.asarray(a, dtype=np.int64) for a in (r, c, v))
         if not r.ndim == c.ndim == v.ndim == 1 or not r.size == c.size == v.size:
             raise UsageError("coordinate arrays must be 1-d and of one length")
         if r.size and (r.min() < 0 or r.max() >= rows or c.min() < 0
                        or c.max() >= cols):
             raise UsageError(f"an entry is out of bounds for {rows}x{cols}")
-        if r.size and (v.min() < 1 or v.max() >= p):
-            raise UsageError(f"entry values must lie in 1..{p - 1}")
-        out = cls.__new__(cls)
-        out.rows, out.cols, out.p = rows, cols, p
-        out.entries = dict(zip(zip(r.tolist(), c.tolist()), v.tolist()))
-        if len(out.entries) != r.size:
-            raise UsageError("repeated matrix coordinate")
-        return out
+        return cls._sum(rows, cols, p, r * cols + c, v)
 
     @classmethod
     def from_rows(cls, row_dicts, cols, p):
-        ent = {}
-        for i, row in enumerate(row_dicts):
-            for j, v in row.items():
-                v = int(v) % p
-                if v:
-                    ent[(i, j)] = v
-        return cls(len(row_dicts), cols, p, ent)
+        return cls(len(row_dicts), cols, p,
+                   {(i, j): v for i, row in enumerate(row_dicts)
+                    for j, v in row.items()})
 
     # views --------------------------------------------------------------
 
+    def _row_ids(self):
+        """The row of every stored entry."""
+        return np.arange(self.rows, dtype=np.int64).repeat(
+            self.indptr[1:] - self.indptr[:-1])
+
     def to_dense(self):
         arr = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            arr[i, j] = v
+        arr[self._row_ids(), self.indices] = self.data
         return arr
 
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+    @property
+    def entries(self):
+        """{(row, col): value} over the nonzeros, row by row."""
+        return dict(zip(zip(self._row_ids().tolist(), self.indices.tolist()),
+                        self.data.tolist()))
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return self.data.size
 
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.rows == other.rows
                 and self.cols == other.cols and self.p == other.p
-                and self.entries == other.entries)
+                and self.nnz == other.nnz
+                and self.indptr.tobytes() == other.indptr.tobytes()
+                and self.indices.tobytes() == other.indices.tobytes()
+                and self.data.tobytes() == other.data.tobytes())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.p, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, self.p, self.indptr.tobytes(),
+                     self.indices.tobytes(), self.data.tobytes()))
 
     def __repr__(self):
         return f"MatGF({self.rows}x{self.cols} mod {self.p}, nnz={self.nnz})"
 
     def is_zero(self):
-        return not self.entries
+        return not self.data.size
 
     # arithmetic -----------------------------------------------------------
+
+    def _mv(self, x):
+        """m x mod p for an int64 vector x with entries in 0..p-1: the
+        products of each row summed as differences of one running sum."""
+        run = np.zeros(self.nnz + 1, dtype=np.int64)
+        (self.data * x[self.indices]).cumsum(out=run[1:])
+        return (run[self.indptr[1:]] - run[self.indptr[:-1]]) % self.p
+
+    def _vm(self, x):
+        """x m mod p for an int64 vector x with entries in 0..p-1."""
+        out = np.zeros(self.cols, dtype=np.int64)
+        np.add.at(out, self.indices,
+                  x.repeat(self.indptr[1:] - self.indptr[:-1]) * self.data)
+        return out % self.p
 
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise UsageError("vector length mismatch")
-        out = [0] * self.rows
-        for (i, j), v in self.entries.items():
-            c = vec[j]
-            if c:
-                out[i] = (out[i] + v * c) % self.p
-        return tuple(out)
+        return tuple(self._mv(np.asarray(vec, dtype=np.int64) % self.p).tolist())
 
     def matmul(self, other):
         if not isinstance(other, MatGF):
@@ -298,13 +365,108 @@ class MatGF:
             raise UsageError("mixing moduli is rejected")
         if self.cols != other.rows:
             raise UsageError("inner dimension mismatch")
-        brows = other.row_dicts()
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for j, b in brows[k].items():
-                key = (i, j)
-                acc[key] = (acc.get(key, 0) + a * b) % self.p
-        return MatGF(self.rows, other.cols, self.p, acc)
+        return _product(self, other)
+
+
+def _check_shape(rows, cols):
+    if rows < 0 or cols < 0:
+        raise UsageError("negative matrix dimensions")
+    if rows * cols >= 2 ** 63:
+        raise UsageError(f"a {rows}x{cols} matrix is too large")
+
+
+def _segment_sum(key, val, p):
+    """(increasing distinct keys, the sum mod p of each key's values), with
+    the keys whose sum is zero dropped."""
+    if key.size > 1:
+        order = key.argsort()
+        key, val = key[order], val[order]
+        first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+        key, val = key[first], np.add.reduceat(val, first)
+    val = val % p
+    nz = val.nonzero()[0]
+    return key[nz], val[nz]
+
+
+def _positions(starts, lens):
+    """Concatenated ranges starts[k] .. starts[k] + lens[k] - 1."""
+    ends = lens.cumsum()
+    return (starts - ends + lens).repeat(lens) + np.arange(
+        ends[-1] if ends.size else 0, dtype=np.int64)
+
+
+def _product(a, b, transposed=False):
+    """a b as a MatGF, or (a b)^T when ``transposed``: entry a[i, k] times
+    row k of b lands in row i.  The products are segment-summed, in chunks
+    of about ``_CHUNK`` when there are more, and so are the chunks' sums."""
+    p, n = a.p, b.cols
+    shape = (n, a.rows) if transposed else (a.rows, n)
+    if not (a.nnz and b.nnz):
+        return MatGF._csr(*shape, p, np.zeros(shape[0] + 1, dtype=np.int64), (), ())
+    lens = (b.indptr[1:] - b.indptr[:-1])[a.indices]
+    bounds = [0, a.nnz]
+    ends = lens.cumsum()
+    if ends[-1] > _CHUNK:
+        cuts = ends.searchsorted(np.arange(_CHUNK, ends[-1], _CHUNK))
+        bounds[1:1] = np.unique(cuts).tolist()
+    rows = a._row_ids()
+    keys, vals = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = lens[lo:hi]
+        at = _positions(b.indptr[a.indices[lo:hi]], k)
+        r, c = rows[lo:hi].repeat(k), b.indices[at]
+        key, val = _segment_sum(c * a.rows + r if transposed else r * n + c,
+                                a.data[lo:hi].repeat(k) * b.data[at], p)
+        keys.append(key)
+        vals.append(val)
+    if len(keys) == 1:
+        return MatGF.__new__(MatGF)._keyed(*shape, p, keys[0], vals[0])
+    return MatGF._sum(*shape, p, np.concatenate(keys), np.concatenate(vals))
+
+
+def _coo(m, at=None, sign=1):
+    """(rows, cols, values) of m's entries, rows renumbered by ``at``."""
+    r = m._row_ids()
+    return (r if at is None else at[r]), m.indices, sign * m.data
+
+
+def _terms(rows, cols, p, *parts):
+    """The matrix summing (rows, cols, values) parts of entries."""
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    return MatGF._sum(rows, cols, p, r * cols + c, v)
+
+
+def _at_rows(m, rows, n):
+    """The n x m.cols matrix whose row rows[t] is row t of m, for increasing
+    rows, and zero elsewhere."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[np.asarray(rows, dtype=np.int64) + 1] = m.indptr[1:] - m.indptr[:-1]
+    return MatGF._csr(n, m.cols, m.p, indptr.cumsum(), m.indices, m.data)
+
+
+def _take(m, rows):
+    """m[rows] for increasing rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lens = (m.indptr[1:] - m.indptr[:-1])[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    lens.cumsum(out=indptr[1:])
+    at = _positions(m.indptr[rows], lens)
+    return MatGF._csr(rows.size, m.cols, m.p, indptr, m.indices[at], m.data[at])
+
+
+def _dict_rows(m):
+    """The rows of m as {col: value} dicts, one at a time."""
+    entries = zip(m.indices.tolist(), m.data.tolist())
+    for n in (m.indptr[1:] - m.indptr[:-1]).tolist():
+        yield dict(itertools.islice(entries, n))
+
+
+def _span(rows, n, p):
+    """The canonical Subspace spanned by {col: value} rows."""
+    elim = Eliminator(n, p)
+    for row in rows:
+        elim.add(row)
+    return elim.span()
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +476,16 @@ class MatGF:
 class Subspace:
     """A subspace of GF(p)^n held by its canonical RREF basis.
 
-    ``rows`` is a read-only (dim, n) int64 array with entries in 0..p-1 and
-    ``pivots`` the pivot column of each row, increasing.  Because the rows
-    are in RREF (pivot entry 1, zero in every other pivot column), the
-    coefficients of a vector on the basis are its pivot coordinates, and
-    reducing vectors against the subspace is one product.  ``basis_rows``
-    gives the rows as tuples of Python ints, built on each call.
+    ``basis`` is a dim x n ``MatGF``, one CSR row per basis vector, and
+    ``pivots`` the pivot column of each row, increasing, so a subspace costs
+    O(nnz + dim).  Because the rows are in RREF (pivot entry 1, zero in
+    every other pivot column), the coefficients of a vector on the basis
+    are its pivot coordinates, and reducing a vector against the subspace
+    is one sparse product.  ``rows`` (a read-only dense array) and
+    ``basis_rows`` (tuples of Python ints) are built on each read.
     """
 
-    __slots__ = ("ambient_dim", "p", "rows", "pivots")
+    __slots__ = ("ambient_dim", "p", "basis", "pivots")
 
     def __init__(self, ambient_dim, p, basis_rows, pivots):
         """Raises ``UsageError`` unless ``basis_rows`` (reduced mod p) are in
@@ -342,18 +505,17 @@ class Subspace:
         if (rows[:, piv] != np.eye(len(pivots), dtype=np.int64)).any() or (
                 rows[np.arange(ambient_dim) < piv[:, None]]).any():
             raise UsageError("basis rows are not in RREF at their pivots")
-        self._set(ambient_dim, p, rows, pivots)
+        self._set(ambient_dim, p, MatGF.from_dense(rows, p), pivots)
 
-    def _set(self, ambient_dim, p, rows, pivots):
-        rows.setflags(write=False)
-        self.ambient_dim, self.p, self.rows, self.pivots = \
-            ambient_dim, p, rows, tuple(pivots)
+    def _set(self, ambient_dim, p, basis, pivots):
+        self.ambient_dim, self.p, self.basis, self.pivots = \
+            ambient_dim, p, basis, tuple(pivots)
         return self
 
     @classmethod
-    def _rref(cls, ambient_dim, p, rows, pivots):
-        """A subspace from rows the caller knows to be in RREF."""
-        return cls.__new__(cls)._set(ambient_dim, p, rows, pivots)
+    def _rref(cls, ambient_dim, p, basis, pivots):
+        """A subspace from a basis the caller knows to be in RREF."""
+        return cls.__new__(cls)._set(ambient_dim, p, basis, pivots)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim, p):
@@ -378,23 +540,15 @@ class Subspace:
                 nz = np.flatnonzero(v)
                 row = dict(zip(nz.tolist(), v[nz].tolist()))
             elim.add(row)
-        pivots = elim.pivots()
-        rows = np.zeros((len(pivots), ambient_dim), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            row = elim.rows[pc]
-            rows[i, list(row)] = list(row.values())
-        return cls._rref(ambient_dim, p, rows, pivots)
+        return elim.span()
 
     @classmethod
     def zero(cls, ambient_dim, p):
-        check_modulus(p)
-        return cls._rref(ambient_dim, p,
-                         np.zeros((0, ambient_dim), dtype=np.int64), ())
+        return cls._rref(ambient_dim, p, MatGF.zeros(0, ambient_dim, p), ())
 
     @classmethod
     def full(cls, ambient_dim, p):
-        check_modulus(p)
-        return cls._rref(ambient_dim, p, np.eye(ambient_dim, dtype=np.int64),
+        return cls._rref(ambient_dim, p, MatGF.identity(ambient_dim, p),
                          range(ambient_dim))
 
     @property
@@ -402,65 +556,51 @@ class Subspace:
         return len(self.pivots)
 
     @property
+    def rows(self):
+        """The basis as a read-only (dim, n) int64 array."""
+        out = self.basis.to_dense()
+        out.setflags(write=False)
+        return out
+
+    @property
     def basis_rows(self):
         """The basis rows as tuples of Python ints."""
-        return tuple(map(tuple, self.rows.tolist()))
+        return tuple(map(tuple, self.basis.to_dense().tolist()))
 
-    def _eliminate(self, vecs):
-        """(residues, coefficients) of the rows of a (k, n) array with
-        entries in 0..p-1: each row minus its pivot coordinates times the
-        basis, and those coordinates."""
-        cs = vecs[:, list(self.pivots)]
-        return (vecs - _mulmod(cs, self.rows, self.p)) % self.p, cs
-
-    def _vector(self, vec):
+    def _residue(self, vec):
+        """(residue, coefficients) of a vector: vec minus its pivot
+        coordinates times the basis rows, and those coordinates."""
         vec = np.asarray(vec, dtype=np.int64)
         if vec.shape != (self.ambient_dim,):
             raise UsageError("vector length mismatch")
-        return vec[None, :] % self.p
+        vec = vec % self.p
+        cs = vec[list(self.pivots)]
+        return (vec - self.basis._vm(cs)) % self.p, cs
 
     def reduce(self, vec):
         """Residue of vec after eliminating this subspace's pivot coordinates."""
-        return tuple(self._eliminate(self._vector(vec))[0][0].tolist())
+        return tuple(self._residue(vec)[0].tolist())
 
     def contains(self, vec):
-        return not self._eliminate(self._vector(vec))[0].any()
+        return not self._residue(vec)[0].any()
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis, or None if outside."""
-        out, cs = self._eliminate(self._vector(vec))
+        out, cs = self._residue(vec)
         if out.any():
             return None
-        return tuple(cs[0].tolist())
+        return tuple(cs.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.p == other.p and self.pivots == other.pivots
-                and np.array_equal(self.rows, other.rows))
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.p, self.pivots, self.rows.tobytes()))
+        return hash((self.ambient_dim, self.p, self.pivots, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of GF({self.p})^{self.ambient_dim})"
-
-
-def _mulmod(a, b, p):
-    """(a @ b) mod p for int64 arrays with entries in 0..p-1.
-
-    The inner dimension is summed in chunks of at most
-    (2^63 - p) // (p - 1)^2 terms, and the running sum is reduced mod p
-    after each, so no int64 accumulator exceeds 2^63 - 1 (one chunk for
-    p < 2^16 up to an inner dimension of 2^31)."""
-    step = (2 ** 63 - p) // (p - 1) ** 2
-    if step < 1:
-        raise UsageError(f"products mod {p} overflow int64")
-    out = a[:, :step] @ b[:step]
-    out %= p
-    for lo in range(step, a.shape[1], step):
-        out += a[:, lo:lo + step] @ b[lo:lo + step]
-        out %= p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,33 +613,35 @@ class RowReduction:
     column space ``image`` in GF(p)^n, each a canonical ``Subspace``, and
     ``solve``.
 
-    The rows are fed to an ``Eliminator`` in order.  The ones it accepts as
-    new pivots, P (increasing), are the rows outside the span of the rows
-    before them; Q are the pivot columns of the RREF of the row space.
-    The kernel is read off that RREF at once, and the eliminator is
-    dropped.  m[P, Q] is invertible, and its inverse, computed on first
-    use, serves ``image`` and ``solve``.  Every row of m is t_j m[P, :]
-    with t_j = m[j, Q] m[P, Q]^-1, so m = T m[P, :] with m[P, :] of full
-    row rank, and the column space of m is that of T = m[:, Q] m[P, Q]^-1.
-    T[P] = I, and T[j, i] = 0 whenever P_i > j, since row j lies in the
-    span of the pivot rows before it.  So T^T is in RREF with pivots P,
-    the canonical basis of the image."""
+    m's CSR rows are fed to an ``Eliminator`` in order, one dict at a time.
+    The ones it accepts as new pivots, P (increasing), are the rows outside
+    the span of the rows before them; Q are the pivot columns of the RREF
+    of the row space.  The kernel is read off that RREF at once, and the
+    eliminator is dropped.  m[P, Q] is invertible, and its inverse,
+    computed on first use, serves ``image`` and ``solve``.  Every row of m
+    is t_j m[P, :] with t_j = m[j, Q] m[P, Q]^-1, so m = T m[P, :] with
+    m[P, :] of full row rank, and the column space of m is that of
+    T = m[:, Q] m[P, Q]^-1.  T[P] = I, and T[j, i] = 0 whenever P_i > j,
+    since row j lies in the span of the pivot rows before it.  So T^T is in
+    RREF with pivots P, the canonical basis of the image, and it is written
+    as CSR rows by one sparse product."""
 
     def __init__(self, m):
         elim = Eliminator(m.cols, m.p)
-        prows = []
-        for i, row in enumerate(m.row_dicts()):
+        prows, self._block = [], []  # P and the rows m[P] as dicts
+        for i, row in enumerate(_dict_rows(m)):
             if elim.add(row) is not None:
                 prows.append(i)
+                self._block.append(row)
         self._m, self._prows, self._pcols = m, tuple(prows), elim.pivots()
-        vectors = []
+        kernel = Eliminator(m.cols, m.p)
         for j in range(m.cols):
             if j not in elim.rows:
                 vec = {j: 1}
                 for pc, v in elim.column(j).items():
                     vec[pc] = (-v) % m.p
-                vectors.append(vec)
-        self.kernel = Subspace.from_vectors(vectors, m.cols, m.p)
+                kernel.add(vec)
+        self.kernel = kernel.span()
 
     @property
     def rank(self):
@@ -507,68 +649,40 @@ class RowReduction:
 
     @functools.cached_property
     def _inverse(self):
-        """(columns, inverse): for a = 0..r-1, column Q_a of m and row a of
-        m[P, Q]^-1, each as an int64 array of (indices, values)."""
-        m, r = self._m, self.rank
-        # the columns Q of m as (rows, values) lists, and [m[P, Q] | I]
-        at_q = {c: a for a, c in enumerate(self._pcols)}
-        at_p = {i: a for a, i in enumerate(self._prows)}
-        cols = [([], []) for _ in range(r)]
-        block = [{r + a: 1} for a in range(r)]
-        for (i, c), v in m.entries.items():
-            a = at_q.get(c)
-            if a is not None:
-                cols[a][0].append(i)
-                cols[a][1].append(v)
-                if i in at_p:
-                    block[at_p[i]][a] = v
-        # m[P, Q]^-1 from the RREF [I | m[P, Q]^-1] of [m[P, Q] | I]
-        elim = Eliminator(2 * r, m.p)
-        for row in block:
-            elim.add(row)
-        inverse = [np.array([(b - r, w) for b, w in elim.rows[a].items()
-                             if b >= r], dtype=np.int64).reshape(-1, 2).T
-                   for a in range(r)]
-        return [np.array(col, dtype=np.int64) for col in cols], inverse
+        """The k x r MatGF V whose row Q_a is row a of m[P, Q]^-1, zero off
+        Q, so that m V = T: m[P, Q]^-1 is the right half of the RREF
+        [I | m[P, Q]^-1] of [m[P, Q] | I]."""
+        m, r, at_q = self._m, self.rank, {q: a for a, q in enumerate(self._pcols)}
+        block = ({**{at_q[c]: v for c, v in row.items() if c in at_q}, r + k: 1}
+                 for k, row in enumerate(self._block))
+        inv = _span(block, 2 * r, m.p).basis
+        keep = (inv.indices >= r).nonzero()[0]  # all but each row's 1 in I
+        return _at_rows(MatGF._csr(r, r, m.p, inv.indptr - np.arange(r + 1),
+                                   inv.indices[keep] - r, inv.data[keep]),
+                        self._pcols, m.cols)
 
     @functools.cached_property
     def image(self):
-        """Column space of m as a Subspace of GF(p)^rows: the rows of
-        T^T, T = m[:, Q] m[P, Q]^-1, summed one column of m[:, Q] at a
-        time."""
-        n, p, r = self._m.rows, self._m.p, self.rank
-        if not r:
+        """Column space of m as a Subspace of GF(p)^rows: the rows of T^T,
+        written by one product T = m V keyed by column."""
+        n, p = self._m.rows, self._m.p
+        if not self.rank:
             return Subspace.zero(n, p)
-        # T^T = (m[P, Q]^-1)^T m[:, Q]^T: the inverse's entry w at (a, b)
-        # adds w times column a of m[:, Q] to row b of T^T.  Column a is
-        # added for all the inverse entries of row a at once; their targets
-        # are distinct, so a plain fancy-indexed add is exact.  Only those
-        # entries are written, so the pages of the zero-filled array that
-        # T^T leaves zero are never touched
-        rows = np.zeros((r, n), dtype=np.int64)
-        out = rows.reshape(-1)
-        for (i, v), (b, w) in zip(*self._inverse):
-            at = (b[:, None] * n + i).ravel()
-            out[at] = (out[at] + (w[:, None] * v).ravel()) % p
-        return Subspace._rref(n, p, rows, self._prows)
+        return Subspace._rref(n, p, _product(self._m, self._inverse, transposed=True),
+                              self._prows)
 
     def solve(self, rhs):
         """Some x with m x = rhs, or None when rhs is outside the image.
 
-        x_Q = m[P, Q]^-1 rhs[P] and x is zero off Q: the free variables are
-        zero, which picks the lexicographically first echelon solution;
-        downstream code relies on that determinism."""
+        x = V rhs[P]: x_Q = m[P, Q]^-1 rhs[P] and x is zero off Q, so the
+        free variables are zero, which picks the lexicographically first
+        echelon solution; downstream code relies on that determinism."""
         m, p = self._m, self._m.p
         if len(rhs) != m.rows:
             raise UsageError("rhs length mismatch")
         rhs = np.array([int(v) % p for v in rhs], dtype=np.int64)
-        at_p = rhs[list(self._prows)]
-        x = np.zeros(m.cols, dtype=np.int64)
-        mx = np.zeros(m.rows, dtype=np.int64)
-        for q, (i, v), (b, w) in zip(self._pcols, *self._inverse):
-            x[q] = xq = int(w @ at_p[b]) % p
-            mx[i] = (mx[i] + v * xq) % p
-        if (mx != rhs).any():
+        x = self._inverse._mv(rhs[list(self._prows)])
+        if (m._mv(x) != rhs).any():
             return None
         return tuple(x.tolist())
 
@@ -576,9 +690,10 @@ class RowReduction:
 def rref(m):
     """RREF of m as (matrix of m's shape, echelon rows on top and zero rows
     below; rank; pivot columns)."""
-    span = Subspace.from_vectors(m.row_dicts(), m.cols, m.p)
-    r, c = np.nonzero(span.rows)
-    return (MatGF.from_coo(m.rows, m.cols, m.p, r, c, span.rows[r, c]),
+    span = _span(_dict_rows(m), m.cols, m.p)
+    e = span.basis
+    indptr = np.concatenate([e.indptr, np.full(m.rows - span.dim, e.nnz)])
+    return (MatGF._csr(m.rows, m.cols, m.p, indptr, e.indices, e.data),
             span.dim, list(span.pivots))
 
 
@@ -598,6 +713,13 @@ def solve(m, rhs):
     return RowReduction(m).solve(rhs)
 
 
+def _reduction(m, s):
+    """The COO parts of m's rows minus their coordinates at the pivots of
+    the subspace s times s's basis rows."""
+    return _coo(m), _coo(_product(m, _at_rows(s.basis, s.pivots, m.cols)),
+                         sign=-1)
+
+
 def subspace_sum(a, b):
     """a + b.  The smaller basis is reduced against the larger one and its
     residues are eliminated; the larger basis is then cleared in their
@@ -606,20 +728,18 @@ def subspace_sum(a, b):
     _check_pair(a, b)
     if b.dim > a.dim:
         a, b = b, a
-    p = a.p
-    res = Subspace.from_vectors(a._eliminate(b.rows)[0], a.ambient_dim, p)
+    if not b.dim:
+        return a
+    n, p = a.ambient_dim, a.p
+    res = _span(_dict_rows(_terms(b.dim, n, p, *_reduction(b.basis, a))), n, p)
     if not res.dim:
         return a
     pivots = a.pivots + res.pivots
     at = np.argsort(np.argsort(pivots))  # merged position of each row
-    rows = np.empty((len(pivots), a.ambient_dim), dtype=np.int64)
-    rows[at[:a.dim]] = a.rows
-    rows[at[a.dim:]] = res.rows
-    cs = a.rows[:, list(res.pivots)]
-    hit = np.flatnonzero(cs.any(axis=1))
-    rows[at[hit]] -= _mulmod(cs[hit], res.rows, p)
-    rows[at[hit]] %= p
-    return Subspace._rref(a.ambient_dim, p, rows, sorted(pivots))
+    (r, c, v), (rc, cc, vc) = _reduction(a.basis, res)
+    return Subspace._rref(n, p, _terms(
+        len(pivots), n, p, (at[r], c, v), (at[rc], cc, vc),
+        _coo(res.basis, at[a.dim:])), sorted(pivots))
 
 
 def subspace_intersect(a, b):
@@ -629,11 +749,12 @@ def subspace_intersect(a, b):
     if ra == 0 or rb == 0:
         return Subspace.zero(a.ambient_dim, p)
     # columns: coefficients (u | v) with u*A = v*B; rows: ambient coordinates
-    rel = np.concatenate([a.rows, (-b.rows) % p]).T
-    r, c = np.nonzero(rel)
-    ker = nullspace(MatGF.from_coo(a.ambient_dim, ra + rb, p, r, c, rel[r, c]))
-    return Subspace.from_vectors(_mulmod(ker.rows[:, :ra], a.rows, p),
-                                 a.ambient_dim, p)
+    (ia, ca, va), (ib, cb, vb) = _coo(a.basis), _coo(b.basis, sign=-1)
+    rel = _terms(a.ambient_dim, ra + rb, p, (ca, ia, va), (cb, ib + ra, vb))
+    ker = nullspace(rel)
+    return _span(_dict_rows(_product(ker.basis, _at_rows(a.basis, range(ra),
+                                                         ra + rb))),
+                 a.ambient_dim, p)
 
 
 def _check_pair(a, b):
@@ -644,31 +765,26 @@ def _check_pair(a, b):
 
 
 def quotient_representatives(Z, B):
-    """Canonical representatives of Z/B, for B a subspace of Z, as a
-    (dim Z - dim B, n) int64 array in RREF.
+    """The canonical representatives of Z/B, for B a subspace of Z, as the
+    Subspace R they span.
 
     B's pivots are among Z's, and the representatives are the Z rows at
     the other pivots.  Each is zero in every B-pivot column, so B.reduce
     leaves it as it is, and every other Z row z_q differs from B's row b_q
     by a combination of them; so they are the RREF of the reduced Z rows
-    and the choice is deterministic.  B lies in Z exactly when each b_q is
-    z_q plus its entries in the representatives' pivot columns times
-    those rows, which is one product of size dim B x (dim Z - dim B).
+    and the choice is deterministic.  B lies in Z exactly when every row of
+    B reduces to zero modulo Z, which is one sparse product of B's entries
+    in Z's pivot columns with Z's rows.
     """
     _check_pair(Z, B)
-    p, bpiv = Z.p, set(B.pivots)
-    at_b = [i for i, q in enumerate(Z.pivots) if q in bpiv]
-    rest = [i for i, q in enumerate(Z.pivots) if q not in bpiv]
-    reps = Z.rows[rest]
+    if not B.dim:
+        return Z
     if Z == B:
-        return reps
-    if len(at_b) != B.dim:
+        return Subspace.zero(Z.ambient_dim, Z.p)
+    bpiv = set(B.pivots)
+    if not bpiv <= set(Z.pivots) or _terms(
+            B.dim, Z.ambient_dim, Z.p, *_reduction(B.basis, Z)).nnz:
         raise UsageError("B is not contained in Z")
-    diff = _mulmod(B.rows[:, [Z.pivots[i] for i in rest]], reps, p)
-    for k, i in enumerate(at_b):  # row by row: no second B-sized array
-        diff[k] += Z.rows[i]
-    diff -= B.rows
-    diff %= p
-    if diff.any():
-        raise UsageError("B is not contained in Z")
-    return reps
+    rest = [i for i, q in enumerate(Z.pivots) if q not in bpiv]
+    return Subspace._rref(Z.ambient_dim, Z.p, _take(Z.basis, rest),
+                          [Z.pivots[i] for i in rest])

@@ -367,7 +367,7 @@ def pair_model(lie):
         vals = psi_bar_on_cocycle(lie, unit(c1.dim, h)).values
         cols.append(tuple(d1[:, h]) + sum(vals, ()))
     D1 = MatGF.from_columns(cols, ncols, p)
-    rows = lie.d(2).row_dicts()
+    d2, rows = lie.d(2), []  # D2 is d2 over the rows of the w conditions
     for t, idx in enumerate(evens):
         w0 = n2 + t * dm
         # obstruction_cocycle is linear in f: its values on the unit cochains
@@ -379,7 +379,10 @@ def pair_model(lie):
                     row[w0 + mu] = int(v)
             rows.append(row)
         rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
-    D2 = MatGF.from_rows(rows, ncols, p)
+    ent = d2.entries
+    ent.update(((d2.rows + i, j), v) for i, row in enumerate(rows)
+               for j, v in row.items())
+    D2 = MatGF(d2.rows + len(rows), ncols, p, ent)
     if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
         raise InvariantViolationError("the pair model's D^2 is not zero")
     red = RowReduction(D1)  # Ker D1 and Im D1 from one elimination
@@ -470,7 +473,7 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     sizes["space_dims"] = ctx.space_dims
     # the final slot reports the rank of the last arrow (its image inside
     # S(g_0, H^1)); by exactness it equals the alternating sum of the rest
-    rank_phi = image(m_phi).dim
+    rank_phi = RowReduction(m_phi).rank
     dims = ctx.space_dims[:5] + (rank_phi,)
     return SixTermReport(algebra_id, module_id, g.p, dims, maps,
                          exactness, offending, timings, sizes)

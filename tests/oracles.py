@@ -641,3 +641,79 @@ def solve_augmented(m, rhs):
     for pc, v in elim.column(aug).items():
         x[pc] = v
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# the dense Subspace algebra: `gflin` held a subspace's RREF basis as one
+# (dim, n) int64 array and reduced against it by dense products, before the
+# basis became CSR rows
+# ---------------------------------------------------------------------------
+
+def mulmod(a, b, p):
+    """(a @ b) mod p for int64 arrays with entries in 0..p-1.
+
+    The inner dimension is summed in chunks of at most
+    (2^63 - p) // (p - 1)^2 terms, and the running sum is reduced mod p
+    after each, so no int64 accumulator exceeds 2^63 - 1."""
+    import numpy as np
+
+    from supercoh.errors import UsageError
+
+    step = (2 ** 63 - p) // (p - 1) ** 2
+    if step < 1:
+        raise UsageError(f"products mod {p} overflow int64")
+    out = np.asarray(a[:, :step]) @ np.asarray(b[:step])
+    out %= p
+    for lo in range(step, a.shape[1], step):
+        out += a[:, lo:lo + step] @ b[lo:lo + step]
+        out %= p
+    return out
+
+
+def dense_eliminate(space, vecs):
+    """(residues, coefficients) of the rows of a (k, n) int64 array against
+    the Subspace ``space``: each row minus its pivot coordinates times the
+    dense basis, and those coordinates."""
+    import numpy as np
+
+    vecs = np.asarray(vecs, dtype=np.int64) % space.p
+    cs = vecs[:, list(space.pivots)]
+    return (vecs - mulmod(cs, space.rows, space.p)) % space.p, cs
+
+
+def dense_subspace_sum(a, b):
+    """(rows, pivots) of a + b: the smaller basis reduced against the larger,
+    its residues eliminated, and the larger basis cleared in their pivot
+    columns by one dense product."""
+    import numpy as np
+
+    from supercoh.gflin import Subspace
+
+    if b.dim > a.dim:
+        a, b = b, a
+    p = a.p
+    res = Subspace.from_vectors(dense_eliminate(a, b.rows)[0],
+                                a.ambient_dim, p)
+    pivots = a.pivots + res.pivots
+    at = np.argsort(np.argsort(pivots))  # merged position of each row
+    rows = np.empty((len(pivots), a.ambient_dim), dtype=np.int64)
+    rows[at[:a.dim]] = a.rows
+    rows[at[a.dim:]] = res.rows
+    cs = a.rows[:, list(res.pivots)]
+    rows[at[:a.dim]] -= mulmod(cs, res.rows, p)
+    return rows % p, sorted(pivots)
+
+
+def dense_quotient_representatives(Z, B):
+    """(rows, pivots) of the canonical representatives of Z/B, the Z rows at
+    the pivots B lacks, or None when B is not contained in Z: B lies in Z
+    exactly when each B row b_q is Z's row z_q plus its entries in the
+    representatives' pivot columns times those rows (a dim B x n product)."""
+    bpiv = set(B.pivots)
+    at_b = [i for i, q in enumerate(Z.pivots) if q in bpiv]
+    rest = [i for i, q in enumerate(Z.pivots) if q not in bpiv]
+    reps, pivots = Z.rows[rest], [Z.pivots[i] for i in rest]
+    if len(at_b) != B.dim:
+        return None
+    diff = (mulmod(B.rows[:, pivots], reps, Z.p) + Z.rows[at_b] - B.rows) % Z.p
+    return None if diff.any() else (reps, pivots)

@@ -5,10 +5,14 @@ a quarter full, so heavy fill-in meets the eliminator's sparse rows and its
 column index.  The image and the solutions a ``RowReduction`` reads off
 its row elimination are checked against the column route
 ``oracles.image_by_columns``, the augmented elimination
-``oracles.solve_augmented``, sympy and the dense RREF of the transpose."""
+``oracles.solve_augmented``, sympy and the dense RREF of the transpose.
+The CSR products of ``MatGF`` and ``Subspace`` are checked against the
+dense int64 algebra they replaced (``oracles.mulmod`` and the
+``oracles.dense_*`` routes)."""
 
 import random
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,11 +26,12 @@ from supercoh.cohomology import CohomologyResult  # noqa: E402
 from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
     Eliminator, MatGF, RowReduction, Subspace, image, nullspace,
-    quotient_representatives, rref, solve,
+    quotient_representatives, rref, solve, subspace_sum,
 )
 
 from oracles import (  # noqa: E402
-    class_coords_two_step, dense_rank, dense_rref, image_by_columns,
+    class_coords_two_step, dense_eliminate, dense_quotient_representatives,
+    dense_rank, dense_rref, dense_subspace_sum, image_by_columns, mulmod,
     solve_augmented, subspace_eliminate,
 )
 
@@ -281,7 +286,7 @@ def test_subspace_agrees_with_coordinatewise_elimination(case, rnd):
     want, _ = dense_rref([subspace_eliminate(brows, bpiv, z, p)[0]
                           for z in zrows], n, p)
     reps = quotient_representatives(Z, B)
-    assert [tuple(r) for r in reps.tolist()] == want
+    assert list(reps.basis_rows) == want
     if any(any(subspace_eliminate(zrows, zpiv, w, p)[0])
            for w in W.basis_rows):
         with pytest.raises(UsageError):
@@ -310,3 +315,108 @@ def test_class_coords_agrees_with_the_two_step_route(case):
                 res.class_coords(v)
         else:
             assert res.class_coords(v) == want
+
+
+def test_dense_oracle_products_stay_exact():
+    """``oracles.mulmod`` sums its inner dimension in chunks reduced mod p,
+    so it stays exact even at p = 2^31 - 1, where two products (p - 1)^2
+    already near 2^63, and it rejects a modulus whose single product
+    overflows int64."""
+    rng = random.Random(31)
+    q, n = 2 ** 31 - 1, 7
+    a = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
+    b = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
+    want = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)]
+            for row in a]
+    assert mulmod(np.array(a), np.array(b), q).tolist() == want
+    with pytest.raises(UsageError):
+        mulmod(np.ones((1, 2), dtype=np.int64), np.ones((2, 1), dtype=np.int64),
+               4294967311)  # the least prime above 2^32
+
+
+@PROPS
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_csr_matrices_match_the_dense_oracle(case, rnd):
+    """A ``MatGF`` built from row dicts, a dense array, an entry dict, COO
+    arrays or repeated terms is one matrix, with one hash, and its CSR
+    ``matvec`` and ``matmul`` agree with the dense products of
+    ``oracles.mulmod``, for inner dimensions 0 and up; ``RowReduction``'s
+    image contains every column of m and ``solve`` answers m x = m y."""
+    p, cols, rows = case
+    m = MatGF.from_rows(rows, cols, p)
+    dense = np.array(_dense(rows, cols), dtype=np.int64).reshape(len(rows), cols)
+    r, c = np.nonzero(dense)
+    v = dense[r, c]
+    # every entry split into two terms, with multiples of p, shuffled
+    split = [rnd.randrange(-3 * p, 3 * p) for _ in v]
+    order = list(range(2 * len(v)))
+    rnd.shuffle(order)
+    terms = [np.concatenate(x)[order] for x in ((r, r), (c, c),
+                                                (v - split, split))]
+    routes = [MatGF.from_dense(dense, p), MatGF(len(rows), cols, p, m.entries),
+              MatGF.from_coo(len(rows), cols, p, r, c, v),
+              MatGF.from_terms(len(rows), cols, p, *terms)]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+    assert m.to_dense().tolist() == dense.tolist() and m.nnz == len(v)
+    x = [rnd.randrange(-p, 2 * p) for _ in range(cols)]
+    want = mulmod(dense, np.array(x, dtype=np.int64).reshape(cols, 1) % p, p)
+    assert m.matvec(x) == tuple(want[:, 0].tolist())
+    for k in (0, 1, rnd.randrange(2, 9)):
+        other = np.array([[rnd.randrange(p) if rnd.random() < .4 else 0
+                           for _ in range(k)] for _ in range(cols)],
+                         dtype=np.int64).reshape(cols, k)
+        prod = m.matmul(MatGF.from_dense(other, p))
+        assert (prod.rows, prod.cols) == (len(rows), k)
+        assert prod.to_dense().tolist() == mulmod(dense, other, p).tolist()
+    red = RowReduction(m)
+    assert not dense_eliminate(red.image, dense.T)[0].any()
+    y = [rnd.randrange(p) for _ in range(cols)]
+    sol = red.solve(m.matvec(y))
+    assert m.matvec(sol) == m.matvec(y)
+
+
+@PROPS
+@given(subspace_cases(), st.randoms(use_true_random=False))
+def test_csr_subspaces_match_the_dense_oracle(case, rnd):
+    """``from_vectors`` gives the RREF of ``oracles.dense_rref``, and
+    ``reduce``, ``coords``, ``contains``, ``subspace_sum`` and
+    ``quotient_representatives`` of the CSR ``Subspace`` agree with the
+    dense int64 algebra of ``oracles.dense_eliminate``,
+    ``dense_subspace_sum`` and ``dense_quotient_representatives``, raising
+    UsageError exactly where the dense route finds B outside Z: on spans,
+    zero and full subspaces, in ambient dimension 0 too.  A sum or a
+    quotient equals, and hashes as, the subspace the public constructor
+    builds from the dense route's rows."""
+    p, n, kind, zvecs, bvecs, probes = case
+    Z = {"zero": Subspace.zero(n, p), "full": Subspace.full(n, p)}.get(
+        kind) or Subspace.from_vectors(zvecs, n, p)
+    B = Subspace.from_vectors(bvecs, n, p)
+    W = Subspace.from_vectors(probes, n, p)
+    vecs = np.array(probes, dtype=np.int64).reshape(len(probes), n)
+    for S, spanned in ((B, bvecs), (W, probes)):
+        assert (list(S.basis_rows), list(S.pivots)) == dense_rref(spanned, n, p)
+    for S in (Z, B, W):
+        assert S.basis.nnz == np.count_nonzero(S.rows)
+        for v, res, cs in zip(probes, *dense_eliminate(S, vecs)):
+            assert S.reduce(v) == tuple(res.tolist())
+            assert S.contains(v) == (not res.any())
+            assert S.coords(v) == (None if res.any() else tuple(cs.tolist()))
+    zero, full = Subspace.zero(n, p), Subspace.full(n, p)
+    for a, b in ((Z, B), (B, Z), (Z, W), (W, B), (zero, W), (W, full)):
+        rows, pivots = dense_subspace_sum(a, b)
+        S = subspace_sum(a, b)
+        assert S.rows.tolist() == rows.tolist() and list(S.pivots) == pivots
+        same = Subspace(n, p, rows, pivots)
+        assert S == same and hash(S) == hash(same)
+    for z, b in ((Z, B), (Z, W), (Z, Z), (Z, zero), (full, W), (W, Z)):
+        want = dense_quotient_representatives(z, b)
+        if want is None:
+            with pytest.raises(UsageError, match="not contained"):
+                quotient_representatives(z, b)
+            continue
+        R = quotient_representatives(z, b)
+        assert R.rows.tolist() == want[0].tolist()
+        assert list(R.pivots) == want[1]
+        same = Subspace(n, p, want[0], want[1])
+        assert R == same and hash(R) == hash(same)

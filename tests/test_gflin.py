@@ -196,11 +196,12 @@ def test_subspace_constructor_requires_rref():
 
 def test_subspace_products_stay_exact_for_large_moduli():
     """At the largest modulus allowed, p = 65521, a ``Subspace`` reduces
-    and takes coordinates as plain elimination does.  ``_mulmod`` sums its
-    inner dimension in chunks reduced mod p, so it stays exact even at
-    p = 2^31 - 1, where two products (p - 1)^2 already near 2^63, and it
-    rejects a modulus whose single product overflows int64; a ``Subspace``
-    refuses both moduli, as it refuses every p from 2^16 up."""
+    and takes coordinates as plain elimination does, and CSR products stay
+    exact where the sums outgrow float64: a row of 2^21 + 2^16 entries
+    p - 1 = -1 against a vector of p - 1 sums about 2^53.04 before the
+    reduction, and a product whose terms fill more than one chunk of
+    ``gflin._CHUNK`` sums the chunks into the same entries.  A ``Subspace``
+    refuses every p from 2^16 up."""
     p, n = 65521, 7
     rng = random.Random(31)
     vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
@@ -213,17 +214,20 @@ def test_subspace_products_stay_exact_for_large_moduli():
         assert S.reduce(v) == tuple(res)
         assert S.coords(v) == (None if any(res) else tuple(cs))
     assert S.coords(vecs[2]) is not None
-    q = 2 ** 31 - 1
-    a = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
-    b = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
-    want = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)]
-            for row in a]
-    assert gflin._mulmod(np.array(a), np.array(b), q).tolist() == want
-    big = 4294967311  # the least prime above 2^32
-    with pytest.raises(UsageError):
-        gflin._mulmod(np.ones((1, 2), dtype=np.int64),
-                      np.ones((2, 1), dtype=np.int64), big)
-    for modulus in (q, big):
+    k = 2 ** 21 + 2 ** 16
+    assert k * (p - 1) ** 2 > 2 ** 53
+    row = MatGF.from_terms(1, k, p, np.zeros(k, dtype=np.int64),
+                           np.arange(k), np.full(k, p - 1))
+    assert row.matvec(np.full(k, p - 1)) == (k % p,)
+    del row
+    inner = 2 * gflin._CHUNK // 500 + 1
+    a = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(2)])
+    b = np.array([[rng.randrange(p) for _ in range(500)] for _ in range(inner)])
+    want = [[sum(x * y for x, y in zip(r, c)) % p for c in zip(*b.tolist())]
+            for r in a.tolist()]
+    assert MatGF.from_dense(a, p).matmul(
+        MatGF.from_dense(b, p)).to_dense().tolist() == want
+    for modulus in (2 ** 31 - 1, 4294967311):
         with pytest.raises(UsageError, match="below 2"):
             Subspace.from_vectors([(1, 2)], 2, modulus)
 
@@ -299,9 +303,9 @@ def test_quotient_representatives():
     Z = Subspace.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, p)
     B = Subspace.from_vectors([(1, 1, 0)], 3, p)
     reps = quotient_representatives(Z, B)
-    assert len(reps) == 2
+    assert reps.dim == 2
     # representatives carry no component on B's pivot coordinate
-    for r in reps:
+    for r in reps.basis_rows:
         assert r[B.pivots[0]] == 0
     with pytest.raises(UsageError):
         quotient_representatives(B, Z)
