@@ -18,7 +18,12 @@ routine that derives its output from an RREF is deterministic.
 
 A ``RowReduction`` is the one elimination of a ``MatGF``: its kernel, its
 column space and the solutions of m x = b (see its docstring);
-``nullspace``, ``image`` and ``solve`` are views of it.
+``nullspace``, ``image`` and ``solve`` are views of it.  It feeds m's rows
+in blocks, each later one as tall as the rows before it, and reduces a
+later block modulo the span so far by one sparse product, so only the rows
+that can still add a pivot reach the dict eliminator: a tall differential
+of rank r costs about r dict rows after its first block, not one per row
+(structured elimination, after LaMacchia and Odlyzko).
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .errors import UsageError
 
 # products summed at once by ``_product``; larger products go in chunks
 _CHUNK = 1 << 18
+# rows a ``RowReduction`` feeds to its eliminator as they are; each later
+# block of rows is as tall as all the rows before it
+_BLOCK = 64
 
 
 def is_odd_prime(p):
@@ -454,10 +462,13 @@ def _take(m, rows):
     return MatGF._csr(rows.size, m.cols, m.p, indptr, m.indices[at], m.data[at])
 
 
-def _dict_rows(m):
-    """The rows of m as {col: value} dicts, one at a time."""
-    entries = zip(m.indices.tolist(), m.data.tolist())
-    for n in (m.indptr[1:] - m.indptr[:-1]).tolist():
+def _dict_rows(m, lo=0, hi=None):
+    """Rows lo..hi-1 of m (all by default) as {col: value} dicts, one at a
+    time."""
+    indptr = m.indptr[lo:hi if hi is None else hi + 1]
+    a, b = indptr[0], indptr[-1]
+    entries = zip(m.indices[a:b].tolist(), m.data[a:b].tolist())
+    for n in (indptr[1:] - indptr[:-1]).tolist():
         yield dict(itertools.islice(entries, n))
 
 
@@ -613,10 +624,14 @@ class RowReduction:
     column space ``image`` in GF(p)^n, each a canonical ``Subspace``, and
     ``solve``.
 
-    m's CSR rows are fed to an ``Eliminator`` in order, one dict at a time.
-    The ones it accepts as new pivots, P (increasing), are the rows outside
-    the span of the rows before them; Q are the pivot columns of the RREF
-    of the row space.  The kernel is read off that RREF at once, and the
+    m's rows are fed to an ``Eliminator`` in order: the first ``_BLOCK``
+    as they are, then each later block, as tall as the rows before it, as
+    its residues modulo the span so far, one sparse product, of which only
+    the nonzero ones become dicts.  A residue differs from its row by a
+    vector of that span, so it adds the same pivot or none.  The rows
+    accepted as new pivots, P (increasing), are the rows outside the span
+    of the rows before them; Q are the pivot columns of the RREF of the
+    row space.  The kernel is read off that RREF at once, and the
     eliminator is dropped.  m[P, Q] is invertible, and its inverse,
     computed on first use, serves ``image`` and ``solve``.  Every row of m
     is t_j m[P, :] with t_j = m[j, Q] m[P, Q]^-1, so m = T m[P, :] with
@@ -629,10 +644,20 @@ class RowReduction:
     def __init__(self, m):
         elim = Eliminator(m.cols, m.p)
         prows, self._block = [], []  # P and the rows m[P] as dicts
-        for i, row in enumerate(_dict_rows(m)):
-            if elim.add(row) is not None:
-                prows.append(i)
-                self._block.append(row)
+        lo, hi = 0, min(m.rows, _BLOCK)
+        while lo < hi:
+            if lo:  # only the rows with a nonzero residue modulo the span so far
+                res = _terms(hi - lo, m.cols, m.p,
+                             *_reduction(_take(m, range(lo, hi)), elim.span()))
+                live = (res.indptr[1:] > res.indptr[:-1]).nonzero()[0]
+                rows, part = (live + lo).tolist(), _dict_rows(_take(res, live))
+            else:
+                rows, part = range(hi), _dict_rows(m, 0, hi)
+            for i, row in zip(rows, part):
+                if elim.add(row) is not None:
+                    prows.append(i)
+                    self._block.append(next(_dict_rows(m, i, i + 1)) if lo else row)
+            lo, hi = hi, min(m.rows, 2 * hi)
         self._m, self._prows, self._pcols = m, tuple(prows), elim.pivots()
         kernel = Eliminator(m.cols, m.p)
         for j in range(m.cols):

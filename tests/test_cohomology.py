@@ -1,5 +1,6 @@
 import collections
 import itertools
+import pathlib
 import random
 import types
 
@@ -13,7 +14,7 @@ from supercoh.cohomology import (
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
-from supercoh.gflin import MatGF, RowReduction, nullspace
+from supercoh.gflin import Eliminator, MatGF, RowReduction, nullspace
 from supercoh import extensions, sixterm
 from supercoh.sixterm import SixTermContext, pair_model
 from supercoh.superalg import (
@@ -558,26 +559,59 @@ def test_aug_power_indexes_the_pure_powers(loaded_catalog):
             assert mono[bar.ualg.pos_of[i]] == e and sum(mono) == e
 
 
-def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog):
-    """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96): the
-    image a ``RowReduction`` reads off the row elimination equals the
-    span of its columns (``oracles.image_by_columns``), has the
-    eliminator's pivot rows as its pivots,
-    contains every column of d1, and has the dimension the kernel
+def _reduce_counting_adds(monkeypatch, m):
+    """(``RowReduction(m)``, the ``Eliminator.add`` calls it made)."""
+    calls, add = [], Eliminator.add
+    with monkeypatch.context() as mp:
+        mp.setattr(Eliminator, "add",
+                   lambda self, row: calls.append(1) or add(self, row))
+        red = RowReduction(m)
+    return red, len(calls)
+
+
+def test_bar_d1_image_from_its_rows_on_borel_adjoint_p7(loaded_catalog,
+                                                        monkeypatch):
+    """The bar d1 of a4-borel with adjoint M at p = 7 (4608 x 96, rank 94,
+    its last independent row is row 135): the reduction feeds the
+    eliminator only the rows that add a pivot past the first block, at
+    most 300 of 4608, and the image a ``RowReduction`` reads off the row
+    elimination equals the span of its columns
+    (``oracles.image_by_columns``), has the eliminator's pivot rows as its
+    pivots, contains every column of d1, and has the dimension the kernel
     leaves."""
     from supercoh.algfile import parse_algebra_dict
     e, _, _ = loaded_catalog["a4-borel-adjoint"]
     g, modules, _ = parse_algebra_dict(dict(e.data, p=7))
     bar = CochainComplex(g, modules["adjoint"], "bar")
     d1 = bar.d(1)
-    red = RowReduction(d1)
+    red, adds = _reduce_counting_adds(monkeypatch, d1)
     assert (d1.rows, d1.cols, d1.nnz) == (4608, 96, 9012)
+    assert red.rank == 94 and red._prows[-1] == 135
+    assert adds <= 300
     assert red.image == image_by_columns(d1)
     assert red.image.pivots == red._prows
     cols = d1.to_dense().T
     assert not dense_eliminate(red.image, cols)[0].any()
     assert not (cols.T @ red.kernel.rows.T % 7).any()
     assert red.image.dim == red.rank == 96 - red.kernel.dim
+
+
+def test_sl2_adjoint_at_p5_reduces_a_tall_bar_d1(monkeypatch):
+    """sl2 with its adjoint module at p = 5, read from ``tests/data/sl2.json``
+    (which has no p): the bar d1 is 46128 x 372 of rank 369, and its
+    reduction calls ``Eliminator.add`` fewer than 1500 times, where feeding
+    every row would take 46131 calls.  The six-term report is exact with
+    every dimension 0; it checks its H^2_* against the pair model."""
+    from supercoh.algfile import parse_algebra
+    text = (pathlib.Path(__file__).parent / "data" / "sl2.json").read_text()
+    g, modules, _ = parse_algebra(text, p_override=5)
+    d1 = CochainComplex(g, modules["adjoint"], "bar").d(1)
+    red, adds = _reduce_counting_adds(monkeypatch, d1)
+    assert (d1.rows, d1.cols, red.rank) == (46128, 372, 369)
+    assert adds < 1500
+    report = sixterm.build_six_term(g, modules["adjoint"], "sl2", "adjoint")
+    assert report.all_exact, report.summary()
+    assert report.dims == (0, 0, 0, 0, 0, 0)
 
 
 def test_comparison_is_cochain_map(loaded_catalog):

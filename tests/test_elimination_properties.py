@@ -162,6 +162,84 @@ def test_row_reduction_shapes(name):
     _check_row_reduction(p, cols, rows)
 
 
+def _combo(vectors, p, rng):
+    """A combination of {col: value} vectors with nonzero coefficients."""
+    out = {}
+    for v in vectors:
+        c = rng.randrange(1, p)
+        for j, x in v.items():
+            out[j] = (out.get(j, 0) + c * x) % p
+    return {j: x for j, x in out.items() if x}
+
+
+def _tall_rows(name):
+    """(p, cols, rows): several hundred rows, so ``RowReduction`` feeds its
+    eliminator the first block and then only the later rows with a
+    nonzero residue modulo the span of the rows before their block."""
+    rng = random.Random(name)
+
+    def vec(support, p):
+        return {j: rng.randrange(1, p) for j in support if rng.random() < .6}
+
+    if name == "lone last row":
+        # 599 rows in a 3-dim span that misses the last column, then one of
+        # them plus the last unit vector: the one pivot of the last, partial
+        # block, its residue a single entry
+        p, cols = 7, 10
+        base = [vec(range(cols - 1), p) for _ in range(3)]
+        rows = [_combo(rng.sample(base, rng.randint(1, 3)), p, rng)
+                for _ in range(599)]
+        return p, cols, rows + [{**rng.choice(rows), cols - 1: 1}]
+    if name == "zero and repeated rows":
+        # a third of the rows zero, the rest repeats of six rows, each
+        # first seen at its own row, in the first block or a later one
+        p, cols = 3, 9
+        new = dict(zip((0, 10, 65, 130, 260, 449),
+                       (vec(range(cols), p) for _ in range(6))))
+        seen, rows = [], []
+        for i in range(450):
+            if i in new:
+                seen.append(new[i])
+                rows.append(dict(new[i]))
+            else:
+                rows.append({} if i % 3 == 0 else dict(rng.choice(seen)))
+        return p, cols, rows
+    # from row 64 on, rows outside the span of every earlier block, each
+    # dependent on the earlier rows of its own block but for the new
+    # vectors at rows 64, 100, 128, 200 and 256
+    p, cols = 65521, 14
+    span = [vec(range(7), p) for _ in range(3)]
+    rows = [_combo(rng.sample(span, rng.randint(1, 3)), p, rng)
+            for _ in range(64)]
+    for i in range(64, 400):
+        if i in (64, 100, 128, 200, 256):
+            span.append(vec(range(cols), p))
+            rows.append(dict(span[-1]))
+        else:
+            rows.append(_combo(span[-1:] + rng.sample(span, 2), p, rng))
+    return p, cols, rows
+
+
+@pytest.mark.parametrize("name", ["lone last row", "zero and repeated rows",
+                                  "dependent in own block"])
+def test_tall_row_reduction(name):
+    """Kernel, image and ``solve`` of matrices that reach past the first
+    block agree with sympy, the dense RREF, the column route and the
+    augmented elimination, for right-hand sides in the image and random
+    ones."""
+    p, cols, rows = _tall_rows(name)
+    _check_row_reduction(p, cols, rows)
+    m = MatGF.from_rows(rows, cols, p)
+    red = RowReduction(m)
+    rng = random.Random(name)
+    for _ in range(3):
+        rhs = m.matvec([rng.randrange(p) for _ in range(cols)])
+        x = red.solve(rhs)
+        assert x == solve_augmented(m, rhs) and m.matvec(x) == rhs
+        rhs = [rng.randrange(p) for _ in rows]
+        assert red.solve(rhs) == solve_augmented(m, rhs)
+
+
 def _sympy_solve(rows, cols, p, rhs):
     """The solution of m x = rhs with free variables zero, read off sympy's
     RREF of [m | rhs], or None when rhs is outside the image."""
