@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import UAlgebra
+from .envelope import UAlgebra, index_runs
 from .errors import InvariantViolationError, UsageError
 from .gflin import MatGF, RowReduction, Subspace, quotient_representatives
 from .superalg import EVEN, ODD
@@ -343,6 +343,98 @@ def is_bar_2cocycle(bar, cvec):
     return True
 
 
+@dataclass(frozen=True)
+class _SeedPlan:
+    """Where ``CochainComplex.cocycle_from_seeds`` reads and writes, for one
+    u(g) (any module).  ``seeds`` are the (i, v) pairs, v an aug index, of
+    the seed entries c(x_i, v), and ``gens[i]`` is the aug index of x_i.  A
+    generator pass fills the entries (x, v) of one degree of v from the
+    (src, z coefficients, y, sign) of the recursion, sign 0 where x does
+    not come after y, and the (owner, table position) of the terms w of
+    x v'.  A fill pass fills the rows of the aug monomials u in one slice,
+    all of one degree, from (first generator x, u') and the (owner, table
+    position) of the terms of u' v."""
+
+    seeds: tuple
+    gens: np.ndarray
+    gen_passes: tuple
+    fill_passes: tuple
+
+
+def _bar_seed_plan(ualg):
+    """The ``_SeedPlan`` of u(g)."""
+    g, p, order = ualg.g, ualg.p, ualg.gen_order
+    aug, index = ualg.aug_basis(), ualg.aug_index()
+    A, n = len(aug), g.dim
+    a, b, _, _ = ualg.aug_product_table()
+    brk, half = g.brackets % p, pow(2, -1, p)
+    gens = np.zeros(n, dtype=np.int64)
+    first, rest, drop = [], [], []  # per v; -1 stands for the unit
+    for iv, mono in enumerate(aug):
+        j = next(k for k, e in enumerate(mono) if e)
+        first.append(j)
+        rest.append(index.get(mono[:j] + (mono[j] - 1,) + mono[j + 1:], -1))
+        drop.append(index.get(mono[:j] + (0,) + mono[j + 1:], -1)
+                    if mono[j] == p - 1 else None)
+        if sum(mono) == 1:
+            gens[order[j]] = iv
+    deg = np.array([sum(m) for m in aug], dtype=np.int64)
+    seeds, ents, cz = [], [], []  # ents: (degree of v, x, v, src, y, sign)
+    for i in range(n):
+        k = ualg.pos_of[i]
+        for iv, j in enumerate(first):
+            y = order[j]
+            if j < k:
+                src, z, sign = rest[iv], brk[i, y], (
+                    -1 if g.parity(i) and g.parity(y) else 1)
+            elif j > k:
+                continue
+            elif g.parity(i):
+                src, z, sign = rest[iv], half * brk[i, i], 0
+            elif drop[iv] is not None:
+                src, z, sign = drop[iv], g.pmap_basis(i), 0
+            else:
+                continue
+            if src < 0:
+                seeds.append((i, iv))
+            else:
+                ents.append((deg[iv], i, iv, src, y, sign))
+                cz.append(z % p)
+    ents = np.array(ents, dtype=np.int64).reshape(-1, 6)
+    srt = np.argsort(ents[:, 0], kind="stable")
+    d, xs, vs, src, ys, sign = ents[srt].T
+    cz = np.array(cz, dtype=np.int64).reshape(-1, n)[srt]
+    pair_start = np.searchsorted(a * A + b, np.arange(A * A + 1))
+    key = gens[xs] * A + src
+    own, pos = index_runs(pair_start[key], np.where(
+        sign != 0, pair_start[key + 1] - pair_start[key], 0))
+    gen_passes = tuple(
+        (xs[lo:hi], vs[lo:hi], src[lo:hi], cz[lo:hi], ys[lo:hi], sign[lo:hi],
+         own[olo:ohi] - lo, pos[olo:ohi])
+        for lo, hi, olo, ohi in _blocks(d, own))
+    # the aug basis is sorted by degree: the rows of degree >= 2 follow
+    # those of the n generators
+    ux = np.array([order[first[u]] for u in range(n, A)], dtype=np.int64)
+    ur = np.array(rest[n:], dtype=np.int64)
+    a_start = np.searchsorted(a, np.arange(A + 1))
+    own, pos = index_runs(a_start[ur], a_start[ur + 1] - a_start[ur])
+    fill_passes = tuple(
+        (slice(n + lo, n + hi), ux[lo:hi], ur[lo:hi], own[olo:ohi] - lo,
+         pos[olo:ohi])
+        for lo, hi, olo, ohi in _blocks(deg[n:], own))
+    return _SeedPlan(tuple(seeds), gens, gen_passes, fill_passes)
+
+
+def _blocks(d, own):
+    """(lo, hi, olo, ohi) per run of equal values in the sorted array d:
+    the run is d[lo:hi], and own[olo:ohi] are the entries of the sorted
+    array own that fall in lo..hi-1."""
+    lo = np.flatnonzero(np.r_[True, d[1:] != d[:-1]]) if d.size else d
+    hi = np.r_[lo[1:], d.size]
+    olo, ohi = np.searchsorted(own, lo), np.searchsorted(own, hi)
+    return zip(lo.tolist(), hi.tolist(), olo.tolist(), ohi.tolist())
+
+
 # ---------------------------------------------------------------------------
 # the complex of one (g, M) pair
 # ---------------------------------------------------------------------------
@@ -368,11 +460,13 @@ class CochainComplex:
         self._diffs = {}
         self._reductions = {}
         self._lookups = {}
+        self._plan = []  # shared with with_module's copies
 
     def with_module(self, rep):
         """The complex of the same kind of (g, rep), another module of g.
         A bar complex keeps this one's u(g), with its aug basis and product
-        table, instead of straightening them again."""
+        table, instead of straightening them again, and shares the seed
+        plan of ``cocycle_from_seeds``, which depends on u(g) only."""
         if rep.g is not self.g:
             raise UsageError("the module is not one of this complex's g")
         cx = copy.copy(self)
@@ -477,6 +571,71 @@ class CochainComplex:
             if ((c[self.aug_power(idx, p - 1), gens[idx]] - want) % p).any():
                 raise InvariantViolationError(
                     f"{what} misreads the p-map on {idx}")
+
+    def _seed_plan(self):
+        # depends on u(g) only, so one complex and its with_module copies
+        # hold it in one list
+        self.require("bar")
+        if not self._plan:
+            self._plan.append(_bar_seed_plan(self.ualg))
+        return self._plan[0]
+
+    def seed_positions(self):
+        """The seed entries of ``cocycle_from_seeds`` as (x, v) pairs of aug
+        indices, x a generator: (x, y) for generators x after y and (x, x)
+        for odd x, in u(g)'s generator order, and (x, x^{p-1}) for even x;
+        g.dim (g.dim + 1) / 2 of them, ordered by x, then v."""
+        plan = self._seed_plan()
+        return tuple((int(plan.gens[i]), iv) for i, iv in plan.seeds)
+
+    def cocycle_from_seeds(self, seeds):
+        """The (|aug|, |aug|, dim M) array (``cochain_array``) of the bar
+        2-cocycle of a restricted extension read through a monomial
+        section, from its values ``seeds[s]`` at ``seed_positions()[s]``.
+
+        The generator rows c(x, .) follow by the recursion of
+        ``extensions.assoc_2cocycle_from_restricted_ext``, one degree of v
+        at a time: an entry of degree d reads entries of lower degree only,
+        since the one term w of degree d in x v' is x v' sorted, where y
+        comes first with exponent below p - 1 or not at all, so
+        c(y, w) = 0.  The other rows follow from the cocycle identity
+        x.c(u', v) - c(u, v) + c(x, u' v) = 0, for u = x u' with x its
+        first generator:
+
+            c(u, v) = x.c(u', v) + sum_w P[u', v -> w] c(x, w),
+
+        one degree of u at a time.  P is the aug x aug product table of
+        u(g).  The result is a cocycle only if the seeds come from an
+        extension; ``is_bar_2cocycle`` decides that."""
+        plan, p = self._seed_plan(), self.g.p
+        A, D = len(self.ualg.aug_basis()), self.rep.dim
+        _, b, w, coef = self.ualg.aug_product_table()
+        act = np.array(self.rep.mats, dtype=np.int64).reshape(-1, D, D) % p
+        c = np.zeros((A, A, D), dtype=np.int64)
+        c[plan.gens] = self._generator_rows(seeds, act)
+        for us, ux, ur, own, pos in plan.fill_passes:
+            out = np.einsum("nvj,nij->nvi", c[ur], act[ux])
+            np.add.at(out, (own, b[pos]),
+                      coef[pos, None] * c[plan.gens[ux[own]], w[pos]])
+            c[us] = out % p
+        return c
+
+    def _generator_rows(self, seeds, act):
+        """The (g.dim, |aug|, dim M) array of c(x_i, v), filled from the
+        seeds; ``act`` holds the action matrices of g's basis."""
+        plan, p = self._seed_plan(), self.g.p
+        _, _, w, coef = self.ualg.aug_product_table()
+        rows = np.zeros((self.g.dim, len(self.ualg.aug_basis()), self.rep.dim),
+                        dtype=np.int64)
+        if plan.seeds:
+            xs, vs = np.array(plan.seeds).T
+            rows[xs, vs] = np.asarray(seeds, dtype=np.int64) % p
+        for xs, vs, src, cz, ys, sign, own, pos in plan.gen_passes:
+            t = np.einsum("nij,nj->ni", act[ys], rows[xs, src])
+            np.add.at(t, own, coef[pos, None] * rows[ys[own], w[pos]])
+            rows[xs, vs] = (np.einsum("nz,znd->nd", cz, rows[:, src])
+                            + sign[:, None] * t) % p
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -336,10 +336,10 @@ class UAlgebra:
             bounds = np.searchsorted(a, np.arange(N + 1))
             us = np.flatnonzero(deg == d)
             r = rest[us]
-            own, pos = _runs(bounds[r], bounds[r + 1] - bounds[r])
+            own, pos = index_runs(bounds[r], bounds[r + 1] - bounds[r])
             u, v, w, c = us[own], b[pos], w[pos], c[pos]
             key = first[u] * N + w
-            own, pos = _runs(lstart[key], lstart[key + 1] - lstart[key])
+            own, pos = index_runs(lstart[key], lstart[key + 1] - lstart[key])
             key = (u[own] * N + v[own]) * N + dst[pos]
             c = c[own] * val[pos] % p
             order = np.argsort(key)
@@ -411,7 +411,7 @@ def _accumulate(acc, terms, c, p):
         acc[m] = (acc.get(m, 0) + c * v) % p
 
 
-def _runs(starts, counts):
+def index_runs(starts, counts):
     """(owner, position) of every element of the index runs
     starts[i] .. starts[i] + counts[i] - 1, run by run."""
     owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -485,13 +485,14 @@ def _push_vector(dst, g, vec, gen_images):
     return out
 
 
-def linear_section_extend(src, dst, section_images):
+def linear_section_extend(src, dst, section_images, monomials=None):
     """Extend a linear section g -> E to u(g) -> u(E) monomial by monomial:
     a PBW monomial maps to the product of its factors' images in canonical
     factor order.  Composing with the projection morphism gives the identity
-    whenever the section is one."""
+    whenever the section is one.  Only the PBW monomials in ``monomials``
+    are mapped if it is given."""
     images = {}
-    for mono in src.pbw_basis():
+    for mono in src.pbw_basis() if monomials is None else monomials:
         out = dst.one()
         for kpos, e in enumerate(mono):
             img = section_images[src.gen_order[kpos]]

@@ -391,19 +391,42 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
 
         c(u, v) = gamma(psi'(u) psi'(v) - psi'(uv))
 
-    where psi' extends the section monomial-by-monomial into u(E), phi' is
-    the induced projection u(E) -> u(g), and gamma collapses u(E)M onto M.
+    where psi' extends the section x -> X_x monomial-by-monomial into u(E),
+    phi' is the induced projection u(E) -> u(g), and gamma collapses u(E)M
+    onto M by xi m -> phi'(xi).m, killing M-degree >= 2.  Two identities
+    hold for xi in u(E)M and a generator y:
 
-    Only the generator rows c(x, v) are computed this way.  Every other
-    aug monomial is u = x u' on the nose, with x its first generator, so the
-    cocycle identity x.c(u', v) - c(u, v) + c(x, u'v) = 0 fills its row
+        gamma(X_y xi) = y.gamma(xi), since phi' is multiplicative;
+        gamma(xi X_y) = 0, since m X_y = (-1)^{|m||y|}(X_y m - y.m) and
+        gamma(X_y m) = y.m.
 
-        c(u, v) = x.c(u', v) + sum_w P[u', v -> w] c(x, w)
+    Only the seed entries go through gamma: c(x, y) for generators x after
+    y, the M-part of [X_x, X_y] - X_{[x,y]}; c(x, x) for odd x, half that
+    of [X_x, X_x] - X_{[x,x]}; and c(x, x^{p-1}) for even x, that of
+    X_x^p - X_{x^[p]}.  That is g.dim (g.dim + 1) / 2 products in u(E).
+    Every other generator-row entry c(x, v), with v = y v' on the nose and
+    y the first generator of v, follows from P, the aug x aug product
+    table of u(g), and c(., 1) = 0 (``CochainComplex.cocycle_from_seeds``):
 
-    in (degree, lex) order from the aug x aug product table P.  The result
-    is checked to be a cocycle (``is_bar_2cocycle``) and to read back the
-    extension through the section: its antisymmetrization on g is the
-    M-part of [psi x_i, psi x_j] - psi [x_i, x_j], and c(x^{p-1}, x) that of
+        x before y, or x = y even with exponent below p - 1 in v:
+            c(x, v) = 0, as x v is a PBW monomial;
+        x after y:
+            c(x, v) = (-1)^{|x||y|} (y.c(x, v') + sum_w P[x v' -> w] c(y, w))
+                      + sum_z [x, y]_z c(z, v');
+        x = y odd:
+            c(x, v) = 1/2 sum_z [x, x]_z c(z, v');
+        x = y even, v = x^{p-1} v'':
+            c(x, v) = sum_z (x^[p])_z c(z, v'').
+
+    Each comes from rewriting X_x X_y psi'(v') in u(E) by the bracket
+    (resp. X_x^p by the p-map): the defect m of that bracket leaves
+    gamma(m psi'(v')) = 0 by the second identity, and X_y acts on a
+    correction by the first.  The rows of the other aug monomials follow
+    from the cocycle identity.  The result is checked to be a cocycle
+    (``is_bar_2cocycle``) and to read back the extension through the
+    section, from E's bracket and ``pmap_apply``, a route independent of
+    the seeds: its antisymmetrization on g is the M-part of
+    [psi x_i, psi x_j] - psi [x_i, x_j], and c(x^{p-1}, x) that of
     psi(x)^[p] - psi(x^[p]) for even basis x.
     """
     g, rep = ext.g, ext.rep
@@ -418,33 +441,19 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
     uE = UAlgebra(ext.E, restricted=True, gen_order=gen_order)
     section_vectors = psi_image(ext) if section is None else section
     psi_images = [uE.from_vector(v) for v in section_vectors]
-    psi_prime = linear_section_extend(ualg, uE, psi_images)
-    aug, index = ualg.aug_basis(), ualg.aug_index()
-
-    gens = [bar.aug_power(i, 1) for i in range(g.dim)]
-    c = np.zeros((len(aug), len(aug), rep.dim), dtype=np.int64)
-    a, b, w, coef = ualg.aug_product_table()
-    bounds = np.searchsorted(a, np.arange(len(aug) + 1))
-    for ix in gens:
-        px = psi_prime.images[aug[ix]]
-        corr = [uE.zero() for _ in aug]  # psi'(x v), v running over aug
-        lo, hi = bounds[ix], bounds[ix + 1]
-        for iv, iw, cw in zip(b[lo:hi].tolist(), w[lo:hi].tolist(),
-                              coef[lo:hi].tolist()):
-            corr[iv] = corr[iv] + psi_prime.images[aug[iw]].scaled(cw)
-        for iv, mv in enumerate(aug):
-            elt = uE.multiply(px, psi_prime.images[mv]) - corr[iv]
-            c[ix, iv] = gamma_map(uE, ualg, layout, rep, elt)
-    for iu, mu in enumerate(aug):
-        if sum(mu) == 1:
-            continue
-        pos = next(k for k, e in enumerate(mu) if e)
-        rest = index[mu[:pos] + (mu[pos] - 1,) + mu[pos + 1:]]
-        ix = gens[ualg.gen_order[pos]]
-        row = c[rest] @ ualg.action_matrix(rep, aug[ix]).T
-        lo, hi = bounds[rest], bounds[rest + 1]
-        np.add.at(row, b[lo:hi], coef[lo:hi, None] * c[ix, w[lo:hi]])
-        c[iu] = row % p
+    aug = ualg.aug_basis()
+    # a seed (x, v) reads psi' on v and on the terms of x v, of degree <= 2
+    vs = {aug[iv] for _, iv in bar.seed_positions()}
+    psi = linear_section_extend(
+        ualg, uE, psi_images,
+        [m for m in ualg.pbw_basis() if sum(m) <= 2 or m in vs]).images
+    seeds = []
+    for ix, iv in bar.seed_positions():
+        elt = uE.multiply(psi[aug[ix]], psi[aug[iv]])
+        for mono, cw in ualg.monomial_product(aug[ix], aug[iv]).items():
+            elt = elt - psi[mono].scaled(cw)  # psi'(x v)
+        seeds.append(gamma_map(uE, ualg, layout, rep, elt))
+    c = bar.cocycle_from_seeds(np.array(seeds, dtype=np.int64).reshape(-1, rep.dim))
     cvec = bar.cochain_vector(c)
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")

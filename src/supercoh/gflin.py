@@ -348,10 +348,14 @@ class MatGF:
     # arithmetic -----------------------------------------------------------
 
     def _mv(self, x):
-        """m x mod p for an int64 vector x with entries in 0..p-1: the
-        products of each row summed as differences of one running sum."""
+        """m x mod p for an int64 vector x with entries in 0..p-1."""
+        return self._row_sums(x[self.indices])
+
+    def _row_sums(self, xs):
+        """m x mod p from xs = x[indices] (entries in 0..p-1): the products
+        of each row summed as differences of one running sum."""
         run = np.zeros(self.nnz + 1, dtype=np.int64)
-        (self.data * x[self.indices]).cumsum(out=run[1:])
+        (self.data * xs).cumsum(out=run[1:])
         return (run[self.indptr[1:]] - run[self.indptr[:-1]]) % self.p
 
     def _vm(self, x):
@@ -364,7 +368,13 @@ class MatGF:
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise UsageError("vector length mismatch")
-        return tuple(self._mv(np.asarray(vec, dtype=np.int64) % self.p).tolist())
+        # read vec at the column indices only, unless it is already an
+        # array or the matrix has more nonzeros than columns
+        if isinstance(vec, np.ndarray) or self.nnz >= self.cols:
+            xs = np.asarray(vec, dtype=np.int64)[self.indices]
+        else:
+            xs = np.array([vec[j] for j in self.indices.tolist()], dtype=np.int64)
+        return tuple(self._row_sums(xs % self.p).tolist())
 
     def matmul(self, other):
         if not isinstance(other, MatGF):

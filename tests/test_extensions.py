@@ -432,10 +432,12 @@ def test_bar_extraction_matches_the_gamma_oracle(loaded_catalog):
                     bar_cocycle_of_extension(ext, bar), (entry_id, name)
 
 
-def test_bar_extraction_evaluates_gamma_on_generator_rows_only(
+def test_bar_extraction_evaluates_gamma_on_the_seeds_only(
         loaded_catalog, monkeypatch):
-    """One extraction collapses g.dim x |aug| products, one per entry of a
-    generator row: 320 on a4-borel-adjoint |x adjoint (dim 4, |aug| = 80)."""
+    """One extraction collapses one u(E) product per seed entry of
+    ``CochainComplex.seed_positions``, g.dim (g.dim + 1) / 2 of them: 10 on
+    the universal twist of a4-borel-adjoint |x adjoint (dim 4), whose
+    generator rows have g.dim |aug| = 320 entries."""
     import supercoh.extensions as extensions
     calls = [0]
 
@@ -445,25 +447,36 @@ def test_bar_extraction_evaluates_gamma_on_generator_rows_only(
     monkeypatch.setattr(extensions, "gamma_map", counted)
     g, modules = loaded_catalog["a4-borel-adjoint"][1:]
     E, _ = semidirect(g, modules["adjoint"])
-    for g, rep in ((g, modules["adjoint"]), (E, trivial_module(E))):
-        bar = CochainComplex(g, rep, "bar")
+    n = E.space.n_even
+    K = Representation(E, SuperSpace(tuple(f"e{t}" for t in range(n)), ()),
+                       [np.zeros((n, n), dtype=np.int64)] * E.dim)
+    univ = twist_pmap(semidirect_extension(E, K),
+                      SemiLinearMap(E, n, np.eye(n, dtype=np.int64)))
+    mixed, k = fixture_algebra(loaded_catalog, "a7-mixed-line")
+    for ext in (semidirect_extension(g, modules["adjoint"]),
+                semidirect_extension(mixed, k), univ):
+        bar = CochainComplex(ext.g, ext.rep, "bar")
         calls[0] = 0
-        assoc_2cocycle_from_restricted_ext(semidirect_extension(g, rep), bar)
-        assert calls[0] == g.dim * len(bar.ualg.aug_basis())
-    assert calls[0] == 320
+        assoc_2cocycle_from_restricted_ext(ext, bar)
+        assert calls[0] == len(bar.seed_positions()) == \
+            ext.g.dim * (ext.g.dim + 1) // 2
+    assert calls[0] == 10 and E.dim * len(bar.ualg.aug_basis()) == 320
 
 
 def test_bar_extraction_catches_a_corrupted_generator_row(loaded_catalog,
                                                           monkeypatch):
     """Add 1 to one coordinate of one generator-row entry, every entry in
-    turn.  A change that breaks the cocycle identity raises
-    NotACocycleError; one that keeps a cocycle but changes the extension
-    fails the readback of bracket and p-map; whatever is returned is in the
-    class of the uncorrupted cocycle; a change off the cochain's parity is
-    rejected as such."""
+    turn: a seed, through its gamma value, or an entry filled from the
+    product table, in the generator rows the fill rows read.  A change
+    that breaks the cocycle identity raises NotACocycleError; one that
+    keeps a cocycle but changes the extension fails the readback of bracket
+    and p-map; whatever is returned is in the class of the uncorrupted
+    cocycle; a change off the cochain's parity is rejected as such.  The
+    readback reads every seed, so a corrupted seed is never returned."""
     import supercoh.extensions as extensions
-    real = extensions.gamma_map
-    outcomes = collections.Counter()
+    real_gamma = extensions.gamma_map
+    real_rows = CochainComplex._generator_rows
+    outcomes = {"seed": collections.Counter(), "table": collections.Counter()}
     for entry_id in ("a4-borel-dual", "a6-abelian-plane", "a7-mixed-line"):
         g, rep = fixture_algebra(loaded_catalog, entry_id)
         bar = CochainComplex(g, rep, "bar")
@@ -472,34 +485,50 @@ def test_bar_extraction_catches_a_corrupted_generator_row(loaded_catalog,
         s0 = semidirect_extension(g, rep)
         exts = [s0] + [restricted_ext_from_assoc_2cocycle(bar, lie, c0)
                        for c0 in h2s.representatives]
+        seeds = bar.seed_positions()
+        gens = [bar.aug_power(i, 1) for i in range(g.dim)]
+        table = [(i, iv) for i in range(g.dim)
+                 for iv in range(len(bar.ualg.aug_basis()))
+                 if (gens[i], iv) not in seeds]
         for ext in exts:
             want = h2s.class_coords(assoc_2cocycle_from_restricted_ext(ext, bar))
-            for k in range(g.dim * len(bar.ualg.aug_basis())):
+            for kind, where in [("seed", k) for k in range(len(seeds))] + \
+                    [("table", t) for t in table]:
                 for nu in range(rep.dim):
-                    seen = [0]
-
-                    def corrupted(*args, k=k, nu=nu, seen=seen):
-                        out = real(*args)
+                    def gamma(*args, k=where, nu=nu, seen=[0]):
+                        out = real_gamma(*args)
                         if seen[0] == k:
                             out = out.copy()
                             out[nu] = (out[nu] + 1) % g.p
                         seen[0] += 1
                         return out
-                    monkeypatch.setattr(extensions, "gamma_map", corrupted)
+
+                    def rows(self, *args, at=where, nu=nu):
+                        out = real_rows(self, *args)
+                        out[at + (nu,)] = (out[at + (nu,)] + 1) % g.p
+                        return out
+                    if kind == "seed":
+                        monkeypatch.setattr(extensions, "gamma_map", gamma)
+                    else:
+                        monkeypatch.setattr(CochainComplex, "_generator_rows", rows)
                     try:
                         got = assoc_2cocycle_from_restricted_ext(ext, bar)
                     except NotACocycleError:
-                        outcomes["not a cocycle"] += 1
+                        outcomes[kind]["not a cocycle"] += 1
                     except InvariantViolationError as err:
                         assert "misreads" in str(err)
-                        outcomes["readback"] += 1
+                        outcomes[kind]["readback"] += 1
                     except UsageError as err:
                         assert "parity" in str(err)
-                        outcomes["parity"] += 1
+                        outcomes[kind]["parity"] += 1
                     else:
                         assert h2s.class_coords(got) == want, entry_id
-                        outcomes["same class"] += 1
-    assert set(outcomes) == {"not a cocycle", "readback", "parity", "same class"}
+                        outcomes[kind]["same class"] += 1
+                    monkeypatch.undo()
+    # the readback reads every seed, so no corrupted seed goes through
+    assert set(outcomes["seed"]) == {"not a cocycle", "readback", "parity"}
+    assert set(outcomes["table"]) == {"not a cocycle", "readback", "parity",
+                                      "same class"}
 
 
 def test_bar_ext_rejects_non_cocycle(loaded_catalog):

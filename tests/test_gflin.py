@@ -319,6 +319,25 @@ def test_matmul_and_vector_ops():
     assert a.matvec((1, 1)) == (3, 2)
 
 
+def test_matvec_matches_the_dense_product():
+    """matvec reads its argument at the column indices only: a tuple, a list
+    and an array give the dense product mod p, for matrices with fewer and
+    with more nonzeros than columns and entries outside 0..p-1; a vector of
+    another length is refused."""
+    rng = random.Random(8)
+    p = 7
+    for rows, cols, density in ((3, 40, 0.05), (5, 4, 0.9), (0, 6, 0.5),
+                                (4, 6, 0.0)):
+        m = rand_matrix(rng, p, rows, cols, density)
+        vec = [rng.randrange(-3 * p, 3 * p) for _ in range(cols)]
+        want = tuple((m.to_dense() @ np.array(vec, dtype=np.int64) % p).tolist())
+        for arg in (tuple(vec), vec, np.array(vec, dtype=np.int64)):
+            assert m.matvec(arg) == want
+        for bad in (vec[:-1], tuple(vec) + (1,), np.zeros(cols + 1, dtype=np.int64)):
+            with pytest.raises(UsageError):
+                m.matvec(bad)
+
+
 def test_matpow_matches_exact_integer_powers():
     """Powers mod p agree with Python-integer powers reduced at the end, for
     primes and exponents where an int64 power reduced only at the end wraps."""

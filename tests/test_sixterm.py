@@ -215,7 +215,10 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
     at most once and reads Ker and Im off that one ``RowReduction``; no
     differential goes through ``gflin.image``, which would reduce it a
     second time (only the arrow matrices do).  On a4-borel the bar d1
-    gives both Z^1_* and B^2_*, and the Lie d1 both Z^1 and B^2."""
+    gives both Z^1_* and B^2_*, and the Lie d1 both Z^1 and B^2.  The
+    verdicts reduce each arrow once per image and once per kernel they read:
+    i1 only for its image, phi only for its kernel; H^2_* reduces phi once
+    more, for the ker-phi lifts."""
     import sys
     import supercoh.cohomology as cohomology
     from supercoh import gflin
@@ -234,8 +237,11 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
     reduced = collections.Counter()
     column_route = []
 
+    seen = []  # every matrix reduced
+
     class CountedReduction(gflin.RowReduction):
         def __init__(self, m):
+            seen.append(m)
             reduced[which(m)] += 1
             super().__init__(m)
 
@@ -251,7 +257,10 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
                     getattr(mod, fname, None) is real:
                 monkeypatch.setattr(mod, fname, fake)
     g, k = fixture_algebra(loaded_catalog, "a4-borel")
-    build_six_term(g, k)
+    report = build_six_term(g, k)
+    assert {name: sum(m is a for m in seen)
+            for name, a in report.maps.items()} == \
+        {"i1": 1, "psibar": 2, "fg": 2, "pi": 2, "phi": 2}
     del reduced[None]  # the arrows and the pair model's own matrices
     assert reduced == {("bar", 0): 1, ("bar", 1): 1,
                        ("lie", 0): 1, ("lie", 1): 1, ("lie", 2): 1}
@@ -643,15 +652,16 @@ def test_phi_matches_associative_lift_on_coboundaries(loaded_catalog):
 def test_exactness_check_reports_witness():
     """A toy non-exact pair must yield a False verdict with a vector in
     the kernel that misses the image."""
-    from supercoh.gflin import MatGF
+    from supercoh.gflin import MatGF, image, nullspace
     from supercoh.sixterm import _exact_at
     p = 3
     prev = MatGF.zeros(2, 1, p)               # image = 0
     nxt = MatGF.zeros(1, 2, p)                # kernel = everything
-    ok, witness = _exact_at(prev, nxt)
+    ok, witness = _exact_at(image(prev), nullspace(nxt))
     assert not ok and witness is not None
     assert any(witness)
-    ok2, witness2 = _exact_at(MatGF.identity(2, p), MatGF.zeros(1, 2, p))
+    ok2, witness2 = _exact_at(image(MatGF.identity(2, p)),
+                              nullspace(MatGF.zeros(1, 2, p)))
     assert ok2 and witness2 is None
 
 

@@ -1,0 +1,109 @@
+"""Inputs with two odd basis elements, read from ``tests/data``: the odd
+plane (0|2), the super Heisenberg algebra (1|2) with [y1, y2] = z and
+z^[p] = 0 or z^[p] = z, and osp(1|2) at p = 3.  No catalog entry has more
+than one odd basis element, so only these reach the (-1)^{|x||y|} = -1
+branch of the bar cocycle recursion with x and y odd.  Each input comes
+with the trivial even module, the trivial odd module and its adjoint
+module.  They are not catalog entries: the golden payloads and the
+benchmark iterate over those."""
+
+import pathlib
+import random
+
+import numpy as np
+import pytest
+
+from supercoh.algfile import parse_algebra
+from supercoh.cohomology import CochainComplex, restricted_cohomology
+from supercoh.errors import NotACocycleError
+from supercoh.extensions import (
+    assoc_2cocycle_from_restricted_ext, psi_image,
+    restricted_ext_from_assoc_2cocycle, semidirect_extension,
+)
+from supercoh.sixterm import build_six_term
+from supercoh.superalg import adjoint_module
+
+from oracles import bar_cocycle_of_extension
+
+DATA = pathlib.Path(__file__).parent / "data"
+INPUTS = (("odd-plane", 3), ("odd-plane", 5), ("super-heisenberg", 3),
+          ("super-heisenberg", 5), ("super-heisenberg-toral", 3),
+          ("super-heisenberg-toral", 5), ("osp12", 3))
+MODULES = ("k", "k-odd", "adjoint")
+CASES = [(name, p, module) for name, p in INPUTS for module in MODULES]
+
+
+def _load(name, p, module):
+    g, modules, warnings = parse_algebra((DATA / f"{name}.json").read_text(),
+                                         p_override=None if name == "osp12" else p)
+    assert not warnings and g.p == p and g.space.n_odd == 2
+    return g, adjoint_module(g) if module == "adjoint" else modules[module]
+
+
+def _one_entry_shift(g, rep, i):
+    """theta: g -> M, even, with one entry: x_i goes to the last basis
+    vector of M of x_i's parity."""
+    theta = np.zeros((rep.dim, g.dim), dtype=np.int64)
+    j = [j for j in range(rep.dim) if rep.space.parity(j) == g.parity(i)][-1]
+    theta[j, i] = 1
+    return theta
+
+
+def _random_shift(g, rep, rng):
+    theta = np.zeros((rep.dim, g.dim), dtype=np.int64)
+    for j in range(rep.dim):
+        for i in range(g.dim):
+            if rep.space.parity(j) == g.parity(i):
+                theta[j, i] = rng.randrange(g.p)
+    return theta
+
+
+@pytest.mark.parametrize("name,p,module", CASES)
+def test_extraction_matches_the_gamma_oracle(name, p, module):
+    """The seed-filled extraction is byte-equal to the entry-by-entry gamma
+    formula (``oracles.bar_cocycle_of_extension``) for s0 with the
+    canonical section and with perturbed sections.  The oracle straightens
+    |aug|^2 products in u(E), which takes minutes on osp(1|2) with a dense
+    perturbation, so there the perturbation has one entry, at an odd
+    generator where M has an odd vector (at h on the even trivial module);
+    the smaller inputs take two dense random perturbations and the round
+    trips of a coboundary and of the H^2_* representatives."""
+    g, rep = _load(name, p, module)
+    bar = CochainComplex(g, rep, "bar")
+    s0 = semidirect_extension(g, rep)
+    rng = random.Random(f"{name}-{p}-{module}")
+    if name == "osp12":
+        odd = rep.space.n_odd > 0
+        shifts = [_one_entry_shift(g, rep, g.space.names.index("y" if odd else "h"))]
+    else:
+        shifts = [_random_shift(g, rep, rng) for _ in range(2)]
+    cases = [(s0, None)] + [(s0, psi_image(s0, t)) for t in shifts]
+    if name != "osp12":
+        lie = CochainComplex(g, rep, "lie")
+        h = [rng.randrange(p) for _ in range(bar.basis(1).dim)]
+        cases += [(restricted_ext_from_assoc_2cocycle(bar, lie, c0), None)
+                  for c0 in [bar.d(1).matvec(h)]
+                  + list(restricted_cohomology(bar, 2).representatives)]
+    nonzero = 0
+    for ext, sec in cases:
+        got = assoc_2cocycle_from_restricted_ext(ext, bar, sec)
+        assert got == bar_cocycle_of_extension(ext, bar, sec)
+        nonzero += any(got)
+    # not only zero cocycles compared, but where M is odd and trivial: a
+    # section then shifts only odd generators, and neither the odd plane
+    # nor the super Heisenberg algebra has an odd bracket, so every defect
+    # is zero
+    assert nonzero or rep.space.n_even == 0 and not any(m.any() for m in rep.mats)
+
+
+@pytest.mark.parametrize("name,p,module", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, raises=NotACocycleError,
+        reason="at p = 3 the axiom [y, [y, y]] = 0 for odd y is not part of "
+               "the super Jacobi law; H^2 of the Lie complex holds classes "
+               "whose extensions break it, and their bar cochains are no "
+               "cocycles")) if case == ("osp12", 3, "k-odd") else case
+    for case in CASES])
+def test_reports_are_exact(name, p, module):
+    g, rep = _load(name, p, module)
+    assert build_six_term(g, rep, name, module).all_exact
