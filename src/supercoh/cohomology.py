@@ -32,7 +32,7 @@ __all__ = [
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
     "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
     "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
-    "comparison_matrix", "eval_lie_cochain", "lie_cochain_matrix",
+    "comparison_matrix", "eval_lie_cochain",
 ]
 
 
@@ -319,6 +319,7 @@ def is_bar_2cocycle(bar, cvec):
     aug x aug product table, so the check costs about
     g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
     never assembles d2."""
+    bar.require("bar")
     c = bar.cochain_array(cvec)
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
@@ -444,9 +445,11 @@ class CochainComplex:
     (g, M).  Each degree's basis, differential d_n : C^n -> C^{n+1} and
     ``RowReduction`` of d_n is built on first use and kept for the life of
     the object, so everything read off one complex shares them: Ker d_n
-    and Im d_n come from one elimination of d_n's rows.  The bar kind owns
-    the restricted enveloping algebra u(g) its cochains live on, and
-    ``with_module`` gives the bar complex of another module on the same
+    and Im d_n come from one elimination of d_n's rows.  The complex owns
+    the layout of its cochains: ``cochain_array`` and ``cochain_vector`` go
+    between coordinates and values, for stacks of cochains too.  The bar
+    kind owns the restricted enveloping algebra u(g) its cochains live on,
+    and ``with_module`` gives the bar complex of another module on the same
     u(g)."""
 
     def __init__(self, g, rep, kind):
@@ -460,6 +463,7 @@ class CochainComplex:
         self._diffs = {}
         self._reductions = {}
         self._lookups = {}
+        self._layouts = {}
         self._plan = []  # shared with with_module's copies
 
     def with_module(self, rep):
@@ -472,6 +476,7 @@ class CochainComplex:
         cx = copy.copy(self)
         cx.rep, cx._bases, cx._diffs, cx._reductions, cx._lookups = \
             rep, {}, {}, {}, {}
+        cx._layouts = {}
         return cx
 
     def basis(self, n):
@@ -523,30 +528,78 @@ class CochainComplex:
         mono[self.ualg.pos_of[i]] = e
         return self.ualg.aug_index()[tuple(mono)]
 
-    def cochain_array(self, cvec):
-        """The (|aug|, |aug|, dim M) array of values c(u, v), reduced mod p,
-        of the bar 2-cochain with coordinates ``cvec``: these number the even
-        cochains (u, v, nu) by their keys (u |aug| + v) dim M + nu, as the
-        bar differentials do, and c is zero on the odd ones."""
-        even = self.parity_lookup(2) >= 0
-        if len(cvec) != int(even.sum()):
-            raise UsageError("cochain coordinate length mismatch")
-        c = np.zeros(even.size, dtype=np.int64)
-        c[even] = cvec
-        c %= self.g.p
-        return c.reshape(-1, len(self.ualg.aug_basis()), self.rep.dim)
+    def _layout(self, n):
+        """(cols, signs, canon) of the degree-n cochains, built once.  For
+        arguments (s_1..s_n) and a value coordinate mu, the unit cochain of
+        coordinate cols[s_1..s_n, mu] takes the value signs[s_1..s_n, mu]
+        there, and no other unit cochain is nonzero; cols is -1 and signs 0
+        where no unit cochain is.  canon[c] is the flat position at which
+        coordinate c reads with sign 1.  Lie kind: the s_i run over g's
+        basis, signs are 1 or p - 1, and both are read off
+        ``eval_lie_cochain`` of the unit cochains, one call per tuple.  Bar
+        kind: the s_i run over the aug basis and cols is ``parity_lookup``."""
+        if n in self._layouts:
+            return self._layouts[n]
+        D = self.rep.dim
+        if self.kind == "bar":
+            A = len(self.ualg.aug_basis())
+            cols = self.parity_lookup(n).reshape((A,) * n + (D,))
+            layout = (cols, (cols >= 0).astype(np.int64),
+                      np.flatnonzero(cols >= 0))
+        else:
+            basis, G = self.basis(n), self.g.dim
+            units = np.eye(basis.dim, dtype=np.int64)
+            # (tuple, unit cochain, mu): at most one unit is nonzero per
+            # (tuple, mu), so its index is the sum of the hits' indices
+            vals = np.array([eval_lie_cochain(basis, units, t, self.g.p)
+                             for t in itertools.product(range(G), repeat=n)])
+            hit = (vals != 0).astype(np.int64)
+            cols = np.where(hit.any(axis=1),
+                            np.arange(basis.dim, dtype=np.int64) @ hit, -1)
+            canon = [functools.reduce(lambda k, i: k * G + i, ev + od, 0) * D
+                     + nu for ev, od, nu in basis.items]
+            shape = (G,) * n + (D,)
+            layout = (cols.reshape(shape), vals.sum(axis=1).reshape(shape),
+                      np.array(canon, dtype=np.int64))
+        self._layouts[n] = layout
+        return layout
 
-    def cochain_vector(self, c):
-        """The coordinates, as an int64 array, of the bar 2-cochain with the
-        (|aug|, |aug|, dim M) array of values ``c``, entries in 0..p-1;
-        raises UsageError if c is nonzero on an odd cochain."""
-        flat = np.asarray(c).ravel()
-        even = self.parity_lookup(2) >= 0
-        if flat.size != even.size:
+    def cochain_array(self, vec, n=2):
+        """The values, reduced mod p, of the degree-n cochain with
+        coordinates ``vec``, or of each of a stack of them along its leading
+        axes: shape (..., X, ..., X, dim M) with n axes X, the value on
+        (s_1..s_n) at [..., s_1, ..., s_n, :].  Lie kind: X = g.dim, every
+        ordered tuple of basis indices, zero where a repeated even argument
+        or the parity kills it.  Bar kind: X = |aug|, and the coordinates
+        number the even cochains (s_1..s_n, nu) by their keys
+        ((s_1 |aug| + s_2) ...) dim M + nu, as the bar differentials do; the
+        odd ones are zero."""
+        cols, signs, canon = self._layout(n)
+        v = np.asarray(vec, dtype=np.int64)
+        if v.shape[-1:] != canon.shape:
+            raise UsageError("cochain coordinate length mismatch")
+        # cols = -1 reads the zero appended to every cochain
+        v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,), dtype=np.int64)],
+                           axis=-1)
+        return v[..., cols] * signs % self.g.p
+
+    def cochain_vector(self, values, n=2):
+        """The coordinates, as an int64 array, of the degree-n cochain with
+        the array of values ``values`` (``cochain_array``), or of each of a
+        stack of them.  Raises InvariantViolationError unless these are the
+        values of a cochain: a value that breaks parity, or for the Lie
+        kind alternation, has no coordinate."""
+        cols, _, canon = self._layout(n)
+        a = np.asarray(values, dtype=np.int64) % self.g.p
+        lead = a.shape[:a.ndim - cols.ndim]
+        if a.shape[len(lead):] != cols.shape:
             raise UsageError("cochain array shape mismatch")
-        if flat[~even].any():
-            raise UsageError("bar 2-cochain breaks parity")
-        return flat[even]
+        vec = a.reshape(lead + (cols.size,))[..., canon]
+        if (self.cochain_array(vec, n) != a).any():
+            raise InvariantViolationError(
+                f"the values are not those of a degree-{n} cochain: a value "
+                f"breaks parity or alternation")
+        return vec
 
     def check_readback(self, c, bracket, pmap, what):
         """Raise InvariantViolationError unless the bar 2-cochain array c
@@ -765,28 +818,24 @@ def comparison_matrix(bar, lie, n):
 
 
 # ---------------------------------------------------------------------------
-# cochain evaluation helpers
+# cochain evaluation
 # ---------------------------------------------------------------------------
 
 def eval_lie_cochain(basis, vec, idxs, p):
-    """Value (an M-vector) of a Lie cochain on a tuple of basis indices."""
+    """Value of a Lie cochain on a tuple of basis indices: an M-vector, or
+    one per cochain when ``vec`` stacks cochains along its leading axes.
+    The one place where an argument tuple becomes coordinates and a sign;
+    the array form of a Lie complex (``CochainComplex.cochain_array``) is
+    built from it."""
+    vec = np.asarray(vec, dtype=np.int64)
+    if vec.shape[-1:] != (basis.dim,):
+        raise UsageError("cochain coordinate length mismatch")
+    out = np.zeros(vec.shape[:-1] + (basis.mspace.dim,), dtype=np.int64)
     canon = lie_eval_sign(basis.g, idxs)
-    out = np.zeros(basis.mspace.dim, dtype=np.int64)
     if canon is None:
         return out
     evs, ods, sign = canon
-    for m in range(basis.mspace.dim):
-        col = basis.index.get((evs, ods, m))
-        if col is not None and vec[col]:
-            out[m] = (sign * vec[col]) % p
-    return out
-
-
-def lie_cochain_matrix(basis, vec, head):
-    """The linear map x -> f(head..., x) of a Lie cochain f as a
-    (dim M) x (dim g) matrix: column b is f(head..., x_b)."""
-    g = basis.g
-    out = np.zeros((basis.mspace.dim, g.dim), dtype=np.int64)
-    for b in range(g.dim):
-        out[:, b] = eval_lie_cochain(basis, vec, head + (b,), g.p)
+    cols = [basis.index.get((evs, ods, m)) for m in range(basis.mspace.dim)]
+    hit = [m for m, c in enumerate(cols) if c is not None]
+    out[..., hit] = sign * vec[..., [cols[m] for m in hit]] % p
     return out

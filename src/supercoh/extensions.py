@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import (
-    CochainComplex, comparison_matrix, eval_lie_cochain, is_bar_2cocycle,
-    lie_cochain_matrix,
-)
+from .cohomology import CochainComplex, comparison_matrix, is_bar_2cocycle
 from .envelope import UAlgebra, gamma_map, linear_section_extend
 from .errors import (
     DifferentUnderlyingError, NoSolutionError, NotACocycleError, UsageError,
@@ -26,7 +23,7 @@ from .errors import (
 from .gflin import MatGF, RowReduction
 from .sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from .superalg import (
-    EVEN, LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
+    LieSuperAlgebra, Representation, SemiLinearMap, SumLayout,
     hom_module, hom_module_units, pmap_apply, semidirect,
     validate_lie_super, validate_module, validate_pmap,
 )
@@ -50,9 +47,8 @@ __all__ = [
 class ModuleExtension:
     """0 -> K -> E -> N -> 0 of g-modules.
 
-    E's coordinates follow the even-then-odd convention (K evens, N evens,
-    K odds, N odds); the stored permutation maps back to stacked K-then-N
-    order.
+    E's coordinates are those of ``layout``, the ``SumLayout`` of K and N:
+    evens of K, evens of N, odds of K, odds of N.
     """
 
     g: object
@@ -60,16 +56,7 @@ class ModuleExtension:
     N: Representation
     E: Representation
     hom: Representation  # Hom(N, K) with its module structure
-
-
-def _hom_value_matrix(hom_units, K, N, mvec, p):
-    """Decode a Hom(N,K) coordinate vector into a K.dim x N.dim matrix."""
-    out = np.zeros((K.dim, N.dim), dtype=np.int64)
-    for t, (k, j) in enumerate(hom_units):
-        c = int(mvec[t]) % p
-        if c:
-            out[k, j] = c
-    return out
+    layout: SumLayout
 
 
 def module_ext_from_1cocycle(g, K, N, fvec, hom=None):
@@ -78,89 +65,39 @@ def module_ext_from_1cocycle(g, K, N, fvec, hom=None):
     p = g.p
     hom = hom if hom is not None else hom_module(g, N, K)
     lie = CochainComplex(g, hom, "lie")
-    basis = lie.basis(1)
-    if len(fvec) != basis.dim:
+    if len(fvec) != lie.basis(1).dim:
         raise UsageError("cochain coordinate length mismatch")
     if any(lie.d(1).matvec(fvec)):
         raise NotACocycleError("not a 1-cocycle in Hom(N, K)")
-    units = hom_module_units(N, K)
-    dE = K.dim + N.dim
-    mats = []
-    for i in range(g.dim):
-        fx = eval_lie_cochain(basis, fvec, (i,), p)
-        blk = _hom_value_matrix(units, K, N, fx, p)
-        mat = np.zeros((dE, dE), dtype=np.int64)
-        mat[:K.dim, :K.dim] = K.mats[i]
-        mat[K.dim:, K.dim:] = N.mats[i]
-        mat[:K.dim, K.dim:] = blk
-        mats.append(mat % p)
-    # E basis is K's then N's; reorder parities into even-then-odd blocks
-    perm, space = _block_space(K.space, N.space)
-    mats = [m[np.ix_(perm, perm)] for m in mats]
-    E = Representation(g, space, mats)
+    layout = SumLayout(K.space, N.space)
+    kpos, npos = layout.positions()
+    mats = np.zeros((g.dim, layout.dim, layout.dim), dtype=np.int64)
+    xs = range(g.dim)
+    mats[np.ix_(xs, kpos, kpos)] = np.reshape(K.mats, (g.dim, K.dim, K.dim))
+    mats[np.ix_(xs, npos, npos)] = np.reshape(N.mats, (g.dim, N.dim, N.dim))
+    # f(x_i) in the K x N block: unit t of Hom(N, K) is the matrix unit (k, j)
+    ks, js = np.array(hom_module_units(N, K), dtype=np.int64).reshape(-1, 2).T
+    mats[:, kpos[ks], npos[js]] = lie.cochain_array(fvec, 1)
+    E = Representation(g, layout.space(), list(mats % p))
     report = validate_module(g, E, restricted=False)
     if not report.ok:
         raise ValidationError(report.summary(), report)
-    ext = ModuleExtension(g, K, N, E, hom)
-    object.__setattr__(ext, "_perm", tuple(perm))
-    return ext
-
-
-def _block_space(ks, ns):
-    """Permutation sending K-then-N stacked coordinates into a SuperSpace
-    order (evens of K, evens of N, odds of K, odds of N); returns
-    (inverse permutation array for np.ix_, the SuperSpace)."""
-    from .superalg import SuperSpace
-    order = []
-    order += list(range(ks.n_even))
-    order += [ks.dim + j for j in range(ns.n_even)]
-    order += [ks.n_even + j for j in range(ks.n_odd)]
-    order += [ks.dim + ns.n_even + j for j in range(ns.n_odd)]
-    space = SuperSpace(
-        tuple(f"K:{s}" for s in ks.even_names) + tuple(f"N:{s}" for s in ns.even_names),
-        tuple(f"K:{s}" for s in ks.odd_names) + tuple(f"N:{s}" for s in ns.odd_names))
-    return np.array(order), space
-
-
-def _module_ext_layout(ext):
-    """Positions of K and N coordinates inside E's even-then-odd order."""
-    perm = np.asarray(ext._perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    kpos = inv[:ext.K.dim]
-    npos = inv[ext.K.dim:]
-    return kpos, npos
+    return ModuleExtension(g, K, N, E, hom, layout)
 
 
 def cocycle_from_module_ext(ext):
     """Recover the 1-cocycle via the coordinate section d -> (0, d):
     f(x)(a) = x.(0, a) - (0, x.a), read in the K block."""
-    g, K, N = ext.g, ext.K, ext.N
-    p = g.p
-    kpos, npos = _module_ext_layout(ext)
-    units = hom_module_units(N, K)
-    basis = CochainComplex(g, ext.hom, "lie").basis(1)
-    fvec = [0] * basis.dim
-    for i in range(g.dim):
-        blk = np.zeros((K.dim, N.dim), dtype=np.int64)
-        for j in range(N.dim):
-            e = np.zeros(ext.E.dim, dtype=np.int64)
-            e[npos[j]] = 1
-            img = (ext.E.mats[i] @ e) % p
-            img_n = img[npos]
-            expect = (N.mats[i][:, j]) % p
-            if not np.array_equal(img_n, expect):
-                raise UsageError("projection to N is not a module map")
-            blk[:, j] = img[kpos]
-        for t, (k, j) in enumerate(units):
-            c = int(blk[k, j])
-            if c:
-                item = ((i,), (), t) if g.parity(i) == EVEN else ((), (i,), t)
-                col = basis.index.get(item)
-                if col is None:
-                    raise UsageError("extension cocycle breaks parity")
-                fvec[col] = c
-    return tuple(fvec)
+    g, K, N, p = ext.g, ext.K, ext.N, ext.g.p
+    kpos, npos = ext.layout.positions()
+    mats = np.array(ext.E.mats, dtype=np.int64).reshape(g.dim, ext.E.dim,
+                                                        ext.E.dim) % p
+    if (mats[np.ix_(range(g.dim), npos, npos)]
+            != np.reshape(N.mats, (g.dim, N.dim, N.dim)) % p).any():
+        raise UsageError("projection to N is not a module map")
+    ks, js = np.array(hom_module_units(N, K), dtype=np.int64).reshape(-1, 2).T
+    lie = CochainComplex(g, ext.hom, "lie")
+    return tuple(lie.cochain_vector(mats[:, kpos[ks], npos[js]], 1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +135,10 @@ class RestrictedExtension(AlgebraExtension):
     def strongly_abelian(self):
         """Whether M is an abelian ideal of E with p-map zero on M_0."""
         E, layout = self.E, self.layout
-        ms = [layout.m_to_e(j) for j in range(self.rep.dim)]
-        gs = [layout.g_to_e(i) for i in range(self.g.dim)]
+        gs, ms = layout.positions()
         return not (E.brackets[np.ix_(range(E.dim), ms, gs)].any()
                     or E.brackets[np.ix_(ms, ms)].any()
-                    or any(E.pmap_basis(layout.m_to_e(j)).any()
+                    or any(E.pmap_basis(ms[j]).any()
                            for j in self.rep.space.even_indices()))
 
 
@@ -212,17 +148,14 @@ def algebra_ext_from_2cocycle(lie, fvec):
     [(x1,m1),(x2,m2)] = ([x1,x2], x1.m2 - (-1)^{|x1||x2|} x2.m1 + f(x1,x2))."""
     lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
-    basis = lie.basis(2)
-    if len(fvec) != basis.dim:
+    if len(fvec) != lie.basis(2).dim:
         raise UsageError("cochain coordinate length mismatch")
     if any(lie.d(2).matvec(fvec)):
         raise NotACocycleError("not a Lie 2-cocycle")
     E0, layout = semidirect(g, rep)
     brk = E0.brackets.copy()
-    for i in range(g.dim):
-        for j in range(g.dim):
-            brk[layout.g_to_e(i), layout.g_to_e(j)] += layout.embed_m(
-                eval_lie_cochain(basis, fvec, (i, j), p))
+    gs, ms = layout.positions()
+    brk[np.ix_(gs, gs, ms)] += lie.cochain_array(fvec, 2)
     E = LieSuperAlgebra(E0.space, p, brk)
     report = validate_lie_super(E)
     if not report.ok:
@@ -232,21 +165,13 @@ def algebra_ext_from_2cocycle(lie, fvec):
 
 def cocycle_from_algebra_ext(ext, lie):
     """f(x1,x2) = M-part of [section(x1), section(x2)] minus section([x1,x2]),
-    in the 2-cochain coordinates of the Lie complex ``lie`` of (g, M)."""
+    in the 2-cochain coordinates of the Lie complex ``lie`` of (g, M).  The
+    section has no M-part, so f is the M-part of the bracket of E on g x g,
+    read off E's structure constants in one slice."""
     lie.require("lie", ext)
-    g, p = ext.g, ext.g.p
-    basis = lie.basis(2)
-    fvec = [0] * basis.dim
-    for (ev, od, nu), col in basis.index.items():
-        args = ev + od
-        if len(args) != 2:
-            raise UsageError("expected 2-cochain basis")
-        i, j = args
-        br = ext.E.bracket(ext.section(g.basis_vector(i)),
-                           ext.section(g.basis_vector(j)))
-        mval = ext.layout.project_m((br - ext.section(g.brackets[i, j])) % p)
-        fvec[col] = int(mval[nu])
-    return tuple(fvec)
+    gs, ms = ext.layout.positions()
+    f = ext.E.brackets[np.ix_(gs, gs, ms)]
+    return tuple(lie.cochain_vector(f, 2).tolist())
 
 
 def semidirect_extension(g, rep):
@@ -338,9 +263,8 @@ def restricted_structure_from_lie_2cocycle(lie, fvec):
     stacked = RowReduction(MatGF.from_dense(np.vstack(rep.mats), p))
     r = {}
     for idx in g.space.even_indices():
-        kvec = obstruction_cocycle(lie, fvec, idx)
-        kmat = lie_cochain_matrix(lie.basis(1), kvec, ())
-        sol = stacked.solve((-kmat.T).ravel() % p)
+        k = lie.cochain_array(obstruction_cocycle(lie, fvec, idx), 1)
+        sol = stacked.solve(-k.ravel() % p)
         if sol is None:
             raise NoSolutionError(
                 f"no restricted structure: obstruction at even basis {idx}")
@@ -436,9 +360,8 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
     bar.require("bar", ext)
     ualg = bar.ualg
     layout = ext.layout
-    gen_order = ([layout.g_to_e(i) for i in range(g.dim)]
-                 + [layout.m_to_e(j) for j in range(rep.dim)])
-    uE = UAlgebra(ext.E, restricted=True, gen_order=gen_order)
+    uE = UAlgebra(ext.E, restricted=True,
+                  gen_order=np.concatenate(layout.positions()).tolist())
     section_vectors = psi_image(ext) if section is None else section
     psi_images = [uE.from_vector(v) for v in section_vectors]
     aug = ualg.aug_basis()
@@ -479,18 +402,13 @@ def automorphism_from_1cocycle(ext, lie, hvec):
     complex ``lie`` of (g, M); verified to be an algebra automorphism fixing
     M with phi . alpha = phi."""
     lie.require("lie", ext)
-    g, p = ext.g, ext.p
-    basis = lie.basis(1)
+    p = ext.p
     if any(lie.d(1).matvec(hvec)):
         raise NotACocycleError("not a Lie 1-cocycle")
     n = ext.E.dim
     alpha = np.eye(n, dtype=np.int64)
-    for i in range(g.dim):
-        hx = eval_lie_cochain(basis, hvec, (i,), p)
-        col = ext.layout.g_to_e(i)
-        for j, c in enumerate(hx):
-            if c:
-                alpha[ext.layout.m_to_e(j), col] = c
+    gs, ms = ext.layout.positions()
+    alpha[np.ix_(ms, gs)] = lie.cochain_array(hvec, 1).T
     for i in range(n):
         for j in range(n):
             lhs = (alpha @ ext.E.bracket(np.eye(n, dtype=np.int64)[i],
@@ -529,11 +447,11 @@ def psi_twist_of_cocycle(ext, lie, hvec):
     """
     g = ext.g
     lie.require("lie", ext)
-    hmat = lie_cochain_matrix(lie.basis(1), hvec, ())
-    middle = [ext.layout.project_m(pmap_apply(ext.E, ext.embed(hmat[:, idx])))
-              for idx in g.space.even_indices()]
-    return psi_bar_on_cocycle(lie, hvec).plus(
-        SemiLinearMap(g, ext.rep.dim, tuple(middle)))
+    h = lie.cochain_array(hvec, 1)
+    middle = np.array([ext.layout.project_m(pmap_apply(ext.E, ext.embed(h[i])))
+                       for i in g.space.even_indices()], dtype=np.int64)
+    return SemiLinearMap(g, ext.rep.dim, psi_bar_on_cocycle(lie, hvec)
+                         + middle.reshape(-1, ext.rep.dim))
 
 
 def are_equivalent_restricted(e1, e2, lie):

@@ -323,6 +323,10 @@ class MatGF:
         return dict(zip(zip(self._row_ids().tolist(), self.indices.tolist()),
                         self.data.tolist()))
 
+    def coo(self):
+        """(rows, cols, values) int64 arrays of the nonzeros, row by row."""
+        return self._row_ids(), self.indices, self.data
+
     @property
     def nnz(self):
         return self.data.size
@@ -444,8 +448,8 @@ def _product(a, b, transposed=False):
 
 def _coo(m, at=None, sign=1):
     """(rows, cols, values) of m's entries, rows renumbered by ``at``."""
-    r = m._row_ids()
-    return (r if at is None else at[r]), m.indices, sign * m.data
+    r, c, v = m.coo()
+    return (r if at is None else at[r]), c, sign * v
 
 
 def _terms(rows, cols, p, *parts):

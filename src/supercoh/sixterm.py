@@ -27,15 +27,14 @@ import numpy as np
 
 from .cohomology import (
     CochainComplex, CohomologyResult, comparison_matrix, is_bar_2cocycle,
-    lie_cochain_matrix, lie_cohomology, restricted_cohomology,
+    lie_cohomology, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError
 from .gflin import (
     MatGF, RowReduction, Subspace, image, matpow, nullspace, subspace_sum,
 )
 from .superalg import (
-    EVEN, Representation, SemiLinearMap, SuperSpace, invariants,
-    semilinear_pairs,
+    Representation, SemiLinearMap, SuperSpace, invariants, semilinear_pairs,
 )
 
 __all__ = [
@@ -110,7 +109,7 @@ class SixTermContext:
         p, dim = self.p, self.bar.d(1).rows
         B = self.bar.image(1)
         lifts = []
-        for fvec in (nullspace(self.phi).rows @ self.h2.R.rows % p).tolist():
+        for fvec in (self.ker_phi.rows @ self.h2.R.rows % p).tolist():
             lifts.append(assoc_2cocycle_from_restricted_ext(
                 restricted_structure_from_lie_2cocycle(self.lie, tuple(fvec)),
                 self.bar))
@@ -211,6 +210,12 @@ class SixTermContext:
         return self._get("phi", lambda: map_h2_to_semilinear_h1(self))
 
     @property
+    def ker_phi(self):
+        """Ker phi in H^2 class coordinates: the H^2 classes the ker-phi
+        lifts of ``h2s`` run over, and the kernel of the last arrow."""
+        return self._get("ker_phi", lambda: nullspace(self.phi))
+
+    @property
     def space_dims(self):
         """Dimensions of the six spaces themselves (last = ambient S(g_0, H^1))."""
         return (self.h1s.dim_h, self.h1.dim_h, len(self.s1_pairs),
@@ -234,33 +239,35 @@ def map_h1res_to_h1(ctx):
 
 
 def psi_bar_on_cocycle(lie, h):
-    """Psi-bar of a 1-cocycle h of the Lie complex ``lie``: the semilinear
-    map x -> rho(x)^{p-1} h(x) - h(x^[p]) on the even basis (the kernel
-    p-map term vanishes since M is strongly abelian)."""
+    """Psi-bar of a 1-cochain h of the Lie complex ``lie``, or of a stack of
+    them along the leading axes of ``h``: the semilinear map
+    x -> rho(x)^{p-1} h(x) - h(x^[p]) on the even basis (the kernel p-map
+    term vanishes since M is strongly abelian), as an int64 array of shape
+    (..., n_even, dim M), row t the value at the t-th even basis element.
+    Linear in h."""
     lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
-    hmat = lie_cochain_matrix(lie.basis(1), h, ())
-    vals = [matpow(rep.mats[idx], p - 1, p) @ hmat[:, idx]
-            - hmat @ g.pmap_basis(idx) for idx in g.space.even_indices()]
-    return SemiLinearMap(g, rep.dim, tuple(vals))
+    evens = list(g.space.even_indices())
+    hv = lie.cochain_array(h, 1)  # (..., g.dim, dim M)
+    rho = np.array([matpow(rep.mats[i], p - 1, p) for i in evens],
+                   dtype=np.int64).reshape(-1, rep.dim, rep.dim)
+    pm = np.array([g.pmap_basis(i) for i in evens],
+                  dtype=np.int64).reshape(-1, g.dim)
+    return (np.einsum("tmn,...tn->...tm", rho, hv[..., evens, :])
+            - np.einsum("tc,...cm->...tm", pm, hv)) % p
 
 
 def map_h1_to_semilinear(ctx):
-    """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis.
-    A report checks that Psi-bar kills the coboundaries: D1 d0 = 0 in
-    ``pair_model``."""
-    pairs = ctx.s1_pairs
-    cols = []
-    for repvec in ctx.h1.representatives:
-        smap = psi_bar_on_cocycle(ctx.lie, repvec)
-        col = []
-        for (t, j) in pairs:
-            coords = ctx.inv_even.coords(smap.value_on_basis(t))
-            col.append(coords[j] if coords is not None else None)
-        if any(c is None for c in col):
-            raise InvariantViolationError("Psi-bar value outside invariants")
-        cols.append(tuple(col))
-    return MatGF.from_columns(cols, len(pairs), ctx.p)
+    """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis,
+    read off the H^1 representatives as one stack.  A report checks that
+    Psi-bar kills the coboundaries: D1 d0 = 0 in ``pair_model``."""
+    vals = psi_bar_on_cocycle(ctx.lie, ctx.h1.R.rows)  # (H^1, n_even, M)
+    coords = [ctx.inv_even.coords(v) for v in vals.reshape(-1, ctx.rep.dim)]
+    if None in coords:
+        raise InvariantViolationError("Psi-bar value outside invariants")
+    # rows (t, j) in s1_pairs order, one column per representative
+    return MatGF.from_dense(
+        np.reshape(coords, (len(vals), len(ctx.s1_pairs))).T, ctx.p)
 
 
 def map_semilinear_to_h2res(ctx):
@@ -283,54 +290,56 @@ def map_h2res_to_h2(ctx):
     return MatGF.from_columns(cols, ctx.h2.dim_h, ctx.p)
 
 
-def obstruction_cocycle(lie, fvec, x_idx):
-    """The 1-cocycle k_x + f_{x^[p]} attached to a 2-cocycle f of the Lie
-    complex ``lie`` and an even basis element x:
+def obstruction_cocycle(lie, f, x_idx):
+    """The 1-cochain k_x + f_{x^[p]} attached to a 2-cochain f of the Lie
+    complex ``lie``, or to each of a stack of them along the leading axes
+    of ``f``, and an even basis element x:
 
         k_x(x1) = sum_{i=0}^{p-1} rho(x)^i f(x, (ad x)^{p-1-i}(x1)),
         f_{x^[p]}(x1) = f(x1, x^[p]),
 
-    returned in C^1 coordinates.
+    returned in C^1 coordinates as an int64 array; a 1-cocycle when f is a
+    2-cocycle.  Linear in f: with f(x, .) as a (g.dim, dim M) array, k_x
+    is one product with the (g.dim dim M)-square matrix whose entry
+    ((c, nu), (b, mu)) is sum_i ((ad x)^{p-1-i})_cb (rho(x)^i)_mu,nu.
+    Raises InvariantViolationError if
+    a value breaks parity (``CochainComplex.cochain_vector``).
     """
     lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
-    c1, c2 = lie.basis(1), lie.basis(2)
-    out = [0] * c1.dim
-    adx = g.ad_basis(x_idx)
-    rho = rep.mats[x_idx]
-    fx = lie_cochain_matrix(c2, fvec, (x_idx,))
-    kx = sum(matpow(rho, i, p) @ ((fx @ matpow(adx, p - 1 - i, p)) % p)
-             for i in range(p))
-    pm = g.pmap_basis(x_idx)
-    for b in range(g.dim):
-        val = (kx[:, b] + lie_cochain_matrix(c2, fvec, (b,)) @ pm) % p
-        item_even = g.parity(b) == EVEN
-        for nu, v in enumerate(val):
-            if v:
-                item = ((b,), (), nu) if item_even else ((), (b,), nu)
-                col = c1.index.get(item)
-                if col is None:
-                    raise InvariantViolationError("obstruction value breaks parity")
-                out[col] = int(v)
-    return tuple(out)
+    fv = lie.cochain_array(f, 2)  # (..., g.dim, g.dim, dim M)
+    ads = [np.eye(g.dim, dtype=np.int64)]  # (ad x)^i, then rho(x)^i
+    rhos = [np.eye(rep.dim, dtype=np.int64)]
+    for _ in range(p - 1):
+        ads.append(ads[-1] @ g.ad_basis(x_idx) % p)
+        rhos.append(rhos[-1] @ rep.mats[x_idx] % p)
+    n = g.dim * rep.dim
+    op = np.einsum("icb,imn->cnbm", ads[::-1], rhos).reshape(n, n) % p
+    fx = fv[..., x_idx, :, :]
+    kx = fx.reshape(fx.shape[:-2] + (n,)) @ op % p
+    val = kx.reshape(fx.shape) + np.einsum("...bcm,c->...bm", fv,
+                                           g.pmap_basis(x_idx))
+    return lie.cochain_vector(val, 1)
 
 
 def map_h2_to_semilinear_h1(ctx):
     """For each H^2 representative f and even basis x: the H^1 class of
-    k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1)."""
+    k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1); the
+    representatives are read as one stack."""
     g = ctx.g
     d1 = ctx.lie.d(1)
-    rows_dim = g.space.n_even * ctx.h1.dim_h
+    reps = ctx.h2.R.rows
+    ks = [obstruction_cocycle(ctx.lie, reps, idx)
+          for idx in g.space.even_indices()]
     cols = []
-    for repvec in ctx.h2.representatives:
+    for r in range(len(reps)):
         col = []
-        for idx in g.space.even_indices():
-            kvec = obstruction_cocycle(ctx.lie, repvec, idx)
-            if any(d1.matvec(kvec)):
+        for k in ks:
+            if any(d1.matvec(k[r])):
                 raise NotACocycleError("obstruction value is not a 1-cocycle")
-            col.extend(ctx.h1.class_coords(kvec))
+            col.extend(ctx.h1.class_coords(k[r]))
         cols.append(tuple(col))
-    return MatGF.from_columns(cols, rows_dim, g.p)
+    return MatGF.from_columns(cols, g.space.n_even * ctx.h1.dim_h, g.p)
 
 
 def pair_model(lie):
@@ -346,41 +355,49 @@ def pair_model(lie):
         d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
 
     and the odd coordinates of every w_t are zero.  Odd basis elements need
-    no value: y^2 = [y, y]/2 is fixed by f.  Raises InvariantViolationError
-    unless D1 d0 = 0 and D2 D1 = 0; returns (H^1_*, H^2_*), the first in
-    C^1 coordinates, the second in (f, w_0, w_1, ...) coordinates.
+    no value: y^2 = [y, y]/2 is fixed by f.  Psi-bar and the obstruction
+    are linear, so D1's Psi-bar rows are one ``psi_bar_on_cocycle`` call on
+    the unit 1-cochains, and the f part of D2's rows for x_t is one
+    ``obstruction_cocycle`` call on the unit 2-cochains; rho(z) w_t is read
+    off the 1-cochains z -> rho(z) e_mu of the even coordinates mu (rho(z)
+    is even, so an odd mu never meets a row of matching parity).  Raises
+    InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0; returns
+    (H^1_*, H^2_*), the first in C^1 coordinates, the second in
+    (f, w_0, w_1, ...) coordinates.
     """
     lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
-    c1, n2, dm = lie.basis(1), lie.basis(2).dim, rep.dim
+    n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
     evens = g.space.even_indices()
     ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
-
-    def unit(n, k):
-        return tuple(int(i == k) for i in range(n))
-
-    d1 = lie.d(1).to_dense()
-    cols = []
-    for h in range(c1.dim):
-        vals = psi_bar_on_cocycle(lie, unit(c1.dim, h)).values
-        cols.append(tuple(d1[:, h]) + sum(vals, ()))
-    D1 = MatGF.from_columns(cols, ncols, p)
-    d2, rows = lie.d(2), []  # D2 is d2 over the rows of the w conditions
+    psi = psi_bar_on_cocycle(lie, np.eye(n1, dtype=np.int64)).reshape(
+        n1, len(evens) * dm)
+    h, w = np.nonzero(psi)
+    r, c, v = lie.d(1).coo()
+    D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
+                          np.r_[v, psi[h, w]])
+    # D2 is d2 over the rows of the w conditions: per x_t, one row per C^1
+    # coordinate z, then one per odd coordinate of w_t
+    parts, nrows = [lie.d(2).coo()], lie.d(2).rows
+    even_m = np.array(rep.space.even_indices(), dtype=np.int64)
+    odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
+    act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, dm, dm)
+    # row j: the 1-cochain z -> rho(z) e_mu for mu = even_m[j]
+    rho = lie.cochain_vector(act[:, :, even_m].transpose(2, 0, 1), 1)
+    j, rho_z = np.nonzero(rho)
+    rho_mu, rho_v = even_m[j], rho[j, rho_z]
+    units = np.eye(n2, dtype=np.int64)
     for t, idx in enumerate(evens):
         w0 = n2 + t * dm
-        # obstruction_cocycle is linear in f: its values on the unit cochains
-        kcols = [obstruction_cocycle(lie, unit(n2, c), idx) for c in range(n2)]
-        for col, (ev, od, nu) in enumerate(c1.items):
-            row = {c: k[col] for c, k in enumerate(kcols) if k[col]}
-            for mu, v in enumerate(rep.mats[(ev + od)[0]][nu]):
-                if v:
-                    row[w0 + mu] = int(v)
-            rows.append(row)
-        rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
-    ent = d2.entries
-    ent.update(((d2.rows + i, j), v) for i, row in enumerate(rows)
-               for j, v in row.items())
-    D2 = MatGF(d2.rows + len(rows), ncols, p, ent)
+        k = obstruction_cocycle(lie, units, idx)  # row c: k of unit cochain c
+        f, z = np.nonzero(k)
+        parts += [(nrows + z, f, k[f, z]),
+                  (nrows + rho_z, w0 + rho_mu, rho_v),
+                  (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
+                   np.ones(odd_m.size, dtype=np.int64))]
+        nrows += n1 + odd_m.size
+    D2 = MatGF.from_terms(nrows, ncols, p,
+                          *(np.concatenate(x) for x in zip(*parts)))
     if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
         raise InvariantViolationError("the pair model's D^2 is not zero")
     red = RowReduction(D1)  # Ker D1 and Im D1 from one elimination
@@ -453,7 +470,8 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     # one image and one kernel per arrow; i1 is injective when its image
     # has full dimension, and the rank of phi is read off its kernel
     ims = {a: image(maps[a]) for a, _ in pairs.values()}
-    kers = {b: nullspace(maps[b]) for _, b in pairs.values()}
+    kers = {b: nullspace(maps[b]) for _, b in pairs.values() if b != "phi"}
+    kers["phi"] = ctx.ker_phi
     exactness = {"i1_injective": ims["i1"].dim == m_i1.cols}
     offending = {}
     for name, (a, b) in pairs.items():

@@ -537,6 +537,13 @@ class SumLayout:
             return ("g", ge + (e - ge - me))
         return ("m", me + (e - ge - me - go))
 
+    def positions(self):
+        """The E indices of g's basis and of M's basis, as int64 arrays."""
+        return (np.array([self.g_to_e(i) for i in range(self.g_space.dim)],
+                         dtype=np.int64).reshape(-1),
+                np.array([self.m_to_e(j) for j in range(self.m_space.dim)],
+                         dtype=np.int64).reshape(-1))
+
     def space(self):
         gnames = set(self.g_space.names)
         depth = 1

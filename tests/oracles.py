@@ -717,3 +717,102 @@ def dense_quotient_representatives(Z, B):
         return None
     diff = (mulmod(B.rows[:, pivots], reps, Z.p) + Z.rows[at_b] - B.rows) % Z.p
     return None if diff.any() else (reps, pivots)
+
+
+# ---------------------------------------------------------------------------
+# the (f, w) pair model, one unit cochain at a time
+# ---------------------------------------------------------------------------
+
+def _lie_values(lie, vec, head):
+    """The (dim M) x (dim g) matrix of x_b -> f(head..., x_b) for a Lie
+    cochain f, one ``eval_lie_cochain`` call per column."""
+    import numpy as np
+
+    from supercoh.cohomology import eval_lie_cochain
+
+    g = lie.g
+    basis = lie.basis(len(head) + 1)
+    out = np.zeros((lie.rep.dim, g.dim), dtype=np.int64)
+    for b in range(g.dim):
+        out[:, b] = eval_lie_cochain(basis, vec, head + (b,), g.p)
+    return out
+
+
+def psi_bar_per_unit(lie, h):
+    """Psi-bar of one 1-cochain h: rows rho(x)^{p-1} h(x) - h(x^[p]) over
+    the even basis x, as a (n_even, dim M) array."""
+    import numpy as np
+
+    from supercoh.gflin import matpow
+
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    hmat = _lie_values(lie, h, ())
+    vals = [(matpow(rep.mats[i], p - 1, p) @ hmat[:, i]
+             - hmat @ g.pmap_basis(i)) % p for i in g.space.even_indices()]
+    return np.array(vals, dtype=np.int64).reshape(-1, rep.dim)
+
+
+def obstruction_per_unit(lie, fvec, x_idx):
+    """k_x + f_{x^[p]} of one 2-cochain f in C^1 coordinates, written back
+    value by value through the C^1 basis index."""
+    from supercoh.errors import InvariantViolationError
+    from supercoh.gflin import matpow
+
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    c1 = lie.basis(1)
+    out = [0] * c1.dim
+    adx, rho = g.ad_basis(x_idx), rep.mats[x_idx]
+    fx = _lie_values(lie, fvec, (x_idx,))
+    kx = sum(matpow(rho, i, p) @ ((fx @ matpow(adx, p - 1 - i, p)) % p)
+             for i in range(p))
+    pm = g.pmap_basis(x_idx)
+    for b in range(g.dim):
+        val = (kx[:, b] + _lie_values(lie, fvec, (b,)) @ pm) % p
+        for nu, v in enumerate(val):
+            if v:
+                item = ((b,), (), nu) if g.parity(b) == 0 else ((), (b,), nu)
+                col = c1.index.get(item)
+                if col is None:
+                    raise InvariantViolationError("obstruction value breaks parity")
+                out[col] = int(v)
+    return tuple(out)
+
+
+def pair_model_per_unit(lie):
+    """(H^1_*, H^2_*) of the pair model C^0 -> C^1 -> C^2 + M^{n_even},
+    with D1's Psi-bar block and D2's w rows built one unit cochain and one
+    C^1 basis item at a time (``psi_bar_per_unit``, ``obstruction_per_unit``)."""
+    from supercoh.cohomology import CohomologyResult
+    from supercoh.gflin import MatGF, RowReduction, nullspace
+
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    c1, n2, dm = lie.basis(1), lie.basis(2).dim, rep.dim
+    evens = g.space.even_indices()
+    ncols = n2 + len(evens) * dm
+
+    def unit(n, k):
+        return tuple(int(i == k) for i in range(n))
+
+    d1 = lie.d(1).to_dense()
+    cols = [tuple(d1[:, h]) + tuple(psi_bar_per_unit(lie, unit(c1.dim, h)).ravel())
+            for h in range(c1.dim)]
+    D1 = MatGF.from_columns(cols, ncols, p)
+    d2, rows = lie.d(2), []
+    for t, idx in enumerate(evens):
+        w0 = n2 + t * dm
+        kcols = [obstruction_per_unit(lie, unit(n2, c), idx) for c in range(n2)]
+        for col, (ev, od, nu) in enumerate(c1.items):
+            row = {c: k[col] for c, k in enumerate(kcols) if k[col]}
+            for mu, v in enumerate(rep.mats[(ev + od)[0]][nu]):
+                if v:
+                    row[w0 + mu] = int(v)
+            rows.append(row)
+        rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
+    ent = d2.entries
+    ent.update(((d2.rows + i, j), v) for i, row in enumerate(rows)
+               for j, v in row.items())
+    D2 = MatGF(d2.rows + len(rows), ncols, p, ent)
+    assert D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()
+    red = RowReduction(D1)
+    return (CohomologyResult.quotient(1, "pair", red.kernel, lie.image(0)),
+            CohomologyResult.quotient(2, "pair", nullspace(D2), red.image))

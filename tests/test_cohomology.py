@@ -542,7 +542,7 @@ def test_cochain_array_and_vector_are_inverse(loaded_catalog):
         if odd:
             with_odd.add(entry_id)
             c[odd[0]] = 1
-            with pytest.raises(UsageError, match="parity"):
+            with pytest.raises(InvariantViolationError, match="parity"):
                 bar.cochain_vector(c)
     # a5-odd-line's only aug monomial is odd, so all its 2-cochains are even
     assert with_odd == {"a3-heisenberg", "a3-heisenberg-adjoint"}

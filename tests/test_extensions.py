@@ -118,7 +118,7 @@ def test_module_ext_coboundary_shift_gives_explicit_equivalence(loaded_catalog):
 
 def _stacked(ext, i):
     """Action matrix of x_i conjugated back to K-then-N stacked coordinates."""
-    perm = np.asarray(ext._perm)
+    perm = np.concatenate(ext.layout.positions())
     n = len(perm)
     P = np.zeros((n, n), dtype=np.int64)
     for stacked_idx, e_idx in enumerate(perm):
@@ -516,11 +516,11 @@ def test_bar_extraction_catches_a_corrupted_generator_row(loaded_catalog,
                     except NotACocycleError:
                         outcomes[kind]["not a cocycle"] += 1
                     except InvariantViolationError as err:
-                        assert "misreads" in str(err)
-                        outcomes[kind]["readback"] += 1
-                    except UsageError as err:
-                        assert "parity" in str(err)
-                        outcomes[kind]["parity"] += 1
+                        if "parity" in str(err):
+                            outcomes[kind]["parity"] += 1
+                        else:
+                            assert "misreads" in str(err)
+                            outcomes[kind]["readback"] += 1
                     else:
                         assert h2s.class_coords(got) == want, entry_id
                         outcomes[kind]["same class"] += 1

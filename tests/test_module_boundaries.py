@@ -41,3 +41,30 @@ def test_only_gflin_names_the_eliminator():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n == "Eliminator"]
     assert not found
+
+
+def test_only_cohomology_resolves_lie_cochain_coordinates():
+    """The Lie complex owns its cochain layout: only ``cohomology`` names
+    ``lie_eval_sign``, which turns an argument tuple into a coordinate and
+    a sign, and ``sixterm`` and ``extensions`` read no ``index`` or
+    ``items`` of a cochain basis.  Those are attributes of the basis, so
+    any ``.index`` or ``.items`` that is not called is one; the methods
+    ``list.index`` and ``dict.items`` are called, and pass."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            if path.name != "cohomology.py" and "lie_eval_sign" in names:
+                found.append(f"{path.name}:{node.lineno} names lie_eval_sign")
+            if (path.name in ("sixterm.py", "extensions.py")
+                    and isinstance(node, ast.Attribute)
+                    and node.attr in ("index", "items")
+                    and id(node) not in called):
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not found
