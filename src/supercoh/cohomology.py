@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import UAlgebra, index_runs
+from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
-from .gflin import MatGF, RowReduction, Subspace, quotient_representatives
+from .gflin import (
+    MatGF, RowReduction, Subspace, index_runs, quotient_representatives,
+)
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -52,9 +54,7 @@ def lie_eval_sign(g, idxs):
     for a in range(1, len(seq)):
         b = a
         while b > 0 and (par[seq[b - 1]], seq[b - 1]) > (par[seq[b]], seq[b]):
-            if par[seq[b - 1]] and par[seq[b]]:
-                pass  # odd past odd: -(-1)^1 = +1
-            else:
+            if not (par[seq[b - 1]] and par[seq[b]]):  # odd past odd: +1
                 sign = -sign
             seq[b - 1], seq[b] = seq[b], seq[b - 1]
             b -= 1
@@ -140,67 +140,61 @@ def assoc_cochain_basis(ualg, mspace, n):
 # Lie-type differential
 # ---------------------------------------------------------------------------
 
-def lie_differential_matrix(g, rep, n):
-    """Matrix of delta_n : C^n(g, M) -> C^{n+1}(g, M), one signed formula on
-    mixed (even | odd) argument tuples.  The block form with separate even
-    action, odd action and bracket sums is a test oracle that must agree."""
-    src = lie_cochain_basis(g, rep.space, n)
-    dst = lie_cochain_basis(g, rep.space, n + 1)
-    p = g.p
-    par = g.space.parities()
-    rows = []
-    for (ev, od, nu) in dst.items:
-        args = ev + od
-        row = {}
+def lie_differential_matrix(lie, n):
+    """Matrix of d_n : C^n(g, M) -> C^{n+1}(g, M) of the Lie complex
+    ``lie``.  On a row (x_1..x_k, nu) of ``lie.basis(n + 1)``, with P_s the
+    parity sum of the arguments before x_s,
 
-        def add(col_item, coeff):
-            if coeff % p == 0:
-                return
-            col = src.index.get(col_item)
-            if col is None:
-                raise InvariantViolationError(
-                    f"differential hit a parity-invalid cochain {col_item}")
-            row[col] = (row.get(col, 0) + coeff) % p
+    (d f)(x_1..x_k) = sum_s (-1)^{s-1 + |x_s| P_s} x_s . f(.., x_s^, ..)
+        + sum_{s<t} (-1)^{s+t + |x_s| P_s + |x_t| P_t + |x_s||x_t|}
+          f([x_s, x_t], .., x_s^, .., x_t^, ..).
 
-        _unified_terms(g, rep, src, args, nu, add)
-        rows.append({c: v for c, v in row.items() if v})
-    return MatGF.from_rows(rows, src.dim, p)
-
-
-def _unified_terms(g, rep, src, args, nu, add):
-    p = g.p
-    par = g.space.parities()
-    k = len(args)
-    for s in range(k):
-        exp = s + par[args[s]] * sum(par[args[i]] for i in range(s))
-        sign = -1 if exp % 2 else 1
-        rest = args[:s] + args[s + 1:]
-        canon = lie_eval_sign(g, rest)
-        if canon is None:
-            continue
-        evs, ods, csign = canon
-        mat = rep.mats[args[s]]
-        for mu in range(rep.dim):
-            c = mat[nu, mu]
-            if c:
-                add((evs, ods, mu), sign * csign * int(c))
-    for s in range(k):
-        for t in range(s + 1, k):
-            pres_s = sum(par[args[i]] for i in range(s))
-            pres_t = sum(par[args[i]] for i in range(t))
-            exp = (s + 1) + (t + 1) + par[args[s]] * pres_s \
-                + par[args[t]] * pres_t + par[args[s]] * par[args[t]]
-            sign = -1 if exp % 2 else 1
-            rest = args[:s] + args[s + 1:t] + args[t + 1:]
-            vec = g.brackets[args[s], args[t]]
-            for b, coeff in enumerate(vec):
-                if not coeff:
-                    continue
-                canon = lie_eval_sign(g, (b,) + rest)
-                if canon is None:
-                    continue
-                evs, ods, csign = canon
-                add((evs, ods, nu), sign * csign * int(coeff))
+    f on an ordered tuple, sign included, is read off the degree-n layout
+    (``CochainComplex._layout``), so one gather takes the action terms of
+    every row and s, and one the bracket terms of every row and pair
+    (s, t).  A nonzero term whose argument and value parities disagree
+    raises InvariantViolationError."""
+    lie.require("lie")
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    G, D, k = g.dim, rep.dim, n + 1
+    cols, signs = (a.ravel() for a in lie._layout(n)[:2])
+    items = lie.basis(k).items
+    args = np.array([ev + od for ev, od, _ in items],
+                    dtype=np.int64).reshape(-1, k)
+    nu = np.array([m for *_, m in items], dtype=np.int64)[:, None]
+    par = np.array(g.space.parities(), dtype=np.int64)
+    mpar = np.array([rep.space.parity(m) for m in range(D)], dtype=np.int64)
+    ap = par[args]
+    pre = ap.cumsum(axis=1) - ap  # P_s
+    radix = G ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    act = np.array(rep.mats, dtype=np.int64).reshape(G, D, D)
+    # (flat layout positions, coefficients, parity mismatch) per term family
+    # x_s . f(rest), rest the arguments but x_s: axes (row, s, mu)
+    rest = args[:, [[j for j in range(k) if j != s] for s in range(k)]] @ radix
+    e = np.arange(k) + ap * pre
+    families = [(rest[..., None] * D + np.arange(D),
+                 (1 - 2 * (e % 2))[..., None] * act[args, nu],
+                 (ap + mpar[nu])[..., None] % 2 != mpar)]
+    if n:  # f([x_s, x_t], rest): axes (row, pair (s, t), basis index b)
+        s, t = np.array(list(itertools.combinations(range(k), 2))).T
+        rest = args[:, [[j for j in range(k) if j not in st]
+                        for st in zip(s, t)]] @ radix[1:]
+        e = s + t + ap[:, s] * (pre[:, s] + ap[:, t]) + ap[:, t] * pre[:, t]
+        families.append((
+            (np.arange(G) * radix[0] + rest[..., None]) * D + nu[..., None],
+            (1 - 2 * (e % 2))[..., None] * g.brackets[args[:, s], args[:, t]],
+            (ap[:, s] + ap[:, t])[..., None] % 2 != par))
+    terms = []
+    for pos, coeffs, breaks in families:
+        live = coeffs % p != 0
+        if (live & breaks).any():
+            raise InvariantViolationError(
+                "differential term hit a parity-invalid cochain")
+        keep = live & (cols[pos] >= 0)
+        terms.append((keep.nonzero()[0], cols[pos][keep],
+                      (coeffs * signs[pos])[keep]))
+    r, c, v = (np.concatenate(x) for x in zip(*terms))
+    return MatGF.from_terms(len(args), lie.basis(n).dim, p, r, c, v)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +441,11 @@ class CochainComplex:
     the object, so everything read off one complex shares them: Ker d_n
     and Im d_n come from one elimination of d_n's rows.  The complex owns
     the layout of its cochains: ``cochain_array`` and ``cochain_vector`` go
-    between coordinates and values, for stacks of cochains too.  The bar
-    kind owns the restricted enveloping algebra u(g) its cochains live on,
-    and ``with_module`` gives the bar complex of another module on the same
-    u(g)."""
+    between coordinates and values, for stacks of cochains too, and the
+    Lie d_n (``lie_differential_matrix``) reads its terms off the degree-n
+    layout.  The bar kind owns the restricted enveloping algebra u(g) its
+    cochains live on, and ``with_module`` gives the bar complex of another
+    module on the same u(g)."""
 
     def __init__(self, g, rep, kind):
         if kind not in ("lie", "bar"):
@@ -488,7 +483,7 @@ class CochainComplex:
 
     def d(self, n):
         if n not in self._diffs:
-            self._diffs[n] = (lie_differential_matrix(self.g, self.rep, n)
+            self._diffs[n] = (lie_differential_matrix(self, n)
                               if self.ualg is None else
                               assoc_differential_matrix(self.ualg, self.rep, n,
                                                         self.parity_lookup))
@@ -533,9 +528,9 @@ class CochainComplex:
         arguments (s_1..s_n) and a value coordinate mu, the unit cochain of
         coordinate cols[s_1..s_n, mu] takes the value signs[s_1..s_n, mu]
         there, and no other unit cochain is nonzero; cols is -1 and signs 0
-        where no unit cochain is.  canon[c] is the flat position at which
-        coordinate c reads with sign 1.  Lie kind: the s_i run over g's
-        basis, signs are 1 or p - 1, and both are read off
+        where no unit cochain is.  canon[c] is the first flat position at
+        which coordinate c reads with sign 1.  Lie kind: the s_i run over
+        g's basis, signs are 1 or p - 1, and both are read off
         ``eval_lie_cochain`` of the unit cochains, one call per tuple.  Bar
         kind: the s_i run over the aug basis and cols is ``parity_lookup``."""
         if n in self._layouts:
@@ -544,25 +539,22 @@ class CochainComplex:
         if self.kind == "bar":
             A = len(self.ualg.aug_basis())
             cols = self.parity_lookup(n).reshape((A,) * n + (D,))
-            layout = (cols, (cols >= 0).astype(np.int64),
-                      np.flatnonzero(cols >= 0))
+            signs = (cols >= 0).astype(np.int64)
         else:
-            basis, G = self.basis(n), self.g.dim
+            basis, shape = self.basis(n), (self.g.dim,) * n + (D,)
             units = np.eye(basis.dim, dtype=np.int64)
             # (tuple, unit cochain, mu): at most one unit is nonzero per
             # (tuple, mu), so its index is the sum of the hits' indices
             vals = np.array([eval_lie_cochain(basis, units, t, self.g.p)
-                             for t in itertools.product(range(G), repeat=n)])
+                             for t in np.ndindex(shape[:-1])])
             hit = (vals != 0).astype(np.int64)
-            cols = np.where(hit.any(axis=1),
-                            np.arange(basis.dim, dtype=np.int64) @ hit, -1)
-            canon = [functools.reduce(lambda k, i: k * G + i, ev + od, 0) * D
-                     + nu for ev, od, nu in basis.items]
-            shape = (G,) * n + (D,)
-            layout = (cols.reshape(shape), vals.sum(axis=1).reshape(shape),
-                      np.array(canon, dtype=np.int64))
-        self._layouts[n] = layout
-        return layout
+            cols = np.where(hit.any(axis=1), np.arange(basis.dim) @ hit,
+                            -1).reshape(shape)
+            signs = vals.sum(axis=1).reshape(shape)
+        at = np.flatnonzero(signs == 1)
+        self._layouts[n] = (cols, signs, at[np.unique(
+            cols.ravel()[at], return_index=True)[1]])
+        return self._layouts[n]
 
     def cochain_array(self, vec, n=2):
         """The values, reduced mod p, of the degree-n cochain with
@@ -824,9 +816,10 @@ def comparison_matrix(bar, lie, n):
 def eval_lie_cochain(basis, vec, idxs, p):
     """Value of a Lie cochain on a tuple of basis indices: an M-vector, or
     one per cochain when ``vec`` stacks cochains along its leading axes.
-    The one place where an argument tuple becomes coordinates and a sign;
-    the array form of a Lie complex (``CochainComplex.cochain_array``) is
-    built from it."""
+    The one place where an argument tuple becomes coordinates and a sign:
+    the layout of a Lie complex (``CochainComplex._layout``) is built from
+    it, and its array form (``cochain_array``) and differentials
+    (``lie_differential_matrix``) read that layout."""
     vec = np.asarray(vec, dtype=np.int64)
     if vec.shape[-1:] != (basis.dim,):
         raise UsageError("cochain coordinate length mismatch")

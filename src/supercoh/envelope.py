@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (
     DegreeOverflowError, InvariantViolationError, NotInIdealError, UsageError,
 )
-from .gflin import matpow
+from .gflin import index_runs, matpow
 from .superalg import EVEN, ODD
 
 __all__ = [
@@ -409,15 +409,6 @@ class UAlgebra:
 def _accumulate(acc, terms, c, p):
     for m, v in terms.items():
         acc[m] = (acc.get(m, 0) + c * v) % p
-
-
-def index_runs(starts, counts):
-    """(owner, position) of every element of the index runs
-    starts[i] .. starts[i] + counts[i] - 1, run by run."""
-    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    offset = np.arange(owner.size, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    return owner, starts[owner] + offset
 
 
 # ---------------------------------------------------------------------------

@@ -410,11 +410,14 @@ def _segment_sum(key, val, p):
     return key[nz], val[nz]
 
 
-def _positions(starts, lens):
-    """Concatenated ranges starts[k] .. starts[k] + lens[k] - 1."""
-    ends = lens.cumsum()
-    return (starts - ends + lens).repeat(lens) + np.arange(
-        ends[-1] if ends.size else 0, dtype=np.int64)
+def index_runs(starts, counts):
+    """(owner, position) of every element of the index runs
+    starts[i] .. starts[i] + counts[i] - 1, run by run."""
+    owner = np.arange(counts.size, dtype=np.int64).repeat(counts)
+    ends = counts.cumsum()
+    pos = np.arange(owner.size, dtype=np.int64)
+    pos += (starts - ends + counts)[owner]
+    return owner, pos
 
 
 def _product(a, b, transposed=False):
@@ -434,11 +437,12 @@ def _product(a, b, transposed=False):
     rows = a._row_ids()
     keys, vals = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        k = lens[lo:hi]
-        at = _positions(b.indptr[a.indices[lo:hi]], k)
-        r, c = rows[lo:hi].repeat(k), b.indices[at]
+        own, at = index_runs(b.indptr[a.indices[lo:hi]], lens[lo:hi])
+        own += lo  # the entry of a each product comes from
+        r, c, v = rows[own], b.indices[at], a.data[own] * b.data[at]
+        del own, at  # freed before the sort, which sets the peak
         key, val = _segment_sum(c * a.rows + r if transposed else r * n + c,
-                                a.data[lo:hi].repeat(k) * b.data[at], p)
+                                v, p)
         keys.append(key)
         vals.append(val)
     if len(keys) == 1:
@@ -472,7 +476,7 @@ def _take(m, rows):
     lens = (m.indptr[1:] - m.indptr[:-1])[rows]
     indptr = np.zeros(rows.size + 1, dtype=np.int64)
     lens.cumsum(out=indptr[1:])
-    at = _positions(m.indptr[rows], lens)
+    at = index_runs(m.indptr[rows], lens)[1]
     return MatGF._csr(rows.size, m.cols, m.p, indptr, m.indices[at], m.data[at])
 
 

@@ -467,11 +467,11 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     for a, b in pairs.values():
         if not maps[b].matmul(maps[a]).is_zero():
             raise InvariantViolationError(f"composite {b} o {a} is not zero")
-    # one image and one kernel per arrow; i1 is injective when its image
-    # has full dimension, and the rank of phi is read off its kernel
-    ims = {a: image(maps[a]) for a, _ in pairs.values()}
-    kers = {b: nullspace(maps[b]) for _, b in pairs.values() if b != "phi"}
-    kers["phi"] = ctx.ker_phi
+    # one elimination per arrow; i1 is injective when its image has full
+    # dimension, and the rank of phi is read off its kernel
+    reds = {a: RowReduction(maps[a]) for a in ("psibar", "fg", "pi")}
+    ims = {"i1": image(m_i1), **{a: r.image for a, r in reds.items()}}
+    kers = {**{a: r.kernel for a, r in reds.items()}, "phi": ctx.ker_phi}
     exactness = {"i1_injective": ims["i1"].dim == m_i1.cols}
     offending = {}
     for name, (a, b) in pairs.items():

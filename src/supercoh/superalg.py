@@ -9,6 +9,7 @@ additivity rule, never stored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +173,11 @@ class ValidationReport:
 
 
 def validate_lie_super(g):
-    """Check parity additivity, super skew-symmetry and the super Jacobi law."""
+    """Check parity additivity, super skew-symmetry and the super Jacobi law;
+    at p = 3, where that law gives only 3 [y, [y, y]] = 0, also that every
+    coefficient of y -> [y, [y, y]] on the odd part is zero: for odd basis
+    indices i <= j <= k, the sum of [y_a, [y_b, y_c]] over the distinct
+    orderings (a, b, c) of (i, j, k)."""
     rep = ValidationReport("lie-superalgebra")
     n, p = g.dim, g.p
     par = g.space.parities()
@@ -197,6 +202,11 @@ def validate_lie_super(g):
                 rhs = (rhs + sign * g.bracket(g.basis_vector(j), g.brackets[i, k])) % p
                 if not np.array_equal(lhs, rhs):
                     rep.record("jacobi", (i, j, k), "super Jacobi identity fails")
+    odds = g.space.odd_indices() if p == 3 else ()
+    for ijk in itertools.combinations_with_replacement(odds, 3):
+        if (sum(g.bracket(g.basis_vector(a), g.brackets[b, c])
+                for a, b, c in set(itertools.permutations(ijk))) % p).any():
+            rep.record("odd-cube", ijk, "[y, [y, y]] = 0 fails for odd y")
     return rep
 
 

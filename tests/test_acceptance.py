@@ -12,7 +12,7 @@ import numpy as np
 from supercoh import catalog, cli
 from supercoh.cohomology import (
     CochainComplex, assoc_differential_matrix, lie_cochain_basis,
-    lie_differential_matrix, restricted_cohomology,
+    restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra, check_commutator_identities
 from supercoh.extensions import (
@@ -105,10 +105,9 @@ def test_criterion_5_delta_squared(loaded_catalog, small_catalog):
     checked = 0
     for entry_id, (e, g, modules) in loaded_catalog.items():
         rep = modules[e.module_name]
-        u = UAlgebra(g)
+        u, lie = UAlgebra(g), CochainComplex(g, rep, "lie")
         for n in (0, 1):
-            assert lie_differential_matrix(g, rep, n + 1).matmul(
-                lie_differential_matrix(g, rep, n)).is_zero(), entry_id
+            assert lie.d(n + 1).matmul(lie.d(n)).is_zero(), entry_id
             assert assoc_differential_matrix(u, rep, n + 1).matmul(
                 assoc_differential_matrix(u, rep, n)).is_zero(), entry_id
         checked += 1
@@ -124,10 +123,9 @@ def test_criterion_5_delta_squared(loaded_catalog, small_catalog):
             rep = rng.choice([modules["k"], adjoint_module(g)])
         E, _ = semidirect(g, rep)
         tk = trivial_module(E)
-        uE = UAlgebra(E)
+        uE, lie = UAlgebra(E), CochainComplex(E, tk, "lie")
         for n in (0, 1):
-            assert lie_differential_matrix(E, tk, n + 1).matmul(
-                lie_differential_matrix(E, tk, n)).is_zero(), (trial, e.entry_id)
+            assert lie.d(n + 1).matmul(lie.d(n)).is_zero(), (trial, e.entry_id)
             assert assoc_differential_matrix(uE, tk, n + 1).matmul(
                 assoc_differential_matrix(uE, tk, n)).is_zero(), (trial, e.entry_id)
     elapsed = time.perf_counter() - t0
@@ -161,7 +159,7 @@ def test_criterion_8_round_trips(loaded_catalog):
         # degree-1 correspondence on Hom(N, K)
         K, N = adjoint_module(g), trivial_module(g, name="n0")
         M = hom_module(g, N, K)
-        Z1 = nullspace(lie_differential_matrix(g, M, 1))
+        Z1 = nullspace(CochainComplex(g, M, "lie").d(1))
         for row in Z1.basis_rows[:3]:
             ext = module_ext_from_1cocycle(g, K, N, row, hom=M)
             assert cocycle_from_module_ext(ext) == tuple(int(v) for v in row)
@@ -195,7 +193,7 @@ def test_criterion_9_representative_independence(loaded_catalog):
         ctx = SixTermContext(g, rep)
         base = map_h2_to_semilinear_h1(ctx)
         b1 = lie_cochain_basis(g, rep.space, 1)
-        d1 = lie_differential_matrix(g, rep, 1)
+        d1 = ctx.lie.d(1)
         p = g.p
         for _ in range(10):
             cols = []

@@ -10,7 +10,7 @@ import pytest
 from supercoh.cohomology import (
     CochainComplex, assoc_cochain_basis, assoc_differential_matrix,
     comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_basis,
-    lie_differential_matrix, lie_cohomology, restricted_cohomology, sgn_marked,
+    lie_cohomology, restricted_cohomology, sgn_marked,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
@@ -24,7 +24,7 @@ from supercoh.superalg import (
 from conftest import fixture_algebra
 from oracles import (
     bar_2cocycle_all_slices, bar_differential_rows, bar_dims, dense_eliminate,
-    image_by_columns, split_lie_differential, table_abelian_plane, table_borel,
+    image_by_columns, table_abelian_plane, table_borel,
     table_mixed_line, table_odd_line, table_super_line,
     table_torus_null_plane, table_truncated_poly,
 )
@@ -116,30 +116,13 @@ def test_restricted_dims_oracle_with_module(loaded_catalog):
 def test_delta_squared_zero_catalog(loaded_catalog):
     for entry_id, (e, g, modules) in loaded_catalog.items():
         rep = modules[e.module_name]
-        u = UAlgebra(g)
+        u, lie = UAlgebra(g), CochainComplex(g, rep, "lie")
         for n in (0, 1):
-            dl = lie_differential_matrix(g, rep, n + 1).matmul(
-                lie_differential_matrix(g, rep, n))
+            dl = lie.d(n + 1).matmul(lie.d(n))
             assert dl.is_zero(), (entry_id, "lie", n)
             da = assoc_differential_matrix(u, rep, n + 1).matmul(
                 assoc_differential_matrix(u, rep, n))
             assert da.is_zero(), (entry_id, "bar", n)
-
-
-def test_split_and_unified_differentials_agree(loaded_catalog):
-    for entry_id in ("a3-heisenberg", "a4-borel", "a5-odd-line",
-                     "a7-mixed-line", "a3-heisenberg-adjoint"):
-        e, g, modules = loaded_catalog[entry_id]
-        rep = modules[e.module_name]
-        for n in (0, 1, 2):
-            src = lie_cochain_basis(g, rep.space, n)
-            dst = lie_cochain_basis(g, rep.space, n + 1)
-            split = split_lie_differential(g, rep, n)
-            assert set(split) == set(dst.items), (entry_id, n)
-            ms = MatGF.from_rows(
-                [{src.index[it]: c for it, c in split[item].items()}
-                 for item in dst.items], src.dim, g.p)
-            assert lie_differential_matrix(g, rep, n) == ms, (entry_id, n)
 
 
 def test_specific_differential_values(loaded_catalog):
@@ -147,7 +130,7 @@ def test_specific_differential_values(loaded_catalog):
     g, k = fixture_algebra(loaded_catalog, "a3-heisenberg")
     b1 = lie_cochain_basis(g, k.space, 1)
     b2 = lie_cochain_basis(g, k.space, 2)
-    d1 = lie_differential_matrix(g, k, 1)
+    d1 = CochainComplex(g, k, "lie").d(1)
     zstar = [0] * b1.dim
     zstar[b1.index[((0,), (), 0)]] = 1
     img = d1.matvec(zstar)
@@ -160,7 +143,7 @@ def test_specific_differential_values(loaded_catalog):
     c2 = lie_cochain_basis(g4, k4.space, 2)
     xstar = [0] * c1.dim
     xstar[c1.index[((1,), (), 0)]] = 1
-    img = lie_differential_matrix(g4, k4, 1).matvec(xstar)
+    img = CochainComplex(g4, k4, "lie").d(1).matvec(xstar)
     assert img[c2.index[((0, 1), (), 0)]] == 2
 
 
@@ -321,6 +304,8 @@ def test_bar_differential_invariant_checks(loaded_catalog):
                          [np.array([[0, 1], [0, 0]], dtype=np.int64)])
     with pytest.raises(InvariantViolationError, match="parity"):
         assoc_differential_matrix(UAlgebra(g), bad, 1)
+    with pytest.raises(InvariantViolationError, match="parity"):
+        CochainComplex(g, bad, "lie").d(0)
     u = UAlgebra(g)
     u.monomial_product = lambda ma, mb: {u.unit_monomial(): 1}
     with pytest.raises(InvariantViolationError, match="unit"):
@@ -667,10 +652,9 @@ def test_delta_squared_fuzzed_semidirects(small_catalog):
         rep = rng.choice([modules["k"], adjoint_module(g)])
         E, _ = semidirect(g, rep)
         tk = trivial_module(E)
-        uE = UAlgebra(E)
+        uE, lie = UAlgebra(E), CochainComplex(E, tk, "lie")
         for n in (0, 1):
-            assert lie_differential_matrix(E, tk, n + 1).matmul(
-                lie_differential_matrix(E, tk, n)).is_zero()
+            assert lie.d(n + 1).matmul(lie.d(n)).is_zero()
             assert assoc_differential_matrix(uE, tk, n + 1).matmul(
                 assoc_differential_matrix(uE, tk, n)).is_zero()
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, eval_lie_cochain, lie_cochain_basis,
-    lie_differential_matrix, lie_cohomology, restricted_cohomology,
+    CochainComplex, eval_lie_cochain, lie_cochain_basis, lie_cohomology,
+    restricted_cohomology,
 )
 from supercoh.errors import (
     DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
@@ -48,7 +48,7 @@ def test_module_ext_round_trip_exact(loaded_catalog):
     for entry_id in ("a1-null", "a2-torus", "a3-heisenberg", "a4-borel",
                      "a7-mixed-line"):
         g, K, N, M = _hom_setup(loaded_catalog, entry_id)
-        Z1 = nullspace(lie_differential_matrix(g, M, 1))
+        Z1 = nullspace(CochainComplex(g, M, "lie").d(1))
         for row in Z1.basis_rows:
             ext = module_ext_from_1cocycle(g, K, N, row, hom=M)
             assert cocycle_from_module_ext(ext) == tuple(int(v) for v in row), entry_id
@@ -69,7 +69,7 @@ def test_module_ext_zero_cocycle_is_direct_sum(loaded_catalog):
 def test_module_ext_rejects_non_cocycle(loaded_catalog):
     g, K, N, M = _hom_setup(loaded_catalog, "a4-borel")
     b1 = lie_cochain_basis(g, M.space, 1)
-    Z1 = nullspace(lie_differential_matrix(g, M, 1))
+    Z1 = nullspace(CochainComplex(g, M, "lie").d(1))
     for attempt in range(b1.dim):
         vec = [0] * b1.dim
         vec[attempt] = 1
@@ -86,9 +86,10 @@ def test_module_ext_coboundary_shift_gives_explicit_equivalence(loaded_catalog):
     g, K, N, M = _hom_setup(loaded_catalog, "a4-borel")
     p = g.p
     b1 = lie_cochain_basis(g, M.space, 1)
-    d0 = lie_differential_matrix(g, M, 0)
+    lie = CochainComplex(g, M, "lie")
+    d0 = lie.d(0)
     b0 = lie_cochain_basis(g, M.space, 0)
-    Z1 = nullspace(lie_differential_matrix(g, M, 1))
+    Z1 = nullspace(lie.d(1))
     units = hom_module_units(N, K)
     for _ in range(5):
         f = [0] * b1.dim
@@ -130,8 +131,9 @@ def test_restricted_module_ext_cocycle_satisfies_pth_power_condition(loaded_cata
     """Extensions of restricted modules produce 1-cocycles inside the
     p-th-power-condition subspace (the restricted classes)."""
     g, K, N, M = _hom_setup(loaded_catalog, "a2-torus")
-    Z1 = nullspace(lie_differential_matrix(g, M, 1))
-    cond = pair_model(CochainComplex(g, M, "lie"))[0]
+    lie = CochainComplex(g, M, "lie")
+    Z1 = nullspace(lie.d(1))
+    cond = pair_model(lie)[0]
     for row in Z1.basis_rows:
         ext = module_ext_from_1cocycle(g, K, N, row, hom=M)
         if validate_module(g, ext.E, restricted=True).ok:
@@ -175,15 +177,15 @@ def test_cohomologous_cocycles_give_equivalent_extensions(loaded_catalog):
         rep = modules["k"]
         p = g.p
         b1 = lie_cochain_basis(g, rep.space, 1)
-        d1 = lie_differential_matrix(g, rep, 1)
-        Z2 = nullspace(lie_differential_matrix(g, rep, 2))
+        lie = CochainComplex(g, rep, "lie")
+        d1 = lie.d(1)
+        Z2 = nullspace(lie.d(2))
         f = [0] * Z2.ambient_dim
         for row in Z2.basis_rows:
             c = rng.randrange(p)
             f = [(a + c * b) % p for a, b in zip(f, row)]
         h = [rng.randrange(p) for _ in range(b1.dim)]
         f2 = [(a - b) % p for a, b in zip(f, d1.matvec(h))]
-        lie = CochainComplex(g, rep, "lie")
         e1 = algebra_ext_from_2cocycle(lie, f)
         e2 = algebra_ext_from_2cocycle(lie, f2)
         alpha = np.eye(e1.E.dim, dtype=np.int64)
@@ -608,7 +610,7 @@ def test_automorphism_laws(loaded_catalog):
     ext = semidirect_extension(g, k)
     lie = CochainComplex(g, k, "lie")
     b1 = lie_cochain_basis(g, k.space, 1)
-    Z1 = nullspace(lie_differential_matrix(g, k, 1))
+    Z1 = nullspace(lie.d(1))
     zero = automorphism_from_1cocycle(ext, lie, [0] * b1.dim)
     assert np.array_equal(zero, np.eye(ext.E.dim, dtype=np.int64))
     h = Z1.basis_rows[0]
@@ -618,7 +620,7 @@ def test_automorphism_laws(loaded_catalog):
     # a non-cocycle yields no automorphism
     bad = [0] * b1.dim
     bad[b1.index[((1,), (), 0)]] = 1  # x* is not a cocycle for the borel algebra
-    assert any(lie_differential_matrix(g, k, 1).matvec(bad))
+    assert any(lie.d(1).matvec(bad))
     with pytest.raises(NotACocycleError):
         automorphism_from_1cocycle(ext, lie, bad)
 
@@ -645,8 +647,8 @@ def test_are_equivalent_twist_by_psi_value(loaded_catalog):
         e, g, modules = loaded_catalog[entry_id]
         rep = modules["k"]
         s0 = semidirect_extension(g, rep)
-        Z1 = nullspace(lie_differential_matrix(g, rep, 1))
         lie = CochainComplex(g, rep, "lie")
+        Z1 = nullspace(lie.d(1))
         for row in Z1.basis_rows:
             smap = psi_twist_of_cocycle(s0, lie, row)
             tw = twist_pmap(s0, smap)

@@ -1,15 +1,17 @@
 """The array form of the Lie cochains (``CochainComplex.cochain_array`` and
-``cochain_vector`` of the Lie kind) and the stacked readers built on it:
+``cochain_vector`` of the Lie kind) and what is built on it: the Lie
+differentials d0-d2 equal the block-form ``split_lie_differential``, and
 ``psi_bar_on_cocycle``, ``obstruction_cocycle`` and ``pair_model`` equal
-their per-unit references in ``tests/oracles.py`` on 86 (g, M) pairs:
+their per-unit references in ``tests/oracles.py``, on 86 (g, M) pairs:
 every catalog entry with each of its modules and with its adjoint module
 (52), and every input of ``tests/data`` at p = 3 and 5 with each of its
 modules, the ``trivial`` one the parser adds, and its adjoint module (34;
-osp(1|2) pins p = 3, and W(1) comes apart, below).  The pairs include inputs
+osp(1|2) pins p = 3, W(1) comes apart, below, and ``odd-cube-p3`` does
+not validate).  The pairs include inputs
 with no even basis element (a5-odd-line, the odd plane), where Psi-bar has
 no rows and D2 no w rows, and pairs with C^1 = 0.  W(1) at p = 5 and 7 is
-compared on the Lie side only: its bar C^2 has 9.7 million cells at
-p = 5."""
+compared on the Lie side only (the differentials with adjoint M): its bar
+C^2 has 9.7 million cells at p = 5."""
 
 import pathlib
 
@@ -18,12 +20,16 @@ import pytest
 
 from supercoh import catalog
 from supercoh.algfile import parse_algebra, parse_algebra_dict
-from supercoh.cohomology import CochainComplex
+from supercoh.cohomology import CochainComplex, lie_cochain_basis
 from supercoh.errors import InvariantViolationError
 from supercoh.sixterm import obstruction_cocycle, pair_model, psi_bar_on_cocycle
+from supercoh.gflin import MatGF
 from supercoh.superalg import adjoint_module
 
-from oracles import obstruction_per_unit, pair_model_per_unit, psi_bar_per_unit
+from oracles import (
+    obstruction_per_unit, pair_model_per_unit, psi_bar_per_unit,
+    split_lie_differential,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 DATA_INPUTS = (("odd-plane", 3), ("odd-plane", 5), ("super-heisenberg", 3),
@@ -67,6 +73,27 @@ def test_the_pairs_cover_the_edge_cases():
     assert any(g.space.n_even == 0 for _, g, _ in PAIRS)
     assert any(CochainComplex(g, rep, "lie").basis(1).dim == 0
                for _, g, rep in PAIRS)
+
+
+WITT_ADJOINT = [(f"witt-p{p}/adjoint module", *_witt(p, "adjoint"))
+                for p in (5, 7)]
+
+
+@pytest.mark.parametrize("label,g,rep", PAIRS + WITT_ADJOINT,
+                         ids=[p[0] for p in PAIRS + WITT_ADJOINT])
+def test_lie_differentials_equal_the_split_oracle(label, g, rep):
+    """d0, d1 and d2, read off the cochain layout, equal the block form
+    with the even action, odd action and bracket sums written out."""
+    lie = CochainComplex(g, rep, "lie")
+    for n in (0, 1, 2):
+        src = lie_cochain_basis(g, rep.space, n)
+        dst = lie_cochain_basis(g, rep.space, n + 1)
+        split = split_lie_differential(g, rep, n)
+        assert set(split) == set(dst.items), n
+        want = MatGF.from_rows(
+            [{src.index[it]: c for it, c in split[item].items()}
+             for item in dst.items], src.dim, g.p)
+        assert lie.d(n) == want, n
 
 
 @pytest.mark.parametrize("label,g,rep", PAIRS, ids=[p[0] for p in PAIRS])

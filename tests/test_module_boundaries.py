@@ -44,17 +44,24 @@ def test_only_gflin_names_the_eliminator():
 
 
 def test_only_cohomology_resolves_lie_cochain_coordinates():
-    """The Lie complex owns its cochain layout: only ``cohomology`` names
-    ``lie_eval_sign``, which turns an argument tuple into a coordinate and
-    a sign, and ``sixterm`` and ``extensions`` read no ``index`` or
-    ``items`` of a cochain basis.  Those are attributes of the basis, so
-    any ``.index`` or ``.items`` that is not called is one; the methods
-    ``list.index`` and ``dict.items`` are called, and pass."""
+    """The Lie complex owns its cochain layout, and ``eval_lie_cochain`` is
+    the one route from an argument tuple to a coordinate and a sign: only
+    ``cohomology`` names ``lie_eval_sign``, and inside ``cohomology`` only
+    ``eval_lie_cochain`` calls it or reads the ``index`` of a cochain basis
+    (the Lie differential reads the layout built from it).  ``sixterm`` and
+    ``extensions`` read no ``index`` or ``items`` of a cochain basis.
+    Those are attributes of the basis, so any ``.index`` or ``.items``
+    that is not called is one; the methods ``list.index`` and
+    ``dict.items`` are called, and pass."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         called = {id(node.func) for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
+        inside_eval = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "eval_lie_cochain"
+                       for node in ast.walk(fn)}
         for node in ast.walk(tree):
             names = ([a.name for a in node.names]
                      if isinstance(node, ast.ImportFrom) else
@@ -62,9 +69,18 @@ def test_only_cohomology_resolves_lie_cochain_coordinates():
                      [node.attr] if isinstance(node, ast.Attribute) else [])
             if path.name != "cohomology.py" and "lie_eval_sign" in names:
                 found.append(f"{path.name}:{node.lineno} names lie_eval_sign")
-            if (path.name in ("sixterm.py", "extensions.py")
-                    and isinstance(node, ast.Attribute)
-                    and node.attr in ("index", "items")
-                    and id(node) not in called):
+            uncalled = (isinstance(node, ast.Attribute)
+                        and id(node) not in called)
+            if (path.name in ("sixterm.py", "extensions.py") and uncalled
+                    and node.attr in ("index", "items")):
                 found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if path.name == "cohomology.py" and id(node) not in inside_eval:
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "lie_eval_sign"):
+                    found.append(f"cohomology.py:{node.lineno} calls "
+                                 f"lie_eval_sign outside eval_lie_cochain")
+                if uncalled and node.attr == "index":
+                    found.append(f"cohomology.py:{node.lineno} reads .index "
+                                 f"outside eval_lie_cochain")
     assert not found

@@ -5,17 +5,20 @@ than one odd basis element, so only these reach the (-1)^{|x||y|} = -1
 branch of the bar cocycle recursion with x and y odd.  Each input comes
 with the trivial even module, the trivial odd module and its adjoint
 module.  They are not catalog entries: the golden payloads and the
-benchmark iterate over those."""
+benchmark iterate over those.  ``odd-cube-p3`` is a (1|2) input that the
+validator refuses at p = 3."""
 
+import json
 import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from supercoh.algfile import parse_algebra
+from supercoh import cli
+from supercoh.algfile import parse_algebra, parse_algebra_dict
 from supercoh.cohomology import CochainComplex, restricted_cohomology
-from supercoh.errors import NotACocycleError
+from supercoh.errors import ValidationError
 from supercoh.extensions import (
     assoc_2cocycle_from_restricted_ext, psi_image,
     restricted_ext_from_assoc_2cocycle, semidirect_extension,
@@ -98,12 +101,24 @@ def test_extraction_matches_the_gamma_oracle(name, p, module):
 
 @pytest.mark.parametrize("name,p,module", [
     pytest.param(*case, marks=pytest.mark.xfail(
-        strict=True, raises=NotACocycleError,
+        strict=True, raises=ValidationError,
         reason="at p = 3 the axiom [y, [y, y]] = 0 for odd y is not part of "
                "the super Jacobi law; H^2 of the Lie complex holds classes "
-               "whose extensions break it, and their bar cochains are no "
-               "cocycles")) if case == ("osp12", 3, "k-odd") else case
+               "whose extensions break it, and the validator refuses the "
+               "extension of a ker-phi lift")) if case == ("osp12", 3, "k-odd") else case
     for case in CASES])
 def test_reports_are_exact(name, p, module):
     g, rep = _load(name, p, module)
     assert build_six_term(g, rep, name, module).all_exact
+
+
+def test_p3_odd_cube_is_refused(capsys):
+    """At p = 3 the super Jacobi law reads 3 [y, [y, y]] = 0 and says
+    nothing, so [y, [y, y]] = 0 is checked on its own: the (1|2) algebra
+    with [y, y] = z and [z, y] = v satisfies the Jacobi law, but
+    [y, [y, y]] = -v."""
+    path = DATA / "odd-cube-p3.json"
+    with pytest.raises(ValidationError, match="odd-cube"):
+        parse_algebra_dict(json.loads(path.read_text()))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    assert "[y, [y, y]] = 0 fails" in capsys.readouterr().err
