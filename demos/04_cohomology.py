@@ -7,7 +7,7 @@ are connected by an injection in degree 1, and genuinely diverge in
 degree 2 - the six-term sequence (demo 06) measures the failure exactly.
 
 The restricted theory can also be computed on the Lie side alone, by the
-(f, w) pair model ``sixterm.pair_model``: its degree-1 cocycles are the
+(f, w) pair complex ``sixterm.PairComplex``: its degree-1 cocycles are the
 ordinary 1-cocycles that satisfy the p-th power condition, and the last
 table compares its H^1_* with the bar complex's.
 """
@@ -17,7 +17,7 @@ from supercoh.algfile import parse_algebra_dict
 from supercoh.cohomology import (
     CochainComplex, lie_cohomology, restricted_cohomology,
 )
-from supercoh.sixterm import pair_model
+from supercoh.sixterm import PairComplex
 
 # one Lie and one bar complex per entry, shared by every space read off them
 complexes = []
@@ -38,6 +38,6 @@ H^1_* can also be carved out of the Lie side: it is the space of ordinary
 modulo coboundaries.  Both computations must agree:
 """)
 for entry, lie, bar in complexes[:5]:
-    via_condition = pair_model(lie)[0].dim_h
+    via_condition = restricted_cohomology(PairComplex(lie), 1).dim_h
     via_bar = restricted_cohomology(bar, 1).dim_h
     print(f"  {entry.entry_id:24s} condition: {via_condition}   bar: {via_bar}")

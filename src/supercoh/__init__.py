@@ -30,7 +30,7 @@ from .extensions import (
     restricted_structure_from_lie_2cocycle, semidirect_extension,
     strongly_abelianize, twist_pmap,
 )
-from .sixterm import SixTermReport, build_six_term, pair_model
+from .sixterm import SixTermReport, build_six_term
 
 __version__ = "0.1.0"
 
@@ -43,9 +43,8 @@ __all__ = [
     "build_six_term", "check_commutator_identities", "cocycle_from_algebra_ext",
     "cocycle_from_module_ext", "comparison_matrix", "hom_module", "image",
     "invariants", "jacobson_terms", "lie_cohomology",
-    "module_ext_from_1cocycle", "nullspace", "pair_model", "pmap_apply",
-    "restricted_cohomology",
-    "restricted_ext_from_assoc_2cocycle",
+    "module_ext_from_1cocycle", "nullspace", "pmap_apply",
+    "restricted_cohomology", "restricted_ext_from_assoc_2cocycle",
     "restricted_structure_from_lie_2cocycle", "rref", "semidirect",
     "semidirect_extension", "semilinear_space", "sgn_marked", "solve",
     "strongly_abelianize", "trivial_module", "twist_pmap",

@@ -739,11 +739,12 @@ def lie_cohomology(lie, n):
     return _cohomology(lie, n, "lie")
 
 
-def restricted_cohomology(bar, n):
-    """Restricted H^n_*(g, M), n <= 2, of the bar complex ``bar`` of (g, M)
-    on u(g)^+."""
-    bar.require("bar")
-    return _cohomology(bar, n, "restricted")
+def restricted_cohomology(cx, n):
+    """Restricted H^n_*(g, M), n <= 2, of the bar complex ``cx`` of (g, M)
+    on u(g)^+, or of its Lie-side pair complex (``sixterm.PairComplex``)."""
+    if cx.kind != "pair":
+        cx.require("bar")
+    return _cohomology(cx, n, "restricted")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ restricted extensions lifting ker phi (Hochschild's description), so a
 report neither builds the bar d2 nor computes its nullspace.  All fg
 cocycles are read off one extraction, that of the universal twist of
 g |x k^{n_even}.  The dimensions of H^1_* and H^2_* are checked against
-``pair_model``, the Lie-side (f, w) pair complex
-C^0 -> C^1 -> C^2 + M^{n_even}.
+those of the Lie-side (f, w) pair complex ``PairComplex``.
 """
 
 from __future__ import annotations
@@ -38,19 +37,17 @@ from .superalg import (
 )
 
 __all__ = [
-    "SixTermContext", "SixTermReport", "obstruction_cocycle",
+    "SixTermContext", "SixTermReport", "PairComplex", "obstruction_cocycle",
     "map_h1res_to_h1", "map_h1_to_semilinear", "map_semilinear_to_h2res",
-    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "pair_model",
-    "build_six_term",
+    "map_h2res_to_h2", "map_h2_to_semilinear_h1", "build_six_term",
 ]
 
 
 class SixTermContext:
-    """The Lie and bar complexes of one (g, M) pair and their cohomology.
+    """The Lie, bar and pair complexes of one (g, M) and their cohomology.
 
-    ``pair`` is (H^1_*, H^2_*) of the Lie-side pair model, computed once;
-    ``h1s`` is the bar complex's Ker d1 / Im d0 and must have the
-    dimension of ``pair[0]``.  ``h2s`` is
+    ``pair`` is the ``PairComplex`` on ``lie``; ``h1s``, the bar complex's
+    Ker d1 / Im d0, must have the dimension of its H^1_*.  ``h2s`` is
 
         Z^2_* = B^2_* + span(fg cocycles) + span(ker-phi lifts)
 
@@ -61,9 +58,9 @@ class SixTermContext:
     p-map of ``restricted_structure_from_lie_2cocycle``, for f running
     over a basis of ker phi.  Every cocycle is checked by
     ``is_bar_2cocycle``, so the bar d2 is never assembled, and
-    dim Z^2_* - dim B^2_* must equal that of ``pair[1]``, so Z^2_* is the
-    kernel of d2 and the canonical representatives are those of
-    ``restricted_cohomology(bar, 2)``.
+    dim Z^2_* - dim B^2_* must equal that of the pair complex's H^2_*, so
+    Z^2_* is the kernel of d2 and the canonical representatives are those
+    of ``restricted_cohomology(bar, 2)``.
     """
 
     def __init__(self, g, rep):
@@ -72,6 +69,7 @@ class SixTermContext:
         self.p = g.p
         self.lie = CochainComplex(g, rep, "lie")
         self.bar = CochainComplex(g, rep, "bar")
+        self.pair = PairComplex(self.lie)
         self.timings = {}
         self._computed = {}
 
@@ -83,20 +81,15 @@ class SixTermContext:
         return self._computed[key]
 
     @property
-    def pair(self):
-        """(H^1_*, H^2_*) of the Lie-side pair model (``pair_model``)."""
-        return self._get("pair", lambda: pair_model(self.lie))
-
-    @property
     def h1s(self):
         return self._get("h1s", self._h1s)
 
     def _h1s(self):
         h1s = restricted_cohomology(self.bar, 1)
-        if h1s.dim_h != self.pair[0].dim_h:
+        if h1s.dim_h != (want := restricted_cohomology(self.pair, 1).dim_h):
             raise InvariantViolationError(
                 f"the bar complex gives dim H^1_* = {h1s.dim_h}, the pair "
-                f"model {self.pair[0].dim_h}")
+                f"model {want}")
         return h1s
 
     @property
@@ -115,8 +108,7 @@ class SixTermContext:
                 self.bar))
         extra = list(self.fg_cocycles) + lifts
         Z = subspace_sum(B, Subspace.from_vectors(extra, dim, p))
-        want = self.pair[1].dim_h
-        if Z.dim - B.dim != want:
+        if Z.dim - B.dim != (want := restricted_cohomology(self.pair, 2).dim_h):
             raise InvariantViolationError(
                 f"fg cocycles and ker-phi lifts span {Z.dim - B.dim} classes "
                 f"of H^2_*, the pair model gives {want}")
@@ -260,7 +252,7 @@ def psi_bar_on_cocycle(lie, h):
 def map_h1_to_semilinear(ctx):
     """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis,
     read off the H^1 representatives as one stack.  A report checks that
-    Psi-bar kills the coboundaries: D1 d0 = 0 in ``pair_model``."""
+    Psi-bar kills the coboundaries: D1 d0 = 0 in ``PairComplex``."""
     vals = psi_bar_on_cocycle(ctx.lie, ctx.h1.R.rows)  # (H^1, n_even, M)
     coords = [ctx.inv_even.coords(v) for v in vals.reshape(-1, ctx.rep.dim)]
     if None in coords:
@@ -342,67 +334,75 @@ def map_h2_to_semilinear_h1(ctx):
     return MatGF.from_columns(cols, g.space.n_even * ctx.h1.dim_h, g.p)
 
 
-def pair_model(lie):
-    """H^1_* and H^2_* of (g, M) from the Lie complex ``lie`` alone, by the
-    (f, w) pair model of Hochschild (Amer. J. Math. 1954) and Evans-Fuchs
-    (JFPTA 2008): the cohomology in degrees 1 and 2 of
+class PairComplex(CochainComplex):
+    """The (f, w) pair complex of Hochschild (Amer. J. Math. 1954) and
+    Evans-Fuchs (JFPTA 2008) on the Lie complex ``lie`` of (g, M),
 
-        C^0 --d0--> C^1 --D1--> C^2 + M^{n_even} --D2--> ...
+        C^0 --d0--> C^1 --D1--> C^2 + M^{n_even} --D2--> ...,
 
-    with D1 h = (d1 h, Psi-bar h), w_t the value at the t-th even basis
-    element x_t, and D2 (f, w) = 0 exactly when
+    whose H^1 and H^2 (``restricted_cohomology``) are H^1_* and H^2_*, in
+    C^1 and in (f, w_0, w_1, ...) coordinates.  d0, its reduction and the
+    bases (``basis(2)``: the f part) are ``lie``'s; D1 h = (d1 h, Psi-bar h),
+    and D2 (f, w) = 0, w_t the value at the t-th even basis x_t, exactly when
 
         d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
 
-    and the odd coordinates of every w_t are zero.  Odd basis elements need
-    no value: y^2 = [y, y]/2 is fixed by f.  Psi-bar and the obstruction
-    are linear, so D1's Psi-bar rows are one ``psi_bar_on_cocycle`` call on
-    the unit 1-cochains, and the f part of D2's rows for x_t is one
-    ``obstruction_cocycle`` call on the unit 2-cochains; rho(z) w_t is read
-    off the 1-cochains z -> rho(z) e_mu of the even coordinates mu (rho(z)
-    is even, so an odd mu never meets a row of matching parity).  Raises
-    InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0; returns
-    (H^1_*, H^2_*), the first in C^1 coordinates, the second in
-    (f, w_0, w_1, ...) coordinates.
-    """
-    lie.require("lie")
-    g, rep, p = lie.g, lie.rep, lie.g.p
-    n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
-    evens = g.space.even_indices()
-    ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
-    psi = psi_bar_on_cocycle(lie, np.eye(n1, dtype=np.int64)).reshape(
-        n1, len(evens) * dm)
-    h, w = np.nonzero(psi)
-    r, c, v = lie.d(1).coo()
-    D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
-                          np.r_[v, psi[h, w]])
-    # D2 is d2 over the rows of the w conditions: per x_t, one row per C^1
-    # coordinate z, then one per odd coordinate of w_t
-    parts, nrows = [lie.d(2).coo()], lie.d(2).rows
-    even_m = np.array(rep.space.even_indices(), dtype=np.int64)
-    odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
-    act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, dm, dm)
-    # row j: the 1-cochain z -> rho(z) e_mu for mu = even_m[j]
-    rho = lie.cochain_vector(act[:, :, even_m].transpose(2, 0, 1), 1)
-    j, rho_z = np.nonzero(rho)
-    rho_mu, rho_v = even_m[j], rho[j, rho_z]
-    units = np.eye(n2, dtype=np.int64)
-    for t, idx in enumerate(evens):
-        w0 = n2 + t * dm
-        k = obstruction_cocycle(lie, units, idx)  # row c: k of unit cochain c
-        f, z = np.nonzero(k)
-        parts += [(nrows + z, f, k[f, z]),
-                  (nrows + rho_z, w0 + rho_mu, rho_v),
-                  (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
-                   np.ones(odd_m.size, dtype=np.int64))]
-        nrows += n1 + odd_m.size
-    D2 = MatGF.from_terms(nrows, ncols, p,
-                          *(np.concatenate(x) for x in zip(*parts)))
-    if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
-        raise InvariantViolationError("the pair model's D^2 is not zero")
-    red = RowReduction(D1)  # Ker D1 and Im D1 from one elimination
-    return (CohomologyResult.quotient(1, "pair", red.kernel, lie.image(0)),
-            CohomologyResult.quotient(2, "pair", nullspace(D2), red.image))
+    and the odd coordinates of every w_t are zero (odd basis elements need
+    no value: y^2 = [y, y]/2 is fixed by f).  D1's Psi-bar rows are one
+    ``psi_bar_on_cocycle`` call on the unit 1-cochains and the f part of
+    D2's rows for x_t one ``obstruction_cocycle`` call on the unit
+    2-cochains, both being linear; rho(z) w_t is read off the 1-cochains
+    z -> rho(z) e_mu of the even coordinates mu (rho(z) is even, so an odd
+    mu meets no row of matching parity).  D1 and D2 are built together and
+    raise InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0."""
+
+    def __init__(self, lie):
+        lie.require("lie")
+        super().__init__(lie.g, lie.rep, "lie")
+        self.kind, self.lie, self._bases = "pair", lie, lie._bases
+
+    def _reduction(self, n):
+        return self.lie._reduction(0) if n == 0 else super()._reduction(n)
+
+    def d(self, n):
+        if self._diffs:
+            return self._diffs[n]
+        lie, g, rep, p = self.lie, self.g, self.rep, self.g.p
+        n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
+        evens = g.space.even_indices()
+        ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
+        psi = psi_bar_on_cocycle(lie, np.eye(n1, dtype=np.int64)).reshape(
+            n1, len(evens) * dm)
+        h, w = np.nonzero(psi)
+        r, c, v = lie.d(1).coo()
+        D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
+                              np.r_[v, psi[h, w]])
+        # D2 is d2 over the rows of the w conditions: per x_t, one row per
+        # C^1 coordinate z, then one per odd coordinate of w_t
+        parts, nrows = [lie.d(2).coo()], lie.d(2).rows
+        even_m = np.array(rep.space.even_indices(), dtype=np.int64)
+        odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
+        act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, dm, dm)
+        # row j: the 1-cochain z -> rho(z) e_mu for mu = even_m[j]
+        rho = lie.cochain_vector(act[:, :, even_m].transpose(2, 0, 1), 1)
+        j, rho_z = np.nonzero(rho)
+        rho_mu, rho_v = even_m[j], rho[j, rho_z]
+        units = np.eye(n2, dtype=np.int64)
+        for t, idx in enumerate(evens):
+            w0 = n2 + t * dm
+            k = obstruction_cocycle(lie, units, idx)  # row c: unit cochain c
+            f, z = np.nonzero(k)
+            parts += [(nrows + z, f, k[f, z]),
+                      (nrows + rho_z, w0 + rho_mu, rho_v),
+                      (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
+                       np.ones(odd_m.size, dtype=np.int64))]
+            nrows += n1 + odd_m.size
+        D2 = MatGF.from_terms(nrows, ncols, p,
+                              *(np.concatenate(x) for x in zip(*parts)))
+        if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
+            raise InvariantViolationError("the pair model's D^2 is not zero")
+        self._diffs.update({0: lie.d(0), 1: D1, 2: D2})
+        return self._diffs[n]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from supercoh.extensions import (
     strongly_abelianize, twist_pmap,
 )
 from supercoh.gflin import nullspace
-from supercoh.sixterm import pair_model
+from supercoh.sixterm import PairComplex
 from supercoh.superalg import (
     LieSuperAlgebra, Representation, SemiLinearMap, SuperSpace,
     adjoint_module, hom_module, hom_module_units, invariants, semidirect,
@@ -133,7 +133,7 @@ def test_restricted_module_ext_cocycle_satisfies_pth_power_condition(loaded_cata
     g, K, N, M = _hom_setup(loaded_catalog, "a2-torus")
     lie = CochainComplex(g, M, "lie")
     Z1 = nullspace(lie.d(1))
-    cond = pair_model(lie)[0]
+    cond = restricted_cohomology(PairComplex(lie), 1)
     for row in Z1.basis_rows:
         ext = module_ext_from_1cocycle(g, K, N, row, hom=M)
         if validate_module(g, ext.E, restricted=True).ok:

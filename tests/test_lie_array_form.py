@@ -1,8 +1,9 @@
 """The array form of the Lie cochains (``CochainComplex.cochain_array`` and
 ``cochain_vector`` of the Lie kind) and what is built on it: the Lie
 differentials d0-d2 equal the block-form ``split_lie_differential``, and
-``psi_bar_on_cocycle``, ``obstruction_cocycle`` and ``pair_model`` equal
-their per-unit references in ``tests/oracles.py``, on 86 (g, M) pairs:
+``psi_bar_on_cocycle``, ``obstruction_cocycle`` and the cohomology of the
+pair complex (``PairComplex``) equal their per-unit references in
+``tests/oracles.py``, on 86 (g, M) pairs:
 every catalog entry with each of its modules and with its adjoint module
 (52), and every input of ``tests/data`` at p = 3 and 5 with each of its
 modules, the ``trivial`` one the parser adds, and its adjoint module (34;
@@ -20,9 +21,11 @@ import pytest
 
 from supercoh import catalog
 from supercoh.algfile import parse_algebra, parse_algebra_dict
-from supercoh.cohomology import CochainComplex, lie_cochain_basis
+from supercoh.cohomology import (
+    CochainComplex, lie_cochain_basis, restricted_cohomology,
+)
 from supercoh.errors import InvariantViolationError
-from supercoh.sixterm import obstruction_cocycle, pair_model, psi_bar_on_cocycle
+from supercoh.sixterm import PairComplex, obstruction_cocycle, psi_bar_on_cocycle
 from supercoh.gflin import MatGF
 from supercoh.superalg import adjoint_module
 
@@ -61,6 +64,12 @@ PAIRS = _pairs()
 def _witt(p, module):
     g, modules, _ = parse_algebra((DATA / f"witt-p{p}.json").read_text())
     return g, adjoint_module(g) if module == "adjoint" else modules[module]
+
+
+def _pair_cohomology(lie):
+    """(H^1_*, H^2_*) of the pair complex on ``lie``."""
+    pair = PairComplex(lie)
+    return restricted_cohomology(pair, 1), restricted_cohomology(pair, 2)
 
 
 def _assert_same_cohomology(got, want):
@@ -108,7 +117,7 @@ def test_stacked_readers_equal_the_per_unit_oracles(label, g, rep):
         want = np.array([obstruction_per_unit(lie, u, x) for u in units2],
                         dtype=np.int64).reshape(n2, n1)
         assert np.array_equal(obstruction_cocycle(lie, units2, x), want)
-    _assert_same_cohomology(pair_model(lie), pair_model_per_unit(lie))
+    _assert_same_cohomology(_pair_cohomology(lie), pair_model_per_unit(lie))
 
 
 @pytest.mark.parametrize("label,g,rep", PAIRS[::7], ids=[p[0] for p in PAIRS[::7]])
@@ -193,13 +202,13 @@ def test_obstruction_raises_on_a_value_that_breaks_parity(loaded_catalog,
 def test_witt_pair_model_equals_the_oracle(p, module):
     """W(1) = span{e_i = x^{i+1} d : -1 <= i <= p - 2} with
     [e_a, e_b] = (b - a) e_{a+b} and e_0^[p] = e_0, from
-    ``tests/data/witt-p{5,7}.json``: the stacked pair model equals the
-    per-unit one.  H^2_*(W(1), k) = p + 1 and H^2_*(W(1), W(1)) = 1 are
-    the values this computes, pinned here; they have not been checked
-    against Evans-Fialowski-Penkava (PAMS 2016)."""
+    ``tests/data/witt-p{5,7}.json``: the pair complex's cohomology equals
+    that of the per-unit pair model.  H^2_*(W(1), k) = p + 1 and
+    H^2_*(W(1), W(1)) = 1 are the values this computes, pinned here; they
+    have not been checked against Evans-Fialowski-Penkava (PAMS 2016)."""
     g, rep = _witt(p, module)
     lie = CochainComplex(g, rep, "lie")
-    got = pair_model(lie)
+    got = _pair_cohomology(lie)
     _assert_same_cohomology(got, pair_model_per_unit(lie))
     assert got[1].dim_h == (p + 1 if module == "k" else 1)
 

@@ -1,5 +1,6 @@
-"""The modules of ``supercoh`` share no private names, and only ``gflin``
-knows how a matrix is eliminated."""
+"""The modules of ``supercoh`` share no private names, the lower layers
+import nothing from the upper ones, and only ``gflin`` knows how a matrix
+is eliminated."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,28 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level or (node.module or "").startswith("supercoh")):
                 found += [f"{path.name}:{node.lineno} imports {a.name}"
                           for a in node.names if a.name.startswith("_")]
+    assert not found
+
+
+def test_lower_layers_import_no_upper_layer():
+    """``gflin``, ``superalg``, ``envelope`` and ``cohomology`` import
+    nothing from ``sixterm``, ``extensions``, ``catalog`` or ``cli``, at
+    module level or inside a function: the complexes whose differentials
+    need the report's readers (``sixterm.PairComplex``) are defined above
+    ``cohomology``, not reached from it."""
+    upper = {"sixterm", "extensions", "catalog", "cli"}
+    found = []
+    for name in ("gflin", "superalg", "envelope", "cohomology"):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} imports {m}" for m in mods
+                      if upper & set(m.split("."))]
     assert not found
 
 

@@ -12,9 +12,9 @@ from supercoh.errors import InvariantViolationError, NotACocycleError
 from supercoh.extensions import semidirect_extension, twist_pmap
 from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
-    SixTermContext, build_six_term, map_h1_to_semilinear, map_h1res_to_h1,
-    map_h2_to_semilinear_h1, map_h2res_to_h2, map_semilinear_to_h2res,
-    obstruction_cocycle, pair_model,
+    PairComplex, SixTermContext, build_six_term, map_h1_to_semilinear,
+    map_h1res_to_h1, map_h2_to_semilinear_h1, map_h2res_to_h2,
+    map_semilinear_to_h2res, obstruction_cocycle,
 )
 from supercoh.superalg import (
     SemiLinearMap, adjoint_module, semidirect, trivial_module,
@@ -268,6 +268,20 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
     assert column_route and set(column_route) == {None}
 
 
+def test_pair_complex_shares_the_lie_d0(loaded_catalog):
+    """The pair complex's d0 and its reduction are the Lie complex's own
+    objects, so a context reduces the Lie d0 once for H^1 and H^1_* alike;
+    D1 maps C^1 to C^2 + M^{n_even}."""
+    g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
+    ctx = SixTermContext(g, adjoint)
+    ctx.space_dims  # H^1_* and H^2_*, each checked against the pair complex
+    assert ctx.pair.image(0) is ctx.lie.image(0)
+    assert ctx.pair.kernel(0) is ctx.lie.kernel(0)
+    assert ctx.pair.d(0) is ctx.lie.d(0)
+    assert (ctx.pair.d(1).rows, ctx.pair.d(1).cols) == (
+        ctx.lie.d(1).rows + g.space.n_even * adjoint.dim, ctx.lie.d(1).cols)
+
+
 def test_sl2_p5_adjoint_report(sl2_p5_adjoint):
     """sl2 at p = 5 with adjoint M, whose bar d1 is 46128 x 372: every
     verdict is exact and the dimensions of H^1_* and H^2_* are those of the
@@ -276,7 +290,8 @@ def test_sl2_p5_adjoint_report(sl2_p5_adjoint):
     report = build_six_term(g, rep, "sl2", "adjoint")
     assert report.sizes["bar_c2_dim"] == 46128
     assert len(report.exactness) == 5 and report.all_exact
-    h1s, h2s = pair_model(CochainComplex(g, rep, "lie"))
+    pair = PairComplex(CochainComplex(g, rep, "lie"))
+    h1s, h2s = (restricted_cohomology(pair, n) for n in (1, 2))
     assert (report.dims[0], report.dims[3]) == (h1s.dim_h, h2s.dim_h)
     assert report.dims == (0, 0, 0, 0, 0, 0)
 
@@ -361,7 +376,7 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
         ctx = SixTermContext(g, rep)
         bar = restricted_cohomology(ctx.bar, 2)
         assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
-        h1s, h2s = pair_model(ctx.lie)
+        h1s, h2s = (restricted_cohomology(ctx.pair, n) for n in (1, 2))
         assert h2s.dim_h == bar.dim_h, name
         assert h1s.dim_h == restricted_cohomology(ctx.bar, 1).dim_h, name
         if nullspace(ctx.phi).dim:
@@ -487,22 +502,24 @@ def test_pair_model_catches_a_negated_psi_bar(loaded_catalog, monkeypatch):
         return -real(lie, h) % lie.g.p
     g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
     lie = CochainComplex(g, adjoint, "lie")
-    pair_model(lie)
+    PairComplex(lie).d(2)
     monkeypatch.setattr(sixterm, "psi_bar_on_cocycle", negated)
     with pytest.raises(InvariantViolationError, match=r"D\^2 is not zero"):
-        pair_model(lie)
+        PairComplex(lie).d(2)
 
 
 def test_report_checks_h1s_against_the_pair_model(loaded_catalog, monkeypatch):
     """A pair-model H^1_* with no classes (Z = B) makes the report raise on
     a6-abelian-plane, where dim H^1_* = 2."""
     import supercoh.sixterm as sixterm
-    real = sixterm.pair_model
+    real = sixterm.restricted_cohomology
 
-    def short(lie):
-        h1s, h2s = real(lie)
-        return CohomologyResult.quotient(1, "pair", h1s.B, h1s.B), h2s
-    monkeypatch.setattr(sixterm, "pair_model", short)
+    def short(cx, n):
+        h = real(cx, n)
+        if cx.kind == "pair" and n == 1:
+            return CohomologyResult.quotient(1, "restricted", h.B, h.B)
+        return h
+    monkeypatch.setattr(sixterm, "restricted_cohomology", short)
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     with pytest.raises(InvariantViolationError, match=r"H\^1_\*"):
         build_six_term(g, k)
