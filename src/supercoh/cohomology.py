@@ -32,7 +32,8 @@ from .superalg import EVEN, ODD
 __all__ = [
     "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
-    "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
+    "lie_odd_cube_matrix", "lie_cohomology", "assoc_cochain_basis",
+    "assoc_differential_matrix",
     "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
     "comparison_matrix", "eval_lie_cochain",
 ]
@@ -195,6 +196,51 @@ def lie_differential_matrix(lie, n):
                       (coeffs * signs[pos])[keep]))
     r, c, v = (np.concatenate(x) for x in zip(*terms))
     return MatGF.from_terms(len(args), lie.basis(n).dim, p, r, c, v)
+
+
+def lie_odd_cube_matrix(lie):
+    """The p = 3 odd-cube condition on the 2-cochains of the Lie complex
+    ``lie``, as the rows of a matrix over C^2.  At p = 3 the super Jacobi
+    law gives only 3 [Y, [Y, Y]] = 0 for odd Y, so d2 f = 0 does not make
+    E_f (``extensions.algebra_ext_from_2cocycle``) a Lie superalgebra.  Its
+    odd-cube sums (``superalg.validate_lie_super``) vanish exactly when f
+    is killed by the row (i, j, k, mu), for odd basis i <= j <= k and odd
+    value coordinate mu, of the M-part of the sum over the distinct
+    orderings (a, b, c) of (i, j, k) of
+    [(y_a, 0), [(y_b, 0), (y_c, 0)]]:
+
+        f(y_a, [y_b, y_c]) + y_a . f(y_b, y_c),
+
+    both terms read off the degree-2 layout.  Triples with an odd vector
+    of M hold no f and follow from M being a module.  No rows unless
+    p = 3 and both g and M have an odd part."""
+    lie.require("lie")
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
+    triples = list(itertools.combinations_with_replacement(
+        g.space.odd_indices(), 3)) if p == 3 and odd_m.size else []
+    if not triples:
+        return MatGF.zeros(0, lie.basis(2).dim, p)
+    cols, signs, _ = lie._layout(2)
+    tri, abc = zip(*[(r, o) for r, t in enumerate(triples)
+                     for o in sorted(set(itertools.permutations(t)))])
+    a, b, c = (x[:, None, None] for x in np.array(abc, dtype=np.int64).T)
+    mu, z, nu = odd_m[:, None], np.arange(g.dim), np.arange(rep.dim)
+    act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, rep.dim, rep.dim)
+    row = np.array(tri, dtype=np.int64)[:, None, None] * odd_m.size \
+        + np.arange(odd_m.size)[:, None]
+    # (C^2 columns, coefficients) per term: f(y_a, x_z) [y_b, y_c]_z
+    # on axes (ordering, mu, z), rho(y_a)_{mu nu} f(y_b, y_c)_nu on axes
+    # (ordering, mu, nu)
+    terms = []
+    for pos, coef in ((cols[a, z, mu], signs[a, z, mu] * g.brackets[b, c, z]),
+                      (cols[b, c, nu], act[a, mu, nu] * signs[b, c, nu])):
+        rows, pos, coef = np.broadcast_arrays(row, pos, coef)
+        live = coef % p != 0
+        terms.append((rows[live], pos[live], coef[live]))
+    r, col, v = (np.concatenate(x) for x in zip(*terms))
+    return MatGF.from_terms(len(triples) * odd_m.size, lie.basis(2).dim, p,
+                            r, col, v)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +537,30 @@ class CochainComplex:
 
     def _reduction(self, n):
         if n not in self._reductions:
-            self._reductions[n] = RowReduction(self.d(n))
+            self._reductions[n] = RowReduction(self.cocycle_rows(n))
         return self._reductions[n]
 
+    def cocycle_rows(self, n):
+        """The matrix whose kernel is Z^n: d_n, with the odd-cube rows
+        (``lie_odd_cube_matrix``) stacked under it for the Lie kind at
+        n = 2, and d_n itself where there are none."""
+        d = self.d(n)
+        if n != 2 or self.kind != "lie" or not (
+                cube := lie_odd_cube_matrix(self)).rows:
+            return d
+        (r, c, v), (r3, c3, v3) = d.coo(), cube.coo()
+        return MatGF.from_terms(d.rows + cube.rows, d.cols, self.g.p,
+                                np.r_[r, d.rows + r3], np.r_[c, c3],
+                                np.r_[v, v3])
+
     def kernel(self, n):
-        """Ker d_n, the n-cocycles."""
+        """Ker d_n, the n-cocycles (with the odd-cube condition at n = 2,
+        see ``cocycle_rows``)."""
         return self._reduction(n).kernel
 
     def image(self, n):
-        """Im d_n, the (n+1)-coboundaries."""
+        """Im d_n, the (n+1)-coboundaries; read for n <= 1 only, as the
+        reduction of the Lie kind at n = 2 is that of ``cocycle_rows``."""
         return self._reduction(n).image
 
     def require(self, kind, of=None):

@@ -9,12 +9,13 @@ each node is decided by comparing canonical echelon subspaces.
 
 H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
 H^2_* is not: its bar 2-cocycles are spanned by the coboundaries, the bar
-cocycles of the twisted extensions behind fg, and bar cocycles of
-restricted extensions lifting ker phi (Hochschild's description), so a
-report neither builds the bar d2 nor computes its nullspace.  All fg
-cocycles are read off one extraction, that of the universal twist of
-g |x k^{n_even}.  The dimensions of H^1_* and H^2_* are checked against
-those of the Lie-side (f, w) pair complex ``PairComplex``.
+cocycles of the twisted extensions behind fg, and bar cocycles filled
+from the seeds of the Lie-side (f, w) pair complex's other 2-cocycles
+(``PairComplex``, Hochschild's description), so a report neither builds
+the bar d2 nor computes its nullspace, and builds no extension algebra
+for a class.  All fg cocycles are read off one extraction, that of the
+universal twist of g |x k^{n_even}.  The dimensions of H^1_* and H^2_*
+are checked against those of the pair complex.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .cohomology import (
     CochainComplex, CohomologyResult, comparison_matrix, is_bar_2cocycle,
     lie_cohomology, restricted_cohomology,
 )
-from .errors import InvariantViolationError, NotACocycleError
+from .errors import InvariantViolationError, NotACocycleError, UsageError
 from .gflin import (
-    MatGF, RowReduction, Subspace, image, matpow, nullspace, subspace_sum,
+    MatGF, RowReduction, Subspace, image, matpow, nullspace,
+    quotient_representatives, subspace_sum,
 )
 from .superalg import (
     Representation, SemiLinearMap, SuperSpace, invariants, semilinear_pairs,
@@ -49,18 +51,18 @@ class SixTermContext:
     ``pair`` is the ``PairComplex`` on ``lie``; ``h1s``, the bar complex's
     Ker d1 / Im d0, must have the dimension of its H^1_*.  ``h2s`` is
 
-        Z^2_* = B^2_* + span(fg cocycles) + span(ker-phi lifts)
+        Z^2_* = B^2_* + span(fg cocycles) + span(fills)
 
     in the bar 2-cochains, where B^2_* is the image of the bar d1, the fg
     cocycles (``fg_cocycles``) are those of the twisted extensions
     s0 - sigma, all read off the one bar cocycle of the universal twist
-    (see ``_fg_cocycles``), and a lift is the bar cocycle of E_f with the
-    p-map of ``restricted_structure_from_lie_2cocycle``, for f running
-    over a basis of ker phi.  Every cocycle is checked by
-    ``is_bar_2cocycle``, so the bar d2 is never assembled, and
-    dim Z^2_* - dim B^2_* must equal that of the pair complex's H^2_*, so
-    Z^2_* is the kernel of d2 and the canonical representatives are those
-    of ``restricted_cohomology(bar, 2)``.
+    (see ``_fg_cocycles``), and the fills (``pair_fill``) are the bar
+    cocycles of the canonical representatives of the pair complex's Z^2
+    modulo its B^2 and fg's pair image, the pairs (0, -sigma).  Every
+    cocycle is checked by ``is_bar_2cocycle``, so the bar d2 is never
+    assembled, and dim Z^2_* - dim B^2_* must equal that of the pair
+    complex's H^2_*, so Z^2_* is the kernel of d2 and the canonical
+    representatives are those of ``restricted_cohomology(bar, 2)``.
     """
 
     def __init__(self, g, rep):
@@ -97,22 +99,49 @@ class SixTermContext:
         return self._get("h2s", self._h2s)
 
     def _h2s(self):
-        from .extensions import (assoc_2cocycle_from_restricted_ext,
-                                 restricted_structure_from_lie_2cocycle)
-        p, dim = self.p, self.bar.d(1).rows
-        B = self.bar.image(1)
-        lifts = []
-        for fvec in (self.ker_phi.rows @ self.h2.R.rows % p).tolist():
-            lifts.append(assoc_2cocycle_from_restricted_ext(
-                restricted_structure_from_lie_2cocycle(self.lie, tuple(fvec)),
-                self.bar))
-        extra = list(self.fg_cocycles) + lifts
-        Z = subspace_sum(B, Subspace.from_vectors(extra, dim, p))
-        if Z.dim - B.dim != (want := restricted_cohomology(self.pair, 2).dim_h):
+        p, B = self.p, self.bar.image(1)
+        pair = restricted_cohomology(self.pair, 2)
+        # fg's pair image: the (0, -sigma_(t,j)), w_t = -inv_j, in
+        # s1_pairs order
+        fg_pairs = np.pad(np.kron(np.eye(self.g.space.n_even, dtype=np.int64),
+                                  -self.inv_even.rows),
+                          ((0, 0), (self.lie.basis(2).dim, 0)))
+        rest = subspace_sum(pair.B, Subspace.from_vectors(
+            fg_pairs, pair.Z.ambient_dim, p))
+        fills = [self.pair_fill(vec) for vec in
+                 quotient_representatives(pair.Z, rest).rows]
+        Z = subspace_sum(B, Subspace.from_vectors(
+            list(self.fg_cocycles) + fills, B.ambient_dim, p))
+        if Z.dim - B.dim != pair.dim_h:
             raise InvariantViolationError(
-                f"fg cocycles and ker-phi lifts span {Z.dim - B.dim} classes "
-                f"of H^2_*, the pair model gives {want}")
+                f"fg cocycles and pair-class fills span {Z.dim - B.dim} "
+                f"classes of H^2_*, the pair model gives {pair.dim_h}")
         return CohomologyResult.quotient(2, "restricted", Z, B)
+
+    def pair_fill(self, vec):
+        """The bar 2-cocycle, as a tuple of coordinates, of the restricted
+        extension of a 2-cocycle (f, w) of the pair complex: E_f with
+        (x_t, 0)^[p] = (x_t^[p], w_t).  It is ``cocycle_from_seeds`` of
+        the seeds read off (f, w), in ``seed_positions()`` order, as
+        ``extensions.assoc_2cocycle_from_restricted_ext`` would take them
+        from u(E_f): f(x, y) for generators x after y, f(x, x) / 2 for odd
+        x, and w_t at (x_t, x_t^{p-1}).  Raises NotACocycleError unless the
+        result passes ``is_bar_2cocycle``."""
+        lie, bar, p = self.lie, self.bar, self.p
+        n2 = lie.basis(2).dim
+        f = lie.cochain_array(vec[:n2])
+        w = np.reshape(vec[n2:], (-1, self.rep.dim))
+        gen = {bar.aug_power(i, 1): i for i in range(self.g.dim)}
+        slot = {bar.aug_power(i, p - 1): t
+                for t, i in enumerate(self.g.space.even_indices())}
+        half = pow(2, -1, p)
+        seeds = [f[gen[x], gen[v]] * (half if v == x else 1) if v in gen
+                 else w[slot[v]] for x, v in bar.seed_positions()]
+        cvec = bar.cochain_vector(bar.cocycle_from_seeds(
+            np.reshape(seeds, (-1, self.rep.dim))))
+        if not is_bar_2cocycle(bar, cvec):
+            raise NotACocycleError("pair-class fill is not a bar 2-cocycle")
+        return tuple(cvec.tolist())
 
     @property
     def h1(self):
@@ -200,12 +229,6 @@ class SixTermContext:
     @property
     def phi(self):
         return self._get("phi", lambda: map_h2_to_semilinear_h1(self))
-
-    @property
-    def ker_phi(self):
-        """Ker phi in H^2 class coordinates: the H^2 classes the ker-phi
-        lifts of ``h2s`` run over, and the kernel of the last arrow."""
-        return self._get("ker_phi", lambda: nullspace(self.phi))
 
     @property
     def space_dims(self):
@@ -347,24 +370,33 @@ class PairComplex(CochainComplex):
 
         d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
 
-    and the odd coordinates of every w_t are zero (odd basis elements need
-    no value: y^2 = [y, y]/2 is fixed by f).  D1's Psi-bar rows are one
-    ``psi_bar_on_cocycle`` call on the unit 1-cochains and the f part of
-    D2's rows for x_t one ``obstruction_cocycle`` call on the unit
-    2-cochains, both being linear; rho(z) w_t is read off the 1-cochains
-    z -> rho(z) e_mu of the even coordinates mu (rho(z) is even, so an odd
-    mu meets no row of matching parity).  D1 and D2 are built together and
-    raise InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0."""
+    f meets the p = 3 odd-cube condition (``lie.cocycle_rows(2)``), and
+    the odd coordinates of every w_t are zero (odd basis elements need no
+    value: y^2 = [y, y]/2 is fixed by f).  So D2 (f, w) = 0 exactly when
+    E_f with (x_t, 0)^[p] = (x_t^[p], w_t) is a restricted extension.
+    D1's Psi-bar rows are one ``psi_bar_on_cocycle`` call on the unit
+    1-cochains and the f part of D2's rows for x_t one
+    ``obstruction_cocycle`` call on the unit 2-cochains, both being
+    linear; rho(z) w_t is read off the 1-cochains z -> rho(z) e_mu of the
+    even coordinates mu (rho(z) is even, so an odd mu meets no row of
+    matching parity).  D1 and D2 are built together and raise
+    InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0."""
 
     def __init__(self, lie):
         lie.require("lie")
         super().__init__(lie.g, lie.rep, "lie")
         self.kind, self.lie, self._bases = "pair", lie, lie._bases
 
+    def with_module(self, rep):
+        """The pair complex on the Lie complex of (g, rep)."""
+        return PairComplex(self.lie.with_module(rep))
+
     def _reduction(self, n):
         return self.lie._reduction(0) if n == 0 else super()._reduction(n)
 
     def d(self, n):
+        if n not in (0, 1, 2):
+            raise UsageError("the pair complex has d0, D1 and D2 only")
         if self._diffs:
             return self._diffs[n]
         lie, g, rep, p = self.lie, self.g, self.rep, self.g.p
@@ -377,9 +409,11 @@ class PairComplex(CochainComplex):
         r, c, v = lie.d(1).coo()
         D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
                               np.r_[v, psi[h, w]])
-        # D2 is d2 over the rows of the w conditions: per x_t, one row per
-        # C^1 coordinate z, then one per odd coordinate of w_t
-        parts, nrows = [lie.d(2).coo()], lie.d(2).rows
+        # D2 is d2 and the odd-cube rows over the rows of the w conditions:
+        # per x_t, one row per C^1 coordinate z, then one per odd
+        # coordinate of w_t
+        z2 = lie.cocycle_rows(2)
+        parts, nrows = [z2.coo()], z2.rows
         even_m = np.array(rep.space.even_indices(), dtype=np.int64)
         odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
         act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, dm, dm)
@@ -471,7 +505,7 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     # dimension, and the rank of phi is read off its kernel
     reds = {a: RowReduction(maps[a]) for a in ("psibar", "fg", "pi")}
     ims = {"i1": image(m_i1), **{a: r.image for a, r in reds.items()}}
-    kers = {**{a: r.kernel for a, r in reds.items()}, "phi": ctx.ker_phi}
+    kers = {**{a: r.kernel for a, r in reds.items()}, "phi": nullspace(m_phi)}
     exactness = {"i1_injective": ims["i1"].dim == m_i1.cols}
     offending = {}
     for name, (a, b) in pairs.items():

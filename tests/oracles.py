@@ -544,6 +544,22 @@ def bar_cocycle_of_extension(ext, bar, section=None):
     return tuple(cvec)
 
 
+def bar_cocycle_of_pair(lie, bar, vec):
+    """``bar_cocycle_of_extension`` of E_f with (x_t, 0)^[p] =
+    (x_t^[p], w_t), for a 2-cocycle (f, w) of the pair complex on ``lie``
+    (f coordinates, then w_0, w_1, ... over the even basis), the extension
+    built and validated by ``extensions``."""
+    import numpy as np
+
+    from supercoh.extensions import _with_pmap_on_g, algebra_ext_from_2cocycle
+
+    n2 = lie.basis(2).dim
+    w = np.reshape(np.asarray(vec[n2:], dtype=np.int64), (-1, lie.rep.dim))
+    ext = _with_pmap_on_g(algebra_ext_from_2cocycle(lie, tuple(vec[:n2])),
+                          dict(zip(lie.g.space.even_indices(), w)))
+    return bar_cocycle_of_extension(ext, bar)
+
+
 # ---------------------------------------------------------------------------
 # the bar 2-cocycle condition on every first argument
 # ---------------------------------------------------------------------------
@@ -778,10 +794,38 @@ def obstruction_per_unit(lie, fvec, x_idx):
     return tuple(out)
 
 
+def odd_cube_per_unit(lie, fvec):
+    """The p = 3 odd-cube sums of E_f for one 2-cochain f: E_f is g (+) M
+    with the bracket of the semidirect product plus f(x_a, x_b) on g x g,
+    built without validation, and for odd basis i <= j <= k of g the M-part
+    of the sum of [y_a, [y_b, y_c]] over the distinct orderings (a, b, c),
+    formed in E_f as ``validate_lie_super`` forms it; one dim-M block per
+    triple, flattened, and empty unless p = 3."""
+    import numpy as np
+
+    from supercoh.superalg import LieSuperAlgebra, semidirect
+
+    g, p = lie.g, lie.g.p
+    E0, layout = semidirect(g, lie.rep)
+    gs, ms = layout.positions()
+    brk = E0.brackets.copy()
+    for a in range(g.dim):
+        brk[gs[a], gs[:, None], ms] += _lie_values(lie, fvec, (a,)).T
+    E = LieSuperAlgebra(E0.space, p, brk)
+    odds = g.space.odd_indices() if p == 3 else ()
+    out = []
+    for ijk in itertools.combinations_with_replacement(odds, 3):
+        total = sum(E.bracket(E.basis_vector(gs[a]), E.brackets[gs[b], gs[c]])
+                    for a, b, c in set(itertools.permutations(ijk)))
+        out.extend(int(v) % p for v in total[ms])
+    return out
+
+
 def pair_model_per_unit(lie):
     """(H^1_*, H^2_*) of the pair model C^0 -> C^1 -> C^2 + M^{n_even},
-    with D1's Psi-bar block and D2's w rows built one unit cochain and one
-    C^1 basis item at a time (``psi_bar_per_unit``, ``obstruction_per_unit``)."""
+    with D1's Psi-bar block, D2's w rows and its p = 3 odd-cube rows built
+    one unit cochain and one C^1 basis item at a time
+    (``psi_bar_per_unit``, ``obstruction_per_unit``, ``odd_cube_per_unit``)."""
     from supercoh.cohomology import CohomologyResult
     from supercoh.gflin import MatGF, RowReduction, nullspace
 
@@ -808,6 +852,9 @@ def pair_model_per_unit(lie):
                     row[w0 + mu] = int(v)
             rows.append(row)
         rows.extend({w0 + mu: 1} for mu in rep.space.odd_indices())
+    cubes = [odd_cube_per_unit(lie, unit(n2, c)) for c in range(n2)]
+    rows.extend({c: cube[r] for c, cube in enumerate(cubes) if cube[r]}
+                for r in range(len(cubes[0]) if cubes else 0))
     ent = d2.entries
     ent.update(((d2.rows + i, j), v) for i, row in enumerate(rows)
                for j, v in row.items())

@@ -1,8 +1,9 @@
 """The array form of the Lie cochains (``CochainComplex.cochain_array`` and
 ``cochain_vector`` of the Lie kind) and what is built on it: the Lie
 differentials d0-d2 equal the block-form ``split_lie_differential``, and
-``psi_bar_on_cocycle``, ``obstruction_cocycle`` and the cohomology of the
-pair complex (``PairComplex``) equal their per-unit references in
+``psi_bar_on_cocycle``, ``obstruction_cocycle``, the Lie Z^2 with its
+p = 3 odd-cube rows and the cohomology of the pair complex
+(``PairComplex``) equal their per-unit references in
 ``tests/oracles.py``, on 86 (g, M) pairs:
 every catalog entry with each of its modules and with its adjoint module
 (52), and every input of ``tests/data`` at p = 3 and 5 with each of its
@@ -26,12 +27,12 @@ from supercoh.cohomology import (
 )
 from supercoh.errors import InvariantViolationError
 from supercoh.sixterm import PairComplex, obstruction_cocycle, psi_bar_on_cocycle
-from supercoh.gflin import MatGF
+from supercoh.gflin import MatGF, nullspace
 from supercoh.superalg import adjoint_module
 
 from oracles import (
-    obstruction_per_unit, pair_model_per_unit, psi_bar_per_unit,
-    split_lie_differential,
+    obstruction_per_unit, odd_cube_per_unit, pair_model_per_unit,
+    psi_bar_per_unit, split_lie_differential,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -117,6 +118,11 @@ def test_stacked_readers_equal_the_per_unit_oracles(label, g, rep):
         want = np.array([obstruction_per_unit(lie, u, x) for u in units2],
                         dtype=np.int64).reshape(n2, n1)
         assert np.array_equal(obstruction_cocycle(lie, units2, x), want)
+    width = len(odd_cube_per_unit(lie, np.zeros(n2, dtype=np.int64)))
+    cube = np.array([odd_cube_per_unit(lie, u) for u in units2],
+                    dtype=np.int64).reshape(n2, width).T
+    assert lie.kernel(2) == nullspace(MatGF.from_dense(
+        np.vstack([lie.d(2).to_dense(), cube]), g.p))
     _assert_same_cohomology(_pair_cohomology(lie), pair_model_per_unit(lie))
 
 

@@ -107,3 +107,27 @@ def test_only_cohomology_resolves_lie_cochain_coordinates():
                     found.append(f"cohomology.py:{node.lineno} reads .index "
                                  f"outside eval_lie_cochain")
     assert not found
+
+
+def test_only_fg_reaches_extensions_from_sixterm():
+    """A report builds no extension algebra but the universal twist of fg:
+    in ``sixterm``, every import from ``extensions`` sits inside
+    ``SixTermContext._fg_cocycles``, and every name it binds is read only
+    there.  H^2_*'s other classes are filled from the pair complex's
+    (f, w) cocycles (``SixTermContext.pair_fill``), with no E_f."""
+    tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
+    fg = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and cls.name == "SixTermContext" for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_fg_cocycles")
+    inside = {id(node) for node in ast.walk(fg)}
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "extensions"]
+    assert imports
+    bound = {a.asname or a.name for node in imports for a in node.names}
+    found = [f"sixterm.py:{node.lineno}" for node in imports
+             if id(node) not in inside]
+    found += [f"sixterm.py:{node.lineno} reads {node.id}"
+              for node in ast.walk(tree) if isinstance(node, ast.Name)
+              and node.id in bound and id(node) not in inside]
+    assert not found

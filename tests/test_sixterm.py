@@ -8,7 +8,9 @@ from supercoh.cohomology import (
     CochainComplex, CohomologyResult, lie_cochain_basis, restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
-from supercoh.errors import InvariantViolationError, NotACocycleError
+from supercoh.errors import (
+    InvariantViolationError, NotACocycleError, UsageError,
+)
 from supercoh.extensions import semidirect_extension, twist_pmap
 from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
@@ -21,7 +23,7 @@ from supercoh.superalg import (
 )
 
 from conftest import fixture_algebra
-from oracles import bar_cocycle_of_extension
+from oracles import bar_cocycle_of_extension, bar_cocycle_of_pair
 
 EXPECTED = {
     "a1-null": (1, 1, 1, 1, 0, 0),
@@ -218,8 +220,7 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
     both Z^1_* and B^2_*, and the Lie d1 both Z^1 and B^2.  The verdicts
     reduce each arrow exactly once, 5 reductions where an image and a
     kernel apiece took 8: psibar, fg and pi for both, i1 only for its
-    image, phi only for its kernel, which H^2_* reads too, for the ker-phi
-    lifts (``SixTermContext.ker_phi``)."""
+    image, phi only for its kernel, which only the last verdict reads."""
     import sys
     import supercoh.cohomology as cohomology
     from supercoh import gflin
@@ -282,6 +283,33 @@ def test_pair_complex_shares_the_lie_d0(loaded_catalog):
         ctx.lie.d(1).rows + g.space.n_even * adjoint.dim, ctx.lie.d(1).cols)
 
 
+def test_pair_complex_with_module_is_that_of_the_new_module(loaded_catalog):
+    """``with_module`` gives the pair complex on the Lie complex of the new
+    module: its D1 and D2 are those of a pair complex built afresh, not
+    the old module's."""
+    g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
+    k = fixture_algebra(loaded_catalog, "a4-borel")[1]
+    pair = PairComplex(CochainComplex(g, k, "lie"))
+    pair.d(2)
+    other = pair.with_module(adjoint)
+    fresh = PairComplex(CochainComplex(g, adjoint, "lie"))
+    assert other.lie.rep is adjoint
+    for n in (0, 1, 2):
+        assert other.d(n) == fresh.d(n), n
+    assert restricted_cohomology(other, 2).Z == restricted_cohomology(fresh, 2).Z
+
+
+def test_pair_complex_has_three_differentials(loaded_catalog):
+    """d0, D1 and D2 only: any other degree is a UsageError, before and
+    after the differentials are built."""
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    pair = PairComplex(CochainComplex(g, k, "lie"))
+    for n in (3, -1, 3):
+        with pytest.raises(UsageError, match="d0, D1 and D2"):
+            pair.d(n)
+        pair.d(2)
+
+
 def test_sl2_p5_adjoint_report(sl2_p5_adjoint):
     """sl2 at p = 5 with adjoint M, whose bar d1 is 46128 x 372: every
     verdict is exact and the dimensions of H^1_* and H^2_* are those of the
@@ -339,18 +367,31 @@ def _per_sigma_fg_cocycles(ctx):
     return out
 
 
+def record_fills(monkeypatch):
+    """Record every ((f, w), fill) of ``SixTermContext.pair_fill``."""
+    fills = []
+
+    def recorded(ctx, vec, _real=SixTermContext.pair_fill):
+        fills.append((tuple(int(x) for x in vec), _real(ctx, vec)))
+        return fills[-1][1]
+    monkeypatch.setattr(SixTermContext, "pair_fill", recorded)
+    return fills
+
+
 def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
                                          monkeypatch):
     """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
-    ker-phi lifts, has the Z, B and representatives of the bar complex's
-    Ker d2 / Im d1, and the pair model has its dimension and that of the
-    bar complex's H^1_*: on every catalog entry, the fuzzed semidirect
-    products of the test above, and g |x ad(g) with trivial module for
-    every catalog algebra of dim <= 2.  A report extracts one cocycle for
-    fg when S != 0, that of the universal twist, and one per ker-phi lift;
-    each is byte-equal to the one computed entry by entry from gamma
-    (``oracles.bar_cocycle_of_extension``), and so is each fg cocycle to
-    that of its own twisted extension twist_pmap(s0, sigma)."""
+    fills of the pair complex's other classes, has the Z, B and
+    representatives of the bar complex's Ker d2 / Im d1, and the pair model
+    has its dimension and that of the bar complex's H^1_*: on every catalog
+    entry, the fuzzed semidirect products of the test above, and
+    g |x ad(g) with trivial module for every catalog algebra of dim <= 2.
+    A report extracts one cocycle when S != 0, that of the universal twist
+    for fg, and none when S = 0; it is byte-equal to the one computed
+    entry by entry from gamma (``oracles.bar_cocycle_of_extension``), and
+    so is each fg cocycle to that of its own twisted extension
+    twist_pmap(s0, sigma), and each fill to that of E_f with the p-map of
+    its (f, w)."""
     import supercoh.extensions as extensions
     extracted = []
 
@@ -359,6 +400,7 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
         return extracted[-1][2]
     monkeypatch.setattr(extensions, "assoc_2cocycle_from_restricted_ext",
                         recorded)
+    fills = record_fills(monkeypatch)
     pairs = [(entry_id, g, modules[e.module_name])
              for entry_id, (e, g, modules) in loaded_catalog.items()]
     pairs += [(f"sd-{entry_id}", E, trivial_module(E))
@@ -370,23 +412,82 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
             seen.add(algebra)
             E, _ = semidirect(g, adjoint_module(g))
             pairs.append((f"{entry_id} |x ad", E, trivial_module(E)))
-    lifted = set()
+    filled = set()
     for name, g, rep in pairs:
         extracted.clear()
+        fills.clear()
         ctx = SixTermContext(g, rep)
         bar = restricted_cohomology(ctx.bar, 2)
         assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
         h1s, h2s = (restricted_cohomology(ctx.pair, n) for n in (1, 2))
         assert h2s.dim_h == bar.dim_h, name
         assert h1s.dim_h == restricted_cohomology(ctx.bar, 1).dim_h, name
-        if nullspace(ctx.phi).dim:
-            lifted.add(name)
-        assert len(extracted) == ((1 if ctx.s1_pairs else 0)
-                                  + nullspace(ctx.phi).dim), name
+        assert len(extracted) == (1 if ctx.s1_pairs else 0), name
+        assert len(fills) == nullspace(ctx.phi).dim, name
+        if fills:
+            filled.add(name)
         for ext, cx, cvec in extracted:
             assert cvec == bar_cocycle_of_extension(ext, cx), name
+        for vec, cvec in fills:
+            assert cvec == bar_cocycle_of_pair(ctx.lie, ctx.bar, vec), name
         assert list(ctx.fg_cocycles) == _per_sigma_fg_cocycles(ctx), name
-    assert {"a5-odd-line", "a6-abelian-plane"} <= lifted
+    assert {"a5-odd-line", "a6-abelian-plane"} <= filled
+
+
+def test_fill_of_an_fg_pair_is_the_fg_cocycle(loaded_catalog):
+    """The fill of the pair (0, -sigma_(t,j)), w_t = -inv_j, is byte-equal
+    to the fg cocycle of twist_pmap(s0, sigma_(t,j)), on every catalog
+    entry with S != 0 (10 of 15): the twisted p-map is e^[p] - sigma, so
+    this pins the sign of w in the fill."""
+    checked = 0
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        ctx = SixTermContext(g, modules[e.module_name])
+        n2, dm = ctx.lie.basis(2).dim, ctx.rep.dim
+        for k, (t, j) in enumerate(ctx.s1_pairs):
+            vec = np.zeros(n2 + g.space.n_even * dm, dtype=np.int64)
+            vec[n2 + t * dm:n2 + (t + 1) * dm] = -ctx.inv_even.rows[j] % g.p
+            assert ctx.pair_fill(vec) == ctx.fg_cocycles[k], (entry_id, k)
+            checked += 1
+    assert checked >= 10
+
+
+def test_a_report_builds_no_extension_of_a_class(loaded_catalog, monkeypatch):
+    """``build_six_term`` calls neither ``algebra_ext_from_2cocycle`` nor
+    ``restricted_structure_from_lie_2cocycle``, and builds no u(E) but
+    that of the universal twist of fg: one extraction and two UAlgebra
+    (u(g) of the bar complex, u(E) of the twist) when S != 0, none and one
+    when S = 0.  On every catalog entry and on a6-abelian-plane |x ad with
+    its adjoint module, where 24 classes are filled."""
+    import supercoh.envelope as envelope
+    import supercoh.extensions as extensions
+    calls = collections.Counter()
+    for name in ("assoc_2cocycle_from_restricted_ext",
+                 "algebra_ext_from_2cocycle",
+                 "restricted_structure_from_lie_2cocycle"):
+        def counted(*args, _real=getattr(extensions, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(extensions, name, counted)
+
+    def counted_init(self, *args, _real=envelope.UAlgebra.__init__, **kw):
+        calls["UAlgebra"] += 1
+        _real(self, *args, **kw)
+    monkeypatch.setattr(envelope.UAlgebra, "__init__", counted_init)
+    fills = record_fills(monkeypatch)
+    g, _ = fixture_algebra(loaded_catalog, "a6-abelian-plane")
+    E, _ = semidirect(g, adjoint_module(g))
+    cases = [(entry_id, g, modules[e.module_name])
+             for entry_id, (e, g, modules) in loaded_catalog.items()]
+    for name, g, rep in cases + [("a6 |x ad", E, adjoint_module(E))]:
+        calls.clear()
+        fills.clear()
+        report = build_six_term(g, rep)
+        assert report.all_exact, name
+        extractions = 1 if report.dims[2] else 0
+        assert calls == collections.Counter(
+            {"UAlgebra": 1 + extractions,
+             "assoc_2cocycle_from_restricted_ext": extractions}), name
+    assert len(fills) == 24
 
 
 @pytest.mark.parametrize("entry_id", ["a6-abelian-plane", "a3-heisenberg",
@@ -478,17 +579,38 @@ def test_fg_extracts_once(loaded_catalog, monkeypatch):
     assert calls == {"semidirect_extension": 1, "UAlgebra": 1}
 
 
-def test_h2s_dimension_check_catches_a_dropped_lift(loaded_catalog, monkeypatch):
-    """On a5-odd-line H^2_* is one ker-phi lift (S = 0); extracting the
-    zero cochain in its place leaves Z^2_* = B^2_*, one class short of the
-    pair model."""
-    import supercoh.extensions as extensions
-    monkeypatch.setattr(extensions, "assoc_2cocycle_from_restricted_ext",
-                        lambda ext, bar: (0,) * bar.basis(2).dim)
+def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
+                                                   monkeypatch):
+    """On a5-odd-line H^2_* is one filled class (S = 0); a zero cochain in
+    place of its fill leaves Z^2_* = B^2_*, one class short of the pair
+    model."""
+    monkeypatch.setattr(SixTermContext, "pair_fill",
+                        lambda ctx, vec: (0,) * ctx.bar.basis(2).dim)
     g, k = fixture_algebra(loaded_catalog, "a5-odd-line")
     ctx = SixTermContext(g, k)
     assert len(ctx.s1_pairs) == 0 and nullspace(ctx.phi).dim == 1
     with pytest.raises(InvariantViolationError, match="pair model"):
+        ctx.h2s
+
+
+def test_h2s_catches_a_bent_fill(loaded_catalog):
+    """On a6-abelian-plane one class of H^2_* is filled (S = 2, ker phi of
+    dim 1).  Adding 1 to the generator-row entry c(x, x^2) of its fill, x
+    the first even basis element, leaves no cocycle: the row (x, x, x) of
+    d2 picks it up through c(x, x x) alone.  The fg cocycles are taken
+    first, so only the fill is bent."""
+    g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
+    ctx = SixTermContext(g, k)
+    assert ctx.fg_cocycles and nullspace(ctx.phi).dim == 1
+    bar, real = ctx.bar, ctx.bar.cocycle_from_seeds
+
+    def bent(seeds):
+        c = real(seeds)
+        x = g.space.even_indices()[0]
+        c[bar.aug_power(x, 1), bar.aug_power(x, 2), 0] += 1
+        return c
+    bar.cocycle_from_seeds = bent
+    with pytest.raises(NotACocycleError, match="fill"):
         ctx.h2s
 
 
