@@ -25,15 +25,15 @@ import numpy as np
 from .envelope import UAlgebra
 from .errors import InvariantViolationError, UsageError
 from .gflin import (
-    MatGF, RowReduction, Subspace, index_runs, quotient_representatives,
+    MatGF, RowReduction, Subspace, index_runs, matpow, quotient_representatives
 )
 from .superalg import EVEN, ODD
 
 __all__ = [
     "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
     "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
-    "lie_odd_cube_matrix", "lie_cohomology", "assoc_cochain_basis",
-    "assoc_differential_matrix",
+    "lie_odd_cube_matrix", "lie_psi_bar_matrix", "lie_obstruction_matrix",
+    "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
     "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
     "comparison_matrix", "eval_lie_cochain",
 ]
@@ -185,17 +185,11 @@ def lie_differential_matrix(lie, n):
             (np.arange(G) * radix[0] + rest[..., None]) * D + nu[..., None],
             (1 - 2 * (e % 2))[..., None] * g.brackets[args[:, s], args[:, t]],
             (ap[:, s] + ap[:, t])[..., None] % 2 != par))
-    terms = []
-    for pos, coeffs, breaks in families:
-        live = coeffs % p != 0
-        if (live & breaks).any():
-            raise InvariantViolationError(
-                "differential term hit a parity-invalid cochain")
-        keep = live & (cols[pos] >= 0)
-        terms.append((keep.nonzero()[0], cols[pos][keep],
-                      (coeffs * signs[pos])[keep]))
-    r, c, v = (np.concatenate(x) for x in zip(*terms))
-    return MatGF.from_terms(len(args), lie.basis(n).dim, p, r, c, v)
+    if any(((c % p != 0) & breaks).any() for _, c, breaks in families):
+        raise InvariantViolationError("differential term breaks parity")
+    return _term_matrix(len(args), lie.basis(n).dim, p, "differential", [
+        (np.arange(len(args))[:, None, None], cols[pos], coeffs * signs[pos])
+        for pos, coeffs, _ in families])
 
 
 def lie_odd_cube_matrix(lie):
@@ -232,15 +226,79 @@ def lie_odd_cube_matrix(lie):
     # (C^2 columns, coefficients) per term: f(y_a, x_z) [y_b, y_c]_z
     # on axes (ordering, mu, z), rho(y_a)_{mu nu} f(y_b, y_c)_nu on axes
     # (ordering, mu, nu)
-    terms = []
-    for pos, coef in ((cols[a, z, mu], signs[a, z, mu] * g.brackets[b, c, z]),
-                      (cols[b, c, nu], act[a, mu, nu] * signs[b, c, nu])):
-        rows, pos, coef = np.broadcast_arrays(row, pos, coef)
-        live = coef % p != 0
-        terms.append((rows[live], pos[live], coef[live]))
-    r, col, v = (np.concatenate(x) for x in zip(*terms))
-    return MatGF.from_terms(len(triples) * odd_m.size, lie.basis(2).dim, p,
-                            r, col, v)
+    return _term_matrix(len(triples) * odd_m.size, lie.basis(2).dim, p,
+                        "odd-cube", [
+        (row, cols[a, z, mu], signs[a, z, mu] * g.brackets[b, c, z]),
+        (row, cols[b, c, nu], act[a, mu, nu] * signs[b, c, nu])])
+
+
+def lie_psi_bar_matrix(lie):
+    """Psi-bar of the Lie complex ``lie`` as a matrix from C^1 to
+    M^{n_even}, row t dim M + m the m-th coordinate of the value at the
+    t-th even basis element x_t:
+
+        Psi-bar(h)(x_t) = rho(x_t)^{p-1} h(x_t) - h(x_t^[p]),
+
+    the kernel p-map term vanishing since M is strongly abelian.  Its two
+    term families, rho(x_t)^{p-1}_{mn} h(x_t)_n and -(x_t^[p])_c h(x_c)_m,
+    are read off the degree-1 layout.  Built once per complex."""
+    lie.require("lie")
+    if "Psi-bar" in lie._mats:
+        return lie._mats["Psi-bar"]
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    (cols, signs, _), D, terms = lie._layout(1), rep.dim, []
+    for t, x in enumerate(g.space.even_indices()):  # axes (m, n), (m, c)
+        row = t * D + np.arange(D)[:, None]
+        terms += [(row, cols[x], matpow(rep.mats[x], p - 1, p) * signs[x]),
+                  (row, cols.T, -g.pmap_basis(x) * signs.T)]
+    return lie._mats.setdefault("Psi-bar", _term_matrix(
+        g.space.n_even * D, lie.basis(1).dim, p, "Psi-bar", terms))
+
+
+def lie_obstruction_matrix(lie, x):
+    """The obstruction of the Lie complex ``lie`` at an even basis element
+    x as a matrix from C^2 to C^1: f goes to the 1-cochain
+
+        k_x(x1) = sum_{i=0}^{p-1} rho(x)^i f(x, (ad x)^{p-1-i}(x1)),
+        f_{x^[p]}(x1) = f(x1, x^[p]),
+
+    k_x + f_{x^[p]}.  Both term families, op[c, n, b, m] f(x, c)_n with
+    op = sum_i ((ad x)^{p-1-i})_cb (rho(x)^i)_mn and (x^[p])_c f(b, c)_m,
+    land on the coordinate of (b, m) and are read off the degree-1 and
+    degree-2 layouts.  Raises InvariantViolationError if a term lands
+    where parity allows no 1-cochain coordinate.  Built once per complex
+    and x."""
+    lie.require("lie")
+    if ("obstruction", x) in lie._mats:
+        return lie._mats["obstruction", x]
+    g, rep, p = lie.g, lie.rep, lie.g.p
+    cols1, cols2, signs2 = lie._layout(1)[0], *lie._layout(2)[:2]
+    ads = [np.eye(g.dim, dtype=np.int64)]  # (ad x)^i, then rho(x)^i
+    rhos = [np.eye(rep.dim, dtype=np.int64)]
+    for _ in range(p - 1):
+        ads.append(ads[-1] @ g.ad_basis(x) % p)
+        rhos.append(rhos[-1] @ rep.mats[x] % p)
+    op = np.einsum("icb,imn->cnbm", ads[::-1], rhos)
+    # axes (c, n, b, m) and (b, c, m)
+    m = _term_matrix(lie.basis(1).dim, lie.basis(2).dim, p, "obstruction", [
+        (cols1, cols2[x, :, :, None, None], op * signs2[x, :, :, None, None]),
+        (cols1[:, None], cols2, g.pmap_basis(x)[:, None] * signs2)])
+    return lie._mats.setdefault(("obstruction", x), m)
+
+
+def _term_matrix(nrows, ncols, p, what, families):
+    """The nrows x ncols matrix summing term families (rows, cols,
+    coefficients) of arrays that broadcast together, as the Lie matrices
+    are read off the layout: a term whose coefficient is 0 mod p or whose
+    col is -1 is dropped, and a live one whose row is -1 has no output
+    coordinate and raises InvariantViolationError."""
+    terms = [(np.zeros(0, dtype=np.int64),) * 3]  # no families: zero matrix
+    for r, c, v in (np.broadcast_arrays(*family) for family in families):
+        live = (v % p != 0) & (c >= 0)
+        if (r[live] < 0).any():
+            raise InvariantViolationError(f"{what} term breaks parity")
+        terms.append((r[live], c[live], v[live]))
+    return MatGF.from_terms(nrows, ncols, p, *map(np.concatenate, zip(*terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +543,9 @@ class CochainComplex:
     (g, M).  Each degree's basis, differential d_n : C^n -> C^{n+1} and
     ``RowReduction`` of d_n is built on first use and kept for the life of
     the object, so everything read off one complex shares them: Ker d_n
-    and Im d_n come from one elimination of d_n's rows.  The complex owns
+    and Im d_n come from one elimination of d_n's rows.  So are the Lie
+    kind's ``cocycle_rows(2)``, ``lie_psi_bar_matrix`` and
+    ``lie_obstruction_matrix``.  The complex owns
     the layout of its cochains: ``cochain_array`` and ``cochain_vector`` go
     between coordinates and values, for stacks of cochains too, and the
     Lie d_n (``lie_differential_matrix``) reads its terms off the degree-n
@@ -505,6 +565,7 @@ class CochainComplex:
         self._reductions = {}
         self._lookups = {}
         self._layouts = {}
+        self._mats = {}  # Lie kind: cocycle_rows(2), Psi-bar, obstructions
         self._plan = []  # shared with with_module's copies
 
     def with_module(self, rep):
@@ -517,7 +578,7 @@ class CochainComplex:
         cx = copy.copy(self)
         cx.rep, cx._bases, cx._diffs, cx._reductions, cx._lookups = \
             rep, {}, {}, {}, {}
-        cx._layouts = {}
+        cx._layouts, cx._mats = {}, {}
         return cx
 
     def basis(self, n):
@@ -543,15 +604,17 @@ class CochainComplex:
     def cocycle_rows(self, n):
         """The matrix whose kernel is Z^n: d_n, with the odd-cube rows
         (``lie_odd_cube_matrix``) stacked under it for the Lie kind at
-        n = 2, and d_n itself where there are none."""
+        n = 2, and d_n itself where there are none.  The stack is built
+        once per complex."""
         d = self.d(n)
-        if n != 2 or self.kind != "lie" or not (
-                cube := lie_odd_cube_matrix(self)).rows:
+        if n != 2 or self.kind != "lie":
             return d
-        (r, c, v), (r3, c3, v3) = d.coo(), cube.coo()
-        return MatGF.from_terms(d.rows + cube.rows, d.cols, self.g.p,
-                                np.r_[r, d.rows + r3], np.r_[c, c3],
-                                np.r_[v, v3])
+        if "cocycle" not in self._mats:
+            r3, c3, v3 = (cube := lie_odd_cube_matrix(self)).coo()
+            self._mats["cocycle"] = _term_matrix(
+                d.rows + cube.rows, d.cols, self.g.p, "cocycle",
+                [d.coo(), (d.rows + r3, c3, v3)]) if cube.rows else d
+        return self._mats["cocycle"]
 
     def kernel(self, n):
         """Ker d_n, the n-cocycles (with the odd-cube condition at n = 2,

@@ -145,12 +145,14 @@ class RestrictedExtension(AlgebraExtension):
 def algebra_ext_from_2cocycle(lie, fvec):
     """E_f = g (+) M for a 2-cocycle f of the Lie complex ``lie`` of (g, M),
     with bracket
-    [(x1,m1),(x2,m2)] = ([x1,x2], x1.m2 - (-1)^{|x1||x2|} x2.m1 + f(x1,x2))."""
+    [(x1,m1),(x2,m2)] = ([x1,x2], x1.m2 - (-1)^{|x1||x2|} x2.m1 + f(x1,x2)).
+    f must be killed by ``lie.cocycle_rows(2)``, d2 with the p = 3
+    odd-cube rows, else NotACocycleError."""
     lie.require("lie")
     g, rep, p = lie.g, lie.rep, lie.g.p
     if len(fvec) != lie.basis(2).dim:
         raise UsageError("cochain coordinate length mismatch")
-    if any(lie.d(2).matvec(fvec)):
+    if any(lie.cocycle_rows(2).matvec(fvec)):
         raise NotACocycleError("not a Lie 2-cocycle")
     E0, layout = semidirect(g, rep)
     brk = E0.brackets.copy()

@@ -27,11 +27,12 @@ import numpy as np
 
 from .cohomology import (
     CochainComplex, CohomologyResult, comparison_matrix, is_bar_2cocycle,
-    lie_cohomology, restricted_cohomology,
+    lie_cohomology, lie_obstruction_matrix, lie_psi_bar_matrix,
+    restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError, UsageError
 from .gflin import (
-    MatGF, RowReduction, Subspace, image, matpow, nullspace,
+    MatGF, RowReduction, Subspace, image, nullspace,
     quotient_representatives, subspace_sum,
 )
 from .superalg import (
@@ -259,17 +260,9 @@ def psi_bar_on_cocycle(lie, h):
     x -> rho(x)^{p-1} h(x) - h(x^[p]) on the even basis (the kernel p-map
     term vanishes since M is strongly abelian), as an int64 array of shape
     (..., n_even, dim M), row t the value at the t-th even basis element.
-    Linear in h."""
-    lie.require("lie")
-    g, rep, p = lie.g, lie.rep, lie.g.p
-    evens = list(g.space.even_indices())
-    hv = lie.cochain_array(h, 1)  # (..., g.dim, dim M)
-    rho = np.array([matpow(rep.mats[i], p - 1, p) for i in evens],
-                   dtype=np.int64).reshape(-1, rep.dim, rep.dim)
-    pm = np.array([g.pmap_basis(i) for i in evens],
-                  dtype=np.int64).reshape(-1, g.dim)
-    return (np.einsum("tmn,...tn->...tm", rho, hv[..., evens, :])
-            - np.einsum("tc,...cm->...tm", pm, hv)) % p
+    Linear in h: ``cohomology.lie_psi_bar_matrix`` applied to h."""
+    psi = _on_stack(lie_psi_bar_matrix(lie), h)
+    return psi.reshape(psi.shape[:-1] + (lie.g.space.n_even, lie.rep.dim))
 
 
 def map_h1_to_semilinear(ctx):
@@ -314,27 +307,17 @@ def obstruction_cocycle(lie, f, x_idx):
         f_{x^[p]}(x1) = f(x1, x^[p]),
 
     returned in C^1 coordinates as an int64 array; a 1-cocycle when f is a
-    2-cocycle.  Linear in f: with f(x, .) as a (g.dim, dim M) array, k_x
-    is one product with the (g.dim dim M)-square matrix whose entry
-    ((c, nu), (b, mu)) is sum_i ((ad x)^{p-1-i})_cb (rho(x)^i)_mu,nu.
-    Raises InvariantViolationError if
-    a value breaks parity (``CochainComplex.cochain_vector``).
-    """
-    lie.require("lie")
-    g, rep, p = lie.g, lie.rep, lie.g.p
-    fv = lie.cochain_array(f, 2)  # (..., g.dim, g.dim, dim M)
-    ads = [np.eye(g.dim, dtype=np.int64)]  # (ad x)^i, then rho(x)^i
-    rhos = [np.eye(rep.dim, dtype=np.int64)]
-    for _ in range(p - 1):
-        ads.append(ads[-1] @ g.ad_basis(x_idx) % p)
-        rhos.append(rhos[-1] @ rep.mats[x_idx] % p)
-    n = g.dim * rep.dim
-    op = np.einsum("icb,imn->cnbm", ads[::-1], rhos).reshape(n, n) % p
-    fx = fv[..., x_idx, :, :]
-    kx = fx.reshape(fx.shape[:-2] + (n,)) @ op % p
-    val = kx.reshape(fx.shape) + np.einsum("...bcm,c->...bm", fv,
-                                           g.pmap_basis(x_idx))
-    return lie.cochain_vector(val, 1)
+    2-cocycle.  Linear in f: ``cohomology.lie_obstruction_matrix`` applied
+    to f, which raises InvariantViolationError if a term breaks parity."""
+    return _on_stack(lie_obstruction_matrix(lie, x_idx), f)
+
+
+def _on_stack(m, vecs):
+    """The matrix m applied mod p to a vector, or to each of a stack of them
+    along the leading axes of ``vecs``."""
+    if np.shape(vecs)[-1:] != (m.cols,):
+        raise UsageError("cochain coordinate length mismatch")
+    return np.asarray(vecs, dtype=np.int64) % m.p @ m.to_dense().T % m.p
 
 
 def map_h2_to_semilinear_h1(ctx):
@@ -374,13 +357,13 @@ class PairComplex(CochainComplex):
     the odd coordinates of every w_t are zero (odd basis elements need no
     value: y^2 = [y, y]/2 is fixed by f).  So D2 (f, w) = 0 exactly when
     E_f with (x_t, 0)^[p] = (x_t^[p], w_t) is a restricted extension.
-    D1's Psi-bar rows are one ``psi_bar_on_cocycle`` call on the unit
-    1-cochains and the f part of D2's rows for x_t one
-    ``obstruction_cocycle`` call on the unit 2-cochains, both being
-    linear; rho(z) w_t is read off the 1-cochains z -> rho(z) e_mu of the
-    even coordinates mu (rho(z) is even, so an odd mu meets no row of
-    matching parity).  D1 and D2 are built together and raise
-    InvariantViolationError unless D1 d0 = 0 and D2 D1 = 0."""
+    D1's Psi-bar rows are the matrix ``cohomology.lie_psi_bar_matrix`` and
+    the f part of D2's rows for x_t is ``lie_obstruction_matrix(lie, x_t)``,
+    both read off the Lie layout.  The w_t part is d0: the 1-cochain
+    z -> rho(z) w_t is d0 of the even part of w_t (rho(z) is even, so an
+    odd coordinate of w_t meets no row of matching parity).  D1 and D2 are
+    built together and raise InvariantViolationError unless D1 d0 = 0 and
+    D2 D1 = 0."""
 
     def __init__(self, lie):
         lie.require("lie")
@@ -403,12 +386,9 @@ class PairComplex(CochainComplex):
         n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
         evens = g.space.even_indices()
         ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
-        psi = psi_bar_on_cocycle(lie, np.eye(n1, dtype=np.int64)).reshape(
-            n1, len(evens) * dm)
-        h, w = np.nonzero(psi)
-        r, c, v = lie.d(1).coo()
+        (r, c, v), (w, h, psi) = lie.d(1).coo(), lie_psi_bar_matrix(lie).coo()
         D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
-                              np.r_[v, psi[h, w]])
+                              np.r_[v, psi])
         # D2 is d2 and the odd-cube rows over the rows of the w conditions:
         # per x_t, one row per C^1 coordinate z, then one per odd
         # coordinate of w_t
@@ -416,18 +396,14 @@ class PairComplex(CochainComplex):
         parts, nrows = [z2.coo()], z2.rows
         even_m = np.array(rep.space.even_indices(), dtype=np.int64)
         odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
-        act = np.array(rep.mats, dtype=np.int64).reshape(g.dim, dm, dm)
-        # row j: the 1-cochain z -> rho(z) e_mu for mu = even_m[j]
-        rho = lie.cochain_vector(act[:, :, even_m].transpose(2, 0, 1), 1)
-        j, rho_z = np.nonzero(rho)
-        rho_mu, rho_v = even_m[j], rho[j, rho_z]
-        units = np.eye(n2, dtype=np.int64)
+        # rho(z) w_t is d0 of the even part of w_t: column j of d0 is the
+        # coordinate even_m[j] of M
+        rho_z, j, rho_v = lie.d(0).coo()
         for t, idx in enumerate(evens):
             w0 = n2 + t * dm
-            k = obstruction_cocycle(lie, units, idx)  # row c: unit cochain c
-            f, z = np.nonzero(k)
-            parts += [(nrows + z, f, k[f, z]),
-                      (nrows + rho_z, w0 + rho_mu, rho_v),
+            z, f, k = lie_obstruction_matrix(lie, idx).coo()
+            parts += [(nrows + z, f, k),
+                      (nrows + rho_z, w0 + even_m[j], rho_v),
                       (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
                        np.ones(odd_m.size, dtype=np.int64))]
             nrows += n1 + odd_m.size

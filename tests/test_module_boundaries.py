@@ -131,3 +131,24 @@ def test_only_fg_reaches_extensions_from_sixterm():
               for node in ast.walk(tree) if isinstance(node, ast.Name)
               and node.id in bound and id(node) not in inside]
     assert not found
+
+
+def test_the_pair_complex_evaluates_no_unit_cochains():
+    """``PairComplex.d`` reads D1's Psi-bar rows and D2's obstruction rows
+    off the matrices ``cohomology`` builds from the Lie layout, and the w
+    rows off the Lie d0: it calls no ``cochain_array``, ``cochain_vector``,
+    ``psi_bar_on_cocycle``, ``obstruction_cocycle`` or ``np.eye``, so no
+    stack of unit cochains is evaluated and read back."""
+    tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
+    d = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+             and cls.name == "PairComplex" for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "d")
+    banned = {"cochain_array", "cochain_vector", "psi_bar_on_cocycle",
+              "obstruction_cocycle", "eye"}
+    found = []
+    for node in ast.walk(d):
+        func = node.func if isinstance(node, ast.Call) else None
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in banned:
+            found.append(f"sixterm.py:{node.lineno} calls {name}")
+    assert not found

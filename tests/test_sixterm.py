@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, CohomologyResult, lie_cochain_basis, restricted_cohomology,
+    CochainComplex, CohomologyResult, lie_cochain_basis,
+    lie_obstruction_matrix, lie_psi_bar_matrix, restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import (
     InvariantViolationError, NotACocycleError, UsageError,
 )
 from supercoh.extensions import semidirect_extension, twist_pmap
-from supercoh.gflin import image, nullspace
+from supercoh.gflin import MatGF, image, nullspace
 from supercoh.sixterm import (
     PairComplex, SixTermContext, build_six_term, map_h1_to_semilinear,
     map_h1res_to_h1, map_h2_to_semilinear_h1, map_h2res_to_h2,
@@ -297,6 +298,25 @@ def test_pair_complex_with_module_is_that_of_the_new_module(loaded_catalog):
     for n in (0, 1, 2):
         assert other.d(n) == fresh.d(n), n
     assert restricted_cohomology(other, 2).Z == restricted_cohomology(fresh, 2).Z
+
+
+def test_a_report_builds_psi_bar_and_each_obstruction_once(loaded_catalog):
+    """The Lie complex keeps its Psi-bar and obstruction matrices: D1, D2
+    and the arrows psibar and phi of one context read the same objects,
+    and ``with_module`` starts afresh (a4-borel: x and y even)."""
+    g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
+    ctx = SixTermContext(g, adjoint)
+    psi = lie_psi_bar_matrix(ctx.lie)
+    obs = [lie_obstruction_matrix(ctx.lie, x) for x in g.space.even_indices()]
+    assert len(obs) == 2
+    ctx.space_dims, ctx.phi, map_h1_to_semilinear(ctx)
+    assert lie_psi_bar_matrix(ctx.lie) is psi
+    assert all(lie_obstruction_matrix(ctx.lie, x) is m
+               for x, m in zip(g.space.even_indices(), obs))
+    k = fixture_algebra(loaded_catalog, "a4-borel")[1]
+    other = ctx.lie.with_module(k)
+    assert lie_psi_bar_matrix(other).rows == g.space.n_even * k.dim
+    assert lie_obstruction_matrix(other, 0) is not obs[0]
 
 
 def test_pair_complex_has_three_differentials(loaded_catalog):
@@ -616,16 +636,19 @@ def test_h2s_catches_a_bent_fill(loaded_catalog):
 
 def test_pair_model_catches_a_negated_psi_bar(loaded_catalog, monkeypatch):
     """With -Psi-bar in D1, D2 D1 is not zero on a4-borel with the adjoint
-    module (on the trivial module rho = 0 and the sign goes unseen)."""
+    module (on the trivial module rho = 0 and the sign goes unseen).  D1
+    reads Psi-bar off ``lie_psi_bar_matrix`` as ``sixterm`` imports it."""
     import supercoh.sixterm as sixterm
-    real = sixterm.psi_bar_on_cocycle
+    real = sixterm.lie_psi_bar_matrix
 
-    def negated(lie, h):
-        return -real(lie, h) % lie.g.p
+    def negated(lie):
+        m = real(lie)
+        r, c, v = m.coo()
+        return MatGF.from_terms(m.rows, m.cols, m.p, r, c, -v)
     g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
     lie = CochainComplex(g, adjoint, "lie")
     PairComplex(lie).d(2)
-    monkeypatch.setattr(sixterm, "psi_bar_on_cocycle", negated)
+    monkeypatch.setattr(sixterm, "lie_psi_bar_matrix", negated)
     with pytest.raises(InvariantViolationError, match=r"D\^2 is not zero"):
         PairComplex(lie).d(2)
 

@@ -18,11 +18,13 @@ import pytest
 from supercoh import cli
 from supercoh.algfile import parse_algebra, parse_algebra_dict
 from supercoh.cohomology import CochainComplex, restricted_cohomology
-from supercoh.errors import ValidationError
+from supercoh.errors import NotACocycleError, ValidationError
 from supercoh.extensions import (
-    assoc_2cocycle_from_restricted_ext, psi_image,
-    restricted_ext_from_assoc_2cocycle, semidirect_extension,
+    algebra_ext_from_2cocycle, assoc_2cocycle_from_restricted_ext, psi_image,
+    restricted_ext_from_assoc_2cocycle, restricted_structure_from_lie_2cocycle,
+    semidirect_extension,
 )
+from supercoh.gflin import nullspace
 from supercoh.sixterm import SixTermContext, build_six_term
 from supercoh.superalg import adjoint_module
 
@@ -138,3 +140,36 @@ def test_p3_odd_cube_is_refused(capsys):
         parse_algebra_dict(json.loads(path.read_text()))
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     assert "[y, [y, y]] = 0 fails" in capsys.readouterr().err
+
+
+def test_a_d2_cocycle_off_the_odd_cube_is_not_a_cocycle():
+    """On osp(1|2) at p = 3 with the odd trivial module, d2 kills 2-cochains
+    f that break the odd-cube condition, so E_f would break
+    [Y, [Y, Y]] = 0.  Such an f is not a 2-cocycle of the Lie complex
+    (``CochainComplex.cocycle_rows``): building E_f, or its restricted
+    structure, raises NotACocycleError before the validator sees E_f."""
+    g, rep = _load("osp12", 3, "k-odd")
+    lie = CochainComplex(g, rep, "lie")
+    off = [v for v in nullspace(lie.d(2)).basis_rows
+           if not lie.kernel(2).contains(v)]
+    assert off
+    for build in (algebra_ext_from_2cocycle,
+                  restricted_structure_from_lie_2cocycle):
+        with pytest.raises(NotACocycleError):
+            build(lie, off[0])
+
+
+def test_a_report_builds_the_odd_cube_rows_once(monkeypatch):
+    """osp(1|2) at p = 3 with the odd trivial module has odd-cube rows.  A
+    report reads ``cocycle_rows(2)`` of its Lie complex for the Lie Z^2 and
+    for the pair complex's D2, and builds those rows once."""
+    import supercoh.cohomology as cohomology
+    built = []
+
+    def counted(lie, _real=cohomology.lie_odd_cube_matrix):
+        built.append(_real(lie))
+        return built[-1]
+    monkeypatch.setattr(cohomology, "lie_odd_cube_matrix", counted)
+    g, rep = _load("osp12", 3, "k-odd")
+    build_six_term(g, rep)
+    assert len(built) == 1 and built[0].rows
