@@ -23,7 +23,9 @@ in blocks, each later one as tall as the rows before it, and reduces a
 later block modulo the span so far by one sparse product, so only the rows
 that can still add a pivot reach the dict eliminator: a tall differential
 of rank r costs about r dict rows after its first block, not one per row
-(structured elimination, after LaMacchia and Odlyzko).
+(structured elimination, after LaMacchia and Odlyzko).  Its image is held
+without rows, as m and m[P, Q]^-1, until they are read, and vectors are
+reduced against it through those two matrices.
 """
 
 from __future__ import annotations
@@ -512,9 +514,14 @@ class Subspace:
     are its pivot coordinates, and reducing a vector against the subspace
     is one sparse product.  ``rows`` (a read-only dense array) and
     ``basis_rows`` (tuples of Python ints) are built on each read.
+
+    A subspace may be held without its rows (``RowReduction.image``,
+    ``extend``): its dim and pivots are known at once, ``basis`` is
+    written on first read, and ``reduce``, ``contains`` and ``coords``
+    take a route that needs no rows, whether or not they are written.
     """
 
-    __slots__ = ("ambient_dim", "p", "basis", "pivots")
+    __slots__ = ("ambient_dim", "p", "pivots", "_basis", "_lazy")
 
     def __init__(self, ambient_dim, p, basis_rows, pivots):
         """Raises ``UsageError`` unless ``basis_rows`` (reduced mod p) are in
@@ -536,15 +543,18 @@ class Subspace:
             raise UsageError("basis rows are not in RREF at their pivots")
         self._set(ambient_dim, p, MatGF.from_dense(rows, p), pivots)
 
-    def _set(self, ambient_dim, p, basis, pivots):
-        self.ambient_dim, self.p, self.basis, self.pivots = \
-            ambient_dim, p, basis, tuple(pivots)
+    def _set(self, ambient_dim, p, basis, pivots, lazy=None):
+        self.ambient_dim, self.p, self._basis, self.pivots, self._lazy = \
+            ambient_dim, p, basis, tuple(pivots), lazy
         return self
 
     @classmethod
-    def _rref(cls, ambient_dim, p, basis, pivots):
-        """A subspace from a basis the caller knows to be in RREF."""
-        return cls.__new__(cls)._set(ambient_dim, p, basis, pivots)
+    def _rref(cls, ambient_dim, p, basis, pivots, lazy=None):
+        """A subspace from a basis the caller knows to be in RREF, or, for
+        basis None, from lazy = (write, residue): ``write()`` returns that
+        basis on its first read, and ``residue(v)`` is the residue of an
+        int64 vector v with entries in 0..p-1."""
+        return cls.__new__(cls)._set(ambient_dim, p, basis, pivots, lazy)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim, p):
@@ -585,6 +595,14 @@ class Subspace:
         return len(self.pivots)
 
     @property
+    def basis(self):
+        """The basis as a dim x n ``MatGF``, written on the first read when
+        the subspace is held without it."""
+        if self._basis is None:
+            self._basis = self._lazy[0]()
+        return self._basis
+
+    @property
     def rows(self):
         """The basis as a read-only (dim, n) int64 array."""
         out = self.basis.to_dense()
@@ -604,6 +622,8 @@ class Subspace:
             raise UsageError("vector length mismatch")
         vec = vec % self.p
         cs = vec[list(self.pivots)]
+        if self._lazy:
+            return self._lazy[1](vec), cs
         return (vec - self.basis._vm(cs)) % self.p, cs
 
     def reduce(self, vec):
@@ -656,8 +676,11 @@ class RowReduction:
     m[P, :] of full row rank, and the column space of m is that of
     T = m[:, Q] m[P, Q]^-1.  T[P] = I, and T[j, i] = 0 whenever P_i > j,
     since row j lies in the span of the pivot rows before it.  So T^T is in
-    RREF with pivots P, the canonical basis of the image, and it is written
-    as CSR rows by one sparse product."""
+    RREF with pivots P, the canonical basis of the image.  The image is
+    held as (m, P, V), V = m[P, Q]^-1: its dim and pivots are known at
+    once, its rows are written as CSR rows by one sparse product on their
+    first read, and a vector v reduces to v - T v[P] = v - m (V v[P]),
+    O(nnz m + nnz V), whether or not they are written."""
 
     def __init__(self, m):
         elim = Eliminator(m.cols, m.p)
@@ -706,13 +729,15 @@ class RowReduction:
 
     @functools.cached_property
     def image(self):
-        """Column space of m as a Subspace of GF(p)^rows: the rows of T^T,
-        written by one product T = m V keyed by column."""
-        n, p = self._m.rows, self._m.p
+        """Column space of m as a Subspace of GF(p)^rows with pivots P: its
+        rows, those of T^T, are written on first read by one product
+        T = m V keyed by column, and a vector is reduced through m V."""
+        m, P = self._m, list(self._prows)
         if not self.rank:
-            return Subspace.zero(n, p)
-        return Subspace._rref(n, p, _product(self._m, self._inverse, transposed=True),
-                              self._prows)
+            return Subspace.zero(m.rows, m.p)
+        return Subspace._rref(m.rows, m.p, None, P, (
+            lambda: _product(m, self._inverse, transposed=True),
+            lambda v: (v - m._mv(self._inverse._mv(v[P]))) % m.p))
 
     def solve(self, rhs):
         """Some x with m x = rhs, or None when rhs is outside the image.
@@ -785,6 +810,22 @@ def subspace_sum(a, b):
         _coo(res.basis, at[a.dim:])), sorted(pivots))
 
 
+def extend(B, vectors):
+    """(Z, R) for Z = B + span(vectors): R is the RREF of the vectors'
+    residues modulo B, which is ``quotient_representatives(Z, B)``, as
+    both are the unique RREF basis of {z in Z : z is zero at B's pivots}.
+    Z is B when R is zero; otherwise its pivots are B's and R's, its rows,
+    ``subspace_sum(B, R)``, are written on first read, and a vector is
+    reduced modulo B, then modulo R.  B's rows are never read."""
+    n, p = B.ambient_dim, B.p
+    R = Subspace.from_vectors([B._residue(v)[0] for v in vectors], n, p)
+    if not R.dim:
+        return B, R
+    return Subspace._rref(n, p, None, sorted(B.pivots + R.pivots), (
+        lambda: subspace_sum(B, R).basis,
+        lambda v: R._residue(B._residue(v)[0])[0])), R
+
+
 def subspace_intersect(a, b):
     """Intersection, via the kernel of the stacked-basis relation matrix."""
     _check_pair(a, b)
@@ -822,7 +863,7 @@ def quotient_representatives(Z, B):
     _check_pair(Z, B)
     if not B.dim:
         return Z
-    if Z == B:
+    if Z is B or Z == B:  # the first test reads no rows
         return Subspace.zero(Z.ambient_dim, Z.p)
     bpiv = set(B.pivots)
     if not bpiv <= set(Z.pivots) or _terms(

@@ -32,7 +32,7 @@ from .cohomology import (
 )
 from .errors import InvariantViolationError, NotACocycleError, UsageError
 from .gflin import (
-    MatGF, RowReduction, Subspace, image, nullspace,
+    MatGF, RowReduction, Subspace, extend, image, nullspace,
     quotient_representatives, subspace_sum,
 )
 from .superalg import (
@@ -61,9 +61,12 @@ class SixTermContext:
     cocycles of the canonical representatives of the pair complex's Z^2
     modulo its B^2 and fg's pair image, the pairs (0, -sigma).  Every
     cocycle is checked by ``is_bar_2cocycle``, so the bar d2 is never
-    assembled, and dim Z^2_* - dim B^2_* must equal that of the pair
-    complex's H^2_*, so Z^2_* is the kernel of d2 and the canonical
-    representatives are those of ``restricted_cohomology(bar, 2)``.
+    assembled.  The representatives R are the RREF of the residues of
+    these cocycles modulo B^2_* (``gflin.extend``), reduced through the
+    bar d1 and its m[P, Q]^-1, so a report never writes the rows of B^2_*
+    or Z^2_*; they are written only if read.  dim R must equal that of
+    the pair complex's H^2_*, so Z^2_* is the kernel of d2 and R is the
+    canonical representatives of ``restricted_cohomology(bar, 2)``.
     """
 
     def __init__(self, g, rep):
@@ -111,13 +114,12 @@ class SixTermContext:
             fg_pairs, pair.Z.ambient_dim, p))
         fills = [self.pair_fill(vec) for vec in
                  quotient_representatives(pair.Z, rest).rows]
-        Z = subspace_sum(B, Subspace.from_vectors(
-            list(self.fg_cocycles) + fills, B.ambient_dim, p))
-        if Z.dim - B.dim != pair.dim_h:
+        Z, R = extend(B, list(self.fg_cocycles) + fills)
+        if R.dim != pair.dim_h:
             raise InvariantViolationError(
-                f"fg cocycles and pair-class fills span {Z.dim - B.dim} "
+                f"fg cocycles and pair-class fills span {R.dim} "
                 f"classes of H^2_*, the pair model gives {pair.dim_h}")
-        return CohomologyResult.quotient(2, "restricted", Z, B)
+        return CohomologyResult(2, "restricted", B.ambient_dim, Z, B, R)
 
     def pair_fill(self, vec):
         """The bar 2-cocycle, as a tuple of coordinates, of the restricted

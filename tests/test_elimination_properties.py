@@ -25,7 +25,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from supercoh.cohomology import CohomologyResult  # noqa: E402
 from supercoh.errors import UsageError  # noqa: E402
 from supercoh.gflin import (  # noqa: E402
-    Eliminator, MatGF, RowReduction, Subspace, image, nullspace,
+    Eliminator, MatGF, RowReduction, Subspace, extend, image, nullspace,
     quotient_representatives, rref, solve, subspace_sum,
 )
 
@@ -498,3 +498,71 @@ def test_csr_subspaces_match_the_dense_oracle(case, rnd):
         assert list(R.pivots) == want[1]
         same = Subspace(n, p, want[0], want[1])
         assert R == same and hash(R) == hash(same)
+
+
+def _image_case(shape, p, rng):
+    """A random matrix of one shape: tall (past the reduction's first
+    block), wide, rank-deficient (a product through 3 columns), zero or
+    of full rank (unit upper triangular)."""
+    if shape == "tall":
+        a = rng.integers(0, p, (150, 7)) * (rng.random((150, 7)) < .4)
+    elif shape == "wide":
+        a = rng.integers(0, p, (5, 30)) * (rng.random((5, 30)) < .5)
+    elif shape == "rank-deficient":
+        a = rng.integers(0, p, (40, 3)) @ rng.integers(0, p, (3, 12))
+    elif shape == "zero":
+        a = np.zeros((6, 5), dtype=np.int64)
+    else:
+        a = np.triu(rng.integers(0, p, (9, 9)), 1) + np.eye(9, dtype=np.int64)
+    return MatGF.from_dense(a % p, p)
+
+
+IMAGE_SHAPES = ("tall", "wide", "rank-deficient", "zero", "full rank")
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("shape", IMAGE_SHAPES)
+def test_image_reads_the_same_before_and_after_its_rows_are_written(shape, p):
+    """``RowReduction.image`` knows its dim and pivots before its rows are
+    written; ``reduce``, ``contains`` and ``coords``, which go through m
+    and m[P, Q]^-1, give the same results before and after the write and
+    agree with the span of m's columns (``oracles.image_by_columns``),
+    whose rows the write gives."""
+    rng = np.random.default_rng([p, IMAGE_SHAPES.index(shape)])
+    m = _image_case(shape, p, rng)
+    red = RowReduction(m)
+    img, want = red.image, image_by_columns(m)
+    assert (img.dim, img.pivots) == (want.dim, want.pivots) == (
+        red.rank, red._prows)
+    if img.dim:
+        assert img._basis is None
+    probes = [rng.integers(0, p, m.rows) for _ in range(6)]
+    probes += [np.array(m.matvec(rng.integers(0, p, m.cols).tolist()))
+               for _ in range(3)]
+    before = [(img.reduce(v), img.contains(v), img.coords(v)) for v in probes]
+    assert before == [(want.reduce(v), want.contains(v), want.coords(v))
+                      for v in probes]
+    assert img.basis == want.basis and img == want and hash(img) == hash(want)
+    assert before == [(img.reduce(v), img.contains(v), img.coords(v))
+                      for v in probes]
+    assert all(c for v, (_, c, _) in zip(probes[6:], before[6:]))
+
+
+@PROPS
+@given(subspace_cases())
+def test_extend_gives_the_quotient_representatives(case):
+    """``extend(B, vectors)`` gives R = quotient_representatives(Z, B) for
+    Z = B + span(vectors), and a Z whose pivots, rows and reductions are
+    those of ``subspace_sum``, for B written or held as an image."""
+    p, n, _, zvecs, bvecs, probes = case
+    written = Subspace.from_vectors(bvecs, n, p)
+    held = RowReduction(MatGF.from_dense(np.array(
+        bvecs, dtype=np.int64).reshape(len(bvecs), n).T, p)).image
+    for B in (written, held):
+        Z, R = extend(B, zvecs)
+        want = subspace_sum(B, Subspace.from_vectors(zvecs, n, p))
+        assert (Z.dim, Z.pivots) == (want.dim, want.pivots)
+        assert [Z.reduce(v) for v in probes] == [want.reduce(v) for v in probes]
+        assert Z == want and R == quotient_representatives(want, B)
+        assert (Z is B) == (R.dim == 0)
+    assert held == written

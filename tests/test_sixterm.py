@@ -13,7 +13,9 @@ from supercoh.errors import (
     InvariantViolationError, NotACocycleError, UsageError,
 )
 from supercoh.extensions import semidirect_extension, twist_pmap
-from supercoh.gflin import MatGF, image, nullspace
+from supercoh.gflin import (
+    MatGF, Subspace, image, nullspace, quotient_representatives, subspace_sum,
+)
 from supercoh.sixterm import (
     PairComplex, SixTermContext, build_six_term, map_h1_to_semilinear,
     map_h1res_to_h1, map_h2_to_semilinear_h1, map_h2res_to_h2,
@@ -745,6 +747,80 @@ def test_report_holds_im_bar_d1_by_its_nonzeros(loaded_catalog):
     assert (B.dim, B.ambient_dim, basis.nnz) == (79, 6400, 5244)
     held = basis.indptr.nbytes + basis.indices.nbytes + basis.data.nbytes
     assert held == 8 * (B.dim + 1 + 2 * basis.nnz) < B.dim * B.ambient_dim
+
+
+def _record_contexts(monkeypatch):
+    """Record every ``SixTermContext`` built, in order."""
+    made = []
+
+    def recorded(ctx, g, rep, _real=SixTermContext.__init__):
+        _real(ctx, g, rep)
+        made.append(ctx)
+    monkeypatch.setattr(SixTermContext, "__init__", recorded)
+    return made
+
+
+def test_a_report_writes_no_im_bar_d1(loaded_catalog, sl2_p5_adjoint,
+                                      monkeypatch):
+    """A report reduces its cocycles against Im(bar d1) through the bar d1
+    and its m[P, Q]^-1 and never writes the image's rows, the product
+    T = m V of the bar d1: not on the 15 catalog pairs, semidirect4's E
+    (a4-borel-adjoint |x adjoint, trivial M), a4-borel-adjoint at p = 7
+    with adjoint M, or sl2 at p = 5 with adjoint M.  The images of the
+    Lie complex are still written, so the spy sees image writes."""
+    import supercoh.gflin as gflin
+    from supercoh.algfile import parse_algebra_dict
+    written = []
+
+    def spy(a, b, transposed=False, _real=gflin._product):
+        if transposed:
+            written.append(a)
+        return _real(a, b, transposed)
+    monkeypatch.setattr(gflin, "_product", spy)
+    made = _record_contexts(monkeypatch)
+    inputs = [(entry_id, g, modules[e.module_name])
+              for entry_id, (e, g, modules) in loaded_catalog.items()]
+    e, g, modules = loaded_catalog["a4-borel-adjoint"]
+    E, _ = semidirect(g, modules["adjoint"])
+    g7, modules7, _ = parse_algebra_dict(dict(e.data, p=7))
+    inputs += [("semidirect4", E, trivial_module(E)),
+               ("borel-adjoint-p7", g7, modules7["adjoint"]),
+               ("sl2-p5-adjoint", *sl2_p5_adjoint)]
+    assert len(inputs) == 18
+    lie_writes = 0
+    for name, g, rep in inputs:
+        made.clear()
+        written.clear()
+        assert build_six_term(g, rep).all_exact, name
+        bar_d1 = made[0].bar.d(1)
+        assert not [a for a in written if a is bar_d1], name
+        lie_writes += len(written)
+    assert lie_writes
+
+
+def test_h2s_of_a_tall_bar_d1_from_residues(sl2_p5_adjoint, monkeypatch):
+    """sl2 at p = 5 with the trivial module: the bar d1 is 15376 x 124 and
+    H^2_* has three classes, all from fg, so R is read off the residues of
+    three cocycles modulo an image of 124 rows that the report never writes
+    (the tallest catalog d1 with residues is a9-borel-semidirect's
+    676 x 26).  R is quotient_representatives(subspace_sum(B, span of
+    the fg cocycles and fills), B) computed from written rows, the lazy
+    Z^2_* is that sum, and the report is exact."""
+    fills = record_fills(monkeypatch)
+    made = _record_contexts(monkeypatch)
+    g, _ = sl2_p5_adjoint
+    report = build_six_term(g, trivial_module(g))
+    assert report.dims == (0, 0, 3, 3, 0, 0) and report.all_exact
+    ctx = made[0]
+    h2s = ctx.h2s
+    d1 = ctx.bar.d(1)
+    assert (d1.rows, d1.cols, h2s.B.dim, len(fills)) == (15376, 124, 124, 0)
+    assert (h2s.B._basis, h2s.Z._basis) == (None, None)
+    B, n = h2s.B, h2s.cochain_dim
+    vecs = list(ctx.fg_cocycles) + [fill for _, fill in fills]
+    Z = subspace_sum(B, Subspace.from_vectors(vecs, n, ctx.p))
+    assert h2s.R == quotient_representatives(Z, B)
+    assert (h2s.Z.dim, h2s.Z.pivots) == (Z.dim, Z.pivots) and h2s.Z == Z
 
 
 def test_report_summary_and_sizes(loaded_catalog):
