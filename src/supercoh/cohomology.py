@@ -39,6 +39,24 @@ __all__ = [
 ]
 
 
+def _kept(build):
+    """Keep what ``build(cx, *args)`` returns in the store of the complex cx,
+    keyed by build's name and args: each object a complex derives is built
+    on its first use and read back after.  ``functools.wraps`` keeps
+    build's name and module on the wrapper."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def kept(cx, *args):
+        key = (name, *args)
+        try:
+            return cx._store[key]
+        except KeyError:
+            out = cx._store[key] = build(cx, *args)
+            return out
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # canonicalization of argument tuples
 # ---------------------------------------------------------------------------
@@ -232,6 +250,7 @@ def lie_odd_cube_matrix(lie):
         (row, cols[b, c, nu], act[a, mu, nu] * signs[b, c, nu])])
 
 
+@_kept
 def lie_psi_bar_matrix(lie):
     """Psi-bar of the Lie complex ``lie`` as a matrix from C^1 to
     M^{n_even}, row t dim M + m the m-th coordinate of the value at the
@@ -241,20 +260,19 @@ def lie_psi_bar_matrix(lie):
 
     the kernel p-map term vanishing since M is strongly abelian.  Its two
     term families, rho(x_t)^{p-1}_{mn} h(x_t)_n and -(x_t^[p])_c h(x_c)_m,
-    are read off the degree-1 layout.  Built once per complex."""
+    are read off the degree-1 layout.  Kept by the complex."""
     lie.require("lie")
-    if "Psi-bar" in lie._mats:
-        return lie._mats["Psi-bar"]
     g, rep, p = lie.g, lie.rep, lie.g.p
     (cols, signs, _), D, terms = lie._layout(1), rep.dim, []
     for t, x in enumerate(g.space.even_indices()):  # axes (m, n), (m, c)
         row = t * D + np.arange(D)[:, None]
         terms += [(row, cols[x], matpow(rep.mats[x], p - 1, p) * signs[x]),
                   (row, cols.T, -g.pmap_basis(x) * signs.T)]
-    return lie._mats.setdefault("Psi-bar", _term_matrix(
-        g.space.n_even * D, lie.basis(1).dim, p, "Psi-bar", terms))
+    return _term_matrix(g.space.n_even * D, lie.basis(1).dim, p, "Psi-bar",
+                        terms)
 
 
+@_kept
 def lie_obstruction_matrix(lie, x):
     """The obstruction of the Lie complex ``lie`` at an even basis element
     x as a matrix from C^2 to C^1: f goes to the 1-cochain
@@ -266,11 +284,9 @@ def lie_obstruction_matrix(lie, x):
     op = sum_i ((ad x)^{p-1-i})_cb (rho(x)^i)_mn and (x^[p])_c f(b, c)_m,
     land on the coordinate of (b, m) and are read off the degree-1 and
     degree-2 layouts.  Raises InvariantViolationError if a term lands
-    where parity allows no 1-cochain coordinate.  Built once per complex
-    and x."""
+    where parity allows no 1-cochain coordinate.  Kept by the complex, one
+    per x."""
     lie.require("lie")
-    if ("obstruction", x) in lie._mats:
-        return lie._mats["obstruction", x]
     g, rep, p = lie.g, lie.rep, lie.g.p
     cols1, cols2, signs2 = lie._layout(1)[0], *lie._layout(2)[:2]
     ads = [np.eye(g.dim, dtype=np.int64)]  # (ad x)^i, then rho(x)^i
@@ -280,10 +296,9 @@ def lie_obstruction_matrix(lie, x):
         rhos.append(rhos[-1] @ rep.mats[x] % p)
     op = np.einsum("icb,imn->cnbm", ads[::-1], rhos)
     # axes (c, n, b, m) and (b, c, m)
-    m = _term_matrix(lie.basis(1).dim, lie.basis(2).dim, p, "obstruction", [
+    return _term_matrix(lie.basis(1).dim, lie.basis(2).dim, p, "obstruction", [
         (cols1, cols2[x, :, :, None, None], op * signs2[x, :, :, None, None]),
         (cols1[:, None], cols2, g.pmap_basis(x)[:, None] * signs2)])
-    return lie._mats.setdefault(("obstruction", x), m)
 
 
 def _term_matrix(nrows, ncols, p, what, families):
@@ -540,18 +555,19 @@ def _blocks(d, own):
 
 class CochainComplex:
     """The Lie (``kind="lie"``) or bar (``kind="bar"``) cochain complex of
-    (g, M).  Each degree's basis, differential d_n : C^n -> C^{n+1} and
-    ``RowReduction`` of d_n is built on first use and kept for the life of
-    the object, so everything read off one complex shares them: Ker d_n
-    and Im d_n come from one elimination of d_n's rows.  So are the Lie
-    kind's ``cocycle_rows(2)``, ``lie_psi_bar_matrix`` and
-    ``lie_obstruction_matrix``.  The complex owns
-    the layout of its cochains: ``cochain_array`` and ``cochain_vector`` go
-    between coordinates and values, for stacks of cochains too, and the
-    Lie d_n (``lie_differential_matrix``) reads its terms off the degree-n
-    layout.  The bar kind owns the restricted enveloping algebra u(g) its
-    cochains live on, and ``with_module`` gives the bar complex of another
-    module on the same u(g)."""
+    (g, M).  A complex keeps, in one store, every object it derives from
+    (g, M): the basis, differential d_n : C^n -> C^{n+1} and
+    ``RowReduction`` of each degree, so Ker d_n and Im d_n come from one
+    elimination of d_n's rows, the cochain layouts, the bar parity lookups
+    and seed plan, and the Lie kind's ``cocycle_rows(2)``,
+    ``lie_psi_bar_matrix`` and ``lie_obstruction_matrix``; ``with_module``
+    keeps only u(g)'s seed plan.  The complex owns the layout of its
+    cochains: ``cochain_array`` and ``cochain_vector`` go between
+    coordinates and values, for stacks of cochains too, and the Lie d_n
+    (``lie_differential_matrix``) reads its terms off the degree-n layout.
+    The bar kind owns the restricted enveloping algebra u(g) its cochains
+    live on, and ``with_module`` gives the bar complex of another module on
+    the same u(g)."""
 
     def __init__(self, g, rep, kind):
         if kind not in ("lie", "bar"):
@@ -560,61 +576,52 @@ class CochainComplex:
         self.rep = rep
         self.kind = kind
         self.ualg = UAlgebra(g, restricted=True) if kind == "bar" else None
-        self._bases = {}
-        self._diffs = {}
-        self._reductions = {}
-        self._lookups = {}
-        self._layouts = {}
-        self._mats = {}  # Lie kind: cocycle_rows(2), Psi-bar, obstructions
-        self._plan = []  # shared with with_module's copies
+        self._store = {}  # filled by ``_kept``
 
     def with_module(self, rep):
         """The complex of the same kind of (g, rep), another module of g.
         A bar complex keeps this one's u(g), with its aug basis and product
-        table, instead of straightening them again, and shares the seed
+        table, instead of straightening them again, and hands on the seed
         plan of ``cocycle_from_seeds``, which depends on u(g) only."""
         if rep.g is not self.g:
             raise UsageError("the module is not one of this complex's g")
         cx = copy.copy(self)
-        cx.rep, cx._bases, cx._diffs, cx._reductions, cx._lookups = \
-            rep, {}, {}, {}, {}
-        cx._layouts, cx._mats = {}, {}
+        cx.rep = rep
+        cx._store = ({} if self.ualg is None else
+                     {("_seed_plan",): self._seed_plan()})
         return cx
 
+    @_kept
     def basis(self, n):
-        if n not in self._bases:
-            self._bases[n] = (lie_cochain_basis(self.g, self.rep.space, n)
-                              if self.ualg is None else
-                              assoc_cochain_basis(self.ualg, self.rep.space, n))
-        return self._bases[n]
+        return (lie_cochain_basis(self.g, self.rep.space, n)
+                if self.ualg is None else
+                assoc_cochain_basis(self.ualg, self.rep.space, n))
 
+    @_kept
     def d(self, n):
-        if n not in self._diffs:
-            self._diffs[n] = (lie_differential_matrix(self, n)
-                              if self.ualg is None else
-                              assoc_differential_matrix(self.ualg, self.rep, n,
-                                                        self.parity_lookup))
-        return self._diffs[n]
+        return self._differential(n)
 
+    def _differential(self, n):
+        """d_n as built; ``d`` keeps it."""
+        return (lie_differential_matrix(self, n) if self.ualg is None else
+                assoc_differential_matrix(self.ualg, self.rep, n,
+                                          self.parity_lookup))
+
+    @_kept
     def _reduction(self, n):
-        if n not in self._reductions:
-            self._reductions[n] = RowReduction(self.cocycle_rows(n))
-        return self._reductions[n]
+        return RowReduction(self.cocycle_rows(n))
 
+    @_kept
     def cocycle_rows(self, n):
         """The matrix whose kernel is Z^n: d_n, with the odd-cube rows
         (``lie_odd_cube_matrix``) stacked under it for the Lie kind at
-        n = 2, and d_n itself where there are none.  The stack is built
-        once per complex."""
+        n = 2, and d_n itself where there are none."""
         d = self.d(n)
         if n != 2 or self.kind != "lie":
             return d
-        if "cocycle" not in self._mats:
-            r3, c3, v3 = (cube := lie_odd_cube_matrix(self)).coo()
-            self._mats["cocycle"] = _term_matrix(
-                d.rows + cube.rows, d.cols, self.g.p, "cocycle",
-                [d.coo(), (d.rows + r3, c3, v3)]) if cube.rows else d
-        return self._mats["cocycle"]
+        r3, c3, v3 = (cube := lie_odd_cube_matrix(self)).coo()
+        return _term_matrix(d.rows + cube.rows, d.cols, self.g.p, "cocycle",
+                            [d.coo(), (d.rows + r3, c3, v3)]) if cube.rows else d
 
     def kernel(self, n):
         """Ker d_n, the n-cocycles (with the odd-cube condition at n = 2,
@@ -633,13 +640,12 @@ class CochainComplex:
                 self.g is not of.g or self.rep is not of.rep):
             raise UsageError(f"not the {kind} complex of this (g, M)")
 
+    @_kept
     def parity_lookup(self, n):
         """Basis index of every degree-n bar cochain key, -1 for odd ones
-        (see ``assoc_differential_matrix``), built once per degree."""
+        (see ``assoc_differential_matrix``)."""
         self.require("bar")
-        if n not in self._lookups:
-            self._lookups[n] = _bar_lookup(self.ualg, self.rep, n)
-        return self._lookups[n]
+        return _bar_lookup(self.ualg, self.rep, n)
 
     def aug_power(self, i, e):
         """Index in the aug basis of u(g) of x_i^e, for basis index i of g."""
@@ -647,8 +653,9 @@ class CochainComplex:
         mono[self.ualg.pos_of[i]] = e
         return self.ualg.aug_index()[tuple(mono)]
 
+    @_kept
     def _layout(self, n):
-        """(cols, signs, canon) of the degree-n cochains, built once.  For
+        """(cols, signs, canon) of the degree-n cochains.  For
         arguments (s_1..s_n) and a value coordinate mu, the unit cochain of
         coordinate cols[s_1..s_n, mu] takes the value signs[s_1..s_n, mu]
         there, and no other unit cochain is nonzero; cols is -1 and signs 0
@@ -657,8 +664,6 @@ class CochainComplex:
         g's basis, signs are 1 or p - 1, and both are read off
         ``eval_lie_cochain`` of the unit cochains, one call per tuple.  Bar
         kind: the s_i run over the aug basis and cols is ``parity_lookup``."""
-        if n in self._layouts:
-            return self._layouts[n]
         D = self.rep.dim
         if self.kind == "bar":
             A = len(self.ualg.aug_basis())
@@ -676,9 +681,8 @@ class CochainComplex:
                             -1).reshape(shape)
             signs = vals.sum(axis=1).reshape(shape)
         at = np.flatnonzero(signs == 1)
-        self._layouts[n] = (cols, signs, at[np.unique(
-            cols.ravel()[at], return_index=True)[1]])
-        return self._layouts[n]
+        return cols, signs, at[np.unique(cols.ravel()[at],
+                                         return_index=True)[1]]
 
     def cochain_array(self, vec, n=2):
         """The values, reduced mod p, of the degree-n cochain with
@@ -741,13 +745,10 @@ class CochainComplex:
                 raise InvariantViolationError(
                     f"{what} misreads the p-map on {idx}")
 
+    @_kept
     def _seed_plan(self):
-        # depends on u(g) only, so one complex and its with_module copies
-        # hold it in one list
         self.require("bar")
-        if not self._plan:
-            self._plan.append(_bar_seed_plan(self.ualg))
-        return self._plan[0]
+        return _bar_seed_plan(self.ualg)
 
     def seed_positions(self):
         """The seed entries of ``cocycle_from_seeds`` as (x, v) pairs of aug
@@ -840,8 +841,9 @@ class CohomologyResult:
         """Coordinates of the class of a cocycle in the representative basis.
 
         One reduction suffices: Z = B (+) R with R zero at B's pivots, so the
-        residue of vec modulo B lies in R exactly when vec lies in Z."""
-        coords = self.R.coords(self.B.reduce(vec))
+        residue of vec modulo B lies in R exactly when vec lies in Z.  The
+        residue stays an array from B to R."""
+        coords = self.R.coords(self.B._residue(vec)[0])
         if coords is None:
             raise UsageError("vector is not a cocycle")
         return coords

@@ -250,10 +250,17 @@ def map_h1res_to_h1(ctx):
     (the degree-1 comparison map), read off in H^1 class coordinates.
     Injective by construction of the restricted complex; injectivity is
     asserted downstream, not here."""
-    comp = comparison_matrix(ctx.bar, ctx.lie, 1)
-    cols = [ctx.h1.class_coords(comp.matvec(repvec))
-            for repvec in ctx.h1s.representatives]
-    return MatGF.from_columns(cols, ctx.h1.dim_h, ctx.p)
+    return _restriction(ctx, 1, ctx.h1s, ctx.h1)
+
+
+def _restriction(ctx, n, restricted, ordinary):
+    """The degree-n arrow H^n_* -> H^n: the comparison map
+    (``comparison_matrix``) applied to each representative of
+    ``restricted``, read off in the class coordinates of ``ordinary``."""
+    comp = comparison_matrix(ctx.bar, ctx.lie, n)
+    cols = [ordinary.class_coords(comp.matvec(repvec))
+            for repvec in restricted.R.rows]
+    return MatGF.from_columns(cols, ordinary.dim_h, ctx.p)
 
 
 def psi_bar_on_cocycle(lie, h):
@@ -292,12 +299,7 @@ def map_semilinear_to_h2res(ctx):
 def map_h2res_to_h2(ctx):
     """Antisymmetrized restriction of bar 2-cocycle representatives to
     g (x) g, in H^2 class coordinates."""
-    comp = comparison_matrix(ctx.bar, ctx.lie, 2)
-    cols = []
-    for repvec in ctx.h2s.representatives:
-        lievec = comp.matvec(repvec)
-        cols.append(ctx.h2.class_coords(lievec))
-    return MatGF.from_columns(cols, ctx.h2.dim_h, ctx.p)
+    return _restriction(ctx, 2, ctx.h2s, ctx.h2)
 
 
 def obstruction_cocycle(lie, f, x_idx):
@@ -363,34 +365,44 @@ class PairComplex(CochainComplex):
     the f part of D2's rows for x_t is ``lie_obstruction_matrix(lie, x_t)``,
     both read off the Lie layout.  The w_t part is d0: the 1-cochain
     z -> rho(z) w_t is d0 of the even part of w_t (rho(z) is even, so an
-    odd coordinate of w_t meets no row of matching parity).  D1 and D2 are
-    built together and raise InvariantViolationError unless D1 d0 = 0 and
-    D2 D1 = 0."""
+    odd coordinate of w_t meets no row of matching parity).  D1 raises
+    InvariantViolationError unless D1 d0 = 0, and D2 unless D2 D1 = 0.
+    The pair complex keeps D1, D2 and their reductions in its own store;
+    like the Lie complex it has no seed plan, so ``with_module`` keeps
+    nothing."""
 
     def __init__(self, lie):
         lie.require("lie")
         super().__init__(lie.g, lie.rep, "lie")
-        self.kind, self.lie, self._bases = "pair", lie, lie._bases
+        self.kind, self.lie = "pair", lie
 
     def with_module(self, rep):
         """The pair complex on the Lie complex of (g, rep)."""
         return PairComplex(self.lie.with_module(rep))
 
+    def basis(self, n):
+        return self.lie.basis(n)
+
     def _reduction(self, n):
         return self.lie._reduction(0) if n == 0 else super()._reduction(n)
 
-    def d(self, n):
+    def _differential(self, n):
         if n not in (0, 1, 2):
             raise UsageError("the pair complex has d0, D1 and D2 only")
-        if self._diffs:
-            return self._diffs[n]
         lie, g, rep, p = self.lie, self.g, self.rep, self.g.p
+        if n == 0:
+            return lie.d(0)
         n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
         evens = g.space.even_indices()
         ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
-        (r, c, v), (w, h, psi) = lie.d(1).coo(), lie_psi_bar_matrix(lie).coo()
-        D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
-                              np.r_[v, psi])
+        if n == 1:
+            r, c, v = lie.d(1).coo()
+            w, h, psi = lie_psi_bar_matrix(lie).coo()
+            D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
+                                  np.r_[v, psi])
+            if not D1.matmul(lie.d(0)).is_zero():
+                raise InvariantViolationError("the pair model's D^2 is not zero")
+            return D1
         # D2 is d2 and the odd-cube rows over the rows of the w conditions:
         # per x_t, one row per C^1 coordinate z, then one per odd
         # coordinate of w_t
@@ -411,10 +423,9 @@ class PairComplex(CochainComplex):
             nrows += n1 + odd_m.size
         D2 = MatGF.from_terms(nrows, ncols, p,
                               *(np.concatenate(x) for x in zip(*parts)))
-        if not (D1.matmul(lie.d(0)).is_zero() and D2.matmul(D1).is_zero()):
+        if not D2.matmul(self.d(1)).is_zero():
             raise InvariantViolationError("the pair model's D^2 is not zero")
-        self._diffs.update({0: lie.d(0), 1: D1, 2: D2})
-        return self._diffs[n]
+        return D2
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ additivity rule, never stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -516,43 +517,42 @@ class SumLayout:
     g_space: SuperSpace
     m_space: SuperSpace
 
-    def _dims(self):
-        return (self.g_space.n_even, self.m_space.n_even,
-                self.g_space.n_odd, self.m_space.n_odd)
+    @functools.cached_property
+    def _index(self):
+        """(g_e, m_e, kind, source), read-only: the E indices of g's basis and
+        of M's basis, and for each E index its summand, 'g' or 'm', and its
+        basis index there."""
+        ge, me, go = (self.g_space.n_even, self.m_space.n_even,
+                      self.g_space.n_odd)
+        g_e = np.r_[0:ge, ge + me:ge + me + go].astype(np.int64)
+        m_e = np.r_[ge:ge + me, ge + me + go:self.dim].astype(np.int64)
+        kind = np.full(self.dim, "g")
+        kind[m_e] = "m"
+        source = np.empty(self.dim, dtype=np.int64)
+        source[g_e], source[m_e] = np.arange(g_e.size), np.arange(m_e.size)
+        for a in (g_e, m_e, kind, source):
+            a.setflags(write=False)
+        return g_e, m_e, kind, source
 
     @property
     def dim(self):
         return self.g_space.dim + self.m_space.dim
 
     def g_to_e(self, i):
-        ge, me, _, _ = self._dims()
-        if i < ge:
-            return i
-        return ge + me + (i - ge)
+        return int(self._index[0][i])
 
     def m_to_e(self, j):
-        ge, me, go, _ = self._dims()
-        if j < me:
-            return ge + j
-        return ge + me + go + (j - me)
+        return int(self._index[1][j])
 
     def e_source(self, e):
         """('g', i) or ('m', j) for an E index."""
-        ge, me, go, _ = self._dims()
-        if e < ge:
-            return ("g", e)
-        if e < ge + me:
-            return ("m", e - ge)
-        if e < ge + me + go:
-            return ("g", ge + (e - ge - me))
-        return ("m", me + (e - ge - me - go))
+        _, _, kind, source = self._index
+        return str(kind[e]), int(source[e])
 
     def positions(self):
-        """The E indices of g's basis and of M's basis, as int64 arrays."""
-        return (np.array([self.g_to_e(i) for i in range(self.g_space.dim)],
-                         dtype=np.int64).reshape(-1),
-                np.array([self.m_to_e(j) for j in range(self.m_space.dim)],
-                         dtype=np.int64).reshape(-1))
+        """The E indices of g's basis and of M's basis, as read-only int64
+        arrays."""
+        return self._index[:2]
 
     def space(self):
         gnames = set(self.g_space.names)
@@ -571,31 +571,19 @@ class SumLayout:
 
     def embed_g(self, gvec):
         out = np.zeros(self.dim, dtype=np.int64)
-        for i, c in enumerate(gvec):
-            out[self.g_to_e(i)] = c
+        out[self._index[0]] = gvec
         return out
 
     def embed_m(self, mvec):
         out = np.zeros(self.dim, dtype=np.int64)
-        for j, c in enumerate(mvec):
-            out[self.m_to_e(j)] = c
+        out[self._index[1]] = mvec
         return out
 
     def project_g(self, evec):
-        out = np.zeros(self.g_space.dim, dtype=np.int64)
-        for e, c in enumerate(evec):
-            kind, idx = self.e_source(e)
-            if kind == "g":
-                out[idx] = c
-        return out
+        return np.asarray(evec, dtype=np.int64)[self._index[0]]
 
     def project_m(self, evec):
-        out = np.zeros(self.m_space.dim, dtype=np.int64)
-        for e, c in enumerate(evec):
-            kind, idx = self.e_source(e)
-            if kind == "m":
-                out[idx] = c
-        return out
+        return np.asarray(evec, dtype=np.int64)[self._index[1]]
 
 
 def semidirect(g, rep):

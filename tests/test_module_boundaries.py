@@ -134,7 +134,8 @@ def test_only_fg_reaches_extensions_from_sixterm():
 
 
 def test_the_pair_complex_evaluates_no_unit_cochains():
-    """``PairComplex.d`` reads D1's Psi-bar rows and D2's obstruction rows
+    """``PairComplex._differential``, which builds the differentials that
+    ``d`` keeps, reads D1's Psi-bar rows and D2's obstruction rows
     off the matrices ``cohomology`` builds from the Lie layout, and the w
     rows off the Lie d0: it calls no ``cochain_array``, ``cochain_vector``,
     ``psi_bar_on_cocycle``, ``obstruction_cocycle`` or ``np.eye``, so no
@@ -142,7 +143,7 @@ def test_the_pair_complex_evaluates_no_unit_cochains():
     tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
     d = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)
              and cls.name == "PairComplex" for fn in cls.body
-             if isinstance(fn, ast.FunctionDef) and fn.name == "d")
+             if isinstance(fn, ast.FunctionDef) and fn.name == "_differential")
     banned = {"cochain_array", "cochain_vector", "psi_bar_on_cocycle",
               "obstruction_cocycle", "eye"}
     found = []
