@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import InvariantViolationError, UsageError
 from .gflin import (
     MatGF, RowReduction, Subspace, index_runs, matpow, quotient_representatives
 )
-from .superalg import EVEN, ODD
+from .superalg import EVEN, ODD, basis_torus
 
 __all__ = [
     "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
@@ -329,17 +329,21 @@ def assoc_differential_matrix(ualg, rep, n, lookup=None):
     A cochain (s_1..s_k, mu) is addressed by the mixed-radix key
     ((s_1 A + s_2) A + ...) dim M + mu, with A = |aug|.  Keys increase in
     the order of ``assoc_cochain_basis``, so a parity lookup array (key ->
-    basis index, -1 for an odd cochain) numbers rows and columns without
-    building either basis; ``lookup(k)`` gives that array for degree k (a
-    ``CochainComplex`` passes its ``parity_lookup``, which builds each
-    degree once), and without it both are built here.  Each term family is
-    emitted for all rows at once, by broadcasting the action matrices and
-    the aug x aug product table over the untouched prefix and suffix
-    arguments; ``MatGF.from_terms`` sums repeated (row, col) pairs mod p.
+    basis index, -1 for a cochain outside the complex: an odd one, or on a
+    weight-zero complex one of nonzero weight) numbers rows and columns
+    without building either basis; ``lookup(k)`` gives that array for
+    degree k (a ``CochainComplex`` passes its ``parity_lookup``, which
+    builds each degree once), and without it the full ones are built
+    here.  Each term family is emitted for all rows at once, by
+    broadcasting the action matrices and the aug x aug product table over
+    the untouched prefix and suffix arguments; ``MatGF.from_terms`` sums
+    repeated (row, col) pairs mod p.
 
     Products of augmentation-ideal elements stay in the ideal; a unit
     component in a straightened product would be a bug and raises, and so
-    does a term from an even row that lands on an odd cochain.
+    does a term from a row of the complex that lands on a cochain outside
+    it: on a weight-zero complex that checks that d preserves the weight
+    (``CochainComplex.weight_zero``).
     """
     p = ualg.p
     aug = ualg.aug_basis()
@@ -357,7 +361,8 @@ def assoc_differential_matrix(ualg, rep, n, lookup=None):
         c = src[col_keys.ravel()]
         keep = r >= 0
         if (c[keep] < 0).any():
-            raise InvariantViolationError(f"bar {what} term breaks parity")
+            raise InvariantViolationError(
+                f"bar {what} term breaks parity or weight")
         terms.append((r[keep], c[keep],
                       np.broadcast_to(coeffs, row_keys.shape).ravel()[keep]))
 
@@ -567,7 +572,9 @@ class CochainComplex:
     (``lie_differential_matrix``) reads its terms off the degree-n layout.
     The bar kind owns the restricted enveloping algebra u(g) its cochains
     live on, and ``with_module`` gives the bar complex of another module on
-    the same u(g)."""
+    the same u(g).  ``weight_zero`` gives the bar complex's subcomplex of
+    weight-0 cochains under a basis torus of g, whose ``torus`` names it;
+    the full complex's ``torus`` is empty."""
 
     def __init__(self, g, rep, kind):
         if kind not in ("lie", "bar"):
@@ -576,26 +583,132 @@ class CochainComplex:
         self.rep = rep
         self.kind = kind
         self.ualg = UAlgebra(g, restricted=True) if kind == "bar" else None
+        self.torus = ()
         self._store = {}  # filled by ``_kept``
 
     def with_module(self, rep):
-        """The complex of the same kind of (g, rep), another module of g.
-        A bar complex keeps this one's u(g), with its aug basis and product
-        table, instead of straightening them again, and hands on the seed
-        plan of ``cocycle_from_seeds``, which depends on u(g) only."""
+        """The complex of the same kind of (g, rep), another module of g,
+        and its weight-zero complex if this is one.  A bar complex keeps
+        this one's u(g), with its aug basis and product table, instead of
+        straightening them again, and hands on the seed plan of
+        ``cocycle_from_seeds``, which depends on u(g) only."""
         if rep.g is not self.g:
             raise UsageError("the module is not one of this complex's g")
         cx = copy.copy(self)
-        cx.rep = rep
+        cx.rep, cx.torus = rep, ()
         cx._store = ({} if self.ualg is None else
                      {("_seed_plan",): self._seed_plan()})
+        return cx.weight_zero() if self.torus else cx
+
+    def weight_zero(self):
+        """The subcomplex of the cochains of weight 0 under the basis torus
+        T of (g, M) (``superalg.basis_torus``), or this complex when T acts
+        with weight 0 on every basis vector of g and M.  Bar kind only.
+        ``torus`` keeps the t in T of some nonzero weight; the others cut
+        nothing.
+
+        The weights.  A toral t in T acts on u(g) by the derivation [t, -]
+        and on M by rho(t), both diagonal on the bases: the PBW monomial
+        x^a has the weight sum_k a_k wt(x_k) in F_p^T (x^[p] has weight
+        p wt(x) = 0), and the unit cochain (s_1..s_n, mu), of value e_mu
+        at the aug monomials s_1..s_n, has the weight
+        wt(mu) - sum_i wt(s_i).
+
+        d preserves the weight.  In (delta f)(s_1..s_{n+1}) the action
+        s_1 . f(..) takes mu to coordinates nu of weight wt(s_1) + wt(mu),
+        and every term w of a product s_i s_{i+1} has the weight
+        wt(s_i) + wt(s_{i+1}).  So the complex is the direct sum of its
+        subcomplexes C_lambda of one weight, and Z, B and H split alike.
+
+        H_lambda = 0 for lambda != 0.  On a cochain of weight lambda,
+        theta_t f(s_1..s_n) = t.f(s_1..s_n) - sum_i f(.., [t, s_i], ..)
+        is lambda_t f, and theta_t = d h_t + h_t d for the homotopy
+
+            (h_t f)(s_1..s_{n-1}) = sum_{i=0}^{n-1} (-1)^i
+                                    f(s_1..s_i, t, s_{i+1}..s_{n-1}),
+
+        as t is even and t s - s t = [t, s].  So a cocycle z of weight
+        lambda with lambda_t != 0 is d(h_t z / lambda_t), a coboundary:
+        [t, -] is inner, and the torus acts trivially on Ext_{u(g)}(k, M),
+        as in Hochschild-Serre, "Cohomology of Lie algebras" (Ann. Math.
+        1953).
+
+        The results embed.  This complex numbers only the even cochains of
+        weight 0, in increasing key order.  An RREF basis of a subspace of
+        C_0 is then the same in C_0 and, embedded, in C; Z is Z_0 (+) Z_rest
+        on disjoint coordinates, so its RREF rows are those of the two
+        parts, and so are B's, with Z_rest = B_rest.  The canonical
+        representatives of Z/B, the Z rows at the pivots off B's
+        (``quotient_representatives``), are those of Z_0/B_0 embedded, and
+        dim H is the same.
+
+        The complex has its own store and hands on u(g)'s seed plan if
+        built.  Its one change is ``parity_lookup``, which every bar
+        reader goes through: the differentials and their reductions, the
+        layout, ``cochain_array`` and ``cochain_vector``,
+        ``is_bar_2cocycle`` and ``comparison_matrix``.  A term of d from a
+        weight-0 row that lands off weight 0 raises in
+        ``assoc_differential_matrix``, and values off weight 0 make
+        ``cochain_vector`` raise InvariantViolationError: a cochain from
+        outside, such as a cocycle filled from seeds of weight 0, is
+        checked, never projected.  ``basis(n)`` keeps the weight-0 items
+        of ``assoc_cochain_basis``."""
+        self.require("bar")
+        if self.torus:
+            return self
+        g, rep = self.g, self.rep
+        torus = tuple(t for t in basis_torus(g, rep)
+                      if np.diagonal(g.brackets[t]).any()
+                      or np.diagonal(rep.mats[t]).any())
+        if not torus:
+            return self
+        cx = copy.copy(self)
+        cx.torus = torus
+        cx._store = {k: v for k, v in self._store.items()
+                     if k == ("_seed_plan",)}
         return cx
 
     @_kept
+    def _weights(self):
+        """(aug, module) weights of a weight-zero complex: arrays of shape
+        (|torus|, |aug|) and (|torus|, dim M), row j the weights under the
+        j-th toral t, entries in 0..p-1."""
+        g, t = self.g, list(self.torus)
+        lam = np.diagonal(g.brackets[t], axis1=1, axis2=2)[
+            :, list(self.ualg.gen_order)]
+        aug = np.array(self.ualg.aug_basis(), dtype=np.int64)
+        mw = np.array([np.diagonal(self.rep.mats[i]) for i in t], dtype=np.int64)
+        return lam @ aug.T % g.p, mw.reshape(len(t), self.rep.dim)
+
+    @_kept
     def basis(self, n):
-        return (lie_cochain_basis(self.g, self.rep.space, n)
-                if self.ualg is None else
-                assoc_cochain_basis(self.ualg, self.rep.space, n))
+        if self.ualg is None:
+            return lie_cochain_basis(self.g, self.rep.space, n)
+        full = assoc_cochain_basis(self.ualg, self.rep.space, n)
+        if not self.torus:
+            return full
+        tups = np.array([t for t, _ in full.items],
+                        dtype=np.int64).reshape(full.dim, n)
+        mus = np.array([m for _, m in full.items], dtype=np.int64)
+        keep = ~_weight(self, tups, mus).any(axis=0)
+        items = tuple(it for it, k in zip(full.items, keep) if k)
+        return replace(full, items=items,
+                       index={it: k for k, it in enumerate(items)})
+
+    def full_dim(self, n):
+        """dim C^n of the full bar complex, the even cochains of every
+        weight, counted from the parities of the aug basis and of M
+        without building a lookup.  A PBW monomial is odd when its odd
+        exponents, each 0 or 1, sum to an odd number: half of the
+        monomials if g has an odd part, none otherwise, and the unit left
+        out of the aug basis is even."""
+        self.require("bar")
+        aug = len(self.ualg.aug_basis())
+        odd = (aug + 1) // 2 if self.g.space.n_odd else 0
+        # n-tuples of aug monomials with even, odd parity sum
+        t_even = (aug ** n + (aug - 2 * odd) ** n) // 2
+        return (t_even * self.rep.space.n_even
+                + (aug ** n - t_even) * self.rep.space.n_odd)
 
     @_kept
     def d(self, n):
@@ -643,9 +756,22 @@ class CochainComplex:
     @_kept
     def parity_lookup(self, n):
         """Basis index of every degree-n bar cochain key, -1 for odd ones
-        (see ``assoc_differential_matrix``)."""
+        and, on a weight-zero complex, for those of nonzero weight (see
+        ``assoc_differential_matrix`` and ``weight_zero``).  The weight of
+        every key under each toral t is one outer sum of the weight
+        vectors."""
         self.require("bar")
-        return _bar_lookup(self.ualg, self.rep, n)
+        out = _bar_lookup(self.ualg, self.rep, n)
+        if self.torus:
+            keep = out >= 0
+            for aw, mw in zip(*self._weights()):
+                w = mw
+                for _ in range(n):
+                    w = np.add.outer(-aw, w)
+                keep &= w.ravel() % self.g.p == 0
+            out = np.cumsum(keep) - 1
+            out[~keep] = -1
+        return out
 
     def aug_power(self, i, e):
         """Index in the aug basis of u(g) of x_i^e, for basis index i of g."""
@@ -663,23 +789,25 @@ class CochainComplex:
         which coordinate c reads with sign 1.  Lie kind: the s_i run over
         g's basis, signs are 1 or p - 1, and both are read off
         ``eval_lie_cochain`` of the unit cochains, one call per tuple.  Bar
-        kind: the s_i run over the aug basis and cols is ``parity_lookup``."""
+        kind: the s_i run over the aug basis, cols is ``parity_lookup`` and
+        canon the positions where it is not -1, as the lookup numbers its
+        coordinates 0, 1, 2, ... in increasing key order."""
         D = self.rep.dim
         if self.kind == "bar":
             A = len(self.ualg.aug_basis())
             cols = self.parity_lookup(n).reshape((A,) * n + (D,))
-            signs = (cols >= 0).astype(np.int64)
-        else:
-            basis, shape = self.basis(n), (self.g.dim,) * n + (D,)
-            units = np.eye(basis.dim, dtype=np.int64)
-            # (tuple, unit cochain, mu): at most one unit is nonzero per
-            # (tuple, mu), so its index is the sum of the hits' indices
-            vals = np.array([eval_lie_cochain(basis, units, t, self.g.p)
-                             for t in np.ndindex(shape[:-1])])
-            hit = (vals != 0).astype(np.int64)
-            cols = np.where(hit.any(axis=1), np.arange(basis.dim) @ hit,
-                            -1).reshape(shape)
-            signs = vals.sum(axis=1).reshape(shape)
+            return (cols, (cols >= 0).astype(np.int64),
+                    np.flatnonzero(cols >= 0))
+        basis, shape = self.basis(n), (self.g.dim,) * n + (D,)
+        units = np.eye(basis.dim, dtype=np.int64)
+        # (tuple, unit cochain, mu): at most one unit is nonzero per
+        # (tuple, mu), so its index is the sum of the hits' indices
+        vals = np.array([eval_lie_cochain(basis, units, t, self.g.p)
+                         for t in np.ndindex(shape[:-1])])
+        hit = (vals != 0).astype(np.int64)
+        cols = np.where(hit.any(axis=1), np.arange(basis.dim) @ hit,
+                        -1).reshape(shape)
+        signs = vals.sum(axis=1).reshape(shape)
         at = np.flatnonzero(signs == 1)
         return cols, signs, at[np.unique(cols.ravel()[at],
                                          return_index=True)[1]]
@@ -693,7 +821,8 @@ class CochainComplex:
         or the parity kills it.  Bar kind: X = |aug|, and the coordinates
         number the even cochains (s_1..s_n, nu) by their keys
         ((s_1 |aug| + s_2) ...) dim M + nu, as the bar differentials do; the
-        odd ones are zero."""
+        odd ones, and on a weight-zero complex those of nonzero weight, are
+        zero."""
         cols, signs, canon = self._layout(n)
         v = np.asarray(vec, dtype=np.int64)
         if v.shape[-1:] != canon.shape:
@@ -707,8 +836,9 @@ class CochainComplex:
         """The coordinates, as an int64 array, of the degree-n cochain with
         the array of values ``values`` (``cochain_array``), or of each of a
         stack of them.  Raises InvariantViolationError unless these are the
-        values of a cochain: a value that breaks parity, or for the Lie
-        kind alternation, has no coordinate."""
+        values of a cochain: a value that breaks parity, for the Lie kind
+        alternation, or on a weight-zero complex the weight, has no
+        coordinate."""
         cols, _, canon = self._layout(n)
         a = np.asarray(values, dtype=np.int64) % self.g.p
         lead = a.shape[:a.ndim - cols.ndim]
@@ -718,7 +848,7 @@ class CochainComplex:
         if (self.cochain_array(vec, n) != a).any():
             raise InvariantViolationError(
                 f"the values are not those of a degree-{n} cochain: a value "
-                f"breaks parity or alternation")
+                f"breaks parity, alternation or weight")
         return vec
 
     def check_readback(self, c, bracket, pmap, what):
@@ -906,7 +1036,10 @@ def comparison_matrix(bar, lie, n):
     cochains are numbered as in ``assoc_differential_matrix``: the cochain
     (s_1..s_n, nu) is the column at its mixed-radix key
     ((s_1 A + s_2) ...) dim M + nu of ``bar.parity_lookup(n)``, A = |aug|,
-    so no bar basis is built.
+    so no bar basis is built.  On a weight-zero bar complex
+    (``CochainComplex.weight_zero``) a Lie cochain of nonzero weight,
+    wt(nu) - sum_i wt(x_i), meets only bar cochains of that weight and
+    gets an empty row; a miss of any other cochain raises.
     """
     if n not in (1, 2):
         raise UsageError("comparison implemented for n in {1, 2}")
@@ -918,11 +1051,19 @@ def comparison_matrix(bar, lie, n):
     dst = lie.basis(n)
     p = g.p
     deg1 = [bar.aug_power(i, 1) for i in range(g.dim)]
+    off = np.zeros(dst.dim, dtype=bool)  # the rows of nonzero weight
+    if bar.torus:
+        args = np.array([[deg1[i] for i in ev + od] for ev, od, _ in dst.items],
+                        dtype=np.int64).reshape(dst.dim, n)
+        off = _weight(bar, args, [nu for *_, nu in dst.items]).any(axis=0)
     rows = []
-    for (ev, od, nu) in dst.items:
+    for (ev, od, nu), skip in zip(dst.items, off.tolist()):
         args = ev + od
         n0 = len(ev)
         row = {}
+        if skip:
+            rows.append(row)
+            continue
         for sigma in itertools.permutations(range(1, n + 1)):
             sgn = sgn_marked(sigma, n0)
             key = 0
@@ -934,6 +1075,15 @@ def comparison_matrix(bar, lie, n):
             row[col] = (row.get(col, 0) + sgn) % p
         rows.append({c: v for c, v in row.items() if v})
     return MatGF.from_rows(rows, int(src.max(initial=-1)) + 1, p)
+
+
+def _weight(bar, tup, mu):
+    """The weight, in F_p^torus, of the bar cochain (tup, mu) of the
+    weight-zero complex ``bar``: wt(mu) - sum_i wt(tup_i), one column per
+    cochain when tup stacks tuples along a leading axis and mu is an
+    array."""
+    aw, mw = bar._weights()
+    return (mw[:, mu] - aw[:, tup].sum(axis=-1)) % bar.g.p
 
 
 # ---------------------------------------------------------------------------

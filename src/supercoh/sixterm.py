@@ -15,7 +15,9 @@ from the seeds of the Lie-side (f, w) pair complex's other 2-cocycles
 the bar d2 nor computes its nullspace, and builds no extension algebra
 for a class.  All fg cocycles are read off one extraction, that of the
 universal twist of g |x k^{n_even}.  The dimensions of H^1_* and H^2_*
-are checked against those of the pair complex.
+are checked against those of the pair complex.  When g has a basis torus,
+the bar complex is its weight-zero subcomplex, where all of H^*_* lives
+(``CochainComplex.weight_zero``).
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class SixTermContext:
     or Z^2_*; they are written only if read.  dim R must equal that of
     the pair complex's H^2_*, so Z^2_* is the kernel of d2 and R is the
     canonical representatives of ``restricted_cohomology(bar, 2)``.
+
+    ``bar`` is the weight-zero complex of (g, M) when g has a basis torus
+    (``CochainComplex.weight_zero``): H^1_* and H^2_* live in weight 0, so
+    every bar space here is a weight-0 one.  The fg cocycles and the fills
+    are of weight 0 by their seeds, and ``cochain_vector`` checks that.
     """
 
     def __init__(self, g, rep):
@@ -74,7 +81,7 @@ class SixTermContext:
         self.rep = rep
         self.p = g.p
         self.lie = CochainComplex(g, rep, "lie")
-        self.bar = CochainComplex(g, rep, "bar")
+        self.bar = CochainComplex(g, rep, "bar").weight_zero()
         self.pair = PairComplex(self.lie)
         self.timings = {}
         self._computed = {}
@@ -505,7 +512,8 @@ def build_six_term(g, rep, algebra_id="g", module_id="M"):
     timings = dict(ctx.timings)
     timings["total"] = time.perf_counter() - t0
     sizes = {name: (m.rows, m.cols, m.nnz) for name, m in maps.items()}
-    sizes["bar_c2_dim"] = ctx.bar.d(1).rows
+    sizes["bar_c2_dim"] = ctx.bar.full_dim(2)
+    sizes["bar_c2_weight0_dim"] = ctx.bar.d(1).rows
     sizes["space_dims"] = ctx.space_dims
     # the final slot reports the rank of the last arrow (its image inside
     # S(g_0, H^1)); by exactness it equals the alternating sum of the rest

@@ -434,6 +434,18 @@ def invariants(g, rep):
     return full, even_part
 
 
+def basis_torus(g, rep):
+    """The even basis indices t of g that are toral, t^[p] = t, with ad t
+    and rho(t) diagonal: every basis vector of g and of M is a weight
+    vector of t.  Two such t commute, as [t, t'] is a multiple of t' and
+    of t at once.  Odd basis elements have no p-map and are never toral."""
+    def diagonal(m):
+        return not (m - np.diag(np.diagonal(m))).any()
+    return tuple(t for t in g.space.even_indices()
+                 if np.array_equal(g.pmap_basis(t), g.basis_vector(t))
+                 and diagonal(g.brackets[t]) and diagonal(rep.mats[t]))
+
+
 # ---------------------------------------------------------------------------
 # p-semilinear maps
 # ---------------------------------------------------------------------------

@@ -15,11 +15,15 @@ from supercoh.cohomology import (
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
-from supercoh.gflin import Eliminator, MatGF, RowReduction, nullspace
+from supercoh.gflin import (
+    Eliminator, MatGF, RowReduction, Subspace, nullspace,
+    quotient_representatives,
+)
 from supercoh import extensions, sixterm
 from supercoh.sixterm import PairComplex, SixTermContext
 from supercoh.superalg import (
-    Representation, SuperSpace, adjoint_module, semidirect, trivial_module,
+    Representation, SuperSpace, adjoint_module, basis_torus, semidirect,
+    trivial_module,
 )
 
 from conftest import fixture_algebra
@@ -764,3 +768,186 @@ def test_restricted_h1_oracle_borel_semidirect(loaded_catalog):
     assert len(labels) == 26
     _, _, dim_h = bar_dims(labels, parities, prod, g.p, 1)
     assert restricted_cohomology(CochainComplex(g, k, "bar"), 1).dim_h == dim_h == 1
+
+
+# ---------------------------------------------------------------------------
+# the weight-zero bar complex of a basis torus
+# ---------------------------------------------------------------------------
+
+def _torus_pairs(loaded_catalog):
+    """(name, g, M) for the catalog entries with their own and the adjoint
+    module, and sl2 at p = 3 from ``tests/data/sl2.json`` with its
+    adjoint and trivial modules, where (g, M) has a basis torus acting with
+    a nonzero weight, so that the weight-zero complex is a proper
+    subcomplex, and the full bar C^3 has at most 60000 cochains."""
+    from supercoh.algfile import parse_algebra
+    pairs, seen = [], set()
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        algebra = repr(sorted((k, v) for k, v in e.data.items()
+                              if k != "modules"))
+        for name, rep in ((e.module_name, modules[e.module_name]),
+                          ("adjoint", adjoint_module(g))):
+            if (algebra, name) not in seen:
+                seen.add((algebra, name))
+                pairs.append((f"{entry_id}/{name}", g, rep))
+    text = (pathlib.Path(__file__).parent / "data" / "sl2.json").read_text()
+    g, modules, _ = parse_algebra(text, p_override=3)
+    pairs += [("sl2-p3/adjoint", g, modules["adjoint"]),
+              ("sl2-p3/k", g, trivial_module(g))]
+    for name, g, rep in pairs:
+        full = CochainComplex(g, rep, "bar")
+        if full.weight_zero() is not full and full.full_dim(3) <= 60000:
+            yield name, g, rep
+
+
+def _block(m, rows, cols):
+    """The block of the MatGF m on the given increasing rows and columns,
+    after checking that no entry of m joins a row of the block to a column
+    off it or the other way round."""
+    r, c, v = m.coo()
+    at_r, at_c = np.full(m.rows, -1), np.full(m.cols, -1)
+    at_r[rows], at_c[cols] = np.arange(len(rows)), np.arange(len(cols))
+    assert ((at_r[r] >= 0) == (at_c[c] >= 0)).all()
+    keep = at_r[r] >= 0
+    return MatGF.from_coo(len(rows), len(cols), m.p, at_r[r][keep],
+                          at_c[c][keep], v[keep])
+
+
+def _embedded_rows(space, at, n):
+    """The basis rows of a subspace of the weight-0 cochains, as vectors of
+    the full cochain space of dimension n, the k-th weight-0 coordinate
+    at position at[k]."""
+    out = np.zeros((space.dim, n), dtype=np.int64)
+    out[:, at] = space.rows
+    return out
+
+
+def test_weight_zero_results_embed_in_the_full_complex(loaded_catalog):
+    """On every pair of ``_torus_pairs`` the weight-0 items of the bar
+    cochain bases are an increasing part of the full ones, the full d_n
+    joins weight-0 rows to weight-0 columns only and its block there is
+    the weight-zero complex's d_n, and for n = 0, 1, 2 the RREF rows of Z,
+    B and R of the weight-zero complex, embedded, are rows of the full
+    complex's Z and B and all of its R, built by ``assoc_differential_
+    matrix`` and ``RowReduction``; so dim H agrees.  The comparison maps
+    of the weight-zero complex are the full ones' columns at weight 0, and
+    ``full_dim`` counts the full bases."""
+    names = []
+    for name, g, rep in _torus_pairs(loaded_catalog):
+        names.append(name)
+        w0, p = CochainComplex(g, rep, "bar").weight_zero(), g.p
+        lie = CochainComplex(g, rep, "lie")
+        at = []
+        for n in range(4):
+            full = assoc_cochain_basis(w0.ualg, rep.space, n)
+            at.append(np.array([full.index[it] for it in w0.basis(n).items],
+                               dtype=np.int64))
+            assert (np.diff(at[n]) > 0).all(), name
+            assert at[n].size < full.dim or n < 2, name
+            assert w0.full_dim(n) == full.dim, name
+        d = [assoc_differential_matrix(w0.ualg, rep, n) for n in range(3)]
+        for n in range(3):
+            assert _block(d[n], at[n + 1], at[n]) == w0.d(n), (name, n)
+        for n in range(3):
+            ambient = d[n].cols
+            Z = RowReduction(d[n]).kernel
+            B = (RowReduction(d[n - 1]).image if n else
+                 Subspace.zero(ambient, p))
+            R = quotient_representatives(Z, B)
+            res = restricted_cohomology(w0, n)
+            assert R.dim == res.dim_h, (name, n)
+            assert R.pivots == tuple(at[n][list(res.R.pivots)].tolist())
+            assert (R.rows == _embedded_rows(res.R, at[n], ambient)).all()
+            for big, small in ((Z, res.Z), (B, res.B)):
+                row_of = {q: i for i, q in enumerate(big.pivots)}
+                sel = [row_of[q] for q in at[n][list(small.pivots)].tolist()]
+                assert (big.rows[sel]
+                        == _embedded_rows(small, at[n], ambient)).all()
+        for n in (1, 2):
+            full_comp = comparison_matrix(CochainComplex(g, rep, "bar"), lie, n)
+            comp = comparison_matrix(w0, lie, n)
+            assert (full_comp.to_dense()[:, at[n]] == comp.to_dense()).all()
+    assert {"a4-borel/k", "a7-mixed-line/adjoint", "a9-borel-semidirect/k",
+            "sl2-p3/adjoint"} <= set(names)
+
+
+def test_weight_zero_cochain_vector_refuses_other_weights(loaded_catalog):
+    """a4-borel with adjoint M, weights wt(t) = 0 and wt(x) = 1 under the
+    torus t: the unit cochains of the weight-zero complex put their one
+    value at the items of its ``basis(2)``, random cochains go to values
+    and back, and a value at a cochain of nonzero weight, (x, x, ad:t) of
+    weight -2, makes ``cochain_vector`` raise InvariantViolationError."""
+    g, rep = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
+    bar = CochainComplex(g, rep, "bar").weight_zero()
+    assert bar.torus == (0,)
+    basis, rng = bar.basis(2), random.Random(3)
+    for k in range(basis.dim):
+        unit = np.zeros(basis.dim, dtype=np.int64)
+        unit[k] = 1
+        (u, v), nu = basis.items[k]
+        assert np.argwhere(bar.cochain_array(unit)).tolist() == [[u, v, nu]]
+    vec = [rng.randrange(g.p) for _ in range(basis.dim)]
+    c = bar.cochain_array(vec)
+    assert bar.cochain_vector(c).tolist() == vec
+    x = bar.aug_power(1, 1)
+    c[x, x, 0] = 1
+    with pytest.raises(InvariantViolationError, match="weight"):
+        bar.cochain_vector(c)
+
+
+def test_weight_zero_of_another_module(loaded_catalog):
+    """``with_module`` of a weight-zero complex is the weight-zero complex
+    of the new module, on the same u(g), or the full complex when the
+    torus acts on the new g and M with weight 0; a complex without a
+    torus is its own weight-zero complex."""
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    bar = CochainComplex(g, k, "bar").weight_zero()
+    other = bar.with_module(adjoint_module(g))
+    assert other.torus == (0,) and other.ualg is bar.ualg
+    assert other.d(1) == CochainComplex(g, adjoint_module(g),
+                                        "bar").weight_zero().d(1)
+    g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
+    full = CochainComplex(g, k, "bar")
+    assert full.weight_zero() is full and not full.torus
+    g, k = fixture_algebra(loaded_catalog, "a2-torus")
+    full = CochainComplex(g, k, "bar")
+    assert basis_torus(g, k) == (0,) and full.weight_zero() is full
+
+
+def test_the_torus_acts_by_a_null_homotopic_map(loaded_catalog):
+    """The step of ``CochainComplex.weight_zero``'s proof that kills the
+    cohomology of nonzero weight: theta_t, which multiplies each bar
+    cochain by its weight under the toral t, is d h_t + h_t d for
+
+        (h_t f)(s_1..s_{n-1}) = sum_i (-1)^i f(s_1..s_i, t, s_{i+1}..),
+
+    in degrees 0..2 of the full bar complexes of a4-borel with adjoint M
+    and a7-mixed-line (t toral, y odd) with k and adjoint M."""
+    cases = [("a4-borel", "adjoint"), ("a7-mixed-line", "k"),
+             ("a7-mixed-line", None)]
+    for entry_id, module in cases:
+        e, g, modules = loaded_catalog[entry_id]
+        rep = modules[module] if module else adjoint_module(g)
+        bar, p, t = CochainComplex(g, rep, "bar"), g.p, 0
+        ualg = bar.ualg
+        lam = [g.brackets[t, i, i] for i in ualg.gen_order]
+        aug_wt = np.array(ualg.aug_basis()) @ lam % p
+        dims = [int(bar.parity_lookup(n).max()) + 1 for n in range(4)]
+
+        def units(n):
+            return bar.cochain_array(np.eye(dims[n], dtype=np.int64), n)
+
+        def h(n):  # C^n -> C^{n-1}, as the matrix on coordinates
+            f = units(n)
+            hf = sum((-1) ** i * np.take(f, bar.aug_power(t, 1), axis=1 + i)
+                     for i in range(n))
+            return bar.cochain_vector(hf % p, n - 1).T
+
+        for n in range(3):
+            wt = np.diagonal(rep.mats[t]) % p
+            for _ in range(n):
+                wt = np.add.outer(-aug_wt, wt)
+            theta = bar.cochain_vector(units(n) * wt % p, n).T
+            dh = (bar.d(n - 1).to_dense() @ h(n)) if n else 0
+            assert not ((h(n + 1) @ bar.d(n).to_dense() + dh - theta)
+                        % p).any(), (entry_id, module, n)

@@ -20,6 +20,7 @@ def test_probe_reports_one_catalog_pair():
     assert code == 0 and out["exit"] == 0
     assert (out["module"], out["p"], out["dims"]) == ("k", 3, [0, 1, 2, 1, 0, 0])
     assert out["all_exact"] and out["bar_c2_dim"] == 64
+    assert out["bar_c2_weight0_dim"] == 22  # weight 0 under the torus t
     assert 0 <= out["seconds"] < 1 and out["peak_mb"] > 0
     assert out["max_as_mb"] == 3000
 

@@ -333,12 +333,14 @@ def test_pair_complex_has_three_differentials(loaded_catalog):
 
 
 def test_sl2_p5_adjoint_report(sl2_p5_adjoint):
-    """sl2 at p = 5 with adjoint M, whose bar d1 is 46128 x 372: every
-    verdict is exact and the dimensions of H^1_* and H^2_* are those of the
-    pair model."""
+    """sl2 at p = 5 with adjoint M, whose bar d1 is 46128 x 372, and
+    9226 x 74 on the weight-0 cochains under the torus h that a report
+    reduces: every verdict is exact and the dimensions of H^1_* and H^2_*
+    are those of the pair model."""
     g, rep = sl2_p5_adjoint
     report = build_six_term(g, rep, "sl2", "adjoint")
     assert report.sizes["bar_c2_dim"] == 46128
+    assert report.sizes["bar_c2_weight0_dim"] == 9226
     assert len(report.exactness) == 5 and report.all_exact
     pair = PairComplex(CochainComplex(g, rep, "lie"))
     h1s, h2s = (restricted_cohomology(pair, n) for n in (1, 2))
@@ -405,7 +407,10 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
     """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
     fills of the pair complex's other classes, has the Z, B and
     representatives of the bar complex's Ker d2 / Im d1, and the pair model
-    has its dimension and that of the bar complex's H^1_*: on every catalog
+    has its dimension and that of the bar complex's H^1_*.  The bar complex
+    is the report's, on the weight-0 cochains when g has a basis torus;
+    ``test_cohomology.test_weight_zero_results_embed_in_the_full_complex``
+    checks that its results embed in the full complex's.  On every catalog
     entry, the fuzzed semidirect products of the test above, and
     g |x ad(g) with trivial module for every catalog algebra of dim <= 2.
     A report extracts one cocycle when S != 0, that of the universal twist
@@ -728,10 +733,13 @@ def test_a_report_builds_each_parity_lookup_once(loaded_catalog, monkeypatch):
 
 def test_report_holds_im_bar_d1_by_its_nonzeros(loaded_catalog):
     """a4-borel-adjoint |x its adjoint module, with trivial M (the bar C^2
-    has dimension 6400): Im(bar d1), 79 x 6400 with 5244 nonzeros, is held
-    in O(nnz + dim) bytes, and the tracemalloc peak of the report stays
-    below 6 MB.  It was 13.3 MB while Im(bar d1), Z^2_* and the check that
-    B^2_* lies in Z^2_* were dense int64 arrays of 79 or 82 rows."""
+    has dimension 6400, 2134 of weight 0 under the torus t): the report's
+    Im(bar d1), 25 x 2134 with 1892 nonzeros, and that of the full
+    complex, 79 x 6400 with 5244 nonzeros, are held in O(nnz + dim)
+    bytes, and the tracemalloc peak of the report stays below 6 MB.  It
+    was 13.3 MB while Im(bar d1), Z^2_* and the check that B^2_* lies in
+    Z^2_* were dense int64 arrays of 79 or 82 rows, and 2.9 MB on the
+    full complex with sparse ones."""
     import tracemalloc
     e, g, modules = loaded_catalog["a4-borel-adjoint"]
     E, _ = semidirect(g, modules["adjoint"])
@@ -742,11 +750,15 @@ def test_report_holds_im_bar_d1_by_its_nonzeros(loaded_catalog):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
-    B = SixTermContext(E, trivial_module(E)).bar.image(1)
-    basis = B.basis
-    assert (B.dim, B.ambient_dim, basis.nnz) == (79, 6400, 5244)
-    held = basis.indptr.nbytes + basis.indices.nbytes + basis.data.nbytes
-    assert held == 8 * (B.dim + 1 + 2 * basis.nnz) < B.dim * B.ambient_dim
+    report_bar = SixTermContext(E, trivial_module(E)).bar
+    full = CochainComplex(E, trivial_module(E), "bar")
+    assert report_bar.torus == (0,) and not full.torus
+    for bar, want in ((report_bar, (25, 2134, 1892)), (full, (79, 6400, 5244))):
+        B = bar.image(1)
+        basis = B.basis
+        assert (B.dim, B.ambient_dim, basis.nnz) == want
+        held = basis.indptr.nbytes + basis.indices.nbytes + basis.data.nbytes
+        assert held == 8 * (B.dim + 1 + 2 * basis.nnz) < B.dim * B.ambient_dim
 
 
 def _record_contexts(monkeypatch):
@@ -799,13 +811,15 @@ def test_a_report_writes_no_im_bar_d1(loaded_catalog, sl2_p5_adjoint,
 
 
 def test_h2s_of_a_tall_bar_d1_from_residues(sl2_p5_adjoint, monkeypatch):
-    """sl2 at p = 5 with the trivial module: the bar d1 is 15376 x 124 and
-    H^2_* has three classes, all from fg, so R is read off the residues of
-    three cocycles modulo an image of 124 rows that the report never writes
-    (the tallest catalog d1 with residues is a9-borel-semidirect's
-    676 x 26).  R is quotient_representatives(subspace_sum(B, span of
-    the fg cocycles and fills), B) computed from written rows, the lazy
-    Z^2_* is that sum, and the report is exact."""
+    """sl2 at p = 5 with the trivial module: the report's bar d1, on the
+    weight-0 cochains under the torus h, is 3076 x 24 (the full one is
+    15376 x 124), and H^2_* has three classes, all from fg, so R is read
+    off the residues of three cocycles modulo an image of 24 rows that the
+    report never writes (the tallest catalog d1 with residues is
+    a9-borel-semidirect's weight-0 226 x 8).  R is
+    quotient_representatives(subspace_sum(B, span of the fg cocycles and
+    fills), B) computed from written rows, the lazy Z^2_* is that sum, and
+    the report is exact."""
     fills = record_fills(monkeypatch)
     made = _record_contexts(monkeypatch)
     g, _ = sl2_p5_adjoint
@@ -814,7 +828,9 @@ def test_h2s_of_a_tall_bar_d1_from_residues(sl2_p5_adjoint, monkeypatch):
     ctx = made[0]
     h2s = ctx.h2s
     d1 = ctx.bar.d(1)
-    assert (d1.rows, d1.cols, h2s.B.dim, len(fills)) == (15376, 124, 124, 0)
+    assert ctx.bar.torus == (1,)
+    assert (d1.rows, d1.cols, h2s.B.dim, len(fills)) == (3076, 24, 24, 0)
+    assert (ctx.bar.full_dim(2), ctx.bar.full_dim(1)) == (15376, 124)
     assert (h2s.B._basis, h2s.Z._basis) == (None, None)
     B, n = h2s.B, h2s.cochain_dim
     vecs = list(ctx.fg_cocycles) + [fill for _, fill in fills]

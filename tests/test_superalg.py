@@ -5,7 +5,8 @@ import pytest
 
 from supercoh.errors import UsageError
 from supercoh.superalg import (
-    LieSuperAlgebra, Representation, SuperSpace, adjoint_module, hom_module,
+    LieSuperAlgebra, Representation, SuperSpace, adjoint_module, basis_torus,
+    hom_module,
     invariants, jacobson_terms, pmap_apply, semidirect, semilinear_pairs,
     semilinear_space, trivial_module, validate_lie_super, validate_module,
     validate_pmap,
@@ -207,3 +208,25 @@ def test_coerce_strongly_abelian(loaded_catalog):
     assert not alg.brackets.any()
     assert validate_lie_super(alg).ok and validate_pmap(alg).ok
     assert all(not alg.pmap_basis(i).any() for i in alg.space.even_indices())
+
+
+def test_basis_torus(loaded_catalog):
+    """The toral basis elements, t^[p] = t with ad t and rho(t) diagonal:
+    the x of a2-torus and a8-torus-null-plane and the t of the borel
+    entries ([t, x] = x) with every module; none in a6-abelian-plane, whose
+    p-map is zero, or a1-null.  An odd element is never toral, even with
+    ad zero, and a toral t acting on M by a non-diagonal matrix is not in
+    the torus of (g, M)."""
+    want = {"a2-torus": (0,), "a8-torus-null-plane": (0,),
+            "a4-borel": (0,), "a4-borel-adjoint": (0,),
+            "a4-borel-dual": (0,), "a6-abelian-plane": (), "a1-null": ()}
+    for entry_id, torus in want.items():
+        e, g, modules = loaded_catalog[entry_id]
+        for rep in (*modules.values(), adjoint_module(g)):
+            assert basis_torus(g, rep) == torus, entry_id
+    g = build(("t",), ("y",), {}, {0: [1, 0]})  # abelian, t toral
+    assert basis_torus(g, trivial_module(g)) == (0,)
+    g = build(("t",), (), {}, {0: [1]})
+    two = SuperSpace(("a", "b"), ())
+    assert basis_torus(g, Representation(g, two, [[[1, 0], [0, 2]]])) == (0,)
+    assert basis_torus(g, Representation(g, two, [[[0, 1], [1, 0]]])) == ()

@@ -13,8 +13,9 @@ The report runs in a fresh child process; ``--max-as-mb`` caps that child's
 address space (``RLIMIT_AS``, set in the child between fork and exec), so
 an input that needs more fails there instead of pressing on the host.  The
 probe prints one JSON object: the input, the report's dims and exactness,
-its seconds, the child's peak RSS in MB (``ru_maxrss``) and its exit
-status.  It exits 0 when the child did, 1 otherwise.
+the dimension of the bar C^2 and of its weight-0 part (the one a report
+reduces when g has a basis torus), its seconds, the child's peak RSS in MB
+(``ru_maxrss``) and its exit status.  It exits 0 when the child did, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def _child(args):
     print(json.dumps({"module": name, "p": g.p, "dims": list(report.dims),
                       "all_exact": report.all_exact,
                       "bar_c2_dim": report.sizes["bar_c2_dim"],
+                      "bar_c2_weight0_dim": report.sizes["bar_c2_weight0_dim"],
                       "seconds": round(time.perf_counter() - t0, 3)}))
 
 
