@@ -1,10 +1,13 @@
 """PBW bases and the straightening product in u(g).
 
 The restricted enveloping algebra u(g) has monomial basis with even
-exponents below p and odd exponents below 2; products are straightened by
-a confluent rewriting loop (Koszul swaps, odd squares y^2 = (1/2)[y,y],
-p-th powers x^p = x^[p]).  A degree-truncated U(g) mode exists for
-identities that must be evaluated before the p-th power relation fires.
+exponents below p and odd exponents below 2.  Products are straightened
+one generator at a time: x_k m, for m = x_j m' with x_j its first
+generator, is a PBW monomial when k < j; when k = j it raises the exponent
+or uses x^p = x^[p] or the odd square y^2 = (1/2)[y,y]; when k > j it is
+(+-) x_j (x_k m') + [x_k, x_j] m' with the Koszul sign.  A
+degree-truncated U(g) mode exists for identities that must be evaluated
+before the p-th power relation fires.
 """
 
 import numpy as np

@@ -334,16 +334,14 @@ def assoc_differential_matrix(ualg, rep, n, lookup=None):
     without building either basis; ``lookup(k)`` gives that array for
     degree k (a ``CochainComplex`` passes its ``parity_lookup``, which
     builds each degree once), and without it the full ones are built
-    here.  Each term family is emitted for all rows at once, by
-    broadcasting the action matrices and the aug x aug product table over
-    the untouched prefix and suffix arguments; ``MatGF.from_terms`` sums
-    repeated (row, col) pairs mod p.
-
-    Products of augmentation-ideal elements stay in the ideal; a unit
-    component in a straightened product would be a bug and raises, and so
-    does a term from a row of the complex that lands on a cochain outside
-    it: on a weight-zero complex that checks that d preserves the weight
-    (``CochainComplex.weight_zero``).
+    here.  The terms start from the columns' keys: a column (.., mu)
+    meets the action nonzeros (s_1, nu, mu), and one whose i-th argument
+    is w the table terms a b -> c w; ``MatGF.from_terms`` sums repeated
+    (row, col) pairs mod p.  As d preserves parity and the torus weights,
+    every term lands on a row of the complex: the action matrices and the
+    product table check up front that both add on their terms
+    (``UAlgebra.action_matrix``, ``UAlgebra.aug_product_table``), and a
+    term that leaves the complex raises InvariantViolationError.
     """
     p = ualg.p
     aug = ualg.aug_basis()
@@ -354,39 +352,44 @@ def assoc_differential_matrix(ualg, rep, n, lookup=None):
     nrows, ncols = int(dst.max(initial=-1)) + 1, int(src.max(initial=-1)) + 1
     if nrows * ncols >= 2 ** 63:
         raise UsageError(f"bar differential {nrows}x{ncols} is too large")
-    terms = []  # (row, col, value) arrays, one triple per term family
-
-    def emit(row_keys, col_keys, coeffs, what):
-        r = dst[row_keys.ravel()]
-        c = src[col_keys.ravel()]
-        keep = r >= 0
-        if (c[keep] < 0).any():
-            raise InvariantViolationError(
-                f"bar {what} term breaks parity or weight")
-        terms.append((r[keep], c[keep],
-                      np.broadcast_to(coeffs, row_keys.shape).ravel()[keep]))
-
-    # s_1 . f(s_2..s_{n+1}): row (s_1, rest, nu), column (rest, mu)
     act = _bar_action(ualg, rep, aug)
     s1, nu, mu = np.nonzero(act)
-    rest = np.arange(A ** n, dtype=np.int64)
-    emit((s1[:, None] * A ** n + rest) * D + nu[:, None],
-         rest * D + mu[:, None], act[s1, nu, mu][:, None], "action")
+    keys = np.flatnonzero(src >= 0)
+    terms = []  # (row, col, value) arrays, one triple per term family
+
+    def emit(rows, cols, coeffs, what):
+        r = dst[rows]
+        if (r < 0).any():
+            raise InvariantViolationError(f"bar {what} term leaves the complex")
+        terms.append((r, src[cols], coeffs))
+
+    # s_1 . f(s_2..s_{n+1}): column (rest, mu), row (s_1, rest, nu)
+    own, e = _join(keys % D, mu, D)
+    col = keys[own]
+    emit((s1[e] * A ** n + col // D) * D + nu[e], col, act[s1[e], nu[e], mu[e]],
+         "action")
     # (-1)^i f(.., s_i s_{i+1}, ..) for each term c w of a product a b:
-    # row (pre, a, b, suf, nu), column (pre, w, suf, nu); axes (pre, term, suf, nu)
+    # column (pre, w, suf, nu), row (pre, a, b, suf, nu)
     if n:
-        a, b, w, c = (x[None, :, None, None]
-                      for x in ualg.aug_product_table())
+        a, b, w, c = ualg.aug_product_table()
         for i in range(1, n + 1):
-            pre = np.arange(A ** (i - 1), dtype=np.int64)[:, None, None, None]
-            tail = (np.arange(A ** (n - i), dtype=np.int64)[:, None] * D
-                    + np.arange(D, dtype=np.int64))[None, None]
             span = A ** (n - i) * D
-            emit(((pre * A + a) * A + b) * span + tail,
-                 (pre * A + w) * span + tail, -c if i % 2 else c, "product")
+            own, e = _join(keys // span % A, w, A)
+            col = keys[own]
+            emit(((col // (span * A) * A + a[e]) * A + b[e]) * span + col % span,
+                 col, -c[e] if i % 2 else c[e], "product")
     r, c, v = (np.concatenate(x) for x in zip(*terms))
     terms.clear()
     return MatGF.from_terms(nrows, ncols, p, r, c, v)
+
+
+def _join(values, by, size):
+    """(owner, entry): every pair of an index i of ``values`` and an index
+    e of ``by`` with by[e] == values[i], both arrays over 0..size-1."""
+    order = np.argsort(by, kind="stable")
+    bounds = np.searchsorted(by[order], np.arange(size + 1))
+    own, pos = index_runs(bounds[values], bounds[values + 1] - bounds[values])
+    return own, order[pos]
 
 
 def _bar_lookup(ualg, rep, n):
@@ -405,10 +408,8 @@ def _bar_lookup(ualg, rep, n):
 
 def _bar_action(ualg, rep, aug):
     """The action matrices of the u(g)^+ basis, stacked: (|aug|, dim M, dim M)."""
-    act = np.zeros((len(aug), rep.dim, rep.dim), dtype=np.int64)
-    for k, m in enumerate(aug):
-        act[k] = ualg.action_matrix(rep, m)
-    return act
+    return np.array([ualg.action_matrix(rep, m) for m in aug],
+                    dtype=np.int64).reshape(len(aug), rep.dim, rep.dim)
 
 
 def is_bar_2cocycle(bar, cvec):
@@ -646,10 +647,9 @@ class CochainComplex:
         built.  Its one change is ``parity_lookup``, which every bar
         reader goes through: the differentials and their reductions, the
         layout, ``cochain_array`` and ``cochain_vector``,
-        ``is_bar_2cocycle`` and ``comparison_matrix``.  A term of d from a
-        weight-0 row that lands off weight 0 raises in
-        ``assoc_differential_matrix``, and values off weight 0 make
-        ``cochain_vector`` raise InvariantViolationError: a cochain from
+        ``is_bar_2cocycle`` and ``comparison_matrix``.  A term of d that
+        breaks the weight raises in ``assoc_differential_matrix``, and so
+        do values off weight 0 in ``cochain_vector``: a cochain from
         outside, such as a cocycle filled from seeds of weight 0, is
         checked, never projected.  ``basis(n)`` keeps the weight-0 items
         of ``assoc_cochain_basis``."""

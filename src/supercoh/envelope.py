@@ -1,6 +1,6 @@
 """PBW bases and straightening products for enveloping algebras.
 
-Two modes share one rewriting engine:
+Two modes share one straightening engine:
 
 * restricted mode: u(g) = U(g)/(x^p - x^[p]), finite-dimensional with PBW
   basis of p^{n_even} * 2^{n_odd} monomials;
@@ -12,11 +12,16 @@ generator order is an arbitrary permutation of the basis (default:
 ascending basis index).  Extensions build u(E) with the module generators
 last, which the ideal-collapse map gamma below relies on.
 
-The rewriting rules: swap an adjacent out-of-order pair, producing the
-Koszul sign and a lower-degree bracket term; reduce an odd square via
-y*y = (1/2)[y,y]; in restricted mode reduce p equal even factors via the
-stored p-th power.  Each rule lowers (degree, inversions) lexicographically,
-so the loop terminates in a canonical normal form.
+The engine is one left product x_k m of a generator and a PBW monomial
+m = x_j m', x_j its first generator, kept per (k, m).  For k < j it is a
+PBW monomial.  For k = j it raises the exponent, or uses x_k^p = x_k^[p]
+in restricted mode and x_k x_k = (1/2)[x_k, x_k] for an odd x_k.  For
+k > j, x_k x_j m' = (+-) x_j (x_k m') + [x_k, x_j] m', Koszul sign.  A
+rule asks only for products of lower degree, or of the same degree with
+k at most the first generator, so the rules terminate; a work list, not
+recursion, resolves them.  A product ma mb is the left product by each
+factor of ma, the last first, and m acts on a module as rho(x_j) times
+the action of m'.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ import numpy as np
 from .errors import (
     DegreeOverflowError, InvariantViolationError, NotInIdealError, UsageError,
 )
-from .gflin import index_runs, matpow
-from .superalg import EVEN, ODD
+from .gflin import index_runs
+from .superalg import EVEN, ODD, basis_torus
 
 __all__ = [
-    "UAlgebra", "UElement", "algebra_hom_extend", "linear_section_extend",
+    "UAlgebra", "UElement", "linear_section_extend",
     "gamma_map", "check_commutator_identities",
 ]
 
@@ -124,7 +129,8 @@ class UAlgebra:
                     self._pow[a] = tuple((self.pos_of[amb], int(c))
                                          for amb, c in enumerate(vec) if c)
         self._half = pow(2, -1, self.p)
-        self._norm = {}
+        self._lmemo = {}
+        self._splits = {}
         self._prod = {}
         self._basis = None
         self._aug = None
@@ -205,73 +211,57 @@ class UAlgebra:
 
     # -- straightening ----------------------------------------------------------
 
-    def _expand(self, mono):
-        word = []
-        for k, e in enumerate(mono):
-            word.extend([k] * e)
-        return tuple(word)
-
-    def _normalize(self, word):
-        """Normal form of a generator word, memoized in ``_norm``.
-
-        A work list replaces recursion, so rewriting chains longer than
-        Python's recursion limit (p = 17 words of length 128 need ~1500
-        swaps) still terminate.  A word is rewritten once; if some word of
-        its rewrite is unfinished, those are queued above it and it is
-        revisited, to combine their normal forms, once they are finished."""
-        norm = self._norm
-        if word in norm:
-            return norm[word]
-        p = self.p
-        todo = [(word, None)]
+    def _left(self, k, mono):
+        """x_k mono as {PBW monomial: coefficient}, for a generator position
+        k and a PBW monomial mono, by the rules of the module docstring."""
+        memo, par, p = self._lmemo, self.pos_parity, self.p
+        if (k, mono) in memo:
+            return memo[(k, mono)]
+        todo = [(k, mono)]
         while todo:
-            w, terms = todo.pop()
-            if terms is None:
-                if w in norm:  # queued by two words
+            key = todo[-1]
+            if key in memo:
+                todo.pop()
+                continue
+            x, m = key
+            j, rest = self._split(m)
+            if x < j or x == j and par[x] == EVEN and not (
+                    self.restricted and m[x] == p - 1):
+                memo[key] = {m[:x] + (m[x] + 1,) + m[x + 1:]: 1}
+                continue
+            if x > j:
+                inner = memo.get((x, rest))
+                if inner is None:
+                    todo.append((x, rest))
                     continue
-                terms = self._rewrite(w)
-                if terms is None:
-                    mono = [0] * self.ngen
-                    for k in w:
-                        mono[k] += 1
-                    norm[w] = {tuple(mono): 1}
-                    continue
-                pending = [(t, None) for t, _ in terms if t not in norm]
-                if pending:
-                    todo.append((w, terms))
-                    todo.extend(pending)
-                    continue
-            acc = {}
-            for t, c in terms:
-                if acc:
-                    _accumulate(acc, norm[t], c, p)
-                else:
-                    acc = {m: (c * v) % p for m, v in norm[t].items()}
-            norm[w] = {m: c for m, c in acc.items() if c}
-        return norm[word]
+                sign = -1 if par[x] and par[j] else 1
+                terms = [(sign * c, (j, t)) for t, c in inner.items()]
+                terms += [(c, (y, rest)) for y, c in self._brk[(x, j)]]
+            elif par[x] == ODD:
+                terms = [(self._half * c, (y, rest)) for y, c in self._brk[(x, x)]]
+            else:
+                drop = m[:x] + (0,) + m[x + 1:]
+                terms = [(c, (y, drop)) for y, c in self._pow[x]]
+            missing = [t for _, t in terms if t not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            memo[key] = _combine(((c, memo[t]) for c, t in terms), p)
+        return memo[(k, mono)]
 
-    def _rewrite(self, word):
-        """The first applicable rewriting rule of a word as a list of
-        (word, coefficient) terms, or None when the word is normal."""
-        p, par = self.p, self.pos_parity
-        for k, (a, b) in enumerate(zip(word, word[1:])):
-            if a > b:
-                head, tail = word[:k], word[k + 2:]
-                terms = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
-                terms += [(head + (pos,) + tail, c) for pos, c in self._brk[(a, b)]]
-                return terms
-            if a == b:
-                head = word[:k]
-                if par[a] == ODD:
-                    tail = word[k + 2:]
-                    return [(head + (pos,) + tail, self._half * c)
-                            for pos, c in self._brk[(a, a)]]
-                if self.restricted and word[k:k + p] == (a,) * p:
-                    tail = word[k + p:]
-                    return [(head + (pos,) + tail, c) for pos, c in self._pow[a]]
-        return None
+    def _split(self, mono):
+        """(j, m') for a monomial mono = x_j m', x_j its first generator;
+        (ngen, None) for the unit.  Kept per monomial."""
+        got = self._splits.get(mono)
+        if got is None:
+            j = next((i for i, e in enumerate(mono) if e), len(mono))
+            rest = mono[:j] + (mono[j] - 1,) + mono[j + 1:] if any(mono) else None
+            got = self._splits[mono] = (j, rest)
+        return got
 
     def monomial_product(self, ma, mb):
+        """ma mb for PBW monomials, as {PBW monomial: coefficient}: the left
+        product by each factor of ma in turn, its last factor first."""
         key = (ma, mb)
         cached = self._prod.get(key)
         if cached is not None:
@@ -280,7 +270,11 @@ class UAlgebra:
             if sum(ma) + sum(mb) > self.degree_bound:
                 raise DegreeOverflowError(
                     f"degree {sum(ma) + sum(mb)} exceeds bound {self.degree_bound}")
-        out = self._normalize(self._expand(ma) + self._expand(mb))
+        ks = [k for k, e in enumerate(ma) for _ in range(e)]
+        out = self._left(ks.pop(), mb) if ks else {mb: 1}
+        for k in reversed(ks):
+            out = _combine(((c, self._left(k, m)) for m, c in out.items()),
+                           self.p)
         self._prod[key] = out
         return out
 
@@ -295,7 +289,9 @@ class UAlgebra:
         identity when u' = 1).  The rows are filled one degree at a time by
         sparse joins, so beside the table only the join of one degree is
         held, never a dense |aug|^3 array.  A product of aug-ideal elements
-        with a unit component would be a straightening bug and raises."""
+        with a unit component, or a term whose parity or weight under an
+        even t with ad t diagonal is not its factors' sum, would be a
+        straightening bug and raises InvariantViolationError."""
         if self._table is None:
             self._table = self._build_product_table()
         return self._table
@@ -319,12 +315,11 @@ class UAlgebra:
             raise InvariantViolationError(
                 "product of augmentation-ideal elements hit the unit")
         lstart = np.searchsorted(src, np.arange(n * N + 1))
-        first = [next(k for k, e in enumerate(m) if e) for m in basis[1:]]
-        first = np.array([0] + first, dtype=np.int64)
-        rest = np.array([0] + [index[m[:k] + (m[k] - 1,) + m[k + 1:]]
-                               for k, m in zip(first[1:].tolist(), basis[1:])],
-                        dtype=np.int64)
-        deg = np.array([sum(m) for m in basis], dtype=np.int64)
+        first, rest = np.array([(0, 0)] + [(j, index[r]) for j, r in
+                                           map(self._split, basis[1:])],
+                               dtype=np.int64).T
+        expo = np.array(basis, dtype=np.int64)
+        deg = expo.sum(axis=1)
         aug = np.arange(1, N, dtype=np.int64)
         rows = [(np.zeros(N - 1, dtype=np.int64), aug, aug,
                  np.ones(N - 1, dtype=np.int64))]
@@ -350,6 +345,19 @@ class UAlgebra:
                 key, c = key[c != 0], c[c != 0]
             rows.append((key // (N * N), key // N % N, key % N, c))
         a, b, w, c = (np.concatenate(t) for t in zip(*rows))
+        # for an even t with ad t diagonal, [t, -] is a derivation of u(g)
+        # that is diagonal on the PBW basis, so a product keeps the summed
+        # parity and weights of its factors
+        g, order = self.g, list(self.gen_order)
+        grades = [self.pos_parity] + [
+            np.diagonal(g.brackets[t])[order] for t in g.space.even_indices()
+            if np.count_nonzero(g.brackets[t])
+            == np.count_nonzero(np.diagonal(g.brackets[t]))]
+        mods = [2] + [p] * (len(grades) - 1)
+        for gr, mod in zip(np.array(grades) @ expo.T, mods):
+            if ((gr[a] + gr[b] - gr[w]) % mod).any():
+                raise InvariantViolationError(
+                    "product term breaks parity or weight")
         keep = a > 0
         out = (a[keep] - 1, b[keep] - 1, w[keep] - 1, c[keep])
         for t in out:
@@ -379,23 +387,28 @@ class UAlgebra:
     # -- module action -----------------------------------------------------------
 
     def action_matrix(self, rep, mono):
-        """Matrix of a basis monomial acting on a restricted module.
-
-        The monomial word acts leftmost factor first: the matrix is the
-        ordered product of rho(generator)^exponent.
-        """
-        cache = self._action.setdefault(rep, {})
-        got = cache.get(mono)
-        if got is not None:
-            return got
-        p = self.p
-        out = np.eye(rep.dim, dtype=np.int64)
-        for kpos, e in enumerate(mono):
-            if e:
-                out = (out @ matpow(rep.mats[self.gen_order[kpos]], e, p)) % p
-        out.setflags(write=False)
-        cache[mono] = out
-        return out
+        """Matrix of a PBW monomial mono = x_j m' acting on a module:
+        rho(x_j) times that of m', kept per module, built from the last
+        monomial of the chain m', m'', ... not kept yet.  A module seen
+        for the first time raises InvariantViolationError unless parity
+        and the weights under the basis torus (``basis_torus``) add on the
+        nonzeros of rho(x_i), |nu| = |x_i| + |mu|; then they add on those
+        of every monomial, a product of the rho(x_i)."""
+        cache = self._action.get(rep)
+        if cache is None:
+            _check_grades(self.g, rep)
+            cache = self._action[rep] = {}
+        chain = [mono]
+        while chain[-1] not in cache and any(chain[-1]):
+            chain.append(self._split(chain[-1])[1])
+        if chain[-1] not in cache:
+            cache[chain[-1]] = np.eye(rep.dim, dtype=np.int64)
+            cache[chain[-1]].setflags(write=False)
+        for m, rest in zip(chain[-2::-1], chain[:0:-1]):
+            x = self.gen_order[self._split(m)[0]]
+            cache[m] = rep.mats[x] @ cache[rest] % self.p
+            cache[m].setflags(write=False)
+        return cache[mono]
 
     def element_action(self, rep, u, mvec):
         p = self.p
@@ -406,9 +419,26 @@ class UAlgebra:
         return out
 
 
-def _accumulate(acc, terms, c, p):
-    for m, v in terms.items():
-        acc[m] = (acc.get(m, 0) + c * v) % p
+def _check_grades(g, rep):
+    """The grade check of ``UAlgebra.action_matrix`` on rho(x_i)."""
+    i, nu, mu = np.nonzero(np.array(rep.mats) % g.p)
+    t = list(basis_torus(g, rep)) if i.size else []
+    lam = np.vstack([g.space.parities(),
+                     np.diagonal(g.brackets[t], axis1=1, axis2=2)])
+    mw = np.vstack([rep.space.parities(), np.reshape(
+        [np.diagonal(rep.mats[j]) for j in t], (len(t), rep.dim))])
+    if ((lam[:, i] + mw[:, mu] - mw[:, nu])
+            % np.array([2] + [g.p] * len(t))[:, None]).any():
+        raise InvariantViolationError("module action breaks parity or weight")
+
+
+def _combine(scaled, p):
+    """sum c terms mod p over the (c, {monomial: coefficient}) pairs."""
+    acc = {}
+    for c, terms in scaled:
+        for m, v in terms.items():
+            acc[m] = acc.get(m, 0) + c * v
+    return {m: v % p for m, v in acc.items() if v % p}
 
 
 # ---------------------------------------------------------------------------
@@ -438,42 +468,6 @@ class ULinearMap:
             for m, c in self.images[mono].terms.items():
                 out[dst_index[m], col] = c
         return out
-
-
-def algebra_hom_extend(src, dst, gen_images, check=True):
-    """Multiplicative extension of a map on generators to PBW bases.
-
-    ``gen_images[amb]`` is the image in dst of src's generator amb.  When
-    ``check`` is set, the map is verified to be a morphism of restricted
-    Lie superalgebras on generators first.
-    """
-    g = src.g
-    p = src.p
-    if len(gen_images) != g.dim:
-        raise UsageError("one image per generator required")
-    if check:
-        for i in range(g.dim):
-            for j in range(g.dim):
-                sign = -1 if (g.parity(i) and g.parity(j)) else 1
-                lhs = dst.multiply(gen_images[i], gen_images[j]) - \
-                    dst.multiply(gen_images[j], gen_images[i]).scaled(sign)
-                rhs = _push_vector(dst, src.g, g.brackets[i, j], gen_images)
-                if lhs != rhs:
-                    raise UsageError(f"not a morphism on ({i},{j})")
-        for i in g.space.even_indices():
-            lhs = dst.power(gen_images[i], p)
-            rhs = _push_vector(dst, src.g, g.pmap_basis(i), gen_images)
-            if lhs != rhs:
-                raise UsageError(f"not restricted on generator {i}")
-    return linear_section_extend(src, dst, gen_images)
-
-
-def _push_vector(dst, g, vec, gen_images):
-    out = dst.zero()
-    for amb, c in enumerate(np.asarray(vec) % g.p):
-        if c:
-            out = out + gen_images[amb].scaled(int(c))
-    return out
 
 
 def linear_section_extend(src, dst, section_images, monomials=None):

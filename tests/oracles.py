@@ -68,6 +68,119 @@ def aug_product_table(ualg):
                   for m, c in ualg.monomial_product(ma, mb).items())
 
 
+class WordStraightener:
+    """The products of PBW monomials of u(g) (restricted mode) or of
+    degree-truncated U(g), as the library's ``UAlgebra`` numbers them, by
+    rewriting generator words: swap an adjacent out-of-order pair with its
+    Koszul sign and bracket term, replace an odd square y y by (1/2)[y, y],
+    and in restricted mode p equal even factors by the p-th power.  Each
+    rule lowers (degree, inversions), so the first applicable rule, applied
+    until none is, reaches the normal form.  Reads only g's structure
+    constants and the algebra's generator order and mode; a work list, not
+    recursion, resolves the words."""
+
+    def __init__(self, ualg):
+        g = ualg.g
+        self.p, self.restricted = g.p, ualg.restricted
+        order = ualg.gen_order
+        pos_of = {amb: k for k, amb in enumerate(order)}
+        self.ngen = len(order)
+        self.par = [g.parity(amb) for amb in order]
+        self.half = pow(2, -1, g.p)
+
+        def positions(vec):
+            return [(pos_of[amb], int(c) % g.p) for amb, c in enumerate(vec)
+                    if int(c) % g.p]
+        self.brk = {(a, b): positions(g.brackets[order[a], order[b]])
+                    for a in range(self.ngen) for b in range(self.ngen)}
+        self.pow = {a: positions(g.pmap_basis(order[a]))
+                    for a in range(self.ngen) if not self.par[a]}
+        self.norm = {}
+
+    def product(self, ma, mb):
+        """ma mb as {PBW monomial: nonzero coefficient}."""
+        word = tuple(k for m in (ma, mb) for k, e in enumerate(m)
+                     for _ in range(e))
+        return self.normalize(word)
+
+    def normalize(self, word):
+        p, norm = self.p, self.norm
+        todo = [word]
+        while todo:
+            w = todo[-1]
+            if w in norm:
+                todo.pop()
+                continue
+            terms = self.rewrite(w)
+            if terms is None:
+                mono = [0] * self.ngen
+                for k in w:
+                    mono[k] += 1
+                norm[w] = {tuple(mono): 1}
+                continue
+            missing = [t for t, _ in terms if t not in norm]
+            if missing:
+                todo.extend(missing)
+                continue
+            acc = {}
+            for t, c in terms:
+                for m, v in norm[t].items():
+                    acc[m] = (acc.get(m, 0) + c * v) % p
+            norm[w] = {m: v for m, v in acc.items() if v}
+        return norm[word]
+
+    def rewrite(self, word):
+        """The first applicable rule as (word, coefficient) terms, or None
+        for a normal word."""
+        p, par = self.p, self.par
+        for k, (a, b) in enumerate(zip(word, word[1:])):
+            head = word[:k]
+            if a > b:
+                tail = word[k + 2:]
+                return ([(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
+                        + [(head + (c,) + tail, v) for c, v in self.brk[(a, b)]])
+            if a == b and par[a]:
+                tail = word[k + 2:]
+                return [(head + (c,) + tail, self.half * v)
+                        for c, v in self.brk[(a, a)]]
+            if a == b and self.restricted and word[k:k + p] == (a,) * p:
+                tail = word[k + p:]
+                return [(head + (c,) + tail, v) for c, v in self.pow[a]]
+        return None
+
+
+def algebra_hom_extend(src, dst, gen_images, check=True):
+    """The multiplicative extension of a map on generators to the PBW bases
+    of two ``UAlgebra``s, a ``ULinearMap``.  ``gen_images[amb]`` is the
+    image in dst of src's generator amb.  When ``check`` is set, the map is
+    first checked to be a morphism of restricted Lie superalgebras on the
+    generators: UsageError on the brackets or p-maps that it breaks."""
+    from supercoh.envelope import linear_section_extend
+    from supercoh.errors import UsageError
+
+    g = src.g
+
+    def push(vec):
+        out = dst.zero()
+        for amb, c in enumerate(vec):
+            if int(c) % g.p:
+                out = out + gen_images[amb].scaled(int(c))
+        return out
+    if len(gen_images) != g.dim:
+        raise UsageError("one image per generator required")
+    for i in range(g.dim) if check else ():
+        for j in range(g.dim):
+            sign = -1 if (g.parity(i) and g.parity(j)) else 1
+            lhs = dst.multiply(gen_images[i], gen_images[j]) - \
+                dst.multiply(gen_images[j], gen_images[i]).scaled(sign)
+            if lhs != push(g.brackets[i, j]):
+                raise UsageError(f"not a morphism on ({i},{j})")
+        if not g.parity(i) and dst.power(gen_images[i], g.p) != push(
+                g.pmap_basis(i)):
+            raise UsageError(f"not restricted on generator {i}")
+    return linear_section_extend(src, dst, gen_images)
+
+
 # ---------------------------------------------------------------------------
 # hand-coded augmented-algebra tables: basis labels, parities, products
 # ---------------------------------------------------------------------------

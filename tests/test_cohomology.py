@@ -326,6 +326,42 @@ def test_bar_differential_invariant_checks(loaded_catalog):
         assoc_differential_matrix(u, k, 1)
 
 
+def test_weight_zero_bar_differentials_refuse_a_module_that_breaks_weights(
+        loaded_catalog):
+    """On a4-borel, [h, x] = x, a module where h acts as diag(0, 1) but x
+    sends the weight-1 vector m1 to itself (x m1 should have weight 2) is
+    no representation.  Built without validation, its weight-zero bar d0
+    and d1 raise: every d0 term from the one weight-0 column m0 is zero,
+    so only the up-front check of the action's grades catches d0."""
+    g, _ = fixture_algebra(loaded_catalog, "a4-borel")
+    bad = Representation(g, SuperSpace(("m0", "m1"), ()),
+                         [np.diag([0, 1]), np.array([[0, 0], [0, 1]])])
+    w0 = CochainComplex(g, bad, "bar").weight_zero()
+    assert w0.torus == (0,) and w0.basis(0).dim == 1
+    for n in (0, 1):
+        with pytest.raises(InvariantViolationError, match="weight"):
+            w0.d(n)
+
+
+def test_a_bar_term_that_leaves_the_complex_raises(loaded_catalog):
+    """The a1-null bar d1 with k has the term f(x^2) at the row (x, x); a
+    lookup that leaves that row out of the complex, as no parity or weight
+    would, makes the term from the column x^2 leave the complex."""
+    from supercoh.cohomology import _bar_lookup
+    g, k = fixture_algebra(loaded_catalog, "a1-null")
+    u = UAlgebra(g)
+    A, x = len(u.aug_basis()), u.aug_index()[(1,)]
+
+    def lookup(n):
+        out = _bar_lookup(u, k, n)
+        if n == 2:
+            out[x * A + x] = -1
+        return out
+    assert assoc_differential_matrix(u, k, 1).to_dense()[x * A + x].any()
+    with pytest.raises(InvariantViolationError, match="leaves the complex"):
+        assoc_differential_matrix(u, k, 1, lookup)
+
+
 def test_hand_elimination_a1_bar_spaces(loaded_catalog):
     # frozen from the k[x]/(x^3) elimination: Z^1 = {f(x^2) = 0},
     # Z^2 = {f(x,x^2) = f(x^2,x), f(x^2,x^2) = 0}, B^2 one-dimensional

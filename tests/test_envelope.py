@@ -6,13 +6,15 @@ import pytest
 
 from supercoh.algfile import parse_algebra_dict
 from supercoh.envelope import (
-    UAlgebra, algebra_hom_extend, check_commutator_identities, gamma_map,
-    linear_section_extend,
+    UAlgebra, check_commutator_identities, gamma_map, linear_section_extend,
 )
-from supercoh.errors import DegreeOverflowError, NotInIdealError, UsageError
+from supercoh.errors import (
+    DegreeOverflowError, InvariantViolationError, NotInIdealError, UsageError,
+)
 from supercoh.superalg import semidirect
 
 from conftest import fixture_algebra
+from oracles import algebra_hom_extend
 
 
 def test_pbw_counts(loaded_catalog):
@@ -266,6 +268,18 @@ def test_aug_product_table_matches_pairwise_straightening():
         assert got == [list(t) for t in aug_product_table(UAlgebra(g))], name
 
 
+def test_a_table_term_off_its_weight_raises(loaded_catalog):
+    """On a4-borel, [h, x] = x, a straightening that answers h m with x m
+    and x m with h m keeps parities but not weights under h, so the
+    table's grade check raises."""
+    g, _ = fixture_algebra(loaded_catalog, "a4-borel")
+    u = UAlgebra(g)
+    straighten = u.monomial_product
+    u.monomial_product = lambda ma, mb: straighten(ma[::-1], mb)
+    with pytest.raises(InvariantViolationError, match="weight"):
+        u.aug_product_table()
+
+
 def test_aug_product_table_is_built_once_from_left_multiplications(
         loaded_catalog):
     """Building the table of u(g) straightens at most g.dim x dim u
@@ -287,3 +301,84 @@ def test_aug_product_table_is_built_once_from_left_multiplications(
     assert 0 < len(calls) <= E.dim * u.dim
     assert u.aug_product_table() is table and len(calls) <= 324
     assert not any(t.flags.writeable for t in table)
+
+
+def _straightening_inputs():
+    """(name, g): every catalog algebra, its semidirect product with each
+    of its modules, and every ``tests/data`` algebra of dim <= 4 that the
+    validator accepts (not ``odd-cube-p3``), at p = 3 and 5 where the file
+    leaves p open."""
+    import json
+    from pathlib import Path
+
+    from supercoh import catalog
+    from supercoh.errors import ValidationError
+    out = []
+    for e in catalog.ENTRIES:
+        g, modules, _ = parse_algebra_dict(e.data)
+        out.append((e.entry_id, g))
+        out += [(f"{e.entry_id}|x{name}", semidirect(g, rep)[0])
+                for name, rep in modules.items()]
+    for path in sorted(Path(__file__).parent.glob("data/*.json")):
+        data = json.loads(path.read_text())
+        for p in (data["p"],) if "p" in data else (3, 5):
+            try:
+                g = parse_algebra_dict(data, p)[0]
+            except ValidationError:
+                continue
+            if g.dim <= 4:
+                out.append((f"{path.stem}@p{p}", g))
+    return out
+
+
+STRAIGHTENING = _straightening_inputs()
+
+
+@pytest.mark.parametrize("name,g", STRAIGHTENING,
+                         ids=[name for name, _ in STRAIGHTENING])
+def test_straightening_equals_the_word_rewriting_oracle(name, g):
+    """The left-product engine gives the products of the word-rewriting
+    oracle: the whole aug x aug product table of u(g), 100 random pairs of
+    PBW monomials of u(g), and 100 random pairs of truncated U(g)'s
+    monomials of total degree at most its bound p + 2."""
+    from oracles import WordStraightener
+    rng = random.Random(name)
+    u = UAlgebra(g)
+    oracle = WordStraightener(u)
+    aug = u.aug_basis()
+    index = {m: k for k, m in enumerate(aug)}
+    want = sorted((a, b, index[m], c) for a, ma in enumerate(aug)
+                  for b, mb in enumerate(aug)
+                  for m, c in oracle.product(ma, mb).items())
+    assert np.stack(u.aug_product_table(), axis=1).tolist() == [
+        list(t) for t in want]
+    basis = u.pbw_basis()
+    for ma, mb in ((rng.choice(basis), rng.choice(basis)) for _ in range(100)):
+        assert u.monomial_product(ma, mb) == oracle.product(ma, mb), (ma, mb)
+    U = UAlgebra(g, restricted=False)
+    oracle = WordStraightener(U)
+    for _ in range(100):
+        cut = [rng.randrange(U.degree_bound + 1) for _ in range(g.dim - 1)]
+        degs = np.diff([0] + sorted(cut) + [U.degree_bound])
+        mono = [min(d, 1) if par else d for d, par in zip(degs, U.pos_parity)]
+        split = [rng.randrange(e + 1) for e in mono]
+        ma = tuple(split)
+        mb = tuple(e - s for e, s in zip(mono, split))
+        assert U.monomial_product(ma, mb) == oracle.product(ma, mb), (ma, mb)
+
+
+def test_left_products_and_actions_need_no_recursion():
+    """In truncated U(g) of the abelian plane <a, b>, b a^N = a^N b is a
+    chain of N left products b a^k, each waiting on b a^(k-1), and the
+    action of a^N a chain of N matrices, N past Python's recursion
+    limit."""
+    from supercoh.superalg import Representation, SuperSpace
+    n = sys.getrecursionlimit() + 100
+    g, _, _ = parse_algebra_dict({
+        "p": 3, "even": ["a", "b"], "odd": [], "brackets": {},
+        "pmap": {"a": {}, "b": {}}, "modules": {}})
+    U = UAlgebra(g, restricted=False, degree_bound=n + 1)
+    assert U.monomial_product((0, 1), (n, 0)) == {(n, 1): 1}
+    rep = Representation(g, SuperSpace(("m0", "m1"), ()),
+                         [[[1, 1], [0, 1]], [[0, 0], [0, 0]]])
+    assert U.action_matrix(rep, (n, 0)).tolist() == [[1, n % 3], [0, 1]]
