@@ -46,21 +46,29 @@ bar = CochainComplex(g, k, "bar")
 lie = CochainComplex(g, k, "lie")
 h2s = restricted_cohomology(bar, 2)
 c = assoc_2cocycle_from_restricted_ext(s0, bar)
-print("its bar 2-cocycle class:", h2s.class_coords(c), "(zero, as it must be)")
+
+
+def class_of(cocycle):
+    """The H^2_* class coordinates of a bar 2-cocycle, ``class_coords``'s
+    int64 array, as a tuple of ints."""
+    return tuple(h2s.class_coords(cocycle).tolist())
+
+
+print("its bar 2-cocycle class:", class_of(c), "(zero, as it must be)")
 
 # h -> m is the p-th-power defect of the cocycle -h*, so this twist is
 # invisible: the class stays zero and the extensions stay equivalent
 inert = SemiLinearMap(g, 1, ((1,), (0,)))
 tw0 = twist_pmap(s0, inert)
 print("twist by (h -> m, x -> 0): class",
-      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw0, bar)),
+      class_of(assoc_2cocycle_from_restricted_ext(tw0, bar)),
       "; equivalent to s0?", are_equivalent_restricted(s0, tw0, lie))
 
 # x -> m is not such a defect: it produces a genuinely new equivalence class
 active = SemiLinearMap(g, 1, ((0,), (1,)))
 tw1 = twist_pmap(s0, active)
 print("twist by (h -> 0, x -> m): class",
-      h2s.class_coords(assoc_2cocycle_from_restricted_ext(tw1, bar)),
+      class_of(assoc_2cocycle_from_restricted_ext(tw1, bar)),
       "; equivalent to s0?", are_equivalent_restricted(s0, tw1, lie))
 
 # --- and back: a bar cocycle to a restricted extension -------------------
@@ -71,4 +79,4 @@ print("\nextension rebuilt from the H^2_* generator; its p-map on (h, 0):",
       [int(c) for c in ext2.E.pmap_basis(e_h)])
 c1 = assoc_2cocycle_from_restricted_ext(ext2, bar)
 print("extract-again lands in the same class:",
-      h2s.class_coords(c0) == h2s.class_coords(c1))
+      class_of(c0) == class_of(c1))

@@ -412,9 +412,9 @@ def _bar_action(ualg, rep, aug):
                     dtype=np.int64).reshape(len(aug), rep.dim, rep.dim)
 
 
-def is_bar_2cocycle(bar, cvec):
-    """Whether the 2-cochain ``cvec`` of the bar complex ``bar`` is a
-    cocycle, i.e. whether e = d2 c,
+def is_bar_2cocycle(bar, cvecs):
+    """Whether the 2-cochain ``cvecs`` of the bar complex ``bar``, or each
+    of a stack of them along the leading axes, is a cocycle: whether e = d2 c,
 
         e(s_1, s_2, s_3) = s_1 . c(s_2, s_3) - c(s_1 s_2, s_3)
                            + c(s_1, s_2 s_3),
@@ -437,30 +437,30 @@ def is_bar_2cocycle(bar, cvec):
     Each slice takes the three terms from the action matrix of x and the
     aug x aug product table, so the check costs about
     g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
-    never assembles d2."""
+    never assembles d2; a stack, not C-contiguous, takes its terms by index."""
     bar.require("bar")
-    c = bar.cochain_array(cvec)
+    c = bar.cochain_array(cvecs)
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
     aug = ualg.aug_basis()
-    A, D = len(aug), rep.dim
+    A = len(aug)
     a, b, w, coef = ualg.aug_product_table()
     # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
     bounds = np.searchsorted(a, np.arange(A + 1))
     pair = a * A + b
     first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+    bad = np.zeros(c.shape[:-3], dtype=bool)
     for s1 in (bar.aug_power(i, 1) for i in range(bar.g.dim)):
         out = c @ ualg.action_matrix(rep, aug[s1]).T
         lo, hi = bounds[s1], bounds[s1 + 1]
         if hi > lo:
             runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
-            out[b[lo:hi][runs]] -= np.add.reduceat(
-                coef[lo:hi, None, None] * c[w[lo:hi]], runs)
+            out[..., b[lo:hi][runs], :, :] -= np.add.reduceat(
+                coef[lo:hi, None, None] * c[..., w[lo:hi], :, :], runs, axis=-3)
         if pair.size:
-            out.reshape(A * A, D)[pair[first]] += np.add.reduceat(
-                coef[:, None] * c[s1, w], first)
-        if (out % p).any():
-            return False
-    return True
+            out[..., a[first], b[first], :] += np.add.reduceat(
+                coef[:, None] * c[..., s1, w, :], first, axis=-2)
+        bad |= (out % p).any(axis=(-3, -2, -1))
+    return ~bad
 
 
 @dataclass(frozen=True)
@@ -853,25 +853,25 @@ class CochainComplex:
 
     def check_readback(self, c, bracket, pmap, what):
         """Raise InvariantViolationError unless the bar 2-cochain array c
-        (``cochain_array``) reads back a restricted extension of g by M
-        through a section psi.  ``bracket[i, j]`` is the M-part of
-        [psi x_i, psi x_j] - psi [x_i, x_j] and must be the
-        antisymmetrization c(x_i, x_j) - (-1)^{|x_i||x_j|} c(x_j, x_i);
-        ``pmap[s]``, for x the s-th even basis element of g, is that of
-        psi(x)^[p] - psi(x^[p]) and must be c(x^{p-1}, x).  ``what`` names
-        c in the message."""
+        (``cochain_array``), or each of a stack along its leading axes, reads
+        back a restricted extension of g by M through a section psi.
+        ``bracket[i, j]`` is the M-part of [psi x_i, psi x_j] - psi [x_i, x_j]
+        and must be the antisymmetrization c(x_i, x_j) - (-1)^{|x_i||x_j|}
+        c(x_j, x_i); ``pmap[s]``, for x the s-th even basis element of g, is
+        that of psi(x)^[p] - psi(x^[p]) and must be c(x^{p-1}, x).  For a
+        stack, both hold its axes before M's.  ``what`` names c."""
         g, p = self.g, self.g.p
-        gens = [self.aug_power(i, 1) for i in range(g.dim)]
+        gens = np.array([self.aug_power(i, 1) for i in range(g.dim)])
         par = np.array(g.space.parities())
         sign = np.where(np.outer(par, par) == 1, -1, 1)[:, :, None]
-        on_g = c[np.ix_(gens, gens)]
-        bad = np.argwhere(((on_g - sign * on_g.transpose(1, 0, 2) - bracket)
-                           % p).any(axis=2))
+        on_g = c[..., gens[:, None], gens, :]
+        bad = np.argwhere(((on_g - sign * on_g.swapaxes(-3, -2) - bracket)
+                           % p).any(axis=-1))
         if bad.size:
             raise InvariantViolationError(
-                f"{what} misreads the bracket on {tuple(bad[0].tolist())}")
+                f"{what} misreads the bracket on {tuple(bad[0, -2:].tolist())}")
         for idx, want in zip(g.space.even_indices(), pmap):
-            if ((c[self.aug_power(idx, p - 1), gens[idx]] - want) % p).any():
+            if ((c[..., self.aug_power(idx, p - 1), gens[idx], :] - want) % p).any():
                 raise InvariantViolationError(
                     f"{what} misreads the p-map on {idx}")
 
@@ -889,9 +889,9 @@ class CochainComplex:
         return tuple((int(plan.gens[i]), iv) for i, iv in plan.seeds)
 
     def cocycle_from_seeds(self, seeds):
-        """The (|aug|, |aug|, dim M) array (``cochain_array``) of the bar
-        2-cocycle of a restricted extension read through a monomial
-        section, from its values ``seeds[s]`` at ``seed_positions()[s]``.
+        """The (..., |aug|, |aug|, dim M) array (``cochain_array``) of the bar
+        2-cocycle of a restricted extension read through a monomial section,
+        from its values ``seeds[..., s, :]`` at ``seed_positions()[s]``.
 
         The generator rows c(x, .) follow by the recursion of
         ``extensions.assoc_2cocycle_from_restricted_ext``, one degree of v
@@ -911,30 +911,33 @@ class CochainComplex:
         A, D = len(self.ualg.aug_basis()), self.rep.dim
         _, b, w, coef = self.ualg.aug_product_table()
         act = np.array(self.rep.mats, dtype=np.int64).reshape(-1, D, D) % p
-        c = np.zeros((A, A, D), dtype=np.int64)
+        # a stack rides as one last axis, so the indices read leading axes only
+        lead, shape = np.shape(seeds)[:-2], np.shape(seeds)[-2:]
+        seeds = np.reshape(seeds, (-1,) + shape).transpose(1, 2, 0)
+        c = np.zeros((A, A, D, seeds.shape[-1]), dtype=np.int64)
         c[plan.gens] = self._generator_rows(seeds, act)
         for us, ux, ur, own, pos in plan.fill_passes:
-            out = np.einsum("nvj,nij->nvi", c[ur], act[ux])
+            out = np.einsum("nvjl,nij->nvil", c[ur], act[ux])
             np.add.at(out, (own, b[pos]),
-                      coef[pos, None] * c[plan.gens[ux[own]], w[pos]])
+                      coef[pos, None, None] * c[plan.gens[ux[own]], w[pos]])
             c[us] = out % p
-        return c
+        return c.transpose(3, 0, 1, 2).reshape(lead + (A, A, D))
 
     def _generator_rows(self, seeds, act):
-        """The (g.dim, |aug|, dim M) array of c(x_i, v), filled from the
-        seeds; ``act`` holds the action matrices of g's basis."""
+        """The (g.dim, |aug|, dim M, l) array of c(x_i, v) from the (seeds,
+        dim M, l) stack of seeds; ``act`` holds the action matrices of g."""
         plan, p = self._seed_plan(), self.g.p
         _, _, w, coef = self.ualg.aug_product_table()
-        rows = np.zeros((self.g.dim, len(self.ualg.aug_basis()), self.rep.dim),
+        rows = np.zeros((len(act), len(self.ualg.aug_basis())) + seeds.shape[1:],
                         dtype=np.int64)
         if plan.seeds:
             xs, vs = np.array(plan.seeds).T
             rows[xs, vs] = np.asarray(seeds, dtype=np.int64) % p
         for xs, vs, src, cz, ys, sign, own, pos in plan.gen_passes:
-            t = np.einsum("nij,nj->ni", act[ys], rows[xs, src])
-            np.add.at(t, own, coef[pos, None] * rows[ys[own], w[pos]])
-            rows[xs, vs] = (np.einsum("nz,znd->nd", cz, rows[:, src])
-                            + sign[:, None] * t) % p
+            t = np.einsum("nij,njl->nil", act[ys], rows[xs, src])
+            np.add.at(t, own, coef[pos, None, None] * rows[ys[own], w[pos]])
+            rows[xs, vs] = (np.einsum("nz,znjl->njl", cz, rows[:, src])
+                            + sign[:, None, None] * t) % p
         return rows
 
 
@@ -967,16 +970,16 @@ class CohomologyResult:
     def representatives(self):
         return self.R.basis_rows
 
-    def class_coords(self, vec):
-        """Coordinates of the class of a cocycle in the representative basis.
+    def class_coords(self, vecs):
+        """The class coordinates of a cocycle, or of a stack: (..., dim_h) int64.
 
         One reduction suffices: Z = B (+) R with R zero at B's pivots, so the
-        residue of vec modulo B lies in R exactly when vec lies in Z.  The
-        residue stays an array from B to R."""
-        coords = self.R.coords(self.B._residue(vec)[0])
-        if coords is None:
+        residue of vec modulo B lies in R exactly when vec lies in Z, and
+        its coordinates there are its pivot coordinates."""
+        res = self.B.reduce(vecs)
+        if self.R.reduce(res).any():
             raise UsageError("vector is not a cocycle")
-        return coords
+        return res.take(self.R.pivots, axis=-1)
 
 
 def _cohomology(cx, n, kind):

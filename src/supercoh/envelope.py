@@ -410,14 +410,6 @@ class UAlgebra:
             cache[m].setflags(write=False)
         return cache[mono]
 
-    def element_action(self, rep, u, mvec):
-        p = self.p
-        out = np.zeros(rep.dim, dtype=np.int64)
-        mv = np.asarray(mvec, dtype=np.int64) % p
-        for mono, c in u.terms.items():
-            out = (out + c * (self.action_matrix(rep, mono) @ mv)) % p
-        return out
-
 
 def _check_grades(g, rep):
     """The grade check of ``UAlgebra.action_matrix`` on rho(x_i)."""

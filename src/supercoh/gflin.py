@@ -354,21 +354,22 @@ class MatGF:
     # arithmetic -----------------------------------------------------------
 
     def _mv(self, x):
-        """m x mod p for an int64 vector x with entries in 0..p-1."""
-        return self._row_sums(x[self.indices])
+        """m x mod p for int64 x (entries in 0..p-1), or a stack of them."""
+        return self._row_sums(x.take(self.indices, axis=-1))
 
     def _row_sums(self, xs):
-        """m x mod p from xs = x[indices] (entries in 0..p-1): the products
-        of each row summed as differences of one running sum."""
-        run = np.zeros(self.nnz + 1, dtype=np.int64)
-        (self.data * xs).cumsum(out=run[1:])
-        return (run[self.indptr[1:]] - run[self.indptr[:-1]]) % self.p
+        """m x mod p from xs = x[..., indices]: the products of each row
+        summed as differences of one running sum."""
+        run = np.zeros(xs.shape[:-1] + (self.nnz + 1,), dtype=np.int64)
+        (self.data * xs).cumsum(axis=-1, out=run[..., 1:])
+        return (run.take(self.indptr[1:], axis=-1)
+                - run.take(self.indptr[:-1], axis=-1)) % self.p
 
     def _vm(self, x):
-        """x m mod p for an int64 vector x with entries in 0..p-1."""
-        out = np.zeros(self.cols, dtype=np.int64)
-        np.add.at(out, self.indices,
-                  x.repeat(self.indptr[1:] - self.indptr[:-1]) * self.data)
+        """x m mod p for int64 x (entries in 0..p-1), or a stack of them."""
+        out = np.zeros(x.shape[:-1] + (self.cols,), dtype=np.int64)
+        np.add.at(out, (..., self.indices),
+                  x.repeat(self.indptr[1:] - self.indptr[:-1], axis=-1) * self.data)
         return out % self.p
 
     def matvec(self, vec):
@@ -552,8 +553,8 @@ class Subspace:
     def _rref(cls, ambient_dim, p, basis, pivots, lazy=None):
         """A subspace from a basis the caller knows to be in RREF, or, for
         basis None, from lazy = (write, residue): ``write()`` returns that
-        basis on its first read, and ``residue(v)`` is the residue of an
-        int64 vector v with entries in 0..p-1."""
+        basis on its first read, and ``residue(v)`` is ``reduce(v)`` of an
+        int64 vector v with entries in 0..p-1, or of a stack of them."""
         return cls.__new__(cls)._set(ambient_dim, p, basis, pivots, lazy)
 
     @classmethod
@@ -614,31 +615,28 @@ class Subspace:
         """The basis rows as tuples of Python ints."""
         return tuple(map(tuple, self.basis.to_dense().tolist()))
 
-    def _residue(self, vec):
-        """(residue, coefficients) of a vector: vec minus its pivot
-        coordinates times the basis rows, and those coordinates."""
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.shape != (self.ambient_dim,):
+    def reduce(self, vecs):
+        """The residue of a vector, or of each of a stack of them along the
+        leading axes, as an int64 array: the vector minus its pivot
+        coordinates times the basis rows, reduced mod p."""
+        vecs = np.asarray(vecs, dtype=np.int64)
+        if vecs.shape[-1:] != (self.ambient_dim,):
             raise UsageError("vector length mismatch")
-        vec = vec % self.p
-        cs = vec[list(self.pivots)]
+        vecs = vecs % self.p
+        if not vecs.size:  # an empty stack writes no rows and no inverse
+            return vecs
         if self._lazy:
-            return self._lazy[1](vec), cs
-        return (vec - self.basis._vm(cs)) % self.p, cs
-
-    def reduce(self, vec):
-        """Residue of vec after eliminating this subspace's pivot coordinates."""
-        return tuple(self._residue(vec)[0].tolist())
+            return self._lazy[1](vecs)
+        return (vecs - self.basis._vm(vecs.take(self.pivots, axis=-1))) % self.p
 
     def contains(self, vec):
-        return not self._residue(vec)[0].any()
+        return not self.reduce(vec).any()
 
     def coords(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
-        out, cs = self._residue(vec)
-        if out.any():
-            return None
-        return tuple(cs.tolist())
+        """Coordinates of vec in the echelon basis, its pivot coordinates,
+        or None if outside."""
+        vec = np.asarray(vec, dtype=np.int64) % self.p
+        return None if self.reduce(vec).any() else tuple(vec[list(self.pivots)].tolist())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -737,7 +735,7 @@ class RowReduction:
             return Subspace.zero(m.rows, m.p)
         return Subspace._rref(m.rows, m.p, None, P, (
             lambda: _product(m, self._inverse, transposed=True),
-            lambda v: (v - m._mv(self._inverse._mv(v[P]))) % m.p))
+            lambda v: (v - m._mv(self._inverse._mv(v.take(P, axis=-1)))) % m.p))
 
     def solve(self, rhs):
         """Some x with m x = rhs, or None when rhs is outside the image.
@@ -811,19 +809,19 @@ def subspace_sum(a, b):
 
 
 def extend(B, vectors):
-    """(Z, R) for Z = B + span(vectors): R is the RREF of the vectors'
-    residues modulo B, which is ``quotient_representatives(Z, B)``, as
-    both are the unique RREF basis of {z in Z : z is zero at B's pivots}.
+    """(Z, R) for Z = B + span(vectors), a (k, n) stack: R is the RREF of
+    their residues modulo B, which is ``quotient_representatives(Z, B)``,
+    as both are the unique RREF basis of {z in Z : z is zero at B's pivots}.
     Z is B when R is zero; otherwise its pivots are B's and R's, its rows,
     ``subspace_sum(B, R)``, are written on first read, and a vector is
     reduced modulo B, then modulo R.  B's rows are never read."""
     n, p = B.ambient_dim, B.p
-    R = Subspace.from_vectors([B._residue(v)[0] for v in vectors], n, p)
+    R = Subspace.from_vectors(B.reduce(vectors), n, p)
     if not R.dim:
         return B, R
     return Subspace._rref(n, p, None, sorted(B.pivots + R.pivots), (
         lambda: subspace_sum(B, R).basis,
-        lambda v: R._residue(B._residue(v)[0])[0])), R
+        lambda v: R.reduce(B.reduce(v)))), R
 
 
 def subspace_intersect(a, b):

@@ -61,9 +61,9 @@ class SixTermContext:
     s0 - sigma, all read off the one bar cocycle of the universal twist
     (see ``_fg_cocycles``), and the fills (``pair_fill``) are the bar
     cocycles of the canonical representatives of the pair complex's Z^2
-    modulo its B^2 and fg's pair image, the pairs (0, -sigma).  Every
-    cocycle is checked by ``is_bar_2cocycle``, so the bar d2 is never
-    assembled.  The representatives R are the RREF of the residues of
+    modulo its B^2 and fg's pair image, the pairs (0, -sigma).  Each family
+    is one int64 stack with one ``is_bar_2cocycle`` check, so the bar d2 is
+    never assembled.  The representatives R are the RREF of the residues of
     these cocycles modulo B^2_* (``gflin.extend``), reduced through the
     bar d1 and its m[P, Q]^-1, so a report never writes the rows of B^2_*
     or Z^2_*; they are written only if read.  dim R must equal that of
@@ -119,39 +119,43 @@ class SixTermContext:
                           ((0, 0), (self.lie.basis(2).dim, 0)))
         rest = subspace_sum(pair.B, Subspace.from_vectors(
             fg_pairs, pair.Z.ambient_dim, p))
-        fills = [self.pair_fill(vec) for vec in
-                 quotient_representatives(pair.Z, rest).rows]
-        Z, R = extend(B, list(self.fg_cocycles) + fills)
+        cocycles, reps = self.fg_cocycles, quotient_representatives(pair.Z, rest)
+        if reps.dim:
+            cocycles = np.vstack([cocycles, self.pair_fill(reps.rows)])
+        Z, R = extend(B, cocycles)
         if R.dim != pair.dim_h:
             raise InvariantViolationError(
                 f"fg cocycles and pair-class fills span {R.dim} "
                 f"classes of H^2_*, the pair model gives {pair.dim_h}")
         return CohomologyResult(2, "restricted", B.ambient_dim, Z, B, R)
 
-    def pair_fill(self, vec):
-        """The bar 2-cocycle, as a tuple of coordinates, of the restricted
-        extension of a 2-cocycle (f, w) of the pair complex: E_f with
-        (x_t, 0)^[p] = (x_t^[p], w_t).  It is ``cocycle_from_seeds`` of
-        the seeds read off (f, w), in ``seed_positions()`` order, as
+    def pair_fill(self, vecs):
+        """The bar 2-cocycle, an int64 array of coordinates, of the
+        restricted extension of a 2-cocycle (f, w) of the pair complex, E_f
+        with (x_t, 0)^[p] = (x_t^[p], w_t), or of each of a stack of them
+        along the leading axes of ``vecs``.  It is ``cocycle_from_seeds``
+        of the seeds read off (f, w), in ``seed_positions()`` order, as
         ``extensions.assoc_2cocycle_from_restricted_ext`` would take them
         from u(E_f): f(x, y) for generators x after y, f(x, x) / 2 for odd
-        x, and w_t at (x_t, x_t^{p-1}).  Raises NotACocycleError unless the
-        result passes ``is_bar_2cocycle``."""
+        x, and w_t at (x_t, x_t^{p-1}).  Raises NotACocycleError unless
+        the stack passes one ``is_bar_2cocycle``."""
         lie, bar, p = self.lie, self.bar, self.p
+        vecs = np.asarray(vecs, dtype=np.int64)
         n2 = lie.basis(2).dim
-        f = lie.cochain_array(vec[:n2])
-        w = np.reshape(vec[n2:], (-1, self.rep.dim))
+        f = lie.cochain_array(vecs[..., :n2])
+        w = vecs[..., n2:].reshape(vecs.shape[:-1] + (
+            self.g.space.n_even, self.rep.dim))
         gen = {bar.aug_power(i, 1): i for i in range(self.g.dim)}
         slot = {bar.aug_power(i, p - 1): t
                 for t, i in enumerate(self.g.space.even_indices())}
         half = pow(2, -1, p)
-        seeds = [f[gen[x], gen[v]] * (half if v == x else 1) if v in gen
-                 else w[slot[v]] for x, v in bar.seed_positions()]
-        cvec = bar.cochain_vector(bar.cocycle_from_seeds(
-            np.reshape(seeds, (-1, self.rep.dim))))
-        if not is_bar_2cocycle(bar, cvec):
+        seeds = np.stack([
+            f[..., gen[x], gen[v], :] * (half if v == x else 1) if v in gen
+            else w[..., slot[v], :] for x, v in bar.seed_positions()], axis=-2)
+        cvecs = bar.cochain_vector(bar.cocycle_from_seeds(seeds))
+        if not is_bar_2cocycle(bar, cvecs).all():
             raise NotACocycleError("pair-class fill is not a bar 2-cocycle")
-        return tuple(cvec.tolist())
+        return cvecs
 
     @property
     def h1(self):
@@ -174,7 +178,8 @@ class SixTermContext:
     @property
     def fg_cocycles(self):
         """Bar 2-cocycles of s0 twisted by each elementary semilinear map,
-        in ``s1_pairs`` order, all read off one extraction."""
+        in ``s1_pairs`` order, all read off one extraction: a
+        (dim S, dim C^2) int64 array, one row per cocycle."""
         return self._get("fg_cocycles", self._fg_cocycles)
 
     def _fg_cocycles(self):
@@ -198,14 +203,15 @@ class SixTermContext:
         identity carries over to every entry:
         c_sigma = sum_t kappa_t (x) sigma(x_t).
 
-        Each c_(t,j) is checked to be a bar cocycle (``is_bar_2cocycle``)
-        and to read back E_sigma without building it, by the readback check
-        the extraction uses (``CochainComplex.check_readback``): E_sigma has
-        the bracket of s0, so the antisymmetrization of c on g is zero, and
+        The stack of all c_(t,j), one broadcast of kappa against the
+        invariant rows, gets one ``is_bar_2cocycle`` and one readback check,
+        the extraction's (``CochainComplex.check_readback``), so each reads
+        back its E_sigma unbuilt: E_sigma has the bracket of s0, so the
+        antisymmetrization of c on g is zero, and
         psi(x_s)^[p] - psi(x_s^[p]) = -sigma(x_s), so
-        c(x_s^{p-1}, x_s) = -delta_st inv_j.  kappa and each c_(t,j) are
-        taken to and from their (|aug|, |aug|, dim) arrays of values by
-        ``cochain_array`` and ``cochain_vector`` of their bar complexes.
+        c(x_s^{p-1}, x_s) = -delta_st inv_j.  kappa and the c_(t,j) go to
+        and from their arrays of values by ``cochain_array`` and
+        ``cochain_vector`` of their bar complexes.
         The split extension of (g, K) is built even when S = 0: the
         seed-call gate of perfbench (``perfbench/expected.json``) expects
         every report to reach ``semidirect_extension``."""
@@ -217,24 +223,20 @@ class SixTermContext:
                            [np.zeros((n, n), dtype=np.int64)] * g.dim)
         s0 = semidirect_extension(g, K)
         if not self.s1_pairs:
-            return []
+            return np.zeros((0, bar.d(1).rows), dtype=np.int64)
         univ = SemiLinearMap(g, n, np.eye(n, dtype=np.int64))
         bar_k = bar.with_module(K)
         kappa = bar_k.cochain_array(
             assoc_2cocycle_from_restricted_ext(twist_pmap(s0, univ), bar_k))
-        inv = self.inv_even.rows
-        no_defect = np.zeros((g.dim, g.dim, self.rep.dim), dtype=np.int64)
-        out = []
-        for (t, j) in self.s1_pairs:
-            c = kappa[:, :, t, None] * inv[j] % p
-            cvec = bar.cochain_vector(c)
-            if not is_bar_2cocycle(bar, cvec):
-                raise NotACocycleError("fg cochain is not a bar 2-cocycle")
-            pmap = np.zeros((n, self.rep.dim), dtype=np.int64)
-            pmap[t] = -inv[j]
-            bar.check_readback(c, no_defect, pmap, "fg cocycle")
-            out.append(tuple(cvec.tolist()))
-        return out
+        t, j = np.array(self.s1_pairs).T
+        inv = self.inv_even.rows[j]  # (S, dim M), the invariant of each pair
+        c = kappa[..., t].transpose(2, 0, 1)[..., None] * inv[:, None, None] % p
+        cvecs = bar.cochain_vector(c)
+        if not is_bar_2cocycle(bar, cvecs).all():
+            raise NotACocycleError("fg cochain is not a bar 2-cocycle")
+        pmap = -np.eye(n, dtype=np.int64)[:, t, None] * inv  # (n, S, dim M)
+        bar.check_readback(c, 0, pmap, "fg cocycle")
+        return cvecs
 
     @property
     def phi(self):
@@ -265,8 +267,9 @@ def _restriction(ctx, n, restricted, ordinary):
     (``comparison_matrix``) applied to each representative of
     ``restricted``, read off in the class coordinates of ``ordinary``."""
     comp = comparison_matrix(ctx.bar, ctx.lie, n)
-    cols = [ordinary.class_coords(comp.matvec(repvec))
-            for repvec in restricted.R.rows]
+    vals = [comp.matvec(repvec) for repvec in restricted.R.rows]
+    # one class read for the stack, none for an empty one
+    cols = ordinary.class_coords(np.array(vals)) if vals else []
     return MatGF.from_columns(cols, ordinary.dim_h, ctx.p)
 
 
@@ -286,12 +289,11 @@ def map_h1_to_semilinear(ctx):
     read off the H^1 representatives as one stack.  A report checks that
     Psi-bar kills the coboundaries: D1 d0 = 0 in ``PairComplex``."""
     vals = psi_bar_on_cocycle(ctx.lie, ctx.h1.R.rows)  # (H^1, n_even, M)
-    coords = [ctx.inv_even.coords(v) for v in vals.reshape(-1, ctx.rep.dim)]
-    if None in coords:
+    if ctx.inv_even.reduce(vals).any():
         raise InvariantViolationError("Psi-bar value outside invariants")
-    # rows (t, j) in s1_pairs order, one column per representative
-    return MatGF.from_dense(
-        np.reshape(coords, (len(vals), len(ctx.s1_pairs))).T, ctx.p)
+    # rows (t, j) in s1_pairs order: the pivot entries on the invariants' RREF
+    coords = vals[..., list(ctx.inv_even.pivots)]
+    return MatGF.from_dense(coords.reshape(len(vals), len(ctx.s1_pairs)).T, ctx.p)
 
 
 def map_semilinear_to_h2res(ctx):
@@ -299,7 +301,7 @@ def map_semilinear_to_h2res(ctx):
     coordinates of the bar 2-cocycle of the trivial extension with its
     p-map twisted by sigma (``ctx.fg_cocycles``, all read off one
     extraction of the universal twist)."""
-    cols = [ctx.h2s.class_coords(cvec) for cvec in ctx.fg_cocycles]
+    cols = ctx.h2s.class_coords(ctx.fg_cocycles) if ctx.s1_pairs else []
     return MatGF.from_columns(cols, ctx.h2s.dim_h, ctx.p)
 
 
@@ -333,22 +335,19 @@ def _on_stack(m, vecs):
 
 def map_h2_to_semilinear_h1(ctx):
     """For each H^2 representative f and even basis x: the H^1 class of
-    k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1); the
-    representatives are read as one stack."""
-    g = ctx.g
-    d1 = ctx.lie.d(1)
-    reps = ctx.h2.R.rows
-    ks = [obstruction_cocycle(ctx.lie, reps, idx)
-          for idx in g.space.even_indices()]
-    cols = []
-    for r in range(len(reps)):
-        col = []
-        for k in ks:
-            if any(d1.matvec(k[r])):
-                raise NotACocycleError("obstruction value is not a 1-cocycle")
-            col.extend(ctx.h1.class_coords(k[r]))
-        cols.append(tuple(col))
-    return MatGF.from_columns(cols, g.space.n_even * ctx.h1.dim_h, g.p)
+    k_x + f_{x^[p]}, assembled into a matrix H^2 -> S(g_0, H^1), row
+    t dim H^1 + a the a-th class coordinate at the t-th even basis x_t;
+    the representatives are read as one stack, and so are the values."""
+    lie, n_even, reps = ctx.lie, ctx.g.space.n_even, ctx.h2.R.rows
+    ks = np.array([obstruction_cocycle(lie, reps, x)
+                   for x in ctx.g.space.even_indices()], dtype=np.int64
+                  ).reshape(n_even, len(reps), lie.basis(1).dim)
+    if _on_stack(lie.d(1), ks).any():
+        raise NotACocycleError("obstruction value is not a 1-cocycle")
+    coords = (ctx.h1.class_coords(ks) if ks.size else  # (n_even, H^2, H^1)
+              np.zeros(ks.shape[:-1] + (ctx.h1.dim_h,), dtype=np.int64))
+    rows = n_even * ctx.h1.dim_h
+    return MatGF.from_columns(coords.transpose(1, 0, 2).reshape(len(reps), rows), rows, ctx.p)
 
 
 class PairComplex(CochainComplex):
@@ -467,15 +466,14 @@ class SixTermReport:
 
 
 def _exact_at(im, ker):
-    """(verdict, witness): Im(prev) == Ker(next) as canonical subspaces."""
+    """(verdict, witness): Im(prev) == Ker(next) as canonical subspaces; the
+    witness is the first row of Ker outside Im, else of Im outside Ker."""
     if im == ker:
         return True, None
-    for row in ker.basis_rows:
-        if not im.contains(row):
-            return False, tuple(row)
-    for row in im.basis_rows:
-        if not ker.contains(row):
-            return False, tuple(row)
+    for a, b in ((im, ker), (ker, im)):
+        off = a.reduce(b.rows).any(axis=-1)
+        if off.any():
+            return False, tuple(b.rows[off.argmax()].tolist())
     return False, None
 
 

@@ -474,25 +474,6 @@ class SemiLinearMap:
     def value_on_basis(self, t):
         return self.values[t]
 
-    def value_on_vector(self, gvec):
-        p = self.g.p
-        out = [0] * self.target_dim
-        for t, i in enumerate(self.g.space.even_indices()):
-            c = int(gvec[i]) % p
-            if c:
-                for a, v in enumerate(self.values[t]):
-                    out[a] = (out[a] + c * v) % p
-        return tuple(out)
-
-    def plus(self, other):
-        vals = tuple(tuple((a + b) % self.g.p for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.values, other.values))
-        return SemiLinearMap(self.g, self.target_dim, vals)
-
-    def negated(self):
-        vals = tuple(tuple((-a) % self.g.p for a in r) for r in self.values)
-        return SemiLinearMap(self.g, self.target_dim, vals)
-
 
 def semilinear_space(g, target):
     """Basis of S(g_0, W) for a subspace W: all elementary maps x_i -> w_j.
@@ -628,16 +609,6 @@ def semidirect(g, rep):
         pm[layout.m_to_e(j)] = np.zeros(n, dtype=np.int64)
     E = LieSuperAlgebra(space, p, brk, pm, strongly_abelian_coerced=True)
     return E, layout
-
-
-def coerce_strongly_abelian(rep):
-    """View a module as a strongly abelian restricted Lie superalgebra:
-    zero bracket, zero p-map.  Returns the algebra with the coercion flag."""
-    n = rep.dim
-    return LieSuperAlgebra(rep.space, rep.p, np.zeros((n, n, n), dtype=np.int64),
-                           {j: np.zeros(n, dtype=np.int64)
-                            for j in rep.space.even_indices()},
-                           strongly_abelian_coerced=True)
 
 
 def require_valid(g, rep=None, restricted=True):

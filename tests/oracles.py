@@ -181,6 +181,43 @@ def algebra_hom_extend(src, dst, gen_images, check=True):
     return linear_section_extend(src, dst, gen_images)
 
 
+def element_action(ualg, rep, u, mvec):
+    """u . m for an element u of the ``UAlgebra`` ualg and a vector m of
+    the module rep, summed over u's monomials through their action
+    matrices."""
+    import numpy as np
+
+    p = ualg.p
+    out = np.zeros(rep.dim, dtype=np.int64)
+    mv = np.asarray(mvec, dtype=np.int64) % p
+    for mono, c in u.terms.items():
+        out = (out + c * (ualg.action_matrix(rep, mono) @ mv)) % p
+    return out
+
+
+def semilinear_value(sigma, gvec):
+    """The value of the ``SemiLinearMap`` sigma on a vector of g, read off
+    its values on the even basis (the odd coordinates are ignored)."""
+    p = sigma.g.p
+    out = [0] * sigma.target_dim
+    for t, i in enumerate(sigma.g.space.even_indices()):
+        c = int(gvec[i]) % p
+        for a, v in enumerate(sigma.values[t]):
+            out[a] = (out[a] + c * v) % p
+    return tuple(out)
+
+
+def semilinear_combination(coeffs, maps):
+    """The ``SemiLinearMap`` sum_k coeffs[k] maps[k], the maps of one g and
+    one target."""
+    from supercoh.superalg import SemiLinearMap
+
+    first = maps[0]
+    vals = [[sum(c * m.values[t][a] for c, m in zip(coeffs, maps)) % first.g.p
+             for a in range(first.target_dim)] for t in range(len(first.values))]
+    return SemiLinearMap(first.g, first.target_dim, vals)
+
+
 # ---------------------------------------------------------------------------
 # hand-coded augmented-algebra tables: basis labels, parities, products
 # ---------------------------------------------------------------------------

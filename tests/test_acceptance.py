@@ -178,7 +178,8 @@ def test_criterion_8_round_trips(loaded_catalog):
             ext = restricted_ext_from_assoc_2cocycle(bar, lie, c0)
             assert validate_lie_super(ext.E).ok and validate_pmap(ext.E).ok
             c1 = assoc_2cocycle_from_restricted_ext(ext, bar)
-            assert h2s.class_coords(c0) == h2s.class_coords(c1), entry_id
+            assert np.array_equal(h2s.class_coords(c0), h2s.class_coords(c1)), \
+                entry_id
         s0 = semidirect_extension(g, rep)
         c_triv = assoc_2cocycle_from_restricted_ext(s0, bar)
         assert all(v == 0 for v in h2s.class_coords(c_triv)), entry_id

@@ -250,8 +250,12 @@ def test_is_bar_2cocycle_agrees_with_all_slices_on_semidirect4(
     are generator slices) the check agrees with the all-slices oracle, with
     no d2 built: on random cochains, d1-images, the four fg cocycles of its
     report (Ker d2 vectors) and each of those with one entry changed, the
-    k-th one in the generator row of x_k.  The bar differentials built are
-    those of degrees 0 and 1 only."""
+    k-th one in the generator row of x_k, one at a time and as one stack;
+    on the stack of fg cocycles with the third one bent where only the
+    product term c(s_1, s_2 s_3) reads it (a stack's values are not
+    C-contiguous, so that term must not be added through a reshaped view);
+    and on an empty stack.  The bar differentials built are those of
+    degrees 0 and 1 only."""
     from supercoh import cohomology
     degrees = set()
 
@@ -282,6 +286,17 @@ def test_is_bar_2cocycle_agrees_with_all_slices_on_semidirect4(
     want = [bar_2cocycle_all_slices(bar, c) for c in vecs]
     assert [is_bar_2cocycle(bar, c) for c in vecs] == want
     assert want == [False] * 2 + [True] * 2 + [True, False] * 4
+    assert is_bar_2cocycle(bar, np.array(vecs)).tolist() == want
+    # a generator x that is no term of a product x_k s (the module is
+    # trivial, so no action term reads c either) has its row c(x, .) read
+    # by the product term c(x_k, s_2 s_3) alone: bend it at a product term
+    a, _, w, _ = bar.ualg.aug_product_table()
+    x = min(set(gens) - set(w[np.isin(a, gens)].tolist()))
+    bent = np.array(ctx.fg_cocycles)
+    bent[2, index[((x, int(w[0])), 0)]] += 1
+    assert not bar_2cocycle_all_slices(bar, bent[2])
+    assert is_bar_2cocycle(bar, bent).tolist() == [True, True, False, True]
+    assert is_bar_2cocycle(bar, np.zeros((0, n2), dtype=np.int64)).shape == (0,)
     assert degrees == {0, 1}
 
 

@@ -348,7 +348,7 @@ def test_subspace_agrees_with_coordinatewise_elimination(case, rnd):
     assert Z.basis_rows == tuple(zrows) and list(Z.pivots) == zpiv
     for v in probes:
         res, cs = subspace_eliminate(zrows, zpiv, v, p)
-        assert Z.reduce(v) == tuple(res)
+        assert Z.reduce(v).tolist() == list(res)
         assert Z.contains(v) == (not any(res))
         assert Z.coords(v) == (None if any(res) else tuple(cs))
     # the same span from shuffled, rescaled generators, and from its RREF
@@ -392,7 +392,7 @@ def test_class_coords_agrees_with_the_two_step_route(case):
             with pytest.raises(UsageError, match="not a cocycle"):
                 res.class_coords(v)
         else:
-            assert res.class_coords(v) == want
+            assert tuple(res.class_coords(v).tolist()) == want
 
 
 def test_dense_oracle_products_stay_exact():
@@ -477,7 +477,7 @@ def test_csr_subspaces_match_the_dense_oracle(case, rnd):
     for S in (Z, B, W):
         assert S.basis.nnz == np.count_nonzero(S.rows)
         for v, res, cs in zip(probes, *dense_eliminate(S, vecs)):
-            assert S.reduce(v) == tuple(res.tolist())
+            assert S.reduce(v).tolist() == res.tolist()
             assert S.contains(v) == (not res.any())
             assert S.coords(v) == (None if res.any() else tuple(cs.tolist()))
     zero, full = Subspace.zero(n, p), Subspace.full(n, p)
@@ -527,7 +527,9 @@ def test_image_reads_the_same_before_and_after_its_rows_are_written(shape, p):
     written; ``reduce``, ``contains`` and ``coords``, which go through m
     and m[P, Q]^-1, give the same results before and after the write and
     agree with the span of m's columns (``oracles.image_by_columns``),
-    whose rows the write gives."""
+    whose rows the write gives.  ``reduce`` of the stack of probes, and of
+    an empty stack, is the stack of the per-probe residues, on the held
+    image and on the written span alike."""
     rng = np.random.default_rng([p, IMAGE_SHAPES.index(shape)])
     m = _image_case(shape, p, rng)
     red = RowReduction(m)
@@ -539,13 +541,23 @@ def test_image_reads_the_same_before_and_after_its_rows_are_written(shape, p):
     probes = [rng.integers(0, p, m.rows) for _ in range(6)]
     probes += [np.array(m.matvec(rng.integers(0, p, m.cols).tolist()))
                for _ in range(3)]
-    before = [(img.reduce(v), img.contains(v), img.coords(v)) for v in probes]
-    assert before == [(want.reduce(v), want.contains(v), want.coords(v))
-                      for v in probes]
+    stacks = (np.array(probes), np.zeros((0, m.rows), dtype=np.int64))
+
+    def reads(S):
+        """Per probe (residue, contains, coords), then the residues of
+        each stack, which must be the stack of the per-probe residues."""
+        one = [(S.reduce(v).tolist(), S.contains(v), S.coords(v))
+               for v in probes]
+        many = [S.reduce(vs) for vs in stacks]
+        for vs, got in zip(stacks, many):
+            assert got.shape == vs.shape and got.dtype == np.int64
+            assert got.tolist() == [S.reduce(v).tolist() for v in vs]
+        return one, [got.tolist() for got in many]
+    before = reads(img)
+    assert before == reads(want)
     assert img.basis == want.basis and img == want and hash(img) == hash(want)
-    assert before == [(img.reduce(v), img.contains(v), img.coords(v))
-                      for v in probes]
-    assert all(c for v, (_, c, _) in zip(probes[6:], before[6:]))
+    assert before == reads(img)
+    assert all(c for v, (_, c, _) in zip(probes[6:], before[0][6:]))
 
 
 @PROPS
@@ -553,16 +565,25 @@ def test_image_reads_the_same_before_and_after_its_rows_are_written(shape, p):
 def test_extend_gives_the_quotient_representatives(case):
     """``extend(B, vectors)`` gives R = quotient_representatives(Z, B) for
     Z = B + span(vectors), and a Z whose pivots, rows and reductions are
-    those of ``subspace_sum``, for B written or held as an image."""
+    those of ``subspace_sum``, for B written or held as an image; ``reduce``
+    of the lazy Z on the stack of probes, and on an empty stack, is the
+    stack of the per-probe residues."""
     p, n, _, zvecs, bvecs, probes = case
     written = Subspace.from_vectors(bvecs, n, p)
     held = RowReduction(MatGF.from_dense(np.array(
         bvecs, dtype=np.int64).reshape(len(bvecs), n).T, p)).image
+    stacks = (np.array(probes, dtype=np.int64).reshape(len(probes), n),
+              np.zeros((0, n), dtype=np.int64))
     for B in (written, held):
-        Z, R = extend(B, zvecs)
+        Z, R = extend(B, np.array(zvecs, dtype=np.int64).reshape(len(zvecs), n))
         want = subspace_sum(B, Subspace.from_vectors(zvecs, n, p))
         assert (Z.dim, Z.pivots) == (want.dim, want.pivots)
-        assert [Z.reduce(v) for v in probes] == [want.reduce(v) for v in probes]
+        assert ([Z.reduce(v).tolist() for v in probes]
+                == [want.reduce(v).tolist() for v in probes])
+        for vs in stacks:  # a stack reads as the stack of its vectors
+            got = Z.reduce(vs)
+            assert got.shape == vs.shape and got.dtype == np.int64
+            assert got.tolist() == [want.reduce(v).tolist() for v in vs]
         assert Z == want and R == quotient_representatives(want, B)
         assert (Z is B) == (R.dim == 0)
     assert held == written

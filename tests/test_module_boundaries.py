@@ -25,6 +25,49 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found
 
 
+def _class_privates(tree):
+    """The private names the classes of a module define: their methods and
+    class attributes, ``__slots__`` entries and the attributes their
+    methods set on ``self`` or ``cls``; dunder names are public."""
+    names = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("self", "cls"):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+                        if target.id == "__slots__":
+                            names |= {c.value for c in ast.walk(node.value)
+                                      if isinstance(c, ast.Constant)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    """A private attribute belongs to the module whose classes define it:
+    no module reads ``obj._x`` where ``_x`` is defined by another module's
+    classes and not by its own (a subclass that overrides ``_x`` defines
+    it).  So no module but ``gflin`` reads a ``Subspace``'s residue route,
+    a ``MatGF``'s products or a ``RowReduction``'s inverse, and no module
+    but ``cohomology`` reads a cochain complex's layout or store."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    own = {name: _class_privates(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        foreign = set().union(*(v for k, v in own.items() if k != name)) - own[name]
+        found += [f"{name}:{node.lineno} reads .{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and node.attr in foreign]
+    assert {"_mv", "_vm", "_row_sums", "_lazy", "_inverse"} <= own["gflin.py"]
+    assert not found
+
+
 def test_lower_layers_import_no_upper_layer():
     """``gflin``, ``superalg``, ``envelope`` and ``cohomology`` import
     nothing from ``sixterm``, ``extensions``, ``catalog`` or ``cli``, at

@@ -26,7 +26,9 @@ from supercoh.superalg import (
 )
 
 from conftest import fixture_algebra
-from oracles import bar_cocycle_of_extension, bar_cocycle_of_pair
+from oracles import (
+    bar_cocycle_of_extension, bar_cocycle_of_pair, element_action,
+)
 
 EXPECTED = {
     "a1-null": (1, 1, 1, 1, 0, 0),
@@ -379,7 +381,7 @@ def _per_sigma_fg_cocycles(ctx):
     """The fg cocycles one twisted extension twist_pmap(s0, sigma_k) at a
     time, s0 the split extension of (g, M) and sigma_k(x_s) = delta_st inv_j
     for the pair k = (t, j) of ``ctx.s1_pairs``, every entry from gamma
-    (``oracles.bar_cocycle_of_extension``)."""
+    (``oracles.bar_cocycle_of_extension``), as lists of ints."""
     g, rep = ctx.g, ctx.rep
     s0 = semidirect_extension(g, rep)
     out = []
@@ -387,17 +389,20 @@ def _per_sigma_fg_cocycles(ctx):
         vals = [[0] * rep.dim for _ in range(g.space.n_even)]
         vals[t] = ctx.inv_even.rows[j].tolist()
         ext = twist_pmap(s0, SemiLinearMap(g, rep.dim, vals))
-        out.append(bar_cocycle_of_extension(ext, ctx.bar))
+        out.append(list(bar_cocycle_of_extension(ext, ctx.bar)))
     return out
 
 
 def record_fills(monkeypatch):
-    """Record every ((f, w), fill) of ``SixTermContext.pair_fill``."""
+    """Record every ((f, w), fill) of ``SixTermContext.pair_fill``, one
+    pair per member of each stack it fills, both as tuples of ints."""
     fills = []
 
-    def recorded(ctx, vec, _real=SixTermContext.pair_fill):
-        fills.append((tuple(int(x) for x in vec), _real(ctx, vec)))
-        return fills[-1][1]
+    def recorded(ctx, vecs, _real=SixTermContext.pair_fill):
+        out = _real(ctx, vecs)
+        fills.extend((tuple(v), tuple(c)) for v, c in
+                     zip(np.asarray(vecs).tolist(), out.tolist()))
+        return out
     monkeypatch.setattr(SixTermContext, "pair_fill", recorded)
     return fills
 
@@ -457,7 +462,7 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
             assert cvec == bar_cocycle_of_extension(ext, cx), name
         for vec, cvec in fills:
             assert cvec == bar_cocycle_of_pair(ctx.lie, ctx.bar, vec), name
-        assert list(ctx.fg_cocycles) == _per_sigma_fg_cocycles(ctx), name
+        assert ctx.fg_cocycles.tolist() == _per_sigma_fg_cocycles(ctx), name
     assert {"a5-odd-line", "a6-abelian-plane"} <= filled
 
 
@@ -473,7 +478,8 @@ def test_fill_of_an_fg_pair_is_the_fg_cocycle(loaded_catalog):
         for k, (t, j) in enumerate(ctx.s1_pairs):
             vec = np.zeros(n2 + g.space.n_even * dm, dtype=np.int64)
             vec[n2 + t * dm:n2 + (t + 1) * dm] = -ctx.inv_even.rows[j] % g.p
-            assert ctx.pair_fill(vec) == ctx.fg_cocycles[k], (entry_id, k)
+            assert np.array_equal(ctx.pair_fill(vec), ctx.fg_cocycles[k]), (
+                entry_id, k)
             checked += 1
     assert checked >= 10
 
@@ -530,7 +536,7 @@ def test_fg_on_invariants_of_dim_two_and_more(loaded_catalog, entry_id):
     rep = adjoint_module(E)
     ctx = SixTermContext(E, rep)
     assert ctx.inv_even.dim >= 2
-    assert ctx.fg_cocycles == _per_sigma_fg_cocycles(ctx)
+    assert ctx.fg_cocycles.tolist() == _per_sigma_fg_cocycles(ctx)
     report = build_six_term(E, rep)
     assert report.all_exact, report.summary()
 
@@ -611,8 +617,8 @@ def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
     """On a5-odd-line H^2_* is one filled class (S = 0); a zero cochain in
     place of its fill leaves Z^2_* = B^2_*, one class short of the pair
     model."""
-    monkeypatch.setattr(SixTermContext, "pair_fill",
-                        lambda ctx, vec: (0,) * ctx.bar.basis(2).dim)
+    monkeypatch.setattr(SixTermContext, "pair_fill", lambda ctx, vecs: np.zeros(
+        (len(vecs), ctx.bar.basis(2).dim), dtype=np.int64))
     g, k = fixture_algebra(loaded_catalog, "a5-odd-line")
     ctx = SixTermContext(g, k)
     assert len(ctx.s1_pairs) == 0 and nullspace(ctx.phi).dim == 1
@@ -628,13 +634,13 @@ def test_h2s_catches_a_bent_fill(loaded_catalog):
     first, so only the fill is bent."""
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     ctx = SixTermContext(g, k)
-    assert ctx.fg_cocycles and nullspace(ctx.phi).dim == 1
+    assert len(ctx.fg_cocycles) and nullspace(ctx.phi).dim == 1
     bar, real = ctx.bar, ctx.bar.cocycle_from_seeds
 
     def bent(seeds):
         c = real(seeds)
         x = g.space.even_indices()[0]
-        c[bar.aug_power(x, 1), bar.aug_power(x, 2), 0] += 1
+        c[..., bar.aug_power(x, 1), bar.aug_power(x, 2), 0] += 1
         return c
     bar.cocycle_from_seeds = bent
     with pytest.raises(NotACocycleError, match="fill"):
@@ -881,7 +887,7 @@ def test_phi_matches_associative_lift_on_coboundaries(loaded_catalog):
             return out
 
         def bar_g(u, v, hvec):
-            act = U.element_action(rep, u, omega(v, hvec))
+            act = element_action(U, rep, u, omega(v, hvec))
             return (act - omega(U.multiply(u, v), hvec)) % p
 
         for _ in range(4):
