@@ -183,8 +183,7 @@ def semidirect_extension(g, rep):
 
 
 def _with_pmap(ext, pmap):
-    E2 = LieSuperAlgebra(ext.E.space, ext.p, ext.E.brackets, pmap,
-                         strongly_abelian_coerced=ext.E.strongly_abelian_coerced)
+    E2 = LieSuperAlgebra(ext.E.space, ext.p, ext.E.brackets, pmap)
     report = validate_pmap(E2)
     if not report.ok:
         raise ValidationError(report.summary(), report)

@@ -8,16 +8,15 @@ every arrow becomes an explicit matrix in those bases, and exactness at
 each node is decided by comparing canonical echelon subspaces.
 
 H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
-H^2_* is not: its bar 2-cocycles are spanned by the coboundaries, the bar
-cocycles of the twisted extensions behind fg, and bar cocycles filled
-from the seeds of the Lie-side (f, w) pair complex's other 2-cocycles
-(``PairComplex``, Hochschild's description), so a report neither builds
-the bar d2 nor computes its nullspace, and builds no extension algebra
-for a class.  All fg cocycles are read off one extraction, that of the
-universal twist of g |x k^{n_even}.  The dimensions of H^1_* and H^2_*
-are checked against those of the pair complex.  When g has a basis torus,
-the bar complex is its weight-zero subcomplex, where all of H^*_* lives
-(``CochainComplex.weight_zero``).
+H^2_* is not: its bar 2-cocycles are spanned by the coboundaries and the
+bar cocycles filled from the seeds of the classes of the Lie-side (f, w)
+pair complex (``PairComplex``, Hochschild's description), so a report
+neither builds the bar d2 nor computes its nullspace, and builds no
+extension algebra for a class.  The fg cocycles are read off one
+extraction, that of the universal twist of g |x k^{n_even}.  The
+dimensions of H^1_* and H^2_* are checked against those of the pair
+complex.  When g has a basis torus, the bar complex is its weight-zero
+subcomplex, where all of H^*_* lives (``CochainComplex.weight_zero``).
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ from .cohomology import (
     restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError, UsageError
-from .gflin import (
-    MatGF, RowReduction, Subspace, extend, image, nullspace,
-    quotient_representatives, subspace_sum,
-)
+from .gflin import MatGF, RowReduction, extend, image, nullspace
 from .superalg import (
     Representation, SemiLinearMap, SuperSpace, invariants, semilinear_pairs,
 )
@@ -54,26 +50,21 @@ class SixTermContext:
     ``pair`` is the ``PairComplex`` on ``lie``; ``h1s``, the bar complex's
     Ker d1 / Im d0, must have the dimension of its H^1_*.  ``h2s`` is
 
-        Z^2_* = B^2_* + span(fg cocycles) + span(fills)
+        Z^2_* = B^2_* + span(fills)
 
-    in the bar 2-cochains, where B^2_* is the image of the bar d1, the fg
-    cocycles (``fg_cocycles``) are those of the twisted extensions
-    s0 - sigma, all read off the one bar cocycle of the universal twist
-    (see ``_fg_cocycles``), and the fills (``pair_fill``) are the bar
-    cocycles of the canonical representatives of the pair complex's Z^2
-    modulo its B^2 and fg's pair image, the pairs (0, -sigma).  Each family
-    is one int64 stack with one ``is_bar_2cocycle`` check, so the bar d2 is
-    never assembled.  The representatives R are the RREF of the residues of
-    these cocycles modulo B^2_* (``gflin.extend``), reduced through the
-    bar d1 and its m[P, Q]^-1, so a report never writes the rows of B^2_*
-    or Z^2_*; they are written only if read.  dim R must equal that of
-    the pair complex's H^2_*, so Z^2_* is the kernel of d2 and R is the
-    canonical representatives of ``restricted_cohomology(bar, 2)``.
+    in the bar 2-cochains, B^2_* the image of the bar d1 and the fills
+    (``pair_fill``) the bar cocycles of the canonical representatives of
+    the pair complex's H^2, so the bar d2 is never assembled.  Its
+    representatives R are the RREF of the fills' residues modulo B^2_*
+    (``gflin.extend``); the rows of B^2_* and Z^2_* are written only if
+    read.  dim R must equal that of the pair complex's H^2_*, so Z^2_* is
+    the kernel of d2 and R the canonical representatives of
+    ``restricted_cohomology(bar, 2)``.
 
     ``bar`` is the weight-zero complex of (g, M) when g has a basis torus
-    (``CochainComplex.weight_zero``): H^1_* and H^2_* live in weight 0, so
-    every bar space here is a weight-0 one.  The fg cocycles and the fills
-    are of weight 0 by their seeds, and ``cochain_vector`` checks that.
+    (``CochainComplex.weight_zero``): every bar space here is a weight-0
+    one, and ``cochain_vector`` checks that the fg cocycles and the fills
+    are.
     """
 
     def __init__(self, g, rep):
@@ -110,35 +101,25 @@ class SixTermContext:
         return self._get("h2s", self._h2s)
 
     def _h2s(self):
-        p, B = self.p, self.bar.image(1)
-        pair = restricted_cohomology(self.pair, 2)
-        # fg's pair image: the (0, -sigma_(t,j)), w_t = -inv_j, in
-        # s1_pairs order
-        fg_pairs = np.pad(np.kron(np.eye(self.g.space.n_even, dtype=np.int64),
-                                  -self.inv_even.rows),
-                          ((0, 0), (self.lie.basis(2).dim, 0)))
-        rest = subspace_sum(pair.B, Subspace.from_vectors(
-            fg_pairs, pair.Z.ambient_dim, p))
-        cocycles, reps = self.fg_cocycles, quotient_representatives(pair.Z, rest)
-        if reps.dim:
-            cocycles = np.vstack([cocycles, self.pair_fill(reps.rows)])
-        Z, R = extend(B, cocycles)
+        B, pair = self.bar.image(1), restricted_cohomology(self.pair, 2)
+        reps = pair.R.rows
+        fills = (self.pair_fill(reps) if len(reps) else
+                 np.zeros((0, B.ambient_dim), dtype=np.int64))
+        Z, R = extend(B, fills)
         if R.dim != pair.dim_h:
             raise InvariantViolationError(
-                f"fg cocycles and pair-class fills span {R.dim} "
-                f"classes of H^2_*, the pair model gives {pair.dim_h}")
+                f"pair-class fills span {R.dim} classes of H^2_*, the pair "
+                f"model gives {pair.dim_h}")
         return CohomologyResult(2, "restricted", B.ambient_dim, Z, B, R)
 
     def pair_fill(self, vecs):
-        """The bar 2-cocycle, an int64 array of coordinates, of the
-        restricted extension of a 2-cocycle (f, w) of the pair complex, E_f
-        with (x_t, 0)^[p] = (x_t^[p], w_t), or of each of a stack of them
-        along the leading axes of ``vecs``.  It is ``cocycle_from_seeds``
-        of the seeds read off (f, w), in ``seed_positions()`` order, as
-        ``extensions.assoc_2cocycle_from_restricted_ext`` would take them
-        from u(E_f): f(x, y) for generators x after y, f(x, x) / 2 for odd
-        x, and w_t at (x_t, x_t^{p-1}).  Raises NotACocycleError unless
-        the stack passes one ``is_bar_2cocycle``."""
+        """The bar 2-cocycle, an int64 array, of the restricted extension
+        E_f with (x_t, 0)^[p] = (x_t^[p], w_t) of a 2-cocycle (f, w) of the
+        pair complex, or of each of a stack of them along the leading axes
+        of ``vecs``: ``cocycle_from_seeds`` of the seeds f(x, y) for
+        generators x after y, f(x, x) / 2 for odd x, and w_t at
+        (x_t, x_t^{p-1}), in ``seed_positions()`` order.  Raises
+        NotACocycleError unless the stack passes one ``is_bar_2cocycle``."""
         lie, bar, p = self.lie, self.bar, self.p
         vecs = np.asarray(vecs, dtype=np.int64)
         n2 = lie.basis(2).dim
@@ -193,28 +174,21 @@ class SixTermContext:
 
             c_(t,j)(u, v) = kappa_t(u, v) inv_j
 
-        on the nose.  E_sigma has the bracket of s0, so the seeds c(x, y)
-        and c(x, x) are zero, and X_{x_s}^p - X_{x_s^[p]} = -sigma(x_s), so
-        the seed c(x_s, x_s^{p-1}) is -sigma(x_s): every seed of c_sigma is
-        sum_t kappa_t(seed) sigma(x_t), with kappa's seed -e_s in place of
-        -sigma(x_s).  The seed fill (``CochainComplex.cocycle_from_seeds``)
-        is linear in the seeds, and the module enters it only through
-        x.c terms, which vanish on K and on the invariants alike, so the
-        identity carries over to every entry:
-        c_sigma = sum_t kappa_t (x) sigma(x_t).
+        on the nose: every seed of c_sigma is sum_t kappa_t(seed) sigma(x_t)
+        (E_sigma has the bracket of s0, and the seed c(x_s, x_s^{p-1}) is
+        -sigma(x_s) where kappa's is -e_s), the seed fill
+        (``CochainComplex.cocycle_from_seeds``) is linear in the seeds, and
+        the module enters it only through x.c terms, which vanish on K and
+        on the invariants alike.
 
         The stack of all c_(t,j), one broadcast of kappa against the
-        invariant rows, gets one ``is_bar_2cocycle`` and one readback check,
-        the extraction's (``CochainComplex.check_readback``), so each reads
-        back its E_sigma unbuilt: E_sigma has the bracket of s0, so the
-        antisymmetrization of c on g is zero, and
-        psi(x_s)^[p] - psi(x_s^[p]) = -sigma(x_s), so
-        c(x_s^{p-1}, x_s) = -delta_st inv_j.  kappa and the c_(t,j) go to
-        and from their arrays of values by ``cochain_array`` and
-        ``cochain_vector`` of their bar complexes.
-        The split extension of (g, K) is built even when S = 0: the
-        seed-call gate of perfbench (``perfbench/expected.json``) expects
-        every report to reach ``semidirect_extension``."""
+        invariant rows, must lie in ``h2s.Z`` (spanned without fg, from
+        B^2_* and checked fills), and reads back its E_sigma unbuilt
+        (``CochainComplex.check_readback``): a zero bracket defect and
+        c(x_s^{p-1}, x_s) = -delta_st inv_j.  The split extension of (g, K)
+        is built even when S = 0: the seed-call gate of perfbench
+        (``perfbench/expected.json``) expects every report to reach
+        ``semidirect_extension``."""
         from .extensions import (assoc_2cocycle_from_restricted_ext,
                                  semidirect_extension, twist_pmap)
         g, p, bar = self.g, self.p, self.bar
@@ -232,7 +206,7 @@ class SixTermContext:
         inv = self.inv_even.rows[j]  # (S, dim M), the invariant of each pair
         c = kappa[..., t].transpose(2, 0, 1)[..., None] * inv[:, None, None] % p
         cvecs = bar.cochain_vector(c)
-        if not is_bar_2cocycle(bar, cvecs).all():
+        if self.h2s.Z.reduce(cvecs).any():
             raise NotACocycleError("fg cochain is not a bar 2-cocycle")
         pmap = -np.eye(n, dtype=np.int64)[:, t, None] * inv  # (n, S, dim M)
         bar.check_readback(c, 0, pmap, "fg cocycle")
@@ -300,9 +274,10 @@ def map_semilinear_to_h2res(ctx):
     """For each elementary semilinear map sigma: the H^2_* class
     coordinates of the bar 2-cocycle of the trivial extension with its
     p-map twisted by sigma (``ctx.fg_cocycles``, all read off one
-    extraction of the universal twist)."""
-    cols = ctx.h2s.class_coords(ctx.fg_cocycles) if ctx.s1_pairs else []
-    return MatGF.from_columns(cols, ctx.h2s.dim_h, ctx.p)
+    extraction of the universal twist), read even when S = 0."""
+    h2s, fg = ctx.h2s, ctx.fg_cocycles
+    cols = h2s.class_coords(fg) if len(fg) else []
+    return MatGF.from_columns(cols, h2s.dim_h, ctx.p)
 
 
 def map_h2res_to_h2(ctx):

@@ -81,7 +81,7 @@ class LieSuperAlgebra:
     are immutable after construction.
     """
 
-    def __init__(self, space, p, brackets, pmap=None, strongly_abelian_coerced=False):
+    def __init__(self, space, p, brackets, pmap=None):
         check_modulus(p)
         self.space = space
         self.p = p
@@ -104,7 +104,6 @@ class LieSuperAlgebra:
             if i not in pm:
                 pm[i] = _frozen(np.zeros(n, dtype=np.int64))
         self.pmap = pm
-        self.strongly_abelian_coerced = strongly_abelian_coerced
 
     @property
     def dim(self):
@@ -607,7 +606,7 @@ def semidirect(g, rep):
         pm[layout.g_to_e(i)] = layout.embed_g(g.pmap_basis(i))
     for j in rep.space.even_indices():
         pm[layout.m_to_e(j)] = np.zeros(n, dtype=np.int64)
-    E = LieSuperAlgebra(space, p, brk, pm, strongly_abelian_coerced=True)
+    E = LieSuperAlgebra(space, p, brk, pm)
     return E, layout
 
 

@@ -156,7 +156,7 @@ def test_only_fg_reaches_extensions_from_sixterm():
     """A report builds no extension algebra but the universal twist of fg:
     in ``sixterm``, every import from ``extensions`` sits inside
     ``SixTermContext._fg_cocycles``, and every name it binds is read only
-    there.  H^2_*'s other classes are filled from the pair complex's
+    there.  H^2_*'s classes are filled from the pair complex's
     (f, w) cocycles (``SixTermContext.pair_fill``), with no E_f."""
     tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
     fg = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)

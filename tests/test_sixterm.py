@@ -409,20 +409,21 @@ def record_fills(monkeypatch):
 
 def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
                                          monkeypatch):
-    """The report's H^2_*, spanned from B^2_*, the fg cocycles and the
-    fills of the pair complex's other classes, has the Z, B and
-    representatives of the bar complex's Ker d2 / Im d1, and the pair model
-    has its dimension and that of the bar complex's H^1_*.  The bar complex
+    """The report's H^2_*, spanned from B^2_* and the fills of the pair
+    complex's classes, has the Z, B and representatives of the bar
+    complex's Ker d2 / Im d1, and the pair model has its dimension and that
+    of the bar complex's H^1_*.  The bar complex
     is the report's, on the weight-0 cochains when g has a basis torus;
     ``test_cohomology.test_weight_zero_results_embed_in_the_full_complex``
     checks that its results embed in the full complex's.  On every catalog
     entry, the fuzzed semidirect products of the test above, and
     g |x ad(g) with trivial module for every catalog algebra of dim <= 2.
-    A report extracts one cocycle when S != 0, that of the universal twist
-    for fg, and none when S = 0; it is byte-equal to the one computed
-    entry by entry from gamma (``oracles.bar_cocycle_of_extension``), and
-    so is each fg cocycle to that of its own twisted extension
-    twist_pmap(s0, sigma), and each fill to that of E_f with the p-map of
+    H^2_* extracts nothing, and fg one cocycle when S != 0, that of the
+    universal twist, and none when S = 0; it is byte-equal to the one
+    computed entry by entry from gamma (``oracles.bar_cocycle_of_extension``),
+    and so is each fg cocycle to that of its own twisted extension
+    twist_pmap(s0, sigma).  There is one fill per class of the pair
+    complex's H^2, byte-equal to the gamma cocycle of E_f with the p-map of
     its (f, w)."""
     import supercoh.extensions as extensions
     extracted = []
@@ -454,15 +455,17 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
         h1s, h2s = (restricted_cohomology(ctx.pair, n) for n in (1, 2))
         assert h2s.dim_h == bar.dim_h, name
         assert h1s.dim_h == restricted_cohomology(ctx.bar, 1).dim_h, name
+        assert not extracted, name
+        fg = ctx.fg_cocycles
         assert len(extracted) == (1 if ctx.s1_pairs else 0), name
-        assert len(fills) == nullspace(ctx.phi).dim, name
+        assert len(fills) == h2s.dim_h, name
         if fills:
             filled.add(name)
         for ext, cx, cvec in extracted:
             assert cvec == bar_cocycle_of_extension(ext, cx), name
         for vec, cvec in fills:
             assert cvec == bar_cocycle_of_pair(ctx.lie, ctx.bar, vec), name
-        assert ctx.fg_cocycles.tolist() == _per_sigma_fg_cocycles(ctx), name
+        assert fg.tolist() == _per_sigma_fg_cocycles(ctx), name
     assert {"a5-odd-line", "a6-abelian-plane"} <= filled
 
 
@@ -490,7 +493,7 @@ def test_a_report_builds_no_extension_of_a_class(loaded_catalog, monkeypatch):
     that of the universal twist of fg: one extraction and two UAlgebra
     (u(g) of the bar complex, u(E) of the twist) when S != 0, none and one
     when S = 0.  On every catalog entry and on a6-abelian-plane |x ad with
-    its adjoint module, where 24 classes are filled."""
+    its adjoint module, where all 40 classes of H^2_* are filled."""
     import supercoh.envelope as envelope
     import supercoh.extensions as extensions
     calls = collections.Counter()
@@ -520,7 +523,7 @@ def test_a_report_builds_no_extension_of_a_class(loaded_catalog, monkeypatch):
         assert calls == collections.Counter(
             {"UAlgebra": 1 + extractions,
              "assoc_2cocycle_from_restricted_ext": extractions}), name
-    assert len(fills) == 24
+    assert len(fills) == 40
 
 
 @pytest.mark.parametrize("entry_id", ["a6-abelian-plane", "a3-heisenberg",
@@ -554,7 +557,8 @@ def _bend_universal_cocycle(monkeypatch, bend):
 def test_fg_catches_a_bent_universal_cocycle(loaded_catalog, monkeypatch):
     """Adding 1 to the generator-row entry kappa_0(x, x^2), x the first even
     basis element, leaves no cocycle: the row (x, x, x) of d2 picks it up
-    through c(x, x x) alone.  The fg cocycles are checked one by one."""
+    through c(x, x x) alone.  The fg cocycles are checked by membership
+    in Z^2_*, which is spanned from B^2_* and the fills without them."""
     def bend(kappa, ext, bar):
         x = ext.g.space.even_indices()[0]
         c = bar.cochain_array(kappa)
@@ -612,6 +616,39 @@ def test_fg_extracts_once(loaded_catalog, monkeypatch):
     assert calls == {"semidirect_extension": 1, "UAlgebra": 1}
 
 
+def test_h2s_is_spanned_without_fg(loaded_catalog, monkeypatch):
+    """On a4-borel (S = 2) reading ``h2s`` alone twists and extracts
+    nothing.  A report passes to ``is_bar_2cocycle`` the extraction's
+    cocycle and its stack of fills when there is one, never the fg stack:
+    on every catalog entry one call per extraction plus one per non-empty
+    fill stack."""
+    import supercoh.extensions as extensions
+    import supercoh.sixterm as sixterm
+    calls = collections.Counter()
+    for module, name in ((extensions, "assoc_2cocycle_from_restricted_ext"),
+                         (extensions, "twist_pmap"),
+                         (extensions, "is_bar_2cocycle"),
+                         (sixterm, "is_bar_2cocycle")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    fills = record_fills(monkeypatch)
+    g, k = fixture_algebra(loaded_catalog, "a4-borel")
+    ctx = SixTermContext(g, k)
+    assert len(ctx.s1_pairs) == 2 and ctx.h2s.dim_h
+    assert calls == {"is_bar_2cocycle": 1 if fills else 0}
+    filled = 0
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        calls.clear()
+        fills.clear()
+        report = build_six_term(g, modules[e.module_name])
+        extractions = 1 if report.dims[2] else 0
+        filled += bool(extractions and fills)
+        assert calls["is_bar_2cocycle"] == extractions + bool(fills), entry_id
+    assert filled
+
+
 def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
                                                    monkeypatch):
     """On a5-odd-line H^2_* is one filled class (S = 0); a zero cochain in
@@ -627,14 +664,15 @@ def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
 
 
 def test_h2s_catches_a_bent_fill(loaded_catalog):
-    """On a6-abelian-plane one class of H^2_* is filled (S = 2, ker phi of
-    dim 1).  Adding 1 to the generator-row entry c(x, x^2) of its fill, x
-    the first even basis element, leaves no cocycle: the row (x, x, x) of
-    d2 picks it up through c(x, x x) alone.  The fg cocycles are taken
-    first, so only the fill is bent."""
+    """On a6-abelian-plane the three classes of H^2_* are filled (S = 2,
+    ker phi of dim 1).  Adding 1 to the generator-row entry c(x, x^2) of
+    each fill, x the first even basis element, leaves no cocycle: the row
+    (x, x, x) of d2 picks it up through c(x, x x) alone.  Reading
+    ``fg_cocycles`` computes H^2_*, so the fills are bent before the first
+    read of either."""
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     ctx = SixTermContext(g, k)
-    assert len(ctx.fg_cocycles) and nullspace(ctx.phi).dim == 1
+    assert len(ctx.s1_pairs) == 2 and nullspace(ctx.phi).dim == 1
     bar, real = ctx.bar, ctx.bar.cocycle_from_seeds
 
     def bent(seeds):
@@ -819,7 +857,7 @@ def test_a_report_writes_no_im_bar_d1(loaded_catalog, sl2_p5_adjoint,
 def test_h2s_of_a_tall_bar_d1_from_residues(sl2_p5_adjoint, monkeypatch):
     """sl2 at p = 5 with the trivial module: the report's bar d1, on the
     weight-0 cochains under the torus h, is 3076 x 24 (the full one is
-    15376 x 124), and H^2_* has three classes, all from fg, so R is read
+    15376 x 124), and H^2_* has three classes, all filled, so R is read
     off the residues of three cocycles modulo an image of 24 rows that the
     report never writes (the tallest catalog d1 with residues is
     a9-borel-semidirect's weight-0 226 x 8).  R is
@@ -835,7 +873,7 @@ def test_h2s_of_a_tall_bar_d1_from_residues(sl2_p5_adjoint, monkeypatch):
     h2s = ctx.h2s
     d1 = ctx.bar.d(1)
     assert ctx.bar.torus == (1,)
-    assert (d1.rows, d1.cols, h2s.B.dim, len(fills)) == (3076, 24, 24, 0)
+    assert (d1.rows, d1.cols, h2s.B.dim, len(fills)) == (3076, 24, 24, 3)
     assert (ctx.bar.full_dim(2), ctx.bar.full_dim(1)) == (15376, 124)
     assert (h2s.B._basis, h2s.Z._basis) == (None, None)
     B, n = h2s.B, h2s.cochain_dim
