@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,10 @@ __all__ = [
     "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
     "comparison_matrix", "eval_lie_cochain",
 ]
+
+
+# rows of d2 that ``is_bar_2cocycle`` evaluates in one block
+_BLOCK_ROWS = 1 << 13
 
 
 def _kept(build):
@@ -413,8 +418,9 @@ def _bar_action(ualg, rep, aug):
 
 
 def is_bar_2cocycle(bar, cvecs):
-    """Whether the 2-cochain ``cvecs`` of the bar complex ``bar``, or each
-    of a stack of them along the leading axes, is a cocycle: whether e = d2 c,
+    """Whether the 2-cochain with coordinates ``cvecs`` of the bar complex
+    ``bar``, or each of a stack of them along the leading axes, is a
+    cocycle: whether e = d2 c,
 
         e(s_1, s_2, s_3) = s_1 . c(s_2, s_3) - c(s_1 s_2, s_3)
                            + c(s_1, s_2 s_3),
@@ -434,33 +440,99 @@ def is_bar_2cocycle(bar, cvecs):
     otherwise) and M to be a restricted module, so that u(g) acts through
     its action matrices and d3 d2 = 0 (modules are validated on input).
 
-    Each slice takes the three terms from the action matrix of x and the
-    aug x aug product table, so the check costs about
-    g.dim |aug|^2 dim M operations, holds O(|aug|^2 dim M) numbers and
-    never assembles d2; a stack, not C-contiguous, takes its terms by index."""
+    Of a slice only the rows of grade 0 are evaluated.  The grade of a
+    cell (s_1..s_n, nu) is gr(nu) - sum_i gr(s_i), gr its parity and its
+    weights under ``bar.torus`` (``CochainComplex._tails``), and c has
+    values at the cells of grade 0 alone, its coordinates.  Each term of
+    e at a row of grade lambda reads c at a cell of the same grade: the
+    action s_1 . c(s_2, s_3) at nu reads c(s_2, s_3) at the mu with
+    rho(s_1)_{nu mu} != 0, and gr(nu) = gr(s_1) + gr(mu); the product
+    terms read c at (w, s_3) and (s_1, w) for the terms w of s_1 s_2 and
+    s_2 s_3, and gr(w) is the sum of its factors' grades.  The action
+    matrices and the product table check both up front
+    (``UAlgebra.action_matrix``, ``UAlgebra.aug_product_table``).  So e is
+    zero off grade 0, and the rows evaluated for x_k are (x_k, s_2, s_3,
+    nu) with gr(nu) - gr(s_3) = gr(x_k) + gr(s_2): for each s_2 one run
+    of the degree-1 cells of that grade, in key order.
+
+    The terms are read off the coordinates, never off a (|aug|, |aug|,
+    dim M) grid.  -c(x_k s_2, s_3): the coordinates (w, s_3, nu) of one
+    first argument w are the degree-1 cells of grade gr(w) in key order,
+    and for each term w of x_k s_2 that is the run of the rows of s_2, so
+    each table entry is one aligned segment.  c(x_k, s_2 s_3) goes
+    through the table, one term per entry and nu; x_k . c(s_2, s_3), one
+    per coordinate and nonzero of rho(x_k), is skipped when rho(x_k) = 0.
+    So a slice costs about its rows times the terms of a product.  The
+    rows are taken in blocks of about ``_BLOCK_ROWS``, whose terms are
+    the only arrays of their size held; the run starts are O(g.dim |aug|)
+    and the grades O(|aug| dim M)."""
     bar.require("bar")
-    c = bar.cochain_array(cvecs)
     ualg, rep, p = bar.ualg, bar.rep, bar.g.p
+    cols, _, canon = bar._layout(2)
+    v = np.asarray(cvecs, dtype=np.int64)
+    if v.shape[-1:] != canon.shape:
+        raise UsageError("cochain coordinate length mismatch")
+    lead = v.shape[:-1]
+    v = v.reshape(math.prod(lead), canon.size) % p
     aug = ualg.aug_basis()
-    A = len(aug)
+    A, D = len(aug), rep.dim
+    grade, rank, sorted_code = bar._tails()
     a, b, w, coef = ualg.aug_product_table()
-    # the table is sorted by (a, b): slices by a, runs of equal (a, b) pairs
-    bounds = np.searchsorted(a, np.arange(A + 1))
+    gens = np.array([bar.aug_power(i, 1) for i in range(bar.g.dim)],
+                    dtype=np.int64)
+    # the rows (x_k, s_2, ., .) of grade 0, one run per (k, s_2) in the
+    # order k A + s_2, run r from row[r]; the coordinates of first argument
+    # s from cstart[s]; the table entries of a from a_start[a]
+    runs = bar._grade_code(grade[gens][:, None] + grade).ravel()
+    row = np.zeros(runs.size + 1, dtype=np.int64)
+    np.cumsum(np.searchsorted(sorted_code, runs, "right")
+              - np.searchsorted(sorted_code, runs), out=row[1:])
+    cstart = np.searchsorted(canon, np.arange(A + 1) * (A * D))
+    a_start = np.searchsorted(a, np.arange(A + 1))
     pair = a * A + b
-    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-    bad = np.zeros(c.shape[:-3], dtype=bool)
-    for s1 in (bar.aug_power(i, 1) for i in range(bar.g.dim)):
-        out = c @ ualg.action_matrix(rep, aug[s1]).T
-        lo, hi = bounds[s1], bounds[s1 + 1]
-        if hi > lo:
-            runs = np.flatnonzero(np.r_[True, b[lo + 1:hi] != b[lo:hi - 1]])
-            out[..., b[lo:hi][runs], :, :] -= np.add.reduceat(
-                coef[lo:hi, None, None] * c[..., w[lo:hi], :, :], runs, axis=-3)
-        if pair.size:
-            out[..., a[first], b[first], :] += np.add.reduceat(
-                coef[:, None] * c[..., s1, w, :], first, axis=-2)
-        bad |= (out % p).any(axis=(-3, -2, -1))
-    return ~bad
+    act = np.reshape([ualg.action_matrix(rep, aug[x]) for x in gens],
+                     (-1, D, D))
+    ak, anu, amu = np.nonzero(act)
+    ok = np.ones(len(v), dtype=bool)
+    r0 = 0
+    while r0 < runs.size:  # blocks of runs of about _BLOCK_ROWS rows
+        r1 = max(r0 + 1, int(np.searchsorted(row, row[r0] + _BLOCK_ROWS,
+                                             "right")) - 1)
+        k, s = np.divmod(np.arange(r0, r1), A)
+        x, start = gens[k], row[r0:r1] - row[r0]  # the runs' first rows
+        out = np.zeros((len(v), row[r1] - row[r0]), dtype=np.int64)
+        # -c(x s, s_3): the coordinates of each term w of x s, one segment
+        # of cstart, onto the run
+        lo = np.searchsorted(pair, x * A + s)
+        r, e = index_runs(lo, np.searchsorted(pair, x * A + s + 1) - lo)
+        own, src = index_runs(cstart[w[e]], cstart[w[e] + 1] - cstart[w[e]])
+        _add_terms(out, src + (start[r] - cstart[w[e]])[own], v, src,
+                   -coef[e][own])
+        # c(x, s s_3): the coordinate (x, w, nu) onto the row (s, b, nu) of
+        # the run, for each term w of s b
+        r, e = index_runs(a_start[s], a_start[s + 1] - a_start[s])
+        at = cols[x[r], w[e]]
+        i, nu = np.nonzero(at >= 0)
+        _add_terms(out, start[r[i]] + rank[b[e[i]] * D + nu], v, at[i, nu],
+                   coef[e[i]])
+        # x . c(s, s_3): the coordinate (s, s_3, mu) onto the row (s, s_3,
+        # nu) of the run, for each nonzero rho(x)_{nu mu}; none for rho = 0
+        if ak.size:
+            r, i = index_runs(cstart[s], cstart[s + 1] - cstart[s])
+            tail = canon[i] % (A * D)
+            own, e = _join(k[r] * D + tail % D, ak * D + amu, len(gens) * D)
+            _add_terms(out, start[r[own]] + rank[tail[own] - amu[e] + anu[e]],
+                       v, i[own], act[ak[e], anu[e], amu[e]])
+        ok &= ~(out % p).any(axis=1)
+        r0 = r1
+    return ok.reshape(lead)
+
+
+def _add_terms(out, rows, vecs, at, coef):
+    """out[j, rows] += coef vecs[j, at] for each stack member j, the terms
+    of repeated rows summed."""
+    for o, c in zip(out, vecs):
+        np.add.at(o, rows, coef * c[at])
 
 
 @dataclass(frozen=True)
@@ -681,6 +753,41 @@ class CochainComplex:
         return lam @ aug.T % g.p, mw.reshape(len(t), self.rep.dim)
 
     @_kept
+    def _tails(self):
+        """The grades of the bar cochains, for ``is_bar_2cocycle``: the grade
+        of an aug monomial s or of a coordinate nu of M is its parity and
+        its weights under ``torus`` (``_weights``), and that of a cell
+        (s_1..s_n, nu) is gr(nu) - sum_i gr(s_i), so the coordinates of
+        degree n are the cells of grade 0 (``parity_lookup``).  Returns
+        (aug grades, rank, sorted codes): an (|aug|, 1 + |torus|) array,
+        and over the degree-1 cells (s, nu), at their keys s dim M + nu,
+        their position among the cells of their grade in key order, and
+        the codes of their grades (``_grade_code``) sorted.  All
+        O(|aug| dim M)."""
+        ualg, rep = self.ualg, self.rep
+        aw, mw = self._weights() if self.torus else (
+            np.zeros((0, len(ualg.aug_basis())), dtype=np.int64),
+            np.zeros((0, rep.dim), dtype=np.int64))
+        mono = np.reshape(ualg.aug_basis(), (-1, ualg.ngen))
+        aug_grade = np.vstack([mono @ ualg.pos_parity % 2, aw]).T
+        m_grade = np.vstack([rep.space.parities(), mw]).T
+        code = self._grade_code(m_grade[None] - aug_grade[:, None]).ravel()
+        order = np.argsort(code, kind="stable")
+        sorted_code = code[order]
+        rank = np.empty_like(code)
+        rank[order] = np.arange(code.size) - np.searchsorted(sorted_code,
+                                                             sorted_code)
+        return aug_grade, rank, sorted_code
+
+    def _grade_code(self, grade):
+        """One int64 per grade along the last axis of ``grade``: the parity
+        mod 2 and each weight mod p as digits, equal exactly when the
+        grades are."""
+        p, t = self.g.p, len(self.torus)
+        return (grade % np.array([2] + [p] * t)
+                @ np.array([1] + [2 * p ** i for i in range(t)]))
+
+    @_kept
     def basis(self, n):
         if self.ualg is None:
             return lie_cochain_basis(self.g, self.rep.space, n)
@@ -823,9 +930,21 @@ class CochainComplex:
         ((s_1 |aug| + s_2) ...) dim M + nu, as the bar differentials do; the
         odd ones, and on a weight-zero complex those of nonzero weight, are
         zero."""
-        cols, signs, canon = self._layout(n)
+        cols, signs, _ = self._layout(n)
+        return self._read(vec, n, cols, signs)
+
+    def cochain_at(self, vec, *args):
+        """The values of ``cochain_array(vec, len(args))`` at the argument
+        tuples whose index arrays ``args`` broadcast together, read off the
+        coordinates alone: shape (..., *broadcast shape, dim M)."""
+        cols, signs, _ = self._layout(len(args))
+        return self._read(vec, len(args), cols[args], signs[args])
+
+    def _read(self, vec, n, cols, signs):
+        """The values of the degree-n cochains ``vec`` at the cells whose
+        layout entries are ``cols`` and ``signs``."""
         v = np.asarray(vec, dtype=np.int64)
-        if v.shape[-1:] != canon.shape:
+        if v.shape[-1:] != self._layout(n)[2].shape:
             raise UsageError("cochain coordinate length mismatch")
         # cols = -1 reads the zero appended to every cochain
         v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,), dtype=np.int64)],
@@ -838,42 +957,68 @@ class CochainComplex:
         stack of them.  Raises InvariantViolationError unless these are the
         values of a cochain: a value that breaks parity, for the Lie kind
         alternation, or on a weight-zero complex the weight, has no
-        coordinate."""
+        coordinate.  A bar cochain has one value per coordinate, so it is
+        one when its values off the coordinate cells are zero: when the
+        values of the stack have no more nonzeros than its coordinates; a
+        Lie cochain's values are rebuilt from its coordinates and
+        compared."""
         cols, _, canon = self._layout(n)
         a = np.asarray(values, dtype=np.int64) % self.g.p
         lead = a.shape[:a.ndim - cols.ndim]
         if a.shape[len(lead):] != cols.shape:
             raise UsageError("cochain array shape mismatch")
-        vec = a.reshape(lead + (cols.size,))[..., canon]
-        if (self.cochain_array(vec, n) != a).any():
+        flat = a.reshape(lead + (cols.size,))
+        vec = flat[..., canon]
+        if (np.count_nonzero(flat) != np.count_nonzero(vec)
+                if self.kind == "bar" else
+                (self.cochain_array(vec, n) != a).any()):
             raise InvariantViolationError(
                 f"the values are not those of a degree-{n} cochain: a value "
                 f"breaks parity, alternation or weight")
         return vec
 
-    def check_readback(self, c, bracket, pmap, what):
-        """Raise InvariantViolationError unless the bar 2-cochain array c
-        (``cochain_array``), or each of a stack along its leading axes, reads
-        back a restricted extension of g by M through a section psi.
-        ``bracket[i, j]`` is the M-part of [psi x_i, psi x_j] - psi [x_i, x_j]
-        and must be the antisymmetrization c(x_i, x_j) - (-1)^{|x_i||x_j|}
-        c(x_j, x_i); ``pmap[s]``, for x the s-th even basis element of g, is
-        that of psi(x)^[p] - psi(x^[p]) and must be c(x^{p-1}, x).  For a
-        stack, both hold its axes before M's.  ``what`` names c."""
+    def coordinate_keys(self, n=2):
+        """The key ((s_1 |aug| + s_2) ...) dim M + nu of each degree-n
+        coordinate of a bar complex, increasing: where ``parity_lookup(n)``
+        is not -1."""
+        self.require("bar")
+        return self._layout(n)[2]
+
+    def check_readback(self, cvecs, bracket, pmap, what):
+        """Raise InvariantViolationError unless the bar 2-cochain with
+        coordinates ``cvecs``, or each of a stack along its leading axes,
+        reads back a restricted extension of g by M through a section psi.
+        ``bracket[..., i, j, :]`` is the M-part of
+        [psi x_i, psi x_j] - psi [x_i, x_j] and must be the
+        antisymmetrization c(x_i, x_j) - (-1)^{|x_i||x_j|} c(x_j, x_i);
+        ``pmap[..., s, :]``, for x the s-th even basis element of g, is that
+        of psi(x)^[p] - psi(x^[p]) and must be c(x^{p-1}, x).  Only these
+        cells are read, off the coordinates (``cochain_at``).  ``what``
+        names c."""
         g, p = self.g, self.g.p
-        gens = np.array([self.aug_power(i, 1) for i in range(g.dim)])
+        gens = np.array([self.aug_power(i, 1) for i in range(g.dim)],
+                        dtype=np.int64)
+        evens = np.array(g.space.even_indices(), dtype=np.int64)
+        powers = np.array([self.aug_power(i, p - 1) for i in evens],
+                          dtype=np.int64)
+        # the cells (x_i, x_j), then (x^{p-1}, x) for even x, in one read
+        at = self.cochain_at(
+            cvecs, np.concatenate([gens.repeat(g.dim), powers]),
+            np.concatenate([np.tile(gens, g.dim), gens[evens]]))
+        on_g = at[..., :g.dim ** 2, :].reshape(at.shape[:-2] + (g.dim,) * 2
+                                               + at.shape[-1:])
         par = np.array(g.space.parities())
         sign = np.where(np.outer(par, par) == 1, -1, 1)[:, :, None]
-        on_g = c[..., gens[:, None], gens, :]
         bad = np.argwhere(((on_g - sign * on_g.swapaxes(-3, -2) - bracket)
                            % p).any(axis=-1))
         if bad.size:
             raise InvariantViolationError(
                 f"{what} misreads the bracket on {tuple(bad[0, -2:].tolist())}")
-        for idx, want in zip(g.space.even_indices(), pmap):
-            if ((c[..., self.aug_power(idx, p - 1), gens[idx], :] - want) % p).any():
-                raise InvariantViolationError(
-                    f"{what} misreads the p-map on {idx}")
+        bad = ((at[..., g.dim ** 2:, :] - pmap) % p).any(axis=-1)
+        bad = bad.any(axis=tuple(range(bad.ndim - 1)))  # per even x
+        if bad.any():
+            raise InvariantViolationError(
+                f"{what} misreads the p-map on {evens[bad.argmax()]}")
 
     @_kept
     def _seed_plan(self):

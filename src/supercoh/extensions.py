@@ -291,8 +291,8 @@ def restricted_ext_from_assoc_2cocycle(bar, lie, cvec):
         raise NotACocycleError("not a bar 2-cocycle")
     ext = algebra_ext_from_2cocycle(
         lie, comparison_matrix(bar, lie, 2).matvec(cvec))
-    c = bar.cochain_array(cvec)
-    r = {idx: c[bar.aug_power(idx, bar.g.p - 1), bar.aug_power(idx, 1)]
+    r = {idx: bar.cochain_at(cvec, bar.aug_power(idx, bar.g.p - 1),
+                             bar.aug_power(idx, 1))
          for idx in bar.g.space.even_indices()}
     return _with_pmap_on_g(ext, r)
 
@@ -390,7 +390,8 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
                 for j in range(g.dim)] for i in range(g.dim)]
     pmap = [defect(pmap_apply(ext.E, sec[idx]), g.pmap_basis(idx))
             for idx in g.space.even_indices()]
-    bar.check_readback(c, np.array(bracket), pmap, "extracted cochain")
+    bar.check_readback(cvec, np.array(bracket), np.reshape(pmap, (-1, rep.dim)),
+                       "extracted cochain")
     return tuple(cvec.tolist())
 
 

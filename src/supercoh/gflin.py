@@ -72,13 +72,14 @@ def inv_mod(a, p):
 
 
 def matpow(a, k, p):
-    """a^k mod p for a square integer matrix, by repeated squaring.
+    """a^k mod p for a square integer matrix, or for each of a stack of
+    them along the leading axes, by repeated squaring.
 
     Every product is reduced mod p before the next one, so no intermediate
     entry exceeds dim * p^2 and int64 stays exact; reducing only at the end
     wraps silently once p^k outgrows int64 (already for p = 17)."""
     a = np.asarray(a, dtype=np.int64) % p
-    out = np.eye(a.shape[0], dtype=np.int64)
+    out = np.eye(a.shape[-1], dtype=np.int64)
     while k:
         if k & 1:
             out = (out @ a) % p

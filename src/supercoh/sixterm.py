@@ -63,8 +63,8 @@ class SixTermContext:
 
     ``bar`` is the weight-zero complex of (g, M) when g has a basis torus
     (``CochainComplex.weight_zero``): every bar space here is a weight-0
-    one, and ``cochain_vector`` checks that the fg cocycles and the fills
-    are.
+    one, and ``cochain_vector`` checks that the fills are, ``_fg_stack``
+    that the fg cocycles are.
     """
 
     def __init__(self, g, rep):
@@ -161,7 +161,13 @@ class SixTermContext:
         """Bar 2-cocycles of s0 twisted by each elementary semilinear map,
         in ``s1_pairs`` order, all read off one extraction: a
         (dim S, dim C^2) int64 array, one row per cocycle."""
-        return self._get("fg_cocycles", self._fg_cocycles)
+        return self._get("fg_cocycles", self._fg_cocycles)[0]
+
+    @property
+    def fg_class_coords(self):
+        """The H^2_* class coordinates of ``fg_cocycles``, a (dim S,
+        dim H^2_*) int64 array, from the membership check of the stack."""
+        return self._get("fg_cocycles", self._fg_cocycles)[1]
 
     def _fg_cocycles(self):
         """The bar cocycle c_(t,j) of E_sigma = ``twist_pmap(s0, sigma)`` for
@@ -181,36 +187,39 @@ class SixTermContext:
         the module enters it only through x.c terms, which vanish on K and
         on the invariants alike.
 
-        The stack of all c_(t,j), one broadcast of kappa against the
-        invariant rows, must lie in ``h2s.Z`` (spanned without fg, from
-        B^2_* and checked fills), and reads back its E_sigma unbuilt
-        (``CochainComplex.check_readback``): a zero bracket defect and
-        c(x_s^{p-1}, x_s) = -delta_st inv_j.  The split extension of (g, K)
-        is built even when S = 0: the seed-call gate of perfbench
+        The stack of all c_(t,j) is gathered from kappa's coordinates
+        (``_fg_stack``).  It must lie in ``h2s.Z`` (spanned without fg,
+        from B^2_* and checked fills): one ``class_coords`` of the stack
+        tests that and gives the class coordinates of the fg arrow.  It
+        reads back its E_sigma unbuilt (``CochainComplex.check_readback``):
+        a zero bracket defect and c(x_s^{p-1}, x_s) = -delta_st inv_j.
+        Returns (cocycles, class coordinates).  The split extension of
+        (g, K) is built even when S = 0: the seed-call gate of perfbench
         (``perfbench/expected.json``) expects every report to reach
         ``semidirect_extension``."""
         from .extensions import (assoc_2cocycle_from_restricted_ext,
                                  semidirect_extension, twist_pmap)
-        g, p, bar = self.g, self.p, self.bar
+        g, bar = self.g, self.bar
         n = g.space.n_even
         K = Representation(g, SuperSpace(tuple(f"e{t}" for t in range(n)), ()),
                            [np.zeros((n, n), dtype=np.int64)] * g.dim)
         s0 = semidirect_extension(g, K)
         if not self.s1_pairs:
-            return np.zeros((0, bar.d(1).rows), dtype=np.int64)
+            return (np.zeros((0, bar.d(1).rows), dtype=np.int64),
+                    np.zeros((0, self.h2s.dim_h), dtype=np.int64))
         univ = SemiLinearMap(g, n, np.eye(n, dtype=np.int64))
         bar_k = bar.with_module(K)
-        kappa = bar_k.cochain_array(
-            assoc_2cocycle_from_restricted_ext(twist_pmap(s0, univ), bar_k))
+        kappa = assoc_2cocycle_from_restricted_ext(twist_pmap(s0, univ), bar_k)
         t, j = np.array(self.s1_pairs).T
         inv = self.inv_even.rows[j]  # (S, dim M), the invariant of each pair
-        c = kappa[..., t].transpose(2, 0, 1)[..., None] * inv[:, None, None] % p
-        cvecs = bar.cochain_vector(c)
-        if self.h2s.Z.reduce(cvecs).any():
-            raise NotACocycleError("fg cochain is not a bar 2-cocycle")
-        pmap = -np.eye(n, dtype=np.int64)[:, t, None] * inv  # (n, S, dim M)
-        bar.check_readback(c, 0, pmap, "fg cocycle")
-        return cvecs
+        cvecs = _fg_stack(bar, bar_k, kappa, t, inv)
+        try:
+            coords = self.h2s.class_coords(cvecs)
+        except UsageError as err:
+            raise NotACocycleError("fg cochain is not a bar 2-cocycle") from err
+        pmap = -np.eye(n, dtype=np.int64)[t, :, None] * inv[:, None]
+        bar.check_readback(cvecs, 0, pmap, "fg cocycle")  # pmap (S, n, dim M)
+        return cvecs, coords
 
     @property
     def phi(self):
@@ -274,10 +283,35 @@ def map_semilinear_to_h2res(ctx):
     """For each elementary semilinear map sigma: the H^2_* class
     coordinates of the bar 2-cocycle of the trivial extension with its
     p-map twisted by sigma (``ctx.fg_cocycles``, all read off one
-    extraction of the universal twist), read even when S = 0."""
-    h2s, fg = ctx.h2s, ctx.fg_cocycles
-    cols = h2s.class_coords(fg) if len(fg) else []
-    return MatGF.from_columns(cols, h2s.dim_h, ctx.p)
+    extraction of the universal twist), kept by the membership check of
+    the fg stack (``ctx.fg_class_coords``), read even when S = 0."""
+    h2s = ctx.h2s  # first, so that its timing is its own
+    return MatGF.from_columns(ctx.fg_class_coords, h2s.dim_h, ctx.p)
+
+
+def _fg_stack(bar, bar_k, kappa, t, inv):
+    """The coordinates in ``bar``, the bar complex of (g, M), of the stack
+    of cochains kappa_{t[s]} inv[s], one per s: kappa has coordinates
+    ``kappa`` in ``bar_k``, that of (g, K) on the same u(g), K = k^{n_even}
+    trivial, and kappa_t is its e_t component.  Each coordinate (u, v, e_t)
+    of kappa and each nonzero inv[s]_nu gives the cell (u, v, nu); one of
+    nonzero value must be a coordinate of ``bar``, else
+    InvariantViolationError (a value that breaks parity or weight)."""
+    p, D = bar.g.p, bar.rep.dim
+    n = bar_k.rep.dim
+    uv, et = np.divmod(bar_k.coordinate_keys(2), n)
+    kappa = np.asarray(kappa, dtype=np.int64) % p
+    lookup = bar.parity_lookup(2)
+    out = np.zeros((len(t), bar.coordinate_keys(2).size), dtype=np.int64)
+    for slot in sorted(set(t.tolist())):
+        s, at = np.flatnonzero(t == slot), np.flatnonzero(et == slot)
+        cols = lookup[uv[at, None] * D + np.arange(D)]  # (coordinates, nu)
+        vals = kappa[at, None] * inv[s, None] % p  # (s, coordinates, nu)
+        if vals[:, cols < 0].any():
+            raise InvariantViolationError(
+                "fg cochain value breaks parity or weight")
+        out[s[:, None], cols[cols >= 0]] = vals[:, cols >= 0]
+    return out
 
 
 def map_h2res_to_h2(ctx):

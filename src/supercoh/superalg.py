@@ -177,70 +177,76 @@ def validate_lie_super(g):
     at p = 3, where that law gives only 3 [y, [y, y]] = 0, also that every
     coefficient of y -> [y, [y, y]] on the odd part is zero: for odd basis
     indices i <= j <= k, the sum of [y_a, [y_b, y_c]] over the distinct
-    orderings (a, b, c) of (i, j, k)."""
+    orderings (a, b, c) of (i, j, k).  Each check runs on every index
+    tuple at once, off the structure constants and the (i, j, k) table of
+    [x_i, [x_j, x_k]]; the violations are recorded in the order of the
+    loops over i, j (parity at each k, then skew), over i, j, k (Jacobi)
+    and over the odd triples."""
     rep = ValidationReport("lie-superalgebra")
-    n, p = g.dim, g.p
-    par = g.space.parities()
-    for i in range(n):
-        for j in range(n):
-            vec = g.brackets[i, j]
-            target = (par[i] + par[j]) % 2
-            for k in range(n):
-                if vec[k] and par[k] != target:
-                    rep.record("parity", (i, j, k),
-                               f"[x_{i},x_{j}] has a component of wrong parity at {k}")
-            sign = -1 if (par[i] and par[j]) else 1
-            expect = (-sign * g.brackets[j, i]) % p
-            if not np.array_equal(vec % p, expect):
-                rep.record("skew", (i, j), "super skew-symmetry fails")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = g.bracket(g.basis_vector(i), g.brackets[j, k])
-                rhs = g.bracket(g.brackets[i, j], g.basis_vector(k))
-                sign = -1 if (par[i] and par[j]) else 1
-                rhs = (rhs + sign * g.bracket(g.basis_vector(j), g.brackets[i, k])) % p
-                if not np.array_equal(lhs, rhs):
-                    rep.record("jacobi", (i, j, k), "super Jacobi identity fails")
+    n, p, brk = g.dim, g.p, g.brackets
+    par = np.array(g.space.parities(), dtype=np.int64)
+    sign = np.where(np.outer(par, par) == 1, -1, 1)  # (-1)^{|x_i||x_j|}
+    wrong = (brk != 0) & ((par[:, None, None] + par[:, None] + par) % 2 == 1)
+    skew = ((brk + sign[:, :, None] * brk.transpose(1, 0, 2)) % p).any(axis=-1)
+    events = [(i, j, 0, k) for i, j, k in np.argwhere(wrong).tolist()]
+    events += [(i, j, 1, 0) for i, j in np.argwhere(skew).tolist()]
+    for i, j, kind, k in sorted(events):
+        if kind:
+            rep.record("skew", (i, j), "super skew-symmetry fails")
+        else:
+            rep.record("parity", (i, j, k),
+                       f"[x_{i},x_{j}] has a component of wrong parity at {k}")
+    flat = brk.reshape(n * n, n)
+    # nested[i, j, k] = [x_i, [x_j, x_k]], outer[i, j, k] = [[x_i, x_j], x_k]
+    nested = np.matmul(flat, brk).reshape(n, n, n, n)
+    outer = (flat @ brk.reshape(n, n * n)).reshape(n, n, n, n)
+    jacobi = ((nested - outer - sign[:, :, None, None]
+               * nested.transpose(1, 0, 2, 3)) % p).any(axis=-1)
+    for ijk in np.argwhere(jacobi).tolist():
+        rep.record("jacobi", tuple(ijk), "super Jacobi identity fails")
     odds = g.space.odd_indices() if p == 3 else ()
-    for ijk in itertools.combinations_with_replacement(odds, 3):
-        if (sum(g.bracket(g.basis_vector(a), g.brackets[b, c])
-                for a, b, c in set(itertools.permutations(ijk))) % p).any():
-            rep.record("odd-cube", ijk, "[y, [y, y]] = 0 fails for odd y")
+    triples = list(itertools.combinations_with_replacement(odds, 3))
+    if triples:
+        orders = [sorted(set(itertools.permutations(t))) for t in triples]
+        a, b, c = np.array([o for os in orders for o in os]).T
+        starts = np.cumsum([0] + [len(os) for os in orders[:-1]])
+        cube = (np.add.reduceat(nested[a, b, c], starts) % p).any(axis=-1)
+        for t in np.flatnonzero(cube).tolist():
+            rep.record("odd-cube", triples[t], "[y, [y, y]] = 0 fails for odd y")
     return rep
 
 
 def jacobson_terms(g, x, y):
-    """The correction terms s_1..s_{p-1} in (x+y)^[p] = x^[p] + y^[p] + sum s_i.
+    """The correction terms s_1..s_{p-1} in (x+y)^[p] = x^[p] + y^[p] + sum s_i,
+    for even vectors x and y, or for each pair of a stack of them along
+    their leading axes.
 
     i*s_i is the coefficient of t^(i-1) in (ad(t x + y))^(p-1)(x), computed
     by carrying a polynomial in t with vector coefficients through p-1
-    bracket applications.
-    """
+    bracket applications; the coefficient of t^(p-1) is never read, so
+    the polynomial is cut at degree p-2.  Returns a list of the p-1 vectors
+    for one pair, an (..., p-1, g.dim) int64 array for stacks."""
     p = g.p
     x = np.asarray(x, dtype=np.int64) % p
     y = np.asarray(y, dtype=np.int64) % p
-    if not (g.is_even_vector(x) and g.is_even_vector(y)):
+    if x.shape != y.shape or x.shape[-1:] != (g.dim,):
+        raise UsageError("jacobson_terms expects two stacks of g-vectors")
+    odd = list(g.space.odd_indices())
+    if x[..., odd].any() or y[..., odd].any():
         raise UsageError("jacobson_terms expects even vectors")
-    poly = {0: x}
+    # [x, v] = v @ ad_x, ad_x[j, k] = [x, x_j]_k
+    n = g.dim
+    ad_x, ad_y = ((v @ g.brackets.reshape(n, n * n)).reshape(v.shape + (n,))
+                  for v in (x, y))
+    poly = np.zeros(x.shape[:-1] + (p - 1, n), dtype=np.int64)
+    poly[..., 0, :] = x  # poly[..., d, :] the coefficient of t^d
     for _ in range(p - 1):
-        new = {}
-        for d, vec in poly.items():
-            bx = g.bracket(x, vec)
-            if bx.any():
-                new[d + 1] = (new.get(d + 1, 0) + bx) % p
-            by = g.bracket(y, vec)
-            if by.any():
-                new[d] = (new.get(d, 0) + by) % p
-        poly = {d: v for d, v in new.items() if np.asarray(v).any()}
-    out = []
-    for i in range(1, p):
-        coeff = poly.get(i - 1)
-        if coeff is None:
-            out.append(g.zero())
-        else:
-            out.append((pow(i, -1, p) * coeff) % p)
-    return out
+        step = poly @ ad_y
+        step[..., 1:, :] += (poly @ ad_x)[..., :-1, :]
+        poly = step % p
+    inv = np.array([pow(i, -1, p) for i in range(1, p)], dtype=np.int64)
+    out = inv[:, None] * poly % p
+    return list(out) if x.ndim == 1 else out
 
 
 def pmap_apply(g, v):
@@ -265,28 +271,29 @@ def pmap_apply(g, v):
 
 
 def validate_pmap(g):
-    """Check ad(x^[p]) = ad(x)^p on the basis and order-independence of the
-    additivity rule on pairs of even basis elements."""
+    """Check ad(x^[p]) = ad(x)^p on the even basis and order-independence
+    of the additivity rule on pairs of even basis elements: the Jacobson
+    sums of (x_i, x_j) and (x_j, x_i) for i < j agree.  Both checks run on
+    every even basis element, and every ordered pair, at once; the
+    violations are recorded per element, then per pair (i, j), in order."""
     rep = ValidationReport("p-map")
-    p = g.p
-    for i in g.space.even_indices():
-        lhs = g.ad(g.pmap_basis(i))
-        rhs = matpow(g.ad_basis(i), p, p)
-        if not np.array_equal(lhs, rhs):
-            rep.record("adp", (i,), f"ad(x_{i}^[p]) != ad(x_{i})^p")
-    evens = g.space.even_indices()
-    for a in range(len(evens)):
-        for b in range(a + 1, len(evens)):
-            i, j = evens[a], evens[b]
-            fwd = g.zero()
-            for s in jacobson_terms(g, g.basis_vector(i), g.basis_vector(j)):
-                fwd = (fwd + s) % p
-            bwd = g.zero()
-            for s in jacobson_terms(g, g.basis_vector(j), g.basis_vector(i)):
-                bwd = (bwd + s) % p
-            if not np.array_equal(fwd, bwd):
-                rep.record("additivity", (i, j),
-                           "Jacobson sums disagree when the fold order is swapped")
+    p, n = g.p, g.dim
+    evens = np.array(g.space.even_indices(), dtype=np.int64)
+    # ad(v)^T, row j [v, x_j], for v = x^[p] and for v = x: (A^T)^p = (A^p)^T
+    pm = np.reshape([g.pmap_basis(i) for i in evens], (-1, n))
+    lhs = (pm @ g.brackets.reshape(n, n * n)).reshape(-1, n, n) % p
+    rhs = matpow(g.brackets[evens], p, p)
+    for i in evens[(lhs != rhs).any(axis=(1, 2))].tolist():
+        rep.record("adp", (i,), f"ad(x_{i}^[p]) != ad(x_{i})^p")
+    pairs = list(itertools.combinations(evens.tolist(), 2))
+    if pairs:  # the pairs (i, j), then the pairs (j, i)
+        x, y = np.array(pairs + [(j, i) for i, j in pairs]).T
+        unit = np.eye(n, dtype=np.int64)
+        sums = jacobson_terms(g, unit[x], unit[y]).sum(axis=-2) % p
+        swapped = (sums[:len(pairs)] != sums[len(pairs):]).any(axis=-1)
+        for k in np.flatnonzero(swapped).tolist():
+            rep.record("additivity", pairs[k],
+                       "Jacobson sums disagree when the fold order is swapped")
     return rep
 
 

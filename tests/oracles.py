@@ -1013,3 +1013,103 @@ def pair_model_per_unit(lie):
     red = RowReduction(D1)
     return (CohomologyResult.quotient(1, "pair", red.kernel, lie.image(0)),
             CohomologyResult.quotient(2, "pair", nullspace(D2), red.image))
+
+
+# ---------------------------------------------------------------------------
+# the axiom checks of a restricted Lie superalgebra, one index tuple at a time
+# ---------------------------------------------------------------------------
+
+def validate_lie_super_per_pair(g):
+    """``superalg.validate_lie_super`` by loops over the basis: parity and
+    skew per pair (i, j), Jacobi per triple, each bracket formed by
+    ``LieSuperAlgebra.bracket``, and the p = 3 odd cubes per odd triple."""
+    import numpy as np
+
+    from supercoh.superalg import ValidationReport
+
+    rep = ValidationReport("lie-superalgebra")
+    n, p = g.dim, g.p
+    par = g.space.parities()
+    for i in range(n):
+        for j in range(n):
+            vec = g.brackets[i, j]
+            target = (par[i] + par[j]) % 2
+            for k in range(n):
+                if vec[k] and par[k] != target:
+                    rep.record("parity", (i, j, k),
+                               f"[x_{i},x_{j}] has a component of wrong parity at {k}")
+            sign = -1 if (par[i] and par[j]) else 1
+            expect = (-sign * g.brackets[j, i]) % p
+            if not np.array_equal(vec % p, expect):
+                rep.record("skew", (i, j), "super skew-symmetry fails")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = g.bracket(g.basis_vector(i), g.brackets[j, k])
+                rhs = g.bracket(g.brackets[i, j], g.basis_vector(k))
+                sign = -1 if (par[i] and par[j]) else 1
+                rhs = (rhs + sign * g.bracket(g.basis_vector(j), g.brackets[i, k])) % p
+                if not np.array_equal(lhs, rhs):
+                    rep.record("jacobi", (i, j, k), "super Jacobi identity fails")
+    odds = g.space.odd_indices() if p == 3 else ()
+    for ijk in itertools.combinations_with_replacement(odds, 3):
+        if (sum(g.bracket(g.basis_vector(a), g.brackets[b, c])
+                for a, b, c in set(itertools.permutations(ijk))) % p).any():
+            rep.record("odd-cube", ijk, "[y, [y, y]] = 0 fails for odd y")
+    return rep
+
+
+def jacobson_terms_per_pair(g, x, y):
+    """``superalg.jacobson_terms`` of one pair of even vectors: the
+    polynomial in t carried as a dict {degree: vector} through p - 1
+    brackets by ``LieSuperAlgebra.bracket``."""
+    import numpy as np
+
+    p = g.p
+    x = np.asarray(x, dtype=np.int64) % p
+    y = np.asarray(y, dtype=np.int64) % p
+    poly = {0: x}
+    for _ in range(p - 1):
+        new = {}
+        for d, vec in poly.items():
+            bx = g.bracket(x, vec)
+            if bx.any():
+                new[d + 1] = (new.get(d + 1, 0) + bx) % p
+            by = g.bracket(y, vec)
+            if by.any():
+                new[d] = (new.get(d, 0) + by) % p
+        poly = {d: v for d, v in new.items() if np.asarray(v).any()}
+    out = []
+    for i in range(1, p):
+        coeff = poly.get(i - 1)
+        out.append(g.zero() if coeff is None else (pow(i, -1, p) * coeff) % p)
+    return out
+
+
+def validate_pmap_per_pair(g):
+    """``superalg.validate_pmap`` by loops: ad(x^[p]) against ``matpow`` of
+    ad(x) per even basis element, and the Jacobson sums of (x_i, x_j) and
+    (x_j, x_i) per pair i < j from ``jacobson_terms_per_pair``."""
+    import numpy as np
+
+    from supercoh.gflin import matpow
+    from supercoh.superalg import ValidationReport
+
+    rep = ValidationReport("p-map")
+    p = g.p
+    for i in g.space.even_indices():
+        if not np.array_equal(g.ad(g.pmap_basis(i)),
+                              matpow(g.ad_basis(i), p, p)):
+            rep.record("adp", (i,), f"ad(x_{i}^[p]) != ad(x_{i})^p")
+    evens = g.space.even_indices()
+    for a in range(len(evens)):
+        for b in range(a + 1, len(evens)):
+            i, j = evens[a], evens[b]
+            fwd = sum(jacobson_terms_per_pair(
+                g, g.basis_vector(i), g.basis_vector(j))) % p
+            bwd = sum(jacobson_terms_per_pair(
+                g, g.basis_vector(j), g.basis_vector(i))) % p
+            if not np.array_equal(fwd, bwd):
+                rep.record("additivity", (i, j),
+                           "Jacobson sums disagree when the fold order is swapped")
+    return rep

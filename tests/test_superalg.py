@@ -220,3 +220,124 @@ def test_basis_torus(loaded_catalog):
     two = SuperSpace(("a", "b"), ())
     assert basis_torus(g, Representation(g, two, [[[1, 0], [0, 2]]])) == (0,)
     assert basis_torus(g, Representation(g, two, [[[0, 1], [1, 0]]])) == ()
+
+
+def _algebras():
+    """(label, g): every algebra of ``test_lie_array_form.PAIRS`` once, its
+    semidirect product with its adjoint module, and the universal twist of
+    its report (``SixTermContext._fg_cocycles``): the split extension by
+    K = k^{n_even} with (x_t, 0)^[p] shifted by -e_t."""
+    from supercoh.extensions import semidirect_extension, twist_pmap
+    from supercoh.superalg import SemiLinearMap
+
+    from test_lie_array_form import PAIRS
+    out, seen = [], set()
+    for label, g, _ in PAIRS:
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        name = label.split("/")[0]
+        n = g.space.n_even
+        K = Representation(g, SuperSpace(tuple(f"e{t}" for t in range(n)), ()),
+                           [np.zeros((n, n), dtype=np.int64)] * g.dim)
+        twist = twist_pmap(semidirect_extension(g, K),
+                           SemiLinearMap(g, n, np.eye(n, dtype=np.int64)))
+        out += [(name, g), (f"{name} |x ad", semidirect(g, adjoint_module(g))[0]),
+                (f"{name} twist", twist.E)]
+    return out
+
+
+def _corrupted(g, rng):
+    """g with one structure constant changed, with one changed together
+    with its skew partner (so skew still holds), and with one p-map
+    coordinate changed."""
+    p, n = g.p, g.dim
+    out = []
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    brk = g.brackets.copy()
+    brk[i, j, k] += rng.randrange(1, p)
+    out.append(LieSuperAlgebra(g.space, p, brk, g.pmap))
+    brk = g.brackets.copy()
+    r, sign = rng.randrange(1, p), -1 if g.parity(i) and g.parity(j) else 1
+    brk[i, j, k] += r
+    if (i, j) != (j, i):
+        brk[j, i, k] -= sign * r
+    out.append(LieSuperAlgebra(g.space, p, brk, g.pmap))
+    evens = g.space.even_indices()
+    if evens:
+        pmap = {e: v.copy() for e, v in g.pmap.items()}
+        pmap[rng.choice(evens)][rng.choice(evens)] += rng.randrange(1, p)
+        out.append(LieSuperAlgebra(g.space, p, g.brackets, pmap))
+    return out
+
+
+def test_batched_validators_match_the_per_pair_loops():
+    """``validate_lie_super`` and ``validate_pmap`` record the same
+    violations, in the same order and with the same messages, as the
+    per-pair loops of ``oracles``: on every algebra of the test pairs, its
+    semidirect product with the adjoint module, the universal twist of its
+    report, and each of those corrupted at random, where every check
+    fires somewhere."""
+    from oracles import validate_lie_super_per_pair, validate_pmap_per_pair
+
+    rng = random.Random(30)
+    fired = set()
+    for label, g in _algebras():
+        assert validate_lie_super(g).ok and validate_pmap(g).ok, label
+        for h in [g] + _corrupted(g, rng):
+            for new, old in ((validate_lie_super, validate_lie_super_per_pair),
+                             (validate_pmap, validate_pmap_per_pair)):
+                got, want = new(h), old(h)
+                assert got.violations == want.violations, label
+                assert got.summary() == want.summary(), label
+                fired |= {v.check for v in got.violations}
+    assert {"adp", "additivity", "jacobi", "skew", "parity"} <= fired
+
+
+def test_batched_jacobson_terms_match_the_per_pair_loop():
+    """``jacobson_terms`` on stacks of random even vector pairs, of one and
+    two leading axes, equals the per-pair oracle pair by pair; one pair
+    gives the list of the stack of one; an odd vector or stacks of
+    different shapes are refused."""
+    from oracles import jacobson_terms_per_pair
+
+    rng = random.Random(31)
+    for label, g in _algebras():
+        p, evens = g.p, list(g.space.even_indices())
+        x, y = np.zeros((2, 6, g.dim), dtype=np.int64)
+        x[:, evens] = [[rng.randrange(p) for _ in evens] for _ in range(6)]
+        y[:, evens] = [[rng.randrange(p) for _ in evens] for _ in range(6)]
+        got = jacobson_terms(g, x, y)
+        assert got.shape == (6, p - 1, g.dim)
+        for k in range(6):
+            want = jacobson_terms_per_pair(g, x[k], y[k])
+            assert np.array_equal(got[k], want), label
+            one = jacobson_terms(g, x[k], y[k])
+            assert isinstance(one, list) and len(one) == p - 1
+            assert np.array_equal(one, jacobson_terms(g, x[k:k + 1], y[k:k + 1])[0])
+        assert np.array_equal(jacobson_terms(g, x.reshape(2, 3, -1),
+                                             y.reshape(2, 3, -1)),
+                              got.reshape(2, 3, p - 1, -1))
+        assert jacobson_terms(g, x[:0], y[:0]).shape == (0, p - 1, g.dim)
+        if g.space.n_odd:
+            odd = g.basis_vector(g.space.odd_indices()[0])
+            with pytest.raises(UsageError, match="even"):
+                jacobson_terms(g, odd, odd)
+        with pytest.raises(UsageError):
+            jacobson_terms(g, x, y[:3])
+
+
+def test_validate_pmap_calls_jacobson_terms_once(loaded_catalog, monkeypatch):
+    """One call for all ordered even pairs, none when there are none."""
+    import supercoh.superalg as superalg
+    calls = []
+
+    def counted(g, x, y, _real=superalg.jacobson_terms):
+        calls.append(np.shape(x))
+        return _real(g, x, y)
+    monkeypatch.setattr(superalg, "jacobson_terms", counted)
+    for entry_id, n_pairs in (("a6-abelian-plane", 1), ("a1-null", 0)):
+        calls.clear()
+        g = loaded_catalog[entry_id][1]
+        assert validate_pmap(g).ok
+        assert calls == [(2 * n_pairs, g.dim)] * bool(n_pairs), entry_id
