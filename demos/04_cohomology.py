@@ -7,9 +7,11 @@ are connected by an injection in degree 1, and genuinely diverge in
 degree 2 - the six-term sequence (demo 06) measures the failure exactly.
 
 The restricted theory can also be computed on the Lie side alone, by the
-(f, w) pair complex ``sixterm.PairComplex``: its degree-1 cocycles are the
-ordinary 1-cocycles that satisfy the p-th power condition, and the last
-table compares its H^1_* with the bar complex's.
+(f, w) pair complex ``bar.pair()`` (``cohomology.PairComplex``): its
+degree-1 cocycles are the ordinary 1-cocycles that satisfy the p-th power
+condition, and the last table compares its H^1_* with the bar complex's.
+The bar H^2_* itself is spanned from the coboundaries and the bar cocycles
+filled from the pair complex's classes, so no bar d2 is built.
 """
 
 from supercoh import catalog
@@ -17,7 +19,6 @@ from supercoh.algfile import parse_algebra_dict
 from supercoh.cohomology import (
     CochainComplex, lie_cohomology, restricted_cohomology,
 )
-from supercoh.sixterm import PairComplex
 
 # one Lie and one bar complex per entry, shared by every space read off them
 complexes = []
@@ -37,7 +38,7 @@ H^1_* can also be carved out of the Lie side: it is the space of ordinary
 1-cocycles satisfying the p-th power condition rho(x)^{p-1} f(x) = f(x^[p]),
 modulo coboundaries.  Both computations must agree:
 """)
-for entry, lie, bar in complexes[:5]:
-    via_condition = restricted_cohomology(PairComplex(lie), 1).dim_h
+for entry, _, bar in complexes[:5]:
+    via_condition = restricted_cohomology(bar.pair(), 1).dim_h
     via_bar = restricted_cohomology(bar, 1).dim_h
     print(f"  {entry.entry_id:24s} condition: {via_condition}   bar: {via_bar}")

@@ -5,7 +5,9 @@ Two complexes are built for a restricted Lie superalgebra g and a module M:
 * the Lie-type complex C^n(g, M) on Lambda(g_0) (x) S(g_1), whose
   cohomology is the ordinary H^n(g, M);
 * the bar-type complex of even multilinear maps on the augmentation ideal
-  u(g)^+, whose cohomology is the restricted H^n_*(g, M).
+  u(g)^+, whose cohomology is the restricted H^n_*(g, M);
+* the (f, w) pair complex (``PairComplex``), whose H^1 and H^2 are H^1_*
+  and H^2_*; the bar H^2_* is spanned from its fills (``pair_fill``).
 
 All cochains are even maps, so a basis functional pairs an argument tuple
 with a value coordinate of matching parity.  Degree-3 cochain spaces are
@@ -24,19 +26,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .envelope import UAlgebra
-from .errors import InvariantViolationError, UsageError
+from .errors import InvariantViolationError, NotACocycleError, UsageError
 from .gflin import (
-    MatGF, RowReduction, Subspace, index_runs, matpow, quotient_representatives
+    MatGF, RowReduction, Subspace, extend, index_runs, matpow,
+    quotient_representatives,
 )
 from .superalg import EVEN, ODD, basis_torus
 
 __all__ = [
-    "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "CohomologyResult",
-    "lie_cochain_basis", "lie_eval_sign", "lie_differential_matrix",
-    "lie_odd_cube_matrix", "lie_psi_bar_matrix", "lie_obstruction_matrix",
-    "lie_cohomology", "assoc_cochain_basis", "assoc_differential_matrix",
-    "restricted_cohomology", "is_bar_2cocycle", "sgn_marked",
-    "comparison_matrix", "eval_lie_cochain",
+    "LieCochainBasis", "AssocCochainBasis", "CochainComplex", "PairComplex",
+    "CohomologyResult", "lie_cochain_basis", "lie_eval_sign",
+    "lie_differential_matrix", "lie_odd_cube_matrix", "lie_psi_bar_matrix",
+    "lie_obstruction_matrix", "lie_cohomology", "assoc_cochain_basis",
+    "assoc_differential_matrix", "restricted_cohomology", "pair_fill",
+    "is_bar_2cocycle", "sgn_marked", "comparison_matrix", "eval_lie_cochain",
 ]
 
 
@@ -636,13 +639,14 @@ class CochainComplex:
     (g, M).  A complex keeps, in one store, every object it derives from
     (g, M): the basis, differential d_n : C^n -> C^{n+1} and
     ``RowReduction`` of each degree, so Ker d_n and Im d_n come from one
-    elimination of d_n's rows, the cochain layouts, the bar parity lookups
-    and seed plan, and the Lie kind's ``cocycle_rows(2)``,
-    ``lie_psi_bar_matrix`` and ``lie_obstruction_matrix``; ``with_module``
-    keeps only u(g)'s seed plan.  The complex owns the layout of its
-    cochains: ``cochain_array`` and ``cochain_vector`` go between
-    coordinates and values, for stacks of cochains too, and the Lie d_n
-    (``lie_differential_matrix``) reads its terms off the degree-n layout.
+    elimination of d_n's rows, the cochain layouts, the bar parity lookups,
+    seed plan and pair complex (``pair``), and the Lie kind's
+    ``cocycle_rows(2)``, ``lie_psi_bar_matrix`` and
+    ``lie_obstruction_matrix``; ``with_module`` keeps only u(g)'s seed
+    plan.  The complex owns the layout of its cochains: ``cochain_array``
+    and ``cochain_vector`` go between coordinates and values, for stacks
+    of cochains too, and the Lie d_n (``lie_differential_matrix``) reads
+    its terms off the degree-n layout.
     The bar kind owns the restricted enveloping algebra u(g) its cochains
     live on, and ``with_module`` gives the bar complex of another module on
     the same u(g).  ``weight_zero`` gives the bar complex's subcomplex of
@@ -715,10 +719,10 @@ class CochainComplex:
         (``quotient_representatives``), are those of Z_0/B_0 embedded, and
         dim H is the same.
 
-        The complex has its own store and hands on u(g)'s seed plan if
-        built.  Its one change is ``parity_lookup``, which every bar
-        reader goes through: the differentials and their reductions, the
-        layout, ``cochain_array`` and ``cochain_vector``,
+        The complex has its own store and hands on u(g)'s seed plan and the
+        pair complex if built.  Its one change is ``parity_lookup``, which
+        every bar reader goes through: the differentials and their
+        reductions, the layout, ``cochain_array`` and ``cochain_vector``,
         ``is_bar_2cocycle`` and ``comparison_matrix``.  A term of d that
         breaks the weight raises in ``assoc_differential_matrix``, and so
         do values off weight 0 in ``cochain_vector``: a cochain from
@@ -737,8 +741,14 @@ class CochainComplex:
         cx = copy.copy(self)
         cx.torus = torus
         cx._store = {k: v for k, v in self._store.items()
-                     if k == ("_seed_plan",)}
+                     if k in (("_seed_plan",), ("pair",))}
         return cx
+
+    @_kept
+    def pair(self):
+        """``PairComplex`` of (g, M) on a Lie complex of its own; bar kind."""
+        self.require("bar")
+        return PairComplex(CochainComplex(self.g, self.rep, "lie"))
 
     @_kept
     def _weights(self):
@@ -1086,6 +1096,116 @@ class CochainComplex:
         return rows
 
 
+class PairComplex(CochainComplex):
+    """The (f, w) pair complex of Hochschild (Amer. J. Math. 1954) and
+    Evans-Fuchs (JFPTA 2008) on the Lie complex ``lie`` of (g, M),
+
+        C^0 --d0--> C^1 --D1--> C^2 + M^{n_even} --D2--> ...,
+
+    whose H^1 and H^2 (``restricted_cohomology``) are H^1_* and H^2_*, in
+    C^1 and in (f, w_0, w_1, ...) coordinates.  d0, its reduction and the
+    bases (``basis(2)``: the f part) are ``lie``'s; D1 h = (d1 h, Psi-bar h),
+    and D2 (f, w) = 0, w_t the value at the t-th even basis x_t, exactly when
+
+        d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
+
+    f meets the p = 3 odd-cube condition (``lie.cocycle_rows(2)``), and
+    the odd coordinates of every w_t are zero (odd basis elements need no
+    value: y^2 = [y, y]/2 is fixed by f).  So D2 (f, w) = 0 exactly when
+    E_f with (x_t, 0)^[p] = (x_t^[p], w_t) is a restricted extension.
+    D1's Psi-bar rows are the matrix ``lie_psi_bar_matrix`` and
+    the f part of D2's rows for x_t is ``lie_obstruction_matrix(lie, x_t)``,
+    both read off the Lie layout.  The w_t part is d0: the 1-cochain
+    z -> rho(z) w_t is d0 of the even part of w_t (rho(z) is even, so an
+    odd coordinate of w_t meets no row of matching parity).  D1 raises
+    InvariantViolationError unless D1 d0 = 0, and D2 unless D2 D1 = 0.
+    The pair complex keeps D1, D2 and their reductions in its own store;
+    like the Lie complex it has no seed plan, so ``with_module`` keeps
+    nothing."""
+
+    def __init__(self, lie):
+        lie.require("lie")
+        super().__init__(lie.g, lie.rep, "lie")
+        self.kind, self.lie = "pair", lie
+
+    def with_module(self, rep):
+        """The pair complex on the Lie complex of (g, rep)."""
+        return PairComplex(self.lie.with_module(rep))
+
+    def basis(self, n):
+        return self.lie.basis(n)
+
+    def _reduction(self, n):
+        return self.lie._reduction(0) if n == 0 else super()._reduction(n)
+
+    def _differential(self, n):
+        if n not in (0, 1, 2):
+            raise UsageError("the pair complex has d0, D1 and D2 only")
+        lie, g, rep, p = self.lie, self.g, self.rep, self.g.p
+        if n == 0:
+            return lie.d(0)
+        n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
+        evens = g.space.even_indices()
+        ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
+        if n == 1:
+            r, c, v = lie.d(1).coo()
+            w, h, psi = lie_psi_bar_matrix(lie).coo()
+            D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
+                                  np.r_[v, psi])
+            if not D1.matmul(lie.d(0)).is_zero():
+                raise InvariantViolationError("the pair model's D^2 is not zero")
+            return D1
+        # D2 is d2 and the odd-cube rows over the rows of the w conditions:
+        # per x_t, one row per C^1 coordinate z, then one per odd
+        # coordinate of w_t
+        z2 = lie.cocycle_rows(2)
+        parts, nrows = [z2.coo()], z2.rows
+        even_m = np.array(rep.space.even_indices(), dtype=np.int64)
+        odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
+        # rho(z) w_t is d0 of the even part of w_t: column j of d0 is the
+        # coordinate even_m[j] of M
+        rho_z, j, rho_v = lie.d(0).coo()
+        for t, idx in enumerate(evens):
+            w0 = n2 + t * dm
+            z, f, k = lie_obstruction_matrix(lie, idx).coo()
+            parts += [(nrows + z, f, k),
+                      (nrows + rho_z, w0 + even_m[j], rho_v),
+                      (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
+                       np.ones(odd_m.size, dtype=np.int64))]
+            nrows += n1 + odd_m.size
+        D2 = MatGF.from_terms(nrows, ncols, p,
+                              *(np.concatenate(x) for x in zip(*parts)))
+        if not D2.matmul(self.d(1)).is_zero():
+            raise InvariantViolationError("the pair model's D^2 is not zero")
+        return D2
+
+
+def pair_fill(bar, vecs):
+    """The bar 2-cocycle, an int64 array, of the restricted extension E_f
+    with (x_t, 0)^[p] = (x_t^[p], w_t) of a 2-cocycle (f, w) of the pair
+    complex ``bar.pair()``, or of each of a stack of them along the leading
+    axes of ``vecs``: ``cocycle_from_seeds`` of the seeds f(x, y) for
+    generators x after y, f(x, x) / 2 for odd x, and w_t at
+    (x_t, x_t^{p-1}), in ``seed_positions()`` order.  Raises
+    NotACocycleError unless the stack passes one ``is_bar_2cocycle``."""
+    lie, g, p = bar.pair().lie, bar.g, bar.g.p
+    vecs = np.asarray(vecs, dtype=np.int64)
+    n2 = lie.basis(2).dim
+    f = lie.cochain_array(vecs[..., :n2])
+    w = vecs[..., n2:].reshape(vecs.shape[:-1] + (g.space.n_even, bar.rep.dim))
+    gen = {bar.aug_power(i, 1): i for i in range(g.dim)}
+    slot = {bar.aug_power(i, p - 1): t
+            for t, i in enumerate(g.space.even_indices())}
+    half = pow(2, -1, p)
+    seeds = np.stack([
+        f[..., gen[x], gen[v], :] * (half if v == x else 1) if v in gen
+        else w[..., slot[v], :] for x, v in bar.seed_positions()], axis=-2)
+    cvecs = bar.cochain_vector(bar.cocycle_from_seeds(seeds))
+    if not is_bar_2cocycle(bar, cvecs).all():
+        raise NotACocycleError("pair-class fill is not a bar 2-cocycle")
+    return cvecs
+
+
 # ---------------------------------------------------------------------------
 # cohomology results
 # ---------------------------------------------------------------------------
@@ -1145,10 +1265,35 @@ def lie_cohomology(lie, n):
 
 def restricted_cohomology(cx, n):
     """Restricted H^n_*(g, M), n <= 2, of the bar complex ``cx`` of (g, M)
-    on u(g)^+, or of its Lie-side pair complex (``sixterm.PairComplex``)."""
-    if cx.kind != "pair":
-        cx.require("bar")
-    return _cohomology(cx, n, "restricted")
+    on u(g)^+, full or ``weight_zero``, or of its pair complex
+    (``PairComplex``), Ker d_n / Im d_{n-1} there.  The bar H^2_* is
+
+        Z^2_* = B^2_* + span(fills)
+
+    in the bar 2-cochains, B^2_* the image of the bar d1 and the fills
+    (``pair_fill``) the bar cocycles of the canonical representatives of
+    the pair complex's H^2, so the bar d2 is never assembled.  Its
+    representatives R are the RREF of the fills' residues modulo B^2_*
+    (``gflin.extend``); the rows of B^2_* and Z^2_* are written only if
+    read.  The bar H^n_* must have the dimension of the pair complex's H^n
+    (``cx.pair()``), else InvariantViolationError: so Z^2_* is the kernel
+    of d2 and R its canonical representatives modulo B^2_*."""
+    if cx.kind == "pair":
+        return _cohomology(cx, n, "restricted")
+    cx.require("bar")
+    pair = restricted_cohomology(cx.pair(), n)
+    if n == 2:
+        B, reps = cx.image(1), pair.R.rows
+        Z, R = extend(B, pair_fill(cx, reps) if len(reps) else
+                      np.zeros((0, B.ambient_dim), dtype=np.int64))
+        res = CohomologyResult(2, "restricted", B.ambient_dim, Z, B, R)
+    else:
+        res = _cohomology(cx, n, "restricted")
+    if res.dim_h != pair.dim_h:
+        raise InvariantViolationError(
+            f"the bar complex gives dim H^{n}_* = {res.dim_h}, the pair "
+            f"model {pair.dim_h}")
+    return res
 
 
 # ---------------------------------------------------------------------------

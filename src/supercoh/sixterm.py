@@ -8,9 +8,9 @@ every arrow becomes an explicit matrix in those bases, and exactness at
 each node is decided by comparing canonical echelon subspaces.
 
 H^1, H^2 and H^1_* are kernels modulo images in the Lie and bar complexes.
-H^2_* is not: its bar 2-cocycles are spanned by the coboundaries and the
-bar cocycles filled from the seeds of the classes of the Lie-side (f, w)
-pair complex (``PairComplex``, Hochschild's description), so a report
+H^2_* is not (``cohomology.restricted_cohomology``): its bar 2-cocycles
+are spanned by the coboundaries and the fills of the classes of the
+Lie-side (f, w) pair complex (Hochschild's description), so a report
 neither builds the bar d2 nor computes its nullspace, and builds no
 extension algebra for a class.  The fg cocycles are read off one
 extraction, that of the universal twist of g |x k^{n_even}.  The
@@ -27,53 +27,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (
-    CochainComplex, CohomologyResult, comparison_matrix, is_bar_2cocycle,
-    lie_cohomology, lie_obstruction_matrix, lie_psi_bar_matrix,
-    restricted_cohomology,
+    CochainComplex, comparison_matrix, lie_cohomology, lie_obstruction_matrix,
+    lie_psi_bar_matrix, restricted_cohomology,
 )
 from .errors import InvariantViolationError, NotACocycleError, UsageError
-from .gflin import MatGF, RowReduction, extend, image, nullspace
+from .gflin import MatGF, RowReduction, image, nullspace
 from .superalg import (
     Representation, SemiLinearMap, SuperSpace, invariants, semilinear_pairs,
 )
 
 __all__ = [
-    "SixTermContext", "SixTermReport", "PairComplex", "obstruction_cocycle",
+    "SixTermContext", "SixTermReport", "obstruction_cocycle",
     "map_h1res_to_h1", "map_h1_to_semilinear", "map_semilinear_to_h2res",
     "map_h2res_to_h2", "map_h2_to_semilinear_h1", "build_six_term",
 ]
 
 
 class SixTermContext:
-    """The Lie, bar and pair complexes of one (g, M) and their cohomology.
-
-    ``pair`` is the ``PairComplex`` on ``lie``; ``h1s``, the bar complex's
-    Ker d1 / Im d0, must have the dimension of its H^1_*.  ``h2s`` is
-
-        Z^2_* = B^2_* + span(fills)
-
-    in the bar 2-cochains, B^2_* the image of the bar d1 and the fills
-    (``pair_fill``) the bar cocycles of the canonical representatives of
-    the pair complex's H^2, so the bar d2 is never assembled.  Its
-    representatives R are the RREF of the fills' residues modulo B^2_*
-    (``gflin.extend``); the rows of B^2_* and Z^2_* are written only if
-    read.  dim R must equal that of the pair complex's H^2_*, so Z^2_* is
-    the kernel of d2 and R the canonical representatives of
-    ``restricted_cohomology(bar, 2)``.
-
-    ``bar`` is the weight-zero complex of (g, M) when g has a basis torus
-    (``CochainComplex.weight_zero``): every bar space here is a weight-0
-    one, and ``cochain_vector`` checks that the fills are, ``_fg_stack``
-    that the fg cocycles are.
-    """
+    """The Lie, bar and pair complexes of one (g, M) and their cohomology:
+    ``pair`` is ``bar.pair()`` and ``lie`` its Lie complex, and ``h1s`` and
+    ``h2s`` are ``restricted_cohomology(bar, n)``, checked against the
+    pair complex's dimensions, with no bar d2.  ``bar`` is the weight-zero
+    complex (``CochainComplex.weight_zero``) of (g, M) when g has a basis
+    torus: every bar space here is a weight-0 one, and ``cochain_vector``
+    checks that the fills are, ``_fg_stack`` that the fg cocycles are."""
 
     def __init__(self, g, rep):
         self.g = g
         self.rep = rep
         self.p = g.p
-        self.lie = CochainComplex(g, rep, "lie")
         self.bar = CochainComplex(g, rep, "bar").weight_zero()
-        self.pair = PairComplex(self.lie)
+        self.pair = self.bar.pair()
+        self.lie = self.pair.lie
         self.timings = {}
         self._computed = {}
 
@@ -86,57 +71,11 @@ class SixTermContext:
 
     @property
     def h1s(self):
-        return self._get("h1s", self._h1s)
-
-    def _h1s(self):
-        h1s = restricted_cohomology(self.bar, 1)
-        if h1s.dim_h != (want := restricted_cohomology(self.pair, 1).dim_h):
-            raise InvariantViolationError(
-                f"the bar complex gives dim H^1_* = {h1s.dim_h}, the pair "
-                f"model {want}")
-        return h1s
+        return self._get("h1s", lambda: restricted_cohomology(self.bar, 1))
 
     @property
     def h2s(self):
-        return self._get("h2s", self._h2s)
-
-    def _h2s(self):
-        B, pair = self.bar.image(1), restricted_cohomology(self.pair, 2)
-        reps = pair.R.rows
-        fills = (self.pair_fill(reps) if len(reps) else
-                 np.zeros((0, B.ambient_dim), dtype=np.int64))
-        Z, R = extend(B, fills)
-        if R.dim != pair.dim_h:
-            raise InvariantViolationError(
-                f"pair-class fills span {R.dim} classes of H^2_*, the pair "
-                f"model gives {pair.dim_h}")
-        return CohomologyResult(2, "restricted", B.ambient_dim, Z, B, R)
-
-    def pair_fill(self, vecs):
-        """The bar 2-cocycle, an int64 array, of the restricted extension
-        E_f with (x_t, 0)^[p] = (x_t^[p], w_t) of a 2-cocycle (f, w) of the
-        pair complex, or of each of a stack of them along the leading axes
-        of ``vecs``: ``cocycle_from_seeds`` of the seeds f(x, y) for
-        generators x after y, f(x, x) / 2 for odd x, and w_t at
-        (x_t, x_t^{p-1}), in ``seed_positions()`` order.  Raises
-        NotACocycleError unless the stack passes one ``is_bar_2cocycle``."""
-        lie, bar, p = self.lie, self.bar, self.p
-        vecs = np.asarray(vecs, dtype=np.int64)
-        n2 = lie.basis(2).dim
-        f = lie.cochain_array(vecs[..., :n2])
-        w = vecs[..., n2:].reshape(vecs.shape[:-1] + (
-            self.g.space.n_even, self.rep.dim))
-        gen = {bar.aug_power(i, 1): i for i in range(self.g.dim)}
-        slot = {bar.aug_power(i, p - 1): t
-                for t, i in enumerate(self.g.space.even_indices())}
-        half = pow(2, -1, p)
-        seeds = np.stack([
-            f[..., gen[x], gen[v], :] * (half if v == x else 1) if v in gen
-            else w[..., slot[v], :] for x, v in bar.seed_positions()], axis=-2)
-        cvecs = bar.cochain_vector(bar.cocycle_from_seeds(seeds))
-        if not is_bar_2cocycle(bar, cvecs).all():
-            raise NotACocycleError("pair-class fill is not a bar 2-cocycle")
-        return cvecs
+        return self._get("h2s", lambda: restricted_cohomology(self.bar, 2))
 
     @property
     def h1(self):
@@ -270,7 +209,7 @@ def psi_bar_on_cocycle(lie, h):
 def map_h1_to_semilinear(ctx):
     """Matrix of Psi-bar: H^1 -> S(g_0, M_0^g) in the elementary-map basis,
     read off the H^1 representatives as one stack.  A report checks that
-    Psi-bar kills the coboundaries: D1 d0 = 0 in ``PairComplex``."""
+    Psi-bar kills the coboundaries: D1 d0 = 0 in ``cohomology.PairComplex``."""
     vals = psi_bar_on_cocycle(ctx.lie, ctx.h1.R.rows)  # (H^1, n_even, M)
     if ctx.inv_even.reduce(vals).any():
         raise InvariantViolationError("Psi-bar value outside invariants")
@@ -303,8 +242,10 @@ def _fg_stack(bar, bar_k, kappa, t, inv):
     kappa = np.asarray(kappa, dtype=np.int64) % p
     lookup = bar.parity_lookup(2)
     out = np.zeros((len(t), bar.coordinate_keys(2).size), dtype=np.int64)
+    order = np.argsort(et, kind="stable")  # each slot's run in key order
+    bounds = np.searchsorted(et[order], np.arange(n + 1))
     for slot in sorted(set(t.tolist())):
-        s, at = np.flatnonzero(t == slot), np.flatnonzero(et == slot)
+        s, at = np.flatnonzero(t == slot), order[bounds[slot]:bounds[slot + 1]]
         cols = lookup[uv[at, None] * D + np.arange(D)]  # (coordinates, nu)
         vals = kappa[at, None] * inv[s, None] % p  # (s, coordinates, nu)
         if vals[:, cols < 0].any():
@@ -357,90 +298,6 @@ def map_h2_to_semilinear_h1(ctx):
               np.zeros(ks.shape[:-1] + (ctx.h1.dim_h,), dtype=np.int64))
     rows = n_even * ctx.h1.dim_h
     return MatGF.from_columns(coords.transpose(1, 0, 2).reshape(len(reps), rows), rows, ctx.p)
-
-
-class PairComplex(CochainComplex):
-    """The (f, w) pair complex of Hochschild (Amer. J. Math. 1954) and
-    Evans-Fuchs (JFPTA 2008) on the Lie complex ``lie`` of (g, M),
-
-        C^0 --d0--> C^1 --D1--> C^2 + M^{n_even} --D2--> ...,
-
-    whose H^1 and H^2 (``restricted_cohomology``) are H^1_* and H^2_*, in
-    C^1 and in (f, w_0, w_1, ...) coordinates.  d0, its reduction and the
-    bases (``basis(2)``: the f part) are ``lie``'s; D1 h = (d1 h, Psi-bar h),
-    and D2 (f, w) = 0, w_t the value at the t-th even basis x_t, exactly when
-
-        d2 f = 0,  rho(z) w_t = -(k_{x_t} + f_{x_t^[p]})(z) for every basis z,
-
-    f meets the p = 3 odd-cube condition (``lie.cocycle_rows(2)``), and
-    the odd coordinates of every w_t are zero (odd basis elements need no
-    value: y^2 = [y, y]/2 is fixed by f).  So D2 (f, w) = 0 exactly when
-    E_f with (x_t, 0)^[p] = (x_t^[p], w_t) is a restricted extension.
-    D1's Psi-bar rows are the matrix ``cohomology.lie_psi_bar_matrix`` and
-    the f part of D2's rows for x_t is ``lie_obstruction_matrix(lie, x_t)``,
-    both read off the Lie layout.  The w_t part is d0: the 1-cochain
-    z -> rho(z) w_t is d0 of the even part of w_t (rho(z) is even, so an
-    odd coordinate of w_t meets no row of matching parity).  D1 raises
-    InvariantViolationError unless D1 d0 = 0, and D2 unless D2 D1 = 0.
-    The pair complex keeps D1, D2 and their reductions in its own store;
-    like the Lie complex it has no seed plan, so ``with_module`` keeps
-    nothing."""
-
-    def __init__(self, lie):
-        lie.require("lie")
-        super().__init__(lie.g, lie.rep, "lie")
-        self.kind, self.lie = "pair", lie
-
-    def with_module(self, rep):
-        """The pair complex on the Lie complex of (g, rep)."""
-        return PairComplex(self.lie.with_module(rep))
-
-    def basis(self, n):
-        return self.lie.basis(n)
-
-    def _reduction(self, n):
-        return self.lie._reduction(0) if n == 0 else super()._reduction(n)
-
-    def _differential(self, n):
-        if n not in (0, 1, 2):
-            raise UsageError("the pair complex has d0, D1 and D2 only")
-        lie, g, rep, p = self.lie, self.g, self.rep, self.g.p
-        if n == 0:
-            return lie.d(0)
-        n1, n2, dm = lie.basis(1).dim, lie.basis(2).dim, rep.dim
-        evens = g.space.even_indices()
-        ncols = n2 + len(evens) * dm  # f coordinates, then w_0, w_1, ...
-        if n == 1:
-            r, c, v = lie.d(1).coo()
-            w, h, psi = lie_psi_bar_matrix(lie).coo()
-            D1 = MatGF.from_terms(ncols, n1, p, np.r_[r, n2 + w], np.r_[c, h],
-                                  np.r_[v, psi])
-            if not D1.matmul(lie.d(0)).is_zero():
-                raise InvariantViolationError("the pair model's D^2 is not zero")
-            return D1
-        # D2 is d2 and the odd-cube rows over the rows of the w conditions:
-        # per x_t, one row per C^1 coordinate z, then one per odd
-        # coordinate of w_t
-        z2 = lie.cocycle_rows(2)
-        parts, nrows = [z2.coo()], z2.rows
-        even_m = np.array(rep.space.even_indices(), dtype=np.int64)
-        odd_m = np.array(rep.space.odd_indices(), dtype=np.int64)
-        # rho(z) w_t is d0 of the even part of w_t: column j of d0 is the
-        # coordinate even_m[j] of M
-        rho_z, j, rho_v = lie.d(0).coo()
-        for t, idx in enumerate(evens):
-            w0 = n2 + t * dm
-            z, f, k = lie_obstruction_matrix(lie, idx).coo()
-            parts += [(nrows + z, f, k),
-                      (nrows + rho_z, w0 + even_m[j], rho_v),
-                      (nrows + n1 + np.arange(odd_m.size), w0 + odd_m,
-                       np.ones(odd_m.size, dtype=np.int64))]
-            nrows += n1 + odd_m.size
-        D2 = MatGF.from_terms(nrows, ncols, p,
-                              *(np.concatenate(x) for x in zip(*parts)))
-        if not D2.matmul(self.d(1)).is_zero():
-            raise InvariantViolationError("the pair model's D^2 is not zero")
-        return D2
 
 
 # ---------------------------------------------------------------------------

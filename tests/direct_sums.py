@@ -14,9 +14,8 @@ u(g) (x) u(h) as super algebras; Cartan-Eilenberg, Homological Algebra,
 
 from supercoh.algfile import parse_algebra_dict
 from supercoh.cohomology import (
-    CochainComplex, lie_cohomology, restricted_cohomology,
+    CochainComplex, PairComplex, lie_cohomology, restricted_cohomology,
 )
-from supercoh.sixterm import PairComplex
 
 
 def trivial_lines():

@@ -971,6 +971,16 @@ def odd_cube_per_unit(lie, fvec):
     return out
 
 
+def bar_h2_by_nullspace(bar):
+    """H^2_* of the bar complex ``bar`` as Ker d2 / Im d1, from the
+    nullspace of the assembled bar d2: the reference for
+    ``restricted_cohomology(bar, 2)``, which spans Z^2_* from B^2_* and the
+    fills of the pair complex's classes and never builds d2."""
+    from supercoh.cohomology import CohomologyResult
+    return CohomologyResult.quotient(2, "restricted", bar.kernel(2),
+                                     bar.image(1))
+
+
 def pair_model_per_unit(lie):
     """(H^1_*, H^2_*) of the pair model C^0 -> C^1 -> C^2 + M^{n_even},
     with D1's Psi-bar block, D2's w rows and its p = 3 odd-cube rows built

@@ -11,7 +11,7 @@ import numpy as np
 
 from supercoh import catalog, cli
 from supercoh.cohomology import (
-    CochainComplex, assoc_differential_matrix, lie_cochain_basis,
+    CochainComplex, PairComplex, assoc_differential_matrix, lie_cochain_basis,
     restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra, check_commutator_identities
@@ -22,7 +22,7 @@ from supercoh.extensions import (
 )
 from supercoh.gflin import image, nullspace
 from supercoh.sixterm import (
-    PairComplex, SixTermContext, build_six_term, map_h1_to_semilinear,
+    SixTermContext, build_six_term, map_h1_to_semilinear,
     map_h2_to_semilinear_h1, map_semilinear_to_h2res, obstruction_cocycle,
 )
 from supercoh.superalg import (

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import pathlib
 import time
 
 import pytest
 
 from supercoh import catalog, cli
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # sha256 of each catalog entry's `sixterm --json` payload without the
 # `algebra` field (the input path), serialized with sorted keys and no spaces
@@ -248,19 +251,62 @@ def test_validate_p17_module_powers_reduced(tmp_path, capsys):
 
 
 def test_size_warning_for_every_p(capsys):
-    """A 5-dim torus at p = 3 has (3^5 - 1)^3 ~ 14.2M degree-3 bar cells;
-    the estimate alone is checked, the complex is never built."""
-    import numpy as np
-    from supercoh.superalg import LieSuperAlgebra, SuperSpace, trivial_module
+    """The warning counts the degree-2 bar cells, (dim u - 1)^2 dim M, the
+    largest space a bar route builds, and fires above 10^6: sl2 at p = 11
+    with adjoint M (1330^2 * 3 ~ 5.3M) and W(1) at p = 5 with trivial M
+    (3124^2 ~ 9.8M) warn, sl2 at p = 7 with adjoint M (342^2 * 3 ~ 0.35M)
+    and a9-borel-semidirect |x ad with trivial M (728^2 ~ 0.53M) do not.
+    The estimate alone is checked, the complex is never built."""
+    from supercoh.algfile import parse_algebra_dict
+    from supercoh.superalg import adjoint_module, semidirect, trivial_module
 
-    g = LieSuperAlgebra(SuperSpace(tuple("abcde"), ()), 3,
-                        np.zeros((5, 5, 5), dtype=np.int64))
-    cli._size_warning(g, trivial_module(g))
-    assert "~14172488 degree-3 cells" in capsys.readouterr().err
-    small = LieSuperAlgebra(SuperSpace(("a", "b"), ()), 3,
-                            np.zeros((2, 2, 2), dtype=np.int64))
-    cli._size_warning(small, trivial_module(small))
+    sl2 = json.loads((DATA / "sl2.json").read_text())
+    for p, want in ((11, "~5306700 degree-2 cells"), (7, None)):
+        g, modules, _ = parse_algebra_dict(dict(sl2, p=p))
+        cli._size_warning(g, modules["adjoint"])
+        err = capsys.readouterr().err
+        assert want in err if want else err == "", p
+    g, modules, _ = parse_algebra_dict(
+        json.loads((DATA / "witt-p5.json").read_text()))
+    cli._size_warning(g, modules["trivial"])
+    assert "~9759376 degree-2 cells" in capsys.readouterr().err
+    g, _, _ = parse_algebra_dict(catalog.get_entry("a9-borel-semidirect").data)
+    E, _ = semidirect(g, adjoint_module(g))
+    cli._size_warning(E, trivial_module(E))
     assert capsys.readouterr().err == ""
+
+
+def test_restricted_h2_of_sl2_p5_adjoint_under_a_3gb_cap():
+    """``cohomology --kind restricted --degree 2`` spans H^2_* from B^2_*
+    and the pair-class fills, so sl2 at p = 5 with adjoint M (46128 bar
+    2-cochains) exits 0 in a child process whose address space is capped
+    at 3 GB, where the nullspace of the full bar d2 ran out of memory.  Its
+    H^2_* has the report's dimension: Z = B = 369, H = 0."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import supercoh
+    from supercoh.algfile import parse_algebra_dict
+    from supercoh.sixterm import build_six_term
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30,) * 2)
+    src = str(pathlib.Path(supercoh.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "supercoh.cli", "cohomology",
+         str(DATA / "sl2.json"), "--kind", "restricted", "--p-override", "5",
+         "--module", "adjoint", "--degree", "2", "--json", "-"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr[-2000:]
+    payload = json.loads(done.stdout[done.stdout.index("{"):])["payload"]
+    g, modules, _ = parse_algebra_dict(
+        dict(json.loads((DATA / "sl2.json").read_text()), p=5))
+    report = build_six_term(g, modules["adjoint"])
+    assert payload["dim_h"] == report.dims[3] == 0
+    assert payload["dim_cocycles"] == payload["dim_coboundaries"] == 369
 
 
 def test_restricted_cohomology_command_warns_on_size(tmp_path, monkeypatch):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, assoc_cochain_basis, assoc_differential_matrix,
-    comparison_matrix, eval_lie_cochain, is_bar_2cocycle, lie_cochain_basis,
-    lie_cohomology, lie_obstruction_matrix, lie_psi_bar_matrix,
-    restricted_cohomology, sgn_marked,
+    CochainComplex, PairComplex, assoc_cochain_basis,
+    assoc_differential_matrix, comparison_matrix, eval_lie_cochain,
+    is_bar_2cocycle, lie_cochain_basis, lie_cohomology,
+    lie_obstruction_matrix, lie_psi_bar_matrix, restricted_cohomology,
+    sgn_marked,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import InvariantViolationError, UsageError
@@ -20,7 +21,7 @@ from supercoh.gflin import (
     quotient_representatives,
 )
 from supercoh import extensions, sixterm
-from supercoh.sixterm import PairComplex, SixTermContext
+from supercoh.sixterm import SixTermContext
 from supercoh.superalg import (
     Representation, SuperSpace, adjoint_module, basis_torus, semidirect,
     trivial_module,
@@ -28,7 +29,8 @@ from supercoh.superalg import (
 
 from conftest import fixture_algebra
 from oracles import (
-    bar_2cocycle_all_slices, bar_differential_rows, bar_dims, dense_eliminate,
+    bar_2cocycle_all_slices, bar_differential_rows, bar_dims,
+    bar_h2_by_nullspace, dense_eliminate,
     image_by_columns, table_abelian_plane, table_borel,
     table_mixed_line, table_odd_line, table_super_line,
     table_torus_null_plane, table_truncated_poly,
@@ -1002,3 +1004,59 @@ def test_the_torus_acts_by_a_null_homotopic_map(loaded_catalog):
             dh = (bar.d(n - 1).to_dense() @ h(n)) if n else 0
             assert not ((h(n + 1) @ bar.d(n).to_dense() + dh - theta)
                         % p).any(), (entry_id, module, n)
+
+
+# ---------------------------------------------------------------------------
+# H^2_* of the bar complex, spanned without d2
+# ---------------------------------------------------------------------------
+
+def _h2_route_cases(loaded_catalog):
+    """(name, bar complex): every catalog entry's full bar complex and,
+    where (g, M) has a basis torus, its weight-zero one; and the
+    weight-zero complex, the full one where there is no torus, of the
+    inputs of ``tests/data`` with two odd basis elements at p = 3, with
+    their even and odd trivial modules (the weight-0 bar d2 of osp(1|2)
+    with its adjoint module takes about 40 s to eliminate on 2 vCPUs)."""
+    from supercoh.algfile import parse_algebra
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        full = CochainComplex(g, modules[e.module_name], "bar")
+        yield entry_id, full
+        if (w0 := full.weight_zero()) is not full:
+            yield f"{entry_id} weight 0", w0
+    for name in ("odd-plane", "super-heisenberg", "super-heisenberg-toral",
+                 "osp12"):
+        path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+        g, modules, _ = parse_algebra(path.read_text(), p_override=3)
+        for module in ("k", "k-odd"):
+            yield (f"{name}/{module}",
+                   CochainComplex(g, modules[module], "bar").weight_zero())
+
+
+def test_restricted_h2_equals_the_bar_d2_nullspace(loaded_catalog):
+    """``restricted_cohomology(bar, 2)``, spanned from B^2_* and the fills
+    of the pair complex's classes, has the Z and B dimensions and the
+    representatives, byte for byte, of Ker d2 / Im d1 from the assembled
+    bar d2 (``oracles.bar_h2_by_nullspace``), on the full and the
+    weight-zero complexes of ``_h2_route_cases``."""
+    names = []
+    for name, bar in _h2_route_cases(loaded_catalog):
+        got, want = restricted_cohomology(bar, 2), bar_h2_by_nullspace(bar)
+        assert (got.Z.dim, got.B.dim) == (want.Z.dim, want.B.dim), name
+        assert got.R.rows.tolist() == want.R.rows.tolist(), name
+        names.append(name)
+    assert len(names) == 15 + 5 + 8
+
+
+def test_restricted_cohomology_builds_no_bar_d2(loaded_catalog):
+    """``restricted_cohomology(bar, n)``, n <= 2, leaves no d(2),
+    cocycle_rows(2) or basis(2) in the bar complex's store, full or
+    weight-zero, on every catalog entry.  The pair complex it checks
+    against is kept by the bar complex, and ``weight_zero`` hands it on."""
+    degree2 = {("d", 2), ("cocycle_rows", 2), ("basis", 2)}
+    for entry_id, (e, g, modules) in loaded_catalog.items():
+        full = CochainComplex(g, modules[e.module_name], "bar")
+        for bar in (full, full.weight_zero()):
+            for n in (0, 1, 2):
+                restricted_cohomology(bar, n)
+            assert not degree2 & set(bar._store), entry_id
+        assert full.weight_zero().pair() is full.pair(), entry_id

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from supercoh.cohomology import (
-    CochainComplex, eval_lie_cochain, lie_cochain_basis, lie_cohomology,
-    restricted_cohomology,
+    CochainComplex, PairComplex, eval_lie_cochain, lie_cochain_basis,
+    lie_cohomology, restricted_cohomology,
 )
 from supercoh.errors import (
     DifferentUnderlyingError, InvariantViolationError, NoSolutionError,
@@ -21,7 +21,6 @@ from supercoh.extensions import (
     strongly_abelianize, twist_pmap,
 )
 from supercoh.gflin import nullspace
-from supercoh.sixterm import PairComplex
 from supercoh.superalg import (
     LieSuperAlgebra, Representation, SemiLinearMap, SuperSpace,
     adjoint_module, hom_module, hom_module_units, invariants, semidirect,

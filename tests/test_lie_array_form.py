@@ -24,11 +24,11 @@ import pytest
 from supercoh import catalog
 from supercoh.algfile import parse_algebra, parse_algebra_dict
 from supercoh.cohomology import (
-    CochainComplex, lie_cochain_basis, lie_obstruction_matrix,
+    CochainComplex, PairComplex, lie_cochain_basis, lie_obstruction_matrix,
     lie_psi_bar_matrix, restricted_cohomology,
 )
 from supercoh.errors import InvariantViolationError
-from supercoh.sixterm import PairComplex, obstruction_cocycle, psi_bar_on_cocycle
+from supercoh.sixterm import obstruction_cocycle, psi_bar_on_cocycle
 from supercoh.gflin import MatGF, nullspace
 from supercoh.superalg import adjoint_module
 

@@ -71,9 +71,9 @@ def test_no_module_reads_a_private_attribute_of_another():
 def test_lower_layers_import_no_upper_layer():
     """``gflin``, ``superalg``, ``envelope`` and ``cohomology`` import
     nothing from ``sixterm``, ``extensions``, ``catalog`` or ``cli``, at
-    module level or inside a function: the complexes whose differentials
-    need the report's readers (``sixterm.PairComplex``) are defined above
-    ``cohomology``, not reached from it."""
+    module level or inside a function: the pair complex and its fills
+    (``cohomology.PairComplex``, ``cohomology.pair_fill``) live in
+    ``cohomology``, next to the matrices they are read off."""
     upper = {"sixterm", "extensions", "catalog", "cli"}
     found = []
     for name in ("gflin", "superalg", "envelope", "cohomology"):
@@ -157,7 +157,7 @@ def test_only_fg_reaches_extensions_from_sixterm():
     in ``sixterm``, every import from ``extensions`` sits inside
     ``SixTermContext._fg_cocycles``, and every name it binds is read only
     there.  H^2_*'s classes are filled from the pair complex's
-    (f, w) cocycles (``SixTermContext.pair_fill``), with no E_f."""
+    (f, w) cocycles (``cohomology.pair_fill``), with no E_f."""
     tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
     fg = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)
               and cls.name == "SixTermContext" for fn in cls.body
@@ -177,13 +177,14 @@ def test_only_fg_reaches_extensions_from_sixterm():
 
 
 def test_the_pair_complex_evaluates_no_unit_cochains():
-    """``PairComplex._differential``, which builds the differentials that
-    ``d`` keeps, reads D1's Psi-bar rows and D2's obstruction rows
-    off the matrices ``cohomology`` builds from the Lie layout, and the w
+    """``cohomology.PairComplex._differential``, which builds the
+    differentials that ``d`` keeps, reads D1's Psi-bar rows and D2's
+    obstruction rows off ``lie_psi_bar_matrix`` and
+    ``lie_obstruction_matrix``, both built from the Lie layout, and the w
     rows off the Lie d0: it calls no ``cochain_array``, ``cochain_vector``,
     ``psi_bar_on_cocycle``, ``obstruction_cocycle`` or ``np.eye``, so no
     stack of unit cochains is evaluated and read back."""
-    tree = ast.parse((SRC / "sixterm.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
     d = next(fn for cls in tree.body if isinstance(cls, ast.ClassDef)
              and cls.name == "PairComplex" for fn in cls.body
              if isinstance(fn, ast.FunctionDef) and fn.name == "_differential")
@@ -194,5 +195,5 @@ def test_the_pair_complex_evaluates_no_unit_cochains():
         func = node.func if isinstance(node, ast.Call) else None
         name = getattr(func, "id", None) or getattr(func, "attr", None)
         if name in banned:
-            found.append(f"sixterm.py:{node.lineno} calls {name}")
+            found.append(f"cohomology.py:{node.lineno} calls {name}")
     assert not found

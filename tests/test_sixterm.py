@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+import supercoh.cohomology as cohomology
 from supercoh.cohomology import (
-    CochainComplex, CohomologyResult, lie_cochain_basis,
-    lie_obstruction_matrix, lie_psi_bar_matrix, restricted_cohomology,
+    CochainComplex, CohomologyResult, PairComplex, lie_cochain_basis,
+    lie_obstruction_matrix, lie_psi_bar_matrix, pair_fill,
+    restricted_cohomology,
 )
 from supercoh.envelope import UAlgebra
 from supercoh.errors import (
@@ -17,7 +19,7 @@ from supercoh.gflin import (
     MatGF, Subspace, image, nullspace, quotient_representatives, subspace_sum,
 )
 from supercoh.sixterm import (
-    PairComplex, SixTermContext, build_six_term, map_h1_to_semilinear,
+    SixTermContext, build_six_term, map_h1_to_semilinear,
     map_h1res_to_h1, map_h2_to_semilinear_h1, map_h2res_to_h2,
     map_semilinear_to_h2res, obstruction_cocycle,
 )
@@ -27,7 +29,8 @@ from supercoh.superalg import (
 
 from conftest import fixture_algebra
 from oracles import (
-    bar_cocycle_of_extension, bar_cocycle_of_pair, element_action,
+    bar_cocycle_of_extension, bar_cocycle_of_pair, bar_h2_by_nullspace,
+    element_action,
 )
 
 EXPECTED = {
@@ -182,7 +185,6 @@ def test_each_differential_built_once(loaded_catalog, monkeypatch):
     number of obstruction cocycles phi reads (a9-borel-semidirect: 3 even
     basis elements, dim H^2 = 1)."""
     import sys
-    import supercoh.cohomology as cohomology
     built = collections.Counter()
     # the degree is the bar d's third argument and the Lie d's second
     for kind, name, at in (("bar", "assoc_differential_matrix", 2),
@@ -227,7 +229,6 @@ def test_each_differential_reduced_at_most_once(loaded_catalog,
     kernel apiece took 8: psibar, fg and pi for both, i1 only for its
     image, phi only for its kernel, which only the last verdict reads."""
     import sys
-    import supercoh.cohomology as cohomology
     from supercoh import gflin
     diffs = []  # (matrix, (kind, degree)) of every differential built
 
@@ -394,16 +395,16 @@ def _per_sigma_fg_cocycles(ctx):
 
 
 def record_fills(monkeypatch):
-    """Record every ((f, w), fill) of ``SixTermContext.pair_fill``, one
-    pair per member of each stack it fills, both as tuples of ints."""
+    """Record every ((f, w), fill) of ``cohomology.pair_fill``, one pair
+    per member of each stack it fills, both as tuples of ints."""
     fills = []
 
-    def recorded(ctx, vecs, _real=SixTermContext.pair_fill):
-        out = _real(ctx, vecs)
+    def recorded(bar, vecs, _real=cohomology.pair_fill):
+        out = _real(bar, vecs)
         fills.extend((tuple(v), tuple(c)) for v, c in
                      zip(np.asarray(vecs).tolist(), out.tolist()))
         return out
-    monkeypatch.setattr(SixTermContext, "pair_fill", recorded)
+    monkeypatch.setattr(cohomology, "pair_fill", recorded)
     return fills
 
 
@@ -411,8 +412,8 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
                                          monkeypatch):
     """The report's H^2_*, spanned from B^2_* and the fills of the pair
     complex's classes, has the Z, B and representatives of the bar
-    complex's Ker d2 / Im d1, and the pair model has its dimension and that
-    of the bar complex's H^1_*.  The bar complex
+    complex's Ker d2 / Im d1 (``oracles.bar_h2_by_nullspace``), and the
+    pair model has its dimension and that of the bar complex's H^1_*.  The bar complex
     is the report's, on the weight-0 cochains when g has a basis torus;
     ``test_cohomology.test_weight_zero_results_embed_in_the_full_complex``
     checks that its results embed in the full complex's.  On every catalog
@@ -450,7 +451,7 @@ def test_h2s_equals_the_bar_d2_nullspace(loaded_catalog, small_catalog,
         extracted.clear()
         fills.clear()
         ctx = SixTermContext(g, rep)
-        bar = restricted_cohomology(ctx.bar, 2)
+        bar = bar_h2_by_nullspace(ctx.bar)
         assert (ctx.h2s.Z, ctx.h2s.B, ctx.h2s.R) == (bar.Z, bar.B, bar.R), name
         h1s, h2s = (restricted_cohomology(ctx.pair, n) for n in (1, 2))
         assert h2s.dim_h == bar.dim_h, name
@@ -481,7 +482,7 @@ def test_fill_of_an_fg_pair_is_the_fg_cocycle(loaded_catalog):
         for k, (t, j) in enumerate(ctx.s1_pairs):
             vec = np.zeros(n2 + g.space.n_even * dm, dtype=np.int64)
             vec[n2 + t * dm:n2 + (t + 1) * dm] = -ctx.inv_even.rows[j] % g.p
-            assert np.array_equal(ctx.pair_fill(vec), ctx.fg_cocycles[k]), (
+            assert np.array_equal(pair_fill(ctx.bar, vec), ctx.fg_cocycles[k]), (
                 entry_id, k)
             checked += 1
     assert checked >= 10
@@ -623,12 +624,11 @@ def test_h2s_is_spanned_without_fg(loaded_catalog, monkeypatch):
     on every catalog entry one call per extraction plus one per non-empty
     fill stack."""
     import supercoh.extensions as extensions
-    import supercoh.sixterm as sixterm
     calls = collections.Counter()
     for module, name in ((extensions, "assoc_2cocycle_from_restricted_ext"),
                          (extensions, "twist_pmap"),
                          (extensions, "is_bar_2cocycle"),
-                         (sixterm, "is_bar_2cocycle")):
+                         (cohomology, "is_bar_2cocycle")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -654,8 +654,8 @@ def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
     """On a5-odd-line H^2_* is one filled class (S = 0); a zero cochain in
     place of its fill leaves Z^2_* = B^2_*, one class short of the pair
     model."""
-    monkeypatch.setattr(SixTermContext, "pair_fill", lambda ctx, vecs: np.zeros(
-        (len(vecs), ctx.bar.basis(2).dim), dtype=np.int64))
+    monkeypatch.setattr(cohomology, "pair_fill", lambda bar, vecs: np.zeros(
+        (len(vecs), bar.d(1).rows), dtype=np.int64))
     g, k = fixture_algebra(loaded_catalog, "a5-odd-line")
     ctx = SixTermContext(g, k)
     assert len(ctx.s1_pairs) == 0 and nullspace(ctx.phi).dim == 1
@@ -688,9 +688,8 @@ def test_h2s_catches_a_bent_fill(loaded_catalog):
 def test_pair_model_catches_a_negated_psi_bar(loaded_catalog, monkeypatch):
     """With -Psi-bar in D1, D2 D1 is not zero on a4-borel with the adjoint
     module (on the trivial module rho = 0 and the sign goes unseen).  D1
-    reads Psi-bar off ``lie_psi_bar_matrix`` as ``sixterm`` imports it."""
-    import supercoh.sixterm as sixterm
-    real = sixterm.lie_psi_bar_matrix
+    reads Psi-bar off ``cohomology.lie_psi_bar_matrix``."""
+    real = cohomology.lie_psi_bar_matrix
 
     def negated(lie):
         m = real(lie)
@@ -699,23 +698,23 @@ def test_pair_model_catches_a_negated_psi_bar(loaded_catalog, monkeypatch):
     g, adjoint = fixture_algebra(loaded_catalog, "a4-borel", "adjoint")
     lie = CochainComplex(g, adjoint, "lie")
     PairComplex(lie).d(2)
-    monkeypatch.setattr(sixterm, "lie_psi_bar_matrix", negated)
+    monkeypatch.setattr(cohomology, "lie_psi_bar_matrix", negated)
     with pytest.raises(InvariantViolationError, match=r"D\^2 is not zero"):
         PairComplex(lie).d(2)
 
 
 def test_report_checks_h1s_against_the_pair_model(loaded_catalog, monkeypatch):
     """A pair-model H^1_* with no classes (Z = B) makes the report raise on
-    a6-abelian-plane, where dim H^1_* = 2."""
-    import supercoh.sixterm as sixterm
-    real = sixterm.restricted_cohomology
+    a6-abelian-plane, where dim H^1_* = 2: ``restricted_cohomology`` of
+    the bar complex reads the pair complex's through the module name."""
+    real = cohomology.restricted_cohomology
 
     def short(cx, n):
         h = real(cx, n)
         if cx.kind == "pair" and n == 1:
             return CohomologyResult.quotient(1, "restricted", h.B, h.B)
         return h
-    monkeypatch.setattr(sixterm, "restricted_cohomology", short)
+    monkeypatch.setattr(cohomology, "restricted_cohomology", short)
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     with pytest.raises(InvariantViolationError, match=r"H\^1_\*"):
         build_six_term(g, k)
@@ -726,7 +725,6 @@ def test_report_never_eliminates_the_bar_d2(loaded_catalog, monkeypatch):
     S = 0 and ker phi = 0 (a4-borel-adjoint) nor with S != 0 (a4-borel),
     where the extracted fg cocycles are checked without d2, nor on any
     other catalog entry or on a4-borel-adjoint |x adjoint (dim S = 4)."""
-    import supercoh.cohomology as cohomology
     built = {}
 
     def counted(ualg, rep, n, lookup=None,
@@ -758,7 +756,6 @@ def test_a_report_builds_each_parity_lookup_once(loaded_catalog, monkeypatch):
     cochain arrays do, so no (u(g), M, degree) is built twice in a report.
     Over the 15 catalog reports that is 58 builds, where differentials
     that built their own lookups made 103."""
-    import supercoh.cohomology as cohomology
     builds = []
 
     def counted(ualg, rep, n, _real=cohomology._bar_lookup):

@@ -17,7 +17,9 @@ import pytest
 
 from supercoh import cli
 from supercoh.algfile import parse_algebra, parse_algebra_dict
-from supercoh.cohomology import CochainComplex, restricted_cohomology
+from supercoh.cohomology import (
+    CochainComplex, pair_fill, restricted_cohomology,
+)
 from supercoh.errors import NotACocycleError, ValidationError
 from supercoh.extensions import (
     algebra_ext_from_2cocycle, assoc_2cocycle_from_restricted_ext, psi_image,
@@ -104,7 +106,7 @@ def test_extraction_matches_the_gamma_oracle(name, p, module):
 @pytest.mark.parametrize("name,p", [c for c in INPUTS if c[0] != "osp12"])
 def test_pair_fills_match_the_gamma_oracle(name, p):
     """The report's fill of a 2-cocycle (f, w) of the pair complex
-    (``SixTermContext.pair_fill``) is byte-equal to the entry-by-entry
+    (``cohomology.pair_fill``) is byte-equal to the entry-by-entry
     gamma formula for E_f with the p-map of w
     (``oracles.bar_cocycle_of_pair``), for every representative of the
     pair complex's H^2_*, with each module.  With k, two of the three
@@ -119,7 +121,7 @@ def test_pair_fills_match_the_gamma_oracle(name, p):
         for vec in restricted_cohomology(ctx.pair, 2).representatives:
             f = ctx.lie.cochain_array(vec[:n2])
             halves += any(f[y, y].any() for y in g.space.odd_indices())
-            assert ctx.pair_fill(vec).tolist() == list(bar_cocycle_of_pair(
+            assert pair_fill(ctx.bar, vec).tolist() == list(bar_cocycle_of_pair(
                 ctx.lie, ctx.bar, vec)), module
     assert halves == 2
 
