@@ -21,6 +21,7 @@ import copy
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -445,7 +446,7 @@ def is_bar_2cocycle(bar, cvecs):
 
     Of a slice only the rows of grade 0 are evaluated.  The grade of a
     cell (s_1..s_n, nu) is gr(nu) - sum_i gr(s_i), gr its parity and its
-    weights under ``bar.torus`` (``CochainComplex._tails``), and c has
+    weights under ``bar.torus`` (``CochainComplex._d2_tables``), and c has
     values at the cells of grade 0 alone, its coordinates.  Each term of
     e at a row of grade lambda reads c at a cell of the same grade: the
     action s_1 . c(s_2, s_3) at nu reads c(s_2, s_3) at the mu with
@@ -458,84 +459,75 @@ def is_bar_2cocycle(bar, cvecs):
     nu) with gr(nu) - gr(s_3) = gr(x_k) + gr(s_2): for each s_2 one run
     of the degree-1 cells of that grade, in key order.
 
-    The terms are read off the coordinates, never off a (|aug|, |aug|,
-    dim M) grid.  -c(x_k s_2, s_3): the coordinates (w, s_3, nu) of one
-    first argument w are the degree-1 cells of grade gr(w) in key order,
-    and for each term w of x_k s_2 that is the run of the rows of s_2, so
-    each table entry is one aligned segment.  c(x_k, s_2 s_3) goes
-    through the table, one term per entry and nu; x_k . c(s_2, s_3), one
-    per coordinate and nonzero of rho(x_k), is skipped when rho(x_k) = 0.
-    So a slice costs about its rows times the terms of a product.  The
-    rows are taken in blocks of about ``_BLOCK_ROWS``, whose terms are
-    the only arrays of their size held; the run starts are O(g.dim |aug|)
-    and the grades O(|aug| dim M)."""
+    The terms are read off the coordinates by ``_d2_rows``, over every
+    run (x_k, s_2), which the fill of ``CochainComplex.cocycle_from_seeds``
+    shares."""
     bar.require("bar")
-    ualg, rep, p = bar.ualg, bar.rep, bar.g.p
-    cols, _, canon = bar._layout(2)
+    p, A = bar.g.p, len(bar.ualg.aug_basis())
     v = np.asarray(cvecs, dtype=np.int64)
-    if v.shape[-1:] != canon.shape:
+    if v.shape[-1:] != bar._layout(2)[2].shape:
         raise UsageError("cochain coordinate length mismatch")
-    lead = v.shape[:-1]
-    v = v.reshape(math.prod(lead), canon.size) % p
-    aug = ualg.aug_basis()
-    A, D = len(aug), rep.dim
-    grade, rank, sorted_code = bar._tails()
-    a, b, w, coef = ualg.aug_product_table()
-    gens = np.array([bar.aug_power(i, 1) for i in range(bar.g.dim)],
-                    dtype=np.int64)
-    # the rows (x_k, s_2, ., .) of grade 0, one run per (k, s_2) in the
-    # order k A + s_2, run r from row[r]; the coordinates of first argument
-    # s from cstart[s]; the table entries of a from a_start[a]
-    runs = bar._grade_code(grade[gens][:, None] + grade).ravel()
-    row = np.zeros(runs.size + 1, dtype=np.int64)
-    np.cumsum(np.searchsorted(sorted_code, runs, "right")
-              - np.searchsorted(sorted_code, runs), out=row[1:])
-    cstart = np.searchsorted(canon, np.arange(A + 1) * (A * D))
-    a_start = np.searchsorted(a, np.arange(A + 1))
-    pair = a * A + b
-    act = np.reshape([ualg.action_matrix(rep, aug[x]) for x in gens],
-                     (-1, D, D))
-    ak, anu, amu = np.nonzero(act)
+    v = v.reshape(math.prod(lead := v.shape[:-1]), v.shape[-1]) % p
+    k, s = np.divmod(np.arange(bar.g.dim * A), A)
     ok = np.ones(len(v), dtype=bool)
-    r0 = 0
-    while r0 < runs.size:  # blocks of runs of about _BLOCK_ROWS rows
-        r1 = max(r0 + 1, int(np.searchsorted(row, row[r0] + _BLOCK_ROWS,
-                                             "right")) - 1)
-        k, s = np.divmod(np.arange(r0, r1), A)
-        x, start = gens[k], row[r0:r1] - row[r0]  # the runs' first rows
-        out = np.zeros((len(v), row[r1] - row[r0]), dtype=np.int64)
-        # -c(x s, s_3): the coordinates of each term w of x s, one segment
-        # of cstart, onto the run
-        lo = np.searchsorted(pair, x * A + s)
-        r, e = index_runs(lo, np.searchsorted(pair, x * A + s + 1) - lo)
-        own, src = index_runs(cstart[w[e]], cstart[w[e] + 1] - cstart[w[e]])
-        _add_terms(out, src + (start[r] - cstart[w[e]])[own], v, src,
-                   -coef[e][own])
-        # c(x, s s_3): the coordinate (x, w, nu) onto the row (s, b, nu) of
-        # the run, for each term w of s b
-        r, e = index_runs(a_start[s], a_start[s + 1] - a_start[s])
-        at = cols[x[r], w[e]]
-        i, nu = np.nonzero(at >= 0)
-        _add_terms(out, start[r[i]] + rank[b[e[i]] * D + nu], v, at[i, nu],
-                   coef[e[i]])
-        # x . c(s, s_3): the coordinate (s, s_3, mu) onto the row (s, s_3,
-        # nu) of the run, for each nonzero rho(x)_{nu mu}; none for rho = 0
-        if ak.size:
-            r, i = index_runs(cstart[s], cstart[s + 1] - cstart[s])
-            tail = canon[i] % (A * D)
-            own, e = _join(k[r] * D + tail % D, ak * D + amu, len(gens) * D)
-            _add_terms(out, start[r[own]] + rank[tail[own] - amu[e] + anu[e]],
-                       v, i[own], act[ak[e], anu[e], amu[e]])
-        ok &= ~(out % p).any(axis=1)
-        r0 = r1
+    for _, _, e in _d2_rows(bar, v, k, s):
+        ok &= ~e.any(axis=1)
     return ok.reshape(lead)
 
 
-def _add_terms(out, rows, vecs, at, coef):
-    """out[j, rows] += coef vecs[j, at] for each stack member j, the terms
-    of repeated rows summed."""
-    for o, c in zip(out, vecs):
-        np.add.at(o, rows, coef * c[at])
+def _d2_rows(bar, v, k, s):
+    """Yield (r0, r1, e) over the runs (x_k, s) = (k[r], s[r]) of the bar
+    complex ``bar`` in blocks r0 <= r < r1 of about ``_BLOCK_ROWS`` rows:
+    e, reduced mod p, is d2 c on the grade-0 rows (x_k, s, s_3, nu) of the
+    block's runs, run by run and in key order within one, for each c of
+    the (l, dim C^2) stack of coordinates v mod p (see
+    ``is_bar_2cocycle``).  v is read block by block, so a caller may write
+    it between blocks.  -c(x_k s, s_3) is one aligned segment of
+    coordinates per term w of x_k s, as those of first argument w are the
+    degree-1 cells of grade gr(w) in key order; c(x_k, s s_3) is one term
+    per table entry and nu, and x_k . c(s, s_3) one per coordinate and
+    nonzero of rho(x_k).  A block's terms are the only arrays of their
+    size held; the tables are ``CochainComplex._d2_tables``."""
+    t, p = bar._d2_tables(), bar.g.p
+    cols, _, canon = bar._layout(2)
+    _, b, w, coef = bar.ualg.aug_product_table()
+    A, D, n = len(t.cstart) - 1, bar.rep.dim, len(t.gens)
+    row = np.concatenate([[0], np.cumsum(t.length[k * A + s])])
+    r0 = 0
+    while r0 < len(k):
+        r1 = max(r0 + 1, int(np.searchsorted(row, row[r0] + _BLOCK_ROWS,
+                                             "right")) - 1)
+        kb, sb = k[r0:r1], s[r0:r1]
+        x, start = t.gens[kb], row[r0:r1] - row[r0]  # the runs' first rows
+        # (rows, coordinates, coefficients) of the terms, one triple per family
+        # -c(x s, s_3): the coordinates of each term w of x s, one segment
+        # of cstart, onto the run
+        lo = np.searchsorted(t.pair, x * A + sb)
+        r, e = index_runs(lo, np.searchsorted(t.pair, x * A + sb + 1) - lo)
+        own, src = index_runs(t.cstart[w[e]], t.cstart[w[e] + 1]
+                              - t.cstart[w[e]])
+        terms = [(src + (start[r] - t.cstart[w[e]])[own], src, -coef[e][own])]
+        # c(x, s s_3): the coordinate (x, w, nu) onto the row (s, b, nu) of
+        # the run, for each term w of s b
+        r, e = index_runs(t.a_start[sb], t.a_start[sb + 1] - t.a_start[sb])
+        at = cols[x[r], w[e]]
+        i, nu = np.nonzero(at >= 0)
+        terms.append((start[r[i]] + t.rank[b[e[i]] * D + nu], at[i, nu],
+                      coef[e[i]]))
+        # x . c(s, s_3): the coordinate (s, s_3, mu) onto the row (s, s_3,
+        # nu) of the run, for each nonzero rho(x)_{nu mu}; none for rho = 0
+        if t.ak.size:
+            r, i = index_runs(t.cstart[sb], t.cstart[sb + 1] - t.cstart[sb])
+            tail = canon[i] % (A * D)
+            own, e = _join(kb[r] * D + tail % D, t.ak * D + t.amu, n * D)
+            nu = tail[own] - t.amu[e] + t.anu[e]
+            terms.append((start[r[own]] + t.rank[nu], i[own], t.act[e]))
+        rows, at, c = map(np.concatenate, zip(*terms))
+        out = np.zeros((len(v), row[r1] - row[r0]), dtype=np.int64)
+        for o, vj in zip(out, v):  # each stack member, repeated rows summed
+            np.add.at(o, rows, c * vj[at])
+        yield r0, r1, out % p
+        r0 = r1
 
 
 @dataclass(frozen=True)
@@ -546,9 +538,9 @@ class _SeedPlan:
     generator pass fills the entries (x, v) of one degree of v from the
     (src, z coefficients, y, sign) of the recursion, sign 0 where x does
     not come after y, and the (owner, table position) of the terms w of
-    x v'.  A fill pass fills the rows of the aug monomials u in one slice,
-    all of one degree, from (first generator x, u') and the (owner, table
-    position) of the terms of u' v."""
+    x v'.  A fill pass fills the rows of the aug monomials u = x u' of one
+    degree, consecutive from the first: (first u, x, u') with x the
+    generator index of u's first generator."""
 
     seeds: tuple
     gens: np.ndarray
@@ -611,12 +603,9 @@ def _bar_seed_plan(ualg):
     # those of the n generators
     ux = np.array([order[first[u]] for u in range(n, A)], dtype=np.int64)
     ur = np.array(rest[n:], dtype=np.int64)
-    a_start = np.searchsorted(a, np.arange(A + 1))
-    own, pos = index_runs(a_start[ur], a_start[ur + 1] - a_start[ur])
-    fill_passes = tuple(
-        (slice(n + lo, n + hi), ux[lo:hi], ur[lo:hi], own[olo:ohi] - lo,
-         pos[olo:ohi])
-        for lo, hi, olo, ohi in _blocks(deg[n:], own))
+    cut = np.flatnonzero(np.diff(deg[n:])) + 1
+    fill_passes = tuple(zip((n + np.r_[0, cut]).tolist(), np.split(ux, cut),
+                            np.split(ur, cut)))
     return _SeedPlan(tuple(seeds), gens, gen_passes, fill_passes)
 
 
@@ -640,13 +629,14 @@ class CochainComplex:
     (g, M): the basis, differential d_n : C^n -> C^{n+1} and
     ``RowReduction`` of each degree, so Ker d_n and Im d_n come from one
     elimination of d_n's rows, the cochain layouts, the bar parity lookups,
-    seed plan and pair complex (``pair``), and the Lie kind's
-    ``cocycle_rows(2)``, ``lie_psi_bar_matrix`` and
+    seed plan, d2 tables (``_d2_tables``) and pair complex (``pair``), and
+    the Lie kind's ``cocycle_rows(2)``, ``lie_psi_bar_matrix`` and
     ``lie_obstruction_matrix``; ``with_module`` keeps only u(g)'s seed
     plan.  The complex owns the layout of its cochains: ``cochain_array``
     and ``cochain_vector`` go between coordinates and values, for stacks
     of cochains too, and the Lie d_n (``lie_differential_matrix``) reads
-    its terms off the degree-n layout.
+    its terms off the degree-n layout.  ``cocycle_from_seeds`` fills bar
+    2-cochains and ``is_bar_2cocycle`` checks them in coordinates alone.
     The bar kind owns the restricted enveloping algebra u(g) its cochains
     live on, and ``with_module`` gives the bar complex of another module on
     the same u(g).  ``weight_zero`` gives the bar complex's subcomplex of
@@ -723,12 +713,13 @@ class CochainComplex:
         pair complex if built.  Its one change is ``parity_lookup``, which
         every bar reader goes through: the differentials and their
         reductions, the layout, ``cochain_array`` and ``cochain_vector``,
-        ``is_bar_2cocycle`` and ``comparison_matrix``.  A term of d that
-        breaks the weight raises in ``assoc_differential_matrix``, and so
-        do values off weight 0 in ``cochain_vector``: a cochain from
-        outside, such as a cocycle filled from seeds of weight 0, is
-        checked, never projected.  ``basis(n)`` keeps the weight-0 items
-        of ``assoc_cochain_basis``."""
+        the d2 tables of ``is_bar_2cocycle`` and ``cocycle_from_seeds``, and
+        ``comparison_matrix``.  A term of d that breaks the weight raises
+        in ``assoc_differential_matrix``, a seed or generator-row value off
+        weight 0 in ``cocycle_from_seeds``, and a value off weight 0 in
+        ``cochain_vector``: a cochain from outside is checked, never
+        projected.  ``basis(n)`` keeps the weight-0 items of
+        ``assoc_cochain_basis``."""
         self.require("bar")
         if self.torus:
             return self
@@ -752,7 +743,7 @@ class CochainComplex:
 
     @_kept
     def _weights(self):
-        """(aug, module) weights of a weight-zero complex: arrays of shape
+        """(aug, module) weights of the complex: arrays of shape
         (|torus|, |aug|) and (|torus|, dim M), row j the weights under the
         j-th toral t, entries in 0..p-1."""
         g, t = self.g, list(self.torus)
@@ -763,39 +754,48 @@ class CochainComplex:
         return lam @ aug.T % g.p, mw.reshape(len(t), self.rep.dim)
 
     @_kept
-    def _tails(self):
-        """The grades of the bar cochains, for ``is_bar_2cocycle``: the grade
-        of an aug monomial s or of a coordinate nu of M is its parity and
-        its weights under ``torus`` (``_weights``), and that of a cell
-        (s_1..s_n, nu) is gr(nu) - sum_i gr(s_i), so the coordinates of
-        degree n are the cells of grade 0 (``parity_lookup``).  Returns
-        (aug grades, rank, sorted codes): an (|aug|, 1 + |torus|) array,
-        and over the degree-1 cells (s, nu), at their keys s dim M + nu,
-        their position among the cells of their grade in key order, and
-        the codes of their grades (``_grade_code``) sorted.  All
-        O(|aug| dim M)."""
-        ualg, rep = self.ualg, self.rep
-        aw, mw = self._weights() if self.torus else (
-            np.zeros((0, len(ualg.aug_basis())), dtype=np.int64),
-            np.zeros((0, rep.dim), dtype=np.int64))
-        mono = np.reshape(ualg.aug_basis(), (-1, ualg.ngen))
+    def _d2_tables(self):
+        """The tables of ``_d2_rows``, built once, O(g.dim |aug| + |aug|
+        dim M).  The grade of an aug monomial or of a coordinate of M is its
+        parity and its weights under ``torus``, and that of a cell
+        (s_1..s_n, nu) is gr(nu) - sum_i gr(s_i): the coordinates are the
+        cells of grade 0 (``parity_lookup``).  ``rank[s dim M + nu]``: the
+        position of the cell (s, nu) among those of its grade, in key order;
+        ``gens[k]``: the aug index of x_k; ``length[k |aug| + s]``: the
+        number of cells (s_3, nu) of grade gr(x_k) + gr(s), the grade-0 rows
+        (x_k, s, ., .); ``cstart[s]``: the first coordinate of first
+        argument s, ``cstart[|aug|]`` = dim C^2; ``a_start[a]``: the first
+        product-table entry of a, ``pair`` the entries' keys a |aug| + b;
+        ``rho``: the rho(x_k), and ``ak``, ``anu``, ``amu``, ``act`` their
+        nonzeros."""
+        ualg, rep, p, t = self.ualg, self.rep, self.g.p, len(self.torus)
+        aug, D, (aw, mw) = ualg.aug_basis(), rep.dim, self._weights()
+        A = len(aug)
+        mono = np.reshape(aug, (-1, ualg.ngen))
         aug_grade = np.vstack([mono @ ualg.pos_parity % 2, aw]).T
         m_grade = np.vstack([rep.space.parities(), mw]).T
-        code = self._grade_code(m_grade[None] - aug_grade[:, None]).ravel()
+        # one int64 per grade: the parity mod 2 and each weight mod p as digits
+        radix = np.array([2] + [p] * t)
+        place = np.array([1] + [2 * p ** i for i in range(t)])
+        code = ((m_grade[None] - aug_grade[:, None]) % radix @ place).ravel()
         order = np.argsort(code, kind="stable")
         sorted_code = code[order]
         rank = np.empty_like(code)
         rank[order] = np.arange(code.size) - np.searchsorted(sorted_code,
                                                              sorted_code)
-        return aug_grade, rank, sorted_code
-
-    def _grade_code(self, grade):
-        """One int64 per grade along the last axis of ``grade``: the parity
-        mod 2 and each weight mod p as digits, equal exactly when the
-        grades are."""
-        p, t = self.g.p, len(self.torus)
-        return (grade % np.array([2] + [p] * t)
-                @ np.array([1] + [2 * p ** i for i in range(t)]))
+        gens = self._seed_plan().gens
+        runs = ((aug_grade[gens][:, None] + aug_grade) % radix @ place).ravel()
+        a, b, _, _ = ualg.aug_product_table()
+        rho = np.reshape([ualg.action_matrix(rep, aug[x]) for x in gens],
+                         (-1, D, D)).astype(np.int64)
+        ak, anu, amu = np.nonzero(rho)
+        return types.SimpleNamespace(
+            rank=rank, gens=gens, length=np.searchsorted(
+                sorted_code, runs, "right") - np.searchsorted(sorted_code, runs),
+            cstart=np.searchsorted(self.coordinate_keys(2),
+                                   np.arange(A + 1) * (A * D)),
+            a_start=np.searchsorted(a, np.arange(A + 1)), pair=a * A + b,
+            rho=rho, ak=ak, anu=anu, amu=amu, act=rho[ak, anu, amu])
 
     @_kept
     def basis(self, n):
@@ -965,23 +965,17 @@ class CochainComplex:
         """The coordinates, as an int64 array, of the degree-n cochain with
         the array of values ``values`` (``cochain_array``), or of each of a
         stack of them.  Raises InvariantViolationError unless these are the
-        values of a cochain: a value that breaks parity, for the Lie kind
+        values of a cochain, that is unless ``cochain_array`` rebuilds them
+        from their coordinates: a value that breaks parity, for the Lie kind
         alternation, or on a weight-zero complex the weight, has no
-        coordinate.  A bar cochain has one value per coordinate, so it is
-        one when its values off the coordinate cells are zero: when the
-        values of the stack have no more nonzeros than its coordinates; a
-        Lie cochain's values are rebuilt from its coordinates and
-        compared."""
+        coordinate."""
         cols, _, canon = self._layout(n)
         a = np.asarray(values, dtype=np.int64) % self.g.p
         lead = a.shape[:a.ndim - cols.ndim]
         if a.shape[len(lead):] != cols.shape:
             raise UsageError("cochain array shape mismatch")
-        flat = a.reshape(lead + (cols.size,))
-        vec = flat[..., canon]
-        if (np.count_nonzero(flat) != np.count_nonzero(vec)
-                if self.kind == "bar" else
-                (self.cochain_array(vec, n) != a).any()):
+        vec = a.reshape(lead + (cols.size,))[..., canon]
+        if (self.cochain_array(vec, n) != a).any():
             raise InvariantViolationError(
                 f"the values are not those of a degree-{n} cochain: a value "
                 f"breaks parity, alternation or weight")
@@ -1006,8 +1000,7 @@ class CochainComplex:
         cells are read, off the coordinates (``cochain_at``).  ``what``
         names c."""
         g, p = self.g, self.g.p
-        gens = np.array([self.aug_power(i, 1) for i in range(g.dim)],
-                        dtype=np.int64)
+        gens = self._seed_plan().gens
         evens = np.array(g.space.even_indices(), dtype=np.int64)
         powers = np.array([self.aug_power(i, p - 1) for i in evens],
                           dtype=np.int64)
@@ -1044,39 +1037,47 @@ class CochainComplex:
         return tuple((int(plan.gens[i]), iv) for i, iv in plan.seeds)
 
     def cocycle_from_seeds(self, seeds):
-        """The (..., |aug|, |aug|, dim M) array (``cochain_array``) of the bar
-        2-cocycle of a restricted extension read through a monomial section,
-        from its values ``seeds[..., s, :]`` at ``seed_positions()[s]``.
+        """The coordinates, an (..., dim C^2) int64 stack, of the bar
+        2-cocycle of a restricted extension read through a monomial
+        section, from its values ``seeds[..., s, :]`` at
+        ``seed_positions()[s]``.
 
         The generator rows c(x, .) follow by the recursion of
         ``extensions.assoc_2cocycle_from_restricted_ext``, one degree of v
         at a time: an entry of degree d reads entries of lower degree only,
         since the one term w of degree d in x v' is x v' sorted, where y
         comes first with exponent below p - 1 or not at all, so
-        c(y, w) = 0.  The other rows follow from the cocycle identity
-        x.c(u', v) - c(u, v) + c(x, u' v) = 0, for u = x u' with x its
-        first generator:
+        c(y, w) = 0.  They are gathered into coordinates once, and a value
+        on a cell with no coordinate (it breaks parity or the weight)
+        raises InvariantViolationError: seeds are checked, never projected.
+        The row of u = x u', x its first generator, follows from d2 c = 0
+        at (x, u', ., .): as x u' = u on the nose and row u is still zero,
 
-            c(u, v) = x.c(u', v) + sum_w P[u', v -> w] c(x, w),
+            c(u, .) = x.c(u', .) + c(x, u' .) = (d2 c)(x, u', ., .),
 
-        one degree of u at a time.  P is the aug x aug product table of
-        u(g).  The result is a cocycle only if the seeds come from an
-        extension; ``is_bar_2cocycle`` decides that."""
-        plan, p = self._seed_plan(), self.g.p
-        A, D = len(self.ualg.aug_basis()), self.rep.dim
-        _, b, w, coef = self.ualg.aug_product_table()
-        act = np.array(self.rep.mats, dtype=np.int64).reshape(-1, D, D) % p
+        one degree of u at a time, off the run (x, u') of ``_d2_rows``,
+        whose grade-0 rows are the coordinates of first argument u in key
+        order; all at once when rho = 0, as then a row reads generator rows
+        alone.  No (|aug|, |aug|, dim M) grid is held.  The result is a
+        cocycle only if the seeds come from an extension;
+        ``is_bar_2cocycle`` decides that."""
+        plan, t = self._seed_plan(), self._d2_tables()
         # a stack rides as one last axis, so the indices read leading axes only
         lead, shape = np.shape(seeds)[:-2], np.shape(seeds)[-2:]
         seeds = np.reshape(seeds, (-1,) + shape).transpose(1, 2, 0)
-        c = np.zeros((A, A, D, seeds.shape[-1]), dtype=np.int64)
-        c[plan.gens] = self._generator_rows(seeds, act)
-        for us, ux, ur, own, pos in plan.fill_passes:
-            out = np.einsum("nvjl,nij->nvil", c[ur], act[ux])
-            np.add.at(out, (own, b[pos]),
-                      coef[pos, None, None] * c[plan.gens[ux[own]], w[pos]])
-            c[us] = out % p
-        return c.transpose(3, 0, 1, 2).reshape(lead + (A, A, D))
+        rows = self._generator_rows(seeds, t.rho)
+        cols = self._layout(2)[0][plan.gens]
+        if rows[cols < 0].any():
+            raise InvariantViolationError("seed fill breaks parity or weight")
+        v = np.zeros((seeds.shape[-1], t.cstart[-1]), dtype=np.int64)
+        v[:, cols[cols >= 0]] = rows[cols >= 0].T
+        u0s, uxs, urs = zip(*plan.fill_passes)
+        passes = plan.fill_passes if t.ak.size else [
+            (u0s[0], np.concatenate(uxs), np.concatenate(urs))]
+        for u0, ux, ur in passes:
+            for r0, r1, e in _d2_rows(self, v, ux, ur):
+                v[:, t.cstart[u0 + r0]:t.cstart[u0 + r1]] = e
+        return v.reshape(lead + v.shape[-1:])
 
     def _generator_rows(self, seeds, act):
         """The (g.dim, |aug|, dim M, l) array of c(x_i, v) from the (seeds,
@@ -1200,7 +1201,7 @@ def pair_fill(bar, vecs):
     seeds = np.stack([
         f[..., gen[x], gen[v], :] * (half if v == x else 1) if v in gen
         else w[..., slot[v], :] for x, v in bar.seed_positions()], axis=-2)
-    cvecs = bar.cochain_vector(bar.cocycle_from_seeds(seeds))
+    cvecs = bar.cocycle_from_seeds(seeds)
     if not is_bar_2cocycle(bar, cvecs).all():
         raise NotACocycleError("pair-class fill is not a bar 2-cocycle")
     return cvecs

@@ -377,8 +377,8 @@ def assoc_2cocycle_from_restricted_ext(ext, bar, section=None):
         for mono, cw in ualg.monomial_product(aug[ix], aug[iv]).items():
             elt = elt - psi[mono].scaled(cw)  # psi'(x v)
         seeds.append(gamma_map(uE, ualg, layout, rep, elt))
-    c = bar.cocycle_from_seeds(np.array(seeds, dtype=np.int64).reshape(-1, rep.dim))
-    cvec = bar.cochain_vector(c)
+    cvec = bar.cocycle_from_seeds(
+        np.array(seeds, dtype=np.int64).reshape(-1, rep.dim))
     if not is_bar_2cocycle(bar, cvec):
         raise NotACocycleError("extracted cochain is not a bar 2-cocycle")
     sec = np.array(section_vectors, dtype=np.int64) % p

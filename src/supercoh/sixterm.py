@@ -49,8 +49,9 @@ class SixTermContext:
     ``h2s`` are ``restricted_cohomology(bar, n)``, checked against the
     pair complex's dimensions, with no bar d2.  ``bar`` is the weight-zero
     complex (``CochainComplex.weight_zero``) of (g, M) when g has a basis
-    torus: every bar space here is a weight-0 one, and ``cochain_vector``
-    checks that the fills are, ``_fg_stack`` that the fg cocycles are."""
+    torus: every bar space here is a weight-0 one, and
+    ``cocycle_from_seeds`` checks that the fills' seeds are,
+    ``_fg_stack`` that the fg cocycles are."""
 
     def __init__(self, g, rep):
         self.g = g
@@ -232,26 +233,24 @@ def _fg_stack(bar, bar_k, kappa, t, inv):
     """The coordinates in ``bar``, the bar complex of (g, M), of the stack
     of cochains kappa_{t[s]} inv[s], one per s: kappa has coordinates
     ``kappa`` in ``bar_k``, that of (g, K) on the same u(g), K = k^{n_even}
-    trivial, and kappa_t is its e_t component.  Each coordinate (u, v, e_t)
-    of kappa and each nonzero inv[s]_nu gives the cell (u, v, nu); one of
-    nonzero value must be a coordinate of ``bar``, else
-    InvariantViolationError (a value that breaks parity or weight)."""
-    p, D = bar.g.p, bar.rep.dim
-    n = bar_k.rep.dim
-    uv, et = np.divmod(bar_k.coordinate_keys(2), n)
-    kappa = np.asarray(kappa, dtype=np.int64) % p
-    lookup = bar.parity_lookup(2)
+    trivial, and kappa_t is its e_t component.  K is trivial and even, so
+    every cell (u, v, e_t) has the grade of (u, v, e_0): kappa's
+    coordinates come in runs of the n_even slots of one (u, v), and
+    kappa_t is the column t of ``kappa.reshape(-1, n_even)``.  Each (u, v)
+    and each nonzero inv[s]_nu gives the cell (u, v, nu); one of nonzero
+    value must be a coordinate of ``bar``, else InvariantViolationError (a
+    value that breaks parity or weight)."""
+    p, D, n = bar.g.p, bar.rep.dim, bar_k.rep.dim
+    keys = bar_k.coordinate_keys(2)
+    uv = keys[::n] // n
+    if not np.array_equal(keys, (uv[:, None] * n + np.arange(n)).ravel()):
+        raise InvariantViolationError("kappa's coordinates miss a K slot")
+    cols = bar.parity_lookup(2)[uv[:, None] * D + np.arange(D)]  # (uv, nu)
+    vals = np.reshape(kappa, (-1, n))[:, t].T[..., None] * inv[:, None] % p
+    if vals[:, cols < 0].any():  # vals is (s, uv, nu)
+        raise InvariantViolationError("fg cochain value breaks parity or weight")
     out = np.zeros((len(t), bar.coordinate_keys(2).size), dtype=np.int64)
-    order = np.argsort(et, kind="stable")  # each slot's run in key order
-    bounds = np.searchsorted(et[order], np.arange(n + 1))
-    for slot in sorted(set(t.tolist())):
-        s, at = np.flatnonzero(t == slot), order[bounds[slot]:bounds[slot + 1]]
-        cols = lookup[uv[at, None] * D + np.arange(D)]  # (coordinates, nu)
-        vals = kappa[at, None] * inv[s, None] % p  # (s, coordinates, nu)
-        if vals[:, cols < 0].any():
-            raise InvariantViolationError(
-                "fg cochain value breaks parity or weight")
-        out[s[:, None], cols[cols >= 0]] = vals[:, cols >= 0]
+    out[:, cols[cols >= 0]] = vals[:, cols >= 0]
     return out
 
 

@@ -710,6 +710,43 @@ def bar_cocycle_of_pair(lie, bar, vec):
     return bar_cocycle_of_extension(ext, bar)
 
 
+def dense_cocycle_from_seeds(bar, seeds):
+    """The values, an (..., |aug|, |aug|, dim M) array as
+    ``cochain_array`` gives them, of the bar 2-cochain that
+    ``CochainComplex.cocycle_from_seeds`` fills from ``seeds``, filled on
+    the dense grid: the generator rows of ``_generator_rows``, then
+
+        c(u, v) = x.c(u', v) + sum_w P[u', v -> w] c(x, w)
+
+    for every other aug monomial u = x u', x its first generator, one u at
+    a time by degree, P the product table.  Nothing off the coordinates is
+    checked or dropped."""
+    import numpy as np
+
+    ualg, p = bar.ualg, bar.g.p
+    aug, index = ualg.aug_basis(), ualg.aug_index()
+    A, D = len(aug), bar.rep.dim
+    a, b, w, coef = ualg.aug_product_table()
+    act = np.array(bar.rep.mats, dtype=np.int64).reshape(-1, D, D) % p
+    lead, shape = np.shape(seeds)[:-2], np.shape(seeds)[-2:]
+    seeds = np.reshape(seeds, (-1,) + shape).transpose(1, 2, 0)
+    gens = [bar.aug_power(i, 1) for i in range(bar.g.dim)]
+    c = np.zeros((A, A, D, seeds.shape[-1]), dtype=np.int64)
+    c[gens] = bar._generator_rows(seeds, act)
+    for u in sorted(range(A), key=lambda u: sum(aug[u])):
+        mono = aug[u]
+        if sum(mono) < 2:
+            continue
+        j = next(k for k, e in enumerate(mono) if e)
+        x = ualg.gen_order[j]
+        rest = index[mono[:j] + (mono[j] - 1,) + mono[j + 1:]]
+        out = np.einsum("ij,vjl->vil", act[x], c[rest])
+        e = np.flatnonzero(a == rest)
+        np.add.at(out, b[e], coef[e, None, None] * c[gens[x], w[e]])
+        c[u] = out % p
+    return c.transpose(3, 0, 1, 2).reshape(lead + (A, A, D))
+
+
 # ---------------------------------------------------------------------------
 # the bar 2-cocycle condition on every first argument
 # ---------------------------------------------------------------------------

@@ -665,20 +665,24 @@ def test_h2s_dimension_check_catches_a_dropped_fill(loaded_catalog,
 
 def test_h2s_catches_a_bent_fill(loaded_catalog):
     """On a6-abelian-plane the three classes of H^2_* are filled (S = 2,
-    ker phi of dim 1).  Adding 1 to the generator-row entry c(x, x^2) of
-    each fill, x the first even basis element, leaves no cocycle: the row
-    (x, x, x) of d2 picks it up through c(x, x x) alone.  Reading
-    ``fg_cocycles`` computes H^2_*, so the fills are bent before the first
-    read of either."""
+    ker phi of dim 1).  Adding 1 to the coordinate of the generator-row
+    entry (x, x^2, 0) of each fill, x the first even basis element, leaves
+    no cocycle: the row (x, x, x) of d2 picks it up through c(x, x x)
+    alone.  Reading ``fg_cocycles`` computes H^2_*, so the fills are bent
+    before the first read of either."""
     g, k = fixture_algebra(loaded_catalog, "a6-abelian-plane")
     ctx = SixTermContext(g, k)
     assert len(ctx.s1_pairs) == 2 and nullspace(ctx.phi).dim == 1
     bar, real = ctx.bar, ctx.bar.cocycle_from_seeds
+    x = g.space.even_indices()[0]
+    A = len(bar.ualg.aug_basis())
+    at = bar.parity_lookup(2)[(bar.aug_power(x, 1) * A
+                               + bar.aug_power(x, 2)) * k.dim]
+    assert at >= 0
 
     def bent(seeds):
         c = real(seeds)
-        x = g.space.even_indices()[0]
-        c[..., bar.aug_power(x, 1), bar.aug_power(x, 2), 0] += 1
+        c[..., at] += 1
         return c
     bar.cocycle_from_seeds = bent
     with pytest.raises(NotACocycleError, match="fill"):
